@@ -14,7 +14,8 @@ so every variant reduces to a pair of weight vectors (a, c):
     plug-in         a = 0,     c = 1
 
 with omega_i = A_i / pi_hat(X_i).  The one-step variant skips the first stage
-and regresses phi(Y) on V over the treated D1 rows only.
+and regresses phi(Y) on V over the treated D1 rows only; inverse weighting
+needs the propensity but, with c = 0, no outcome embedding either.
 
 Three regression baselines share this skeleton: ridge regression in a kernel
 space (rr), a trained feature map with a closed-form head (df), and a neural
@@ -183,6 +184,16 @@ def _check_grid(grid: NDArray[np.float64]) -> NDArray[np.float64]:
     return grid
 
 
+def _two_stage_grid(split: SplitDataset, hyper: Hyper,
+                    grid: NDArray[np.float64] | None) -> NDArray[np.float64]:
+    """The nk outcome grid shared by both stages: the override, or a grid
+    over every D0 and D1 outcome."""
+    if grid is None:
+        y_all = np.concatenate([split.d0.Y, split.d1.Y])
+        grid = make_grid(y_all, hyper.n_feats, hyper.grid_pad)
+    return _check_grid(grid)
+
+
 def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper,
                     grid: NDArray[np.float64] | None = None) -> FirstStage:
     if method not in METHODS:
@@ -214,10 +225,7 @@ def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper,
         psi0, _ = mlp_forward(net, x0t)
         cme = DfCme(net, psi0, SpdFactor(psi0.T @ psi0, hyper.ridge0), final)
     else:
-        if grid is None:
-            y_all = np.concatenate([split.d0.Y, split.d1.Y])
-            grid = make_grid(y_all, hyper.n_feats, hyper.grid_pad)
-        grid = _check_grid(grid)
+        grid = _two_stage_grid(split, hyper, grid)
         k_m = gram(ky, grid)
         k0 = gram(ky, grid, y0t)                     # (M, m) targets
         sizes = [x0t.shape[1], *hyper.hidden, grid.shape[0]]
@@ -416,7 +424,11 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
                      hyper: Hyper,
                      grid: NDArray[np.float64] | None = None) -> CcmeModel:
-    """Regress pseudo-outcomes on V over D1 and package the fitted model."""
+    """Regress pseudo-outcomes on V over D1 and package the fitted model.
+
+    ``first`` may be None for ``ipw``, whose pseudo-outcomes never read mu0;
+    nk then builds the outcome grid the first stage would have built.
+    """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
     if variant not in VARIANTS:
@@ -424,9 +436,9 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     ky = hyper.kernel_y()
     onestep = variant == "onestep"
     if not onestep:
-        if first is None:
+        if first is None and variant != "ipw":
             raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
-        if first.method != method:
+        if first is not None and first.method != method:
             raise InvalidArgumentError(
                 f"stage methods must match: first={first.method!r}, second={method!r}")
 
@@ -485,12 +497,16 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         k_m = gram(ky, use_grid)
         b = gram(ky, use_grid, y1) * a[None, :]
     else:
-        ncme: NkCme = first.cme
-        if grid is not None and not np.array_equal(_check_grid(grid), ncme.grid):
-            raise InvalidArgumentError(
-                "outcome grid mismatch between stages: the second-stage grid "
-                "override must equal the first-stage grid exactly")
-        use_grid, k_m = ncme.grid, ncme.k_m
+        if first is None:                            # ipw
+            use_grid = _two_stage_grid(split, hyper, grid)
+            k_m = gram(ky, use_grid)
+        else:
+            ncme: NkCme = first.cme
+            if grid is not None and not np.array_equal(_check_grid(grid), ncme.grid):
+                raise InvalidArgumentError(
+                    "outcome grid mismatch between stages: the second-stage grid "
+                    "override must equal the first-stage grid exactly")
+            use_grid, k_m = ncme.grid, ncme.k_m
         b = gram(ky, use_grid, y1) * a[None, :]
         if c.any():
             gx = first.cross_coef(x1)                # (M, n)
@@ -519,5 +535,6 @@ def fit_ccme(split: SplitDataset, method: str, variant: str,
     if propensity is None:
         raise InvalidArgumentError(f"variant {variant!r} needs a propensity model")
     omega = compute_omega(split.d1, propensity)
-    first = fit_first_stage(split, method, hyper, grid)
+    # ipw has c = 0, so its pseudo-outcomes never read the first stage
+    first = None if variant == "ipw" else fit_first_stage(split, method, hyper, grid)
     return fit_second_stage(split, method, variant, first, omega, hyper, grid)

@@ -17,14 +17,16 @@ Scenarios select how the nuisances are fitted, never how data is drawn:
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 from numpy.typing import NDArray
 
+from . import blas
 from .data import Dataset, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
@@ -267,10 +269,6 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
                        cell.seed, score, time.perf_counter() - start, err)
 
 
-def _run_cell_packed(args: tuple) -> SweepRecord:
-    return run_cell(*args)
-
-
 def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
               test_points: int = 500, grid_points: int = 1000,
               eval_seed: int = 0, threads: int = 1,
@@ -279,7 +277,10 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
 
     Individual cell failures are recorded as rows with an error message, not
     raised.  Kernel-ridge cells above n = 20000 are rejected up front: their
-    Gram factorizations do not fit a reasonable memory budget.
+    Gram factorizations do not fit a reasonable memory budget.  ``progress``
+    is called with each record as its cell finishes.  With ``threads > 1``
+    the cells run in that many worker processes, which split the usable
+    cores among their BLAS threads.
     """
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:
@@ -290,17 +291,24 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
             raise ConfigError(f"unknown variant {cell.variant!r}")
     hyper = hyper or Hyper()
     test_v = eval_points(test_points, eval_seed)
-    packed = [(cell, hyper, test_v, grid_points) for cell in cells]
+    records = []
+
+    def done(rec: SweepRecord) -> None:
+        records.append(rec)
+        if progress is not None:
+            progress(rec)
+
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_cell_packed, packed))
+        blas_threads = max(1, len(os.sched_getaffinity(0)) // threads)
+        with ProcessPoolExecutor(max_workers=threads, initializer=blas.set_threads,
+                                 initargs=(blas_threads,)) as pool:
+            futures = [pool.submit(run_cell, cell, hyper, test_v, grid_points)
+                       for cell in cells]
+            for future in as_completed(futures):
+                done(future.result())
     else:
-        records = []
-        for args in packed:
-            rec = run_cell(*args)
-            records.append(rec)
-            if progress is not None:
-                progress(rec)
+        for cell in cells:
+            done(run_cell(cell, hyper, test_v, grid_points))
     records.sort(key=lambda r: (r.method, r.variant, r.scenario, r.n, r.seed))
     return records
 

@@ -1,5 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
+import ctypes
+import importlib
+import os
+
 import numpy as np
 import pytest
 
@@ -34,3 +38,51 @@ def tiny_hyper():
     """Light training budgets so net-based fits stay fast in unit tests."""
     return Hyper(n_feats=4, hidden=(8,), epochs_df=(300, 100),
                  epochs_nk=(500, 100), lr_df=2e-4, lr_nk=4e-4)
+
+
+# numpy's and scipy's OpenBLAS copies, looked up here apart from ccme.blas so
+# that tests of the thread pin do not read counts through the code under test.
+_OPENBLAS_PROBES = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_{}_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads"),
+)
+
+
+def openblas_functions():
+    """(get, set) pairs for each OpenBLAS copy found; empty if none is."""
+    pairs = []
+    for module, symbol in _OPENBLAS_PROBES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__,
+                              mode=os.RTLD_NOLOAD)
+        except (ImportError, OSError):
+            continue
+        get = getattr(lib, symbol.format("get"), None)
+        put = getattr(lib, symbol.format("set"), None)
+        if get is None or put is None:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        pairs.append((get, put))
+    return pairs
+
+
+def openblas_counts():
+    """Current thread count of each OpenBLAS copy found."""
+    return [int(get()) for get, _ in openblas_functions()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS copy on two threads for the test, so that a pin to one
+    thread and its undoing both show; the old counts come back afterwards.
+    Skips where no OpenBLAS copy is found."""
+    pairs = openblas_functions()
+    if not pairs:
+        pytest.skip("no OpenBLAS copy found")
+    before = [int(get()) for get, _ in pairs]
+    for _, put in pairs:
+        put(2)
+    yield
+    for (_, put), n in zip(pairs, before):
+        put(n)

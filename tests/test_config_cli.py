@@ -351,6 +351,16 @@ class TestMainDispatch:
         assert main(["simulate", "--n", "abc"]) == 3
         assert main(["--method", "xx", "--print-config"]) == 4
 
+    def test_python_dash_m(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(PACKAGE_PARENT), env.get("PYTHONPATH", "")])
+        for argv, code in ((["--help"], 0), (["--no-such-flag"], 3)):
+            proc = subprocess.run([sys.executable, "-m", "ccme", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == code, proc.stderr
+            assert ("usage: ccme" in proc.stdout) == (code == 0)
+
     @pytest.mark.skipif(PACKAGE_PARENT.name != "src" or not PYPROJECT.is_file(),
                         reason="ccme is not imported from a src/ checkout "
                                "with its pyproject.toml")

@@ -481,6 +481,32 @@ class TestNetStages:
             fit_second_stage(split, "nk", "dr", first, np.ones(split.n),
                              tiny_hyper, grid=wrong)
 
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_ipw_fits_no_first_stage(self, method, tiny_hyper):
+        from ccme.data import compute_omega
+        from ccme.density import default_grid, density_matrix
+        from ccme.propensity import fit_logistic
+        # D0 holds an outcome extreme, so the nk grid must span both halves
+        split = make_split(n=30, seed=25)
+        h = Hyper() if method == "rr" else tiny_hyper
+        prop = fit_logistic(split.d0.X, split.d0.A)
+        model = fit_ccme(split, method, "ipw", prop, h)
+        ref = fit_second_stage(split, method, "ipw",
+                               fit_first_stage(split, method, h),
+                               compute_omega(split.d1, prop), h)
+        assert model.first is None
+        vq, grid = split.v1[:3], default_grid(model, 30)
+        assert np.array_equal(density_matrix(model, vq, grid),
+                              density_matrix(ref, vq, grid))
+
+    def test_nk_ipw_honours_grid_override(self, tiny_hyper):
+        split = make_split(n=24, seed=21)
+        grid = np.linspace(-6.0, 6.0, 5)
+        model = fit_second_stage(split, "nk", "ipw", None, np.ones(split.n),
+                                 tiny_hyper, grid=grid)
+        assert np.array_equal(model.second.grid, grid.reshape(-1, 1))
+
     def test_nk_duplicate_grid_rejected(self, tiny_hyper):
         split = make_split(n=24, seed=22)
         bad = np.array([[0.0], [1.0], [0.0]])

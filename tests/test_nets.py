@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from ccme import blas
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.nets import (MlpParams, SgdState, mlp_backward, mlp_forward,
                        mlp_init, sgd_step, train_mlp)
+
+from conftest import openblas_counts
 
 
 def flatten_params(params):
@@ -167,6 +170,19 @@ class TestSgd:
         with pytest.raises(InvalidArgumentError):
             SgdState.init(params, lr=0.1, momentum=1.0)
 
+    def test_updates_state_in_place_and_leaves_params(self):
+        params = mlp_init((2, 3), seed=3)
+        before = params.copy()
+        state = SgdState.init(params, lr=0.1, momentum=0.9)
+        g = np.ones((3, 2))
+        after, returned = sgd_step(params, [(g, np.ones(3))], state)
+        assert returned is state
+        assert np.array_equal(state.buf_w[0], g)
+        for old, kept in zip(before.weights + before.biases,
+                             params.weights + params.biases):
+            assert np.array_equal(old, kept)
+        assert not np.array_equal(after.weights[0], params.weights[0])
+
     def test_grad_list_length_check(self):
         params = mlp_init((2, 3, 2), seed=0)
         state = SgdState.init(params, lr=0.1, momentum=0.0)
@@ -213,3 +229,54 @@ class TestTrainLoop:
             train_mlp(params, np.ones((1, 2)), explode,
                       epochs=10, lr=0.1, momentum=0.0)
         assert err.value.epoch == 2
+
+
+def quadratic_problem(seed=5):
+    """A small least-squares fit whose loss callback also records the
+    OpenBLAS thread counts it runs under, one list per call."""
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(20, 2))
+    target = rng.normal(size=(20, 1))
+    seen = []
+
+    def loss_and_grad(out):
+        seen.append(openblas_counts())
+        diff = out - target
+        return float((diff * diff).mean()), 2.0 * diff / diff.size
+
+    return mlp_init((2, 8, 1), seed=seed), batch, loss_and_grad, seen
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestBlasPin:
+    def test_loop_runs_on_one_thread(self):
+        params, batch, loss_and_grad, seen = quadratic_problem()
+        train_mlp(params, batch, loss_and_grad, epochs=3, lr=0.05, momentum=0.9)
+        assert seen == [[1] * len(openblas_counts())] * 3
+
+    def test_counts_restored_after_return(self):
+        params, batch, loss_and_grad, _ = quadratic_problem()
+        before = openblas_counts()
+        train_mlp(params, batch, loss_and_grad, epochs=3, lr=0.05, momentum=0.9)
+        assert openblas_counts() == before == [2] * len(before)
+
+    def test_counts_restored_after_numeric_error(self):
+        params, batch, _, _ = quadratic_problem()
+        before = openblas_counts()
+        with pytest.raises(NumericError):
+            train_mlp(params, batch, lambda out: (float("nan"), out),
+                      epochs=3, lr=0.05, momentum=0.9)
+        assert openblas_counts() == before
+
+    def test_trains_the_same_without_openblas(self, monkeypatch):
+        params, batch, loss_and_grad, _ = quadratic_problem()
+        pinned, pinned_loss = train_mlp(params, batch, loss_and_grad,
+                                         epochs=50, lr=0.05, momentum=0.9)
+        monkeypatch.setattr(blas, "_copies", lambda: ())
+        params, batch, loss_and_grad, seen = quadratic_problem()
+        free, free_loss = train_mlp(params, batch, loss_and_grad,
+                                    epochs=50, lr=0.05, momentum=0.9)
+        assert seen[0] == [2] * len(seen[0])
+        assert free_loss == pinned_loss
+        for a, b in zip(pinned.weights + pinned.biases, free.weights + free.biases):
+            assert np.array_equal(a, b)

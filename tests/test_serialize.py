@@ -39,6 +39,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("method,variant", [
         ("rr", "ipw"), ("rr", "pi"), ("rr", "onestep"), ("nk", "onestep"),
+        ("df", "ipw"), ("nk", "ipw"),
     ])
     def test_variants_round_trip(self, method, variant, tmp_path, tiny_hyper):
         h = Hyper() if method == "rr" else tiny_hyper

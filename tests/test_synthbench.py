@@ -1,16 +1,21 @@
 """Synthetic generator, analytic ground truth, MSE scoring, and sweeps."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from ccme import synthbench
 from ccme.errors import ConfigError, InvalidArgumentError
 from ccme.estimators import Hyper
 from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
-                             SweepCell, eval_points, generate, loglog_slope,
-                             mse, plan_cells, run_cell, run_sweep,
-                             scenario_hyper, scenario_name,
+                             SweepCell, SweepRecord, eval_points, generate,
+                             loglog_slope, mse, plan_cells, run_cell,
+                             run_sweep, scenario_hyper, scenario_name,
                              scenario_propensity, true_propensity)
+
+from conftest import openblas_counts
 
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 V2 = np.array([-0.2, 2.2, -0.2, 2.2, -0.2])
@@ -231,6 +236,33 @@ class TestSweep:
         assert [r.seed for r in records] == [1, 2, 3]
         assert len(seen) == 3
         assert all(np.isnan(r.mse) for r in records)
+
+    def test_parallel_sweep_streams_progress(self):
+        cells = [SweepCell("rr", "onestep", "a", 40, s) for s in (2, 1)]
+        seen = []
+        parallel = run_sweep(cells, test_points=5, grid_points=20, threads=2,
+                             progress=seen.append)
+        serial = run_sweep(cells, test_points=5, grid_points=20)
+        assert len(seen) == 2
+        assert [(r.seed, r.error) for r in parallel] == [(1, ""), (2, "")]
+        assert [r.seed for r in serial] == [1, 2]
+        for p, s in zip(parallel, serial):
+            assert p.mse == pytest.approx(s.mse, rel=1e-12)
+
+    @pytest.mark.usefixtures("two_blas_threads")
+    def test_parallel_workers_split_the_cores(self, monkeypatch):
+        monkeypatch.setattr(synthbench, "run_cell", record_blas_threads)
+        records = run_sweep([SweepCell("rr", "dr", "a", 2, s) for s in (1, 2)],
+                            threads=2)
+        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert [r.error for r in records] == [str([share] * len(openblas_counts()))] * 2
+
+
+def record_blas_threads(cell, hyper, test_v, grid_points):
+    """Stands in for run_cell in a sweep worker: reports the worker's
+    OpenBLAS thread counts in the record's error field."""
+    return SweepRecord(cell.method, cell.variant, cell.scenario, cell.n,
+                       cell.seed, 0.0, 0.0, str(openblas_counts()))
 
 
 class TestLoglogSlope:
