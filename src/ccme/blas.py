@@ -37,11 +37,14 @@ def _lookup(lib: ctypes.CDLL, verb: str):
 @functools.cache
 def _copies() -> tuple[tuple, ...]:
     """(get, set) function pairs, one per distinct loaded OpenBLAS copy."""
+    noload = getattr(os, "RTLD_NOLOAD", None)  # absent on Windows
+    if noload is None:
+        return ()
     found: dict[int | None, tuple] = {}
     for name in _LINKERS:
         try:
             lib = ctypes.CDLL(importlib.import_module(name).__file__,
-                              mode=os.RTLD_NOLOAD)
+                              mode=noload)
         except (ImportError, OSError):
             continue
         get, put = _lookup(lib, "get"), _lookup(lib, "set")

@@ -269,6 +269,13 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
                        cell.seed, score, time.perf_counter() - start, err)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on; all cores where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
               test_points: int = 500, grid_points: int = 1000,
               eval_seed: int = 0, threads: int = 1,
@@ -280,7 +287,8 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
     Gram factorizations do not fit a reasonable memory budget.  ``progress``
     is called with each record as its cell finishes.  With ``threads > 1``
     the cells run in that many worker processes, which split the usable
-    cores among their BLAS threads.
+    cores among their BLAS threads, one thread each at least; more workers
+    than cores still oversubscribe them.
     """
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:
@@ -299,7 +307,7 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
             progress(rec)
 
     if threads > 1:
-        blas_threads = max(1, len(os.sched_getaffinity(0)) // threads)
+        blas_threads = max(1, _usable_cores() // threads)
         with ProcessPoolExecutor(max_workers=threads, initializer=blas.set_threads,
                                  initargs=(blas_threads,)) as pool:
             futures = [pool.submit(run_cell, cell, hyper, test_v, grid_points)

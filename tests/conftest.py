@@ -3,10 +3,12 @@
 import ctypes
 import importlib
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from ccme import blas
 from ccme.data import Dataset, split_data
 from ccme.estimators import Hyper
 
@@ -51,10 +53,13 @@ _OPENBLAS_PROBES = (
 def openblas_functions():
     """(get, set) pairs for each OpenBLAS copy found; empty if none is."""
     pairs = []
+    noload = getattr(os, "RTLD_NOLOAD", None)
     for module, symbol in _OPENBLAS_PROBES:
+        if noload is None:
+            break
         try:
             lib = ctypes.CDLL(importlib.import_module(module).__file__,
-                              mode=os.RTLD_NOLOAD)
+                              mode=noload)
         except (ImportError, OSError):
             continue
         get = getattr(lib, symbol.format("get"), None)
@@ -72,17 +77,38 @@ def openblas_counts():
     return [int(get()) for get, _ in openblas_functions()]
 
 
-@pytest.fixture
-def two_blas_threads():
-    """Every OpenBLAS copy on two threads for the test, so that a pin to one
-    thread and its undoing both show; the old counts come back afterwards.
-    Skips where no OpenBLAS copy is found."""
+@contextmanager
+def openblas_threads(n):
+    """Every OpenBLAS copy on ``n`` threads inside the block; the old counts
+    come back afterwards.  Skips the test where no OpenBLAS copy is found."""
     pairs = openblas_functions()
     if not pairs:
         pytest.skip("no OpenBLAS copy found")
     before = [int(get()) for get, _ in pairs]
     for _, put in pairs:
-        put(2)
-    yield
-    for (_, put), n in zip(pairs, before):
         put(n)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pairs, before):
+            put(count)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS copy on two threads for the test, so that a pin to one
+    thread and its undoing both show."""
+    with openblas_threads(2):
+        yield
+
+
+@pytest.fixture
+def without_posix_calls(monkeypatch):
+    """Hides os.RTLD_NOLOAD and os.sched_getaffinity, as on Windows and
+    macOS, and makes ccme.blas look its OpenBLAS copies up again both now and
+    after the test."""
+    monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    blas._copies.cache_clear()
+    yield
+    blas._copies.cache_clear()

@@ -280,3 +280,16 @@ class TestBlasPin:
         assert free_loss == pinned_loss
         for a, b in zip(pinned.weights + pinned.biases, free.weights + free.biases):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.usefixtures("without_posix_calls")
+def test_trains_where_openblas_cannot_be_looked_up():
+    """Without os.RTLD_NOLOAD no copy is found, and training runs unpinned."""
+    assert blas.thread_counts() == []
+    params, batch, loss_and_grad, _ = quadratic_problem()
+    _, first = train_mlp(params, batch, loss_and_grad, epochs=1, lr=0.05,
+                         momentum=0.9)
+    _, last = train_mlp(params, batch, loss_and_grad, epochs=50, lr=0.05,
+                        momentum=0.9)
+    assert last < first
+

@@ -15,7 +15,7 @@ from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
                              run_sweep, scenario_hyper, scenario_name,
                              scenario_propensity, true_propensity)
 
-from conftest import openblas_counts
+from conftest import openblas_counts, openblas_threads
 
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 V2 = np.array([-0.2, 2.2, -0.2, 2.2, -0.2])
@@ -249,13 +249,28 @@ class TestSweep:
         for p, s in zip(parallel, serial):
             assert p.mse == pytest.approx(s.mse, rel=1e-12)
 
-    @pytest.mark.usefixtures("two_blas_threads")
     def test_parallel_workers_split_the_cores(self, monkeypatch):
+        """Workers inherit the parent's count on fork, so the parent runs one
+        thread more than the share: only the initializer gives the share."""
         monkeypatch.setattr(synthbench, "run_cell", record_blas_threads)
-        records = run_sweep([SweepCell("rr", "dr", "a", 2, s) for s in (1, 2)],
-                            threads=2)
-        share = max(1, len(os.sched_getaffinity(0)) // 2)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        share = max(1, usable // 2)
+        with openblas_threads(share + 1):
+            records = run_sweep([SweepCell("rr", "dr", "a", 2, s) for s in (1, 2)],
+                                threads=2)
         assert [r.error for r in records] == [str([share] * len(openblas_counts()))] * 2
+
+    @pytest.mark.usefixtures("without_posix_calls")
+    def test_parallel_sweep_without_posix_calls(self, tiny_hyper):
+        """No os.sched_getaffinity and no os.RTLD_NOLOAD, as on Windows: the
+        workers find no OpenBLAS copy to share the cores among, and still fit
+        nets."""
+        cells = [SweepCell("df", "ipw", "a", 30, s) for s in (1, 2)]
+        records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20,
+                            threads=2)
+        assert [(r.seed, r.error) for r in records] == [(1, ""), (2, "")]
+        assert all(np.isfinite(r.mse) for r in records)
 
 
 def record_blas_threads(cell, hyper, test_v, grid_points):
