@@ -35,7 +35,7 @@ from .propensity import fit_forest, fit_logistic, make_oracle
 from .serialize import load_model, save_model
 from .synthbench import (N_COV, DgpConfig, generate, loglog_slope,
                          normalize_scenario, plan_cells, run_sweep,
-                         scenario_hyper, scenario_propensity)
+                         scenario_hyper, scenario_propensity, true_propensity)
 
 __all__ = ["main"]
 
@@ -184,7 +184,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
             if not _benchmark_shaped(d_x):
                 raise ConfigError("the oracle propensity is defined for the "
                                   f"{N_COV}-covariate benchmark layout only")
-            prop = make_oracle("synth-pi", d_x, clip)
+            prop = make_oracle(true_propensity, d_x, clip)
 
     model = fit_ccme(split, cfg.method, cfg.variant, prop, hyper)
     save_model(model, args.model_out)

@@ -1,8 +1,7 @@
 """Dataset container, CSV round-trip, and the stage-0/stage-1 split.
 
-A dataset is rows of (covariates X, binary treatment A, outcome Y).  The CSV
-schema is x1..xd,a,y with multi-dimensional outcomes written as y1..yk; the
-header row is mandatory.
+A dataset is rows of (covariates X, binary treatment A, scalar outcome Y).
+The CSV schema is x1..xd,a,y; the header row is mandatory.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ __all__ = ["Dataset", "SplitDataset", "split_data", "compute_omega",
 class Dataset:
     X: NDArray[np.float64]   # (n, d_x)
     A: NDArray[np.float64]   # (n,) values in {0, 1}
-    Y: NDArray[np.float64]   # (n, d_y)
+    Y: NDArray[np.float64]   # (n, 1)
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -34,6 +33,9 @@ class Dataset:
         n = self.X.shape[0]
         if self.A.shape[0] != n or self.Y.shape[0] != n:
             raise InvalidArgumentError("X, A, Y row counts disagree")
+        if self.Y.ndim != 2 or self.Y.shape[1] != 1:
+            raise InvalidArgumentError(
+                f"outcomes must be scalar, got shape {self.Y.shape[1:]} per row")
         if not np.isin(self.A, (0.0, 1.0)).all():
             raise InvalidArgumentError("treatment column must be 0/1")
 
@@ -117,10 +119,7 @@ def compute_omega(d1: Dataset, propensity: PropensityModel) -> NDArray[np.float6
 
 def dataset_to_csv(dataset: Dataset) -> str:
     """Render a dataset in the x1..xd,a,y schema with full float precision."""
-    d_x, d_y = dataset.X.shape[1], dataset.Y.shape[1]
-    cols = [f"x{i + 1}" for i in range(d_x)]
-    cols.append("a")
-    cols.extend(["y"] if d_y == 1 else [f"y{i + 1}" for i in range(d_y)])
+    cols = [f"x{i + 1}" for i in range(dataset.X.shape[1])] + ["a", "y"]
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
     body = np.column_stack([dataset.X, dataset.A, dataset.Y])
@@ -139,9 +138,12 @@ def load_dataset(text: str) -> Dataset:
     y_cols = [h for h in header if h.startswith("y")]
     if "a" not in header or not x_cols or not y_cols:
         raise InvalidArgumentError(
-            f"dataset header must be x1..xd,a,y[,y2..], got {lines[0]!r}")
-    if header != x_cols + ["a"] + y_cols:
-        raise InvalidArgumentError("dataset columns out of order; expected x*, a, y*")
+            f"dataset header must be x1..xd,a,y, got {lines[0]!r}")
+    if y_cols != ["y"]:
+        raise InvalidArgumentError(
+            f"dataset needs one scalar outcome column y, got {','.join(y_cols)}")
+    if header != x_cols + ["a", "y"]:
+        raise InvalidArgumentError("dataset columns out of order; expected x*, a, y")
     try:
         body = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
     except ValueError as exc:
@@ -150,4 +152,4 @@ def load_dataset(text: str) -> Dataset:
         raise InvalidArgumentError(
             f"rows have {body.shape[1]} fields, header has {len(header)}")
     d_x = len(x_cols)
-    return Dataset(body[:, :d_x], body[:, d_x], body[:, d_x + 1:])
+    return Dataset(body[:, :d_x], body[:, d_x], body[:, d_x + 1])

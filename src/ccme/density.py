@@ -15,9 +15,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .estimators import CcmeModel, DfSecond, NkSecond, RrSecond
+from .estimators import CcmeModel
 from .kernels import gram
-from .nets import mlp_forward
 
 __all__ = ["DensityCurve", "density_matrix", "density_mass", "density_curves",
            "default_grid", "curves_to_csv", "quadrature_mass"]
@@ -32,7 +31,7 @@ class DensityCurve:
     as-is, never clipped.
     """
 
-    grid: NDArray[np.float64]       # (G,) or (G, d_y)
+    grid: NDArray[np.float64]       # (G,)
     values: NDArray[np.float64]     # (G,)
     mass: float
     min_value: float
@@ -42,10 +41,7 @@ def _as_queries(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v.reshape(1, -1)
-    if isinstance(model.second, RrSecond):
-        d_v = model.second.v1.shape[1]
-    else:
-        d_v = model.second.v_dim
+    d_v = model.second.in_dim
     if v.shape[1] != d_v:
         raise InvalidArgumentError(
             f"query points have {v.shape[1]} coordinates, model expects {d_v}")
@@ -61,15 +57,6 @@ def _as_grid(y_grid: NDArray[np.float64], d_y: int) -> NDArray[np.float64]:
     return y
 
 
-def _second_beta(model: CcmeModel, vq: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Second-stage combination coefficients over training rows, shape (n, T)."""
-    second = model.second
-    if isinstance(second, RrSecond):
-        return second.factor.solve(gram(second.kernel_v, second.v1, vq))
-    feats, _ = mlp_forward(second.net, vq)
-    return second.psi1 @ second.factor.solve(feats.T)
-
-
 def _bump_weights(model: CcmeModel, vq: NDArray[np.float64]
                   ) -> tuple[NDArray[np.float64], NDArray[np.float64],
                              NDArray[np.float64] | None,
@@ -77,25 +64,12 @@ def _bump_weights(model: CcmeModel, vq: NDArray[np.float64]
     """Kernel-bump weights of the fitted embedding at each query point.
 
     Returns (centers1, w1, centers0, w0): weights over the second-stage
-    outcome rows and, when a first stage contributes, over its outcome basis.
-    Each weight array has one column per query.
+    head's outcome basis and, when a first stage contributes through the
+    cached design, over the first-stage head's basis.  Each weight array has
+    one column per query.
     """
-    second = model.second
-    if isinstance(second, NkSecond):
-        feats, _ = mlp_forward(second.net, vq)
-        return second.grid, feats.T, None, None
-    beta = _second_beta(model, vq)                       # (n, T)
-    w1 = model.a[:, None] * beta
-    if not model.c.any() or model.first is None:
-        return model.y1, w1, None, None
-    cb = model.c[:, None] * beta
-    first = model.first
-    if model.method == "rr":
-        w0 = first.cme.factor.solve(model.cross_cache @ cb)
-    else:                                                # df
-        dcme = first.cme
-        w0 = dcme.psi0 @ dcme.factor.solve(model.cross_cache.T @ cb)
-    return model.y1, w1, first.basis_y(), w0
+    first = None if model.first is None else model.first.head
+    return model.second.bump_weights(vq, model.a, model.c, first, model.cross_cache)
 
 
 def density_matrix(model: CcmeModel, v: NDArray[np.float64],
@@ -167,8 +141,7 @@ def curves_to_csv(curves: list[DensityCurve],
         raise InvalidArgumentError("one v_id per curve required")
     lines = ["v_id,y,density"]
     for vid, curve in zip(v_ids, curves):
-        g = np.asarray(curve.grid, dtype=np.float64).reshape(len(curve.values), -1)
-        for y_row, dens in zip(g, curve.values):
-            y_txt = ";".join(f"{y:.17g}" for y in y_row)
-            lines.append(f"{vid},{y_txt},{dens:.17g}")
+        for y, dens in zip(np.asarray(curve.grid, dtype=np.float64).ravel(),
+                           curve.values):
+            lines.append(f"{vid},{y:.17g},{dens:.17g}")
     return "\n".join(lines) + "\n"

@@ -15,19 +15,25 @@ so every variant reduces to a pair of weight vectors (a, c):
 
 with omega_i = A_i / pi_hat(X_i).  The one-step variant skips the first stage
 and regresses phi(Y) on V over the treated D1 rows only; inverse weighting
-needs the propensity but, with c = 0, no outcome embedding either.
+needs the propensity but, with c = 0, no outcome embedding either.  Stage one
+is itself this regression with a = 1, c = 0 over D0's treated rows.
 
-Three regression baselines share this skeleton: ridge regression in a kernel
-space (rr), a trained feature map with a closed-form head (df), and a neural
-coefficient network over a fixed outcome grid (nk).  Stages pair like with
-like; mixing is rejected.
+Each backend is one regression head, and both stages use it:
+
+    rr  KernelHead   kernel ridge: coef(x) = (K + ridge I)^-1 K(points, x)
+    df  FeatureHead  ridge on trained features: coef(x) = F (F'F + ridge I)^-1 f(x)
+    nk  GridHead     a net whose outputs weight the kernel sections of a
+                     fixed outcome grid
+
+The two ridge heads weight their training rows' pseudo-outcomes; the grid
+head weights its grid directly, its training targets having absorbed a and c.
+Stages pair like with like; mixing is rejected.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,15 +46,13 @@ from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
 from .propensity import PropensityModel
 
 __all__ = [
-    "Hyper", "FirstStage", "RrCme", "DfCme", "NkCme",
-    "RrSecond", "DfSecond", "NkSecond", "CcmeModel",
-    "pseudo_weights", "pseudo_targets", "PseudoTargets", "build_k_xi",
+    "Hyper", "KernelHead", "FeatureHead", "GridHead", "head_from_arrays",
+    "FirstStage", "CcmeModel", "pseudo_weights", "build_k_xi",
     "df_trace_loss", "nk_loss_grad", "nk_minimizer", "make_grid",
     "fit_first_stage", "fit_second_stage", "fit_ccme",
     "METHODS", "VARIANTS",
 ]
 
-METHODS = ("rr", "df", "nk")
 VARIANTS = ("dr", "ipw", "pi", "onestep")
 
 
@@ -97,79 +101,297 @@ class Hyper:
 
 
 # ---------------------------------------------------------------------------
+# regression heads
+#
+# A head is fitted by ``fit(inputs, y, a, c, first, x1, hyper, stage, lr_rows,
+# grid, grid_y)``: it regresses the pseudo-outcomes a_i phi(y_i) + c_i mu0(x1_i)
+# on the input rows.  ``stage`` (0 or 1) picks the input kernel, the ridge, the
+# epoch budget and the net seed; ``lr_rows`` is the row count the learning
+# rate scales with.  Only the grid head reads ``grid`` (an override or None)
+# and ``grid_y`` (the outcomes a default grid spans).
+
+
+def _kernel_arrays(spec: KernelSpec) -> dict[str, np.ndarray]:
+    return {"kernel.family": np.array(spec.family),
+            "kernel.bandwidth": np.array(spec.bandwidth),
+            "kernel.normalized": np.array(spec.normalized)}
+
+
+def _kernel_from(arrays) -> KernelSpec:
+    return KernelSpec(str(arrays["kernel.family"]), float(arrays["kernel.bandwidth"]),
+                      bool(arrays["kernel.normalized"]))
+
+
+def _net_arrays(net: MlpParams) -> dict[str, np.ndarray]:
+    out = {"net.sizes": np.array(net.sizes, dtype=np.int64)}
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        out[f"net.w{i}"] = w
+        out[f"net.b{i}"] = b
+    return out
+
+
+def _net_from(arrays) -> MlpParams:
+    sizes = tuple(int(s) for s in arrays["net.sizes"])
+    layers = range(len(sizes) - 1)
+    return MlpParams(sizes, [arrays[f"net.w{i}"] for i in layers],
+                     [arrays[f"net.b{i}"] for i in layers])
+
+
+def _factor_from(arrays) -> SpdFactor:
+    return SpdFactor.from_regularized(arrays["factor"], float(arrays["ridge"]))
+
+
+def _row_bump_weights(head, x, a, c, first, cross):
+    """Bump weights of a ridge head, whose coefficients weight its training
+    rows' pseudo-outcomes: a * coef over its outcome rows and, through the
+    cached design ``cross``, the c-term over the first stage's basis."""
+    beta = head.coef(x)                                  # (n, T)
+    w1 = a[:, None] * beta
+    if cross is None or not c.any():
+        return head.outcomes, w1, None, None
+    return head.outcomes, w1, first.basis, first.solve(cross @ (c[:, None] * beta))
+
+
+@dataclass
+class KernelHead:
+    """Kernel ridge regression over ``points``, whose outcome rows are the basis."""
+
+    method = "rr"
+    final_loss = float("nan")           # closed form: nothing is trained
+
+    kernel: KernelSpec
+    points: NDArray[np.float64]         # (n, d) training inputs
+    factor: SpdFactor                   # K(points) + ridge I
+    outcomes: NDArray[np.float64]       # (n, 1) training outcomes
+
+    @property
+    def in_dim(self) -> int:
+        return int(self.points.shape[1])
+
+    @property
+    def basis(self) -> NDArray[np.float64]:
+        return self.outcomes
+
+    def design(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """K(points, x), shape (n, T)."""
+        return gram(self.kernel, self.points, x)
+
+    def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Row coefficients for a right-hand side in design space."""
+        return self.factor.solve(rhs)
+
+    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Coefficients (n, T) over the training rows at the rows of x."""
+        return self.solve(self.design(x))
+
+    bump_weights = _row_bump_weights
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"kind": np.array(self.method), **_kernel_arrays(self.kernel),
+                "points": self.points, "factor": self.factor.matrix,
+                "ridge": np.array(self.factor.ridge), "outcomes": self.outcomes}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "KernelHead":
+        return cls(_kernel_from(arrays), arrays["points"], _factor_from(arrays),
+                   arrays["outcomes"])
+
+    @classmethod
+    def fit(cls, inputs, y, a, c, first, x1, hyper: Hyper, stage: int,
+            lr_rows: int, grid, grid_y) -> "KernelHead":
+        kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
+        ridge = (hyper.ridge0, hyper.ridge1)[stage]
+        return cls(kernel, inputs, SpdFactor(gram(kernel, inputs), ridge), y)
+
+
+@dataclass
+class FeatureHead:
+    """Ridge regression on the features F = net(training inputs)."""
+
+    method = "df"
+
+    net: MlpParams                      # inputs -> M features
+    feats: NDArray[np.float64]          # (n, M) features of the training rows
+    factor: SpdFactor                   # F'F + ridge I
+    outcomes: NDArray[np.float64]       # (n, 1) training outcomes
+    final_loss: float = float("nan")
+
+    @property
+    def in_dim(self) -> int:
+        return int(self.net.sizes[0])
+
+    @property
+    def basis(self) -> NDArray[np.float64]:
+        return self.outcomes
+
+    def design(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The features at x, transposed: shape (M, T)."""
+        feats, _ = mlp_forward(self.net, x)
+        return feats.T
+
+    def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Row coefficients for a right-hand side in design space."""
+        return self.feats @ self.factor.solve(rhs)
+
+    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Coefficients (n, T) over the training rows at the rows of x."""
+        return self.solve(self.design(x))
+
+    bump_weights = _row_bump_weights
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"kind": np.array(self.method), **_net_arrays(self.net),
+                "feats": self.feats, "factor": self.factor.matrix,
+                "ridge": np.array(self.factor.ridge), "outcomes": self.outcomes,
+                "final_loss": np.array(self.final_loss)}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "FeatureHead":
+        return cls(_net_from(arrays), arrays["feats"], _factor_from(arrays),
+                   arrays["outcomes"], float(arrays["final_loss"]))
+
+    @classmethod
+    def fit(cls, inputs, y, a, c, first, x1, hyper: Hyper, stage: int,
+            lr_rows: int, grid, grid_y) -> "FeatureHead":
+        rows = inputs.shape[0]
+        if rows < hyper.n_feats:
+            warnings.warn(
+                f"only {rows} training rows for {hyper.n_feats} features; "
+                "expect an ill-conditioned feature Gram", ConfigWarning)
+        ridge = (hyper.ridge0, hyper.ridge1)[stage]
+        g_xi = build_k_xi(hyper.kernel_y(), y, a, c, first, x1)
+        net = mlp_init([inputs.shape[1], *hyper.hidden, hyper.n_feats],
+                       hyper.net_seeds()[stage])
+
+        def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
+            loss, grad = df_trace_loss(psi, g_xi, ridge)
+            return loss / rows, grad / rows
+
+        net, final = train_mlp(net, inputs, loss_fn, hyper.epochs_df[stage],
+                               hyper.scaled_lr(hyper.lr_df, lr_rows), hyper.momentum)
+        feats, _ = mlp_forward(net, inputs)
+        return cls(net, feats, SpdFactor(feats.T @ feats, ridge), y, final)
+
+
+@dataclass
+class GridHead:
+    """A coefficient net: net(x) weights the kernel sections at ``grid``."""
+
+    method = "nk"
+
+    net: MlpParams                      # inputs -> M grid coefficients
+    grid: NDArray[np.float64]           # (M, 1)
+    k_m: NDArray[np.float64]            # (M, M) outcome-kernel Gram of the grid
+    final_loss: float = float("nan")
+
+    @property
+    def in_dim(self) -> int:
+        return int(self.net.sizes[0])
+
+    @property
+    def basis(self) -> NDArray[np.float64]:
+        return self.grid
+
+    def design(self, x: NDArray[np.float64]) -> None:
+        """None: the c-term is folded into stage two's training targets, so
+        density evaluation needs no design of this head."""
+        return None
+
+    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Coefficients (M, T) over the grid at the rows of x."""
+        feats, _ = mlp_forward(self.net, x)
+        return feats.T
+
+    def bump_weights(self, x, a, c, first, cross):
+        return self.grid, self.coef(x), None, None
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"kind": np.array(self.method), **_net_arrays(self.net),
+                "grid": self.grid, "k_m": self.k_m,
+                "final_loss": np.array(self.final_loss)}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "GridHead":
+        return cls(_net_from(arrays), arrays["grid"], arrays["k_m"],
+                   float(arrays["final_loss"]))
+
+    @classmethod
+    def fit(cls, inputs, y, a, c, first, x1, hyper: Hyper, stage: int,
+            lr_rows: int, grid, grid_y) -> "GridHead":
+        if first is None:
+            if grid is None:
+                grid = make_grid(grid_y, hyper.n_feats, hyper.grid_pad)
+            grid = _check_grid(grid)
+        else:                                        # both stages share one grid
+            if grid is not None and not np.array_equal(_check_grid(grid),
+                                                       first.head.grid):
+                raise InvalidArgumentError(
+                    "outcome grid mismatch between stages: the second-stage grid "
+                    "override must equal the first-stage grid exactly")
+            grid = first.head.grid
+        ky = hyper.kernel_y()
+        k_m = gram(ky, grid)
+        b = gram(ky, grid, y) * a[None, :]           # (M, n) targets
+        if c.any():
+            b = b + (k_m @ first.coef(x1)) * c[None, :]
+        net = mlp_init([inputs.shape[1], *hyper.hidden, grid.shape[0]],
+                       hyper.net_seeds()[stage])
+
+        def loss_fn(feats: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
+            return nk_loss_grad(feats, k_m, b)
+
+        net, final = train_mlp(net, inputs, loss_fn, hyper.epochs_nk[stage],
+                               hyper.scaled_lr(hyper.lr_nk, lr_rows), hyper.momentum)
+        return cls(net, grid, k_m, final)
+
+
+_HEADS = {head.method: head for head in (KernelHead, FeatureHead, GridHead)}
+METHODS = tuple(_HEADS)
+
+
+def _head_class(method: str):
+    if method not in _HEADS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    return _HEADS[method]
+
+
+def head_from_arrays(arrays) -> KernelHead | FeatureHead | GridHead:
+    """Rebuild a head from the arrays its ``to_arrays`` returned."""
+    return _head_class(str(arrays["kind"])).from_arrays(arrays)
+
+
+# ---------------------------------------------------------------------------
 # first stage
 
 
 @dataclass
-class RrCme:
-    kernel_x: KernelSpec
-    x0t: NDArray[np.float64]        # (m, d') treated D0 covariates
-    factor: SpdFactor               # K_x0t + ridge0 I
-
-
-@dataclass
-class DfCme:
-    net: MlpParams                  # covariates -> M features
-    psi0: NDArray[np.float64]       # (m, M) features at x0t
-    factor: SpdFactor               # psi0' psi0 + ridge0 I
-    final_loss: float = float("nan")
-
-
-@dataclass
-class NkCme:
-    net: MlpParams                  # covariates -> M grid coefficients
-    grid: NDArray[np.float64]       # (M, d_y)
-    k_m: NDArray[np.float64]        # (M, M) outcome-kernel Gram of the grid
-    final_loss: float = float("nan")
-
-
-@dataclass
 class FirstStage:
-    """Fitted nuisances: outcome-embedding regression plus bookkeeping.
+    """The fitted outcome embedding mu0: a head over D0's treated rows, read
+    through the covariate subset ``x_cols``."""
 
-    ``cross_coef`` expresses mu0 at new covariate points as coefficients over
-    a fixed basis: phi(y0t rows) for rr/df, phi(grid rows) for nk.
-    """
-
-    method: str
-    kernel_y: KernelSpec
+    head: KernelHead | FeatureHead | GridHead
     x_cols: list[int] | None
-    ridge0: float
-    y0t: NDArray[np.float64]        # (m, d_y) treated D0 outcomes
-    cme: RrCme | DfCme | NkCme
 
     @property
-    def m(self) -> int:
-        return int(self.y0t.shape[0])
+    def method(self) -> str:
+        return self.head.method
 
     def _project(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return x if self.x_cols is None else x[:, self.x_cols]
 
-    def cross_coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Coefficient matrix (basis_size, T) of mu0 at the rows of x."""
-        xp = self._project(x)
-        if self.method == "rr":
-            cme: RrCme = self.cme
-            return cme.factor.solve(gram(cme.kernel_x, cme.x0t, xp))
-        if self.method == "df":
-            dcme: DfCme = self.cme
-            feats, _ = mlp_forward(dcme.net, xp)
-            return dcme.psi0 @ dcme.factor.solve(feats.T)
-        ncme: NkCme = self.cme
-        feats, _ = mlp_forward(ncme.net, xp)
-        return feats.T
+    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Coefficient matrix (basis size, T) of mu0 at the rows of x."""
+        return self.head.coef(self._project(x))
 
-    def basis_y(self) -> NDArray[np.float64]:
-        """Outcome points whose kernel sections span mu0's range."""
-        return self.cme.grid if self.method == "nk" else self.y0t
+    def design(self, x: NDArray[np.float64]) -> NDArray[np.float64] | None:
+        """The head's design at the rows of x, or None for the grid head."""
+        return self.head.design(self._project(x))
 
 
 def make_grid(y: NDArray[np.float64], n_points: int, pad: float) -> NDArray[np.float64]:
     """Uniform outcome grid covering the observed range with padding."""
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 2 and y.shape[1] != 1:
-        raise InvalidArgumentError("grid construction needs scalar outcomes")
     if n_points < 1:
         raise InvalidArgumentError("grid needs at least one point")
     lo, hi = float(y.min()) - pad, float(y.max()) + pad
@@ -184,61 +406,22 @@ def _check_grid(grid: NDArray[np.float64]) -> NDArray[np.float64]:
     return grid
 
 
-def _two_stage_grid(split: SplitDataset, hyper: Hyper,
-                    grid: NDArray[np.float64] | None) -> NDArray[np.float64]:
-    """The nk outcome grid shared by both stages: the override, or a grid
-    over every D0 and D1 outcome."""
-    if grid is None:
-        y_all = np.concatenate([split.d0.Y, split.d1.Y])
-        grid = make_grid(y_all, hyper.n_feats, hyper.grid_pad)
-    return _check_grid(grid)
+def _all_outcomes(split: SplitDataset) -> NDArray[np.float64]:
+    return np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
 
 
 def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper,
                     grid: NDArray[np.float64] | None = None) -> FirstStage:
-    if method not in METHODS:
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    ky = hyper.kernel_y()
-    x0t = split.x0_treated(hyper.x_cols)
+    """Regress phi(Y) on the covariates over D0's treated rows: stage two's
+    regression with a = 1, c = 0.  Learning rates scale with len(D0); an nk
+    grid spans every D0 and D1 outcome unless ``grid`` overrides it."""
+    head_cls = _head_class(method)
     y0t = split.y0_treated()
-    m = x0t.shape[0]
-
-    if method == "rr":
-        kx = hyper.kernel_x()
-        cme: RrCme | DfCme | NkCme = RrCme(kx, x0t, SpdFactor(gram(kx, x0t), hyper.ridge0))
-    elif method == "df":
-        if m < hyper.n_feats:
-            warnings.warn(
-                f"only {m} treated rows for {hyper.n_feats} features; "
-                "expect an ill-conditioned feature Gram", ConfigWarning)
-        g0 = gram(ky, y0t)
-        sizes = [x0t.shape[1], *hyper.hidden, hyper.n_feats]
-        net = mlp_init(sizes, hyper.net_seeds()[0])
-
-        def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            loss, grad = df_trace_loss(psi, g0, hyper.ridge0)
-            return loss / m, grad / m
-
-        net, final = train_mlp(net, x0t, loss_fn, hyper.epochs_df[0],
-                               hyper.scaled_lr(hyper.lr_df, len(split.d0)),
-                               hyper.momentum)
-        psi0, _ = mlp_forward(net, x0t)
-        cme = DfCme(net, psi0, SpdFactor(psi0.T @ psi0, hyper.ridge0), final)
-    else:
-        grid = _two_stage_grid(split, hyper, grid)
-        k_m = gram(ky, grid)
-        k0 = gram(ky, grid, y0t)                     # (M, m) targets
-        sizes = [x0t.shape[1], *hyper.hidden, grid.shape[0]]
-        net = mlp_init(sizes, hyper.net_seeds()[0])
-
-        def loss_fn(feats: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            return nk_loss_grad(feats, k_m, k0)
-
-        net, final = train_mlp(net, x0t, loss_fn, hyper.epochs_nk[0],
-                               hyper.scaled_lr(hyper.lr_nk, len(split.d0)),
-                               hyper.momentum)
-        cme = NkCme(net, grid, k_m, final)
-    return FirstStage(method, ky, hyper.x_cols, hyper.ridge0, y0t, cme)
+    a = np.ones(y0t.shape[0])
+    head = head_cls.fit(split.x0_treated(hyper.x_cols), y0t, a, np.zeros_like(a),
+                        None, None, hyper, 0, len(split.d0), grid,
+                        _all_outcomes(split))
+    return FirstStage(head, hyper.x_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -258,47 +441,15 @@ def pseudo_weights(variant: str, omega: NDArray[np.float64]
     raise InvalidArgumentError(f"unknown variant {variant!r}")
 
 
-@dataclass
-class PseudoTargets:
-    """Pseudo-outcomes in coefficient form over an explicit outcome basis.
-
-    Inner products between pseudo-outcomes reduce to Gram algebra over
-    (y1 rows, basis rows) with these weights and coefficients.
-    """
-
-    a: NDArray[np.float64]          # (n,)
-    c: NDArray[np.float64]          # (n,)
-    basis: NDArray[np.float64] | None   # (B, d_y) or None when c is all zero
-    coef: NDArray[np.float64] | None    # (B, n): mu0(X_i) columns over the basis
-
-
-def pseudo_targets(variant: str, first: FirstStage | None,
-                   split: SplitDataset, omega: NDArray[np.float64] | None
-                   ) -> PseudoTargets:
-    if variant == "onestep":
-        if first is not None:
-            warnings.warn("one-step variant ignores first-stage settings",
-                          ConfigWarning)
-        a = (split.d1.A > 0).astype(np.float64)
-        return PseudoTargets(a, np.zeros_like(a), None, None)
-    if omega is None:
-        raise InvalidArgumentError(f"variant {variant!r} needs omega")
-    a, c = pseudo_weights(variant, omega)
-    if first is None:
-        raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
-    coef = None if not c.any() else first.cross_coef(split.x1())
-    return PseudoTargets(a, c, None if coef is None else first.basis_y(), coef)
-
-
 def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
                a: NDArray[np.float64], c: NDArray[np.float64],
                first: FirstStage | None = None,
                x1: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
     """Gram matrix of the pseudo-outcomes xi_i = a_i phi(Y_i) + c_i mu0(X_i).
 
-    Accepts any first stage that can express mu0 over an outcome basis (rr or
-    df; the grid-coefficient variant never needs this matrix).  With c = 0 or
-    no first stage the result is just the weighted outcome Gram.
+    mu0 is read from the first stage as coefficients over its head's outcome
+    basis.  With c = 0 or no first stage the result is just the weighted
+    outcome Gram; with a = 1 and c = 0 it equals gram(kernel_y, y1) exactly.
     """
     y1 = np.atleast_2d(y1)
     k_y1 = gram(kernel_y, y1)
@@ -306,8 +457,8 @@ def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
     if c.any():
         if first is None or x1 is None:
             raise InvalidArgumentError("nonzero c weights need a first stage and x1")
-        e = first.cross_coef(x1)                     # (B, n)
-        basis = first.basis_y()
+        e = first.coef(x1)                           # (B, n)
+        basis = first.head.basis
         k_b1 = gram(kernel_y, basis, y1)             # (B, n)
         cross = k_b1.T @ e                           # (n, n): <phi(Y_i), mu0(X_j)>
         k_xi += (a[:, None] * cross) * c[None, :]
@@ -372,52 +523,28 @@ def nk_minimizer(k_m: NDArray[np.float64], b: NDArray[np.float64]
 
 
 @dataclass
-class RrSecond:
-    kernel_v: KernelSpec
-    v1: NDArray[np.float64]         # (n, d_v)
-    factor: SpdFactor               # K_v1 + ridge1 I
-
-
-@dataclass
-class DfSecond:
-    net: MlpParams                  # V -> M features
-    v_dim: int
-    psi1: NDArray[np.float64]       # (n, M)
-    factor: SpdFactor               # psi1' psi1 + ridge1 I
-    final_loss: float = float("nan")
-
-
-@dataclass
-class NkSecond:
-    net: MlpParams                  # V -> M grid coefficients
-    v_dim: int
-    grid: NDArray[np.float64]       # (M, d_y)
-    k_m: NDArray[np.float64]
-    final_loss: float = float("nan")
-
-
-@dataclass
 class CcmeModel:
     """A fitted two-stage model, carrying everything density evaluation needs."""
 
-    method: str
     variant: str
     kernel_y: KernelSpec
-    ridge1: float
     a: NDArray[np.float64]          # (n,)
     c: NDArray[np.float64]          # (n,)
-    y1: NDArray[np.float64]         # (n, d_y) second-stage outcome rows
     omega: NDArray[np.float64] | None
     first: FirstStage | None
-    second: RrSecond | DfSecond | NkSecond
+    second: KernelHead | FeatureHead | GridHead
     y_lo: float
     y_hi: float
-    # Cached link between second-stage rows and the first stage, used when
-    # evaluating densities: rr stores the covariate cross-Gram K(x0t, x1)
-    # with shape (m, n); df stores the stage-1 features at x1 with shape
-    # (n, M); nk needs nothing (its training targets absorb the link).
+    # The first-stage head's design at the second-stage rows, first.design(x1):
+    # K(x0t, x1) of shape (m, n) for rr, the features F(x1)' of shape (M, n)
+    # for df.  Set only when some c weight is nonzero and the head has a
+    # design; the grid head has none, its training targets hold the c-term.
     cross_cache: NDArray[np.float64] | None = None
     v_cols: list[int] = field(default_factory=list)
+
+    @property
+    def method(self) -> str:
+        return self.second.method
 
 
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
@@ -429,99 +556,38 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     ``first`` may be None for ``ipw``, whose pseudo-outcomes never read mu0;
     nk then builds the outcome grid the first stage would have built.
     """
-    if method not in METHODS:
-        raise InvalidArgumentError(f"unknown method {method!r}")
+    head_cls = _head_class(method)
     if variant not in VARIANTS:
         raise InvalidArgumentError(f"unknown variant {variant!r}")
-    ky = hyper.kernel_y()
-    onestep = variant == "onestep"
-    if not onestep:
+    y_all = _all_outcomes(split)
+    if variant == "onestep":
+        if first is not None:
+            warnings.warn("one-step variant ignores the first stage", ConfigWarning)
+        keep = split.d1.A > 0
+        if not keep.any():
+            raise InvalidArgumentError("one-step variant needs treated D1 rows")
+        v1, y1, first = split.v1[keep], split.d1.Y[keep], None
+        a = np.ones(v1.shape[0])
+        c = np.zeros_like(a)
+        grid_y = y1
+    else:
         if first is None and variant != "ipw":
             raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
         if first is not None and first.method != method:
             raise InvalidArgumentError(
                 f"stage methods must match: first={first.method!r}, second={method!r}")
-
-    if onestep:
-        keep = split.d1.A > 0
-        if not keep.any():
-            raise InvalidArgumentError("one-step variant needs treated D1 rows")
-        v1, y1 = split.v1[keep], split.d1.Y[keep]
-        a = np.ones(int(keep.sum()))
-        c = np.zeros_like(a)
-        first = None
-    else:
+        if omega is None:
+            raise InvalidArgumentError(f"variant {variant!r} needs omega")
         v1, y1 = split.v1, split.d1.Y
         a, c = pseudo_weights(variant, omega)
+        grid_y = y_all
 
-    y_all = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
-    y_lo, y_hi = float(y_all.min()), float(y_all.max())
-    x1 = None if onestep else split.x1()
-    rows = v1.shape[0]
-
-    if method == "rr":
-        kv = hyper.kernel_v()
-        second: RrSecond | DfSecond | NkSecond = RrSecond(
-            kv, v1, SpdFactor(gram(kv, v1), hyper.ridge1))
-        cross = None
-        if not onestep and c.any():
-            cme: RrCme = first.cme
-            cross = gram(cme.kernel_x, cme.x0t, first._project(x1))
-        return CcmeModel(method, variant, ky, hyper.ridge1, a, c, y1, omega,
-                         first, second, y_lo, y_hi, cross, list(split.v_cols))
-
-    if method == "df":
-        g_xi = build_k_xi(ky, y1, a, c, first, x1)
-        sizes = [v1.shape[1], *hyper.hidden, hyper.n_feats]
-        net = mlp_init(sizes, hyper.net_seeds()[1])
-
-        def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            loss, grad_psi = df_trace_loss(psi, g_xi, hyper.ridge1)
-            return loss / rows, grad_psi / rows
-
-        net, final = train_mlp(net, v1, loss_fn, hyper.epochs_df[1],
-                               hyper.scaled_lr(hyper.lr_df, rows), hyper.momentum)
-        psi1, _ = mlp_forward(net, v1)
-        second = DfSecond(net, v1.shape[1], psi1,
-                          SpdFactor(psi1.T @ psi1, hyper.ridge1), final)
-        cross = None
-        if not onestep and c.any():
-            cross, _ = mlp_forward(first.cme.net, first._project(x1))
-        return CcmeModel(method, variant, ky, hyper.ridge1, a, c, y1, omega,
-                         first, second, y_lo, y_hi, cross, list(split.v_cols))
-
-    # nk: both stages must share one outcome grid exactly
-    if onestep:
-        use_grid = make_grid(y1, hyper.n_feats, hyper.grid_pad) if grid is None \
-            else _check_grid(grid)
-        k_m = gram(ky, use_grid)
-        b = gram(ky, use_grid, y1) * a[None, :]
-    else:
-        if first is None:                            # ipw
-            use_grid = _two_stage_grid(split, hyper, grid)
-            k_m = gram(ky, use_grid)
-        else:
-            ncme: NkCme = first.cme
-            if grid is not None and not np.array_equal(_check_grid(grid), ncme.grid):
-                raise InvalidArgumentError(
-                    "outcome grid mismatch between stages: the second-stage grid "
-                    "override must equal the first-stage grid exactly")
-            use_grid, k_m = ncme.grid, ncme.k_m
-        b = gram(ky, use_grid, y1) * a[None, :]
-        if c.any():
-            gx = first.cross_coef(x1)                # (M, n)
-            b = b + (k_m @ gx) * c[None, :]
-    sizes = [v1.shape[1], *hyper.hidden, use_grid.shape[0]]
-    net = mlp_init(sizes, hyper.net_seeds()[1])
-
-    def loss_fn(feats: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-        return nk_loss_grad(feats, k_m, b)
-
-    net, final = train_mlp(net, v1, loss_fn, hyper.epochs_nk[1],
-                           hyper.scaled_lr(hyper.lr_nk, rows), hyper.momentum)
-    second = NkSecond(net, v1.shape[1], use_grid, k_m, final)
-    return CcmeModel(method, variant, ky, hyper.ridge1, a, c, y1, omega,
-                     first, second, y_lo, y_hi, None, list(split.v_cols))
+    x1 = None if first is None else split.x1()
+    second = head_cls.fit(v1, y1, a, c, first, x1, hyper, 1, v1.shape[0], grid, grid_y)
+    cross = first.design(x1) if first is not None and c.any() else None
+    return CcmeModel(variant, hyper.kernel_y(), a, c, omega, first, second,
+                     float(y_all.min()), float(y_all.max()), cross,
+                     list(split.v_cols))
 
 
 def fit_ccme(split: SplitDataset, method: str, variant: str,

@@ -3,7 +3,7 @@
 Everything downstream (the two-stage estimators, the density formulas, the
 benchmark) is written against the three primitives in this module:
 ``kernel_eval`` for single pairs, ``gram`` for dense pairwise blocks, and
-``regularized_solve`` / ``SpdFactor`` for systems (K + ridge I) x = rhs.
+``SpdFactor`` for systems (K + ridge I) x = rhs.
 
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["KernelSpec", "kernel_eval", "gram", "regularized_solve", "SpdFactor"]
+__all__ = ["KernelSpec", "kernel_eval", "gram", "SpdFactor"]
 
 _FAMILIES = ("gaussian",)
 
@@ -107,6 +107,18 @@ def gram(spec: KernelSpec, points_a: object,
 _PIVOT_RE = re.compile(r"(\d+)-th leading minor")
 
 
+def _cholesky(matrix: NDArray[np.float64], what: str):
+    """Lower Cholesky factor of ``matrix``; a NumericError names the first
+    failing pivot when the message carries it."""
+    try:
+        return cho_factor(matrix, lower=True)
+    except np.linalg.LinAlgError as exc:  # scipy re-exports this type
+        m = _PIVOT_RE.search(str(exc))
+        pivot = int(m.group(1)) - 1 if m else None
+        raise NumericError(f"factorization of {what} failed: {exc}",
+                           pivot=pivot) from exc
+
+
 class SpdFactor:
     """A cached Cholesky factorization of (K + ridge I).
 
@@ -123,14 +135,7 @@ class SpdFactor:
             raise InvalidArgumentError(f"ridge must be > 0, got {ridge}")
         self.matrix = K + ridge * np.eye(K.shape[0])
         self.ridge = float(ridge)
-        try:
-            self._factor = cho_factor(self.matrix, lower=True)
-        except np.linalg.LinAlgError as exc:  # scipy re-exports this type
-            m = _PIVOT_RE.search(str(exc))
-            pivot = int(m.group(1)) - 1 if m else None
-            raise NumericError(
-                f"factorization of (K + {ridge} I) failed: {exc}", pivot=pivot
-            ) from exc
+        self._factor = _cholesky(self.matrix, f"(K + {ridge} I)")
 
     @classmethod
     def from_regularized(cls, matrix: NDArray[np.float64], ridge: float) -> "SpdFactor":
@@ -138,14 +143,7 @@ class SpdFactor:
         obj = cls.__new__(cls)
         obj.matrix = np.asarray(matrix, dtype=np.float64)
         obj.ridge = float(ridge)
-        try:
-            obj._factor = cho_factor(obj.matrix, lower=True)
-        except np.linalg.LinAlgError as exc:
-            m = _PIVOT_RE.search(str(exc))
-            pivot = int(m.group(1)) - 1 if m else None
-            raise NumericError(
-                f"factorization of stored matrix failed: {exc}", pivot=pivot
-            ) from exc
+        obj._factor = _cholesky(obj.matrix, "stored matrix")
         return obj
 
     @property
@@ -165,12 +163,3 @@ class SpdFactor:
         fresh = cho_factor(self.matrix, lower=True)
         return float(np.max(np.abs(np.tril(fresh[0]) - np.tril(self._factor[0]))))
 
-
-def regularized_solve(K: NDArray[np.float64], ridge: float,
-                      rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Solve (K + ridge I) X = rhs through a positive-definite factorization.
-
-    Raises NumericError (with the offending pivot index when available) if K
-    violates positive semi-definiteness by more than the ridge absorbs.
-    """
-    return SpdFactor(K, ridge).solve(rhs)

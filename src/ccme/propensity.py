@@ -20,17 +20,9 @@ from .errors import DegenerateDataError, InvalidArgumentError
 
 __all__ = ["PropensityModel", "LogisticParams", "Tree", "fit_logistic",
            "fit_forest", "make_oracle", "predict_propensity",
-           "register_oracle", "logistic_loss_grad", "DEFAULT_CLIP"]
+           "logistic_loss_grad", "DEFAULT_CLIP"]
 
 DEFAULT_CLIP = (0.01, 0.99)
-
-# Named closed-form propensity functions, so oracle models can be serialized
-# by tag instead of by code.
-_ORACLE_FUNCS: dict[str, Callable[[NDArray], NDArray]] = {}
-
-
-def register_oracle(tag: str, fn: Callable[[NDArray], NDArray]) -> None:
-    _ORACLE_FUNCS[tag] = fn
 
 
 @dataclass
@@ -78,7 +70,7 @@ class PropensityModel:
     n_features: int = 0
     logistic: LogisticParams | None = None
     trees: list[Tree] = field(default_factory=list)
-    oracle_tag: str | None = None
+    oracle: Callable[[NDArray], NDArray] | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.clip
@@ -231,13 +223,11 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
     return model
 
 
-def make_oracle(tag: str, n_features: int,
+def make_oracle(fn: Callable[[NDArray], NDArray], n_features: int,
                 clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
-    """Wrap a registered closed-form propensity function."""
-    if tag not in _ORACLE_FUNCS:
-        raise InvalidArgumentError(f"unknown oracle tag: {tag!r}")
+    """Wrap a closed-form propensity function of (n, n_features) covariate rows."""
     return PropensityModel(kind="oracle", clip=clip, n_features=n_features,
-                           oracle_tag=tag)
+                           oracle=fn)
 
 
 def predict_propensity(model: PropensityModel, x: NDArray[np.float64]) -> NDArray | float:
@@ -254,7 +244,7 @@ def predict_propensity(model: PropensityModel, x: NDArray[np.float64]) -> NDArra
     elif model.kind == "forest":
         p = np.mean([t.predict(X) for t in model.trees], axis=0)
     elif model.kind == "oracle":
-        p = np.asarray(_ORACLE_FUNCS[model.oracle_tag](X), dtype=np.float64)
+        p = np.asarray(model.oracle(X), dtype=np.float64)
     else:
         raise InvalidArgumentError(f"unknown model kind: {model.kind!r}")
     p = np.clip(p, model.clip[0], model.clip[1])

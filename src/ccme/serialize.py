@@ -1,10 +1,11 @@
 """Versioned on-disk container for fitted models.
 
 Models are stored as a single .npz archive whose ``__meta__`` entry is a JSON
-document carrying a ``schema_version`` plus all scalar configuration; every
-numeric array (network weights, cached Gram matrices, pseudo-weights) is
-stored as float64 and round-trips bit-exactly.  Writes go through a temp file
-and an atomic rename.
+document carrying a ``schema_version`` plus the model's scalar settings.
+Each stage's regression head is stored as the arrays of its ``to_arrays``
+under a ``first.`` or ``second.`` prefix; every array (network weights,
+cached Gram matrices, pseudo-weights, head scalars as 0-d arrays)
+round-trips bit-exactly.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .estimators import (CcmeModel, DfCme, DfSecond, FirstStage, NkCme,
-                         NkSecond, RrCme, RrSecond)
-from .kernels import KernelSpec, SpdFactor
-from .nets import MlpParams
+from .estimators import CcmeModel, FirstStage, head_from_arrays
+from .kernels import KernelSpec
 
 __all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
 
-SCHEMA_VERSION = 1
+# 2: one array set per regression head, replacing the per-method layout of 1
+SCHEMA_VERSION = 2
 
 
 def _kernel_meta(spec: KernelSpec) -> dict[str, Any]:
@@ -36,119 +36,34 @@ def _kernel_from(meta: dict[str, Any]) -> KernelSpec:
     return KernelSpec(meta["family"], meta["bandwidth"], meta["normalized"])
 
 
-def _pack_net(prefix: str, net: MlpParams, arrays: dict[str, np.ndarray]) -> list[int]:
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"{prefix}.w{i}"] = w
-        arrays[f"{prefix}.b{i}"] = b
-    return [int(s) for s in net.sizes]
-
-
-def _unpack_net(prefix: str, sizes: list[int], arrays: Any) -> MlpParams:
-    n_layers = len(sizes) - 1
-    weights = [np.asarray(arrays[f"{prefix}.w{i}"]) for i in range(n_layers)]
-    biases = [np.asarray(arrays[f"{prefix}.b{i}"]) for i in range(n_layers)]
-    return MlpParams(list(sizes), weights, biases)
-
-
-def _pack_first(first: FirstStage, arrays: dict[str, np.ndarray]) -> dict[str, Any]:
-    meta: dict[str, Any] = {
-        "method": first.method,
-        "kernel_y": _kernel_meta(first.kernel_y),
-        "x_cols": first.x_cols,
-        "ridge0": first.ridge0,
-    }
-    arrays["first.y0t"] = first.y0t
-    cme = first.cme
-    if isinstance(cme, RrCme):
-        meta["kernel_x"] = _kernel_meta(cme.kernel_x)
-        arrays["first.x0t"] = cme.x0t
-        arrays["first.factor"] = cme.factor.matrix
-    elif isinstance(cme, DfCme):
-        meta["net_sizes"] = _pack_net("first.net", cme.net, arrays)
-        meta["final_loss"] = cme.final_loss
-        arrays["first.psi0"] = cme.psi0
-        arrays["first.factor"] = cme.factor.matrix
-    else:
-        meta["net_sizes"] = _pack_net("first.net", cme.net, arrays)
-        meta["final_loss"] = cme.final_loss
-        arrays["first.grid"] = cme.grid
-        arrays["first.k_m"] = cme.k_m
-    return meta
-
-
-def _unpack_first(meta: dict[str, Any], arrays: Any) -> FirstStage:
-    method = meta["method"]
-    ridge0 = float(meta["ridge0"])
-    y0t = np.asarray(arrays["first.y0t"])
-    if method == "rr":
-        cme: RrCme | DfCme | NkCme = RrCme(
-            _kernel_from(meta["kernel_x"]),
-            np.asarray(arrays["first.x0t"]),
-            SpdFactor.from_regularized(np.asarray(arrays["first.factor"]), ridge0))
-    elif method == "df":
-        cme = DfCme(
-            _unpack_net("first.net", meta["net_sizes"], arrays),
-            np.asarray(arrays["first.psi0"]),
-            SpdFactor.from_regularized(np.asarray(arrays["first.factor"]), ridge0),
-            float(meta.get("final_loss", float("nan"))))
-    else:
-        cme = NkCme(
-            _unpack_net("first.net", meta["net_sizes"], arrays),
-            np.asarray(arrays["first.grid"]),
-            np.asarray(arrays["first.k_m"]),
-            float(meta.get("final_loss", float("nan"))))
-    x_cols = meta["x_cols"]
-    return FirstStage(method, _kernel_from(meta["kernel_y"]),
-                      None if x_cols is None else [int(i) for i in x_cols],
-                      ridge0, y0t, cme)
+def _load_head(prefix: str, npz: Any):
+    start = prefix + "."
+    return head_from_arrays({key[len(start):]: npz[key] for key in npz.files
+                             if key.startswith(start)})
 
 
 def save_model(model: CcmeModel, path: str) -> None:
     """Write the model to ``path`` as an .npz archive (atomic replace)."""
-    arrays: dict[str, np.ndarray] = {
-        "a": model.a, "c": model.c, "y1": model.y1,
-    }
-    meta: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "method": model.method,
-        "variant": model.variant,
-        "kernel_y": _kernel_meta(model.kernel_y),
-        "ridge1": model.ridge1,
-        "y_lo": model.y_lo,
-        "y_hi": model.y_hi,
-        "v_cols": [int(i) for i in model.v_cols],
-        "has_omega": model.omega is not None,
-        "has_first": model.first is not None,
-        "has_cross": model.cross_cache is not None,
-    }
+    arrays: dict[str, np.ndarray] = {"a": model.a, "c": model.c}
     if model.omega is not None:
         arrays["omega"] = model.omega
     if model.cross_cache is not None:
         arrays["cross_cache"] = model.cross_cache
+    stages = [("second", model.second)]
     if model.first is not None:
-        meta["first"] = _pack_first(model.first, arrays)
-
-    second = model.second
-    if isinstance(second, RrSecond):
-        meta["second_kind"] = "rr"
-        meta["kernel_v"] = _kernel_meta(second.kernel_v)
-        arrays["second.v1"] = second.v1
-        arrays["second.factor"] = second.factor.matrix
-    elif isinstance(second, DfSecond):
-        meta["second_kind"] = "df"
-        meta["second_net_sizes"] = _pack_net("second.net", second.net, arrays)
-        meta["v_dim"] = int(second.v_dim)
-        meta["second_final_loss"] = second.final_loss
-        arrays["second.psi1"] = second.psi1
-        arrays["second.factor"] = second.factor.matrix
-    else:
-        meta["second_kind"] = "nk"
-        meta["second_net_sizes"] = _pack_net("second.net", second.net, arrays)
-        meta["v_dim"] = int(second.v_dim)
-        meta["second_final_loss"] = second.final_loss
-        arrays["second.grid"] = second.grid
-        arrays["second.k_m"] = second.k_m
-
+        stages.append(("first", model.first.head))
+    for prefix, head in stages:
+        for key, value in head.to_arrays().items():
+            arrays[f"{prefix}.{key}"] = value
+    meta: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "variant": model.variant,
+        "kernel_y": _kernel_meta(model.kernel_y),
+        "y_lo": model.y_lo,
+        "y_hi": model.y_hi,
+        "v_cols": [int(i) for i in model.v_cols],
+        "x_cols": None if model.first is None else model.first.x_cols,
+    }
     arrays["__meta__"] = np.array(json.dumps(meta))
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".npz.tmp")
@@ -175,34 +90,16 @@ def load_model(path: str) -> CcmeModel:
                 f"unsupported model schema version {version!r}; "
                 f"this build reads version {SCHEMA_VERSION}")
 
-        ridge1 = float(meta["ridge1"])
-        kind = meta["second_kind"]
-        if kind == "rr":
-            second: RrSecond | DfSecond | NkSecond = RrSecond(
-                _kernel_from(meta["kernel_v"]),
-                np.asarray(npz["second.v1"]),
-                SpdFactor.from_regularized(np.asarray(npz["second.factor"]), ridge1))
-        elif kind == "df":
-            second = DfSecond(
-                _unpack_net("second.net", meta["second_net_sizes"], npz),
-                int(meta["v_dim"]),
-                np.asarray(npz["second.psi1"]),
-                SpdFactor.from_regularized(np.asarray(npz["second.factor"]), ridge1),
-                float(meta.get("second_final_loss", float("nan"))))
-        else:
-            second = NkSecond(
-                _unpack_net("second.net", meta["second_net_sizes"], npz),
-                int(meta["v_dim"]),
-                np.asarray(npz["second.grid"]),
-                np.asarray(npz["second.k_m"]),
-                float(meta.get("second_final_loss", float("nan"))))
+        def optional(key: str) -> np.ndarray | None:
+            return npz[key] if key in npz.files else None
 
-        first = _unpack_first(meta["first"], npz) if meta["has_first"] else None
+        first = None
+        if "first.kind" in npz.files:
+            x_cols = meta["x_cols"]
+            first = FirstStage(_load_head("first", npz),
+                               None if x_cols is None else [int(i) for i in x_cols])
         return CcmeModel(
-            meta["method"], meta["variant"], _kernel_from(meta["kernel_y"]),
-            ridge1,
-            np.asarray(npz["a"]), np.asarray(npz["c"]), np.asarray(npz["y1"]),
-            np.asarray(npz["omega"]) if meta["has_omega"] else None,
-            first, second, float(meta["y_lo"]), float(meta["y_hi"]),
-            np.asarray(npz["cross_cache"]) if meta["has_cross"] else None,
+            meta["variant"], _kernel_from(meta["kernel_y"]), npz["a"], npz["c"],
+            optional("omega"), first, _load_head("second", npz),
+            float(meta["y_lo"]), float(meta["y_hi"]), optional("cross_cache"),
             [int(i) for i in meta["v_cols"]])

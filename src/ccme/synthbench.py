@@ -30,9 +30,8 @@ from . import blas
 from .data import Dataset, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import CcmeModel, Hyper, fit_ccme
-from .propensity import (PropensityModel, fit_forest, fit_logistic,
-                         make_oracle, register_oracle)
+from .estimators import METHODS, VARIANTS, CcmeModel, Hyper, fit_ccme
+from .propensity import PropensityModel, fit_forest, fit_logistic
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
@@ -76,9 +75,6 @@ def true_propensity(X: NDArray[np.float64]) -> NDArray[np.float64]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     inside = (X[:, 0] >= 0.0) & (X[:, 0] <= 2.0) & (X[:, 5] >= 1.5)
     return 0.1 + 0.8 * inside
-
-
-register_oracle("synth-pi", true_propensity)
 
 
 @dataclass
@@ -293,9 +289,9 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:
             raise ConfigError(f"rr cell n={cell.n} exceeds the 20000 cap")
-        if cell.method not in ("rr", "df", "nk"):
+        if cell.method not in METHODS:
             raise ConfigError(f"unknown method {cell.method!r}")
-        if cell.variant not in ("dr", "ipw", "pi", "onestep"):
+        if cell.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {cell.variant!r}")
     hyper = hyper or Hyper()
     test_v = eval_points(test_points, eval_seed)

@@ -139,6 +139,18 @@ class TestFit:
         assert main(["fit", str(data), "--propensity", "oracle",
                      "--model-out", str(tmp_path / "m.npz")]) == 4
 
+    def test_vector_outcome_csv_rejected(self, tmp_path, capsys):
+        rows = ["x1,x2,x3,x4,x5,x6,a,y1,y2"] + [
+            f"{i * 0.1},0.2,0.3,0.4,0.5,0.6,{i % 2},{i * 0.5},{i * 0.25}"
+            for i in range(12)]
+        data = tmp_path / "vector_y.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["fit", str(data), "--model-out",
+                     str(tmp_path / "m.npz")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "one scalar outcome column" in err[0]
+        assert not (tmp_path / "m.npz").exists()
+
     def test_missing_data_file_io_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
 
@@ -200,6 +212,16 @@ class TestDensity:
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
                      "--v-file", str(vfile)]) == 3
         assert main(["density", workdir["model"], "--v", "1,2"]) == 3
+
+    def test_version_one_model_rejected(self, workdir, tmp_path):
+        with np.load(workdir["model"], allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        meta = json.loads(str(arrays["__meta__"][()]))
+        meta["schema_version"] = 1
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        old = str(tmp_path / "v1.npz")
+        np.savez(old, **arrays)
+        assert main(["density", old, "--v", "1,1,1,1,1"]) == 3
 
     def test_garbage_model_file(self, tmp_path):
         bad = tmp_path / "model.npz"
@@ -395,6 +417,15 @@ class TestMainDispatch:
         proc = subprocess.run(["ccme", "--no-such-flag"], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 3, proc.stderr
+
+    @pytest.mark.skipif(not PYPROJECT.is_file(),
+                        reason="no pyproject.toml beside the imported package")
+    def test_pyproject_names_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(PYPROJECT, "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["name"] == "ccme"
+        assert project["version"] == ccme.__version__
 
     @pytest.mark.skipif(shutil.which("ccme") is None,
                         reason="ccme console script not installed")

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-import ccme.synthbench  # noqa: F401 - registers the benchmark oracle tag
 from ccme.data import (Dataset, compute_omega, dataset_to_csv, default_v_cols,
                        load_dataset, split_data)
 from ccme.errors import DegenerateDataError, InvalidArgumentError
 from ccme.propensity import LogisticParams, PropensityModel, make_oracle
+from ccme.synthbench import true_propensity
 
 from conftest import make_dataset
 
@@ -24,6 +24,10 @@ class TestDataset:
     def test_nonbinary_treatment_rejected(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(np.zeros((2, 1)), np.array([0.0, 0.5]), np.zeros(2))
+
+    def test_vector_outcomes_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="scalar"):
+            Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), np.zeros((4, 2)))
 
     def test_take_preserves_rows(self):
         ds = make_dataset(10, seed=1)
@@ -115,7 +119,7 @@ class TestOmega:
         X = np.zeros((1, 10))
         X[0, 0], X[0, 5] = 1.0, 2.0
         ds = Dataset(X, np.array([1.0]), np.zeros(1))
-        omega = compute_omega(ds, make_oracle("synth-pi", 10))
+        omega = compute_omega(ds, make_oracle(true_propensity, 10))
         assert omega[0] == pytest.approx(1.0 / 0.9, abs=1e-12)
 
 
@@ -132,11 +136,10 @@ class TestCsv:
         assert dataset_to_csv(ds).splitlines()[0] == "x1,x2,a,y"
 
     def test_multicolumn_outcome_header(self):
-        ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), np.ones((2, 3)))
-        text = dataset_to_csv(ds)
-        assert text.splitlines()[0] == "x1,x2,a,y1,y2,y3"
-        back = load_dataset(text)
-        assert back.Y.shape == (2, 3)
+        with pytest.raises(InvalidArgumentError, match="one scalar outcome"):
+            load_dataset("x1,x2,a,y1,y2\n0.0,1.0,1,2.0,3.0\n")
+        with pytest.raises(InvalidArgumentError, match="one scalar outcome"):
+            load_dataset("x1,a,y1\n0.0,1,2.0\n")
 
     def test_empty_text_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -10,8 +10,8 @@ from ccme.density import (DensityCurve, curves_to_csv, default_grid,
                           density_curves, density_mass, density_matrix,
                           quadrature_mass)
 from ccme.errors import InvalidArgumentError
-from ccme.estimators import (CcmeModel, DfCme, DfSecond, FirstStage, Hyper,
-                             NkSecond, fit_ccme, fit_first_stage,
+from ccme.estimators import (CcmeModel, FeatureHead, FirstStage, GridHead,
+                             Hyper, fit_ccme, fit_first_stage,
                              fit_second_stage)
 from ccme.kernels import KernelSpec, SpdFactor, gram, kernel_eval
 from ccme.nets import MlpParams, mlp_forward
@@ -137,19 +137,19 @@ class TestDfCurves:
         x0t = np.array([[0.4], [1.2]])
         net0 = linear_net([[1.0], [-0.5]], [0.2, 0.1])
         psi0, _ = mlp_forward(net0, x0t)
-        first = FirstStage("df", ky, None, 3.0, y0t,
-                           DfCme(net0, psi0, SpdFactor(psi0.T @ psi0, 3.0)))
+        first = FirstStage(FeatureHead(net0, psi0, SpdFactor(psi0.T @ psi0, 3.0),
+                                       y0t), None)
         v1 = np.array([[0.0], [0.7], [-1.1]])
         y1 = np.array([[0.5], [1.4], [-0.2]])
         x1 = np.array([[0.9], [-0.3], [0.5]])
         net1 = linear_net([[0.8], [0.6]], [-0.1, 0.4])
         psi1, _ = mlp_forward(net1, v1)
-        second = DfSecond(net1, 1, psi1, SpdFactor(psi1.T @ psi1, 2.0))
+        second = FeatureHead(net1, psi1, SpdFactor(psi1.T @ psi1, 2.0), y1)
         omega = np.array([1.5, 0.0, 0.8])
         a, c = omega.copy(), 1.0 - omega
         cross, _ = mlp_forward(net0, x1)
-        model = CcmeModel("df", "dr", ky, 2.0, a, c, y1, omega, first,
-                          second, -0.6, 1.4, cross, [0])
+        model = CcmeModel("dr", ky, a, c, omega, first, second, -0.6, 1.4,
+                          cross.T, [0])
         return model, (psi0, psi1, cross, y0t, y1, v1, net1, ky, a, c)
 
     def test_matches_hand_expansion(self):
@@ -196,9 +196,9 @@ class TestDfCurves:
         grid = np.linspace(-3.0, 3.0, 11)
         got = density_matrix(model, vq, grid)
 
-        psi0 = first.cme.psi0
-        psi01, _ = mlp_forward(first.cme.net, split.x1())
-        psi1 = model.second.psi1
+        psi0 = first.head.feats
+        psi01, _ = mlp_forward(first.head.net, split.x1())
+        psi1 = model.second.feats
         psi_q, _ = mlp_forward(model.second.net, vq)
         M = psi0.shape[1]
         beta = psi1 @ np.linalg.solve(psi1.T @ psi1 + h.ridge1 * np.eye(M),
@@ -218,10 +218,10 @@ class TestNkCurves:
         M = grid.shape[0]
         net = linear_net(np.zeros((M, 2)), bias)
         k_m = gram(ky, grid)
-        second = NkSecond(net, 2, grid, k_m)
+        second = GridHead(net, grid, k_m)
         a = np.ones(1)
-        return CcmeModel("nk", "onestep", ky, 20.0, a, np.zeros(1),
-                         np.array([[0.0]]), None, None, second, -1.0, 1.0)
+        return CcmeModel("onestep", ky, a, np.zeros(1), None, None, second,
+                         -1.0, 1.0)
 
     def test_unit_coefficient_reads_off_kernel_section(self):
         model = self.nk_model(bias=[1.0, 0.0])
@@ -321,12 +321,6 @@ class TestCsv:
         assert len(lines) == 1 + 2 * 5
         assert lines[1].startswith("0,0,")
         assert lines[6].startswith("1,0,")
-
-    def test_vector_outcomes_joined(self):
-        grid = np.array([[0.0, 1.0], [0.5, -1.0]])
-        curves = [DensityCurve(grid, np.array([0.2, 0.3]), np.nan, 0.2)]
-        lines = curves_to_csv(curves).strip().split("\n")
-        assert lines[1] == "0,0;1,0.20000000000000001"
 
     def test_custom_ids_validated(self):
         curves = [DensityCurve(np.zeros(2), np.zeros(2), 0.0, 0.0)]

@@ -1,17 +1,16 @@
 """Two-stage estimators: first-stage embeddings, pseudo-outcomes, losses."""
 
-import warnings
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccme.data import Dataset, SplitDataset, split_data
 from ccme.errors import ConfigWarning, InvalidArgumentError
 from ccme.estimators import (Hyper, build_k_xi, df_trace_loss, fit_ccme,
                              fit_first_stage, fit_second_stage, make_grid,
-                             nk_loss_grad, nk_minimizer, pseudo_targets,
-                             pseudo_weights)
-from ccme.kernels import KernelSpec, gram, kernel_eval
+                             nk_loss_grad, nk_minimizer, pseudo_weights)
+from ccme.kernels import KernelSpec, SpdFactor, gram, kernel_eval
 
 from conftest import make_dataset, make_split
 
@@ -68,10 +67,6 @@ class TestMakeGrid:
         assert grid.shape == (11, 1)
         assert grid[0, 0] == -2.0 and grid[-1, 0] == 3.0
 
-    def test_vector_outcomes_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            make_grid(np.zeros((4, 2)), 5, 1.0)
-
     def test_point_count_validated(self):
         with pytest.raises(InvalidArgumentError):
             make_grid(np.array([0.0, 1.0]), 0, 1.0)
@@ -88,12 +83,12 @@ class TestFirstStageRr:
         x = np.array([[1.3], [-0.2]])
         k = gram(h.kernel_x(), np.array([[0.5]]), x).ravel()
         expect = k / (1.0 + 20.0)                # k(x0, x0) = 1 unnormalized
-        assert np.allclose(first.cross_coef(x).ravel(), expect, atol=1e-12)
+        assert np.allclose(first.coef(x).ravel(), expect, atol=1e-12)
 
     def test_huge_ridge_kills_coefficients(self):
         split = make_split(n=20, seed=2)
         first = fit_first_stage(split, "rr", Hyper(ridge0=1e12))
-        coef = first.cross_coef(split.x1())
+        coef = first.coef(split.x1())
         assert np.abs(coef).max() < 1e-8
 
     def test_tiny_ridge_interpolates(self):
@@ -102,20 +97,60 @@ class TestFirstStageRr:
         d1 = make_dataset(4, seed=3, d_x=1)
         split = manual_split(d0, d1)
         first = fit_first_stage(split, "rr", Hyper(ridge0=1e-8))
-        coef = first.cross_coef(d0.X)
+        coef = first.coef(d0.X)
         assert np.allclose(coef, np.eye(3), atol=1e-4)
 
     def test_x_cols_projection(self):
         split = make_split(n=20, seed=4, d_x=4)
         first = fit_first_stage(split, "rr", Hyper(x_cols=[0, 2]))
-        assert first.cme.x0t.shape[1] == 2
+        assert first.head.points.shape[1] == 2
         # querying with full-width rows projects before evaluating
-        coef = first.cross_coef(split.d1.X[:3])
+        coef = first.coef(split.d1.X[:3])
         assert coef.shape == (split.m, 3)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidArgumentError):
             fit_first_stage(make_split(), "boost", Hyper())
+
+
+class TestSharedHead:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 10), d=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), bandwidth=st.floats(0.2, 5.0),
+           ridge=st.floats(1e-3, 1e3))
+    def test_rr_first_stage_is_onestep_on_treated_rows(self, m, d, seed,
+                                                        bandwidth, ridge):
+        # stage one is the stage-two regression with a = 1, c = 0: fitted on
+        # D0's treated rows with V = X, the one-step head is the same head
+        rng = np.random.default_rng(seed)
+        n0 = m + int(rng.integers(0, 5))
+        A = np.zeros(n0)
+        A[rng.permutation(n0)[:m]] = 1.0
+        d0 = Dataset(rng.normal(size=(n0, d)), A, rng.normal(size=n0))
+        treated0 = np.nonzero(A > 0)[0]
+        split = SplitDataset(d0, d0.take(treated0), treated0, list(range(d)))
+        h = Hyper(bandwidth_x=bandwidth, bandwidth_v=bandwidth,
+                  ridge0=ridge, ridge1=ridge)
+        first = fit_first_stage(split, "rr", h)
+        one = fit_second_stage(split, "rr", "onestep", None, None, h)
+        xq = rng.normal(size=(int(rng.integers(1, 6)), d))
+        assert np.array_equal(first.coef(xq), one.second.coef(xq))
+        assert np.array_equal(first.head.basis, one.second.basis)
+
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_cross_cache_is_the_first_stage_design(self, method, tiny_hyper):
+        split = make_split(n=24, seed=26)
+        h = Hyper() if method == "rr" else tiny_hyper
+        first = fit_first_stage(split, method, h)
+        omega = np.random.default_rng(2).uniform(0.5, 2.0, size=split.n)
+        model = fit_second_stage(split, method, "dr", first, omega, h)
+        design = first.design(split.x1())
+        if method == "nk":
+            assert design is None and model.cross_cache is None
+        else:
+            assert np.array_equal(model.cross_cache, design)
+            assert design.shape[1] == split.n
 
 
 class TestTraceLoss:
@@ -211,9 +246,8 @@ class TestNkLoss:
         grid = rng.normal(size=(4, 1))
         k_m = gram(KernelSpec(bandwidth=1.0), grid)
         b = rng.normal(size=(4, 6))
-        from ccme.kernels import regularized_solve
         f_star = nk_minimizer(k_m, b)
-        assert np.allclose(f_star, regularized_solve(k_m, 1e-12, b), atol=1e-8)
+        assert np.allclose(f_star, SpdFactor(k_m, 1e-12).solve(b), atol=1e-8)
         # and it zeroes the gradient
         _, grad = nk_loss_grad(f_star.T, k_m, b)
         assert np.abs(grad).max() < 1e-10
@@ -245,24 +279,31 @@ class TestPseudoOutcomes:
 
     def test_unit_omega_reduces_to_outcome_features(self):
         split = make_split(n=20, seed=5)
-        first = fit_first_stage(split, "rr", Hyper())
-        targets = pseudo_targets("dr", first, split, np.ones(split.n))
-        assert np.array_equal(targets.a, np.ones(split.n))
-        assert not targets.c.any()
-        assert targets.coef is None
+        h = Hyper()
+        first = fit_first_stage(split, "rr", h)
+        model = fit_second_stage(split, "rr", "dr", first, np.ones(split.n), h)
+        assert np.array_equal(model.a, np.ones(split.n))
+        assert not model.c.any()
+        assert model.cross_cache is None
+        k_xi = build_k_xi(h.kernel_y(), split.d1.Y, model.a, model.c,
+                          first, split.x1())
+        assert np.array_equal(k_xi, gram(h.kernel_y(), split.d1.Y))
 
     def test_onestep_warns_when_first_stage_supplied(self):
         split = make_split(n=20, seed=6)
         first = fit_first_stage(split, "rr", Hyper())
         with pytest.warns(ConfigWarning):
-            targets = pseudo_targets("onestep", first, split, None)
-        assert np.array_equal(targets.a, (split.d1.A > 0).astype(float))
+            model = fit_second_stage(split, "rr", "onestep", first, None, Hyper())
+        keep = split.d1.A > 0
+        assert model.first is None
+        assert np.array_equal(model.a, np.ones(int(keep.sum())))
+        assert np.array_equal(model.second.outcomes, split.d1.Y[keep])
 
     def test_missing_omega_rejected(self):
         split = make_split(n=20, seed=6)
         first = fit_first_stage(split, "rr", Hyper())
-        with pytest.raises(InvalidArgumentError):
-            pseudo_targets("dr", first, split, None)
+        with pytest.raises(InvalidArgumentError, match="needs omega"):
+            fit_second_stage(split, "rr", "dr", first, None, Hyper())
 
 
 class TestKXi:
@@ -274,7 +315,9 @@ class TestKXi:
         ky = KernelSpec(bandwidth=2.0, normalized=True)
         n = split.n
         k_xi = build_k_xi(ky, split.d1.Y, np.ones(n), np.zeros(n))
-        assert np.allclose(k_xi, gram(ky, split.d1.Y), atol=1e-15)
+        # exact: a df first stage trains against this matrix in place of the
+        # outcome Gram
+        assert np.array_equal(k_xi, gram(ky, split.d1.Y))
 
     def test_ipw_is_conjugated_outcome_gram(self):
         split = make_split(n=16, seed=8)
@@ -303,11 +346,11 @@ class TestKXi:
                      np.array([0.5, 0.1, -0.7]))
         split = manual_split(d0, d1)
         first = self.make_first(split)
-        ky = first.kernel_y
+        ky = Hyper().kernel_y()
         a, c = pseudo_weights("pi", np.ones(3))
         k_xi = build_k_xi(ky, d1.Y, a, c, first, split.x1())
-        E = first.cross_coef(split.x1())
-        basis = first.basis_y()
+        E = first.coef(split.x1())
+        basis = first.head.basis
         k_bb = gram(ky, basis)
         expect = np.zeros((3, 3))
         for i in range(3):
@@ -321,9 +364,10 @@ class TestKXi:
         split = make_split(n=16, seed=9)
         first = self.make_first(split)
         a, c = pseudo_weights("pi", np.ones(split.n))
-        k1 = build_k_xi(first.kernel_y, split.d1.Y, a, c, first, split.x1())
+        ky = Hyper().kernel_y()
+        k1 = build_k_xi(ky, split.d1.Y, a, c, first, split.x1())
         other_y = split.d1.Y + 17.0
-        k2 = build_k_xi(first.kernel_y, other_y, a, c, first, split.x1())
+        k2 = build_k_xi(ky, other_y, a, c, first, split.x1())
         assert np.array_equal(k1, k2)
 
     def test_exactly_symmetric(self):
@@ -331,7 +375,7 @@ class TestKXi:
         first = self.make_first(split)
         omega = np.random.default_rng(1).uniform(0.0, 2.5, size=split.n)
         a, c = pseudo_weights("dr", omega)
-        k_xi = build_k_xi(first.kernel_y, split.d1.Y, a, c, first, split.x1())
+        k_xi = build_k_xi(Hyper().kernel_y(), split.d1.Y, a, c, first, split.x1())
         assert np.array_equal(k_xi, k_xi.T)
 
     def test_nonzero_c_needs_first_stage(self):
@@ -348,9 +392,8 @@ class TestSecondStageRr:
         h = Hyper()
         first = fit_first_stage(split, "rr", h)
         model = fit_second_stage(split, "rr", "dr", first, np.ones(1), h)
-        from ccme.density import _second_beta
         v = np.array([[0.3]])
-        beta = _second_beta(model, v)
+        beta = model.second.coef(v)
         k = kernel_eval(h.kernel_v(), 0.3, 0.5)
         assert beta[0, 0] == pytest.approx(k / (1.0 + 20.0), abs=1e-14)
 
@@ -376,8 +419,7 @@ class TestSecondStageRr:
                           first, split.x1())
         k_v = gram(h.kernel_v(), split.v1)
         vq = split.v1[:3]
-        from ccme.density import _second_beta
-        beta = _second_beta(model, vq)
+        beta = model.second.coef(vq)
         expect = np.linalg.solve(k_v + 20.0 * np.eye(split.n),
                                  gram(h.kernel_v(), split.v1, vq))
         assert np.allclose(beta, expect, atol=1e-10)
@@ -451,7 +493,7 @@ class TestNetStages:
         psi_init, _ = mlp_forward(init, split.x0_treated())
         g0 = gram(tiny_hyper.kernel_y(), split.y0_treated())
         start = df_trace_loss(psi_init, g0, tiny_hyper.ridge0)[0] / split.m
-        assert first.cme.final_loss < start
+        assert first.head.final_loss < start
 
     def test_df_warns_on_few_treated_rows(self):
         split = make_split(n=16, seed=19)
@@ -463,7 +505,7 @@ class TestNetStages:
         split = make_split(n=24, seed=20)
         f1 = fit_first_stage(split, "df", tiny_hyper)
         f2 = fit_first_stage(split, "df", tiny_hyper)
-        for w1, w2 in zip(f1.cme.net.weights, f2.cme.net.weights):
+        for w1, w2 in zip(f1.head.net.weights, f2.head.net.weights):
             assert np.array_equal(w1, w2)
 
     def test_nk_grid_shared_between_stages(self, tiny_hyper):
@@ -471,12 +513,12 @@ class TestNetStages:
         first = fit_first_stage(split, "nk", tiny_hyper)
         model = fit_second_stage(split, "nk", "dr", first,
                                  np.ones(split.n), tiny_hyper)
-        assert np.array_equal(model.second.grid, first.cme.grid)
+        assert np.array_equal(model.second.grid, first.head.grid)
 
     def test_nk_grid_override_mismatch_rejected(self, tiny_hyper):
         split = make_split(n=24, seed=21)
         first = fit_first_stage(split, "nk", tiny_hyper)
-        wrong = first.cme.grid + 0.5
+        wrong = first.head.grid + 0.5
         with pytest.raises(InvalidArgumentError, match="grid mismatch"):
             fit_second_stage(split, "nk", "dr", first, np.ones(split.n),
                              tiny_hyper, grid=wrong)
@@ -518,12 +560,12 @@ class TestNetStages:
         split = make_split(n=30, seed=23)
         first = fit_first_stage(split, "nk", tiny_hyper)
         ky = tiny_hyper.kernel_y()
-        k0 = gram(ky, first.cme.grid, split.y0_treated())
+        k0 = gram(ky, first.head.grid, split.y0_treated())
         sizes = [split.d0.X.shape[1], *tiny_hyper.hidden,
-                 first.cme.grid.shape[0]]
+                 first.head.grid.shape[0]]
         init = mlp_init(sizes, tiny_hyper.net_seeds()[0])
         f_init, _ = mlp_forward(init, split.x0_treated())
-        start = nk_loss_grad(f_init, first.cme.k_m, k0)[0]
-        best = nk_loss_grad(nk_minimizer(first.cme.k_m, k0).T,
-                            first.cme.k_m, k0)[0]
-        assert best <= first.cme.final_loss < start
+        start = nk_loss_grad(f_init, first.head.k_m, k0)[0]
+        best = nk_loss_grad(nk_minimizer(first.head.k_m, k0).T,
+                            first.head.k_m, k0)[0]
+        assert best <= first.head.final_loss < start

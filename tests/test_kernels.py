@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ccme.errors import InvalidArgumentError, NumericError
-from ccme.kernels import (KernelSpec, SpdFactor, gram, kernel_eval,
-                          regularized_solve)
+from ccme.kernels import KernelSpec, SpdFactor, gram, kernel_eval
 
 EXP_HALF = 0.6065306597126334          # exp(-0.5)
 INV_SQRT_2PI = 0.3989422804014327      # (sqrt(2 pi))**-1
@@ -96,14 +95,16 @@ class TestGram:
 
 
 class TestRegularizedSolve:
+    """Solves of (K + ridge I) x = rhs through a fresh SpdFactor."""
+
     def test_scaled_identity(self):
         b = np.array([0.4, -2.0])
-        x = regularized_solve(np.eye(2), 1.0, b)
+        x = SpdFactor(np.eye(2), 1.0).solve(b)
         assert np.allclose(x, b / 2.0, atol=1e-15)
 
     def test_two_by_two_against_adjugate_inverse(self):
         K = np.array([[1.0, EXP_HALF], [EXP_HALF, 1.0]])
-        x = regularized_solve(K, 40.0, np.array([1.0, 0.0]))
+        x = SpdFactor(K, 40.0).solve(np.array([1.0, 0.0]))
         det = 41.0 ** 2 - EXP_HALF ** 2
         assert np.allclose(x, [41.0 / det, -EXP_HALF / det], atol=1e-14)
         assert x[0] == pytest.approx(0.024395582768206914, abs=1e-15)
@@ -111,29 +112,29 @@ class TestRegularizedSolve:
 
     def test_zero_rhs_gives_zero(self):
         K = gram(KernelSpec(), np.arange(4.0))
-        x = regularized_solve(K, 3.0, np.zeros(4))
+        x = SpdFactor(K, 3.0).solve(np.zeros(4))
         assert np.array_equal(x, np.zeros(4))
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(0)
         K = gram(KernelSpec(), rng.normal(size=(6, 2)))
         B = rng.normal(size=(6, 3))
-        X = regularized_solve(K, 2.0, B)
+        X = SpdFactor(K, 2.0).solve(B)
         assert np.allclose((K + 2.0 * np.eye(6)) @ X, B, atol=1e-12)
 
     def test_indefinite_matrix_reports_pivot(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(NumericError) as err:
-            regularized_solve(K, 1e-6, np.ones(2))
+            SpdFactor(K, 1e-6).solve(np.ones(2))
         assert err.value.pivot == 1
 
     def test_nonpositive_ridge_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            regularized_solve(np.eye(2), 0.0, np.ones(2))
+            SpdFactor(np.eye(2), 0.0).solve(np.ones(2))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            regularized_solve(np.ones((2, 3)), 1.0, np.ones(2))
+            SpdFactor(np.ones((2, 3)), 1.0).solve(np.ones(2))
 
 
 class TestSpdFactor:
@@ -154,6 +155,11 @@ class TestSpdFactor:
         rng = np.random.default_rng(2)
         fac = SpdFactor(gram(KernelSpec(), rng.normal(size=(5, 2))), 1.0)
         assert fac.refactor_residual() == 0.0
+
+    def test_from_regularized_indefinite_reports_pivot(self):
+        with pytest.raises(NumericError, match="stored matrix") as err:
+            SpdFactor.from_regularized(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+        assert err.value.pivot == 1
 
     def test_from_regularized_round_trip(self):
         rng = np.random.default_rng(4)

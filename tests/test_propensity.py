@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-import ccme.synthbench  # noqa: F401 - registers the benchmark oracle tag
 from ccme.errors import DegenerateDataError, InvalidArgumentError
 from ccme.propensity import (PropensityModel, fit_forest, fit_logistic,
                              make_oracle, predict_propensity)
+from ccme.synthbench import true_propensity
 
 
 def interaction_dgp(n, seed):
@@ -108,19 +108,15 @@ class TestForest:
 
 class TestOracle:
     def test_benchmark_rule_values(self):
-        model = make_oracle("synth-pi", 10)
+        model = make_oracle(true_propensity, 10)
         x = np.zeros(10)
         x[0], x[5] = 1.0, 2.0
         assert predict_propensity(model, x) == 0.9
         x[5] = 0.0
         assert predict_propensity(model, x) == 0.1
 
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            make_oracle("no-such-oracle", 10)
-
     def test_clip_always_applied(self):
-        model = make_oracle("synth-pi", 10, clip=(0.2, 0.8))
+        model = make_oracle(true_propensity, 10, clip=(0.2, 0.8))
         rng = np.random.default_rng(3)
         preds = predict_propensity(model, rng.normal(1.0, 1.0, size=(200, 10)))
         assert preds.min() >= 0.2 and preds.max() <= 0.8
@@ -131,6 +127,6 @@ class TestOracle:
             PropensityModel(kind="oracle", clip=(0.5, 0.4), n_features=10)
 
     def test_feature_count_check(self):
-        model = make_oracle("synth-pi", 10)
+        model = make_oracle(true_propensity, 10)
         with pytest.raises(InvalidArgumentError):
             predict_propensity(model, np.zeros(3))

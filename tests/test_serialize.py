@@ -23,6 +23,28 @@ def fit_model(method, variant="dr", n=20, seed=7, hyper=None):
     return fit_ccme(split, method, variant, prop, h), split
 
 
+def assert_same_heads(back, model):
+    """Every array of both stages' heads and the cached design came back
+    bit for bit, with the same layout."""
+    pairs = [(back.second, model.second)]
+    assert (back.first is None) == (model.first is None)
+    if model.first is not None:
+        pairs.append((back.first.head, model.first.head))
+        assert back.first.x_cols == model.first.x_cols
+    for got, want in pairs:
+        assert type(got) is type(want)
+        got_arrays, want_arrays = got.to_arrays(), want.to_arrays()
+        assert got_arrays.keys() == want_arrays.keys()
+        for key, value in want_arrays.items():
+            assert np.array_equal(got_arrays[key], value,
+                                  equal_nan=value.dtype.kind == "f"), key
+    if model.cross_cache is None:
+        assert back.cross_cache is None
+    else:
+        assert np.array_equal(back.cross_cache, model.cross_cache)
+        assert back.cross_cache.strides == model.cross_cache.strides
+
+
 @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
 class TestRoundTrip:
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
@@ -32,6 +54,7 @@ class TestRoundTrip:
         path = str(tmp_path / "model.npz")
         save_model(model, path)
         back = load_model(path)
+        assert_same_heads(back, model)
         vq = split.v1[:3]
         grid = default_grid(model, 40)
         assert np.array_equal(density_matrix(model, vq, grid),
@@ -39,7 +62,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("method,variant", [
         ("rr", "ipw"), ("rr", "pi"), ("rr", "onestep"), ("nk", "onestep"),
-        ("df", "ipw"), ("nk", "ipw"),
+        ("df", "ipw"), ("nk", "ipw"), ("df", "pi"), ("df", "onestep"),
+        ("nk", "pi"),
     ])
     def test_variants_round_trip(self, method, variant, tmp_path, tiny_hyper):
         h = Hyper() if method == "rr" else tiny_hyper
@@ -51,6 +75,7 @@ class TestRoundTrip:
         assert back.variant == model.variant
         assert np.array_equal(back.a, model.a)
         assert np.array_equal(back.c, model.c)
+        assert_same_heads(back, model)
         vq = split.v1[:2]
         grid = default_grid(model, 25)
         assert np.array_equal(density_matrix(model, vq, grid),
@@ -62,13 +87,14 @@ class TestRoundTrip:
         save_model(model, path)
         back = load_model(path)
         assert back.kernel_y == model.kernel_y
-        assert back.ridge1 == model.ridge1
+        assert back.second.factor.ridge == model.second.factor.ridge
+        assert np.array_equal(back.second.points, model.second.points)
         assert back.y_lo == model.y_lo and back.y_hi == model.y_hi
         assert back.v_cols == model.v_cols
         assert np.array_equal(back.omega, model.omega)
         assert np.array_equal(back.cross_cache, model.cross_cache)
         assert back.first.x_cols == model.first.x_cols
-        assert np.array_equal(back.first.y0t, model.first.y0t)
+        assert np.array_equal(back.first.head.outcomes, model.first.head.outcomes)
 
     def test_overwrite_in_place(self, tmp_path):
         model, split = fit_model("rr")
