@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Commands: simulate, fit, density, sweep, report.  Configuration flows from
-defaults, then an optional JSON --config file, then flags.  Status text goes
-to stderr; stdout carries data only.  All file outputs are written to a temp
-file and renamed into place.
+the defaults, then CCME_THREADS, then an optional JSON --config file, then
+flags.  Status text goes to stderr; stdout carries data only.  All file
+outputs are written to a temp file and renamed into place.
 
 Exit codes: 0 success, 2 I/O failure, 3 parse failure (flags, config files,
 CSV inputs, dimension mismatches), 4 degenerate data or configuration,
@@ -24,18 +24,18 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import (RunConfig, config_json, load_config_file, merge_config,
-                     parse_override, to_hyper, validate_config)
+from .config import (config_json, load_config_file, merge_config,
+                     parse_override, validate_config)
 from .data import dataset_to_csv, load_dataset, split_data
 from .density import curves_to_csv, default_grid, density_curves
 from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
                      NumericError)
-from .estimators import fit_ccme
+from .estimators import Hyper, fit_ccme
 from .propensity import fit_forest, fit_logistic, make_oracle
 from .serialize import load_model, save_model
 from .synthbench import (N_COV, DgpConfig, generate, loglog_slope,
                          normalize_scenario, plan_cells, run_sweep,
-                         scenario_hyper, scenario_propensity, true_propensity)
+                         scenario_propensity, scenario_x_cols, true_propensity)
 
 __all__ = ["main"]
 
@@ -73,7 +73,7 @@ def build_parser() -> _Parser:
                         help="JSON file of config fields")
     common.add_argument("--print-config", action="store_true",
                         help="print the resolved config as JSON and exit")
-    for f in fields(RunConfig):
+    for f in fields(Hyper):
         flag = "--" + f.name.replace("_", "-")
         common.add_argument(flag, dest=f"cfg_{f.name}", metavar="V",
                             help=argparse.SUPPRESS)
@@ -118,19 +118,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> Hyper:
+    """Defaults, then CCME_THREADS, then the --config file, then flags."""
+    env_vals = {}
+    if os.environ.get("CCME_THREADS"):
+        try:
+            env_vals["threads"] = int(os.environ["CCME_THREADS"])
+        except ValueError as exc:
+            raise InvalidArgumentError(f"CCME_THREADS must be an integer: {exc}")
+    file_vals = load_config_file(args.config) if args.config else None
     overrides = {}
-    for f in fields(RunConfig):
+    for f in fields(Hyper):
         raw = getattr(args, f"cfg_{f.name}", None)
         if raw is not None:
             overrides[f.name] = parse_override(f.name, raw)
-    file_vals = load_config_file(args.config) if args.config else None
-    cfg = merge_config(file_vals, overrides)
-    if "threads" not in overrides and os.environ.get("CCME_THREADS"):
-        try:
-            cfg.threads = int(os.environ["CCME_THREADS"])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"CCME_THREADS must be an integer: {exc}")
+    cfg = merge_config(env_vals, file_vals, overrides)
     validate_config(cfg)
     return cfg
 
@@ -139,7 +141,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 # commands
 
 
-def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_simulate(cfg: Hyper, args: argparse.Namespace) -> int:
     data, _ = generate(DgpConfig(cfg.n, cfg.seed, cfg.scenario))
     atomic_write(args.out, dataset_to_csv(data))
     meta = {"command": "simulate", "n": cfg.n, "seed": cfg.seed,
@@ -154,28 +156,22 @@ def _benchmark_shaped(d_x: int) -> bool:
     return d_x == N_COV
 
 
-def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_fit(cfg: Hyper, args: argparse.Namespace) -> int:
     with open(args.data, "r", encoding="utf-8") as fh:
         data = load_dataset(fh.read())
     d_x = data.X.shape[1]
-    split = split_data(data, cfg.seed, cfg.v_cols)
-    hyper = to_hyper(cfg)
-    if _benchmark_shaped(d_x):
-        hyper = scenario_hyper(cfg.scenario, hyper)
-    elif cfg.scenario != "a":
+    if cfg.scenario != "a" and not _benchmark_shaped(d_x):
         raise ConfigError(
             f"scenario {cfg.scenario!r} wiring needs the {N_COV}-covariate "
             f"benchmark layout; this dataset has {d_x} covariates")
+    split = split_data(data, cfg.seed, cfg.v_cols, scenario_x_cols(cfg.scenario))
 
     prop = None
     if cfg.variant != "onestep":
-        clip = (cfg.clip_lo, cfg.clip_hi)
-        if cfg.propensity == "auto":
-            if _benchmark_shaped(d_x):
-                prop = scenario_propensity(cfg.scenario, split.d0.X,
-                                           split.d0.A, cfg.seed)
-            else:
-                prop = fit_forest(split.d0.X, split.d0.A, seed=cfg.seed, clip=clip)
+        clip = cfg.clip()
+        if cfg.propensity == "auto":     # a forest, or logistic in scenario b
+            prop = scenario_propensity(cfg.scenario, split.d0.X, split.d0.A,
+                                       cfg.seed, clip)
         elif cfg.propensity == "forest":
             prop = fit_forest(split.d0.X, split.d0.A, seed=cfg.seed, clip=clip)
         elif cfg.propensity == "logistic":
@@ -186,7 +182,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
                                   f"{N_COV}-covariate benchmark layout only")
             prop = make_oracle(true_propensity, d_x, clip)
 
-    model = fit_ccme(split, cfg.method, cfg.variant, prop, hyper)
+    model = fit_ccme(split, cfg.method, cfg.variant, prop, cfg)
     save_model(model, args.model_out)
     _status(f"fitted {cfg.method}/{cfg.variant} on {len(data)} rows "
             f"({split.m} treated nuisance rows, {split.n} regression rows); "
@@ -219,7 +215,7 @@ def _parse_v_args(args: argparse.Namespace) -> np.ndarray:
     return vq
 
 
-def cmd_density(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_density(cfg: Hyper, args: argparse.Namespace) -> int:
     try:
         model = load_model(args.model)
     except (zipfile.BadZipFile, ValueError, KeyError) as exc:
@@ -270,7 +266,7 @@ def _apply_filters(cells: list, filters: list[str]) -> list:
     return cells
 
 
-def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_sweep(cfg: Hyper, args: argparse.Namespace) -> int:
     cells = plan_cells(cfg.methods, cfg.variants, cfg.scenarios,
                        cfg.n_list, cfg.seeds)
     cells = _apply_filters(cells, args.filter)
@@ -285,7 +281,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         _status(f"  {rec.method}/{rec.variant}/{rec.scenario} n={rec.n} "
                 f"seed={rec.seed}: {tag} ({rec.seconds:.1f}s)")
 
-    records = run_sweep(cells, to_hyper(cfg), cfg.test_points, cfg.grid_points,
+    records = run_sweep(cells, cfg, cfg.test_points, cfg.grid_points,
                         cfg.eval_seed, cfg.threads, progress)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -324,7 +320,7 @@ def _read_sweep_csv(path: str) -> tuple[list[dict], int]:
     return rows, skipped
 
 
-def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_report(cfg: Hyper, args: argparse.Namespace) -> int:
     rows, skipped = _read_sweep_csv(args.results)
     if skipped:
         _status(f"excluded {skipped} failed rows")

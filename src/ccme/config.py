@@ -1,101 +1,42 @@
-"""Run configuration: defaults, JSON files, and flag overrides.
+"""Settings resolution: parse flag values, merge sources, validate.
 
-Precedence is flags over file over defaults.  The defaults reproduce the
-benchmark settings used throughout: bandwidth 2.0 everywhere, ridge 20.0 on
-both stages, 20 features or grid points, two hidden layers of 20 units,
-momentum 0.9, and the stage learning rates / epoch counts quoted per 200
-training rows.
+The settings themselves, with their defaults, are the fields of
+``estimators.Hyper``.  Precedence is flags over the ``--config`` file over
+the ``CCME_THREADS`` environment variable over the defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import Hyper, METHODS, VARIANTS
 from .synthbench import normalize_scenario
 
-__all__ = ["RunConfig", "load_config_file", "merge_config", "parse_override",
-           "validate_config", "to_hyper", "config_json"]
+__all__ = ["load_config_file", "merge_config", "parse_override",
+           "validate_config", "config_json"]
 
-
-@dataclass
-class RunConfig:
-    # estimator selection
-    method: str = "rr"
-    variant: str = "dr"
-    scenario: str = "a"
-    propensity: str = "auto"            # auto | forest | logistic | oracle
-    seed: int = 0
-    net_seed: int = 0
-    threads: int = 1
-
-    # kernels and ridges (added to Gram diagonals as-is)
-    bandwidth_x: float = 2.0
-    bandwidth_v: float = 2.0
-    bandwidth_y: float = 2.0
-    ridge0: float = 20.0
-    ridge1: float = 20.0
-
-    # networks
-    n_feats: int = 20
-    hidden: list[int] = field(default_factory=lambda: [20, 20])
-    momentum: float = 0.9
-    lr_df: float = 2e-4
-    lr_nk: float = 4e-4
-    epochs_df1: int = 6000
-    epochs_df2: int = 1000
-    epochs_nk1: int = 16000
-    epochs_nk2: int = 500
-    grid_pad: float = 2.0
-    nk_grid_m: int | None = None        # optional grid-size override, must match n_feats
-
-    # propensity clipping
-    clip_lo: float = 0.01
-    clip_hi: float = 0.99
-
-    # data
-    n: int = 200
-    v_cols: list[int] | None = None     # None = first five covariates
-
-    # sweep / evaluation
-    methods: list[str] = field(default_factory=lambda: ["rr"])
-    variants: list[str] = field(default_factory=lambda: ["dr"])
-    scenarios: list[str] = field(default_factory=lambda: ["a"])
-    n_list: list[int] = field(default_factory=lambda: [200, 500, 2000, 5000])
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    test_points: int = 500
-    grid_points: int = 1000
-    eval_seed: int = 0
-
-
-_LIST_INT = {"hidden", "v_cols", "n_list", "seeds"}
-_LIST_STR = {"methods", "variants", "scenarios"}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Each field's annotation, as written in Hyper: "int", "float", "str",
+# "list[int]", "list[int] | None" or "list[str]".
+_FIELD_TYPES = {f.name: f.type for f in fields(Hyper)}
+_SCALAR = {"int": int, "float": float, "str": str}
 
 
 def parse_override(name: str, text: str) -> object:
-    """Parse one flag value into the field's type."""
+    """Parse one flag value into the field's type; lists are comma-separated."""
     if name not in _FIELD_TYPES:
         raise InvalidArgumentError(f"unknown config field {name!r}")
-    if name in _LIST_INT:
-        try:
-            return [int(tok) for tok in str(text).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{name} wants comma-separated ints: {exc}")
-    if name in _LIST_STR:
-        return [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    default = getattr(RunConfig(), name)
-    kind = type(default) if default is not None else int   # nk_grid_m, v_cols
+    kind = _FIELD_TYPES[name]
+    tokens = [tok.strip() for tok in str(text).split(",") if tok.strip()]
     try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
+        if kind.startswith("list[int]"):
+            return [int(tok) for tok in tokens]
+        if kind == "list[str]":
+            return tokens
+        return _SCALAR[kind](text)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad value for {name}: {exc}")
-    return str(text)
 
 
 def load_config_file(path: str) -> dict:
@@ -113,20 +54,19 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
-def merge_config(file_values: dict | None, overrides: dict | None) -> RunConfig:
-    """Defaults, then file values, then flag overrides."""
-    cfg = RunConfig()
-    for source in (file_values or {}), (overrides or {}):
-        for key, value in source.items():
-            if value is None:
-                continue
+def merge_config(*sources: dict | None) -> Hyper:
+    """The defaults, overridden by each source in turn; None values are skipped."""
+    values = {}
+    for source in sources:
+        for key, value in (source or {}).items():
             if key not in _FIELD_TYPES:
                 raise InvalidArgumentError(f"unknown config field {key!r}")
-            setattr(cfg, key, value)
-    return cfg
+            if value is not None:
+                values[key] = value
+    return Hyper(**values)
 
 
-def validate_config(cfg: RunConfig) -> None:
+def validate_config(cfg: Hyper) -> None:
     if cfg.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.variant not in VARIANTS:
@@ -144,10 +84,6 @@ def validate_config(cfg: RunConfig) -> None:
     if not (0.0 < cfg.clip_lo < cfg.clip_hi < 1.0):
         raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, "
                           f"got ({cfg.clip_lo}, {cfg.clip_hi})")
-    if cfg.nk_grid_m is not None and cfg.nk_grid_m != cfg.n_feats:
-        raise ConfigError(
-            f"outcome grid override mismatch: nk_grid_m={cfg.nk_grid_m} but the "
-            f"model uses {cfg.n_feats} grid points; both stages must share one grid")
     for name in ("bandwidth_x", "bandwidth_v", "bandwidth_y", "ridge0", "ridge1"):
         if not (getattr(cfg, name) > 0):
             raise ConfigError(f"{name} must be positive")
@@ -157,16 +93,5 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("n must be at least 4")
 
 
-def to_hyper(cfg: RunConfig) -> Hyper:
-    return Hyper(
-        bandwidth_x=cfg.bandwidth_x, bandwidth_v=cfg.bandwidth_v,
-        bandwidth_y=cfg.bandwidth_y, ridge0=cfg.ridge0, ridge1=cfg.ridge1,
-        n_feats=cfg.n_feats, hidden=tuple(cfg.hidden), momentum=cfg.momentum,
-        lr_df=cfg.lr_df, lr_nk=cfg.lr_nk,
-        epochs_df=(cfg.epochs_df1, cfg.epochs_df2),
-        epochs_nk=(cfg.epochs_nk1, cfg.epochs_nk2),
-        grid_pad=cfg.grid_pad, net_seed=cfg.net_seed)
-
-
-def config_json(cfg: RunConfig) -> str:
+def config_json(cfg: Hyper) -> str:
     return json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n"

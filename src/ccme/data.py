@@ -56,13 +56,15 @@ class SplitDataset:
     """The random halves D0 (nuisance fitting) and D1 (second-stage rows).
 
     ``treated0`` indexes the rows of d0 with A = 1; ``v_cols`` selects the
-    conditioning variables V out of X.
+    conditioning variables V out of X, and ``x_cols`` the covariates the
+    first stage reads (None = all).
     """
 
     d0: Dataset
     d1: Dataset
     treated0: NDArray[np.int64]
     v_cols: list[int]
+    x_cols: list[int] | None = None
 
     @property
     def m(self) -> int:
@@ -76,19 +78,19 @@ class SplitDataset:
     def v1(self) -> NDArray[np.float64]:
         return self.d1.X[:, self.v_cols]
 
-    def x0_treated(self, x_cols: list[int] | None = None) -> NDArray[np.float64]:
+    def x0_treated(self) -> NDArray[np.float64]:
         X = self.d0.X[self.treated0]
-        return X if x_cols is None else X[:, x_cols]
+        return X if self.x_cols is None else X[:, self.x_cols]
 
     def y0_treated(self) -> NDArray[np.float64]:
         return self.d0.Y[self.treated0]
 
-    def x1(self, x_cols: list[int] | None = None) -> NDArray[np.float64]:
-        return self.d1.X if x_cols is None else self.d1.X[:, x_cols]
+    def x1(self) -> NDArray[np.float64]:
+        return self.d1.X
 
 
-def split_data(dataset: Dataset, seed: int,
-               v_cols: list[int] | None = None) -> SplitDataset:
+def split_data(dataset: Dataset, seed: int, v_cols: list[int] | None = None,
+               x_cols: list[int] | None = None) -> SplitDataset:
     """Uniform random partition into two halves, deterministic given seed.
 
     Odd sizes give the extra row to D0.  A D0 half with no treated row cannot
@@ -99,8 +101,9 @@ def split_data(dataset: Dataset, seed: int,
         raise InvalidArgumentError(f"need at least 4 rows to split, got {N}")
     if v_cols is None:
         v_cols = default_v_cols(dataset.X.shape[1])
-    if any(c < 0 or c >= dataset.X.shape[1] for c in v_cols):
-        raise InvalidArgumentError(f"v_cols out of range: {v_cols}")
+    for name, cols in (("v_cols", v_cols), ("x_cols", x_cols or [])):
+        if any(c < 0 or c >= dataset.X.shape[1] for c in cols):
+            raise InvalidArgumentError(f"{name} out of range: {cols}")
     perm = np.random.default_rng(seed).permutation(N)
     half = (N + 1) // 2
     d0 = dataset.take(perm[:half])
@@ -108,7 +111,8 @@ def split_data(dataset: Dataset, seed: int,
     treated0 = np.nonzero(d0.A > 0)[0]
     if treated0.shape[0] == 0:
         raise DegenerateDataError("no treated rows landed in D0; cannot fit a first stage")
-    return SplitDataset(d0, d1, treated0, list(v_cols))
+    return SplitDataset(d0, d1, treated0, list(v_cols),
+                        None if x_cols is None else list(x_cols))
 
 
 def compute_omega(d1: Dataset, propensity: PropensityModel) -> NDArray[np.float64]:

@@ -58,29 +58,66 @@ VARIANTS = ("dr", "ipw", "pi", "onestep")
 
 @dataclass
 class Hyper:
-    """Hyperparameters shared by the fitting routines.
+    """Every setting of a fit, a sweep and the command line, each with its default.
 
-    Learning rates are quoted per 200 training rows and scaled linearly with
-    the number of rows the stage actually trains on.  ``ridge0``/``ridge1``
-    are added to the Gram diagonal as-is.
+    The CLI flags (``bandwidth_x`` is ``--bandwidth-x``), the ``--config``
+    JSON keys and ``--print-config`` all come from these fields.  The
+    defaults are the benchmark settings.
+
+    Per-stage settings come in pairs that the heads index by stage (0 or 1):
+    the ridges ``ridge0/ridge1``, added to the Gram diagonal as-is, and the
+    epoch budgets ``epochs_df1/epochs_df2`` and ``epochs_nk1/epochs_nk2``.
+    Learning rates are quoted per 200 rows and scaled linearly: stage one by
+    len(D0), the whole nuisance half, although it trains on D0's treated rows
+    only; stage two by the rows it trains on (D1, or D1's treated rows for
+    the one-step variant).
     """
 
+    # estimator selection
+    method: str = "rr"
+    variant: str = "dr"
+    scenario: str = "a"
+    propensity: str = "auto"            # auto | forest | logistic | oracle
+    seed: int = 0
+    net_seed: int = 0
+    threads: int = 1
+
+    # kernels and ridges
     bandwidth_x: float = 2.0
     bandwidth_v: float = 2.0
     bandwidth_y: float = 2.0
-    normalize_y: bool = True
     ridge0: float = 20.0
     ridge1: float = 20.0
-    n_feats: int = 20               # feature count M for df / grid size for nk
-    hidden: tuple[int, ...] = (20, 20)
+
+    # networks
+    n_feats: int = 20                   # feature count M for df / grid size for nk
+    hidden: list[int] = field(default_factory=lambda: [20, 20])
     momentum: float = 0.9
     lr_df: float = 2e-4
     lr_nk: float = 4e-4
-    epochs_df: tuple[int, int] = (6000, 1000)
-    epochs_nk: tuple[int, int] = (16000, 500)
+    epochs_df1: int = 6000
+    epochs_df2: int = 1000
+    epochs_nk1: int = 16000
+    epochs_nk2: int = 500
     grid_pad: float = 2.0
-    net_seed: int = 0
-    x_cols: list[int] | None = None  # first-stage covariate subset; None = all
+
+    # propensity clipping
+    clip_lo: float = 0.01
+    clip_hi: float = 0.99
+
+    # data
+    n: int = 200
+    v_cols: list[int] | None = None     # None = first five covariates
+
+    # sweep / evaluation
+    methods: list[str] = field(default_factory=lambda: ["rr"])
+    variants: list[str] = field(default_factory=lambda: ["dr"])
+    scenarios: list[str] = field(default_factory=lambda: ["a"])
+    n_list: list[int] = field(default_factory=lambda: [200, 500, 2000, 5000])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    test_points: int = 500
+    grid_points: int = 1000
+    eval_seed: int = 0
 
     def kernel_x(self) -> KernelSpec:
         return KernelSpec("gaussian", self.bandwidth_x)
@@ -89,7 +126,10 @@ class Hyper:
         return KernelSpec("gaussian", self.bandwidth_v)
 
     def kernel_y(self) -> KernelSpec:
-        return KernelSpec("gaussian", self.bandwidth_y, normalized=self.normalize_y)
+        return KernelSpec("gaussian", self.bandwidth_y, normalized=True)
+
+    def clip(self) -> tuple[float, float]:
+        return self.clip_lo, self.clip_hi
 
     def net_seeds(self) -> tuple[int, int]:
         ss = np.random.SeedSequence([int(self.net_seed)])
@@ -267,7 +307,8 @@ class FeatureHead:
             loss, grad = df_trace_loss(psi, g_xi, ridge)
             return loss / rows, grad / rows
 
-        net, final = train_mlp(net, inputs, loss_fn, hyper.epochs_df[stage],
+        epochs = (hyper.epochs_df1, hyper.epochs_df2)[stage]
+        net, final = train_mlp(net, inputs, loss_fn, epochs,
                                hyper.scaled_lr(hyper.lr_df, lr_rows), hyper.momentum)
         feats, _ = mlp_forward(net, inputs)
         return cls(net, feats, SpdFactor(feats.T @ feats, ridge), y, final)
@@ -340,7 +381,8 @@ class GridHead:
         def loss_fn(feats: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
             return nk_loss_grad(feats, k_m, b)
 
-        net, final = train_mlp(net, inputs, loss_fn, hyper.epochs_nk[stage],
+        epochs = (hyper.epochs_nk1, hyper.epochs_nk2)[stage]
+        net, final = train_mlp(net, inputs, loss_fn, epochs,
                                hyper.scaled_lr(hyper.lr_nk, lr_rows), hyper.momentum)
         return cls(net, grid, k_m, final)
 
@@ -418,10 +460,9 @@ def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper,
     head_cls = _head_class(method)
     y0t = split.y0_treated()
     a = np.ones(y0t.shape[0])
-    head = head_cls.fit(split.x0_treated(hyper.x_cols), y0t, a, np.zeros_like(a),
-                        None, None, hyper, 0, len(split.d0), grid,
-                        _all_outcomes(split))
-    return FirstStage(head, hyper.x_cols)
+    head = head_cls.fit(split.x0_treated(), y0t, a, np.zeros_like(a), None, None,
+                        hyper, 0, len(split.d0), grid, _all_outcomes(split))
+    return FirstStage(head, split.x_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,6 @@ class MlpParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def copy(self) -> "MlpParams":
         return MlpParams(self.sizes, [w.copy() for w in self.weights],
                          [b.copy() for b in self.biases])

@@ -31,7 +31,7 @@ from .data import Dataset, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import METHODS, VARIANTS, CcmeModel, Hyper, fit_ccme
-from .propensity import PropensityModel, fit_forest, fit_logistic
+from .propensity import DEFAULT_CLIP, PropensityModel, fit_forest, fit_logistic
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
@@ -221,19 +221,21 @@ def _derived_seed(tag: int, n: int, seed: int) -> int:
     return int(np.random.SeedSequence([tag, n, seed]).generate_state(1)[0])
 
 
-def scenario_hyper(scenario: str, hyper: Hyper) -> Hyper:
-    """Apply the scenario's first-stage covariate restriction."""
+def scenario_x_cols(scenario: str) -> list[int] | None:
+    """The covariates the scenario's first stage reads: all but x6 in
+    scenario c, all (None) otherwise."""
     if normalize_scenario(scenario) == "c":
-        return replace(hyper, x_cols=[i for i in range(N_COV) if i != 5])
-    return replace(hyper, x_cols=None)
+        return [i for i in range(N_COV) if i != 5]
+    return None
 
 
 def scenario_propensity(scenario: str, d0_X: NDArray[np.float64],
-                        d0_A: NDArray[np.float64], seed: int) -> PropensityModel:
-    """Fit the scenario's propensity model on the D0 half."""
+                        d0_A: NDArray[np.float64], seed: int,
+                        clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
+    """Fit the scenario's propensity model on the D0 half, clipped to ``clip``."""
     if normalize_scenario(scenario) == "b":
-        return fit_logistic(d0_X, d0_A)
-    return fit_forest(d0_X, d0_A, seed=seed)
+        return fit_logistic(d0_X, d0_A, clip=clip)
+    return fit_forest(d0_X, d0_A, seed=seed, clip=clip)
 
 
 def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
@@ -247,13 +249,14 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
     try:
         data, _ = generate(DgpConfig(2 * cell.n, _derived_seed(2026, cell.n, cell.seed),
                                      cell.scenario))
-        split = split_data(data, _derived_seed(2027, cell.n, cell.seed), V_COLS)
-        cell_hyper = replace(scenario_hyper(cell.scenario, hyper),
-                             net_seed=_derived_seed(2028, cell.n, cell.seed))
+        split = split_data(data, _derived_seed(2027, cell.n, cell.seed), V_COLS,
+                           scenario_x_cols(cell.scenario))
+        cell_hyper = replace(hyper, net_seed=_derived_seed(2028, cell.n, cell.seed))
         prop = None
         if cell.variant != "onestep":
             prop = scenario_propensity(cell.scenario, split.d0.X, split.d0.A,
-                                       _derived_seed(2029, cell.n, cell.seed))
+                                       _derived_seed(2029, cell.n, cell.seed),
+                                       hyper.clip())
         model = fit_ccme(split, cell.method, cell.variant, prop, cell_hyper)
         y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
         grid = np.linspace(y.min() - 2.0, y.max() + 2.0, grid_points)

@@ -38,8 +38,8 @@ def small_split():
 @pytest.fixture
 def tiny_hyper():
     """Light training budgets so net-based fits stay fast in unit tests."""
-    return Hyper(n_feats=4, hidden=(8,), epochs_df=(300, 100),
-                 epochs_nk=(500, 100), lr_df=2e-4, lr_nk=4e-4)
+    return Hyper(n_feats=4, hidden=[8], epochs_df1=300, epochs_df2=100,
+                 epochs_nk1=500, epochs_nk2=100, lr_df=2e-4, lr_nk=4e-4)
 
 
 # numpy's and scipy's OpenBLAS copies, looked up here apart from ccme.blas so

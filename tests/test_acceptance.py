@@ -24,7 +24,7 @@ from ccme.propensity import fit_logistic, logistic_loss_grad
 from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, DgpConfig,
                              GroundTruth, SweepCell, _derived_seed,
                              eval_points, generate, mse, run_cell,
-                             scenario_hyper, scenario_propensity)
+                             scenario_propensity, scenario_x_cols)
 
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 
@@ -192,7 +192,8 @@ def test_c04_reduction_identities():
     X = rng.normal(size=(N, 3))
     data = Dataset(X, np.ones(N), rng.normal(size=N) + X[:, 0])
     split = split_data(data, seed=9)
-    h = Hyper(n_feats=6, hidden=(8,), epochs_df=(200, 150), epochs_nk=(400, 150))
+    h = Hyper(n_feats=6, hidden=[8], epochs_df1=200, epochs_df2=150,
+              epochs_nk1=400, epochs_nk2=150)
     omega = np.ones(split.n)
     shared = make_grid(np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()]),
                        6, 2.0)
@@ -303,8 +304,9 @@ def test_c07_convergence_trend_scenario_a():
 def _scenario_c_pair(n, seed, h, test_v, truth):
     """DR fit for one cell plus the PI rescoring of the same fit."""
     data, _ = generate(DgpConfig(2 * n, _derived_seed(2026, n, seed), "c"))
-    split = split_data(data, _derived_seed(2027, n, seed), V_COLS)
-    cell_h = replace(scenario_hyper("c", h), net_seed=_derived_seed(2028, n, seed))
+    split = split_data(data, _derived_seed(2027, n, seed), V_COLS,
+                       scenario_x_cols("c"))
+    cell_h = replace(h, net_seed=_derived_seed(2028, n, seed))
     prop = scenario_propensity("c", split.d0.X, split.d0.A,
                                _derived_seed(2029, n, seed))
     model = fit_ccme(split, "rr", "dr", prop, cell_h)
@@ -348,8 +350,7 @@ def test_c09_bimodality_recovery():
     n, seed = 5000, 0          # CI profile size
     data, _ = generate(DgpConfig(2 * n, _derived_seed(2026, n, seed), "a"))
     split = split_data(data, _derived_seed(2027, n, seed), V_COLS)
-    h = replace(scenario_hyper("a", Hyper()),
-                net_seed=_derived_seed(2028, n, seed))
+    h = Hyper(net_seed=_derived_seed(2028, n, seed))
     prop = scenario_propensity("a", split.d0.X, split.d0.A,
                                _derived_seed(2029, n, seed))
     model = fit_ccme(split, "rr", "dr", prop, h)
@@ -391,7 +392,7 @@ def test_c10_nk_pointwise_minimizer():
     h = Hyper()
     net = mlp_init([2, 20, 20, M], 7)
     net, _ = train_mlp(net, X, lambda F: nk_loss_grad(F, k_m, b),
-                       h.epochs_nk[0], h.scaled_lr(h.lr_nk, m), h.momentum)
+                       h.epochs_nk1, h.scaled_lr(h.lr_nk, m), h.momentum)
     out, _ = mlp_forward(net, X)
     trained, _ = nk_loss_grad(out, k_m, b)
     gap = (trained - loss_star) / abs(loss_star)

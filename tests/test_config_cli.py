@@ -1,21 +1,29 @@
 """Config resolution and the ccme command-line interface."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccme
 from ccme.cli import main
-from ccme.config import (RunConfig, merge_config, parse_override, to_hyper,
-                         validate_config)
+from ccme.config import (config_json, load_config_file, merge_config,
+                         parse_override, validate_config)
+from ccme.estimators import METHODS, VARIANTS, Hyper
 from ccme.errors import ConfigError, InvalidArgumentError
+from ccme.serialize import load_model
 
 # The directory that holds the imported ccme package; in a checkout this is
 # src/, and the project's pyproject.toml sits one level above it.
@@ -25,7 +33,7 @@ PYPROJECT = PACKAGE_PARENT.parent / "pyproject.toml"
 
 class TestConfig:
     def test_defaults_are_benchmark_settings(self):
-        cfg = RunConfig()
+        cfg = Hyper()
         assert (cfg.method, cfg.variant, cfg.scenario) == ("rr", "dr", "a")
         assert cfg.bandwidth_x == cfg.bandwidth_v == cfg.bandwidth_y == 2.0
         assert cfg.ridge0 == cfg.ridge1 == 20.0
@@ -38,13 +46,6 @@ class TestConfig:
         assert cfg.seeds == [0, 1, 2, 3, 4]
         assert cfg.test_points == 500 and cfg.grid_points == 1000
         assert (cfg.clip_lo, cfg.clip_hi) == (0.01, 0.99)
-
-    def test_to_hyper_mirrors_config(self):
-        h = to_hyper(RunConfig(bandwidth_y=1.5, ridge1=7.0, n_feats=12,
-                               hidden=[10], epochs_nk1=100, epochs_nk2=50))
-        assert h.bandwidth_y == 1.5 and h.ridge1 == 7.0
-        assert h.n_feats == 12 and h.hidden == (10,)
-        assert h.epochs_nk == (100, 50)
 
     def test_merge_precedence(self):
         cfg = merge_config({"n": 300, "seed": 7}, {"n": 400})
@@ -61,16 +62,81 @@ class TestConfig:
             parse_override("no_such_field", "1")
 
     def test_validate_rejections(self):
-        for bad in (RunConfig(method="xx"), RunConfig(variant="xx"),
-                    RunConfig(propensity="xx"), RunConfig(clip_lo=0.9, clip_hi=0.1),
-                    RunConfig(nk_grid_m=10), RunConfig(threads=0),
-                    RunConfig(n=3), RunConfig(ridge0=0.0),
-                    RunConfig(methods=["rr", "zz"])):
+        for bad in (Hyper(method="xx"), Hyper(variant="xx"),
+                    Hyper(propensity="xx"), Hyper(clip_lo=0.9, clip_hi=0.1),
+                    Hyper(threads=0), Hyper(n=3), Hyper(ridge0=0.0),
+                    Hyper(methods=["rr", "zz"])):
             with pytest.raises(ConfigError):
                 validate_config(bad)
-        ok = RunConfig(nk_grid_m=20, scenario="BothCorrect")
+        ok = Hyper(scenario="BothCorrect")
         validate_config(ok)
         assert ok.scenario == "a"
+
+
+def _floats(lo=None, hi=None):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False,
+                     exclude_min=lo is not None, exclude_max=hi is not None)
+
+
+# A valid value for every setting, so that validation passes.
+_SETTINGS = {
+    "method": st.sampled_from(METHODS), "variant": st.sampled_from(VARIANTS),
+    "scenario": st.sampled_from("abc"),
+    "propensity": st.sampled_from(["auto", "forest", "logistic", "oracle"]),
+    "seed": st.integers(0, 2**32), "net_seed": st.integers(0, 2**32),
+    "threads": st.integers(1, 64),
+    "bandwidth_x": _floats(0.0), "bandwidth_v": _floats(0.0),
+    "bandwidth_y": _floats(0.0), "ridge0": _floats(0.0), "ridge1": _floats(0.0),
+    "n_feats": st.integers(1, 500),
+    "hidden": st.lists(st.integers(1, 500), min_size=1),
+    "momentum": _floats(), "lr_df": _floats(), "lr_nk": _floats(),
+    "epochs_df1": st.integers(0, 10**6), "epochs_df2": st.integers(0, 10**6),
+    "epochs_nk1": st.integers(0, 10**6), "epochs_nk2": st.integers(0, 10**6),
+    "grid_pad": _floats(), "clip_lo": _floats(0.0, 0.5),
+    "clip_hi": _floats(0.5, 1.0), "n": st.integers(4, 10**7),
+    "v_cols": st.none() | st.lists(st.integers(0, 30), min_size=1),
+    "methods": st.lists(st.sampled_from(METHODS), min_size=1),
+    "variants": st.lists(st.sampled_from(VARIANTS), min_size=1),
+    "scenarios": st.lists(st.sampled_from("abc"), min_size=1),
+    "n_list": st.lists(st.integers(1, 10**6), min_size=1),
+    "seeds": st.lists(st.integers(0, 10**6), min_size=1),
+    "test_points": st.integers(1, 10**5), "grid_points": st.integers(1, 10**5),
+    "eval_seed": st.integers(0, 2**32),
+}
+_HYPERS = st.fixed_dictionaries(_SETTINGS).map(lambda values: Hyper(**values))
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+class TestConfigRoundTrip:
+    def test_every_setting_has_a_strategy(self):
+        assert set(_SETTINGS) == {f.name for f in fields(Hyper)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(_HYPERS)
+    def test_json_file_round_trip(self, hyper):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config_json(hyper))
+            assert merge_config(load_config_file(path)) == hyper
+
+    @settings(max_examples=60, deadline=None)
+    @given(_HYPERS)
+    def test_printed_values_parse_back_through_their_flags(self, hyper):
+        printed = json.loads(config_json(hyper))
+        argv = ["--print-config"]
+        for name, value in printed.items():
+            if value is not None:
+                argv.append(f"--{name.replace('_', '-')}={_flag_text(value)}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert json.loads(out.getvalue()) == printed
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +236,16 @@ class TestFit:
         assert vals.shape == (50, 3)
         assert np.isfinite(vals[:, 2]).all()
 
-    def test_nk_grid_override_mismatch(self, tmp_path):
-        sim = str(tmp_path / "s.csv")
-        main(["simulate", "--n", "40", "--seed", "4", "--out", sim])
-        assert main(["fit", sim, "--method", "nk", "--nk-grid-m", "10",
-                     "--model-out", str(tmp_path / "m.npz")]) == 4
+    def test_clip_reaches_the_default_propensity(self, workdir, tmp_path):
+        """--propensity auto on the benchmark layout honours --clip-lo."""
+        omega_max = {}
+        for lo in ("0.01", "0.3"):
+            model = str(tmp_path / f"m{lo}.npz")
+            assert main(["fit", workdir["sim"], "--seed", "5", "--clip-lo", lo,
+                         "--model-out", model]) == 0
+            omega_max[lo] = float(load_model(model).omega.max())
+        assert omega_max["0.01"] > 1.0 / 0.3
+        assert omega_max["0.3"] <= 1.0 / 0.3
 
 
 class TestDensity:
@@ -347,6 +418,28 @@ class TestReport:
 
 
 class TestMainDispatch:
+    def test_settings_precedence(self, tmp_path, capsys, monkeypatch):
+        """Defaults, then CCME_THREADS, then the --config file, then flags."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"threads": 4}))
+
+        def threads(*argv):
+            assert main(["--print-config", *argv]) == 0
+            return json.loads(capsys.readouterr().out)["threads"]
+
+        monkeypatch.delenv("CCME_THREADS", raising=False)
+        assert threads() == 1
+        monkeypatch.setenv("CCME_THREADS", "2")
+        assert threads() == 2
+        assert threads("--config", str(cfg_file)) == 4
+        assert threads("--config", str(cfg_file), "--threads", "3") == 3
+
+    def test_print_config_keys_are_the_settings(self, capsys):
+        assert main(["--print-config"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(json.dumps(asdict(Hyper())))
+        assert main(["--nk-grid-m", "20", "--print-config"]) == 3
+
     def test_print_config_resolution(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n": 300, "seed": 7}))

@@ -88,12 +88,17 @@ class TestSplit:
         with pytest.raises(InvalidArgumentError):
             split_data(ds, seed=0, v_cols=[0, 3])
 
+    def test_x_cols_out_of_range_rejected(self):
+        ds = make_dataset(10, seed=0, d_x=3)
+        with pytest.raises(InvalidArgumentError, match="x_cols"):
+            split_data(ds, seed=0, x_cols=[-1])
+
     def test_accessors_select_columns(self):
         ds = make_dataset(12, seed=5, d_x=4)
-        s = split_data(ds, seed=1, v_cols=[0, 2])
+        s = split_data(ds, seed=1, v_cols=[0, 2], x_cols=[1])
         assert s.v1.shape == (s.n, 2)
         assert np.array_equal(s.v1, s.d1.X[:, [0, 2]])
-        assert s.x0_treated([1]).shape == (s.m, 1)
+        assert np.array_equal(s.x0_treated(), s.d0.X[s.treated0][:, [1]])
         assert s.y0_treated().shape == (s.m, 1)
         assert np.array_equal(s.x1(), s.d1.X)
 

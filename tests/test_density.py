@@ -260,10 +260,10 @@ class TestNkCurves:
 
 
 class TestMassAndGrid:
-    def fitted(self, seed=6, normalize=True):
+    def fitted(self, seed=6):
         split = make_split(n=24, seed=seed)
         prop = fit_logistic(split.d0.X, split.d0.A)
-        return fit_ccme(split, "rr", "dr", prop, Hyper(normalize_y=normalize))
+        return fit_ccme(split, "rr", "dr", prop, Hyper())
 
     def test_mass_matches_quadrature(self):
         model = self.fitted()
@@ -275,7 +275,8 @@ class TestMassAndGrid:
             assert abs(curve.mass - quadrature_mass(curve)) < 1e-4
 
     def test_mass_requires_normalized_kernel(self):
-        model = self.fitted(normalize=False)
+        model = self.fitted()
+        model = replace(model, kernel_y=replace(model.kernel_y, normalized=False))
         with pytest.raises(InvalidArgumentError):
             density_mass(model, np.zeros((1, 3)))
 

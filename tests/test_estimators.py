@@ -54,11 +54,38 @@ class TestHyper:
         assert (h.bandwidth_x, h.bandwidth_v, h.bandwidth_y) == (2.0, 2.0, 2.0)
         assert (h.ridge0, h.ridge1) == (20.0, 20.0)
         assert h.n_feats == 20
-        assert h.hidden == (20, 20)
+        assert h.hidden == [20, 20]
         assert h.momentum == 0.9
         assert (h.lr_df, h.lr_nk) == (2e-4, 4e-4)
-        assert h.epochs_df == (6000, 1000)
-        assert h.epochs_nk == (16000, 500)
+        assert (h.epochs_df1, h.epochs_df2) == (6000, 1000)
+        assert (h.epochs_nk1, h.epochs_nk2) == (16000, 500)
+
+    @pytest.mark.parametrize("method", ["df", "nk"])
+    def test_learning_rates_scale_with_stage_rows(self, method, tiny_hyper,
+                                                  monkeypatch):
+        """Stage one scales its rate by len(D0), not by the m treated rows it
+        trains on; stage two by the rows it trains on."""
+        from ccme import estimators
+        from ccme.propensity import fit_logistic
+
+        seen = []
+        real = estimators.train_mlp
+
+        def spy(params, batch, loss_and_grad, epochs, lr, momentum):
+            seen.append((batch.shape[0], lr))
+            return real(params, batch, loss_and_grad, 1, lr, momentum)
+
+        monkeypatch.setattr(estimators, "train_mlp", spy)
+        split = make_split(n=30, seed=3)
+        prop = fit_logistic(split.d0.X, split.d0.A)
+        fit_ccme(split, method, "dr", prop, tiny_hyper)
+        fit_ccme(split, method, "onestep", None, tiny_hyper)
+        base = {"df": tiny_hyper.lr_df, "nk": tiny_hyper.lr_nk}[method]
+        m, n0, n1 = split.m, len(split.d0), split.n
+        t1 = int((split.d1.A > 0).sum())
+        assert m < n0 and t1 < n1
+        assert seen == [(m, base * n0 / 200.0), (n1, base * n1 / 200.0),
+                        (t1, base * t1 / 200.0)]
 
 
 class TestMakeGrid:
@@ -101,8 +128,8 @@ class TestFirstStageRr:
         assert np.allclose(coef, np.eye(3), atol=1e-4)
 
     def test_x_cols_projection(self):
-        split = make_split(n=20, seed=4, d_x=4)
-        first = fit_first_stage(split, "rr", Hyper(x_cols=[0, 2]))
+        split = split_data(make_dataset(20, seed=4, d_x=4), 1, x_cols=[0, 2])
+        first = fit_first_stage(split, "rr", Hyper())
         assert first.head.points.shape[1] == 2
         # querying with full-width rows projects before evaluating
         coef = first.coef(split.d1.X[:3])
@@ -497,7 +524,7 @@ class TestNetStages:
 
     def test_df_warns_on_few_treated_rows(self):
         split = make_split(n=16, seed=19)
-        h = Hyper(n_feats=max(split.m + 1, 21), epochs_df=(5, 5))
+        h = Hyper(n_feats=max(split.m + 1, 21), epochs_df1=5, epochs_df2=5)
         with pytest.warns(ConfigWarning):
             fit_first_stage(split, "df", h)
 

@@ -12,8 +12,9 @@ from ccme.estimators import Hyper
 from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
                              loglog_slope, mse, plan_cells, run_cell,
-                             run_sweep, scenario_hyper, scenario_name,
-                             scenario_propensity, true_propensity)
+                             run_sweep, scenario_name,
+                             scenario_propensity, scenario_x_cols,
+                             true_propensity)
 
 from conftest import openblas_counts, openblas_threads
 
@@ -190,14 +191,30 @@ class TestSweep:
         assert {c.scenario for c in cells} == {"a", "c"}
 
     def test_scenario_wiring(self):
-        h = Hyper()
-        assert scenario_hyper("a", h).x_cols is None
-        assert scenario_hyper("c", h).x_cols == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+        assert scenario_x_cols("a") is None and scenario_x_cols("b") is None
+        assert scenario_x_cols("c") == [0, 1, 2, 3, 4, 6, 7, 8, 9]
         rng = np.random.default_rng(0)
         X = rng.normal(1.0, 1.0, size=(60, 10))
         A = (rng.random(60) < 0.5).astype(float)
         assert scenario_propensity("b", X, A, 0).kind == "logistic"
         assert scenario_propensity("a", X, A, 0).kind == "forest"
+
+    def test_cells_clip_the_propensity(self, monkeypatch):
+        clips = []
+        real = synthbench.scenario_propensity
+
+        def spy(*args, **kwargs):
+            model = real(*args, **kwargs)
+            clips.append(model.clip)
+            return model
+
+        monkeypatch.setattr(synthbench, "scenario_propensity", spy)
+        hyper = Hyper(clip_lo=0.2, clip_hi=0.7)
+        for scenario in ("a", "b"):
+            rec = run_cell(SweepCell("rr", "ipw", scenario, 30, 0), hyper,
+                           eval_points(5), grid_points=20)
+            assert rec.error == ""
+        assert clips == [(0.2, 0.7), (0.2, 0.7)]
 
     def test_run_cell_deterministic(self):
         cell = SweepCell("rr", "dr", "a", 30, 2)
