@@ -14,7 +14,7 @@ from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
                      InvalidArgumentError, NumericError)
 from .estimators import (CcmeModel, FirstStage, Hyper, build_k_xi, fit_ccme,
                          fit_first_stage, fit_second_stage, pseudo_weights)
-from .kernels import KernelSpec, SpdFactor, gram, kernel_eval
+from .kernels import KernelSpec, SpdFactor, gram
 from .nets import MlpParams, mlp_backward, mlp_forward, mlp_init, sgd_step
 from .propensity import (PropensityModel, fit_forest, fit_logistic,
                          make_oracle, predict_propensity)
@@ -32,7 +32,7 @@ __all__ = [
     "InvalidArgumentError", "NumericError",
     "CcmeModel", "FirstStage", "Hyper", "build_k_xi", "fit_ccme",
     "fit_first_stage", "fit_second_stage", "pseudo_weights",
-    "KernelSpec", "SpdFactor", "gram", "kernel_eval",
+    "KernelSpec", "SpdFactor", "gram",
     "MlpParams", "mlp_backward", "mlp_forward", "mlp_init", "sgd_step",
     "PropensityModel", "fit_forest", "fit_logistic", "make_oracle",
     "predict_propensity",

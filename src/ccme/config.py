@@ -54,15 +54,32 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _typed(name: str, value: object) -> object:
+    """``value`` if it has the field's type (ints pass as floats), else a
+    parse error; bools are not numbers here."""
+    kind = _FIELD_TYPES[name]
+    is_list = kind.startswith("list[")
+    item = kind[5:kind.index("]")] if is_list else kind
+    if (is_list and type(value) is not list) or not all(
+            type(v) in _JSON_TYPES[item] for v in (value if is_list else [value])):
+        raise InvalidArgumentError(
+            f"config field {name} wants {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
 def merge_config(*sources: dict | None) -> Hyper:
-    """The defaults, overridden by each source in turn; None values are skipped."""
+    """The defaults, overridden by each source in turn; None values are
+    skipped, and every other value must have its field's type."""
     values = {}
     for source in sources:
         for key, value in (source or {}).items():
             if key not in _FIELD_TYPES:
                 raise InvalidArgumentError(f"unknown config field {key!r}")
             if value is not None:
-                values[key] = value
+                values[key] = _typed(key, value)
     return Hyper(**values)
 
 

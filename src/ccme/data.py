@@ -38,6 +38,8 @@ class Dataset:
                 f"outcomes must be scalar, got shape {self.Y.shape[1:]} per row")
         if not np.isin(self.A, (0.0, 1.0)).all():
             raise InvalidArgumentError("treatment column must be 0/1")
+        if not (np.isfinite(self.X).all() and np.isfinite(self.Y).all()):
+            raise InvalidArgumentError("covariates or outcomes hold NaN or inf")
 
     def __len__(self) -> int:
         return self.X.shape[0]

@@ -1,10 +1,14 @@
 """Conditional density curves read off a fitted embedding model.
 
-With a normalized outcome kernel, the fitted embedding at a point v is a
-weighted sum of kernel bumps, so evaluating it on an outcome grid yields a
-(possibly signed) density estimate.  All entry points are batched over query
-points: the second-stage system is solved once per batch and reused for every
-grid value.
+The fitted embedding at a query point v is the stage-two head's weights w(v)
+over its outcome basis.  With a normalized outcome kernel it is a (possibly
+signed) density, and one formula serves every backend:
+
+    density(v, y) = w(v)' u(y)
+
+with u the basis coordinates.  The mass is the head's own linear map of v,
+fitted alongside w (for the grid head, the weight total).  All entry points
+are batched over query points.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .estimators import CcmeModel
 from .kernels import gram
 
 __all__ = ["DensityCurve", "density_matrix", "density_mass", "density_curves",
-           "default_grid", "curves_to_csv", "quadrature_mass"]
+           "default_grid", "curves_to_csv"]
 
 
 @dataclass
@@ -45,6 +49,8 @@ def _as_queries(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]
     if v.shape[1] != d_v:
         raise InvalidArgumentError(
             f"query points have {v.shape[1]} coordinates, model expects {d_v}")
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("query points hold NaN or inf values")
     return v
 
 
@@ -54,38 +60,23 @@ def _as_grid(y_grid: NDArray[np.float64], d_y: int) -> NDArray[np.float64]:
     if y.shape[1] != d_y:
         raise InvalidArgumentError(
             f"outcome grid has {y.shape[1]} coordinates, model outcomes have {d_y}")
+    if not np.isfinite(y).all():
+        raise InvalidArgumentError("outcome grid holds NaN or inf values")
     return y
-
-
-def _bump_weights(model: CcmeModel, vq: NDArray[np.float64]
-                  ) -> tuple[NDArray[np.float64], NDArray[np.float64],
-                             NDArray[np.float64] | None,
-                             NDArray[np.float64] | None]:
-    """Kernel-bump weights of the fitted embedding at each query point.
-
-    Returns (centers1, w1, centers0, w0): weights over the second-stage
-    head's outcome basis and, when a first stage contributes through the
-    cached design, over the first-stage head's basis.  Each weight array has
-    one column per query.
-    """
-    first = None if model.first is None else model.first.head
-    return model.second.bump_weights(vq, model.a, model.c, first, model.cross_cache)
 
 
 def density_matrix(model: CcmeModel, v: NDArray[np.float64],
                    y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
     """Density estimates for every (query, grid value) pair, shape (T, G)."""
-    vq = _as_queries(model, v)
-    centers1, w1, centers0, w0 = _bump_weights(model, vq)
-    grid = _as_grid(y_grid, centers1.shape[1])
-    out = w1.T @ gram(model.kernel_y, centers1, grid)
-    if w0 is not None:
-        out = out + w0.T @ gram(model.kernel_y, centers0, grid)
-    return out
+    vq, basis = _as_queries(model, v), model.second.basis
+    u = basis.coords(gram(model.kernel_y, basis.grid,
+                          _as_grid(y_grid, basis.grid.shape[1])))
+    return model.second.embedding(vq)[0].T @ u
 
 
 def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Analytic integral of each query's density estimate: the weight total.
+    """Analytic integral of each query's density estimate, from the head's own
+    mass map (exact, unlike integrating the basis coordinates' tails).
 
     Only meaningful when the outcome kernel is normalized so each bump
     integrates to one.
@@ -93,12 +84,7 @@ def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64
     if not model.kernel_y.normalized:
         raise InvalidArgumentError(
             "density mass needs a normalized outcome kernel")
-    vq = _as_queries(model, v)
-    _, w1, _, w0 = _bump_weights(model, vq)
-    mass = w1.sum(axis=0)
-    if w0 is not None:
-        mass = mass + w0.sum(axis=0)
-    return mass
+    return model.second.embedding(_as_queries(model, v))[1]
 
 
 def default_grid(model: CcmeModel, n_points: int = 200,
@@ -124,12 +110,6 @@ def density_curves(model: CcmeModel, v: NDArray[np.float64],
     return [DensityCurve(np.asarray(y_grid, dtype=np.float64), mat[t],
                          float(masses[t]), float(mat[t].min()))
             for t in range(vq.shape[0])]
-
-
-def quadrature_mass(curve: DensityCurve) -> float:
-    """Trapezoid integral of the curve over its grid, for cross-checking mass."""
-    g = np.asarray(curve.grid, dtype=np.float64).ravel()
-    return float(np.trapezoid(curve.values, g))
 
 
 def curves_to_csv(curves: list[DensityCurve],

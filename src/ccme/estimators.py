@@ -18,37 +18,45 @@ and regresses phi(Y) on V over the treated D1 rows only; inverse weighting
 needs the propensity but, with c = 0, no outcome embedding either.  Stage one
 is itself this regression with a = 1, c = 0 over D0's treated rows.
 
-Each backend is one regression head, and both stages use it:
+Pseudo-outcomes live in finite coordinates over an outcome basis
+(``kernels.OutcomeBasis``): row i of Xi = diag(a) U(y1) + diag(c) mu0 holds
+the coordinates of xi_i, so Xi Xi' is their Gram and nothing n x n is formed.
+Each backend is one regression head, and both stages use it; the fitted
+embedding at x is a head's weights(x) over the basis:
 
-    rr  KernelHead   kernel ridge: coef(x) = (K + ridge I)^-1 K(points, x)
-    df  FeatureHead  ridge on trained features: coef(x) = F (F'F + ridge I)^-1 f(x)
+    rr  KernelHead   kernel ridge: weights(x) = C' K(points, x),
+                     C = (K + ridge I)^-1 Xi
+    df  FeatureHead  ridge on trained features: weights(x) = C' f(x),
+                     C = (F'F + ridge I)^-1 F' Xi
     nk  GridHead     a net whose outputs weight the kernel sections of a
-                     fixed outcome grid
+                     fixed outcome grid, its own basis
 
-The two ridge heads weight their training rows' pseudo-outcomes; the grid
-head weights its grid directly, its training targets having absorbed a and c.
-Stages pair like with like; mixing is rejected.
+The ridge heads share one whitened basis spanning every outcome; C is fixed
+at fit time, so the fitted model keeps neither the first stage nor any n x n
+factor.  Stage two reads the first stage only through its weights at the D1
+rows (mu0).  Stages pair like with like; mixing is rejected.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .data import SplitDataset
-from .errors import ConfigWarning, InvalidArgumentError
-from .kernels import KernelSpec, SpdFactor, gram
+from .errors import ConfigWarning, InvalidArgumentError, NumericError
+from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cholesky, gram,
+                      outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
 from .propensity import PropensityModel
 
 __all__ = [
     "Hyper", "KernelHead", "FeatureHead", "GridHead", "head_from_arrays",
     "FirstStage", "CcmeModel", "pseudo_weights", "build_k_xi",
-    "df_trace_loss", "nk_loss_grad", "nk_minimizer", "make_grid",
+    "df_trace_loss", "nk_loss_grad", "make_grid",
     "fit_first_stage", "fit_second_stage", "fit_ccme",
     "METHODS", "VARIANTS",
 ]
@@ -143,18 +151,18 @@ class Hyper:
 # ---------------------------------------------------------------------------
 # regression heads
 #
-# A head is fitted by ``fit(inputs, y, a, c, first, x1, hyper, stage, lr_rows,
-# grid, grid_y)``: it regresses the pseudo-outcomes a_i phi(y_i) + c_i mu0(x1_i)
-# on the input rows.  ``stage`` (0 or 1) picks the input kernel, the ridge, the
-# epoch budget and the net seed; ``lr_rows`` is the row count the learning
-# rate scales with.  Only the grid head reads ``grid`` (an override or None)
-# and ``grid_y`` (the outcomes a default grid spans).
+# ``fit(inputs, xi, masses, basis, hyper, stage, lr_rows)`` regresses the
+# pseudo-outcomes' basis coordinates xi (n, r) and masses (n,) on the input
+# rows; ``stage`` (0 or 1) picks the input kernel, ridge, epoch budget and net
+# seed, and the learning rate scales with ``lr_rows``.  ``embedding(x)`` gives
+# the fitted embedding at the rows of x: its weights over the basis, shape
+# (r, T), and its mass, shape (T,).  The ridge heads map to the mass exactly:
+# beyond its padded grid the whitened basis misses up to about 1e-8 of a
+# bump's tails, which integrating the coordinates would carry into the mass.
 
 
 def _kernel_arrays(spec: KernelSpec) -> dict[str, np.ndarray]:
-    return {"kernel.family": np.array(spec.family),
-            "kernel.bandwidth": np.array(spec.bandwidth),
-            "kernel.normalized": np.array(spec.normalized)}
+    return {f"kernel.{key}": np.array(value) for key, value in asdict(spec).items()}
 
 
 def _kernel_from(arrays) -> KernelSpec:
@@ -170,221 +178,221 @@ def _net_arrays(net: MlpParams) -> dict[str, np.ndarray]:
     return out
 
 
+def _agree(arrays, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Reject stored arrays whose shapes differ from ``shapes`` (key: shape)."""
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise InvalidArgumentError(
+                f"{key} has shape {arrays[key].shape}, expected {shape}")
+
+
 def _net_from(arrays) -> MlpParams:
     sizes = tuple(int(s) for s in arrays["net.sizes"])
     layers = range(len(sizes) - 1)
+    for i in layers:
+        _agree(arrays, {f"net.w{i}": (sizes[i + 1], sizes[i]),
+                        f"net.b{i}": (sizes[i + 1],)})
     return MlpParams(sizes, [arrays[f"net.w{i}"] for i in layers],
                      [arrays[f"net.b{i}"] for i in layers])
 
 
-def _factor_from(arrays) -> SpdFactor:
-    return SpdFactor.from_regularized(arrays["factor"], float(arrays["ridge"]))
+def _basis_arrays(basis: OutcomeBasis) -> dict[str, np.ndarray]:
+    proj = {} if basis.proj is None else {"basis.proj": basis.proj}
+    return {"basis.grid": basis.grid, **proj}
 
 
-def _row_bump_weights(head, x, a, c, first, cross):
-    """Bump weights of a ridge head, whose coefficients weight its training
-    rows' pseudo-outcomes: a * coef over its outcome rows and, through the
-    cached design ``cross``, the c-term over the first stage's basis."""
-    beta = head.coef(x)                                  # (n, T)
-    w1 = a[:, None] * beta
-    if cross is None or not c.any():
-        return head.outcomes, w1, None, None
-    return head.outcomes, w1, first.basis, first.solve(cross @ (c[:, None] * beta))
+def _basis_from(arrays) -> OutcomeBasis:
+    basis = OutcomeBasis(arrays["basis.grid"], arrays.get("basis.proj"))
+    k = len(basis.grid)
+    proj = {} if basis.proj is None else {"basis.proj": (basis.size, k)}
+    _agree(arrays, {"basis.grid": (k, 1), **proj})
+    return basis
+
+
+def _whitened_basis(hyper: Hyper, y_all, grid_y, grid,
+                    shared: OutcomeBasis | None = None) -> OutcomeBasis:
+    """The ridge heads' basis, shared by both stages: whitened coordinates
+    spanning every D0 and D1 outcome.  ``grid_y`` and ``grid`` are unread."""
+    return shared if shared is not None else outcome_basis(hyper.kernel_y(), y_all)
 
 
 @dataclass
 class KernelHead:
-    """Kernel ridge regression over ``points``, whose outcome rows are the basis."""
+    """Kernel ridge regression over ``points``: weights(x) = coef' K(points, x)
+    with coef = (K(points) + ridge I)^-1 xi fixed at fit time, and likewise
+    the mass through ``mass_coef``."""
 
     method = "rr"
     final_loss = float("nan")           # closed form: nothing is trained
 
     kernel: KernelSpec
     points: NDArray[np.float64]         # (n, d) training inputs
-    factor: SpdFactor                   # K(points) + ridge I
-    outcomes: NDArray[np.float64]       # (n, 1) training outcomes
+    coef: NDArray[np.float64]           # (n, r)
+    mass_coef: NDArray[np.float64]      # (n,)
+    basis: OutcomeBasis
+
+    new_basis = staticmethod(_whitened_basis)
 
     @property
     def in_dim(self) -> int:
         return int(self.points.shape[1])
 
-    @property
-    def basis(self) -> NDArray[np.float64]:
-        return self.outcomes
-
-    def design(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """K(points, x), shape (n, T)."""
-        return gram(self.kernel, self.points, x)
-
-    def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Row coefficients for a right-hand side in design space."""
-        return self.factor.solve(rhs)
-
-    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Coefficients (n, T) over the training rows at the rows of x."""
-        return self.solve(self.design(x))
-
-    bump_weights = _row_bump_weights
+    def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+        design = gram(self.kernel, self.points, x)
+        return self.coef.T @ design, self.mass_coef @ design
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"kind": np.array(self.method), **_kernel_arrays(self.kernel),
-                "points": self.points, "factor": self.factor.matrix,
-                "ridge": np.array(self.factor.ridge), "outcomes": self.outcomes}
+                "points": self.points, "coef": self.coef,
+                "mass_coef": self.mass_coef, **_basis_arrays(self.basis)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "KernelHead":
-        return cls(_kernel_from(arrays), arrays["points"], _factor_from(arrays),
-                   arrays["outcomes"])
+        basis, points = _basis_from(arrays), arrays["points"]
+        n = len(points)
+        _agree(arrays, {"points": (n, points.shape[-1]), "coef": (n, basis.size),
+                        "mass_coef": (n,)})
+        return cls(_kernel_from(arrays), points, arrays["coef"],
+                   arrays["mass_coef"], basis)
 
     @classmethod
-    def fit(cls, inputs, y, a, c, first, x1, hyper: Hyper, stage: int,
-            lr_rows: int, grid, grid_y) -> "KernelHead":
+    def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
+            lr_rows: int) -> "KernelHead":
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
         ridge = (hyper.ridge0, hyper.ridge1)[stage]
-        return cls(kernel, inputs, SpdFactor(gram(kernel, inputs), ridge), y)
+        factor = SpdFactor(gram(kernel, inputs), ridge)
+        return cls(kernel, inputs, factor.solve(xi), factor.solve(masses), basis)
 
 
 @dataclass
 class FeatureHead:
-    """Ridge regression on the features F = net(training inputs)."""
+    """Ridge regression on the features of a trained net: weights(x) =
+    coef' f(x) with coef = (F'F + ridge I)^-1 F' xi, F = f(training inputs),
+    and likewise the mass through ``mass_coef``."""
 
     method = "df"
 
     net: MlpParams                      # inputs -> M features
-    feats: NDArray[np.float64]          # (n, M) features of the training rows
-    factor: SpdFactor                   # F'F + ridge I
-    outcomes: NDArray[np.float64]       # (n, 1) training outcomes
+    coef: NDArray[np.float64]           # (M, r)
+    mass_coef: NDArray[np.float64]      # (M,)
+    basis: OutcomeBasis
     final_loss: float = float("nan")
+
+    new_basis = staticmethod(_whitened_basis)
 
     @property
     def in_dim(self) -> int:
         return int(self.net.sizes[0])
 
-    @property
-    def basis(self) -> NDArray[np.float64]:
-        return self.outcomes
-
-    def design(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """The features at x, transposed: shape (M, T)."""
+    def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
         feats, _ = mlp_forward(self.net, x)
-        return feats.T
-
-    def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Row coefficients for a right-hand side in design space."""
-        return self.feats @ self.factor.solve(rhs)
-
-    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Coefficients (n, T) over the training rows at the rows of x."""
-        return self.solve(self.design(x))
-
-    bump_weights = _row_bump_weights
+        return self.coef.T @ feats.T, feats @ self.mass_coef
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"kind": np.array(self.method), **_net_arrays(self.net),
-                "feats": self.feats, "factor": self.factor.matrix,
-                "ridge": np.array(self.factor.ridge), "outcomes": self.outcomes,
-                "final_loss": np.array(self.final_loss)}
+                "coef": self.coef, "mass_coef": self.mass_coef,
+                **_basis_arrays(self.basis), "final_loss": np.array(self.final_loss)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "FeatureHead":
-        return cls(_net_from(arrays), arrays["feats"], _factor_from(arrays),
-                   arrays["outcomes"], float(arrays["final_loss"]))
+        net, basis = _net_from(arrays), _basis_from(arrays)
+        M = net.sizes[-1]
+        _agree(arrays, {"coef": (M, basis.size), "mass_coef": (M,)})
+        return cls(net, arrays["coef"], arrays["mass_coef"], basis,
+                   float(arrays["final_loss"]))
 
     @classmethod
-    def fit(cls, inputs, y, a, c, first, x1, hyper: Hyper, stage: int,
-            lr_rows: int, grid, grid_y) -> "FeatureHead":
+    def solved(cls, net: MlpParams, inputs, xi, masses, basis: OutcomeBasis,
+               ridge: float, final_loss: float = float("nan")) -> "FeatureHead":
+        """The closed-form ridge head on the features of ``net``."""
+        feats, _ = mlp_forward(net, inputs)
+        factor = SpdFactor(feats.T @ feats, ridge)
+        return cls(net, factor.solve(feats.T @ xi), factor.solve(feats.T @ masses),
+                   basis, final_loss)
+
+    @classmethod
+    def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
+            lr_rows: int) -> "FeatureHead":
         rows = inputs.shape[0]
         if rows < hyper.n_feats:
             warnings.warn(
                 f"only {rows} training rows for {hyper.n_feats} features; "
                 "expect an ill-conditioned feature Gram", ConfigWarning)
         ridge = (hyper.ridge0, hyper.ridge1)[stage]
-        g_xi = build_k_xi(hyper.kernel_y(), y, a, c, first, x1)
         net = mlp_init([inputs.shape[1], *hyper.hidden, hyper.n_feats],
                        hyper.net_seeds()[stage])
 
         def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            loss, grad = df_trace_loss(psi, g_xi, ridge)
+            loss, grad = df_trace_loss(psi, xi, ridge)
             return loss / rows, grad / rows
 
         epochs = (hyper.epochs_df1, hyper.epochs_df2)[stage]
         net, final = train_mlp(net, inputs, loss_fn, epochs,
                                hyper.scaled_lr(hyper.lr_df, lr_rows), hyper.momentum)
-        feats, _ = mlp_forward(net, inputs)
-        return cls(net, feats, SpdFactor(feats.T @ feats, ridge), y, final)
+        return cls.solved(net, inputs, xi, masses, basis, ridge, final)
 
 
 @dataclass
 class GridHead:
-    """A coefficient net: net(x) weights the kernel sections at ``grid``."""
+    """A coefficient net: net(x) weights the kernel sections at the basis grid."""
 
     method = "nk"
 
-    net: MlpParams                      # inputs -> M grid coefficients
-    grid: NDArray[np.float64]           # (M, 1)
-    k_m: NDArray[np.float64]            # (M, M) outcome-kernel Gram of the grid
+    net: MlpParams                      # inputs -> M grid weights
+    basis: OutcomeBasis                 # the grid, with no projection
     final_loss: float = float("nan")
 
     @property
     def in_dim(self) -> int:
         return int(self.net.sizes[0])
 
-    @property
-    def basis(self) -> NDArray[np.float64]:
-        return self.grid
-
-    def design(self, x: NDArray[np.float64]) -> None:
-        """None: the c-term is folded into stage two's training targets, so
-        density evaluation needs no design of this head."""
-        return None
-
-    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Coefficients (M, T) over the grid at the rows of x."""
+    def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+        """The net's outputs and their total: each normalized bump
+        integrates to one."""
         feats, _ = mlp_forward(self.net, x)
-        return feats.T
+        return feats.T, feats.sum(axis=1)
 
-    def bump_weights(self, x, a, c, first, cross):
-        return self.grid, self.coef(x), None, None
+    @staticmethod
+    def new_basis(hyper: Hyper, y_all, grid_y, grid,
+                  shared: OutcomeBasis | None = None) -> OutcomeBasis:
+        """The grid ``grid`` or, by default, ``n_feats`` points spanning
+        ``grid_y``; a second stage keeps the first stage's grid."""
+        if shared is None:
+            return OutcomeBasis(_check_grid(make_grid(
+                grid_y, hyper.n_feats, hyper.grid_pad) if grid is None else grid))
+        if grid is not None and not np.array_equal(_check_grid(grid), shared.grid):
+            raise InvalidArgumentError(
+                "outcome grid mismatch between stages: the second-stage grid "
+                "override must equal the first-stage grid exactly")
+        return shared
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"kind": np.array(self.method), **_net_arrays(self.net),
-                "grid": self.grid, "k_m": self.k_m,
-                "final_loss": np.array(self.final_loss)}
+                **_basis_arrays(self.basis), "final_loss": np.array(self.final_loss)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "GridHead":
-        return cls(_net_from(arrays), arrays["grid"], arrays["k_m"],
-                   float(arrays["final_loss"]))
+        net, basis = _net_from(arrays), _basis_from(arrays)
+        if basis.proj is not None or net.sizes[-1] != basis.size:
+            raise InvalidArgumentError(
+                f"a grid head needs one net output per grid point and no "
+                f"projection; got {net.sizes[-1]} outputs, {basis.size} points")
+        return cls(net, basis, float(arrays["final_loss"]))
 
     @classmethod
-    def fit(cls, inputs, y, a, c, first, x1, hyper: Hyper, stage: int,
-            lr_rows: int, grid, grid_y) -> "GridHead":
-        if first is None:
-            if grid is None:
-                grid = make_grid(grid_y, hyper.n_feats, hyper.grid_pad)
-            grid = _check_grid(grid)
-        else:                                        # both stages share one grid
-            if grid is not None and not np.array_equal(_check_grid(grid),
-                                                       first.head.grid):
-                raise InvalidArgumentError(
-                    "outcome grid mismatch between stages: the second-stage grid "
-                    "override must equal the first-stage grid exactly")
-            grid = first.head.grid
-        ky = hyper.kernel_y()
-        k_m = gram(ky, grid)
-        b = gram(ky, grid, y) * a[None, :]           # (M, n) targets
-        if c.any():
-            b = b + (k_m @ first.coef(x1)) * c[None, :]
-        net = mlp_init([inputs.shape[1], *hyper.hidden, grid.shape[0]],
+    def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
+            lr_rows: int) -> "GridHead":
+        k_m = gram(hyper.kernel_y(), basis.grid)
+        net = mlp_init([inputs.shape[1], *hyper.hidden, basis.size],
                        hyper.net_seeds()[stage])
 
         def loss_fn(feats: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            return nk_loss_grad(feats, k_m, b)
+            return nk_loss_grad(feats, k_m, xi.T)     # targets as (M, n) columns
 
         epochs = (hyper.epochs_nk1, hyper.epochs_nk2)[stage]
         net, final = train_mlp(net, inputs, loss_fn, epochs,
                                hyper.scaled_lr(hyper.lr_nk, lr_rows), hyper.momentum)
-        return cls(net, grid, k_m, final)
+        return cls(net, basis, final)
 
 
 _HEADS = {head.method: head for head in (KernelHead, FeatureHead, GridHead)}
@@ -414,21 +422,11 @@ class FirstStage:
     head: KernelHead | FeatureHead | GridHead
     x_cols: list[int] | None
 
-    @property
-    def method(self) -> str:
-        return self.head.method
-
-    def _project(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+        """Weights (r, T) over the head's basis and masses (T,) of mu0 at
+        the rows of x."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return x if self.x_cols is None else x[:, self.x_cols]
-
-    def coef(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Coefficient matrix (basis size, T) of mu0 at the rows of x."""
-        return self.head.coef(self._project(x))
-
-    def design(self, x: NDArray[np.float64]) -> NDArray[np.float64] | None:
-        """The head's design at the rows of x, or None for the grid head."""
-        return self.head.design(self._project(x))
+        return self.head.embedding(x if self.x_cols is None else x[:, self.x_cols])
 
 
 def make_grid(y: NDArray[np.float64], n_points: int, pad: float) -> NDArray[np.float64]:
@@ -455,14 +453,17 @@ def _all_outcomes(split: SplitDataset) -> NDArray[np.float64]:
 def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper,
                     grid: NDArray[np.float64] | None = None) -> FirstStage:
     """Regress phi(Y) on the covariates over D0's treated rows: stage two's
-    regression with a = 1, c = 0.  Learning rates scale with len(D0); an nk
-    grid spans every D0 and D1 outcome unless ``grid`` overrides it."""
+    regression with a = 1, c = 0.  Learning rates scale with len(D0); the
+    outcome basis spans every D0 and D1 outcome (an nk ``grid`` overrides
+    it)."""
     head_cls = _head_class(method)
+    y_all = _all_outcomes(split)
+    basis = head_cls.new_basis(hyper, y_all, y_all, grid)
     y0t = split.y0_treated()
     a = np.ones(y0t.shape[0])
-    head = head_cls.fit(split.x0_treated(), y0t, a, np.zeros_like(a), None, None,
-                        hyper, 0, len(split.d0), grid, _all_outcomes(split))
-    return FirstStage(head, split.x_cols)
+    xi = build_k_xi(hyper.kernel_y(), y0t, a, np.zeros_like(a), basis)
+    return FirstStage(head_cls.fit(split.x0_treated(), xi, a, basis, hyper, 0,
+                                   len(split.d0)), split.x_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -484,55 +485,50 @@ def pseudo_weights(variant: str, omega: NDArray[np.float64]
 
 def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
                a: NDArray[np.float64], c: NDArray[np.float64],
-               first: FirstStage | None = None,
-               x1: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
-    """Gram matrix of the pseudo-outcomes xi_i = a_i phi(Y_i) + c_i mu0(X_i).
+               basis: OutcomeBasis | None = None,
+               mu0: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+    """Coordinates Xi (n, r) of the pseudo-outcomes xi_i = a_i phi(Y_i) + c_i mu0_i
+    over an outcome basis: Xi = diag(a) U(y1) + diag(c) mu0.
 
-    mu0 is read from the first stage as coefficients over its head's outcome
-    basis.  With c = 0 or no first stage the result is just the weighted
-    outcome Gram; with a = 1 and c = 0 it equals gram(kernel_y, y1) exactly.
+    ``mu0`` holds the coordinates of the first-stage embedding at each row,
+    shape (n, r); it is read only where c is nonzero.  The basis defaults to
+    the whitened one spanning y1, in which Xi Xi' is the pseudo-outcome Gram.
     """
-    y1 = np.atleast_2d(y1)
-    k_y1 = gram(kernel_y, y1)
-    k_xi = (a[:, None] * k_y1) * a[None, :]
+    y1 = np.asarray(y1, dtype=np.float64).reshape(-1, 1)   # scalar outcomes
+    if basis is None:
+        basis = outcome_basis(kernel_y, y1)
+    xi = a[:, None] * basis.coords(gram(kernel_y, basis.grid, y1)).T
     if c.any():
-        if first is None or x1 is None:
-            raise InvalidArgumentError("nonzero c weights need a first stage and x1")
-        e = first.coef(x1)                           # (B, n)
-        basis = first.head.basis
-        k_b1 = gram(kernel_y, basis, y1)             # (B, n)
-        cross = k_b1.T @ e                           # (n, n): <phi(Y_i), mu0(X_j)>
-        k_xi += (a[:, None] * cross) * c[None, :]
-        k_xi += (c[:, None] * cross.T) * a[None, :]
-        k_bb = gram(kernel_y, basis)
-        quad = e.T @ (k_bb @ e)
-        k_xi += (c[:, None] * quad) * c[None, :]
-    return (k_xi + k_xi.T) / 2.0
+        if mu0 is None:
+            raise InvalidArgumentError("nonzero c weights need first-stage coordinates")
+        xi = xi + c[:, None] * mu0
+    return xi
 
 
 # ---------------------------------------------------------------------------
 # trained-feature and grid-coefficient losses
 
 
-def df_trace_loss(psi: NDArray[np.float64], gram_xi: NDArray[np.float64],
+def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
                   ridge: float) -> tuple[float, NDArray[np.float64]]:
     """Unexplained pseudo-outcome energy of the closed-form head, with gradient.
 
-    loss(Psi) = Tr(G (I - Psi S^-1 Psi')),  S = Psi' Psi + ridge I,
-    grad      = -2 (I - Psi S^-1 Psi') G Psi S^-1.
+    With the pseudo-outcome Gram G = Xi Xi',
 
-    The returned loss is not divided by the row count; training wrappers
-    normalize it themselves.
+    loss(Psi) = Tr(G (I - Psi S^-1 Psi')),  S = Psi' Psi + ridge I,
+    grad      = -2 (I - Psi S^-1 Psi') G Psi S^-1,
+
+    where G Psi = Xi (Xi' Psi) and Tr G = ||Xi||_F^2, so nothing n x n is
+    formed.  The returned loss is not divided by the row count; training
+    wrappers normalize it themselves.
     """
-    n, M = psi.shape
-    s = psi.T @ psi + ridge * np.eye(M)
-    try:
-        cf = cho_factor(s, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps s pd
-        raise InvalidArgumentError(f"feature Gram not positive definite: {exc}")
-    gp = gram_xi @ psi                               # (n, M)
+    M = psi.shape[1]
+    if not np.isfinite(psi).all():
+        raise NumericError("features became non-finite")
+    cf = _cholesky(psi.T @ psi + ridge * np.eye(M), "the feature Gram")
+    gp = xi @ (xi.T @ psi)                           # (n, M) = G Psi
     w = cho_solve(cf, psi.T)                         # (M, n) = S^-1 Psi'
-    loss = float(np.trace(gram_xi)) - float(np.sum(gp * w.T))
+    loss = float(np.sum(xi * xi)) - float(np.sum(gp * w.T))
     t = w @ gp                                       # (M, M) = S^-1 Psi' G Psi
     grad = -2.0 * cho_solve(cf, (gp - psi @ t).T).T  # (n, M)
     return loss, grad
@@ -552,35 +548,21 @@ def nk_loss_grad(feats: NDArray[np.float64], k_m: NDArray[np.float64],
     return loss, grad
 
 
-def nk_minimizer(k_m: NDArray[np.float64], b: NDArray[np.float64]
-                 ) -> NDArray[np.float64]:
-    """Per-column unconstrained minimizer K_M^-1 b of the grid-coefficient loss."""
-    cf = cho_factor(k_m, lower=True)
-    return cho_solve(cf, b)
-
-
 # ---------------------------------------------------------------------------
 # second stage
 
 
 @dataclass
 class CcmeModel:
-    """A fitted two-stage model, carrying everything density evaluation needs."""
+    """A fitted model: the stage-two head, whose weights over its outcome
+    basis give the density at any query point."""
 
     variant: str
     kernel_y: KernelSpec
-    a: NDArray[np.float64]          # (n,)
-    c: NDArray[np.float64]          # (n,)
     omega: NDArray[np.float64] | None
-    first: FirstStage | None
     second: KernelHead | FeatureHead | GridHead
     y_lo: float
     y_hi: float
-    # The first-stage head's design at the second-stage rows, first.design(x1):
-    # K(x0t, x1) of shape (m, n) for rr, the features F(x1)' of shape (M, n)
-    # for df.  Set only when some c weight is nonzero and the head has a
-    # design; the grid head has none, its training targets hold the c-term.
-    cross_cache: NDArray[np.float64] | None = None
     v_cols: list[int] = field(default_factory=list)
 
     @property
@@ -595,7 +577,7 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     """Regress pseudo-outcomes on V over D1 and package the fitted model.
 
     ``first`` may be None for ``ipw``, whose pseudo-outcomes never read mu0;
-    nk then builds the outcome grid the first stage would have built.
+    the stage then builds the basis the first stage would have built.
     """
     head_cls = _head_class(method)
     if variant not in VARIANTS:
@@ -608,27 +590,31 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         if not keep.any():
             raise InvalidArgumentError("one-step variant needs treated D1 rows")
         v1, y1, first = split.v1[keep], split.d1.Y[keep], None
-        a = np.ones(v1.shape[0])
-        c = np.zeros_like(a)
-        grid_y = y1
+        a, c, grid_y = np.ones(len(v1)), np.zeros(len(v1)), y1
     else:
         if first is None and variant != "ipw":
             raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
-        if first is not None and first.method != method:
+        if first is not None and first.head.method != method:
             raise InvalidArgumentError(
-                f"stage methods must match: first={first.method!r}, second={method!r}")
+                f"stage methods must match: first={first.head.method!r}, "
+                f"second={method!r}")
         if omega is None:
             raise InvalidArgumentError(f"variant {variant!r} needs omega")
         v1, y1 = split.v1, split.d1.Y
         a, c = pseudo_weights(variant, omega)
         grid_y = y_all
 
-    x1 = None if first is None else split.x1()
-    second = head_cls.fit(v1, y1, a, c, first, x1, hyper, 1, v1.shape[0], grid, grid_y)
-    cross = first.design(x1) if first is not None and c.any() else None
-    return CcmeModel(variant, hyper.kernel_y(), a, c, omega, first, second,
-                     float(y_all.min()), float(y_all.max()), cross,
-                     list(split.v_cols))
+    kernel_y = hyper.kernel_y()
+    basis = head_cls.new_basis(hyper, y_all, grid_y, grid,
+                               None if first is None else first.head.basis)
+    mu0, masses = None, a
+    if first is not None and c.any():
+        weights0, masses0 = first.embedding(split.x1())
+        mu0, masses = basis.embed(kernel_y, weights0).T, a + c * masses0
+    xi = build_k_xi(kernel_y, y1, a, c, basis, mu0)
+    second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0])
+    return CcmeModel(variant, kernel_y, omega, second,
+                     float(y_all.min()), float(y_all.max()), list(split.v_cols))
 
 
 def fit_ccme(split: SplitDataset, method: str, variant: str,

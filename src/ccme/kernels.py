@@ -1,9 +1,10 @@
-"""Gaussian kernels, Gram matrices, and regularized symmetric solves.
+"""Gaussian kernels, Gram matrices, regularized symmetric solves, and the
+outcome basis.
 
 Everything downstream (the two-stage estimators, the density formulas, the
-benchmark) is written against the three primitives in this module:
-``kernel_eval`` for single pairs, ``gram`` for dense pairwise blocks, and
-``SpdFactor`` for systems (K + ridge I) x = rhs.
+benchmark) is written against the primitives in this module: ``gram`` for
+dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs, and
+``OutcomeBasis`` for finite coordinates of the outcome kernel's features.
 
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["KernelSpec", "kernel_eval", "gram", "SpdFactor"]
+__all__ = ["KernelSpec", "gram", "SpdFactor", "OutcomeBasis", "outcome_basis"]
 
 _FAMILIES = ("gaussian",)
 
@@ -52,6 +53,14 @@ class KernelSpec:
             return 1.0
         return float((np.sqrt(2.0 * np.pi) * self.bandwidth) ** (-dim))
 
+    def at(self, sq: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
+        """Kernel values at squared distances ``sq`` between points of R^dim."""
+        K = np.exp(sq / (-2.0 * self.bandwidth * self.bandwidth))
+        c = self.norm_const(dim)
+        if c != 1.0:
+            K *= c
+        return K
+
 
 def _as_points(arr: object, name: str) -> NDArray[np.float64]:
     """Coerce to an (n, d) point array; 1-d input is read as n points in R^1."""
@@ -65,21 +74,6 @@ def _as_points(arr: object, name: str) -> NDArray[np.float64]:
     if pts.shape[0] == 0:
         raise InvalidArgumentError(f"{name} is empty")
     return pts
-
-
-def kernel_eval(spec: KernelSpec, u: object, v: object) -> float:
-    """Evaluate the kernel at a single pair of points.
-
-    ``u`` and ``v`` are scalars or 1-d arrays of equal dimension.  The value
-    is computed through the same code path as ``gram`` so that single-pair
-    evaluations match Gram entries to the last bit.
-    """
-    pu = np.asarray(u, dtype=np.float64).reshape(1, -1)
-    pv = np.asarray(v, dtype=np.float64).reshape(1, -1)
-    if pu.shape[1] != pv.shape[1]:
-        raise InvalidArgumentError(
-            f"dimension mismatch: {pu.shape[1]} vs {pv.shape[1]}")
-    return float(gram(spec, pu, pv)[0, 0])
 
 
 def gram(spec: KernelSpec, points_a: object,
@@ -96,12 +90,7 @@ def gram(spec: KernelSpec, points_a: object,
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    sq = cdist(pa, pb, "sqeuclidean")
-    K = np.exp(sq / (-2.0 * spec.bandwidth * spec.bandwidth))
-    c = spec.norm_const(pa.shape[1])
-    if c != 1.0:
-        K *= c
-    return K
+    return spec.at(cdist(pa, pb, "sqeuclidean"), pa.shape[1])
 
 
 _PIVOT_RE = re.compile(r"(\d+)-th leading minor")
@@ -120,12 +109,8 @@ def _cholesky(matrix: NDArray[np.float64], what: str):
 
 
 class SpdFactor:
-    """A cached Cholesky factorization of (K + ridge I).
-
-    Holds both the regularized matrix and its factor so that callers can
-    re-solve cheaply and tests can refactor-and-compare.  Instances are
-    immutable after construction and thread-safe for solves.
-    """
+    """A cached Cholesky factorization of (K + ridge I), kept with the
+    regularized matrix; immutable, and thread-safe for solves."""
 
     def __init__(self, K: NDArray[np.float64], ridge: float) -> None:
         K = np.asarray(K, dtype=np.float64)
@@ -139,27 +124,71 @@ class SpdFactor:
 
     @classmethod
     def from_regularized(cls, matrix: NDArray[np.float64], ridge: float) -> "SpdFactor":
-        """Rebuild from an already-regularized matrix, as stored on disk."""
+        """Factor an already-regularized matrix."""
         obj = cls.__new__(cls)
         obj.matrix = np.asarray(matrix, dtype=np.float64)
         obj.ridge = float(ridge)
         obj._factor = _cholesky(obj.matrix, "stored matrix")
         return obj
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
         """Solve (K + ridge I) x = rhs; rhs may be a vector or a matrix."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape[0] != self.n:
+        if rhs.shape[0] != len(self.matrix):
             raise InvalidArgumentError(
-                f"rhs has {rhs.shape[0]} rows, expected {self.n}")
+                f"rhs has {rhs.shape[0]} rows, expected {len(self.matrix)}")
         return cho_solve(self._factor, rhs)
 
-    def refactor_residual(self) -> float:
-        """Max-norm mismatch between the stored factor and a fresh one."""
-        fresh = cho_factor(self.matrix, lower=True)
-        return float(np.max(np.abs(np.tril(fresh[0]) - np.tril(self._factor[0]))))
 
+# Outcome basis: grid step and padding in outcome bandwidths, and the
+# smallest eigenvalue of the grid Gram kept, relative to the largest.
+BASIS_STEP = 0.375
+BASIS_PAD = 3.0
+BASIS_CUTOFF = 1e-12
+
+
+@dataclass
+class OutcomeBasis:
+    """Coordinates u(y) of the outcome kernel's feature map over a grid z.
+
+    With ``proj`` = L^-1/2 V' from the eigenpairs (L, V) of K(z), u(y) =
+    proj k(z, y) are whitened Nystrom coordinates (Williams & Seeger 2001):
+    u(y)'u(y') reproduces k(y, y') for outcomes the grid covers.  With
+    ``proj`` None, u(y) = k(z, y).  Either way an embedding with weights w
+    evaluates to w'u(y).
+    """
+
+    grid: NDArray[np.float64]                 # (k, 1)
+    proj: NDArray[np.float64] | None = None   # (r, k)
+
+    @property
+    def size(self) -> int:
+        """r, the number of coordinates."""
+        return int((self.grid if self.proj is None else self.proj).shape[0])
+
+    def coords(self, sections: NDArray[np.float64]) -> NDArray[np.float64]:
+        """u at the outcomes whose kernel sections k(z, y) are the columns
+        of ``sections``; shape (r, G)."""
+        return sections if self.proj is None else self.proj @ sections
+
+    def embed(self, kernel: KernelSpec,
+              weights: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Coordinates <e_l, mu> of the embeddings mu = sum_l w_l e_l whose
+        weights are the columns of ``weights``: the weights themselves in a
+        whitened basis, K(z) w over kernel sections."""
+        return weights if self.proj is not None else gram(kernel, self.grid) @ weights
+
+
+def outcome_basis(kernel: KernelSpec, y: NDArray[np.float64]) -> OutcomeBasis:
+    """Whitened basis on a uniform grid over the range of ``y``, padded by
+    BASIS_PAD bandwidths on each side at a step of BASIS_STEP bandwidths.
+    K(z) is numerically singular, so its eigenvalues below BASIS_CUTOFF
+    times the largest are dropped rather than inverted."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    step, pad = BASIS_STEP * kernel.bandwidth, BASIS_PAD * kernel.bandwidth
+    offsets = step * np.arange(int(np.ceil((np.ptp(y) + 2.0 * pad) / step)) + 1)
+    # a uniform grid's Gram is Toeplitz: one row of kernel values at its offsets
+    vals, vecs = np.linalg.eigh(toeplitz(kernel.at(offsets ** 2, 1)))
+    keep = vals > BASIS_CUTOFF * vals[-1]
+    proj = (vecs[:, keep] / np.sqrt(vals[keep])).T
+    return OutcomeBasis((y.min() - pad + offsets).reshape(-1, 1), proj)

@@ -2,7 +2,7 @@
 and an oracle passthrough, all with clipped probability outputs.
 
 The forest follows the canonical recipe: bootstrap resample per tree, Gini
-impurity splits, sqrt(d) candidate features per node, midpoint thresholds.
+impurity splits over every feature at each node, midpoint thresholds.
 Each tree's random stream is derived from (seed, tree index) so fits are
 reproducible regardless of evaluation order.
 """
@@ -138,8 +138,7 @@ def _gini_best_split(x: NDArray, y: NDArray) -> tuple[float, float] | None:
     return float(w[j]), float(0.5 * (xs[j] + xs[j + 1]))
 
 
-def _build_tree(X: NDArray, A: NDArray, rng: np.random.Generator,
-                max_depth: int, n_feats: int) -> Tree:
+def _build_tree(X: NDArray, A: NDArray, max_depth: int) -> Tree:
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -161,11 +160,8 @@ def _build_tree(X: NDArray, A: NDArray, rng: np.random.Generator,
         prob[node] = p
         if depth >= max_depth or p == 0.0 or p == 1.0 or rows.shape[0] < 2:
             return node
-        d = X.shape[1]
-        cand = np.arange(d) if n_feats >= d else \
-            rng.choice(d, size=n_feats, replace=False)
         best: tuple[float, int, float] | None = None
-        for f in cand:
+        for f in range(X.shape[1]):
             got = _gini_best_split(X[rows, f], y)
             if got is not None and (best is None or got[0] < best[0]):
                 best = (got[0], int(f), got[1])
@@ -187,16 +183,14 @@ def _build_tree(X: NDArray, A: NDArray, rng: np.random.Generator,
 
 def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
                n_trees: int = 100, max_depth: int = 4, seed: int = 0,
-               clip: tuple[float, float] = DEFAULT_CLIP,
-               n_candidates: int | None = None) -> PropensityModel:
+               clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
     """Random forest of shallow Gini trees on bootstrap resamples.
 
-    Every split searches all features by default, so the bootstrap is the
-    only randomization; with depth-4 trees this is what lets the forest
-    express sharp feature interactions (a sqrt(d)-per-node subsample, which
-    ``n_candidates`` can request, leaves most trees unable to combine the
-    two or three features such rules need and caps accuracy well short of
-    the large-sample target).
+    Every split searches all features, so the bootstrap is the only
+    randomization; with depth-4 trees this is what lets the forest express
+    sharp feature interactions (a sqrt(d)-per-node subsample leaves most
+    trees unable to combine the two or three features such rules need and
+    caps accuracy well short of the large-sample target).
     """
     X = np.asarray(X, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64).ravel()
@@ -205,9 +199,6 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
     n, d = X.shape
     if n < 10:
         raise InvalidArgumentError(f"forest fitting needs n >= 10, got {n}")
-    if n_candidates is not None and not (1 <= n_candidates <= d):
-        raise InvalidArgumentError(
-            f"n_candidates must be in [1, {d}], got {n_candidates}")
     model = PropensityModel(kind="forest", clip=clip, n_features=d)
     if A.min() == A.max():
         # Single class: every tree would be a single leaf at the base rate.
@@ -215,11 +206,10 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
         model.trees = [Tree(np.array([-1]), np.array([0.0]), np.array([-1]),
                             np.array([-1]), np.array([base]))]
         return model
-    n_feats = d if n_candidates is None else int(n_candidates)
     for t in range(int(n_trees)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         boot = rng.integers(0, n, size=n)
-        model.trees.append(_build_tree(X[boot], A[boot], rng, max_depth, n_feats))
+        model.trees.append(_build_tree(X[boot], A[boot], max_depth))
     return model
 
 

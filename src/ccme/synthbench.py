@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -37,7 +37,7 @@ __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
     "SCENARIOS", "DgpConfig", "generate", "true_propensity", "GroundTruth",
     "mse", "eval_points", "SweepCell", "SweepRecord", "plan_cells",
-    "run_cell", "run_sweep", "loglog_slope", "scenario_name",
+    "run_cell", "run_sweep", "loglog_slope",
 ]
 
 BETA = np.array([1.0, -0.5, 0.8, -0.7, 0.6, 1.0, 0.3, -0.2, 0.1, -0.3])
@@ -51,10 +51,6 @@ V_COLS = list(range(5))
 SCENARIOS = ("a", "b", "c")
 _SCENARIO_NAMES = {"a": "BothCorrect", "b": "PiMisspecified", "c": "MuMisspecified"}
 _SCENARIO_ALIASES = {name.lower(): key for key, name in _SCENARIO_NAMES.items()}
-
-
-def scenario_name(scenario: str) -> str:
-    return _SCENARIO_NAMES[normalize_scenario(scenario)]
 
 
 def normalize_scenario(scenario: str) -> str:
@@ -85,8 +81,6 @@ class DgpConfig:
     n: int
     seed: int
     scenario: str = "a"
-    beta: NDArray[np.float64] = field(default_factory=lambda: BETA.copy())
-    gamma: NDArray[np.float64] = field(default_factory=lambda: GAMMA.copy())
 
     def __post_init__(self) -> None:
         self.scenario = normalize_scenario(self.scenario)
@@ -107,9 +101,9 @@ def generate(cfg: DgpConfig) -> tuple[Dataset, dict[str, NDArray[np.float64]]]:
     A = (rng.random(cfg.n) < pi).astype(np.float64)
     branch = (rng.random(cfg.n) < _logistic(0.5 * X[:, 0])).astype(np.float64)
     sd = _noise_sd(X)
-    y_treated = (BASE_TREATED + X @ (cfg.beta + cfg.gamma) + SHIFT * branch
+    y_treated = (BASE_TREATED + X @ (BETA + GAMMA) + SHIFT * branch
                  + rng.normal(0.0, 1.0, cfg.n) * sd)
-    y_control = BASE_CONTROL + X @ cfg.beta + rng.normal(0.0, 1.0, cfg.n) * sd
+    y_control = BASE_CONTROL + X @ BETA + rng.normal(0.0, 1.0, cfg.n) * sd
     Y = np.where(A > 0, y_treated, y_control)
     latents = {"pi": pi, "branch": branch, "y_treated": y_treated,
                "y_control": y_control, "noise_sd": sd}
@@ -124,9 +118,8 @@ class GroundTruth:
     constants are derived from the coefficient vectors here, at construction.
     """
 
-    def __init__(self, beta: NDArray[np.float64] = BETA,
-                 gamma: NDArray[np.float64] = GAMMA) -> None:
-        coef = np.asarray(beta, dtype=np.float64) + np.asarray(gamma, dtype=np.float64)
+    def __init__(self) -> None:
+        coef = BETA + GAMMA
         self.head = coef[:len(V_COLS)]
         self.tail_mean = float(coef[len(V_COLS):].sum())
         self.tail_var = float((coef[len(V_COLS):] ** 2).sum())

@@ -12,12 +12,10 @@ import pytest
 from scipy import stats
 from scipy.signal import find_peaks
 
-from ccme.data import Dataset, SplitDataset, split_data
-from ccme.density import _bump_weights, default_grid, density_curves, \
-    density_matrix, quadrature_mass
+from ccme.data import Dataset, SplitDataset, compute_omega, split_data
+from ccme.density import default_grid, density_curves, density_matrix
 from ccme.estimators import (Hyper, df_trace_loss, fit_ccme, fit_first_stage,
-                             fit_second_stage, make_grid, nk_loss_grad,
-                             nk_minimizer)
+                             fit_second_stage, make_grid, nk_loss_grad)
 from ccme.kernels import KernelSpec, gram
 from ccme.nets import mlp_backward, mlp_forward, mlp_init, train_mlp
 from ccme.propensity import fit_logistic, logistic_loss_grad
@@ -26,17 +24,14 @@ from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, DgpConfig,
                              eval_points, generate, mse, run_cell,
                              scenario_propensity, scenario_x_cols)
 
+from oracles import feature_factor, nk_minimizer, quadrature_mass
+
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 
 
 def report(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num}: {detail}"
-
-
-def feature_factor(K):
-    vals, vecs = np.linalg.eigh(K)
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def test_c01_rr_weights_match_explicit_quadratic():
@@ -69,9 +64,11 @@ def test_c01_rr_weights_match_explicit_quadratic():
         W = Xi.T @ R @ np.linalg.inv(R.T @ R + h.ridge1 * np.eye(R.shape[1]))
         oracle = R @ W.T
 
-        c1, w1, c0, w0 = _bump_weights(model, d1.X)
-        pkg = w1.T @ F1 + w0.T @ F0
-        worst = max(worst, float(np.abs(pkg - oracle).max()))
+        # both fitted embeddings at the training rows, evaluated at every atom
+        basis = model.second.basis
+        u_atoms = basis.coords(gram(ky, basis.grid, atoms))
+        pkg = model.second.embedding(d1.X)[0].T @ u_atoms
+        worst = max(worst, float(np.abs(pkg - oracle @ F.T).max()))
     dt = time.perf_counter() - t0
     report(1, worst < 1e-8 and dt < 1.0,
            f"max weight deviation {worst:.3g} over 20 instances, {dt:.2f}s")
@@ -95,7 +92,7 @@ def test_c02_trace_loss_identity():
         F = rng.normal(size=(n, max(1, int(rng.integers(1, 5)))))
         G = F @ F.T
         ridge = float(rng.uniform(0.1, 5.0))
-        loss, _ = df_trace_loss(psi, G, ridge)
+        loss, _ = df_trace_loss(psi, F, ridge)
         worst = max(worst, abs(loss - explicit_trace_objective(psi, G, ridge)))
     dt = time.perf_counter() - t0
     report(2, worst < 1e-8 and dt < 1.0,
@@ -122,9 +119,8 @@ def test_c03_gradient_suite():
 
     psi = rng.normal(size=(6, 3))
     F = rng.normal(size=(6, 4))
-    G = F @ F.T
-    _, grad = df_trace_loss(psi, G, 0.7)
-    errs["df_trace"] = _fd_check(lambda p: df_trace_loss(p, G, 0.7)[0],
+    _, grad = df_trace_loss(psi, F, 0.7)
+    errs["df_trace"] = _fd_check(lambda p: df_trace_loss(p, F, 0.7)[0],
                                  grad, psi)
 
     Fk = rng.normal(size=(5, 3))
@@ -302,18 +298,19 @@ def test_c07_convergence_trend_scenario_a():
 
 
 def _scenario_c_pair(n, seed, h, test_v, truth):
-    """DR fit for one cell plus the PI rescoring of the same fit."""
+    """DR fit for one cell plus a PI fit on the same first stage."""
     data, _ = generate(DgpConfig(2 * n, _derived_seed(2026, n, seed), "c"))
     split = split_data(data, _derived_seed(2027, n, seed), V_COLS,
                        scenario_x_cols("c"))
     cell_h = replace(h, net_seed=_derived_seed(2028, n, seed))
     prop = scenario_propensity("c", split.d0.X, split.d0.A,
                                _derived_seed(2029, n, seed))
-    model = fit_ccme(split, "rr", "dr", prop, cell_h)
+    omega = compute_omega(split.d1, prop)
+    first = fit_first_stage(split, "rr", cell_h)
+    model = fit_second_stage(split, "rr", "dr", first, omega, cell_h)
+    pi_model = fit_second_stage(split, "rr", "pi", first, omega, cell_h)
     y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
     grid = np.linspace(y.min() - 2.0, y.max() + 2.0, 1000)
-    pi_model = replace(model, variant="pi", a=np.zeros_like(model.a),
-                       c=np.ones_like(model.c))
     return mse(model, truth, test_v, grid), mse(pi_model, truth, test_v, grid)
 
 

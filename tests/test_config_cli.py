@@ -139,6 +139,58 @@ class TestConfigRoundTrip:
         assert json.loads(out.getvalue()) == printed
 
 
+def _well_typed(kind, value) -> bool:
+    """Whether a JSON value fits a Hyper annotation; ints count as floats."""
+    if kind in ("int", "float", "str"):
+        allowed = {"int": (int,), "float": (int, float), "str": (str,)}[kind]
+        return type(value) in allowed
+    item = str if kind == "list[str]" else int
+    return type(value) is list and all(type(v) is item for v in value)
+
+
+_JSON = st.recursive(
+    st.booleans() | st.integers() | _floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+_FIELD_KINDS = {f.name: f.type for f in fields(Hyper)}
+
+
+class TestConfigTypes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_FIELD_KINDS)).flatmap(
+        lambda name: st.tuples(st.just(name), _JSON.filter(
+            lambda v: not _well_typed(_FIELD_KINDS[name], v)))))
+    def test_wrongly_typed_value_rejected(self, case):
+        name, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({name: value}, fh)
+            with pytest.raises(InvalidArgumentError, match=name):
+                merge_config(load_config_file(path))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["--config", path, "--print-config"]) == 3
+            assert len(err.getvalue().strip().splitlines()) == 1
+
+    def test_ints_are_accepted_for_floats(self):
+        cfg = merge_config({"ridge0": 3, "hidden": [4, 5], "v_cols": None})
+        assert cfg.ridge0 == 3.0 and type(cfg.ridge0) is float
+        assert cfg.hidden == [4, 5] and cfg.v_cols is None
+
+    def test_reported_cases_exit_3(self, tmp_path, capsys):
+        threads = tmp_path / "threads.json"
+        threads.write_text(json.dumps({"threads": "4"}))
+        assert main(["--config", str(threads), "--print-config"]) == 3
+        hidden = tmp_path / "hidden.json"
+        hidden.write_text(json.dumps({"hidden": 20}))
+        assert main(["fit", str(tmp_path / "unread.csv"), "--method", "df",
+                     "--config", str(hidden)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("parse failure" in line for line in err)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A simulate -> fit pipeline shared by the read-only CLI tests."""
@@ -217,6 +269,32 @@ class TestFit:
         assert len(err) == 1 and "one scalar outcome column" in err[0]
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_rejected(self, bad, tmp_path, capsys):
+        sim = tmp_path / "s.csv"
+        assert main(["simulate", "--n", "100", "--seed", "2", "--out",
+                     str(sim)]) == 0
+        lines = sim.read_text().splitlines()
+        row = lines[5].split(",")
+        row[0] = bad                                 # x1 of one row
+        lines[5] = ",".join(row)
+        sim.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        assert main(["fit", str(sim), "--method", "rr",
+                     "--model-out", str(model)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "NaN or inf" in err[0]
+        assert not model.exists()
+
+    def test_diverging_df_fit_is_numeric(self, workdir, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["fit", workdir["sim"], "--method", "df", "--lr-df", "1e3",
+                     "--epochs-df1", "200", "--epochs-df2", "50",
+                     "--model-out", str(tmp_path / "m.npz")]) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure")
+
     def test_missing_data_file_io_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
 
@@ -293,6 +371,36 @@ class TestDensity:
         old = str(tmp_path / "v1.npz")
         np.savez(old, **arrays)
         assert main(["density", old, "--v", "1,1,1,1,1"]) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_query_rejected(self, bad, workdir, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["density", workdir["model"], "--v", f"1,1,{bad},1,1",
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        vfile = tmp_path / "v.csv"
+        vfile.write_text(f"1,1,1,1,1\n2,2,2,2,{bad}\n")
+        assert main(["density", workdir["model"], "--v-file", str(vfile),
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("NaN or inf" in line for line in err)
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_version_two_and_cut_archives_rejected(self, workdir, tmp_path,
+                                                   capsys):
+        with np.load(workdir["model"], allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        meta = json.loads(str(arrays["__meta__"][()]))
+        meta["schema_version"] = 2
+        old = str(tmp_path / "v2.npz")
+        np.savez(old, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+        cut = str(tmp_path / "cut.npz")
+        np.savez(cut, **{**arrays, "second.coef": arrays["second.coef"][3:]})
+        capsys.readouterr()
+        for path in (old, cut):
+            assert main(["density", path, "--v", "1,1,1,1,1",
+                         "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("parse failure" in line for line in err)
 
     def test_garbage_model_file(self, tmp_path):
         bad = tmp_path / "model.npz"

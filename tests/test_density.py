@@ -7,17 +7,17 @@ import pytest
 
 from ccme.data import Dataset, SplitDataset, split_data
 from ccme.density import (DensityCurve, curves_to_csv, default_grid,
-                          density_curves, density_mass, density_matrix,
-                          quadrature_mass)
+                          density_curves, density_mass, density_matrix)
 from ccme.errors import InvalidArgumentError
 from ccme.estimators import (CcmeModel, FeatureHead, FirstStage, GridHead,
-                             Hyper, fit_ccme, fit_first_stage,
+                             Hyper, build_k_xi, fit_ccme, fit_first_stage,
                              fit_second_stage)
-from ccme.kernels import KernelSpec, SpdFactor, gram, kernel_eval
+from ccme.kernels import KernelSpec, OutcomeBasis, gram, outcome_basis
 from ccme.nets import MlpParams, mlp_forward
 from ccme.propensity import fit_logistic
 
 from conftest import make_dataset, make_split
+from oracles import exact_density, kernel_eval, quadrature_mass
 
 
 def manual_split(d0, d1, v_cols=None):
@@ -95,6 +95,9 @@ class TestRrCurves:
                     total += beta[i, t] * mu_i
                 expect[t, g] = total
         assert np.allclose(got, expect, atol=1e-10)
+        # pi's mass is the first stage's total row weight, carried by beta
+        assert np.allclose(density_mass(model, vq), E.sum(axis=0) @ beta,
+                           rtol=0.0, atol=1e-14)
 
     def test_onestep_tiny_ridge_unit_mass(self):
         d0 = Dataset(np.array([[0.1], [0.8]]), np.array([1.0, 1.0]),
@@ -112,7 +115,9 @@ class TestRrCurves:
         first = fit_first_stage(split, "rr", h)
         model = fit_second_stage(split, "rr", "ipw", first,
                                  np.ones(split.n), h)
-        doubled = replace(model, a=2.0 * model.a)
+        # ipw weights a = omega: doubling omega doubles every pseudo-outcome
+        doubled = fit_second_stage(split, "rr", "ipw", first,
+                                   2.0 * np.ones(split.n), h)
         vq = split.v1[:2]
         grid = default_grid(model, 32)
         assert np.allclose(2.0 * density_matrix(model, vq, grid),
@@ -130,26 +135,29 @@ class TestRrCurves:
 
 
 class TestDfCurves:
-    def hand_model(self):
+    def hand_model(self, omega=(1.5, 0.0, 0.8)):
         """A 3-sample model around frozen 2-feature linear maps."""
         ky = KernelSpec(bandwidth=2.0, normalized=True)
         y0t = np.array([[0.3], [-0.6]])
         x0t = np.array([[0.4], [1.2]])
         net0 = linear_net([[1.0], [-0.5]], [0.2, 0.1])
-        psi0, _ = mlp_forward(net0, x0t)
-        first = FirstStage(FeatureHead(net0, psi0, SpdFactor(psi0.T @ psi0, 3.0),
-                                       y0t), None)
         v1 = np.array([[0.0], [0.7], [-1.1]])
         y1 = np.array([[0.5], [1.4], [-0.2]])
         x1 = np.array([[0.9], [-0.3], [0.5]])
+        basis = outcome_basis(ky, np.vstack([y0t, y1]))
+        xi0 = build_k_xi(ky, y0t, np.ones(2), np.zeros(2), basis)
+        first = FirstStage(FeatureHead.solved(net0, x0t, xi0, np.ones(2), basis,
+                                              3.0), None)
         net1 = linear_net([[0.8], [0.6]], [-0.1, 0.4])
-        psi1, _ = mlp_forward(net1, v1)
-        second = FeatureHead(net1, psi1, SpdFactor(psi1.T @ psi1, 2.0), y1)
-        omega = np.array([1.5, 0.0, 0.8])
+        omega = np.asarray(omega, dtype=np.float64)
         a, c = omega.copy(), 1.0 - omega
+        xi1 = build_k_xi(ky, y1, a, c, basis, first.embedding(x1)[0].T)
+        masses = a + c * first.embedding(x1)[1]
+        second = FeatureHead.solved(net1, v1, xi1, masses, basis, 2.0)
+        model = CcmeModel("dr", ky, omega, second, -0.6, 1.4, [0])
+        psi0, _ = mlp_forward(net0, x0t)
+        psi1, _ = mlp_forward(net1, v1)
         cross, _ = mlp_forward(net0, x1)
-        model = CcmeModel("dr", ky, a, c, omega, first, second, -0.6, 1.4,
-                          cross.T, [0])
         return model, (psi0, psi1, cross, y0t, y1, v1, net1, ky, a, c)
 
     def test_matches_hand_expansion(self):
@@ -172,11 +180,13 @@ class TestDfCurves:
                     sum(w1[i, t] * kernel_eval(ky, y1[i], y) for i in range(3))
                     + sum(w0[j, t] * kernel_eval(ky, y0t[j], y) for j in range(2)))
         assert np.allclose(got, expect, atol=1e-12)
+        # the mass is the total row weight, as in the two-term expansion
+        assert np.allclose(density_mass(model, vq), w1.sum(0) + w0.sum(0),
+                           rtol=0.0, atol=1e-14)
 
     def test_unit_omega_reduces_to_feature_ridge(self):
-        model, parts = self.hand_model()
+        model, parts = self.hand_model(omega=np.ones(3))
         psi0, psi1, cross, y0t, y1, v1, net1, ky, _, _ = parts
-        model = replace(model, a=np.ones(3), c=np.zeros(3))
         vq = np.array([[0.6]])
         grid = np.linspace(-2.0, 2.0, 9)
         got = density_matrix(model, vq, grid)
@@ -196,17 +206,19 @@ class TestDfCurves:
         grid = np.linspace(-3.0, 3.0, 11)
         got = density_matrix(model, vq, grid)
 
-        psi0 = first.head.feats
+        # the two-term expansion with row weights from dense solves: pi has
+        # a = 0, so only the first stage's outcome rows carry weight
+        psi0, _ = mlp_forward(first.head.net, split.x0_treated())
         psi01, _ = mlp_forward(first.head.net, split.x1())
-        psi1 = model.second.feats
+        psi1, _ = mlp_forward(model.second.net, split.v1)
         psi_q, _ = mlp_forward(model.second.net, vq)
         M = psi0.shape[1]
         beta = psi1 @ np.linalg.solve(psi1.T @ psi1 + h.ridge1 * np.eye(M),
                                       psi_q.T)
         w0 = psi0 @ np.linalg.solve(psi0.T @ psi0 + h.ridge0 * np.eye(M),
                                     psi01.T @ beta)
-        expect = w0.T @ gram(model.kernel_y, split.y0_treated(),
-                             grid.reshape(-1, 1))
+        expect = exact_density(model.kernel_y, grid, split.d1.Y,
+                               np.zeros_like(beta), split.y0_treated(), w0)
         assert np.allclose(got, expect, atol=1e-10)
 
 
@@ -217,10 +229,7 @@ class TestNkCurves:
         grid = np.array([[0.4], [-1.0]]) if grid_pts is None else grid_pts
         M = grid.shape[0]
         net = linear_net(np.zeros((M, 2)), bias)
-        k_m = gram(ky, grid)
-        second = GridHead(net, grid, k_m)
-        a = np.ones(1)
-        return CcmeModel("onestep", ky, a, np.zeros(1), None, None, second,
+        return CcmeModel("onestep", ky, None, GridHead(net, OutcomeBasis(grid)),
                          -1.0, 1.0)
 
     def test_unit_coefficient_reads_off_kernel_section(self):
@@ -297,6 +306,18 @@ class TestMassAndGrid:
         model = self.fitted()
         with pytest.raises(InvalidArgumentError):
             density_matrix(model, np.zeros((1, 3)), np.zeros((5, 2)))
+
+    def test_non_finite_points_rejected(self):
+        model = self.fitted()
+        for bad in (np.nan, np.inf):
+            vq = np.zeros((2, 3))
+            vq[1, 2] = bad
+            with pytest.raises(InvalidArgumentError, match="NaN or inf"):
+                density_matrix(model, vq, np.linspace(0, 1, 5))
+            with pytest.raises(InvalidArgumentError, match="NaN or inf"):
+                density_mass(model, vq)
+            with pytest.raises(InvalidArgumentError, match="NaN or inf"):
+                density_matrix(model, np.zeros((1, 3)), np.array([0.0, bad]))
 
     def test_single_point_grid(self):
         model = self.fitted()

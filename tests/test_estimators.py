@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccme import estimators
 from ccme.data import Dataset, SplitDataset, split_data
-from ccme.errors import ConfigWarning, InvalidArgumentError
+from ccme.errors import ConfigWarning, InvalidArgumentError, NumericError
 from ccme.estimators import (Hyper, build_k_xi, df_trace_loss, fit_ccme,
                              fit_first_stage, fit_second_stage, make_grid,
-                             nk_loss_grad, nk_minimizer, pseudo_weights)
-from ccme.kernels import KernelSpec, SpdFactor, gram, kernel_eval
+                             nk_loss_grad, pseudo_weights)
+from ccme.kernels import KernelSpec, SpdFactor, gram
 
 from conftest import make_dataset, make_split
+from oracles import feature_factor, kernel_eval, nk_minimizer
 
 
 def manual_split(d0, d1, v_cols=None):
@@ -28,13 +30,24 @@ def explicit_trace_objective(psi, g, ridge):
     coordinate vector for the i-th target; the fitted map and its objective
     value are then plain matrix algebra, independent of the trace shortcut.
     """
-    vals, vecs = np.linalg.eigh(g)
-    vals = np.clip(vals, 0.0, None)
-    F = vecs @ np.diag(np.sqrt(vals))                # (n, n), rows are targets
+    F = feature_factor(g)                            # (n, n), rows are targets
     S = psi.T @ psi + ridge * np.eye(psi.shape[1])
     C = F.T @ psi @ np.linalg.inv(S)                 # (n, M) fitted map
     resid = F - psi @ C.T
     return float(np.sum(resid * resid) + ridge * np.sum(C * C))
+
+
+def embedding_values(first, x, kernel_y, y):
+    """The first-stage embedding at the rows of x, evaluated at outcomes y:
+    shape (T, len(y))."""
+    basis = first.head.basis
+    u = basis.coords(gram(kernel_y, basis.grid, np.reshape(y, (-1, 1))))
+    return first.embedding(x)[0].T @ u
+
+
+def coords(basis, kernel_y, y):
+    """Basis coordinates U(y), one row per outcome."""
+    return basis.coords(gram(kernel_y, basis.grid, np.reshape(y, (-1, 1)))).T
 
 
 class TestHyper:
@@ -109,31 +122,36 @@ class TestFirstStageRr:
         first = fit_first_stage(split, "rr", h)
         x = np.array([[1.3], [-0.2]])
         k = gram(h.kernel_x(), np.array([[0.5]]), x).ravel()
-        expect = k / (1.0 + 20.0)                # k(x0, x0) = 1 unnormalized
-        assert np.allclose(first.coef(x).ravel(), expect, atol=1e-12)
+        coef = k / (1.0 + 20.0)                  # k(x0, x0) = 1 unnormalized
+        ys = np.linspace(-4.0, 6.0, 21)
+        expect = np.outer(coef, [kernel_eval(h.kernel_y(), 1.0, y) for y in ys])
+        # basis error: 1.4e-14 measured on values up to 8.9e-3
+        assert np.allclose(embedding_values(first, x, h.kernel_y(), ys), expect,
+                           rtol=0.0, atol=1e-13)
 
     def test_huge_ridge_kills_coefficients(self):
         split = make_split(n=20, seed=2)
         first = fit_first_stage(split, "rr", Hyper(ridge0=1e12))
-        coef = first.coef(split.x1())
-        assert np.abs(coef).max() < 1e-8
+        assert np.abs(first.embedding(split.x1())[0]).max() < 1e-8
 
     def test_tiny_ridge_interpolates(self):
         d0 = Dataset(np.array([[0.0], [1.5], [-2.0]]), np.ones(3),
                      np.array([0.3, -0.8, 1.1]))
         d1 = make_dataset(4, seed=3, d_x=1)
         split = manual_split(d0, d1)
-        first = fit_first_stage(split, "rr", Hyper(ridge0=1e-8))
-        coef = first.coef(d0.X)
-        assert np.allclose(coef, np.eye(3), atol=1e-4)
+        h = Hyper(ridge0=1e-8)
+        first = fit_first_stage(split, "rr", h)
+        # at its training inputs the embedding is the training outcomes' own
+        expect = coords(first.head.basis, h.kernel_y(), d0.Y)
+        assert np.allclose(first.embedding(d0.X)[0].T, expect, atol=1e-4)
 
     def test_x_cols_projection(self):
         split = split_data(make_dataset(20, seed=4, d_x=4), 1, x_cols=[0, 2])
         first = fit_first_stage(split, "rr", Hyper())
         assert first.head.points.shape[1] == 2
         # querying with full-width rows projects before evaluating
-        coef = first.coef(split.d1.X[:3])
-        assert coef.shape == (split.m, 3)
+        weights = first.embedding(split.d1.X[:3])[0]
+        assert weights.shape == (first.head.basis.size, 3)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -161,73 +179,97 @@ class TestSharedHead:
         first = fit_first_stage(split, "rr", h)
         one = fit_second_stage(split, "rr", "onestep", None, None, h)
         xq = rng.normal(size=(int(rng.integers(1, 6)), d))
-        assert np.array_equal(first.coef(xq), one.second.coef(xq))
-        assert np.array_equal(first.head.basis, one.second.basis)
+        for got, want in zip(first.embedding(xq), one.second.embedding(xq)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(first.head.basis.grid, one.second.basis.grid)
+        assert np.array_equal(first.head.basis.proj, one.second.basis.proj)
 
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
-    def test_cross_cache_is_the_first_stage_design(self, method, tiny_hyper):
+    def test_c_term_reads_first_stage_weights(self, method, tiny_hyper,
+                                              monkeypatch):
+        """Stage two reads the first stage only through its weights at the D1
+        rows, as coordinates over the shared basis; the model keeps none of
+        it."""
         split = make_split(n=24, seed=26)
         h = Hyper() if method == "rr" else tiny_hyper
         first = fit_first_stage(split, method, h)
         omega = np.random.default_rng(2).uniform(0.5, 2.0, size=split.n)
+        seen = []
+        real = estimators.build_k_xi
+
+        def spy(kernel_y, y1, a, c, basis=None, mu0=None):
+            seen.append((basis, mu0))
+            return real(kernel_y, y1, a, c, basis, mu0)
+
+        monkeypatch.setattr(estimators, "build_k_xi", spy)
         model = fit_second_stage(split, method, "dr", first, omega, h)
-        design = first.design(split.x1())
-        if method == "nk":
-            assert design is None and model.cross_cache is None
-        else:
-            assert np.array_equal(model.cross_cache, design)
-            assert design.shape[1] == split.n
+        (basis, mu0), = seen
+        assert basis is first.head.basis is model.second.basis
+        expect = basis.embed(h.kernel_y(), first.embedding(split.x1())[0]).T
+        assert np.array_equal(mu0, expect)
+        assert mu0.shape == (split.n, basis.size)
+        assert not {"first", "a", "c", "cross_cache"} & set(vars(model))
 
 
 class TestTraceLoss:
     def test_zero_features_give_total_energy(self):
         rng = np.random.default_rng(0)
-        g = gram(KernelSpec(), rng.normal(size=(6, 1)))
-        loss, grad = df_trace_loss(np.zeros((6, 3)), g, 20.0)
-        assert loss == pytest.approx(np.trace(g), abs=1e-12)
+        xi = rng.normal(size=(6, 4))
+        loss, grad = df_trace_loss(np.zeros((6, 3)), xi, 20.0)
+        assert loss == pytest.approx(np.trace(xi @ xi.T), abs=1e-12)
         assert np.array_equal(grad, np.zeros((6, 3)))
 
     def test_huge_ridge_gives_total_energy(self):
         rng = np.random.default_rng(1)
-        g = gram(KernelSpec(), rng.normal(size=(5, 1)))
+        xi = rng.normal(size=(5, 3))
         psi = rng.normal(size=(5, 2))
-        loss, _ = df_trace_loss(psi, g, 1e14)
-        assert loss == pytest.approx(np.trace(g), rel=1e-10)
+        loss, _ = df_trace_loss(psi, xi, 1e14)
+        assert loss == pytest.approx(np.trace(xi @ xi.T), rel=1e-10)
 
     def test_equals_explicit_regression_objective(self):
         rng = np.random.default_rng(2)
-        g = gram(KernelSpec(bandwidth=1.0), rng.normal(size=(5, 1)))
+        xi = rng.normal(size=(5, 4))
         psi = rng.normal(size=(5, 3))
-        loss, _ = df_trace_loss(psi, g, 7.5)
-        assert loss == pytest.approx(explicit_trace_objective(psi, g, 7.5),
-                                     abs=1e-8)
+        loss, _ = df_trace_loss(psi, xi, 7.5)
+        assert loss == pytest.approx(
+            explicit_trace_objective(psi, xi @ xi.T, 7.5), abs=1e-8)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(3)
-        g = gram(KernelSpec(bandwidth=1.2), rng.normal(size=(6, 1)))
+        xi = rng.normal(size=(6, 4))
         psi = rng.normal(size=(6, 3))
-        _, grad = df_trace_loss(psi, g, 4.0)
+        _, grad = df_trace_loss(psi, xi, 4.0)
         step = 1e-5
         for i in range(6):
             for j in range(3):
                 up, dn = psi.copy(), psi.copy()
                 up[i, j] += step
                 dn[i, j] -= step
-                fd = (df_trace_loss(up, g, 4.0)[0]
-                      - df_trace_loss(dn, g, 4.0)[0]) / (2 * step)
+                fd = (df_trace_loss(up, xi, 4.0)[0]
+                      - df_trace_loss(dn, xi, 4.0)[0]) / (2 * step)
                 assert abs(grad[i, j] - fd) <= 1e-4 * max(1.0, abs(fd))
 
     def test_new_feature_direction_never_hurts(self):
         rng = np.random.default_rng(4)
         for trial in range(5):
-            g = gram(KernelSpec(), rng.normal(size=(5, 1)))
+            xi = rng.normal(size=(5, 3))
             psi = rng.normal(size=(5, 2))
             extra = rng.normal(size=(5, 1))
             wide = np.hstack([psi, extra])
-            loss_narrow, _ = df_trace_loss(psi, g, 1e-10)
-            loss_wide, _ = df_trace_loss(wide, g, 1e-10)
+            loss_narrow, _ = df_trace_loss(psi, xi, 1e-10)
+            loss_wide, _ = df_trace_loss(wide, xi, 1e-10)
             assert loss_wide <= loss_narrow + 1e-6
+
+    def test_numeric_failures_report_as_numeric(self):
+        xi = np.ones((4, 2))
+        psi = np.ones((4, 3))
+        psi[1, 2] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            df_trace_loss(psi, xi, 1.0)
+        with pytest.raises(NumericError, match="feature Gram") as info:
+            df_trace_loss(np.ones((4, 3)), xi, -1.0)
+        assert info.value.pivot is not None
 
 
 class TestNkLoss:
@@ -308,13 +350,15 @@ class TestPseudoOutcomes:
         split = make_split(n=20, seed=5)
         h = Hyper()
         first = fit_first_stage(split, "rr", h)
-        model = fit_second_stage(split, "rr", "dr", first, np.ones(split.n), h)
-        assert np.array_equal(model.a, np.ones(split.n))
-        assert not model.c.any()
-        assert model.cross_cache is None
-        k_xi = build_k_xi(h.kernel_y(), split.d1.Y, model.a, model.c,
-                          first, split.x1())
-        assert np.array_equal(k_xi, gram(h.kernel_y(), split.d1.Y))
+        a, c = pseudo_weights("dr", np.ones(split.n))
+        assert np.array_equal(a, np.ones(split.n)) and not c.any()
+        basis = first.head.basis
+        xi = build_k_xi(h.kernel_y(), split.d1.Y, a, c, basis)
+        assert np.array_equal(xi, coords(basis, h.kernel_y(), split.d1.Y))
+        # so the fit equals the one with no c-term at all
+        dr = fit_second_stage(split, "rr", "dr", first, np.ones(split.n), h)
+        ipw = fit_second_stage(split, "rr", "ipw", first, np.ones(split.n), h)
+        assert np.array_equal(dr.second.coef, ipw.second.coef)
 
     def test_onestep_warns_when_first_stage_supplied(self):
         split = make_split(n=20, seed=6)
@@ -322,9 +366,9 @@ class TestPseudoOutcomes:
         with pytest.warns(ConfigWarning):
             model = fit_second_stage(split, "rr", "onestep", first, None, Hyper())
         keep = split.d1.A > 0
-        assert model.first is None
-        assert np.array_equal(model.a, np.ones(int(keep.sum())))
-        assert np.array_equal(model.second.outcomes, split.d1.Y[keep])
+        assert np.array_equal(model.second.points, split.v1[keep])
+        alone = fit_second_stage(split, "rr", "onestep", None, None, Hyper())
+        assert np.array_equal(model.second.coef, alone.second.coef)
 
     def test_missing_omega_rejected(self):
         split = make_split(n=20, seed=6)
@@ -341,10 +385,11 @@ class TestKXi:
         split = make_split(n=16, seed=7)
         ky = KernelSpec(bandwidth=2.0, normalized=True)
         n = split.n
-        k_xi = build_k_xi(ky, split.d1.Y, np.ones(n), np.zeros(n))
-        # exact: a df first stage trains against this matrix in place of the
-        # outcome Gram
-        assert np.array_equal(k_xi, gram(ky, split.d1.Y))
+        xi = build_k_xi(ky, split.d1.Y, np.ones(n), np.zeros(n))
+        # the coordinates reproduce the outcome Gram to the basis error,
+        # 2.6e-13 of its largest entry as measured
+        g = gram(ky, split.d1.Y)
+        assert np.abs(xi @ xi.T - g).max() <= 1e-12 * np.abs(g).max()
 
     def test_ipw_is_conjugated_outcome_gram(self):
         split = make_split(n=16, seed=8)
@@ -352,9 +397,9 @@ class TestKXi:
         omega = np.random.default_rng(0).uniform(0.5, 3.0, size=split.n)
         omega[::3] = 0.0
         a, c = pseudo_weights("ipw", omega)
-        k_xi = build_k_xi(ky, split.d1.Y, a, c)
+        xi = build_k_xi(ky, split.d1.Y, a, c)
         expect = np.diag(omega) @ gram(ky, split.d1.Y) @ np.diag(omega)
-        assert np.allclose(k_xi, expect, atol=1e-12)
+        assert np.allclose(xi @ xi.T, expect, atol=1e-12)
 
     def test_zero_weight_row_is_identically_zero(self):
         split = make_split(n=16, seed=8)
@@ -362,8 +407,15 @@ class TestKXi:
         omega = np.ones(split.n)
         omega[2] = 0.0
         a, c = pseudo_weights("ipw", omega)
-        k_xi = build_k_xi(ky, split.d1.Y, a, c)
-        assert not k_xi[2].any() and not k_xi[:, 2].any()
+        xi = build_k_xi(ky, split.d1.Y, a, c)
+        assert not xi[2].any() and xi[[0, 1, 3]].any()
+
+    def pi_coords(self, split, y1):
+        first = self.make_first(split)
+        a, c = pseudo_weights("pi", np.ones(split.n))
+        basis = first.head.basis
+        mu0 = first.embedding(split.x1())[0].T
+        return build_k_xi(Hyper().kernel_y(), y1, a, c, basis, mu0), first
 
     def test_pi_matches_entrywise_brute_force(self):
         d0 = Dataset(np.array([[0.2], [1.1], [-0.5], [0.9]]),
@@ -372,38 +424,39 @@ class TestKXi:
         d1 = Dataset(np.array([[0.0], [0.6], [1.7]]), np.array([1, 0, 1]),
                      np.array([0.5, 0.1, -0.7]))
         split = manual_split(d0, d1)
-        first = self.make_first(split)
-        ky = Hyper().kernel_y()
-        a, c = pseudo_weights("pi", np.ones(3))
-        k_xi = build_k_xi(ky, d1.Y, a, c, first, split.x1())
-        E = first.coef(split.x1())
-        basis = first.head.basis
-        k_bb = gram(ky, basis)
+        xi, _ = self.pi_coords(split, d1.Y)
+        # mu0 row coefficients from a dense solve, then the Gram entry by entry
+        h = Hyper()
+        x0t, y0t = split.x0_treated(), split.y0_treated()
+        E = np.linalg.solve(gram(h.kernel_x(), x0t) + 20.0 * np.eye(3),
+                            gram(h.kernel_x(), x0t, split.x1()))
+        k_bb = gram(h.kernel_y(), y0t)
         expect = np.zeros((3, 3))
         for i in range(3):
             for j in range(3):
-                for p in range(basis.shape[0]):
-                    for q in range(basis.shape[0]):
+                for p in range(3):
+                    for q in range(3):
                         expect[i, j] += E[p, i] * E[q, j] * k_bb[p, q]
-        assert np.allclose(k_xi, expect, atol=1e-10)
+        assert np.allclose(xi @ xi.T, expect, atol=1e-10)
 
     def test_pi_ignores_second_stage_outcomes(self):
         split = make_split(n=16, seed=9)
-        first = self.make_first(split)
-        a, c = pseudo_weights("pi", np.ones(split.n))
-        ky = Hyper().kernel_y()
-        k1 = build_k_xi(ky, split.d1.Y, a, c, first, split.x1())
-        other_y = split.d1.Y + 17.0
-        k2 = build_k_xi(ky, other_y, a, c, first, split.x1())
-        assert np.array_equal(k1, k2)
+        xi1, _ = self.pi_coords(split, split.d1.Y)
+        xi2, _ = self.pi_coords(split, split.d1.Y + 17.0)
+        assert np.array_equal(xi1, xi2)
 
     def test_exactly_symmetric(self):
+        """The pseudo-outcome Gram the coordinates imply is symmetric and
+        positive semidefinite by construction."""
         split = make_split(n=16, seed=10)
         first = self.make_first(split)
         omega = np.random.default_rng(1).uniform(0.0, 2.5, size=split.n)
         a, c = pseudo_weights("dr", omega)
-        k_xi = build_k_xi(Hyper().kernel_y(), split.d1.Y, a, c, first, split.x1())
-        assert np.array_equal(k_xi, k_xi.T)
+        xi = build_k_xi(Hyper().kernel_y(), split.d1.Y, a, c, first.head.basis,
+                        first.embedding(split.x1())[0].T)
+        g = xi @ xi.T
+        assert np.array_equal(g, g.T)
+        assert np.linalg.eigvalsh(g).min() >= -1e-12 * np.abs(g).max()
 
     def test_nonzero_c_needs_first_stage(self):
         with pytest.raises(InvalidArgumentError):
@@ -420,9 +473,10 @@ class TestSecondStageRr:
         first = fit_first_stage(split, "rr", h)
         model = fit_second_stage(split, "rr", "dr", first, np.ones(1), h)
         v = np.array([[0.3]])
-        beta = model.second.coef(v)
         k = kernel_eval(h.kernel_v(), 0.3, 0.5)
-        assert beta[0, 0] == pytest.approx(k / (1.0 + 20.0), abs=1e-14)
+        expect = k / (1.0 + 20.0) * coords(model.second.basis, h.kernel_y(), 1.5)
+        assert np.allclose(model.second.embedding(v)[0].T, expect, rtol=0.0,
+                           atol=1e-14)
 
     def test_huge_ridge_flattens_curve(self):
         split = make_split(n=20, seed=11)
@@ -442,14 +496,14 @@ class TestSecondStageRr:
         rng = np.random.default_rng(3)
         omega = np.where(split.d1.A > 0, rng.uniform(1.0, 3.0, split.n), 0.0)
         model = fit_second_stage(split, "rr", "dr", first, omega, h)
-        k_xi = build_k_xi(model.kernel_y, split.d1.Y, model.a, model.c,
-                          first, split.x1())
+        a, c = pseudo_weights("dr", omega)
+        xi = build_k_xi(model.kernel_y, split.d1.Y, a, c, model.second.basis,
+                        first.embedding(split.x1())[0].T)
         k_v = gram(h.kernel_v(), split.v1)
         vq = split.v1[:3]
-        beta = model.second.coef(vq)
-        expect = np.linalg.solve(k_v + 20.0 * np.eye(split.n),
-                                 gram(h.kernel_v(), split.v1, vq))
-        assert np.allclose(beta, expect, atol=1e-10)
+        beta = np.linalg.solve(k_v + 20.0 * np.eye(split.n),
+                               gram(h.kernel_v(), split.v1, vq))
+        assert np.allclose(model.second.embedding(vq)[0], xi.T @ beta, atol=1e-10)
         # the fitted coefficients minimize the finite quadratic in beta-space:
         # J(w) = w' K_xi ... checked through the gradient of the objective
         # J(w) = ||xi-hat - sum w_i xi_i||^2 expressed with K_xi
@@ -518,8 +572,8 @@ class TestNetStages:
         sizes = [split.d0.X.shape[1], *tiny_hyper.hidden, tiny_hyper.n_feats]
         init = mlp_init(sizes, tiny_hyper.net_seeds()[0])
         psi_init, _ = mlp_forward(init, split.x0_treated())
-        g0 = gram(tiny_hyper.kernel_y(), split.y0_treated())
-        start = df_trace_loss(psi_init, g0, tiny_hyper.ridge0)[0] / split.m
+        xi0 = coords(first.head.basis, tiny_hyper.kernel_y(), split.y0_treated())
+        start = df_trace_loss(psi_init, xi0, tiny_hyper.ridge0)[0] / split.m
         assert first.head.final_loss < start
 
     def test_df_warns_on_few_treated_rows(self):
@@ -540,31 +594,34 @@ class TestNetStages:
         first = fit_first_stage(split, "nk", tiny_hyper)
         model = fit_second_stage(split, "nk", "dr", first,
                                  np.ones(split.n), tiny_hyper)
-        assert np.array_equal(model.second.grid, first.head.grid)
+        assert np.array_equal(model.second.basis.grid, first.head.basis.grid)
 
     def test_nk_grid_override_mismatch_rejected(self, tiny_hyper):
         split = make_split(n=24, seed=21)
         first = fit_first_stage(split, "nk", tiny_hyper)
-        wrong = first.head.grid + 0.5
+        wrong = first.head.basis.grid + 0.5
         with pytest.raises(InvalidArgumentError, match="grid mismatch"):
             fit_second_stage(split, "nk", "dr", first, np.ones(split.n),
                              tiny_hyper, grid=wrong)
 
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
-    def test_ipw_fits_no_first_stage(self, method, tiny_hyper):
+    def test_ipw_fits_no_first_stage(self, method, tiny_hyper, monkeypatch):
         from ccme.data import compute_omega
         from ccme.density import default_grid, density_matrix
         from ccme.propensity import fit_logistic
-        # D0 holds an outcome extreme, so the nk grid must span both halves
+        # D0 holds an outcome extreme, so the basis must span both halves
         split = make_split(n=30, seed=25)
         h = Hyper() if method == "rr" else tiny_hyper
         prop = fit_logistic(split.d0.X, split.d0.A)
-        model = fit_ccme(split, method, "ipw", prop, h)
         ref = fit_second_stage(split, method, "ipw",
                                fit_first_stage(split, method, h),
                                compute_omega(split.d1, prop), h)
-        assert model.first is None
+        calls = []
+        monkeypatch.setattr(estimators, "fit_first_stage",
+                            lambda *args, **kw: calls.append(args))
+        model = fit_ccme(split, method, "ipw", prop, h)
+        assert calls == []
         vq, grid = split.v1[:3], default_grid(model, 30)
         assert np.array_equal(density_matrix(model, vq, grid),
                               density_matrix(ref, vq, grid))
@@ -574,7 +631,7 @@ class TestNetStages:
         grid = np.linspace(-6.0, 6.0, 5)
         model = fit_second_stage(split, "nk", "ipw", None, np.ones(split.n),
                                  tiny_hyper, grid=grid)
-        assert np.array_equal(model.second.grid, grid.reshape(-1, 1))
+        assert np.array_equal(model.second.basis.grid, grid.reshape(-1, 1))
 
     def test_nk_duplicate_grid_rejected(self, tiny_hyper):
         split = make_split(n=24, seed=22)
@@ -587,12 +644,11 @@ class TestNetStages:
         split = make_split(n=30, seed=23)
         first = fit_first_stage(split, "nk", tiny_hyper)
         ky = tiny_hyper.kernel_y()
-        k0 = gram(ky, first.head.grid, split.y0_treated())
-        sizes = [split.d0.X.shape[1], *tiny_hyper.hidden,
-                 first.head.grid.shape[0]]
+        grid = first.head.basis.grid
+        k0, k_m = gram(ky, grid, split.y0_treated()), gram(ky, grid)
+        sizes = [split.d0.X.shape[1], *tiny_hyper.hidden, grid.shape[0]]
         init = mlp_init(sizes, tiny_hyper.net_seeds()[0])
         f_init, _ = mlp_forward(init, split.x0_treated())
-        start = nk_loss_grad(f_init, first.head.k_m, k0)[0]
-        best = nk_loss_grad(nk_minimizer(first.head.k_m, k0).T,
-                            first.head.k_m, k0)[0]
+        start = nk_loss_grad(f_init, k_m, k0)[0]
+        best = nk_loss_grad(nk_minimizer(k_m, k0).T, k_m, k0)[0]
         assert best <= first.head.final_loss < start

@@ -94,13 +94,6 @@ class TestForest:
         preds = predict_propensity(model, X)
         assert np.all(preds == 0.99)
 
-    def test_candidate_count_validation(self):
-        X, A, _ = interaction_dgp(100, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            fit_forest(X, A, n_candidates=0)
-        with pytest.raises(InvalidArgumentError):
-            fit_forest(X, A, n_candidates=11)
-
     def test_small_sample_rejected(self):
         with pytest.raises(InvalidArgumentError):
             fit_forest(np.zeros((9, 2)), np.zeros(9))

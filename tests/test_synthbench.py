@@ -12,8 +12,7 @@ from ccme.estimators import Hyper
 from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
                              loglog_slope, mse, plan_cells, run_cell,
-                             run_sweep, scenario_name,
-                             scenario_propensity, scenario_x_cols,
+                             run_sweep, scenario_propensity, scenario_x_cols,
                              true_propensity)
 
 from conftest import openblas_counts, openblas_threads
@@ -64,7 +63,6 @@ class TestGenerate:
         with pytest.raises(InvalidArgumentError):
             DgpConfig(10, seed=0, scenario="z")
         assert DgpConfig(10, seed=0, scenario="BothCorrect").scenario == "a"
-        assert scenario_name("b") == "PiMisspecified"
 
 
 class TestGroundTruth:
