@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import zipfile
 from dataclasses import fields
 
@@ -32,7 +31,7 @@ from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
                      NumericError)
 from .estimators import Hyper, fit_ccme
 from .propensity import fit_forest, fit_logistic, make_oracle
-from .serialize import load_model, save_model
+from .serialize import atomic_write, load_model, save_model
 from .synthbench import (N_COV, DgpConfig, generate, loglog_slope,
                          normalize_scenario, plan_cells, run_sweep,
                          scenario_propensity, scenario_x_cols, true_propensity)
@@ -48,19 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InvalidArgumentError(message)
-
-
-def atomic_write(path: str, text: str) -> None:
-    out_dir = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _status(msg: str) -> None:

@@ -18,11 +18,12 @@ and regresses phi(Y) on V over the treated D1 rows only; inverse weighting
 needs the propensity but, with c = 0, no outcome embedding either.  Stage one
 is itself this regression with a = 1, c = 0 over D0's treated rows.
 
-Pseudo-outcomes live in finite coordinates over an outcome basis
-(``kernels.OutcomeBasis``): row i of Xi = diag(a) U(y1) + diag(c) mu0 holds
-the coordinates of xi_i, so Xi Xi' is their Gram and nothing n x n is formed.
-Each backend is one regression head, and both stages use it; the fitted
-embedding at x is a head's weights(x) over the basis:
+Pseudo-outcomes live in finite weights over an outcome basis
+(``kernels.outcome_basis``, with at most as many weights as distinct
+outcomes): row i of Xi = diag(a) U(y1) + diag(c) mu0 holds the weights of
+xi_i, and W = ``basis.whiten(Xi)`` has W W' their Gram, so nothing n x n is
+formed.  Each backend is one regression head, used by both stages; the
+fitted embedding at x is the head's weights(x) over the basis:
 
     rr  KernelHead   kernel ridge: weights(x) = C' K(points, x),
                      C = (K + ridge I)^-1 Xi
@@ -31,10 +32,9 @@ embedding at x is a head's weights(x) over the basis:
     nk  GridHead     a net whose outputs weight the kernel sections of a
                      fixed outcome grid, its own basis
 
-The ridge heads share one whitened basis spanning every outcome; C is fixed
-at fit time, so the fitted model keeps neither the first stage nor any n x n
-factor.  Stage two reads the first stage only through its weights at the D1
-rows (mu0).  Stages pair like with like; mixing is rejected.
+C is fixed at fit time, so the model keeps neither the first stage nor any
+n x n factor: stage two reads the first stage only through its weights at
+the D1 rows (mu0).  Stages pair like with like; mixing is rejected.
 """
 
 from __future__ import annotations
@@ -152,13 +152,12 @@ class Hyper:
 # regression heads
 #
 # ``fit(inputs, xi, masses, basis, hyper, stage, lr_rows)`` regresses the
-# pseudo-outcomes' basis coordinates xi (n, r) and masses (n,) on the input
-# rows; ``stage`` (0 or 1) picks the input kernel, ridge, epoch budget and net
-# seed, and the learning rate scales with ``lr_rows``.  ``embedding(x)`` gives
-# the fitted embedding at the rows of x: its weights over the basis, shape
-# (r, T), and its mass, shape (T,).  The ridge heads map to the mass exactly:
-# beyond its padded grid the whitened basis misses up to about 1e-8 of a
-# bump's tails, which integrating the coordinates would carry into the mass.
+# pseudo-outcomes' basis weights xi (n, r) and masses (n,) on the input rows;
+# ``stage`` (0 or 1) picks the input kernel, ridge, epoch budget and net seed,
+# and the learning rate scales with ``lr_rows``.  ``embedding(x)`` gives the
+# weights (r, T) and masses (T,) at the rows of x.  The ridge heads map to the
+# mass exactly, through a last column of ``coef``: a whitened basis misses up
+# to about 1e-8 of a bump's tails beyond its padded grid.
 
 
 def _kernel_arrays(spec: KernelSpec) -> dict[str, np.ndarray]:
@@ -209,51 +208,48 @@ def _basis_from(arrays) -> OutcomeBasis:
     return basis
 
 
-def _whitened_basis(hyper: Hyper, y_all, grid_y, grid,
-                    shared: OutcomeBasis | None = None) -> OutcomeBasis:
-    """The ridge heads' basis, shared by both stages: whitened coordinates
-    spanning every D0 and D1 outcome.  ``grid_y`` and ``grid`` are unread."""
+def _ridge_basis(hyper: Hyper, y_all, grid_y, grid,
+                 shared: OutcomeBasis | None = None) -> OutcomeBasis:
+    """The ridge heads' basis, shared by both stages and spanning every D0
+    and D1 outcome.  ``grid_y`` and ``grid`` are unread."""
     return shared if shared is not None else outcome_basis(hyper.kernel_y(), y_all)
 
 
 @dataclass
 class KernelHead:
     """Kernel ridge regression over ``points``: weights(x) = coef' K(points, x)
-    with coef = (K(points) + ridge I)^-1 xi fixed at fit time, and likewise
-    the mass through ``mass_coef``."""
+    with coef = (K(points) + ridge I)^-1 [xi | masses] fixed at fit time."""
 
     method = "rr"
     final_loss = float("nan")           # closed form: nothing is trained
 
     kernel: KernelSpec
     points: NDArray[np.float64]         # (n, d) training inputs
-    coef: NDArray[np.float64]           # (n, r)
-    mass_coef: NDArray[np.float64]      # (n,)
+    coef: NDArray[np.float64]           # (n, r + 1)
     basis: OutcomeBasis
 
-    new_basis = staticmethod(_whitened_basis)
+    new_basis = staticmethod(_ridge_basis)
 
     @property
     def in_dim(self) -> int:
         return int(self.points.shape[1])
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-        design = gram(self.kernel, self.points, x)
-        return self.coef.T @ design, self.mass_coef @ design
+        out = self.coef.T @ gram(self.kernel, self.points, x)
+        return out[:-1], out[-1]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"kind": np.array(self.method), **_kernel_arrays(self.kernel),
                 "points": self.points, "coef": self.coef,
-                "mass_coef": self.mass_coef, **_basis_arrays(self.basis)}
+                **_basis_arrays(self.basis)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "KernelHead":
         basis, points = _basis_from(arrays), arrays["points"]
         n = len(points)
-        _agree(arrays, {"points": (n, points.shape[-1]), "coef": (n, basis.size),
-                        "mass_coef": (n,)})
-        return cls(_kernel_from(arrays), points, arrays["coef"],
-                   arrays["mass_coef"], basis)
+        _agree(arrays, {"points": (n, points.shape[-1]),
+                        "coef": (n, basis.size + 1)})
+        return cls(_kernel_from(arrays), points, arrays["coef"], basis)
 
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
@@ -261,24 +257,23 @@ class KernelHead:
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
         ridge = (hyper.ridge0, hyper.ridge1)[stage]
         factor = SpdFactor(gram(kernel, inputs), ridge)
-        return cls(kernel, inputs, factor.solve(xi), factor.solve(masses), basis)
+        return cls(kernel, inputs, factor.solve(np.column_stack([xi, masses])), basis)
 
 
 @dataclass
 class FeatureHead:
     """Ridge regression on the features of a trained net: weights(x) =
-    coef' f(x) with coef = (F'F + ridge I)^-1 F' xi, F = f(training inputs),
-    and likewise the mass through ``mass_coef``."""
+    coef' f(x) with coef = (F'F + ridge I)^-1 F' [xi | masses], F = f(training
+    inputs)."""
 
     method = "df"
 
     net: MlpParams                      # inputs -> M features
-    coef: NDArray[np.float64]           # (M, r)
-    mass_coef: NDArray[np.float64]      # (M,)
+    coef: NDArray[np.float64]           # (M, r + 1)
     basis: OutcomeBasis
     final_loss: float = float("nan")
 
-    new_basis = staticmethod(_whitened_basis)
+    new_basis = staticmethod(_ridge_basis)
 
     @property
     def in_dim(self) -> int:
@@ -286,20 +281,19 @@ class FeatureHead:
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
         feats, _ = mlp_forward(self.net, x)
-        return self.coef.T @ feats.T, feats @ self.mass_coef
+        out = self.coef.T @ feats.T
+        return out[:-1], out[-1]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"kind": np.array(self.method), **_net_arrays(self.net),
-                "coef": self.coef, "mass_coef": self.mass_coef,
-                **_basis_arrays(self.basis), "final_loss": np.array(self.final_loss)}
+                "coef": self.coef, **_basis_arrays(self.basis),
+                "final_loss": np.array(self.final_loss)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "FeatureHead":
         net, basis = _net_from(arrays), _basis_from(arrays)
-        M = net.sizes[-1]
-        _agree(arrays, {"coef": (M, basis.size), "mass_coef": (M,)})
-        return cls(net, arrays["coef"], arrays["mass_coef"], basis,
-                   float(arrays["final_loss"]))
+        _agree(arrays, {"coef": (net.sizes[-1], basis.size + 1)})
+        return cls(net, arrays["coef"], basis, float(arrays["final_loss"]))
 
     @classmethod
     def solved(cls, net: MlpParams, inputs, xi, masses, basis: OutcomeBasis,
@@ -307,8 +301,8 @@ class FeatureHead:
         """The closed-form ridge head on the features of ``net``."""
         feats, _ = mlp_forward(net, inputs)
         factor = SpdFactor(feats.T @ feats, ridge)
-        return cls(net, factor.solve(feats.T @ xi), factor.solve(feats.T @ masses),
-                   basis, final_loss)
+        return cls(net, factor.solve(feats.T @ np.column_stack([xi, masses])), basis,
+                   final_loss)
 
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
@@ -321,9 +315,10 @@ class FeatureHead:
         ridge = (hyper.ridge0, hyper.ridge1)[stage]
         net = mlp_init([inputs.shape[1], *hyper.hidden, hyper.n_feats],
                        hyper.net_seeds()[stage])
+        coords = basis.whiten(xi)
 
         def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            loss, grad = df_trace_loss(psi, xi, ridge)
+            loss, grad = df_trace_loss(psi, coords, ridge)
             return loss / rows, grad / rows
 
         epochs = (hyper.epochs_df1, hyper.epochs_df2)[stage]
@@ -423,8 +418,7 @@ class FirstStage:
     x_cols: list[int] | None
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-        """Weights (r, T) over the head's basis and masses (T,) of mu0 at
-        the rows of x."""
+        """Weights (r, T) over the head's basis and masses (T,) of mu0 at x."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return self.head.embedding(x if self.x_cols is None else x[:, self.x_cols])
 
@@ -487,17 +481,21 @@ def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
                a: NDArray[np.float64], c: NDArray[np.float64],
                basis: OutcomeBasis | None = None,
                mu0: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
-    """Coordinates Xi (n, r) of the pseudo-outcomes xi_i = a_i phi(Y_i) + c_i mu0_i
-    over an outcome basis: Xi = diag(a) U(y1) + diag(c) mu0.
+    """Weights Xi (n, r) of the pseudo-outcomes xi_i = a_i phi(Y_i) + c_i mu0_i
+    over an outcome basis: Xi = diag(a) U(y1) + diag(c) mu0, with U(y1) the
+    bumps' weights (``OutcomeBasis.bumps``).
 
-    ``mu0`` holds the coordinates of the first-stage embedding at each row,
+    ``mu0`` holds the weights of the first-stage embedding at each row,
     shape (n, r); it is read only where c is nonzero.  The basis defaults to
-    the whitened one spanning y1, in which Xi Xi' is the pseudo-outcome Gram.
+    the one ``outcome_basis`` builds over y1.
     """
     y1 = np.asarray(y1, dtype=np.float64).reshape(-1, 1)   # scalar outcomes
     if basis is None:
         basis = outcome_basis(kernel_y, y1)
-    xi = a[:, None] * basis.coords(gram(kernel_y, basis.grid, y1)).T
+    live = a != 0                     # rows whose outcome enters xi
+    xi = np.zeros((len(y1), basis.size))
+    if live.any():
+        xi[live] = a[live, None] * basis.bumps(kernel_y, y1[live]).T
     if c.any():
         if mu0 is None:
             raise InvalidArgumentError("nonzero c weights need first-stage coordinates")
@@ -513,7 +511,8 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
                   ridge: float) -> tuple[float, NDArray[np.float64]]:
     """Unexplained pseudo-outcome energy of the closed-form head, with gradient.
 
-    With the pseudo-outcome Gram G = Xi Xi',
+    With ``xi`` the pseudo-outcomes' whitened coordinates (``basis.whiten``)
+    and their Gram G = Xi Xi',
 
     loss(Psi) = Tr(G (I - Psi S^-1 Psi')),  S = Psi' Psi + ridge I,
     grad      = -2 (I - Psi S^-1 Psi') G Psi S^-1,
@@ -559,7 +558,6 @@ class CcmeModel:
 
     variant: str
     kernel_y: KernelSpec
-    omega: NDArray[np.float64] | None
     second: KernelHead | FeatureHead | GridHead
     y_lo: float
     y_hi: float
@@ -613,7 +611,7 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         mu0, masses = basis.embed(kernel_y, weights0).T, a + c * masses0
     xi = build_k_xi(kernel_y, y1, a, c, basis, mu0)
     second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0])
-    return CcmeModel(variant, kernel_y, omega, second,
+    return CcmeModel(variant, kernel_y, second,
                      float(y_all.min()), float(y_all.max()), list(split.v_cols))
 
 

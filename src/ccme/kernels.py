@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError, NumericError
@@ -141,7 +141,7 @@ class SpdFactor:
 
 
 # Outcome basis: grid step and padding in outcome bandwidths, and the
-# smallest eigenvalue of the grid Gram kept, relative to the largest.
+# smallest eigenvalue of its Gram kept, relative to the largest.
 BASIS_STEP = 0.375
 BASIS_PAD = 3.0
 BASIS_CUTOFF = 1e-12
@@ -149,21 +149,23 @@ BASIS_CUTOFF = 1e-12
 
 @dataclass
 class OutcomeBasis:
-    """Coordinates u(y) of the outcome kernel's feature map over a grid z.
+    """Finite weights for outcome embeddings over a grid z; an embedding with
+    weights w evaluates to w'u(y), with u(y) from ``coords``.
 
-    With ``proj`` = L^-1/2 V' from the eigenpairs (L, V) of K(z), u(y) =
-    proj k(z, y) are whitened Nystrom coordinates (Williams & Seeger 2001):
-    u(y)'u(y') reproduces k(y, y') for outcomes the grid covers.  With
-    ``proj`` None, u(y) = k(z, y).  Either way an embedding with weights w
-    evaluates to w'u(y).
+    With ``proj`` = L^-1/2 V' from the eigenpairs (L, V) of K(z), the weights
+    are whitened Nystrom coordinates (Williams & Seeger 2001): a bump at y
+    has weights u(y) = proj k(z, y).  With ``root`` R, R R' = K(z), z holds
+    outcomes and the bump at z_l has weights e_l on the sections k(z_l, .).
+    With neither, u(y) = k(z, y) and targets are inner products with it.
     """
 
     grid: NDArray[np.float64]                 # (k, 1)
     proj: NDArray[np.float64] | None = None   # (r, k)
+    root: NDArray[np.float64] | None = None   # (k, r)
 
     @property
     def size(self) -> int:
-        """r, the number of coordinates."""
+        """r, the number of weights."""
         return int((self.grid if self.proj is None else self.proj).shape[0])
 
     def coords(self, sections: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -171,24 +173,48 @@ class OutcomeBasis:
         of ``sections``; shape (r, G)."""
         return sections if self.proj is None else self.proj @ sections
 
+    def bumps(self, kernel: KernelSpec, y: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Targets for the bumps at the outcomes y, shape (r, n)."""
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if self.root is None:
+            return self.coords(gram(kernel, self.grid, y))
+        out = (self.grid == y).astype(np.float64)
+        if not out.any(axis=0).all():
+            raise InvalidArgumentError("outcomes missing from the basis grid")
+        return out
+
     def embed(self, kernel: KernelSpec,
               weights: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Coordinates <e_l, mu> of the embeddings mu = sum_l w_l e_l whose
-        weights are the columns of ``weights``: the weights themselves in a
-        whitened basis, K(z) w over kernel sections."""
-        return weights if self.proj is not None else gram(kernel, self.grid) @ weights
+        """Targets for the embeddings whose weights are the columns of
+        ``weights``: the weights themselves, or K(z) w with neither form."""
+        plain = self.proj is None and self.root is None
+        return gram(kernel, self.grid) @ weights if plain else weights
+
+    def whiten(self, xi: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Rows of weights as coordinates with the kernel's inner product."""
+        return xi if self.root is None else xi @ self.root
 
 
 def outcome_basis(kernel: KernelSpec, y: NDArray[np.float64]) -> OutcomeBasis:
-    """Whitened basis on a uniform grid over the range of ``y``, padded by
-    BASIS_PAD bandwidths on each side at a step of BASIS_STEP bandwidths.
-    K(z) is numerically singular, so its eigenvalues below BASIS_CUTOFF
-    times the largest are dropped rather than inverted."""
-    y = np.asarray(y, dtype=np.float64).ravel()
+    """A basis for the bumps at ``y`` with no more weights than ``y`` has
+    distinct values: whitened over the points of a uniform grid, at a step
+    of BASIS_STEP bandwidths, within BASIS_PAD bandwidths (and a step) of
+    some outcome or, where those would outnumber the outcomes, sections at
+    the outcomes themselves.  K(z) is numerically singular, so eigenvalues
+    below BASIS_CUTOFF times the largest are dropped rather than inverted."""
+    ys = np.unique(np.asarray(y, dtype=np.float64))
     step, pad = BASIS_STEP * kernel.bandwidth, BASIS_PAD * kernel.bandwidth
-    offsets = step * np.arange(int(np.ceil((np.ptp(y) + 2.0 * pad) / step)) + 1)
-    # a uniform grid's Gram is Toeplitz: one row of kernel values at its offsets
-    vals, vecs = np.linalg.eigh(toeplitz(kernel.at(offsets ** 2, 1)))
+    # grid index j sits at ys[0] - pad + j step; the outcome ys[0] + t
+    # claims the indices from floor(t / step) to ceil((t + 2 pad) / step)
+    first = np.floor((ys - ys[0]) / step)[:, None]
+    last = np.ceil((ys - ys[0] + 2.0 * pad) / step)[:, None]
+    idx = np.unique(np.minimum(first + np.arange(2.0 * BASIS_PAD / BASIS_STEP + 3), last))
+    if len(idx) > len(ys) or not np.isfinite(idx[-1]):
+        vals, vecs = np.linalg.eigh(gram(kernel, ys))
+        keep = vals > BASIS_CUTOFF * vals[-1]
+        return OutcomeBasis(ys.reshape(-1, 1), root=vecs[:, keep] * np.sqrt(vals[keep]))
+    # a uniform grid's Gram depends on index differences only
+    vals, vecs = np.linalg.eigh(kernel.at((step * (idx[:, None] - idx)) ** 2, 1))
     keep = vals > BASIS_CUTOFF * vals[-1]
-    proj = (vecs[:, keep] / np.sqrt(vals[keep])).T
-    return OutcomeBasis((y.min() - pad + offsets).reshape(-1, 1), proj)
+    return OutcomeBasis((ys[0] - pad + step * idx).reshape(-1, 1),
+                        (vecs[:, keep] / np.sqrt(vals[keep])).T)

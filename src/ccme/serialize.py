@@ -4,7 +4,8 @@ Models are stored as a single .npz archive whose ``__meta__`` entry is a JSON
 document carrying a ``schema_version`` plus the model's scalar settings.  The
 stage-two head is stored as the arrays of its ``to_arrays`` under a
 ``second.`` prefix: its inputs or net, its map to basis weights and its
-outcome basis, all linear in the row count at most.  Every array round-trips
+outcome basis, whose grid has no more points than the data have distinct
+outcomes.  Every array round-trips
 bit-exactly.  Loading checks that the arrays agree with each other and with
 the meta and that every value is finite.  Writes go through a temp file and
 an atomic rename.
@@ -16,7 +17,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable, IO
 
 import numpy as np
 
@@ -24,19 +25,35 @@ from .errors import InvalidArgumentError
 from .estimators import VARIANTS, CcmeModel, head_from_arrays
 from .kernels import KernelSpec
 
-__all__ = ["SCHEMA_VERSION", "save_model", "load_model"]
+__all__ = ["SCHEMA_VERSION", "atomic_write", "save_model", "load_model"]
 
 # 3: the stage-two head alone, with its map to outcome-basis weights; 2 held
 # both stages' heads and their n x n factors
 SCHEMA_VERSION = 3
 
 
+def atomic_write(path: str, data: str | Callable[[IO[bytes]], Any]) -> None:
+    """Write ``data`` (text, or a function that writes to a binary file) to
+    ``path`` through a temp file in its directory and an atomic rename."""
+    out_dir = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(model: CcmeModel, path: str) -> None:
     """Write the model to ``path`` as an .npz archive (atomic replace)."""
     arrays = {f"second.{key}": value
               for key, value in model.second.to_arrays().items()}
-    if model.omega is not None:
-        arrays["omega"] = model.omega
     meta: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "variant": model.variant,
@@ -46,16 +63,7 @@ def save_model(model: CcmeModel, path: str) -> None:
         "v_cols": [int(i) for i in model.v_cols],
     }
     arrays["__meta__"] = np.array(json.dumps(meta))
-    out_dir = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_model(path: str) -> CcmeModel:
@@ -75,9 +83,6 @@ def load_model(path: str) -> CcmeModel:
     for key, value in arrays.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise InvalidArgumentError(f"{path}: {key} holds NaN or inf values")
-    omega = arrays.get("omega")
-    if omega is not None and omega.ndim != 1:
-        raise InvalidArgumentError(f"{path}: omega has shape {omega.shape}, not 1-d")
     second = head_from_arrays({key[len("second."):]: value
                                for key, value in arrays.items()
                                if key.startswith("second.")})
@@ -96,4 +101,4 @@ def load_model(path: str) -> CcmeModel:
             f"{second.in_dim}")
     if not (np.isfinite(y_lo) and np.isfinite(y_hi)):
         raise InvalidArgumentError(f"{path}: the outcome range is not finite")
-    return CcmeModel(meta["variant"], kernel_y, omega, second, y_lo, y_hi, v_cols)
+    return CcmeModel(meta["variant"], kernel_y, second, y_lo, y_hi, v_cols)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccme.errors import InvalidArgumentError
 from ccme.estimators import Hyper, build_k_xi, df_trace_loss, pseudo_weights
 from ccme.kernels import KernelSpec, OutcomeBasis, gram, outcome_basis
 
@@ -13,14 +14,16 @@ from oracles import exact_density, exact_k_xi, exact_trace_loss
 KY = Hyper().kernel_y()             # the benchmark's outcome kernel
 
 # Largest error of each quantity against its exact form, relative to its
-# scale.  Over 1000 examples the worst were 9.9e-13 (Gram), 3.2e-13 (loss),
-# 1.9e-13 (gradient) and 3.3e-13 (density).
+# scale.  Over 1000 examples (200 on a grid, 800 on sections at the outcomes)
+# the worst were 2.0e-12 (Gram), 2.6e-13 (loss), 2.8e-14 (gradient) and
+# 1.6e-13 (density).
 GRAM_TOL = 1e-11
 LOSS_TOL = GRAD_TOL = DENSITY_TOL = 5e-12
 
 
 def coords(basis, y):
-    return basis.coords(gram(KY, basis.grid, np.reshape(y, (-1, 1)))).T
+    """The bumps' weights over the basis, one row per outcome."""
+    return basis.bumps(KY, y).T
 
 
 @st.composite
@@ -54,13 +57,14 @@ def scale(a, c, e):
 def test_basis_matches_exact_forms(problem):
     y1, y0, a, c, e, psi, ridge, rng = problem
     basis = outcome_basis(KY, np.concatenate([y0, y1]))
-    mu0 = e.T @ coords(basis, y0)                 # whitened: weights = coordinates
+    mu0 = e.T @ coords(basis, y0)                 # mu0 is linear in the weights
     xi = build_k_xi(KY, y1, a, c, basis, mu0)
     g = exact_k_xi(KY, y1.reshape(-1, 1), a, c, e, y0.reshape(-1, 1))
     s = scale(a, c, e)
-    assert np.abs(xi @ xi.T - g).max() <= GRAM_TOL * s
+    w = basis.whiten(xi)
+    assert np.abs(w @ w.T - g).max() <= GRAM_TOL * s
 
-    loss, grad = df_trace_loss(psi, xi, ridge)
+    loss, grad = df_trace_loss(psi, w, ridge)
     loss_x, grad_x = exact_trace_loss(psi, g, ridge)
     n = y1.shape[0]
     assert abs(loss - loss_x) <= LOSS_TOL * n * s
@@ -78,31 +82,63 @@ def test_basis_matches_exact_forms(problem):
 
 class TestOutcomeBasis:
     def test_grid_spans_the_padded_range_at_the_set_step(self):
-        basis = outcome_basis(KY, np.array([0.1, 35.1, 7.0]))
+        basis = outcome_basis(KY, np.linspace(0.1, 35.1, 120))
         z = basis.grid.ravel()
         assert z[0] == pytest.approx(0.1 - 6.0) and z[-1] >= 35.1 + 6.0
         assert np.allclose(np.diff(z), 0.75)
-        assert basis.proj.shape == (basis.size, z.shape[0])
+        assert basis.proj.shape == (basis.size, z.shape[0]) and basis.root is None
 
     def test_coordinates_reproduce_the_grid_gram(self):
-        basis = outcome_basis(KY, np.array([-1.0, 3.0]))
+        basis = outcome_basis(KY, np.linspace(-1.0, 3.0, 40))
         u_z = coords(basis, basis.grid)
         k_z = gram(KY, basis.grid)
         assert np.abs(u_z @ u_z.T - k_z).max() <= 1e-12 * k_z.max()
 
-    def test_single_outcome_and_kernel_sections(self):
-        basis = outcome_basis(KY, np.array([2.0]))
-        assert basis.grid.shape[0] == 17
+    def test_grid_keeps_only_points_near_an_outcome(self):
+        # two dense clusters 1000 bandwidths apart: no grid point between them
+        y = np.concatenate([np.linspace(0.0, 10.0, 50), np.linspace(2000.0, 2010.0, 50)])
+        z = outcome_basis(KY, y).grid.ravel()
+        assert len(z) == 2 * len(outcome_basis(KY, y[:50]).grid)
+        near = np.abs(z[:, None] - y).min(axis=1)
+        assert near.max() <= 6.0 + 0.75
+        assert np.allclose(np.diff(z[z < 1000.0]), 0.75)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")   # 1e-150
+    @pytest.mark.parametrize("y,bandwidth", [
+        (np.linspace(0.0, 10000.0, 300), 2.0),        # a wide outcome range
+        (np.linspace(0.0, 35.0, 400), 0.01),           # a tiny outcome bandwidth
+        (np.array([2.0]), 2.0),                        # a single outcome
+        (np.array([0.0, 1e160]), 1e-150),             # grid indices past 1e308
+    ])
+    def test_sparse_outcomes_carry_the_weights_themselves(self, y, bandwidth):
+        """Where the grid would outnumber the outcomes, the basis is the
+        kernel sections at the outcomes: no more weights than outcomes, and
+        each bump has its exact weights."""
+        ky = KernelSpec(bandwidth=bandwidth, normalized=True)
+        basis = outcome_basis(ky, np.concatenate([y, y[::-1]]))
+        assert np.array_equal(basis.grid.ravel(), y) and basis.size == len(y)
+        u = basis.bumps(ky, y[::-1]).T
+        assert np.array_equal(u, np.eye(len(y))[::-1])
+        w = basis.whiten(u)
+        k_y = gram(ky, y[::-1])
+        assert np.abs(w @ w.T - k_y).max() <= 1e-12 * k_y.max()
+        with pytest.raises(InvalidArgumentError, match="missing"):
+            basis.bumps(ky, y[:1] + 0.5 * bandwidth)
+
+    def test_kernel_sections(self):
         sections = OutcomeBasis(np.array([[0.0], [1.0]]))
         k = gram(KY, sections.grid, np.array([[0.5]]))
         assert sections.coords(k) is k and sections.size == 2
+        assert np.array_equal(sections.bumps(KY, [0.5]), k)
         w = np.array([[1.0], [2.0]])
         assert np.allclose(sections.embed(KY, w), gram(KY, sections.grid) @ w)
-        assert basis.embed(KY, w) is w
+        assert sections.whiten(w) is w
+        dense = outcome_basis(KY, np.linspace(0.0, 30.0, 100))
+        assert dense.embed(KY, w) is w and dense.whiten(w) is w
 
     def test_unnormalized_kernel(self):
         ky = KernelSpec(bandwidth=0.7)
-        y = np.array([0.0, 0.4, 2.5])
-        basis = outcome_basis(ky, y)
-        u = basis.coords(gram(ky, basis.grid, y.reshape(-1, 1)))
-        assert np.abs(u.T @ u - gram(ky, y.reshape(-1, 1))).max() <= 1e-12
+        for y in (np.array([0.0, 0.4, 2.5]), np.linspace(0.0, 2.5, 30)):
+            basis = outcome_basis(ky, y)
+            w = basis.whiten(basis.bumps(ky, y).T)
+            assert np.abs(w @ w.T - gram(ky, y.reshape(-1, 1))).max() <= 1e-12

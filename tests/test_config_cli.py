@@ -314,16 +314,50 @@ class TestFit:
         assert vals.shape == (50, 3)
         assert np.isfinite(vals[:, 2]).all()
 
-    def test_clip_reaches_the_default_propensity(self, workdir, tmp_path):
+    def test_clip_reaches_the_default_propensity(self, workdir, tmp_path,
+                                                 monkeypatch):
         """--propensity auto on the benchmark layout honours --clip-lo."""
-        omega_max = {}
+        from ccme import data
+        real, omega_max = data.compute_omega, []
+
+        def spy(d1, propensity):
+            omega = real(d1, propensity)
+            omega_max.append(float(omega.max()))
+            return omega
+
+        monkeypatch.setattr(data, "compute_omega", spy)
         for lo in ("0.01", "0.3"):
-            model = str(tmp_path / f"m{lo}.npz")
             assert main(["fit", workdir["sim"], "--seed", "5", "--clip-lo", lo,
-                         "--model-out", model]) == 0
-            omega_max[lo] = float(load_model(model).omega.max())
-        assert omega_max["0.01"] > 1.0 / 0.3
-        assert omega_max["0.3"] <= 1.0 / 0.3
+                         "--model-out", str(tmp_path / f"m{lo}.npz")]) == 0
+        assert omega_max[0] > 1.0 / 0.3
+        assert omega_max[1] <= 1.0 / 0.3
+
+    @pytest.mark.parametrize("method", ["rr", "df"])
+    @pytest.mark.parametrize("spread,flags", [
+        (300.0, []),                               # outcomes spanning ~10,000
+        (1.0, ["--bandwidth-y", "0.01"]),          # a tiny outcome bandwidth
+    ])
+    def test_sparse_outcomes_fit_in_bounded_size(self, method, spread, flags,
+                                                 tmp_path):
+        """Outcomes sparse against the outcome bandwidth keep the basis, and
+        so every archive array, below n^2 entries."""
+        n = 200
+        sim = tmp_path / "s.csv"
+        assert main(["simulate", "--n", str(n), "--seed", "6", "--out", str(sim)]) == 0
+        lines = sim.read_text().splitlines()
+        rows = [line.rsplit(",", 1) for line in lines[1:]]
+        sim.write_text("\n".join([lines[0]] + [f"{head},{float(y) * spread!r}"
+                                               for head, y in rows]) + "\n")
+        model, out = str(tmp_path / "m.npz"), str(tmp_path / "d.csv")
+        nets = ["--n-feats", "4", "--hidden", "8", "--epochs-df1", "50",
+                "--epochs-df2", "20"]
+        assert main(["fit", str(sim), "--method", method, "--model-out", model,
+                     *flags, *nets]) == 0
+        with np.load(model, allow_pickle=False) as npz:
+            assert max(npz[key].size for key in npz.files) < n * n
+        assert main(["density", model, "--v", "1,1,1,1,1", "--grid-points",
+                     "50", "--out", out]) == 0
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
 
 
 class TestDensity:

@@ -154,7 +154,7 @@ class TestDfCurves:
         xi1 = build_k_xi(ky, y1, a, c, basis, first.embedding(x1)[0].T)
         masses = a + c * first.embedding(x1)[1]
         second = FeatureHead.solved(net1, v1, xi1, masses, basis, 2.0)
-        model = CcmeModel("dr", ky, omega, second, -0.6, 1.4, [0])
+        model = CcmeModel("dr", ky, second, -0.6, 1.4, [0])
         psi0, _ = mlp_forward(net0, x0t)
         psi1, _ = mlp_forward(net1, v1)
         cross, _ = mlp_forward(net0, x1)
@@ -229,7 +229,7 @@ class TestNkCurves:
         grid = np.array([[0.4], [-1.0]]) if grid_pts is None else grid_pts
         M = grid.shape[0]
         net = linear_net(np.zeros((M, 2)), bias)
-        return CcmeModel("onestep", ky, None, GridHead(net, OutcomeBasis(grid)),
+        return CcmeModel("onestep", ky, GridHead(net, OutcomeBasis(grid)),
                          -1.0, 1.0)
 
     def test_unit_coefficient_reads_off_kernel_section(self):

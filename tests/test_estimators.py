@@ -11,7 +11,7 @@ from ccme.errors import ConfigWarning, InvalidArgumentError, NumericError
 from ccme.estimators import (Hyper, build_k_xi, df_trace_loss, fit_ccme,
                              fit_first_stage, fit_second_stage, make_grid,
                              nk_loss_grad, pseudo_weights)
-from ccme.kernels import KernelSpec, SpdFactor, gram
+from ccme.kernels import KernelSpec, SpdFactor, gram, outcome_basis
 
 from conftest import make_dataset, make_split
 from oracles import feature_factor, kernel_eval, nk_minimizer
@@ -46,8 +46,14 @@ def embedding_values(first, x, kernel_y, y):
 
 
 def coords(basis, kernel_y, y):
-    """Basis coordinates U(y), one row per outcome."""
-    return basis.coords(gram(kernel_y, basis.grid, np.reshape(y, (-1, 1)))).T
+    """The bumps' weights U(y) over the basis, one row per outcome."""
+    return basis.bumps(kernel_y, y).T
+
+
+def xi_gram(basis, xi):
+    """The Gram of the pseudo-outcomes whose basis weights are the rows of xi."""
+    w = basis.whiten(xi)
+    return w @ w.T
 
 
 class TestHyper:
@@ -385,11 +391,12 @@ class TestKXi:
         split = make_split(n=16, seed=7)
         ky = KernelSpec(bandwidth=2.0, normalized=True)
         n = split.n
-        xi = build_k_xi(ky, split.d1.Y, np.ones(n), np.zeros(n))
-        # the coordinates reproduce the outcome Gram to the basis error,
+        basis = outcome_basis(ky, split.d1.Y)
+        xi = build_k_xi(ky, split.d1.Y, np.ones(n), np.zeros(n), basis)
+        # the weights reproduce the outcome Gram to the basis error,
         # 2.6e-13 of its largest entry as measured
         g = gram(ky, split.d1.Y)
-        assert np.abs(xi @ xi.T - g).max() <= 1e-12 * np.abs(g).max()
+        assert np.abs(xi_gram(basis, xi) - g).max() <= 1e-12 * np.abs(g).max()
 
     def test_ipw_is_conjugated_outcome_gram(self):
         split = make_split(n=16, seed=8)
@@ -397,9 +404,10 @@ class TestKXi:
         omega = np.random.default_rng(0).uniform(0.5, 3.0, size=split.n)
         omega[::3] = 0.0
         a, c = pseudo_weights("ipw", omega)
-        xi = build_k_xi(ky, split.d1.Y, a, c)
+        basis = outcome_basis(ky, split.d1.Y)
+        xi = build_k_xi(ky, split.d1.Y, a, c, basis)
         expect = np.diag(omega) @ gram(ky, split.d1.Y) @ np.diag(omega)
-        assert np.allclose(xi @ xi.T, expect, atol=1e-12)
+        assert np.allclose(xi_gram(basis, xi), expect, atol=1e-12)
 
     def test_zero_weight_row_is_identically_zero(self):
         split = make_split(n=16, seed=8)
@@ -424,7 +432,7 @@ class TestKXi:
         d1 = Dataset(np.array([[0.0], [0.6], [1.7]]), np.array([1, 0, 1]),
                      np.array([0.5, 0.1, -0.7]))
         split = manual_split(d0, d1)
-        xi, _ = self.pi_coords(split, d1.Y)
+        xi, first = self.pi_coords(split, d1.Y)
         # mu0 row coefficients from a dense solve, then the Gram entry by entry
         h = Hyper()
         x0t, y0t = split.x0_treated(), split.y0_treated()
@@ -437,7 +445,7 @@ class TestKXi:
                 for p in range(3):
                     for q in range(3):
                         expect[i, j] += E[p, i] * E[q, j] * k_bb[p, q]
-        assert np.allclose(xi @ xi.T, expect, atol=1e-10)
+        assert np.allclose(xi_gram(first.head.basis, xi), expect, atol=1e-10)
 
     def test_pi_ignores_second_stage_outcomes(self):
         split = make_split(n=16, seed=9)
@@ -454,7 +462,7 @@ class TestKXi:
         a, c = pseudo_weights("dr", omega)
         xi = build_k_xi(Hyper().kernel_y(), split.d1.Y, a, c, first.head.basis,
                         first.embedding(split.x1())[0].T)
-        g = xi @ xi.T
+        g = xi_gram(first.head.basis, xi)
         assert np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(g).min() >= -1e-12 * np.abs(g).max()
 
@@ -572,7 +580,8 @@ class TestNetStages:
         sizes = [split.d0.X.shape[1], *tiny_hyper.hidden, tiny_hyper.n_feats]
         init = mlp_init(sizes, tiny_hyper.net_seeds()[0])
         psi_init, _ = mlp_forward(init, split.x0_treated())
-        xi0 = coords(first.head.basis, tiny_hyper.kernel_y(), split.y0_treated())
+        basis = first.head.basis
+        xi0 = basis.whiten(coords(basis, tiny_hyper.kernel_y(), split.y0_treated()))
         start = df_trace_loss(psi_init, xi0, tiny_hyper.ridge0)[0] / split.m
         assert first.head.final_loss < start
 

@@ -76,10 +76,6 @@ class TestRoundTrip:
         back = load_model(path)
         assert back.method == model.method
         assert back.variant == model.variant
-        if model.omega is None:
-            assert back.omega is None
-        else:
-            assert np.array_equal(back.omega, model.omega)
         assert_same_heads(back, model)
         vq = split.v1[:2]
         grid = default_grid(model, 25)
@@ -95,12 +91,10 @@ class TestRoundTrip:
         assert back.second.kernel == model.second.kernel
         assert np.array_equal(back.second.points, model.second.points)
         assert np.array_equal(back.second.coef, model.second.coef)
-        assert np.array_equal(back.second.mass_coef, model.second.mass_coef)
         assert np.array_equal(back.second.basis.grid, model.second.basis.grid)
         assert np.array_equal(back.second.basis.proj, model.second.basis.proj)
         assert back.y_lo == model.y_lo and back.y_hi == model.y_hi
         assert back.v_cols == model.v_cols
-        assert np.array_equal(back.omega, model.omega)
 
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
     def test_no_array_grows_with_the_square_of_the_rows(self, method, tmp_path,
@@ -109,7 +103,7 @@ class TestRoundTrip:
         model, split = fit_model(method, n=60, hyper=h)
         arrays = saved_arrays(model, tmp_path)
         assert max(a.size for a in arrays.values()) < split.n ** 2
-        assert not {"a", "c", "cross_cache"} & set(arrays)
+        assert not {"a", "c", "omega", "cross_cache"} & set(arrays)
         assert not any(k.startswith("first.") for k in arrays)
 
     def test_overwrite_in_place(self, tmp_path):
@@ -149,7 +143,7 @@ class TestSchemaChecks:
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method,key", [
         ("rr", "second.points"), ("rr", "second.coef"),
-        ("rr", "second.mass_coef"), ("rr", "second.basis.grid"),
+        ("rr", "second.basis.grid"),
         ("rr", "second.basis.proj"), ("df", "second.coef"),
         ("df", "second.net.w1"), ("df", "second.net.b0"),
         ("nk", "second.basis.grid"), ("nk", "second.net.w1"),
