@@ -7,7 +7,7 @@ outputs are written to a temp file and renamed into place.
 
 Exit codes: 0 success, 2 I/O failure, 3 parse failure (flags, config files,
 CSV inputs, dimension mismatches), 4 degenerate data or configuration,
-5 numeric failure.
+5 numeric failure, 6 internal error (any other exception: a bug).
 """
 
 from __future__ import annotations
@@ -384,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _status(f"i/o failure: {exc}")
         return 2
+    except Exception as exc:  # noqa: BLE001 - the last resort, MemoryError too
+        _status(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}")
+        return 6
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ the ``CCME_THREADS`` environment variable over the defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import Hyper, METHODS, VARIANTS
+from .kernels import usable_bandwidth
 from .synthbench import normalize_scenario
 
 __all__ = ["load_config_file", "merge_config", "parse_override",
@@ -101,9 +103,14 @@ def validate_config(cfg: Hyper) -> None:
     if not (0.0 < cfg.clip_lo < cfg.clip_hi < 1.0):
         raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, "
                           f"got ({cfg.clip_lo}, {cfg.clip_hi})")
-    for name in ("bandwidth_x", "bandwidth_v", "bandwidth_y", "ridge0", "ridge1"):
-        if not (getattr(cfg, name) > 0):
-            raise ConfigError(f"{name} must be positive")
+    for name in ("bandwidth_x", "bandwidth_v", "bandwidth_y"):
+        if not usable_bandwidth(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite and positive, with 2 {name}^2 "
+                              f"a normal float, got {getattr(cfg, name)}")
+    for name in ("ridge0", "ridge1"):
+        if not (0 < getattr(cfg, name) < math.inf):
+            raise ConfigError(f"{name} must be finite and positive, "
+                              f"got {getattr(cfg, name)}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
     if cfg.n < 4:

@@ -251,12 +251,20 @@ class KernelHead:
                         "coef": (n, basis.size + 1)})
         return cls(_kernel_from(arrays), points, arrays["coef"], basis)
 
+    @staticmethod
+    def factor(inputs, hyper: Hyper, stage: int) -> SpdFactor:
+        """K(inputs) + ridge I under the stage's kernel and ridge, factored:
+        what ``fit`` solves with, whatever the targets."""
+        kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
+        return SpdFactor(gram(kernel, inputs), (hyper.ridge0, hyper.ridge1)[stage])
+
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
-            lr_rows: int) -> "KernelHead":
+            lr_rows: int, factor: SpdFactor | None = None) -> "KernelHead":
+        """``factor`` is ``factor(inputs, hyper, stage)``, passed by fits
+        that share their inputs."""
+        factor = cls.factor(inputs, hyper, stage) if factor is None else factor
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
-        ridge = (hyper.ridge0, hyper.ridge1)[stage]
-        factor = SpdFactor(gram(kernel, inputs), ridge)
         return cls(kernel, inputs, factor.solve(np.column_stack([xi, masses])), basis)
 
 
@@ -571,11 +579,16 @@ class CcmeModel:
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
                      hyper: Hyper,
-                     grid: NDArray[np.float64] | None = None) -> CcmeModel:
+                     grid: NDArray[np.float64] | None = None, *,
+                     factor: SpdFactor | None = None) -> CcmeModel:
     """Regress pseudo-outcomes on V over D1 and package the fitted model.
 
     ``first`` may be None for ``ipw``, whose pseudo-outcomes never read mu0;
-    the stage then builds the basis the first stage would have built.
+    the stage then builds the basis the first stage would have built.  An rr
+    stage two over all of D1 (every variant but ``onestep``) solves with
+    K(V1) + ridge1 I whatever its pseudo-outcomes; callers that fit several
+    variants on one split pass it as ``factor``, from
+    ``KernelHead.factor(split.v1, hyper, 1)``.
     """
     head_cls = _head_class(method)
     if variant not in VARIANTS:
@@ -610,22 +623,34 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         weights0, masses0 = first.embedding(split.x1())
         mu0, masses = basis.embed(kernel_y, weights0).T, a + c * masses0
     xi = build_k_xi(kernel_y, y1, a, c, basis, mu0)
-    second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0])
+    extra = () if factor is None else (factor,)       # only rr's head takes one
+    second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0], *extra)
     return CcmeModel(variant, kernel_y, second,
                      float(y_all.min()), float(y_all.max()), list(split.v_cols))
 
 
 def fit_ccme(split: SplitDataset, method: str, variant: str,
              propensity: PropensityModel | None, hyper: Hyper,
-             grid: NDArray[np.float64] | None = None) -> CcmeModel:
-    """Fit both stages on a split dataset and return the packaged model."""
+             grid: NDArray[np.float64] | None = None, *,
+             omega: NDArray[np.float64] | None = None,
+             first: FirstStage | None = None,
+             factor: SpdFactor | None = None) -> CcmeModel:
+    """Fit both stages on a split dataset and return the packaged model.
+
+    Callers that fit several models on one split pass the nuisances those
+    share, each fitted once: ``omega`` in place of the propensity, the
+    ``first`` stage (not read by ``ipw``) and the rr stage-two ``factor``
+    (see ``fit_second_stage``).  ``onestep`` reads none of them.
+    """
     from .data import compute_omega
 
     if variant == "onestep":
         return fit_second_stage(split, method, variant, None, None, hyper, grid)
-    if propensity is None:
-        raise InvalidArgumentError(f"variant {variant!r} needs a propensity model")
-    omega = compute_omega(split.d1, propensity)
-    # ipw has c = 0, so its pseudo-outcomes never read the first stage
-    first = None if variant == "ipw" else fit_first_stage(split, method, hyper, grid)
-    return fit_second_stage(split, method, variant, first, omega, hyper, grid)
+    if omega is None:
+        if propensity is None:
+            raise InvalidArgumentError(f"variant {variant!r} needs a propensity model")
+        omega = compute_omega(split.d1, propensity)
+    if first is None and variant != "ipw":   # ipw has c = 0: it never reads mu0
+        first = fit_first_stage(split, method, hyper, grid)
+    return fit_second_stage(split, method, variant, first, omega, hyper, grid,
+                            factor=factor)

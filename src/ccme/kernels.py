@@ -22,9 +22,21 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["KernelSpec", "gram", "SpdFactor", "OutcomeBasis", "outcome_basis"]
+__all__ = ["KernelSpec", "usable_bandwidth", "gram", "SpdFactor", "OutcomeBasis",
+           "outcome_basis"]
 
 _FAMILIES = ("gaussian",)
+
+
+def usable_bandwidth(bandwidth: float) -> bool:
+    """Whether ``bandwidth`` is finite and positive and 2 bandwidth^2, the
+    divisor in ``KernelSpec.at``, is a positive normal float: below about
+    1e-154 it is subnormal or 0 (a NaN Gram diagonal), and above about 1e154
+    it overflows (a constant Gram)."""
+    if not bandwidth > 0:              # NaN too
+        return False
+    two_var = 2.0 * float(bandwidth) * float(bandwidth)
+    return np.finfo(np.float64).tiny <= two_var < np.inf
 
 
 @dataclass(frozen=True)
@@ -44,8 +56,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise InvalidArgumentError(f"unknown kernel family: {self.family!r}")
-        if not (self.bandwidth > 0):
-            raise InvalidArgumentError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not usable_bandwidth(self.bandwidth):
+            raise InvalidArgumentError(
+                "bandwidth must be finite and positive, with 2 bandwidth^2 a "
+                f"normal float, got {self.bandwidth}")
 
     def norm_const(self, dim: int) -> float:
         """The normalization factor (sqrt(2 pi) sigma)^(-dim), or 1.0 if unnormalized."""
@@ -116,8 +130,8 @@ class SpdFactor:
         K = np.asarray(K, dtype=np.float64)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise InvalidArgumentError(f"K must be square, got shape {K.shape}")
-        if not (ridge > 0):
-            raise InvalidArgumentError(f"ridge must be > 0, got {ridge}")
+        if not (0 < ridge < np.inf):
+            raise InvalidArgumentError(f"ridge must be finite and > 0, got {ridge}")
         self.matrix = K + ridge * np.eye(K.shape[0])
         self.ridge = float(ridge)
         self._factor = _cholesky(self.matrix, f"(K + {ridge} I)")

@@ -27,10 +27,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import blas
-from .data import Dataset, split_data
+from .data import Dataset, compute_omega, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import METHODS, VARIANTS, CcmeModel, Hyper, fit_ccme
+from .estimators import (METHODS, VARIANTS, CcmeModel, Hyper, KernelHead,
+                         fit_ccme, fit_first_stage)
 from .propensity import DEFAULT_CLIP, PropensityModel, fit_forest, fit_logistic
 
 __all__ = [
@@ -222,43 +223,110 @@ def scenario_x_cols(scenario: str) -> list[int] | None:
     return None
 
 
+def _propensity_kind(scenario: str) -> str:
+    """The scenario's propensity model: logistic in b, a forest otherwise."""
+    return "logistic" if normalize_scenario(scenario) == "b" else "forest"
+
+
 def scenario_propensity(scenario: str, d0_X: NDArray[np.float64],
                         d0_A: NDArray[np.float64], seed: int,
                         clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
     """Fit the scenario's propensity model on the D0 half, clipped to ``clip``."""
-    if normalize_scenario(scenario) == "b":
+    if _propensity_kind(scenario) == "logistic":
         return fit_logistic(d0_X, d0_A, clip=clip)
     return fit_forest(d0_X, d0_A, seed=seed, clip=clip)
 
 
+def _shared_part(shared: dict, key: tuple, build):
+    """``build()``, run once per ``key`` in a sweep group's ``shared`` dict.
+    A part that raised is not rebuilt: each later request raises its error."""
+    if key not in shared:
+        try:
+            shared[key] = build()
+        except Exception as exc:  # noqa: BLE001 - raised again for every cell
+            shared[key] = exc.with_traceback(None)
+    part = shared[key]
+    if isinstance(part, Exception):
+        raise part
+    return part
+
+
 def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
-             grid_points: int = 1000) -> SweepRecord:
+             grid_points: int = 1000, *, shared: dict | None = None) -> SweepRecord:
     """Fit one (method, variant, scenario, n, seed) cell and score it.
 
-    The dataset, split, nets, and propensity are seeded from (n, seed) only,
-    so every method and variant in a sweep sees identical draws.
+    The dataset, split, nets and propensity are seeded from (n, seed) only,
+    so every method and variant in a sweep sees identical draws.  The cells
+    of one (n, seed) group therefore share parts of their fits, which
+    ``run_sweep`` builds once per group and keeps in a ``shared`` dict:
+
+    - the data and its split (each scenario sets its ``x_cols``);
+    - omega from each propensity model (forest, or logistic in scenario b);
+    - the first stage, per method and ``x_cols``;
+    - rr's stage-two factor of K(V1) + ridge1 I, the same for dr, ipw and
+      pi in every scenario;
+    - the ``onestep`` score, per method: it reads neither the propensity
+      nor ``x_cols``, so its cells in every scenario are one fit.
+
+    Without ``shared`` the cell builds every part itself.  The record's
+    ``seconds`` include the parts this cell built first.  A part that
+    raised makes every cell needing it a row with that error.
     """
+    shared = {} if shared is None else shared
     start = time.perf_counter()
     try:
-        data, _ = generate(DgpConfig(2 * cell.n, _derived_seed(2026, cell.n, cell.seed),
-                                     cell.scenario))
-        split = split_data(data, _derived_seed(2027, cell.n, cell.seed), V_COLS,
-                           scenario_x_cols(cell.scenario))
-        cell_hyper = replace(hyper, net_seed=_derived_seed(2028, cell.n, cell.seed))
-        prop = None
-        if cell.variant != "onestep":
-            prop = scenario_propensity(cell.scenario, split.d0.X, split.d0.A,
-                                       _derived_seed(2029, cell.n, cell.seed),
-                                       hyper.clip())
-        model = fit_ccme(split, cell.method, cell.variant, prop, cell_hyper)
-        y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
-        grid = np.linspace(y.min() - 2.0, y.max() + 2.0, grid_points)
-        score = mse(model, GroundTruth(), test_v, grid)
+        def fit_and_score() -> float:
+            return _fit_and_score(cell, shared, hyper, test_v, grid_points)
+
+        score = (_shared_part(shared, ("onestep", cell.method), fit_and_score)
+                 if cell.variant == "onestep" else fit_and_score())
         err = ""
     except Exception as exc:  # noqa: BLE001 - cell failures become rows
         score, err = float("nan"), f"{type(exc).__name__}: {exc}"
     return SweepRecord(cell.method, cell.variant, cell.scenario, cell.n,
                        cell.seed, score, time.perf_counter() - start, err)
+
+
+def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
+                   test_v: NDArray[np.float64], grid_points: int) -> float:
+    n, seed = cell.n, cell.seed
+    split = _shared_part(shared, ("split",), lambda: split_data(
+        generate(DgpConfig(2 * n, _derived_seed(2026, n, seed)))[0],
+        _derived_seed(2027, n, seed), V_COLS))
+    x_cols = scenario_x_cols(cell.scenario)
+    split = replace(split, x_cols=x_cols)
+    cell_hyper = replace(hyper, net_seed=_derived_seed(2028, n, seed))
+    nuisances = {}
+    if cell.variant != "onestep":
+        nuisances["omega"] = _shared_part(
+            shared, ("omega", _propensity_kind(cell.scenario)),
+            lambda: compute_omega(split.d1, scenario_propensity(
+                cell.scenario, split.d0.X, split.d0.A,
+                _derived_seed(2029, n, seed), hyper.clip())))
+        if cell.variant != "ipw":
+            nuisances["first"] = _shared_part(
+                shared, ("first", cell.method, str(x_cols)),
+                lambda: fit_first_stage(split, cell.method, cell_hyper))
+        if cell.method == "rr":
+            nuisances["factor"] = _shared_part(
+                shared, ("factor",), lambda: KernelHead.factor(split.v1, cell_hyper, 1))
+    model = fit_ccme(split, cell.method, cell.variant, None, cell_hyper, **nuisances)
+    y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
+    grid = np.linspace(y.min() - 2.0, y.max() + 2.0, grid_points)
+    return mse(model, GroundTruth(), test_v, grid)
+
+
+def _run_group(cells: list[SweepCell], hyper: Hyper, test_v: NDArray[np.float64],
+               grid_points: int, progress=None) -> list[SweepRecord]:
+    """Run the cells of one (n, seed) group in order over one ``shared``
+    dict, which is dropped when they are done."""
+    shared: dict = {}
+    records = []
+    for cell in cells:
+        records.append(run_cell(cell, hyper, test_v, grid_points, shared=shared))
+        if progress is not None:
+            progress(records[-1])
+    return records
 
 
 def _usable_cores() -> int:
@@ -274,11 +342,15 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
               progress=None) -> list[SweepRecord]:
     """Run all cells against one fixed evaluation set and return sorted records.
 
+    Cells run in groups of one (n, seed), which share their data, propensity
+    fits, first stages, rr stage-two factor and ``onestep`` scores (see
+    ``run_cell``); a group's shared parts are dropped when it ends.
     Individual cell failures are recorded as rows with an error message, not
     raised.  Kernel-ridge cells above n = 20000 are rejected up front: their
     Gram factorizations do not fit a reasonable memory budget.  ``progress``
-    is called with each record as its cell finishes.  With ``threads > 1``
-    the cells run in that many worker processes, which split the usable
+    is called with each record as its cell finishes, or with threads > 1, as
+    its group finishes.  With ``threads > 1`` each group is one task for a
+    pool of min(threads, groups) worker processes, which split the usable
     cores among their BLAS threads, one thread each at least; more workers
     than cores still oversubscribe them.
     """
@@ -291,6 +363,9 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
             raise ConfigError(f"unknown variant {cell.variant!r}")
     hyper = hyper or Hyper()
     test_v = eval_points(test_points, eval_seed)
+    groups: dict[tuple[int, int], list[SweepCell]] = {}
+    for cell in cells:
+        groups.setdefault((cell.n, cell.seed), []).append(cell)
     records = []
 
     def done(rec: SweepRecord) -> None:
@@ -298,17 +373,18 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
         if progress is not None:
             progress(rec)
 
-    if threads > 1:
-        blas_threads = max(1, _usable_cores() // threads)
-        with ProcessPoolExecutor(max_workers=threads, initializer=blas.set_threads,
-                                 initargs=(blas_threads,)) as pool:
-            futures = [pool.submit(run_cell, cell, hyper, test_v, grid_points)
-                       for cell in cells]
+    if threads > 1 and groups:
+        workers = min(threads, len(groups))
+        with ProcessPoolExecutor(max_workers=workers, initializer=blas.set_threads,
+                                 initargs=(max(1, _usable_cores() // workers),)) as pool:
+            futures = [pool.submit(_run_group, group, hyper, test_v, grid_points)
+                       for group in groups.values()]
             for future in as_completed(futures):
-                done(future.result())
+                for rec in future.result():
+                    done(rec)
     else:
-        for cell in cells:
-            done(run_cell(cell, hyper, test_v, grid_points))
+        for group in groups.values():
+            _run_group(group, hyper, test_v, grid_points, done)
     records.sort(key=lambda r: (r.method, r.variant, r.scenario, r.n, r.seed))
     return records
 

@@ -65,7 +65,9 @@ class TestConfig:
         for bad in (Hyper(method="xx"), Hyper(variant="xx"),
                     Hyper(propensity="xx"), Hyper(clip_lo=0.9, clip_hi=0.1),
                     Hyper(threads=0), Hyper(n=3), Hyper(ridge0=0.0),
-                    Hyper(methods=["rr", "zz"])):
+                    Hyper(methods=["rr", "zz"]), Hyper(bandwidth_y=1e-300),
+                    Hyper(bandwidth_x=float("inf")), Hyper(bandwidth_v=1e155),
+                    Hyper(bandwidth_y=float("nan")), Hyper(ridge1=float("inf"))):
             with pytest.raises(ConfigError):
                 validate_config(bad)
         ok = Hyper(scenario="BothCorrect")
@@ -85,8 +87,10 @@ _SETTINGS = {
     "propensity": st.sampled_from(["auto", "forest", "logistic", "oracle"]),
     "seed": st.integers(0, 2**32), "net_seed": st.integers(0, 2**32),
     "threads": st.integers(1, 64),
-    "bandwidth_x": _floats(0.0), "bandwidth_v": _floats(0.0),
-    "bandwidth_y": _floats(0.0), "ridge0": _floats(0.0), "ridge1": _floats(0.0),
+    # bandwidths whose 2 bandwidth^2 is a normal float
+    "bandwidth_x": _floats(1e-150, 1e150), "bandwidth_v": _floats(1e-150, 1e150),
+    "bandwidth_y": _floats(1e-150, 1e150), "ridge0": _floats(0.0),
+    "ridge1": _floats(0.0),
     "n_feats": st.integers(1, 500),
     "hidden": st.lists(st.integers(1, 500), min_size=1),
     "momentum": _floats(), "lr_df": _floats(), "lr_nk": _floats(),
@@ -557,6 +561,46 @@ class TestReport:
         write_sweep_csv(mangled, ["rr,dr,a,abc,0,0.5,0.1,"])
         assert main(["report", str(mangled)]) == 3
         assert main(["report", str(tmp_path / "missing.csv")]) == 2
+
+
+class TestExitCodes:
+    """Every failure exits with its documented code and one stderr line."""
+
+    CASES = {
+        "missing-csv": (2, ["fit", "{missing}"]),
+        "nan-in-csv": (3, ["fit", "{nan}"]),
+        "bandwidth-y-1e-300": (4, ["fit", "{sim}", "--bandwidth-y", "1e-300"]),
+        "bandwidth-x-inf": (4, ["fit", "{sim}", "--bandwidth-x", "inf"]),
+        "ridge1-inf": (4, ["fit", "{sim}", "--ridge1", "inf"]),
+        "diverging-df-fit": (5, ["fit", "{sim}", "--method", "df", "--lr-df", "1e3",
+                                 "--epochs-df1", "200", "--epochs-df2", "50"]),
+        "command-raises": (6, ["simulate"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_failure_exits_with_its_code(self, case, workdir, tmp_path, capsys,
+                                         monkeypatch):
+        from ccme import cli
+
+        def raises(cfg, args):
+            raise RuntimeError("injected\nover two lines")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", raises)
+        lines = Path(workdir["sim"]).read_text().splitlines()
+        lines[5] = "nan" + lines[5][lines[5].index(","):]       # x1 of one row
+        (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+        paths = {"sim": workdir["sim"], "nan": str(tmp_path / "nan.csv"),
+                 "missing": str(tmp_path / "nope.csv")}
+        code, argv = self.CASES[case]
+        out = str(tmp_path / "out")
+        argv = [arg.format(**paths) for arg in argv] + [
+            "--model-out" if argv[0] == "fit" else "--out", out]
+        capsys.readouterr()
+        assert main(argv) == code
+        std = capsys.readouterr()
+        assert len(std.err.strip().splitlines()) == 1, std.err
+        assert "Traceback" not in std.err + std.out
+        assert not os.path.exists(out)
 
 
 class TestMainDispatch:

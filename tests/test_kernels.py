@@ -42,8 +42,12 @@ class TestKernelEval:
             KernelSpec(family="laplace")
 
     def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            KernelSpec(bandwidth=0.0)
+        """Also a non-finite one, and one whose 2 bandwidth^2 underflows
+        (a NaN Gram diagonal) or overflows (a constant Gram)."""
+        for bad in (0.0, -1.0, np.nan, np.inf, 1e-300, 1e-154, 1e155):
+            with pytest.raises(InvalidArgumentError):
+                KernelSpec(bandwidth=bad)
+        assert KernelSpec(bandwidth=1e-153).bandwidth == 1e-153
 
     def test_norm_const_dimension_scaling(self):
         spec = KernelSpec(bandwidth=2.0, normalized=True)
@@ -132,8 +136,9 @@ class TestRegularizedSolve:
         assert err.value.pivot == 1
 
     def test_nonpositive_ridge_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            SpdFactor(np.eye(2), 0.0).solve(np.ones(2))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError):
+                SpdFactor(np.eye(2), bad).solve(np.ones(2))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(InvalidArgumentError):

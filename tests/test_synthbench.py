@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ccme import synthbench
-from ccme.errors import ConfigError, InvalidArgumentError
+from ccme import estimators, synthbench
+from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
 from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
@@ -288,11 +288,98 @@ class TestSweep:
         assert all(np.isfinite(r.mse) for r in records)
 
 
-def record_blas_threads(cell, hyper, test_v, grid_points):
+def record_blas_threads(cell, hyper, test_v, grid_points, *, shared=None):
     """Stands in for run_cell in a sweep worker: reports the worker's
     OpenBLAS thread counts in the record's error field."""
     return SweepRecord(cell.method, cell.variant, cell.scenario, cell.n,
                        cell.seed, 0.0, 0.0, str(openblas_counts()))
+
+
+class TestSweepGroups:
+    """run_sweep builds the parts that the cells of one (n, seed) group share
+    once per group; run_cell on a cell alone builds every part itself."""
+
+    def test_groups_give_the_records_of_cells_alone(self, tiny_hyper):
+        cells = plan_cells(["rr", "df", "nk"], list(synthbench.VARIANTS),
+                           ["a", "b", "c"], [30], [1, 2])
+        failing = plan_cells(["rr", "df", "nk"], list(synthbench.VARIANTS),
+                             ["a", "b", "c"], [2], [1])   # no treated D0 row
+        test_v = eval_points(5)
+        alone = sorted((run_cell(c, tiny_hyper, test_v, 20) for c in cells + failing),
+                       key=lambda r: (r.method, r.variant, r.scenario, r.n, r.seed))
+        assert all(r.error == "" for r in alone if r.n == 30)
+        assert all(r.error.startswith("DegenerateDataError") for r in alone if r.n == 2)
+        for threads in (1, 2):
+            grouped = run_sweep(cells + failing, tiny_hyper, test_points=5,
+                                grid_points=20, threads=threads)
+            assert [(r.method, r.variant, r.scenario, r.n, r.seed, r.error)
+                    for r in grouped] == [
+                (r.method, r.variant, r.scenario, r.n, r.seed, r.error) for r in alone]
+            assert [r.mse.hex() for r in grouped] == [r.mse.hex() for r in alone]
+
+    def test_a_shared_part_is_built_once_per_group(self, monkeypatch, tiny_hyper):
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+        for name in ("generate", "scenario_propensity", "fit_first_stage", "fit_ccme"):
+            counting(synthbench, name)
+        counting(estimators, "SpdFactor")
+        cells = plan_cells(["rr"], list(synthbench.VARIANTS), ["a", "b", "c"],
+                           [30], [1, 2])
+        records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20)
+        assert all(r.error == "" for r in records)
+        per_group = {"generate": 1, "scenario_propensity": 2,   # forest, logistic
+                     "fit_first_stage": 2,                      # all x, no x6
+                     "fit_ccme": 3 * 3 + 1,
+                     "SpdFactor": 2 + 1 + 1}       # first stages, stage two, onestep
+        assert {name: calls.count(name) for name in per_group} == {
+            name: 2 * count for name, count in per_group.items()}
+        onestep = [r.mse for r in records if r.variant == "onestep"]
+        assert len(onestep) == 6 and len(set(onestep)) == 2
+
+    def test_a_failed_part_fails_each_cell_that_needs_it(self, monkeypatch):
+        built = []
+
+        def failing_forest(*args, **kwargs):
+            built.append(1)
+            raise DegenerateDataError("one class in D0")
+
+        monkeypatch.setattr(synthbench, "fit_forest", failing_forest)
+        cells = plan_cells(["rr"], ["dr", "ipw", "onestep"], ["a", "b", "c"],
+                           [30], [1])
+        records = run_sweep(cells, test_points=5, grid_points=20)
+        failed = {(r.variant, r.scenario) for r in records if r.error}
+        assert failed == {(v, s) for v in ("dr", "ipw") for s in ("a", "c")}
+        assert {r.error for r in records if r.error} == {
+            "DegenerateDataError: one class in D0"}
+        assert built == [1]
+
+    @pytest.mark.parametrize("threads, seeds, workers",
+                             [(4, (1, 2), 2), (2, (1, 2, 3), 2), (3, (1,), 1),
+                              (2, (), 0)])
+    def test_pool_has_a_worker_per_group_up_to_threads(self, monkeypatch, threads,
+                                                       seeds, workers):
+        pools = []
+
+        class Pool(synthbench.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append((max_workers, kwargs["initargs"]))
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(synthbench, "ProcessPoolExecutor", Pool)
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        cells = [SweepCell("rr", v, "a", 2, s) for v in ("dr", "pi") for s in seeds]
+        records = run_sweep(cells, test_points=5, grid_points=20, threads=threads)
+        assert len(records) == len(cells)
+        assert pools == ([(workers, (max(1, usable // workers),))] if workers else [])
 
 
 class TestLoglogSlope:
