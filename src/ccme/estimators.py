@@ -424,11 +424,17 @@ class FirstStage:
 
     head: KernelHead | FeatureHead | GridHead
     x_cols: list[int] | None
+    _last: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-        """Weights (r, T) over the head's basis and masses (T,) of mu0 at x."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.head.embedding(x if self.x_cols is None else x[:, self.x_cols])
+        """Weights (r, T) over the head's basis and masses (T,) of mu0 at x.
+        The result for the last array read is kept, as a sweep group's variants
+        read one first stage at one D1; neither may be changed in place."""
+        if not self._last or self._last[0] is not x:
+            rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            self._last = (x, self.head.embedding(
+                rows if self.x_cols is None else rows[:, self.x_cols]))
+        return self._last[1]
 
 
 def make_grid(y: NDArray[np.float64], n_points: int, pad: float) -> NDArray[np.float64]:

@@ -2,9 +2,12 @@
 and an oracle passthrough, all with clipped probability outputs.
 
 The forest follows the canonical recipe: bootstrap resample per tree, Gini
-impurity splits over every feature at each node, midpoint thresholds.
-Each tree's random stream is derived from (seed, tree index) so fits are
-reproducible regardless of evaluation order.
+impurity splits over every feature at each node, midpoint thresholds.  It
+sorts the rows once per forest (presorted split search, as in SLIQ) and
+scans each node's rows weighted by their bootstrap counts, which grows the
+same trees as sorting each node's resampled rows.  Each tree's random
+stream is derived from (seed, tree index) so fits are reproducible
+regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -89,14 +92,24 @@ def logistic_loss_grad(coef: NDArray, intercept: float, X: NDArray,
     return loss, X.T @ r, float(r.sum())
 
 
-def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
-                 epochs: int = 2000, lr: float = 0.1,
-                 clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
-    """Unpenalized logistic regression by full-batch gradient descent."""
+def _labelled(X: NDArray, A: NDArray) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Covariates as (n, d) float64 and one 0/1 label per row, or raise."""
     X = np.asarray(X, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != A.shape[0]:
         raise InvalidArgumentError("X must be (n, d) with one label per row")
+    if not np.isfinite(X).all():
+        raise InvalidArgumentError("covariates hold NaN or inf")
+    if not np.isin(A, (0.0, 1.0)).all():
+        raise InvalidArgumentError("labels must be 0 or 1")
+    return X, A
+
+
+def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
+                 epochs: int = 2000, lr: float = 0.1,
+                 clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
+    """Unpenalized logistic regression by full-batch gradient descent."""
+    X, A = _labelled(X, A)
     if X.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 rows")
     if A.min() == A.max():
@@ -111,74 +124,58 @@ def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
                            logistic=LogisticParams(coef, intercept))
 
 
-def _gini_best_split(x: NDArray, y: NDArray) -> tuple[float, float] | None:
-    """Best midpoint threshold for one feature, or None if x is constant.
+def _build_tree(XT: NDArray, order: NDArray, cnt: NDArray, A: NDArray,
+                max_depth: int) -> Tree:
+    """One Gini tree on the bootstrap multiset that holds row i ``cnt[i]`` times.
 
-    Returns (weighted child impurity, threshold); candidate positions are the
-    boundaries between distinct consecutive sorted values.
+    A node keeps its distinct rows' ids as a (d, u) array, row f sorted by
+    feature f: at the root, the forest's presort ``order`` cut to the rows
+    drawn.  Counts are whole numbers, so the count-weighted scan gives bit for
+    bit the sizes, impurities and thresholds of a scan over repeated rows.
     """
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    k = xs.shape[0]
-    distinct = xs[1:] > xs[:-1]
-    if not distinct.any():
-        return None
-    cum1 = np.cumsum(ys)
-    n1 = cum1[-1]
-    nl = np.arange(1, k, dtype=np.float64)
-    nr = k - nl
-    l1 = cum1[:-1]
-    r1 = n1 - l1
-    # Gini of a binary node with n rows and n1 positives: 2 p (1-p).
-    gl = 2.0 * (l1 / nl) * (1.0 - l1 / nl)
-    gr = 2.0 * (r1 / nr) * (1.0 - r1 / nr)
-    w = (nl * gl + nr * gr) / k
-    w[~distinct] = np.inf
-    j = int(np.argmin(w))
-    return float(w[j]), float(0.5 * (xs[j] + xs[j + 1]))
+    w = cnt.astype(np.float64)
+    wa = w * A
+    flat, offset = XT.ravel(), np.arange(len(XT))[:, None] * XT.shape[1]
+    nodes: list[list] = []                  # [feature, threshold, left, right, prob]
 
+    def split(ids: NDArray, mask: NDArray) -> NDArray:
+        # Every row of ids holds the same rows, so each keeps as many.
+        return ids.ravel()[np.flatnonzero(mask)].reshape(len(ids), -1)
 
-def _build_tree(X: NDArray, A: NDArray, max_depth: int) -> Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    prob: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        prob.append(0.0)
-        return len(feature) - 1
-
-    def grow(rows: NDArray, depth: int) -> int:
-        node = new_node()
-        y = A[rows]
-        p = float(y.mean())
-        prob[node] = p
-        if depth >= max_depth or p == 0.0 or p == 1.0 or rows.shape[0] < 2:
+    def grow(ids: NDArray, depth: int) -> int:
+        node = len(nodes)
+        k, n1 = w[ids[0]].sum(), wa[ids[0]].sum()
+        p = float(n1 / k)
+        nodes.append([-1, 0.0, -1, -1, p])
+        if depth >= max_depth or p == 0.0 or p == 1.0 or ids.shape[1] < 2:
             return node
-        best: tuple[float, int, float] | None = None
-        for f in range(X.shape[1]):
-            got = _gini_best_split(X[rows, f], y)
-            if got is not None and (best is None or got[0] < best[0]):
-                best = (got[0], int(f), got[1])
-        if best is None:
+        # Child impurity (nl gl + nr gr) / k at every boundary, gl = 2 q (1 - q)
+        # the Gini of the nl rows on the left, q = l1 / nl their positive share
+        # (gr likewise).  Doubling is exact and products commute: same rounding.
+        xs = flat[ids + offset]
+        nl = np.cumsum(w[ids], axis=1)[:, :-1]
+        l1 = np.cumsum(wa[ids], axis=1)[:, :-1]
+        size = np.stack([nl, k - nl])
+        g = np.stack([l1, n1 - l1]) / size
+        g *= 1.0 - g
+        g *= size
+        score = 2.0 * (g[0] + g[1]) / k
+        score[~(xs[:, 1:] > xs[:, :-1])] = np.inf     # no boundary inside a tie
+        # First minimum in feature-major order: lowest feature, then position.
+        f, j = divmod(int(np.argmin(score)), score.shape[1])
+        if score[f, j] == np.inf:                       # every feature constant here
             return node
-        _, f, thr = best
-        go_left = X[rows, f] < thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = grow(rows[go_left], depth + 1)
-        right[node] = grow(rows[~go_left], depth + 1)
+        thr = float(0.5 * (xs[f, j] + xs[f, j + 1]))
+        go_left = XT[f][ids] < thr
+        nodes[node][:4] = (f, thr, grow(split(ids, go_left), depth + 1),
+                           grow(split(ids, ~go_left), depth + 1))
         return node
 
-    grow(np.arange(X.shape[0]), 0)
-    return Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
-                np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-                np.asarray(prob))
+    grow(split(order, cnt[order] > 0), 0)
+    feature, threshold, left, right, prob = zip(*nodes)
+    return Tree(np.array(feature, dtype=np.int64), np.array(threshold),
+                np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+                np.array(prob))
 
 
 def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
@@ -190,26 +187,23 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
     randomization; with depth-4 trees this is what lets the forest express
     sharp feature interactions (a sqrt(d)-per-node subsample leaves most
     trees unable to combine the two or three features such rules need and
-    caps accuracy well short of the large-sample target).
+    caps accuracy well short of the large-sample target).  The rows are
+    sorted on each feature once per forest; a tree keeps each row's count in
+    its bootstrap draw, and its nodes scan those counts in that order.
     """
-    X = np.asarray(X, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[0] != A.shape[0]:
-        raise InvalidArgumentError("X must be (n, d) with one label per row")
+    X, A = _labelled(X, A)
     n, d = X.shape
-    if n < 10:
-        raise InvalidArgumentError(f"forest fitting needs n >= 10, got {n}")
+    if n < 10 or d < 1 or n_trees < 1:
+        raise InvalidArgumentError(f"forest fitting needs n >= 10 rows, a feature "
+                                   f"and a tree, got {X.shape} and {n_trees} trees")
     model = PropensityModel(kind="forest", clip=clip, n_features=d)
-    if A.min() == A.max():
-        # Single class: every tree would be a single leaf at the base rate.
-        base = float(A.mean())
-        model.trees = [Tree(np.array([-1]), np.array([0.0]), np.array([-1]),
-                            np.array([-1]), np.array([base]))]
-        return model
-    for t in range(int(n_trees)):
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    # With a single class every tree is one leaf at the base rate: grow one.
+    for t in range(1 if A.min() == A.max() else int(n_trees)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        boot = rng.integers(0, n, size=n)
-        model.trees.append(_build_tree(X[boot], A[boot], max_depth))
+        cnt = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        model.trees.append(_build_tree(XT, order, cnt, A, max_depth))
     return model
 
 

@@ -2,14 +2,16 @@
 
 These are the direct forms: single kernel values, the n x n pseudo-outcome
 Gram, the trace loss on that Gram, the two-term bump-sum density, trapezoid
-mass and the unconstrained grid-coefficient minimizer.  None of them is used
-by the library itself.
+mass, the unconstrained grid-coefficient minimizer and a forest grown by
+sorting every feature afresh at every node of every bootstrap sample.  None
+of them is used by the library itself.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ccme.kernels import gram
+from ccme.propensity import Tree
 
 
 def kernel_eval(spec, u, v):
@@ -69,3 +71,83 @@ def feature_factor(g):
     """F with F F' = g, from the eigendecomposition (negative rounding clipped)."""
     vals, vecs = np.linalg.eigh(g)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _gini_best_split(x, y):
+    """Best midpoint threshold for one feature, or None if x is constant.
+
+    Returns (weighted child impurity, threshold); candidate positions are the
+    boundaries between distinct consecutive sorted values.
+    """
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    k = xs.shape[0]
+    distinct = xs[1:] > xs[:-1]
+    if not distinct.any():
+        return None
+    cum1 = np.cumsum(ys)
+    n1 = cum1[-1]
+    nl = np.arange(1, k, dtype=np.float64)
+    nr = k - nl
+    l1 = cum1[:-1]
+    r1 = n1 - l1
+    # Gini of a binary node with n rows and n1 positives: 2 p (1-p).
+    gl = 2.0 * (l1 / nl) * (1.0 - l1 / nl)
+    gr = 2.0 * (r1 / nr) * (1.0 - r1 / nr)
+    w = (nl * gl + nr * gr) / k
+    w[~distinct] = np.inf
+    j = int(np.argmin(w))
+    return float(w[j]), float(0.5 * (xs[j] + xs[j + 1]))
+
+
+def _oracle_tree(X, A, max_depth):
+    """One tree on the rows of X as given (a bootstrap sample, repeats and all)."""
+    feature, threshold, left, right, prob = [], [], [], [], []
+
+    def grow(rows, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        y = A[rows]
+        p = float(y.mean())
+        prob.append(p)
+        if depth >= max_depth or p == 0.0 or p == 1.0 or rows.shape[0] < 2:
+            return node
+        best = None
+        for f in range(X.shape[1]):
+            got = _gini_best_split(X[rows, f], y)
+            if got is not None and (best is None or got[0] < best[0]):
+                best = (got[0], int(f), got[1])
+        if best is None:
+            return node
+        _, f, thr = best
+        go_left = X[rows, f] < thr
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = grow(rows[go_left], depth + 1)
+        right[node] = grow(rows[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
+                np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+                np.asarray(prob))
+
+
+def oracle_forest(X, A, n_trees=100, max_depth=4, seed=0):
+    """The trees ``fit_forest`` must grow: same bootstrap draws, each tree
+    searched by a stable sort of every feature at every node."""
+    X = np.asarray(X, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64).ravel()
+    n = X.shape[0]
+    if A.min() == A.max():
+        return [Tree(np.array([-1]), np.array([0.0]), np.array([-1]),
+                     np.array([-1]), np.array([float(A.mean())]))]
+    trees = []
+    for t in range(int(n_trees)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        boot = rng.integers(0, n, size=n)
+        trees.append(_oracle_tree(X[boot], A[boot], max_depth))
+    return trees

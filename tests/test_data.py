@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccme.data import (Dataset, compute_omega, dataset_to_csv, default_v_cols,
                        load_dataset, split_data)
@@ -10,6 +13,18 @@ from ccme.propensity import LogisticParams, PropensityModel, make_oracle
 from ccme.synthbench import true_propensity
 
 from conftest import make_dataset
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_datasets(draw):
+    """Any finite covariates and outcomes (signed zeros, subnormals and the
+    largest floats included) with 0/1 treatments."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    return Dataset(draw(arrays(np.float64, (n, d), elements=FINITE)),
+                   draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0]))),
+                   draw(arrays(np.float64, n, elements=FINITE)))
 
 
 class TestDataset:
@@ -135,6 +150,14 @@ class TestCsv:
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.A, ds.A)
         assert np.array_equal(back.Y, ds.Y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_datasets())
+    def test_round_trip_bit_exact_on_any_finite_data(self, ds):
+        back = load_dataset(dataset_to_csv(ds))
+        for name in ("X", "A", "Y"):
+            got, want = getattr(back, name), getattr(ds, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_header_layout(self):
         ds = make_dataset(3, seed=0, d_x=2)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 
 from ccme.errors import InvalidArgumentError, NumericError
-from ccme.kernels import KernelSpec, SpdFactor, gram
+from ccme.kernels import KernelSpec, SpdFactor, gram, usable_bandwidth
 
 from oracles import kernel_eval
 
@@ -86,6 +88,23 @@ class TestGram:
         for i in range(5):
             for j in range(4):
                 assert K[i, j] == kernel_eval(spec, a[i], b[j])
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), repeats=st.booleans(),
+           log_bandwidth=st.floats(-150.0, 150.0))
+    def test_square_gram_symmetric_unit_diagonal_psd(self, n, d, seed, scale, repeats,
+                                                    log_bandwidth):
+        bandwidth = 10.0 ** log_bandwidth
+        assert usable_bandwidth(bandwidth)      # 1e-150 .. 1e150 all are
+        rng = np.random.default_rng(seed)
+        pts = scale * rng.normal(size=(n, d))
+        if repeats:                    # duplicate points give equal rows
+            pts = pts[rng.integers(0, n, size=n)]
+        K = gram(KernelSpec(bandwidth=bandwidth), pts)
+        assert K.tobytes() == K.T.tobytes()
+        assert np.all(np.diag(K) == 1.0)
+        assert np.linalg.eigvalsh(K).min() >= -1e-10 * n
 
     def test_one_dim_input_read_as_scalar_points(self):
         K1 = gram(KernelSpec(), np.array([0.0, 1.0, 2.0]))

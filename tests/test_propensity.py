@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccme.errors import DegenerateDataError, InvalidArgumentError
 from ccme.propensity import (PropensityModel, fit_forest, fit_logistic,
                              make_oracle, predict_propensity)
-from ccme.synthbench import true_propensity
+from ccme.synthbench import DgpConfig, generate, true_propensity
+from oracles import oracle_forest
 
 
 def interaction_dgp(n, seed):
@@ -59,6 +62,30 @@ class TestLogistic:
             fit_logistic(np.zeros((5, 2)), np.zeros(4))
 
 
+@pytest.mark.parametrize("fit", [fit_logistic, fit_forest])
+class TestBadInput:
+    """Both classifiers refuse covariates they cannot order and labels that
+    are not classes, before fitting anything."""
+
+    def data(self):
+        X, A, _ = interaction_dgp(40, seed=1)
+        return X, A
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariate(self, fit, bad):
+        X, A = self.data()
+        X[7, 3] = bad
+        with pytest.raises(InvalidArgumentError, match="NaN or inf"):
+            fit(X, A)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_label_outside_zero_one(self, fit, bad):
+        X, A = self.data()
+        A[5] = bad
+        with pytest.raises(InvalidArgumentError, match="labels must be 0 or 1"):
+            fit(X, A)
+
+
 class TestForest:
     def test_large_sample_accuracy_on_interaction_rule(self):
         X, A, pi = interaction_dgp(20000, seed=7)
@@ -97,6 +124,69 @@ class TestForest:
     def test_small_sample_rejected(self):
         with pytest.raises(InvalidArgumentError):
             fit_forest(np.zeros((9, 2)), np.zeros(9))
+        with pytest.raises(InvalidArgumentError):
+            fit_forest(np.zeros((20, 0)), np.zeros(20))
+
+    def test_no_trees_rejected(self):
+        # an empty forest's prediction would be the mean of nothing: NaN
+        X, A, _ = interaction_dgp(40, seed=1)
+        with pytest.raises(InvalidArgumentError, match="0 trees"):
+            fit_forest(X, A, n_trees=0)
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("feature", "threshold", "left", "right", "prob"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def forest_problems(draw):
+    """Small covariate tables full of ties: rounded columns, constant columns
+    and signed zeros, with labels that may hold a single class."""
+    n = draw(st.integers(10, 200))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    for f in range(d):
+        kind = draw(st.sampled_from(["raw", "rounded", "coarse", "constant"]))
+        if kind == "rounded":
+            X[:, f] = np.round(X[:, f], 1)
+        elif kind == "coarse":
+            X[:, f] = np.round(X[:, f])
+        elif kind == "constant":
+            X[:, f] = draw(st.sampled_from([0.0, -0.0, 3.5]))
+    zeros = rng.uniform(size=X.shape) < draw(st.sampled_from([0.0, 0.2]))
+    X[zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
+    rate = draw(st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0]))
+    A = (rng.uniform(size=n) < rate).astype(np.float64)
+    return X, A
+
+
+class TestForestMatchesOracle:
+    """The presorted builder grows, array for array, the trees of a builder
+    that sorts every feature again at every node of every bootstrap sample."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=forest_problems(), n_trees=st.integers(1, 5),
+           max_depth=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_random_tables(self, problem, n_trees, max_depth, seed):
+        X, A = problem
+        model = fit_forest(X, A, n_trees=n_trees, max_depth=max_depth, seed=seed)
+        assert_same_trees(model.trees, oracle_forest(X, A, n_trees, max_depth, seed))
+
+    def test_benchmark_generator(self):
+        data, _ = generate(DgpConfig(2000, 20261017))
+        model = fit_forest(data.X, data.A, seed=11)
+        oracle = PropensityModel(kind="forest", n_features=data.X.shape[1],
+                                 trees=oracle_forest(data.X, data.A, seed=11))
+        assert_same_trees(model.trees, oracle.trees)
+        probe = generate(DgpConfig(500, 7))[0].X
+        for x in (data.X, probe):
+            assert predict_propensity(model, x).tobytes() == \
+                predict_propensity(oracle, x).tobytes()
 
 
 class TestOracle:

@@ -344,6 +344,32 @@ class TestSweepGroups:
         onestep = [r.mse for r in records if r.variant == "onestep"]
         assert len(onestep) == 6 and len(set(onestep)) == 2
 
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_a_first_stage_is_read_at_d1_once_per_group(self, monkeypatch,
+                                                        tiny_hyper, method):
+        firsts, reads = [], []
+        fit_first_stage = synthbench.fit_first_stage
+
+        def fit_spy(*args, **kwargs):
+            firsts.append(fit_first_stage(*args, **kwargs))
+            return firsts[-1]
+
+        monkeypatch.setattr(synthbench, "fit_first_stage", fit_spy)
+        head_cls = {"rr": estimators.KernelHead, "df": estimators.FeatureHead,
+                    "nk": estimators.GridHead}[method]
+        embedding = head_cls.embedding
+
+        def embedding_spy(head, x):
+            reads.append(head)
+            return embedding(head, x)
+
+        monkeypatch.setattr(head_cls, "embedding", embedding_spy)
+        cells = plan_cells([method], ["dr", "pi"], ["a", "b", "c"], [30], [1, 2])
+        records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20)
+        assert all(r.error == "" for r in records)
+        assert len(firsts) == 2 * 2                     # (all x, no x6) per group
+        assert [sum(r is f.head for r in reads) for f in firsts] == [1] * 4
+
     def test_a_failed_part_fails_each_cell_that_needs_it(self, monkeypatch):
         built = []
 
