@@ -15,7 +15,7 @@ from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
 from .estimators import (CcmeModel, FirstStage, Hyper, build_k_xi, fit_ccme,
                          fit_first_stage, fit_second_stage, pseudo_weights)
 from .kernels import KernelSpec, SpdFactor, gram
-from .nets import MlpParams, mlp_backward, mlp_forward, mlp_init, sgd_step
+from .nets import MlpParams, mlp_forward, mlp_init
 from .propensity import (PropensityModel, fit_forest, fit_logistic,
                          make_oracle, predict_propensity)
 from .serialize import load_model, save_model
@@ -33,7 +33,7 @@ __all__ = [
     "CcmeModel", "FirstStage", "Hyper", "build_k_xi", "fit_ccme",
     "fit_first_stage", "fit_second_stage", "pseudo_weights",
     "KernelSpec", "SpdFactor", "gram",
-    "MlpParams", "mlp_backward", "mlp_forward", "mlp_init", "sgd_step",
+    "MlpParams", "mlp_forward", "mlp_init",
     "PropensityModel", "fit_forest", "fit_logistic", "make_oracle",
     "predict_propensity",
     "load_model", "save_model",

@@ -44,12 +44,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_solve
 
 from .data import SplitDataset
 from .errors import ConfigWarning, InvalidArgumentError, NumericError
-from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cholesky, gram,
-                      outcome_basis)
+from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_solve, _cholesky,
+                      gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
 from .propensity import PropensityModel
 
@@ -525,26 +524,25 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
                   ridge: float) -> tuple[float, NDArray[np.float64]]:
     """Unexplained pseudo-outcome energy of the closed-form head, with gradient.
 
-    With ``xi`` the pseudo-outcomes' whitened coordinates (``basis.whiten``)
-    and their Gram G = Xi Xi',
+    With ``xi`` the pseudo-outcomes' whitened coordinates (``basis.whiten``),
+    their Gram G = Xi Xi', S = Psi' Psi + ridge I and K = Xi' Psi S^-1 (r x M),
 
-    loss(Psi) = Tr(G (I - Psi S^-1 Psi')),  S = Psi' Psi + ridge I,
-    grad      = -2 (I - Psi S^-1 Psi') G Psi S^-1,
+    loss(Psi) = Tr(G (I - Psi S^-1 Psi')) = ||Xi||_F^2 - <Xi' Psi, K>,
+    grad      = -2 (I - Psi S^-1 Psi') G Psi S^-1 = -2 (Xi - Psi K') K,
 
-    where G Psi = Xi (Xi' Psi) and Tr G = ||Xi||_F^2, so nothing n x n is
-    formed.  The returned loss is not divided by the row count; training
-    wrappers normalize it themselves.
+    so the only solve is with the M x M matrix S, for r right-hand sides,
+    and nothing n x n is formed.  The returned loss is not divided by the
+    row count; training wrappers normalize it themselves.
     """
-    M = psi.shape[1]
     if not np.isfinite(psi).all():
         raise NumericError("features became non-finite")
-    cf = _cholesky(psi.T @ psi + ridge * np.eye(M), "the feature Gram")
-    gp = xi @ (xi.T @ psi)                           # (n, M) = G Psi
-    w = cho_solve(cf, psi.T)                         # (M, n) = S^-1 Psi'
-    loss = float(np.sum(xi * xi)) - float(np.sum(gp * w.T))
-    t = w @ gp                                       # (M, M) = S^-1 Psi' G Psi
-    grad = -2.0 * cho_solve(cf, (gp - psi @ t).T).T  # (n, M)
-    return loss, grad
+    gram_psi = psi.T @ psi
+    gram_psi.ravel()[::psi.shape[1] + 1] += ridge
+    cf = _cholesky(gram_psi, "the feature Gram")
+    pt = psi.T @ xi                                  # (M, r) = P' = Psi' Xi
+    kt = _cho_solve(cf, pt)                          # (M, r) = K' = S^-1 P'
+    loss = float(np.vdot(xi, xi)) - float(np.vdot(pt, kt))
+    return loss, -2.0 * (xi @ kt.T - psi @ (kt @ kt.T))   # -2 (Xi - Psi K') K
 
 
 def nk_loss_grad(feats: NDArray[np.float64], k_m: NDArray[np.float64],

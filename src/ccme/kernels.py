@@ -12,12 +12,11 @@ decide how it relates to sample size.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError, NumericError
@@ -107,19 +106,22 @@ def gram(spec: KernelSpec, points_a: object,
     return spec.at(cdist(pa, pb, "sqeuclidean"), pa.shape[1])
 
 
-_PIVOT_RE = re.compile(r"(\d+)-th leading minor")
+def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
+    """Lower Cholesky factor of ``matrix`` by LAPACK's dpotrf, as scipy's
+    cho_factor computes it (the upper triangle holds leftovers).  A NaN or
+    inf entry or a failing pivot raises NumericError; the pivot is named."""
+    if not np.isfinite(matrix).all():
+        raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info > 0:
+        raise NumericError(f"factorization of {what} failed: leading minor {info} "
+                           "is not positive definite", pivot=info - 1)
+    return factor
 
 
-def _cholesky(matrix: NDArray[np.float64], what: str):
-    """Lower Cholesky factor of ``matrix``; a NumericError names the first
-    failing pivot when the message carries it."""
-    try:
-        return cho_factor(matrix, lower=True)
-    except np.linalg.LinAlgError as exc:  # scipy re-exports this type
-        m = _PIVOT_RE.search(str(exc))
-        pivot = int(m.group(1)) - 1 if m else None
-        raise NumericError(f"factorization of {what} failed: {exc}",
-                           pivot=pivot) from exc
+def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
+    """Solve with a ``_cholesky`` factor: cho_solve's dpotrs, minus its scans."""
+    return dpotrs(factor, rhs, lower=1)[0]
 
 
 class SpdFactor:
@@ -151,7 +153,9 @@ class SpdFactor:
         if rhs.shape[0] != len(self.matrix):
             raise InvalidArgumentError(
                 f"rhs has {rhs.shape[0]} rows, expected {len(self.matrix)}")
-        return cho_solve(self._factor, rhs)
+        if not np.isfinite(rhs).all():
+            raise NumericError("right-hand side holds NaN or inf")
+        return _cho_solve(self._factor, rhs)
 
 
 # Outcome basis: grid step and padding in outcome bandwidths, and the

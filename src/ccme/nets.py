@@ -1,13 +1,14 @@
 """Small multilayer perceptrons with ReLU hidden layers and identity output.
 
-Plain numpy forward/backward plus classical-momentum SGD. The feature maps
-and coefficient networks fitted by the estimators module are all instances
-of this class of nets; no general autodiff is involved.
+Plain numpy forward pass plus a full-batch classical-momentum SGD loop with
+its backward pass inline.  The feature maps and coefficient networks fitted
+by the estimators module are all instances of this class of nets; no
+general autodiff is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -15,8 +16,7 @@ from numpy.typing import NDArray
 from .blas import single_thread
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["MlpParams", "ForwardCache", "SgdState", "mlp_init", "mlp_forward",
-           "mlp_backward", "sgd_step", "train_mlp"]
+__all__ = ["MlpParams", "ForwardCache", "mlp_init", "mlp_forward", "train_mlp"]
 
 
 @dataclass
@@ -31,14 +31,10 @@ class MlpParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.sizes, [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
-
 
 @dataclass
 class ForwardCache:
-    """Activations saved by mlp_forward for the matching backward call."""
+    """Activations saved by mlp_forward: what a backward pass through it reads."""
 
     params: MlpParams
     acts: list[NDArray[np.float64]]      # input to each layer, length n_layers
@@ -61,110 +57,96 @@ def mlp_init(layer_sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
     return MlpParams(sizes, weights, biases)
 
 
-def mlp_forward(params: MlpParams,
-                batch: NDArray[np.float64]) -> tuple[NDArray[np.float64], ForwardCache]:
-    """Apply the net to a batch (n, d0); returns (outputs (n, dL), cache)."""
+def _batch(params: MlpParams, batch: NDArray[np.float64]) -> NDArray[np.float64]:
     X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.sizes[0]:
         raise InvalidArgumentError(
             f"batch must be (n, {params.sizes[0]}), got {X.shape}")
-    acts, preacts = [X], []
+    return X
+
+
+def _buffers(sizes: tuple[int, ...], rows: int) -> tuple[list, list]:
+    """Room for every layer's preactivation and every hidden layer's ReLU."""
+    zs = [np.empty((rows, s)) for s in sizes[1:]]
+    return zs, [np.empty_like(z) for z in zs[:-1]]
+
+
+def _forward(params: MlpParams, X: NDArray[np.float64], zs: list,
+             hs: list) -> NDArray[np.float64]:
+    """The net's outputs at the rows of X, which are zs[-1]: layer i writes
+    its preactivation into zs[i] and, if hidden, its ReLU into hs[i]."""
     h = X
-    last = params.n_layers - 1
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
-        if i < last:
-            preacts.append(z)
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-        else:
-            h = z
-    return h, ForwardCache(params, acts, preacts)
+        z = np.matmul(h, W.T, out=zs[i])
+        z += b
+        if i < len(hs):
+            h = np.maximum(z, 0.0, out=hs[i])
+    return zs[-1]
 
 
-def mlp_backward(params: MlpParams, cache: ForwardCache,
-                 output_grad: NDArray[np.float64]) -> list[tuple[NDArray, NDArray]]:
-    """Gradients of sum_i <output_grad[i], output[i]> for every (W, b).
-
-    The cache must come from a forward call on this exact params object;
-    anything else is rejected as stale.
-    """
-    if cache.params is not params:
-        raise InvalidArgumentError("cache does not belong to these parameters")
-    G = np.asarray(output_grad, dtype=np.float64)
-    n = cache.acts[0].shape[0]
-    if G.shape != (n, params.sizes[-1]):
-        raise InvalidArgumentError(
-            f"output_grad must be ({n}, {params.sizes[-1]}), got {G.shape}")
-    grads: list[tuple[NDArray, NDArray]] = []
-    delta = G
-    for i in range(params.n_layers - 1, -1, -1):
-        grads.append((delta.T @ cache.acts[i], delta.sum(axis=0)))
-        if i > 0:
-            delta = (delta @ params.weights[i]) * (cache.preacts[i - 1] > 0)
-    grads.reverse()
-    return grads
+def mlp_forward(params: MlpParams,
+                batch: NDArray[np.float64]) -> tuple[NDArray[np.float64], ForwardCache]:
+    """Apply the net to a batch (n, d0); returns (outputs (n, dL), cache)."""
+    X = _batch(params, batch)
+    zs, hs = _buffers(params.sizes, X.shape[0])
+    out = _forward(params, X, zs, hs)
+    return out, ForwardCache(params, [X, *hs], zs[:-1])
 
 
-@dataclass
-class SgdState:
-    """Classical momentum: buffer <- m*buffer + grad; param <- param - lr*buffer."""
-
-    lr: float
-    momentum: float
-    buf_w: list[NDArray[np.float64]] = field(default_factory=list)
-    buf_b: list[NDArray[np.float64]] = field(default_factory=list)
-
-    @classmethod
-    def init(cls, params: MlpParams, lr: float, momentum: float) -> "SgdState":
-        if not (0.0 <= momentum < 1.0):
-            raise InvalidArgumentError(f"momentum must be in [0, 1), got {momentum}")
-        return cls(lr=float(lr), momentum=float(momentum),
-                   buf_w=[np.zeros_like(w) for w in params.weights],
-                   buf_b=[np.zeros_like(b) for b in params.biases])
-
-
-def sgd_step(params: MlpParams, grads: list[tuple[NDArray, NDArray]],
-             state: SgdState) -> tuple[MlpParams, SgdState]:
-    """One momentum step; returns fresh params and the same state object.
-
-    The parameter arrays passed in are left as they are; the momentum buffer
-    lists ``state.buf_w``/``buf_b`` are updated in place.
-    """
-    if len(grads) != params.n_layers:
-        raise InvalidArgumentError("gradient list does not match layer count")
-    new_w, new_b = [], []
-    for i, (gw, gb) in enumerate(grads):
-        state.buf_w[i] = state.momentum * state.buf_w[i] + gw
-        state.buf_b[i] = state.momentum * state.buf_b[i] + gb
-        new_w.append(params.weights[i] - state.lr * state.buf_w[i])
-        new_b.append(params.biases[i] - state.lr * state.buf_b[i])
-    return MlpParams(params.sizes, new_w, new_b), state
+def _views(sizes: tuple[int, ...], flat: NDArray[np.float64]) -> MlpParams:
+    """Parameters whose arrays are views of ``flat``, laid out w0, b0, w1, ..."""
+    weights, biases, at = [], [], 0
+    for din, dout in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + dout * din].reshape(dout, din))
+        biases.append(flat[at + dout * din:at + (din + 1) * dout])
+        at += (din + 1) * dout
+    return MlpParams(sizes, weights, biases)
 
 
 def train_mlp(params: MlpParams, batch: NDArray[np.float64], loss_and_grad,
               epochs: int, lr: float, momentum: float
               ) -> tuple[MlpParams, float]:
-    """Full-batch SGD loop; returns the trained parameters and the last loss.
+    """Full-batch SGD with classical momentum (buffer <- momentum * buffer +
+    grad; param <- param - lr * buffer); returns the trained parameters and
+    the last loss, and leaves ``params`` as it is.
 
     ``loss_and_grad(outputs) -> (loss, d loss / d outputs)`` defines the
-    objective; a non-finite loss aborts with the epoch index attached.  With
-    epochs = 0 the parameters come back untouched and the loss is NaN.
+    objective; ``outputs`` is a buffer the next epoch overwrites.  A
+    non-finite loss aborts with the epoch index attached.  With epochs = 0
+    the parameters come back unchanged and the loss is NaN.
 
-    The loop, ``loss_and_grad`` included, runs with OpenBLAS on one thread:
-    its products are small, and the trace loss ran faster on one thread than
-    on two at every row count from 200 to 5000.
+    The weights and biases are views of one flat vector, stepped in place
+    with flat gradient and momentum buffers, and every layer's activations
+    and deltas have buffers too: at a few hundred rows an epoch's cost is
+    call overhead, not arithmetic.  The loop, ``loss_and_grad`` included,
+    runs with OpenBLAS on one thread: its products are small, and the trace
+    loss ran faster on one thread than on two at every row count from 200
+    to 5000.
     """
-    state = SgdState.init(params, lr, momentum)
-    last = float("nan")
+    if not (0.0 <= momentum < 1.0):
+        raise InvalidArgumentError(f"momentum must be in [0, 1), got {momentum}")
+    X = _batch(params, batch)
+    flat = np.concatenate([a.ravel() for pair in zip(params.weights, params.biases)
+                           for a in pair])
+    grad, buf, step = np.empty_like(flat), np.zeros_like(flat), np.empty_like(flat)
+    net, dnet = _views(params.sizes, flat), _views(params.sizes, grad)
+    zs, hs = _buffers(params.sizes, X.shape[0])
+    acts, deltas = [X, *hs], [np.empty_like(h) for h in hs]
+    lr, momentum, last = float(lr), float(momentum), float("nan")
     with single_thread():
         for epoch in range(epochs):
-            out, cache = mlp_forward(params, batch)
-            loss, dout = loss_and_grad(out)
+            loss, delta = loss_and_grad(_forward(net, X, zs, hs))
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training loss became non-finite at epoch {epoch}", epoch=epoch)
-            grads = mlp_backward(params, cache, dout)
-            params, state = sgd_step(params, grads, state)
+            for i in range(net.n_layers - 1, -1, -1):
+                np.matmul(delta.T, acts[i], out=dnet.weights[i])
+                np.add.reduce(delta, axis=0, out=dnet.biases[i])
+                if i > 0:
+                    delta = np.matmul(delta, net.weights[i], out=deltas[i - 1])
+                    delta *= zs[i - 1] > 0
+            buf *= momentum
+            buf += grad
+            flat -= np.multiply(buf, lr, out=step)
             last = float(loss)
-    return params, last
+    return net, last

@@ -81,15 +81,20 @@ class PropensityModel:
             raise InvalidArgumentError(f"clip bounds must satisfy 0 < lo < hi < 1, got {self.clip}")
 
 
+def _logistic_grad(p: NDArray, X: NDArray, A: NDArray) -> tuple[NDArray, float]:
+    """Gradient of the mean log-loss wrt (coef, intercept) at the
+    probabilities p."""
+    r = (p - A) / X.shape[0]
+    return X.T @ r, float(r.sum())
+
+
 def logistic_loss_grad(coef: NDArray, intercept: float, X: NDArray,
                        A: NDArray) -> tuple[float, NDArray, float]:
     """Mean log-loss and its gradient wrt (coef, intercept)."""
-    z = X @ coef + intercept
-    p = expit(z)
+    p = expit(X @ coef + intercept)
     eps = 1e-12
     loss = float(-np.mean(A * np.log(p + eps) + (1 - A) * np.log(1 - p + eps)))
-    r = (p - A) / X.shape[0]
-    return loss, X.T @ r, float(r.sum())
+    return loss, *_logistic_grad(p, X, A)
 
 
 def _labelled(X: NDArray, A: NDArray) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -117,7 +122,7 @@ def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
     coef = np.zeros(X.shape[1])
     intercept = 0.0
     for _ in range(int(epochs)):
-        _, gw, gb = logistic_loss_grad(coef, intercept, X, A)
+        gw, gb = _logistic_grad(expit(X @ coef + intercept), X, A)
         coef = coef - lr * gw
         intercept = intercept - lr * gb
     return PropensityModel(kind="logistic", clip=clip, n_features=X.shape[1],

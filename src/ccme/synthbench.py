@@ -164,19 +164,22 @@ def eval_points(n_points: int, eval_seed: int = 0) -> NDArray[np.float64]:
     return X[:, V_COLS]
 
 
-def mse(pred: object, truth: GroundTruth, test_v: NDArray[np.float64],
-        y_grid: NDArray[np.float64]) -> float:
+def mse(pred: object, truth: GroundTruth | NDArray[np.float64],
+        test_v: NDArray[np.float64], y_grid: NDArray[np.float64]) -> float:
     """Mean squared density error over test points and grid points.
 
     pred is either a fitted model or any object exposing
-    density_matrix(V, grid).
+    density_matrix(V, grid); truth is the ground truth or its
+    density_matrix(test_v, y_grid), already evaluated.
     """
     y = np.asarray(y_grid, dtype=np.float64).ravel()
     if isinstance(pred, CcmeModel):
         est = density_matrix(pred, test_v, y)
     else:
         est = pred.density_matrix(test_v, y)
-    diff = est - truth.density_matrix(test_v, y)
+    if not isinstance(truth, np.ndarray):
+        truth = truth.density_matrix(test_v, y)
+    diff = est - truth
     return float(np.mean(diff * diff))
 
 
@@ -266,7 +269,8 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
     - rr's stage-two factor of K(V1) + ridge1 I, the same for dr, ipw and
       pi in every scenario;
     - the ``onestep`` score, per method: it reads neither the propensity
-      nor ``x_cols``, so its cells in every scenario are one fit.
+      nor ``x_cols``, so its cells in every scenario are one fit;
+    - the scoring grid and the true densities on it.
 
     Without ``shared`` the cell builds every part itself.  The record's
     ``seconds`` include the parts this cell built first.  A part that
@@ -311,9 +315,15 @@ def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
             nuisances["factor"] = _shared_part(
                 shared, ("factor",), lambda: KernelHead.factor(split.v1, cell_hyper, 1))
     model = fit_ccme(split, cell.method, cell.variant, None, cell_hyper, **nuisances)
-    y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
-    grid = np.linspace(y.min() - 2.0, y.max() + 2.0, grid_points)
-    return mse(model, GroundTruth(), test_v, grid)
+
+    def truth_on_grid() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        # the outcomes' range padded by 2, and the true densities on it
+        y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
+        grid = np.linspace(y.min() - 2.0, y.max() + 2.0, grid_points)
+        return grid, GroundTruth().density_matrix(test_v, grid)
+
+    grid, truth = _shared_part(shared, ("truth",), truth_on_grid)
+    return mse(model, truth, test_v, grid)
 
 
 def _run_group(cells: list[SweepCell], hyper: Hyper, test_v: NDArray[np.float64],
@@ -343,16 +353,16 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
     """Run all cells against one fixed evaluation set and return sorted records.
 
     Cells run in groups of one (n, seed), which share their data, propensity
-    fits, first stages, rr stage-two factor and ``onestep`` scores (see
-    ``run_cell``); a group's shared parts are dropped when it ends.
-    Individual cell failures are recorded as rows with an error message, not
-    raised.  Kernel-ridge cells above n = 20000 are rejected up front: their
-    Gram factorizations do not fit a reasonable memory budget.  ``progress``
-    is called with each record as its cell finishes, or with threads > 1, as
-    its group finishes.  With ``threads > 1`` each group is one task for a
-    pool of min(threads, groups) worker processes, which split the usable
-    cores among their BLAS threads, one thread each at least; more workers
-    than cores still oversubscribe them.
+    fits, first stages, rr stage-two factor, ``onestep`` scores and true
+    densities (see ``run_cell``); a group's shared parts are dropped when it
+    ends.  Individual cell failures are recorded as rows with an error
+    message, not raised.  Kernel-ridge cells above n = 20000 are rejected up
+    front: their Gram factorizations do not fit a reasonable memory budget.
+    ``progress`` is called with each record as its cell finishes, or with
+    threads > 1, as its group finishes.  With ``threads > 1`` each group is
+    one task for a pool of min(threads, groups) worker processes, which split
+    the usable cores among their BLAS threads, one thread each at least;
+    more workers than cores still oversubscribe them.
     """
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:

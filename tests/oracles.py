@@ -2,15 +2,20 @@
 
 These are the direct forms: single kernel values, the n x n pseudo-outcome
 Gram, the trace loss on that Gram, the two-term bump-sum density, trapezoid
-mass, the unconstrained grid-coefficient minimizer and a forest grown by
-sorting every feature afresh at every node of every bootstrap sample.  None
-of them is used by the library itself.
+mass, the unconstrained grid-coefficient minimizer, a forest grown by
+sorting every feature afresh at every node of every bootstrap sample, and
+an SGD loop that builds fresh parameter, gradient and momentum arrays at
+every step.  None of them is used by the library itself.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ccme.errors import InvalidArgumentError, NumericError
 from ccme.kernels import gram
+from ccme.nets import ForwardCache, MlpParams
 from ccme.propensity import Tree
 
 
@@ -151,3 +156,92 @@ def oracle_forest(X, A, n_trees=100, max_depth=4, seed=0):
         boot = rng.integers(0, n, size=n)
         trees.append(_oracle_tree(X[boot], A[boot], max_depth))
     return trees
+
+
+def _oracle_forward(params, X):
+    """Outputs, each layer's input and each hidden preactivation, from fresh
+    arrays: ``h @ W.T + b`` and ``np.maximum(z, 0)`` layer by layer."""
+    acts, preacts, h = [X], [], X
+    last = params.n_layers - 1
+    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ W.T + b
+        if i < last:
+            preacts.append(z)
+            h = np.maximum(z, 0.0)
+            acts.append(h)
+        else:
+            h = z
+    return h, acts, preacts
+
+
+def mlp_backward(params, cache, output_grad):
+    """Gradients of sum_i <output_grad[i], output[i]> for every (W, b), from
+    the cache of ``mlp_forward`` on this exact params object; anything else
+    is rejected as stale."""
+    if cache.params is not params:
+        raise InvalidArgumentError("cache does not belong to these parameters")
+    G = np.asarray(output_grad, dtype=np.float64)
+    n = cache.acts[0].shape[0]
+    if G.shape != (n, params.sizes[-1]):
+        raise InvalidArgumentError(
+            f"output_grad must be ({n}, {params.sizes[-1]}), got {G.shape}")
+    grads = []
+    delta = G
+    for i in range(params.n_layers - 1, -1, -1):
+        grads.append((delta.T @ cache.acts[i], delta.sum(axis=0)))
+        if i > 0:
+            delta = (delta @ params.weights[i]) * (cache.preacts[i - 1] > 0)
+    grads.reverse()
+    return grads
+
+
+@dataclass
+class SgdState:
+    """Classical momentum: buffer <- m*buffer + grad; param <- param - lr*buffer."""
+
+    lr: float
+    momentum: float
+    buf_w: list = field(default_factory=list)
+    buf_b: list = field(default_factory=list)
+
+    @classmethod
+    def init(cls, params, lr, momentum):
+        if not (0.0 <= momentum < 1.0):
+            raise InvalidArgumentError(f"momentum must be in [0, 1), got {momentum}")
+        return cls(lr=float(lr), momentum=float(momentum),
+                   buf_w=[np.zeros_like(w) for w in params.weights],
+                   buf_b=[np.zeros_like(b) for b in params.biases])
+
+
+def sgd_step(params, grads, state):
+    """One momentum step; returns fresh params and the same state object.
+    The parameter arrays passed in are left as they are; the momentum
+    buffer lists ``state.buf_w``/``buf_b`` are updated in place."""
+    if len(grads) != params.n_layers:
+        raise InvalidArgumentError("gradient list does not match layer count")
+    new_w, new_b = [], []
+    for i, (gw, gb) in enumerate(grads):
+        state.buf_w[i] = state.momentum * state.buf_w[i] + gw
+        state.buf_b[i] = state.momentum * state.buf_b[i] + gb
+        new_w.append(params.weights[i] - state.lr * state.buf_w[i])
+        new_b.append(params.biases[i] - state.lr * state.buf_b[i])
+    return MlpParams(params.sizes, new_w, new_b), state
+
+
+def oracle_train_mlp(params, batch, loss_and_grad, epochs, lr, momentum):
+    """The parameters and last loss ``train_mlp`` must return: the same
+    loop over a fresh forward pass, ``mlp_backward`` and ``sgd_step`` at
+    every epoch."""
+    X = np.asarray(batch, dtype=np.float64)
+    state = SgdState.init(params, lr, momentum)
+    last = float("nan")
+    for epoch in range(epochs):
+        out, acts, preacts = _oracle_forward(params, X)
+        loss, dout = loss_and_grad(out)
+        if not np.isfinite(loss):
+            raise NumericError(
+                f"training loss became non-finite at epoch {epoch}", epoch=epoch)
+        grads = mlp_backward(params, ForwardCache(params, acts, preacts), dout)
+        params, state = sgd_step(params, grads, state)
+        last = float(loss)
+    return params, last

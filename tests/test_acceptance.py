@@ -17,14 +17,14 @@ from ccme.density import default_grid, density_curves, density_matrix
 from ccme.estimators import (Hyper, df_trace_loss, fit_ccme, fit_first_stage,
                              fit_second_stage, make_grid, nk_loss_grad)
 from ccme.kernels import KernelSpec, gram
-from ccme.nets import mlp_backward, mlp_forward, mlp_init, train_mlp
+from ccme.nets import mlp_forward, mlp_init, train_mlp
 from ccme.propensity import fit_logistic, logistic_loss_grad
 from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, DgpConfig,
                              GroundTruth, SweepCell, _derived_seed,
                              eval_points, generate, mse, run_cell,
                              scenario_propensity, scenario_x_cols)
 
-from oracles import feature_factor, nk_minimizer, quadrature_mass
+from oracles import feature_factor, mlp_backward, nk_minimizer, quadrature_mass
 
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 

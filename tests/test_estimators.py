@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccme import estimators
@@ -14,7 +14,13 @@ from ccme.estimators import (Hyper, build_k_xi, df_trace_loss, fit_ccme,
 from ccme.kernels import KernelSpec, SpdFactor, gram, outcome_basis
 
 from conftest import make_dataset, make_split
-from oracles import feature_factor, kernel_eval, nk_minimizer
+from oracles import exact_trace_loss, feature_factor, kernel_eval, nk_minimizer
+
+# The trace loss against its form on the explicit Gram, relative to
+# ||Xi||_F^2 cond(S) (the gradient also over sqrt(ridge), its scale as the
+# ridge shrinks).  Both forms lose digits as S grows ill-conditioned: over
+# 20,000 random draws the worst were 7.5e-16 (loss) and 2.6e-16 (gradient).
+TRACE_TOL = 1e-13
 
 
 def manual_split(d0, d1, v_cols=None):
@@ -276,6 +282,28 @@ class TestTraceLoss:
         with pytest.raises(NumericError, match="feature Gram") as info:
             df_trace_loss(np.ones((4, 3)), xi, -1.0)
         assert info.value.pivot is not None
+
+    def test_overflowing_feature_gram_is_numeric(self):
+        # finite features whose Gram overflows to inf
+        with pytest.raises(NumericError, match="feature Gram"), \
+                np.errstate(over="ignore"):
+            df_trace_loss(np.full((4, 3), 1e200), np.ones((4, 2)), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 25),
+           st.integers(1, 40), st.floats(-6.0, 3.0), st.floats(-1.0, 1.0))
+    @example(0, 3, 20, 40, -6.0, 0.0)        # r > n, n < M, the smallest ridge
+    @example(1, 30, 2, 1, 3.0, 1.0)
+    def test_matches_the_explicit_gram_form(self, seed, n, m, r, log_ridge, log_scale):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(0.0, 10.0 ** log_scale, (n, m))
+        xi = rng.normal(size=(n, r))
+        ridge = 10.0 ** log_ridge
+        loss, grad = df_trace_loss(psi, xi, ridge)
+        loss_x, grad_x = exact_trace_loss(psi, xi @ xi.T, ridge)
+        scale = np.sum(xi * xi) * np.linalg.cond(psi.T @ psi + ridge * np.eye(m))
+        assert abs(loss - loss_x) <= TRACE_TOL * scale
+        assert np.abs(grad - grad_x).max() <= TRACE_TOL * scale / np.sqrt(ridge)
 
 
 class TestNkLoss:

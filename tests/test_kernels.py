@@ -182,7 +182,15 @@ class TestSpdFactor:
         rng = np.random.default_rng(2)
         fac = SpdFactor(gram(KernelSpec(), rng.normal(size=(5, 2))), 1.0)
         fresh = cho_factor(fac.matrix, lower=True)[0]
-        assert np.array_equal(np.tril(fresh), np.tril(fac._factor[0]))
+        assert np.array_equal(np.tril(fresh), np.tril(fac._factor))
+
+    def test_non_finite_matrix_is_numeric(self):
+        K = np.eye(3)
+        K[0, 2] = K[2, 0] = np.inf
+        with pytest.raises(NumericError, match="NaN or inf"):
+            SpdFactor(K, 1.0)
+        with pytest.raises(NumericError, match="right-hand side"):
+            SpdFactor(np.eye(3), 1.0).solve(np.array([1.0, np.nan, 0.0]))
 
     def test_from_regularized_indefinite_reports_pivot(self):
         with pytest.raises(NumericError, match="stored matrix") as err:

@@ -1,14 +1,21 @@
-"""MLP initialization, forward/backward passes, and the SGD loop."""
+"""MLP initialization, the forward pass and the SGD loop.
+
+The backward pass and momentum step are checked on their reference forms in
+``oracles``, which the training loop must match bit for bit."""
+
+import copy
 
 import numpy as np
 import pytest
 
 from ccme import blas
 from ccme.errors import InvalidArgumentError, NumericError
-from ccme.nets import (MlpParams, SgdState, mlp_backward, mlp_forward,
-                       mlp_init, sgd_step, train_mlp)
+from ccme.estimators import nk_loss_grad
+from ccme.kernels import KernelSpec, gram
+from ccme.nets import MlpParams, mlp_forward, mlp_init, train_mlp
 
 from conftest import openblas_counts
+from oracles import SgdState, mlp_backward, oracle_train_mlp, sgd_step
 
 
 def flatten_params(params):
@@ -172,7 +179,7 @@ class TestSgd:
 
     def test_updates_state_in_place_and_leaves_params(self):
         params = mlp_init((2, 3), seed=3)
-        before = params.copy()
+        before = copy.deepcopy(params)
         state = SgdState.init(params, lr=0.1, momentum=0.9)
         g = np.ones((3, 2))
         after, returned = sgd_step(params, [(g, np.ones(3))], state)
@@ -215,6 +222,18 @@ class TestTrainLoop:
         assert np.isnan(last)
         assert np.array_equal(trained.weights[0], params.weights[0])
 
+    def test_bad_momentum_and_batch_rejected(self):
+        params = mlp_init((2, 2), seed=0)
+
+        def loss_and_grad(out):
+            return 0.0, np.zeros_like(out)
+
+        for momentum in (1.0, -0.1):
+            with pytest.raises(InvalidArgumentError):
+                train_mlp(params, np.zeros((1, 2)), loss_and_grad, 1, 0.1, momentum)
+        with pytest.raises(InvalidArgumentError):
+            train_mlp(params, np.zeros((1, 3)), loss_and_grad, 1, 0.1, 0.0)
+
     def test_nonfinite_loss_reports_epoch(self):
         params = mlp_init((2, 2), seed=0)
         calls = {"n": 0}
@@ -229,6 +248,67 @@ class TestTrainLoop:
             train_mlp(params, np.ones((1, 2)), explode,
                       epochs=10, lr=0.1, momentum=0.0)
         assert err.value.epoch == 2
+
+
+def least_squares(target):
+    def loss_and_grad(out):
+        diff = out - target
+        return float((diff * diff).mean()), 2.0 * diff / diff.size
+    return loss_and_grad
+
+
+class TestMatchesOracle:
+    """``train_mlp`` returns the very bits of the reference loop: fresh
+    arrays at every step, ``mlp_backward`` and ``sgd_step``."""
+
+    @pytest.mark.parametrize("sizes,rows,momentum", [
+        ((3, 2), 7, 0.0), ((3, 2), 7, 0.9), ((4, 6, 5, 3), 1, 0.0),
+        ((4, 6, 5, 3), 1, 0.9), ((5, 20, 20, 20), 60, 0.9)])
+    def test_bit_identical(self, sizes, rows, momentum):
+        rng = np.random.default_rng(rows * len(sizes))
+        batch = rng.normal(size=(rows, sizes[0]))
+        loss_and_grad = least_squares(rng.normal(size=(rows, sizes[-1])))
+        params = mlp_init(sizes, seed=rows)
+        before = flatten_params(params).tobytes()
+        got, got_loss = train_mlp(params, batch, loss_and_grad, 200, 0.05, momentum)
+        with blas.single_thread():
+            want, want_loss = oracle_train_mlp(params, batch, loss_and_grad, 200,
+                                               0.05, momentum)
+        assert got_loss == want_loss
+        assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+        assert flatten_params(params).tobytes() == before
+
+    def test_grid_loss_bit_identical(self):
+        rng = np.random.default_rng(3)
+        grid = np.linspace(-2.0, 2.0, 8).reshape(-1, 1)
+        ky = KernelSpec(bandwidth=0.7, normalized=True)
+        k_m, b = gram(ky, grid), gram(ky, grid, rng.normal(size=(30, 1)))
+        batch = rng.normal(size=(30, 4))
+
+        def loss_and_grad(out):
+            return nk_loss_grad(out, k_m, b)
+
+        params = mlp_init((4, 20, 20, 8), seed=3)
+        got, got_loss = train_mlp(params, batch, loss_and_grad, 300, 0.01, 0.9)
+        with blas.single_thread():
+            want, want_loss = oracle_train_mlp(params, batch, loss_and_grad, 300,
+                                               0.01, 0.9)
+        assert got_loss == want_loss
+        assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+
+    def test_divergence_at_the_same_epoch(self):
+        rng = np.random.default_rng(6)
+        batch = rng.normal(size=(9, 3))
+        loss_and_grad = least_squares(rng.normal(size=(9, 2)))
+        params = mlp_init((3, 5, 2), seed=6)
+        before = flatten_params(params).tobytes()
+        epochs = []
+        for train in (train_mlp, oracle_train_mlp):
+            with pytest.raises(NumericError) as err, np.errstate(all="ignore"):
+                train(params, batch, loss_and_grad, 10_000, 5.0, 0.9)
+            epochs.append(err.value.epoch)
+        assert epochs[0] == epochs[1] > 1
+        assert flatten_params(params).tobytes() == before
 
 
 def quadratic_problem(seed=5):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ccme.errors import DegenerateDataError, InvalidArgumentError
 from ccme.propensity import (PropensityModel, fit_forest, fit_logistic,
-                             make_oracle, predict_propensity)
+                             logistic_loss_grad, make_oracle, predict_propensity)
 from ccme.synthbench import DgpConfig, generate, true_propensity
 from oracles import oracle_forest
 
@@ -50,6 +50,17 @@ class TestLogistic:
         model = fit_logistic(X, A)
         far = predict_propensity(model, np.array([[4.0], [5.0], [6.0]]))
         assert np.all(far == 0.99)
+
+    def test_steps_on_the_gradient_of_the_loss(self):
+        # the fit skips the loss but must take the very same steps
+        X, A, _ = interaction_dgp(300, 4)
+        coef, intercept = np.zeros(10), 0.0
+        for _ in range(50):
+            _, gw, gb = logistic_loss_grad(coef, intercept, X, A)
+            coef, intercept = coef - 0.1 * gw, intercept - 0.1 * gb
+        fitted = fit_logistic(X, A, epochs=50).logistic
+        assert fitted.coef.tobytes() == coef.tobytes()
+        assert fitted.intercept == intercept
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):

@@ -153,6 +153,13 @@ class TestMse:
                 total += dens[t, g] ** 2
         assert got == pytest.approx(total / dens.size, rel=1e-12)
 
+    def test_evaluated_truth_scores_alike(self):
+        truth = GroundTruth()
+        v = eval_points(4)
+        y = np.linspace(-5.0, 40.0, 80)
+        assert (mse(_Offset(truth, 0.1), truth.density_matrix(v, y), v, y)
+                == mse(_Offset(truth, 0.1), truth, v, y))
+
     def test_mean_consistent_with_quadrature(self):
         # on a uniform grid the plain mean and the trapezoid integral are
         # related by mean = (trapz/h + (f_0 + f_last)/2) / G
@@ -343,6 +350,21 @@ class TestSweepGroups:
             name: 2 * count for name, count in per_group.items()}
         onestep = [r.mse for r in records if r.variant == "onestep"]
         assert len(onestep) == 6 and len(set(onestep)) == 2
+
+    def test_the_truth_is_evaluated_once_per_group(self, monkeypatch, tiny_hyper):
+        calls = []
+        real = GroundTruth.density_matrix
+
+        def spy(self, v, y):
+            calls.append(len(y))
+            return real(self, v, y)
+
+        monkeypatch.setattr(GroundTruth, "density_matrix", spy)
+        cells = plan_cells(["rr", "nk"], list(synthbench.VARIANTS), ["a", "c"],
+                           [30], [1, 2])
+        records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20)
+        assert all(r.error == "" for r in records)
+        assert calls == [20, 20]
 
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
     def test_a_first_stage_is_read_at_d1_once_per_group(self, monkeypatch,
