@@ -23,23 +23,25 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import (config_json, load_config_file, merge_config,
+from .config import (_SCALAR, config_json, load_config_file, merge_config,
                      parse_override, validate_config)
 from .data import dataset_to_csv, load_dataset, split_data
 from .density import curves_to_csv, default_grid, density_curves
 from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
                      NumericError)
 from .estimators import Hyper, fit_ccme
-from .propensity import fit_forest, fit_logistic, make_oracle
 from .serialize import atomic_write, load_model, save_model
-from .synthbench import (N_COV, DgpConfig, generate, loglog_slope,
+from .synthbench import (N_COV, DgpConfig, SweepRecord, generate, loglog_slope,
                          normalize_scenario, plan_cells, run_sweep,
-                         scenario_propensity, scenario_x_cols, true_propensity)
+                         scenario_x_cols)
 
 __all__ = ["main"]
 
-_SWEEP_COLUMNS = ["method", "variant", "scenario", "n", "seed",
-                  "mse", "seconds", "error"]
+# A sweep CSV has one column per SweepRecord field, each parsed by its type
+# and written with str() or, for two floats, these formats.
+_SWEEP_FIELDS = fields(SweepRecord)
+_SWEEP_COLUMNS = [f.name for f in _SWEEP_FIELDS]
+_SWEEP_FORMATS = {"mse": ".17g", "seconds": ".3f"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,37 +140,15 @@ def cmd_simulate(cfg: Hyper, args: argparse.Namespace) -> int:
     return 0
 
 
-def _benchmark_shaped(d_x: int) -> bool:
-    return d_x == N_COV
-
-
 def cmd_fit(cfg: Hyper, args: argparse.Namespace) -> int:
     with open(args.data, "r", encoding="utf-8") as fh:
         data = load_dataset(fh.read())
-    d_x = data.X.shape[1]
-    if cfg.scenario != "a" and not _benchmark_shaped(d_x):
+    if cfg.scenario != "a" and data.X.shape[1] != N_COV:
         raise ConfigError(
             f"scenario {cfg.scenario!r} wiring needs the {N_COV}-covariate "
-            f"benchmark layout; this dataset has {d_x} covariates")
+            f"benchmark layout; this dataset has {data.X.shape[1]} covariates")
     split = split_data(data, cfg.seed, cfg.v_cols, scenario_x_cols(cfg.scenario))
-
-    prop = None
-    if cfg.variant != "onestep":
-        clip = cfg.clip()
-        if cfg.propensity == "auto":     # a forest, or logistic in scenario b
-            prop = scenario_propensity(cfg.scenario, split.d0.X, split.d0.A,
-                                       cfg.seed, clip)
-        elif cfg.propensity == "forest":
-            prop = fit_forest(split.d0.X, split.d0.A, seed=cfg.seed, clip=clip)
-        elif cfg.propensity == "logistic":
-            prop = fit_logistic(split.d0.X, split.d0.A, clip=clip)
-        else:
-            if not _benchmark_shaped(d_x):
-                raise ConfigError("the oracle propensity is defined for the "
-                                  f"{N_COV}-covariate benchmark layout only")
-            prop = make_oracle(true_propensity, d_x, clip)
-
-    model = fit_ccme(split, cfg.method, cfg.variant, prop, cfg)
+    model = fit_ccme(split, cfg)
     save_model(model, args.model_out)
     _status(f"fitted {cfg.method}/{cfg.variant} on {len(data)} rows "
             f"({split.m} treated nuisance rows, {split.n} regression rows); "
@@ -272,85 +252,74 @@ def cmd_sweep(cfg: Hyper, args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
-    for r in records:
-        writer.writerow([r.method, r.variant, r.scenario, r.n, r.seed,
-                         f"{r.mse:.17g}", f"{r.seconds:.3f}", r.error])
+    writer.writerows([format(getattr(r, c), _SWEEP_FORMATS.get(c, ""))
+                      for c in _SWEEP_COLUMNS] for r in records)
     atomic_write(args.out, buf.getvalue())
     ok = sum(1 for r in records if r.error == "" and np.isfinite(r.mse))
     _status(f"{ok}/{len(records)} cells succeeded; results -> {args.out}")
     return 0 if ok >= 1 else 5
 
 
-def _read_sweep_csv(path: str) -> tuple[list[dict], int]:
+def _read_sweep_csv(path: str) -> tuple[list[SweepRecord], int]:
+    """The successful records of a sweep CSV, and the count of failed ones."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or \
                 [c.strip() for c in reader.fieldnames] != _SWEEP_COLUMNS:
             raise InvalidArgumentError(
                 f"{path} lacks the sweep header {','.join(_SWEEP_COLUMNS)}")
-        rows, skipped = [], 0
+        records, skipped = [], 0
         for lineno, raw in enumerate(reader, start=2):
             if any(raw[c] is None for c in _SWEEP_COLUMNS):
                 raise InvalidArgumentError(f"{path}:{lineno}: wrong field count")
             try:
-                row = {"method": raw["method"], "variant": raw["variant"],
-                       "scenario": raw["scenario"], "n": int(raw["n"]),
-                       "seed": int(raw["seed"]), "mse": float(raw["mse"]),
-                       "error": raw["error"]}
+                rec = SweepRecord(*(_SCALAR[f.type](raw[f.name])
+                                    for f in _SWEEP_FIELDS))
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}")
-            if row["error"] != "" or not np.isfinite(row["mse"]):
+            if rec.error != "" or not np.isfinite(rec.mse):
                 skipped += 1
                 continue
-            rows.append(row)
-    return rows, skipped
+            records.append(rec)
+    return records, skipped
 
 
 def cmd_report(cfg: Hyper, args: argparse.Namespace) -> int:
-    rows, skipped = _read_sweep_csv(args.results)
+    records, skipped = _read_sweep_csv(args.results)
     if skipped:
         _status(f"excluded {skipped} failed rows")
-    if not rows:
+    if not records:
         raise DegenerateDataError("no successful rows to report")
     groups: dict[tuple, list[float]] = {}
-    for row in rows:
-        key = (row["method"], row["variant"], row["scenario"], row["n"])
-        groups.setdefault(key, []).append(row["mse"])
-    medians = {key: float(np.median(vals)) for key, vals in sorted(groups.items())}
+    for r in records:
+        groups.setdefault((r.method, r.variant, r.scenario, r.n), []).append(r.mse)
+    # (method, variant, scenario, n, cells, median mse), sorted by key, so
+    # each key's n's below come in ascending order
+    table = [(*key, len(mses), float(np.median(mses)))
+             for key, mses in sorted(groups.items())]
 
     out = io.StringIO()
     out.write(f"{'method':<8}{'variant':<9}{'scenario':<10}{'n':>7}"
               f"{'cells':>7}  {'median_mse':<12}\n")
-    for (method, variant, scenario, n), med in medians.items():
-        cells = len(groups[(method, variant, scenario, n)])
+    by_key: dict[tuple, dict[int, float]] = {}
+    for method, variant, scenario, n, cells, med in table:
         out.write(f"{method:<8}{variant:<9}{scenario:<10}{n:>7}"
                   f"{cells:>7}  {med:<12.6g}\n")
-
-    slope_keys: dict[tuple, dict[int, float]] = {}
-    for (method, variant, scenario, n), med in medians.items():
-        slope_keys.setdefault((method, variant, scenario), {})[n] = med
-    slope_lines = []
-    for key, by_n in sorted(slope_keys.items()):
-        if len(by_n) < 3 or any(v <= 0 for v in by_n.values()):
-            continue
-        ns = np.array(sorted(by_n))
-        med = np.array([by_n[n] for n in ns], dtype=np.float64)
-        slope_lines.append((key, loglog_slope(ns, med)))
-    if slope_lines:
+        by_key.setdefault((method, variant, scenario), {})[n] = med
+    slopes = [(key, loglog_slope(np.array(list(by_n)), np.array(list(by_n.values()))))
+              for key, by_n in by_key.items()
+              if len(by_n) >= 3 and all(v > 0 for v in by_n.values())]
+    if slopes:
         out.write("\nlog-log slope of median mse vs n:\n")
-        for (method, variant, scenario), slope in slope_lines:
+        for (method, variant, scenario), slope in slopes:
             out.write(f"{method:<8}{variant:<9}{scenario:<10}{slope:>8.3f}\n")
     sys.stdout.write(out.getvalue())
 
     if args.out:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "variant", "scenario", "n", "cells",
-                         "median_mse"])
-        for (method, variant, scenario, n), med in medians.items():
-            writer.writerow([method, variant, scenario, n,
-                             len(groups[(method, variant, scenario, n)]),
-                             f"{med:.17g}"])
+        writer.writerow(["method", "variant", "scenario", "n", "cells", "median_mse"])
+        writer.writerows([*row[:-1], f"{row[-1]:.17g}"] for row in table)
         atomic_write(args.out, buf.getvalue())
         _status(f"medians -> {args.out}")
     return 0

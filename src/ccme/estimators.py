@@ -50,17 +50,19 @@ from .errors import ConfigWarning, InvalidArgumentError, NumericError
 from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_solve, _cholesky,
                       gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
-from .propensity import PropensityModel
 
 __all__ = [
     "Hyper", "KernelHead", "FeatureHead", "GridHead", "head_from_arrays",
     "FirstStage", "CcmeModel", "pseudo_weights", "build_k_xi",
     "df_trace_loss", "nk_loss_grad", "make_grid",
     "fit_first_stage", "fit_second_stage", "fit_ccme",
-    "METHODS", "VARIANTS",
+    "METHODS", "READS", "VARIANTS",
 ]
 
-VARIANTS = ("dr", "ipw", "pi", "onestep")
+# The nuisances each variant's pseudo-outcomes read: omega = A / pi_hat(X)
+# on D1, and the first stage mu0.
+READS = {"dr": ("omega", "first"), "ipw": ("omega",), "pi": ("first",), "onestep": ()}
+VARIANTS = tuple(READS)
 
 
 @dataclass
@@ -580,6 +582,12 @@ class CcmeModel:
         return self.second.method
 
 
+def _reads(variant: str) -> tuple[str, ...]:
+    if variant not in READS:
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    return READS[variant]
+
+
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
                      hyper: Hyper,
@@ -587,18 +595,17 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      factor: SpdFactor | None = None) -> CcmeModel:
     """Regress pseudo-outcomes on V over D1 and package the fitted model.
 
-    ``first`` may be None for ``ipw``, whose pseudo-outcomes never read mu0;
-    the stage then builds the basis the first stage would have built.  An rr
-    stage two over all of D1 (every variant but ``onestep``) solves with
-    K(V1) + ridge1 I whatever its pseudo-outcomes; callers that fit several
-    variants on one split pass it as ``factor``, from
-    ``KernelHead.factor(split.v1, hyper, 1)``.
+    ``first`` and ``omega`` may be None where the variant does not read them
+    (``READS``); without a first stage the stage builds the basis the first
+    stage would have built.  An rr stage two over all of D1 (every variant
+    but ``onestep``) solves with K(V1) + ridge1 I whatever its
+    pseudo-outcomes; callers that fit several variants on one split pass it
+    as ``factor``, from ``KernelHead.factor(split.v1, hyper, 1)``.
     """
     head_cls = _head_class(method)
-    if variant not in VARIANTS:
-        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    reads = _reads(variant)
     y_all = _all_outcomes(split)
-    if variant == "onestep":
+    if not reads:                                    # onestep
         if first is not None:
             warnings.warn("one-step variant ignores the first stage", ConfigWarning)
         keep = split.d1.A > 0
@@ -607,16 +614,16 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         v1, y1, first = split.v1[keep], split.d1.Y[keep], None
         a, c, grid_y = np.ones(len(v1)), np.zeros(len(v1)), y1
     else:
-        if first is None and variant != "ipw":
+        if first is None and "first" in reads:
             raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
         if first is not None and first.head.method != method:
             raise InvalidArgumentError(
                 f"stage methods must match: first={first.head.method!r}, "
                 f"second={method!r}")
-        if omega is None:
+        if omega is None and "omega" in reads:
             raise InvalidArgumentError(f"variant {variant!r} needs omega")
         v1, y1 = split.v1, split.d1.Y
-        a, c = pseudo_weights(variant, omega)
+        a, c = pseudo_weights(variant, np.zeros(split.n) if omega is None else omega)
         grid_y = y_all
 
     kernel_y = hyper.kernel_y()
@@ -633,28 +640,49 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      float(y_all.min()), float(y_all.max()), list(split.v_cols))
 
 
-def fit_ccme(split: SplitDataset, method: str, variant: str,
-             propensity: PropensityModel | None, hyper: Hyper,
-             grid: NDArray[np.float64] | None = None, *,
-             omega: NDArray[np.float64] | None = None,
-             first: FirstStage | None = None,
-             factor: SpdFactor | None = None) -> CcmeModel:
-    """Fit both stages on a split dataset and return the packaged model.
+def _shared_part(shared: dict, key: tuple, build):
+    """``build()``, run once per ``key`` in a ``shared`` dict.  A part that
+    raised is not rebuilt: each later request raises its error."""
+    if key not in shared:
+        try:
+            shared[key] = build()
+        except Exception as exc:  # noqa: BLE001 - raised again for every request
+            shared[key] = exc.with_traceback(None)
+    part = shared[key]
+    if isinstance(part, Exception):
+        raise part
+    return part
 
-    Callers that fit several models on one split pass the nuisances those
-    share, each fitted once: ``omega`` in place of the propensity, the
-    ``first`` stage (not read by ``ipw``) and the rr stage-two ``factor``
-    (see ``fit_second_stage``).  ``onestep`` reads none of them.
+
+def fit_ccme(split: SplitDataset, hyper: Hyper, *,
+             shared: dict | None = None) -> CcmeModel:
+    """Fit ``hyper.method`` with ``hyper.variant`` on a split dataset and
+    return the packaged model.
+
+    Only the nuisances the variant reads (``READS``) are built: omega from
+    the propensity model ``synthbench.fit_propensity`` fits on D0, and the
+    first stage over ``split.x_cols``; an rr stage two over all of D1 also
+    factors K(V1) + ridge1 I.  Each is built once per ``shared`` dict: omega
+    per propensity model, the first stage per method and ``x_cols``, the
+    factor once.  Fits may share one dict when they have one split's data
+    and one ``Hyper``, differing only in method, variant, scenario,
+    propensity and ``split.x_cols``.
     """
     from .data import compute_omega
+    # imported here, as synthbench imports this module
+    from .synthbench import fit_propensity, propensity_kind
 
-    if variant == "onestep":
-        return fit_second_stage(split, method, variant, None, None, hyper, grid)
-    if omega is None:
-        if propensity is None:
-            raise InvalidArgumentError(f"variant {variant!r} needs a propensity model")
-        omega = compute_omega(split.d1, propensity)
-    if first is None and variant != "ipw":   # ipw has c = 0: it never reads mu0
-        first = fit_first_stage(split, method, hyper, grid)
-    return fit_second_stage(split, method, variant, first, omega, hyper, grid,
+    method, reads = hyper.method, _reads(hyper.variant)
+    shared = {} if shared is None else shared
+    omega = first = factor = None
+    if "omega" in reads:
+        omega = _shared_part(shared, ("omega", propensity_kind(hyper)), lambda: (
+            compute_omega(split.d1, fit_propensity(hyper, split.d0))))
+    if "first" in reads:
+        first = _shared_part(shared, ("first", method, str(split.x_cols)),
+                             lambda: fit_first_stage(split, method, hyper))
+    if method == "rr" and reads:             # onestep fits D1's treated rows
+        factor = _shared_part(shared, ("factor",),
+                              lambda: KernelHead.factor(split.v1, hyper, 1))
+    return fit_second_stage(split, method, hyper.variant, first, omega, hyper,
                             factor=factor)

@@ -8,7 +8,8 @@ conditional law of the treated outcome given V an analytic two-component
 normal mixture: every moment below is derived from the coefficient vectors at
 construction time.
 
-Scenarios select how the nuisances are fitted, never how data is drawn:
+Scenarios select how the nuisances are fitted, never how data is drawn
+(the propensity model as ``propensity="auto"`` picks it):
 
     a  both nuisances well specified (forest propensity, full covariates)
     b  propensity misspecified (a logistic fit cannot express the box rule)
@@ -27,18 +28,18 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import blas
-from .data import Dataset, compute_omega, split_data
+from .data import Dataset, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import (METHODS, VARIANTS, CcmeModel, Hyper, KernelHead,
-                         fit_ccme, fit_first_stage)
-from .propensity import DEFAULT_CLIP, PropensityModel, fit_forest, fit_logistic
+from .estimators import (METHODS, VARIANTS, CcmeModel, Hyper, _shared_part,
+                         fit_ccme)
+from .propensity import PropensityModel, fit_forest, fit_logistic, make_oracle
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
     "SCENARIOS", "DgpConfig", "generate", "true_propensity", "GroundTruth",
     "mse", "eval_points", "SweepCell", "SweepRecord", "plan_cells",
-    "run_cell", "run_sweep", "loglog_slope",
+    "run_cell", "run_sweep", "loglog_slope", "fit_propensity", "propensity_kind",
 ]
 
 BETA = np.array([1.0, -0.5, 0.8, -0.7, 0.6, 1.0, 0.3, -0.2, 0.1, -0.3])
@@ -226,32 +227,29 @@ def scenario_x_cols(scenario: str) -> list[int] | None:
     return None
 
 
-def _propensity_kind(scenario: str) -> str:
-    """The scenario's propensity model: logistic in b, a forest otherwise."""
-    return "logistic" if normalize_scenario(scenario) == "b" else "forest"
+def propensity_kind(hyper: Hyper) -> str:
+    """The propensity model a fit uses: ``hyper.propensity``, where ``auto``
+    is a forest, or a logistic model in scenario b."""
+    if hyper.propensity != "auto":
+        return hyper.propensity
+    return "logistic" if normalize_scenario(hyper.scenario) == "b" else "forest"
 
 
-def scenario_propensity(scenario: str, d0_X: NDArray[np.float64],
-                        d0_A: NDArray[np.float64], seed: int,
-                        clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
-    """Fit the scenario's propensity model on the D0 half, clipped to ``clip``."""
-    if _propensity_kind(scenario) == "logistic":
-        return fit_logistic(d0_X, d0_A, clip=clip)
-    return fit_forest(d0_X, d0_A, seed=seed, clip=clip)
-
-
-def _shared_part(shared: dict, key: tuple, build):
-    """``build()``, run once per ``key`` in a sweep group's ``shared`` dict.
-    A part that raised is not rebuilt: each later request raises its error."""
-    if key not in shared:
-        try:
-            shared[key] = build()
-        except Exception as exc:  # noqa: BLE001 - raised again for every cell
-            shared[key] = exc.with_traceback(None)
-    part = shared[key]
-    if isinstance(part, Exception):
-        raise part
-    return part
+def fit_propensity(hyper: Hyper, d0: Dataset) -> PropensityModel:
+    """Fit ``propensity_kind(hyper)`` on the D0 half, clipped to
+    ``hyper.clip()``: the forest seeded by ``hyper.seed``, or the true
+    propensity (``oracle``) of the benchmark's covariate layout."""
+    kind, clip = propensity_kind(hyper), hyper.clip()
+    if kind == "forest":
+        return fit_forest(d0.X, d0.A, seed=hyper.seed, clip=clip)
+    if kind == "logistic":
+        return fit_logistic(d0.X, d0.A, clip=clip)
+    if kind != "oracle":
+        raise ConfigError(f"unknown propensity setting {hyper.propensity!r}")
+    if d0.X.shape[1] != N_COV:
+        raise ConfigError("the oracle propensity is defined for the "
+                          f"{N_COV}-covariate benchmark layout only")
+    return make_oracle(true_propensity, N_COV, clip)
 
 
 def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
@@ -264,10 +262,10 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
     ``run_sweep`` builds once per group and keeps in a ``shared`` dict:
 
     - the data and its split (each scenario sets its ``x_cols``);
-    - omega from each propensity model (forest, or logistic in scenario b);
-    - the first stage, per method and ``x_cols``;
-    - rr's stage-two factor of K(V1) + ridge1 I, the same for dr, ipw and
-      pi in every scenario;
+    - the nuisances ``fit_ccme`` keeps in ``shared``: omega per propensity
+      model (``propensity_kind``), the first stage per method and
+      ``x_cols``, and rr's stage-two factor of K(V1) + ridge1 I, the same
+      for dr, ipw and pi in every scenario;
     - the ``onestep`` score, per method: it reads neither the propensity
       nor ``x_cols``, so its cells in every scenario are one fit;
     - the scoring grid and the true densities on it.
@@ -297,24 +295,11 @@ def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
     split = _shared_part(shared, ("split",), lambda: split_data(
         generate(DgpConfig(2 * n, _derived_seed(2026, n, seed)))[0],
         _derived_seed(2027, n, seed), V_COLS))
-    x_cols = scenario_x_cols(cell.scenario)
-    split = replace(split, x_cols=x_cols)
-    cell_hyper = replace(hyper, net_seed=_derived_seed(2028, n, seed))
-    nuisances = {}
-    if cell.variant != "onestep":
-        nuisances["omega"] = _shared_part(
-            shared, ("omega", _propensity_kind(cell.scenario)),
-            lambda: compute_omega(split.d1, scenario_propensity(
-                cell.scenario, split.d0.X, split.d0.A,
-                _derived_seed(2029, n, seed), hyper.clip())))
-        if cell.variant != "ipw":
-            nuisances["first"] = _shared_part(
-                shared, ("first", cell.method, str(x_cols)),
-                lambda: fit_first_stage(split, cell.method, cell_hyper))
-        if cell.method == "rr":
-            nuisances["factor"] = _shared_part(
-                shared, ("factor",), lambda: KernelHead.factor(split.v1, cell_hyper, 1))
-    model = fit_ccme(split, cell.method, cell.variant, None, cell_hyper, **nuisances)
+    model = fit_ccme(
+        replace(split, x_cols=scenario_x_cols(cell.scenario)),
+        replace(hyper, method=cell.method, variant=cell.variant,
+                scenario=cell.scenario, seed=_derived_seed(2029, n, seed),
+                net_seed=_derived_seed(2028, n, seed)), shared=shared)
 
     def truth_on_grid() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         # the outcomes' range padded by 2, and the true densities on it
@@ -372,6 +357,10 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
         if cell.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {cell.variant!r}")
     hyper = hyper or Hyper()
+    if hyper.v_cols not in (None, V_COLS):
+        raise ConfigError(f"sweeps condition on V = the first {len(V_COLS)} "
+                          f"covariates, as the true densities do; got v_cols "
+                          f"{hyper.v_cols}")
     test_v = eval_points(test_points, eval_seed)
     groups: dict[tuple[int, int], list[SweepCell]] = {}
     for cell in cells:

@@ -18,11 +18,11 @@ from ccme.estimators import (Hyper, df_trace_loss, fit_ccme, fit_first_stage,
                              fit_second_stage, make_grid, nk_loss_grad)
 from ccme.kernels import KernelSpec, gram
 from ccme.nets import mlp_forward, mlp_init, train_mlp
-from ccme.propensity import fit_logistic, logistic_loss_grad
+from ccme.propensity import logistic_loss_grad
 from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, DgpConfig,
                              GroundTruth, SweepCell, _derived_seed,
-                             eval_points, generate, mse, run_cell,
-                             scenario_propensity, scenario_x_cols)
+                             eval_points, fit_propensity, generate, mse,
+                             run_cell, scenario_x_cols)
 
 from oracles import feature_factor, mlp_backward, nk_minimizer, quadrature_mass
 
@@ -224,12 +224,8 @@ def test_c05_mass_identity():
         A[:4] = 1.0
         data = Dataset(X, A, rng.normal(size=N) + 0.5 * X[:, 0])
         split = split_data(data, seed=seed)
-        variant = variants[seed % 4]
-        if variant == "onestep":
-            model = fit_second_stage(split, "rr", variant, None, None, h)
-        else:
-            prop = fit_logistic(split.d0.X, split.d0.A)
-            model = fit_ccme(split, "rr", variant, prop, h)
+        model = fit_ccme(split, replace(h, variant=variants[seed % 4],
+                                        propensity="logistic"))
         sigma = model.kernel_y.bandwidth
         grid = np.linspace(model.y_lo - 8 * sigma, model.y_hi + 8 * sigma, 4001)
         for curve in density_curves(model, rng.normal(size=(3, 3)), y_grid=grid):
@@ -303,8 +299,8 @@ def _scenario_c_pair(n, seed, h, test_v, truth):
     split = split_data(data, _derived_seed(2027, n, seed), V_COLS,
                        scenario_x_cols("c"))
     cell_h = replace(h, net_seed=_derived_seed(2028, n, seed))
-    prop = scenario_propensity("c", split.d0.X, split.d0.A,
-                               _derived_seed(2029, n, seed))
+    prop = fit_propensity(replace(h, scenario="c", seed=_derived_seed(2029, n, seed)),
+                          split.d0)
     omega = compute_omega(split.d1, prop)
     first = fit_first_stage(split, "rr", cell_h)
     model = fit_second_stage(split, "rr", "dr", first, omega, cell_h)
@@ -347,10 +343,8 @@ def test_c09_bimodality_recovery():
     n, seed = 5000, 0          # CI profile size
     data, _ = generate(DgpConfig(2 * n, _derived_seed(2026, n, seed), "a"))
     split = split_data(data, _derived_seed(2027, n, seed), V_COLS)
-    h = Hyper(net_seed=_derived_seed(2028, n, seed))
-    prop = scenario_propensity("a", split.d0.X, split.d0.A,
-                               _derived_seed(2029, n, seed))
-    model = fit_ccme(split, "rr", "dr", prop, h)
+    h = Hyper(net_seed=_derived_seed(2028, n, seed), seed=_derived_seed(2029, n, seed))
+    model = fit_ccme(split, h)
     grid = default_grid(model)
     curve = density_curves(model, V1.reshape(1, -1), y_grid=grid)[0]
     top = curve.values.max()

@@ -318,6 +318,18 @@ class TestFit:
         assert vals.shape == (50, 3)
         assert np.isfinite(vals[:, 2]).all()
 
+    def test_pi_fits_no_propensity(self, workdir, tmp_path, monkeypatch):
+        from ccme import synthbench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi fitted a propensity model")
+
+        monkeypatch.setattr(synthbench, "fit_forest", refuse)
+        monkeypatch.setattr(synthbench, "fit_logistic", refuse)
+        for name in ("auto", "forest", "logistic", "oracle"):
+            assert main(["fit", workdir["sim"], "--variant", "pi", "--propensity", name,
+                         "--model-out", str(tmp_path / f"{name}.npz")]) == 0
+
     def test_clip_reaches_the_default_propensity(self, workdir, tmp_path,
                                                  monkeypatch):
         """--propensity auto on the benchmark layout honours --clip-lo."""
@@ -467,6 +479,32 @@ class TestSweepCommand:
         assert "median_mse" in table
         assert "rr" in table and "pi" in table
 
+    def test_sweeps_honour_the_propensity(self, tmp_path):
+        def mse(propensity):
+            out = tmp_path / f"{propensity}.csv"
+            assert main(["sweep", "--methods", "rr", "--variants", "dr",
+                         "--scenarios", "a", "--n-list", "30", "--seeds", "0",
+                         "--test-points", "5", "--grid-points", "20",
+                         "--propensity", propensity, "--out", str(out)]) == 0
+            return float(out.read_text().splitlines()[1].split(",")[5]).hex()
+
+        auto = mse("auto")
+        assert auto == "0x1.8d5719947f112p-11"     # as before sweeps read it
+        assert mse("forest") == auto                # auto is a forest in a
+        assert mse("logistic") != auto
+        assert mse("oracle") not in (auto, mse("logistic"))
+
+    def test_sweeps_reject_v_cols(self, tmp_path, capsys):
+        base = ["sweep", "--n-list", "30", "--seeds", "0", "--test-points", "5",
+                "--grid-points", "20", "--out", str(tmp_path / "s.csv")]
+        capsys.readouterr()
+        assert main(base + ["--v-cols", "0,1"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("degenerate data or configuration")
+        assert "v_cols [0, 1]" in err[-1]
+        assert not (tmp_path / "s.csv").exists()
+        assert main(base + ["--v-cols", "0,1,2,3,4"]) == 0
+
     def test_filters(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         code = main(["sweep", "--methods", "rr", "--variants", "dr,pi",
@@ -548,6 +586,44 @@ class TestReport:
         assert lines[0] == "method,variant,scenario,n,cells,median_mse"
         assert lines[1] == "rr,dr,a,100,2,0.40000000000000002"
 
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        """Both outputs on a fixed CSV with a failed row and keys with fewer
+        than three n's, which get no slope."""
+        path, out = tmp_path / "sweep.csv", tmp_path / "medians.csv"
+        write_sweep_csv(path, [
+            "rr,dr,a,100,0,0.5,0.1,", "rr,dr,a,100,1,0.25,0.1,",
+            "rr,dr,a,200,0,0.2,0.1,", "rr,dr,a,400,0,0.125,0.2,",
+            "rr,dr,a,400,1,nan,0.1,NumericError: blew up",
+            "rr,pi,c,100,0,0.3,0.1,", "rr,pi,c,200,0,0.29,0.1,",
+            "df,ipw,b,100,0,1e-3,0.1,", "df,ipw,b,200,0,5e-4,0.1,",
+            "df,ipw,b,400,0,2.5e-4,0.1,", "df,ipw,b,400,1,3e-4,0.1,"])
+        capsys.readouterr()
+        assert main(["report", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "method  variant  scenario        n  cells  median_mse  \n"
+            "df      ipw      b             100      1  0.001       \n"
+            "df      ipw      b             200      1  0.0005      \n"
+            "df      ipw      b             400      2  0.000275    \n"
+            "rr      dr       a             100      2  0.375       \n"
+            "rr      dr       a             200      1  0.2         \n"
+            "rr      dr       a             400      1  0.125       \n"
+            "rr      pi       c             100      1  0.3         \n"
+            "rr      pi       c             200      1  0.29        \n"
+            "\n"
+            "log-log slope of median mse vs n:\n"
+            "df      ipw      b           -0.931\n"
+            "rr      dr       a           -0.792\n")
+        assert out.read_text() == (
+            "method,variant,scenario,n,cells,median_mse\n"
+            "df,ipw,b,100,1,0.001\n"
+            "df,ipw,b,200,1,0.00050000000000000001\n"
+            "df,ipw,b,400,2,0.00027499999999999996\n"
+            "rr,dr,a,100,2,0.375\n"
+            "rr,dr,a,200,1,0.20000000000000001\n"
+            "rr,dr,a,400,1,0.125\n"
+            "rr,pi,c,100,1,0.29999999999999999\n"
+            "rr,pi,c,200,1,0.28999999999999998\n")
+
     def test_no_successful_rows(self, tmp_path):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, ["rr,dr,a,100,0,nan,0.1,ValueError: x"])
@@ -561,6 +637,61 @@ class TestReport:
         write_sweep_csv(mangled, ["rr,dr,a,abc,0,0.5,0.1,"])
         assert main(["report", str(mangled)]) == 3
         assert main(["report", str(tmp_path / "missing.csv")]) == 2
+
+
+# The settings a sweep does not read, as README lists them: its cells set
+# the estimator, scenario and rows, and derive their seeds from (n, seed);
+# threads only schedules the groups.
+SWEEP_UNREAD = {"method", "variant", "scenario", "seed", "net_seed", "n", "threads"}
+
+# A tiny rr/df/nk sweep, and a new value for every other setting.
+SWEEP_BASE = dict(methods=["rr", "df", "nk"], variants=["dr"], scenarios=["a"],
+                  n_list=[30], seeds=[0], test_points=5, grid_points=20,
+                  n_feats=4, hidden=[8], epochs_df1=30, epochs_df2=20,
+                  epochs_nk1=30, epochs_nk2=20)
+SWEEP_CHANGES = {
+    "propensity": "logistic", "bandwidth_x": 1.0, "bandwidth_v": 1.0,
+    "bandwidth_y": 1.0, "ridge0": 5.0, "ridge1": 5.0, "n_feats": 5,
+    "hidden": [6], "momentum": 0.5, "lr_df": 1e-4, "lr_nk": 1e-4,
+    "epochs_df1": 20, "epochs_df2": 10, "epochs_nk1": 20, "epochs_nk2": 10,
+    "grid_pad": 1.0, "clip_lo": 0.2, "clip_hi": 0.6, "v_cols": [0, 1],
+    "methods": ["rr"], "variants": ["pi"], "scenarios": ["c"], "n_list": [25],
+    "seeds": [1], "test_points": 4, "grid_points": 15, "eval_seed": 1,
+}
+
+
+class TestSweepSettings:
+    """No setting is silently ignored by a sweep."""
+
+    @staticmethod
+    def sweep(tmp_path, **changes):
+        """(exit code, records without their seconds, stderr) of a sweep."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SWEEP_BASE, **changes}))
+        out = tmp_path / "sweep.csv"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["sweep", "--config", str(config), "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()] if code == 0 else []
+        return code, [row[:6] + row[7:] for row in rows], err.getvalue()
+
+    def test_every_setting_is_classified(self):
+        names = {f.name for f in fields(Hyper)}
+        assert SWEEP_UNREAD | set(SWEEP_CHANGES) == names
+        assert not SWEEP_UNREAD & set(SWEEP_CHANGES)
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        code, records, _ = self.sweep(tmp_path_factory.mktemp("base"))
+        assert code == 0 and len(records) == 4
+        assert all(row[-1] == "" for row in records[1:])
+        return records
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CHANGES))
+    def test_a_sweep_honours_or_rejects_the_setting(self, name, base, tmp_path):
+        value = SWEEP_CHANGES[name]
+        assert value != SWEEP_BASE.get(name, getattr(Hyper(), name))
+        code, records, err = self.sweep(tmp_path, **{name: value})
+        assert (code == 0 and records != base) or (code == 4 and name in err)
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccme.data import Dataset, SplitDataset, split_data
 from ccme.density import (DensityCurve, curves_to_csv, default_grid,
@@ -14,7 +16,6 @@ from ccme.estimators import (CcmeModel, FeatureHead, FirstStage, GridHead,
                              fit_second_stage)
 from ccme.kernels import KernelSpec, OutcomeBasis, gram, outcome_basis
 from ccme.nets import MlpParams, mlp_forward
-from ccme.propensity import fit_logistic
 
 from conftest import make_dataset, make_split
 from oracles import exact_density, kernel_eval, quadrature_mass
@@ -125,8 +126,7 @@ class TestRrCurves:
 
     def test_repeated_evaluation_bitwise_identical(self):
         split = make_split(n=20, seed=4)
-        prop = fit_logistic(split.d0.X, split.d0.A)
-        model = fit_ccme(split, "rr", "dr", prop, Hyper())
+        model = fit_ccme(split, Hyper(propensity="logistic"))
         vq = split.v1[:3]
         grid = default_grid(model, 50)
         m1 = density_matrix(model, vq, grid)
@@ -271,8 +271,7 @@ class TestNkCurves:
 class TestMassAndGrid:
     def fitted(self, seed=6):
         split = make_split(n=24, seed=seed)
-        prop = fit_logistic(split.d0.X, split.d0.A)
-        return fit_ccme(split, "rr", "dr", prop, Hyper())
+        return fit_ccme(split, Hyper(propensity="logistic"))
 
     def test_mass_matches_quadrature(self):
         model = self.fitted()
@@ -282,6 +281,21 @@ class TestMassAndGrid:
         curves = density_curves(model, vq, y_grid=grid)
         for curve in curves:
             assert abs(curve.mass - quadrature_mass(curve)) < 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), bandwidth_y=st.floats(0.3, 4.0),
+           ridge1=st.floats(0.1, 100.0))
+    def test_rr_mass_is_the_density_integral(self, seed, bandwidth_y, ridge1):
+        """The head's exact mass map against the trapezoid integral of the
+        density over the outcomes and 8 bandwidths past them."""
+        split = make_split(n=30, seed=11)
+        model = fit_ccme(split, Hyper(bandwidth_y=bandwidth_y, ridge1=ridge1,
+                                      propensity="logistic"))
+        lo, hi = model.y_lo - 8 * bandwidth_y, model.y_hi + 8 * bandwidth_y
+        grid = np.linspace(lo, hi, int((hi - lo) / (0.05 * bandwidth_y)) + 2)
+        vq = np.random.default_rng(seed).normal(size=(4, 3))
+        quad = np.trapezoid(density_matrix(model, vq, grid), grid, axis=1)
+        assert np.abs(density_mass(model, vq) - quad).max() <= 1e-6
 
     def test_mass_requires_normalized_kernel(self):
         model = self.fitted()

@@ -1,5 +1,7 @@
 """Two-stage estimators: first-stage embeddings, pseudo-outcomes, losses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from ccme import estimators
 from ccme.data import Dataset, SplitDataset, split_data
-from ccme.errors import ConfigWarning, InvalidArgumentError, NumericError
+from ccme.errors import ConfigError, ConfigWarning, InvalidArgumentError, NumericError
 from ccme.estimators import (Hyper, build_k_xi, df_trace_loss, fit_ccme,
                              fit_first_stage, fit_second_stage, make_grid,
                              nk_loss_grad, pseudo_weights)
@@ -91,7 +93,6 @@ class TestHyper:
         """Stage one scales its rate by len(D0), not by the m treated rows it
         trains on; stage two by the rows it trains on."""
         from ccme import estimators
-        from ccme.propensity import fit_logistic
 
         seen = []
         real = estimators.train_mlp
@@ -102,9 +103,9 @@ class TestHyper:
 
         monkeypatch.setattr(estimators, "train_mlp", spy)
         split = make_split(n=30, seed=3)
-        prop = fit_logistic(split.d0.X, split.d0.A)
-        fit_ccme(split, method, "dr", prop, tiny_hyper)
-        fit_ccme(split, method, "onestep", None, tiny_hyper)
+        fit_ccme(split, replace(tiny_hyper, method=method, variant="dr",
+                                propensity="logistic"))
+        fit_ccme(split, replace(tiny_hyper, method=method, variant="onestep"))
         base = {"df": tiny_hyper.lr_df, "nk": tiny_hyper.lr_nk}[method]
         m, n0, n1 = split.m, len(split.d0), split.n
         t1 = int((split.d1.A > 0).sum())
@@ -411,6 +412,120 @@ class TestPseudoOutcomes:
             fit_second_stage(split, "rr", "dr", first, None, Hyper())
 
 
+class TestFitCcme:
+    """fit_ccme builds the nuisances its variant reads (READS), each once per
+    shared dict."""
+
+    def test_pi_fits_no_propensity(self, monkeypatch):
+        from ccme import synthbench
+
+        split = make_split(n=30, seed=8)
+        ref = fit_second_stage(split, "rr", "pi", fit_first_stage(split, "rr", Hyper()),
+                               np.ones(split.n), Hyper())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi fitted a propensity model")
+
+        monkeypatch.setattr(synthbench, "fit_forest", refuse)
+        monkeypatch.setattr(synthbench, "fit_logistic", refuse)
+        for name in ("auto", "forest", "logistic", "oracle"):
+            model = fit_ccme(split, Hyper(variant="pi", propensity=name))
+            assert np.array_equal(model.second.coef, ref.second.coef)
+
+    def test_one_shared_dict_builds_each_nuisance_once(self, monkeypatch):
+        from ccme import synthbench
+
+        calls = []
+
+        def counting(module, name, tag=lambda args: ""):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name + tag(args))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+        split = make_split(n=30, seed=9)
+        hypers = [Hyper(variant=v, propensity=p) for v in ("dr", "ipw", "pi")
+                  for p in ("logistic", "forest")]
+        alone = [fit_ccme(split, h) for h in hypers]
+        counting(synthbench, "fit_propensity")
+        counting(estimators, "fit_first_stage")
+        counting(estimators.KernelHead, "factor", lambda args: str(args[2]))
+        shared = {}
+        together = [fit_ccme(split, h, shared=shared) for h in hypers]
+        # factor0 is the first stage's own, factor1 stage two's
+        assert sorted(calls) == ["factor0", "factor1", "fit_first_stage",
+                                 "fit_propensity", "fit_propensity"]
+        for one, other in zip(alone, together):
+            assert np.array_equal(one.second.coef, other.second.coef)
+
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    def test_a_stage_two_needs_what_its_variant_reads(self):
+        split = make_split(n=30, seed=10)
+        first, omega = fit_first_stage(split, "rr", Hyper()), np.ones(split.n)
+        for variant, reads in estimators.READS.items():
+            for name in ("first", "omega"):
+                given = {"first": first, "omega": omega, name: None}
+                fit = lambda: fit_second_stage(split, "rr", variant, given["first"],
+                                               given["omega"], Hyper())
+                if name in reads:
+                    with pytest.raises(InvalidArgumentError, match="needs"):
+                        fit()
+                else:
+                    assert fit().variant == variant
+
+
+class TestReductionProperties:
+    """The variants' pseudo-outcomes xi = a phi(Y) + c mu0 over random
+    weights, outcomes and bandwidths."""
+
+    @staticmethod
+    def problem(n, seed, bandwidth, spread):
+        """Outcomes spread narrowly against the bandwidth give a whitened
+        basis, widely the kernel sections at the outcomes."""
+        rng = np.random.default_rng(seed)
+        ky = KernelSpec(bandwidth=bandwidth, normalized=True)
+        y = rng.normal(0.0, spread, n)
+        basis = outcome_basis(ky, y)
+        mix = rng.normal(size=(n, n))                 # mu0_i = sum_j mix_ij phi(y_j)
+        mu0 = mix @ basis.bumps(ky, y).T
+        omega = np.where(rng.random(n) < 0.6, rng.uniform(1.0, 20.0, n), 0.0)
+        return ky, y, basis, mix, mu0, omega
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           bandwidth=st.floats(0.2, 5.0), spread=st.floats(0.05, 5.0))
+    def test_dr_ipw_and_pi_reductions_are_exact(self, n, seed, bandwidth, spread):
+        ky, y, basis, _, mu0, omega = self.problem(n, seed, bandwidth, spread)
+        ones = np.ones(n)
+        assert np.array_equal(build_k_xi(ky, y, *pseudo_weights("dr", ones), basis, mu0),
+                              build_k_xi(ky, y, *pseudo_weights("ipw", ones), basis, mu0))
+        pi = build_k_xi(ky, y, *pseudo_weights("pi", omega), basis, mu0)
+        assert np.array_equal(pi, mu0)
+        assert np.array_equal(pi, build_k_xi(ky, y, *pseudo_weights("pi", ones),
+                                             basis, mu0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           bandwidth=st.floats(0.2, 5.0), spread=st.floats(0.05, 5.0),
+           variant=st.sampled_from(["dr", "ipw", "pi"]))
+    def test_masses_are_a_plus_c_times_the_first_stage_masses(
+            self, n, seed, bandwidth, spread, variant):
+        """Up to the whitened basis's bump masses, off by at most about
+        3e-7 (the tails past its padded grid)."""
+        ky, y, basis, mix, mu0, omega = self.problem(n, seed, bandwidth, spread)
+        a, c = pseudo_weights(variant, omega)
+        xi = build_k_xi(ky, y, a, c, basis, mu0)
+        lo, hi = basis.grid.min() - 8 * bandwidth, basis.grid.max() + 8 * bandwidth
+        grid = np.linspace(lo, hi, int((hi - lo) / (0.05 * bandwidth)) + 2)
+        u = basis.coords(gram(ky, basis.grid, grid.reshape(-1, 1)))
+        mass = np.trapezoid(xi @ u, grid, axis=1)
+        masses0 = mix.sum(axis=1)                     # each bump has mass one
+        scale = 1.0 + np.abs(a) + np.abs(c) * np.abs(mix).sum(axis=1)
+        assert np.all(np.abs(mass - (a + c * masses0)) <= 1e-6 * scale)
+
+
 class TestKXi:
     def make_first(self, split, ridge=20.0):
         return fit_first_stage(split, "rr", Hyper(ridge0=ridge))
@@ -580,19 +695,20 @@ class TestSecondStageRr:
             fit_second_stage(split, "rr", "onestep", None, None, Hyper())
 
     def test_fit_ccme_requires_propensity(self):
+        """dr needs a propensity model it can fit: the oracle is defined on
+        the benchmark's ten covariates only, and this split has three."""
         split = make_split(n=20, seed=16)
-        with pytest.raises(InvalidArgumentError):
-            fit_ccme(split, "rr", "dr", None, Hyper())
+        for name in ("oracle", "xx"):
+            with pytest.raises(ConfigError, match="propensity"):
+                fit_ccme(split, Hyper(propensity=name))
 
     def test_fit_ccme_deterministic(self):
         from ccme.density import density_curves
-        from ccme.propensity import fit_logistic
         ds = make_dataset(40, seed=17)
         split = split_data(ds, seed=4)
-        prop = fit_logistic(split.d0.X, split.d0.A)
-        h = Hyper()
-        m1 = fit_ccme(split, "rr", "dr", prop, h)
-        m2 = fit_ccme(split, "rr", "dr", prop, h)
+        h = Hyper(propensity="logistic")
+        m1 = fit_ccme(split, h)
+        m2 = fit_ccme(split, h)
         vq = split.v1[:2]
         c1 = density_curves(m1, vq, n_points=40)
         c2 = density_curves(m2, vq, n_points=40)
@@ -657,7 +773,8 @@ class TestNetStages:
         calls = []
         monkeypatch.setattr(estimators, "fit_first_stage",
                             lambda *args, **kw: calls.append(args))
-        model = fit_ccme(split, method, "ipw", prop, h)
+        model = fit_ccme(split, replace(h, method=method, variant="ipw",
+                                        propensity="logistic"))
         assert calls == []
         vq, grid = split.v1[:3], default_grid(model, 30)
         assert np.array_equal(density_matrix(model, vq, grid),

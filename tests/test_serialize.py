@@ -1,14 +1,14 @@
 """Model archive round-trips and schema validation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ccme.density import default_grid, density_curves, density_matrix
 from ccme.errors import InvalidArgumentError
-from ccme.estimators import Hyper, fit_ccme, fit_second_stage
-from ccme.propensity import fit_logistic
+from ccme.estimators import Hyper, fit_ccme
 from ccme.serialize import SCHEMA_VERSION, load_model, save_model
 
 from conftest import make_split
@@ -17,10 +17,8 @@ from conftest import make_split
 def fit_model(method, variant="dr", n=20, seed=7, hyper=None):
     split = make_split(n=n, seed=seed)
     h = hyper if hyper is not None else Hyper()
-    if variant == "onestep":
-        return fit_second_stage(split, method, variant, None, None, h), split
-    prop = fit_logistic(split.d0.X, split.d0.A)
-    return fit_ccme(split, method, variant, prop, h), split
+    return fit_ccme(split, replace(h, method=method, variant=variant,
+                                   propensity="logistic")), split
 
 
 def assert_same_heads(back, model):

@@ -7,12 +7,13 @@ import pytest
 from scipy import stats
 
 from ccme import estimators, synthbench
+from ccme.data import Dataset
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
 from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
                              loglog_slope, mse, plan_cells, run_cell,
-                             run_sweep, scenario_propensity, scenario_x_cols,
+                             run_sweep, fit_propensity, scenario_x_cols,
                              true_propensity)
 
 from conftest import openblas_counts, openblas_threads
@@ -201,19 +202,20 @@ class TestSweep:
         rng = np.random.default_rng(0)
         X = rng.normal(1.0, 1.0, size=(60, 10))
         A = (rng.random(60) < 0.5).astype(float)
-        assert scenario_propensity("b", X, A, 0).kind == "logistic"
-        assert scenario_propensity("a", X, A, 0).kind == "forest"
+        d0 = Dataset(X, A, np.zeros(60))
+        assert fit_propensity(Hyper(scenario="b"), d0).kind == "logistic"
+        assert fit_propensity(Hyper(scenario="a"), d0).kind == "forest"
 
     def test_cells_clip_the_propensity(self, monkeypatch):
         clips = []
-        real = synthbench.scenario_propensity
+        real = synthbench.fit_propensity
 
         def spy(*args, **kwargs):
             model = real(*args, **kwargs)
             clips.append(model.clip)
             return model
 
-        monkeypatch.setattr(synthbench, "scenario_propensity", spy)
+        monkeypatch.setattr(synthbench, "fit_propensity", spy)
         hyper = Hyper(clip_lo=0.2, clip_hi=0.7)
         for scenario in ("a", "b"):
             rec = run_cell(SweepCell("rr", "ipw", scenario, 30, 0), hyper,
@@ -335,16 +337,17 @@ class TestSweepGroups:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
 
-        for name in ("generate", "scenario_propensity", "fit_first_stage", "fit_ccme"):
+        for name in ("generate", "fit_propensity"):
             counting(synthbench, name)
-        counting(estimators, "SpdFactor")
+        for name in ("fit_first_stage", "fit_second_stage", "SpdFactor"):
+            counting(estimators, name)
         cells = plan_cells(["rr"], list(synthbench.VARIANTS), ["a", "b", "c"],
                            [30], [1, 2])
         records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20)
         assert all(r.error == "" for r in records)
-        per_group = {"generate": 1, "scenario_propensity": 2,   # forest, logistic
+        per_group = {"generate": 1, "fit_propensity": 2,        # forest, logistic
                      "fit_first_stage": 2,                      # all x, no x6
-                     "fit_ccme": 3 * 3 + 1,
+                     "fit_second_stage": 3 * 3 + 1,
                      "SpdFactor": 2 + 1 + 1}       # first stages, stage two, onestep
         assert {name: calls.count(name) for name in per_group} == {
             name: 2 * count for name, count in per_group.items()}
@@ -370,13 +373,13 @@ class TestSweepGroups:
     def test_a_first_stage_is_read_at_d1_once_per_group(self, monkeypatch,
                                                         tiny_hyper, method):
         firsts, reads = [], []
-        fit_first_stage = synthbench.fit_first_stage
+        fit_first_stage = estimators.fit_first_stage
 
         def fit_spy(*args, **kwargs):
             firsts.append(fit_first_stage(*args, **kwargs))
             return firsts[-1]
 
-        monkeypatch.setattr(synthbench, "fit_first_stage", fit_spy)
+        monkeypatch.setattr(estimators, "fit_first_stage", fit_spy)
         head_cls = {"rr": estimators.KernelHead, "df": estimators.FeatureHead,
                     "nk": estimators.GridHead}[method]
         embedding = head_cls.embedding
