@@ -19,8 +19,8 @@ from .nets import MlpParams, mlp_forward, mlp_init
 from .propensity import (PropensityModel, fit_forest, fit_logistic,
                          make_oracle, predict_propensity)
 from .serialize import load_model, save_model
-from .synthbench import (DgpConfig, GroundTruth, SweepCell, SweepRecord,
-                         generate, loglog_slope, mse, plan_cells, run_sweep)
+from .synthbench import (GroundTruth, SweepCell, SweepRecord, generate,
+                         loglog_slope, mse, plan_cells, run_sweep)
 
 __version__ = "1.0.0"
 
@@ -37,7 +37,7 @@ __all__ = [
     "PropensityModel", "fit_forest", "fit_logistic", "make_oracle",
     "predict_propensity",
     "load_model", "save_model",
-    "DgpConfig", "GroundTruth", "SweepCell", "SweepRecord", "generate",
+    "GroundTruth", "SweepCell", "SweepRecord", "generate",
     "loglog_slope", "mse", "plan_cells", "run_sweep",
     "__version__",
 ]

@@ -31,9 +31,8 @@ from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
                      NumericError)
 from .estimators import Hyper, fit_ccme
 from .serialize import atomic_write, load_model, save_model
-from .synthbench import (N_COV, DgpConfig, SweepRecord, generate, loglog_slope,
-                         normalize_scenario, plan_cells, run_sweep,
-                         scenario_x_cols)
+from .synthbench import (N_COV, SweepRecord, _check_sweep, generate, loglog_slope,
+                         plan_cells, run_sweep, scenario_x_cols)
 
 __all__ = ["main"]
 
@@ -96,8 +95,6 @@ def build_parser() -> _Parser:
     sw = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
                         help="run a (method, variant, scenario, n, seed) grid")
     sw.add_argument("--out", default="sweep.csv", help="results CSV path")
-    sw.add_argument("--filter", action="append", default=[], metavar="K=V",
-                    help="keep only matching cells, e.g. method=rr or n=200,500")
 
     rep = sub.add_parser("report", parents=[common], allow_abbrev=False,
                          help="summarize a sweep CSV: medians and slopes")
@@ -130,7 +127,7 @@ def _resolve_config(args: argparse.Namespace) -> Hyper:
 
 
 def cmd_simulate(cfg: Hyper, args: argparse.Namespace) -> int:
-    data, _ = generate(DgpConfig(cfg.n, cfg.seed, cfg.scenario))
+    data, _ = generate(cfg)
     atomic_write(args.out, dataset_to_csv(data))
     meta = {"command": "simulate", "n": cfg.n, "seed": cfg.seed,
             "scenario": cfg.scenario}
@@ -206,38 +203,12 @@ def cmd_density(cfg: Hyper, args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_filters(cells: list, filters: list[str]) -> list:
-    for spec in filters:
-        if "=" not in spec:
-            raise InvalidArgumentError(f"--filter wants key=value, got {spec!r}")
-        key, _, value = spec.partition("=")
-        key = key.strip().lower()
-        tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-        if not tokens:
-            raise InvalidArgumentError(f"--filter {spec!r} has no values")
-        if key in ("n", "seed"):
-            try:
-                allowed = {int(tok) for tok in tokens}
-            except ValueError as exc:
-                raise InvalidArgumentError(f"--filter {key} wants ints: {exc}")
-            cells = [c for c in cells if getattr(c, key) in allowed]
-        elif key in ("method", "variant"):
-            allowed = {tok.lower() for tok in tokens}
-            cells = [c for c in cells if getattr(c, key) in allowed]
-        elif key == "scenario":
-            allowed = {normalize_scenario(tok) for tok in tokens}
-            cells = [c for c in cells if c.scenario in allowed]
-        else:
-            raise InvalidArgumentError(f"unknown --filter key {key!r}")
-    return cells
-
-
 def cmd_sweep(cfg: Hyper, args: argparse.Namespace) -> int:
     cells = plan_cells(cfg.methods, cfg.variants, cfg.scenarios,
                        cfg.n_list, cfg.seeds)
-    cells = _apply_filters(cells, args.filter)
     if not cells:
-        raise ConfigError("no sweep cells left after filtering")
+        raise ConfigError("the sweep plans no cells")
+    _check_sweep(cells, cfg)
     _status(f"running {len(cells)} cells "
             f"({cfg.test_points} eval points, {cfg.grid_points} grid points, "
             f"threads={cfg.threads})")

@@ -85,7 +85,15 @@ def merge_config(*sources: dict | None) -> Hyper:
     return Hyper(**values)
 
 
+# The smallest value of each int setting, and of every entry of a list.
+_INT_MIN = {"seed": 0, "net_seed": 0, "eval_seed": 0, "seeds": 0, "threads": 1,
+            "n": 4, "n_list": 2, "test_points": 1, "grid_points": 1,
+            "n_feats": 1, "hidden": 1, "epochs_df1": 0, "epochs_df2": 0,
+            "epochs_nk1": 0, "epochs_nk2": 0}
+
+
 def validate_config(cfg: Hyper) -> None:
+    """Raise ``ConfigError``, naming the field, for a setting out of range."""
     if cfg.method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.variant not in VARIANTS:
@@ -107,14 +115,20 @@ def validate_config(cfg: Hyper) -> None:
         if not usable_bandwidth(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite and positive, with 2 {name}^2 "
                               f"a normal float, got {getattr(cfg, name)}")
-    for name in ("ridge0", "ridge1"):
+    for name in ("ridge0", "ridge1", "lr_df", "lr_nk"):
         if not (0 < getattr(cfg, name) < math.inf):
             raise ConfigError(f"{name} must be finite and positive, "
                               f"got {getattr(cfg, name)}")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if cfg.n < 4:
-        raise ConfigError("n must be at least 4")
+    if not 0 <= cfg.grid_pad < math.inf:
+        raise ConfigError(f"grid_pad must be finite and >= 0, got {cfg.grid_pad}")
+    if not 0 <= cfg.momentum < 1:
+        raise ConfigError(f"momentum must be in [0, 1), got {cfg.momentum}")
+    for name, low in _INT_MIN.items():
+        value = getattr(cfg, name)
+        if any(v < low for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if cfg.v_cols == []:
+        raise ConfigError("v_cols must name at least one column")
 
 
 def config_json(cfg: Hyper) -> str:

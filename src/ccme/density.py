@@ -96,11 +96,8 @@ def default_grid(model: CcmeModel, n_points: int = 200,
 
 
 def density_curves(model: CcmeModel, v: NDArray[np.float64],
-                   y_grid: NDArray[np.float64] | None = None,
-                   n_points: int = 200) -> list[DensityCurve]:
+                   y_grid: NDArray[np.float64]) -> list[DensityCurve]:
     """One DensityCurve per query row, on a shared outcome grid."""
-    if y_grid is None:
-        y_grid = default_grid(model, n_points)
     vq = _as_queries(model, v)
     mat = density_matrix(model, vq, y_grid)
     if model.kernel_y.normalized:
@@ -112,15 +109,11 @@ def density_curves(model: CcmeModel, v: NDArray[np.float64],
             for t in range(vq.shape[0])]
 
 
-def curves_to_csv(curves: list[DensityCurve],
-                  v_ids: list[int] | None = None) -> str:
-    """Long-format CSV with the mandatory v_id,y,density header."""
-    if v_ids is None:
-        v_ids = list(range(len(curves)))
-    if len(v_ids) != len(curves):
-        raise InvalidArgumentError("one v_id per curve required")
+def curves_to_csv(curves: list[DensityCurve]) -> str:
+    """Long-format CSV with the mandatory v_id,y,density header; v_id counts
+    the curves from 0."""
     lines = ["v_id,y,density"]
-    for vid, curve in zip(v_ids, curves):
+    for vid, curve in enumerate(curves):
         for y, dens in zip(np.asarray(curve.grid, dtype=np.float64).ravel(),
                            curve.values):
             lines.append(f"{vid},{y:.17g},{dens:.17g}")

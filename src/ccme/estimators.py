@@ -46,7 +46,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .data import SplitDataset
-from .errors import ConfigWarning, InvalidArgumentError, NumericError
+from .errors import (ConfigWarning, DegenerateDataError, InvalidArgumentError,
+                     NumericError)
 from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_solve, _cholesky,
                       gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
@@ -152,13 +153,15 @@ class Hyper:
 # ---------------------------------------------------------------------------
 # regression heads
 #
-# ``fit(inputs, xi, masses, basis, hyper, stage, lr_rows)`` regresses the
-# pseudo-outcomes' basis weights xi (n, r) and masses (n,) on the input rows;
-# ``stage`` (0 or 1) picks the input kernel, ridge, epoch budget and net seed,
-# and the learning rate scales with ``lr_rows``.  ``embedding(x)`` gives the
-# weights (r, T) and masses (T,) at the rows of x.  The ridge heads map to the
-# mass exactly, through a last column of ``coef``: a whitened basis misses up
-# to about 1e-8 of a bump's tails beyond its padded grid.
+# ``new_basis(hyper, y_all)`` builds the outcome basis both stages share,
+# over every D0 and D1 outcome.  ``fit(inputs, xi, masses, basis, hyper,
+# stage, lr_rows)`` regresses the pseudo-outcomes' basis weights xi (n, r)
+# and masses (n,) on the input rows; ``stage`` (0 or 1) picks the input
+# kernel, ridge, epoch budget and net seed, and the learning rate scales with
+# ``lr_rows``.  ``embedding(x)`` gives the weights (r, T) and masses (T,) at
+# the rows of x.  The ridge heads map to the mass exactly, through a last
+# column of ``coef``: a whitened basis misses up to about 1e-8 of a bump's
+# tails beyond its padded grid.
 
 
 def _kernel_arrays(spec: KernelSpec) -> dict[str, np.ndarray]:
@@ -209,11 +212,9 @@ def _basis_from(arrays) -> OutcomeBasis:
     return basis
 
 
-def _ridge_basis(hyper: Hyper, y_all, grid_y, grid,
-                 shared: OutcomeBasis | None = None) -> OutcomeBasis:
-    """The ridge heads' basis, shared by both stages and spanning every D0
-    and D1 outcome.  ``grid_y`` and ``grid`` are unread."""
-    return shared if shared is not None else outcome_basis(hyper.kernel_y(), y_all)
+def _ridge_basis(hyper: Hyper, y_all) -> OutcomeBasis:
+    """The ridge heads' basis: ``outcome_basis`` over the outcomes."""
+    return outcome_basis(hyper.kernel_y(), y_all)
 
 
 @dataclass
@@ -289,7 +290,7 @@ class FeatureHead:
         return int(self.net.sizes[0])
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-        feats, _ = mlp_forward(self.net, x)
+        feats = mlp_forward(self.net, x)
         out = self.coef.T @ feats.T
         return out[:-1], out[-1]
 
@@ -308,7 +309,7 @@ class FeatureHead:
     def solved(cls, net: MlpParams, inputs, xi, masses, basis: OutcomeBasis,
                ridge: float, final_loss: float = float("nan")) -> "FeatureHead":
         """The closed-form ridge head on the features of ``net``."""
-        feats, _ = mlp_forward(net, inputs)
+        feats = mlp_forward(net, inputs)
         factor = SpdFactor(feats.T @ feats, ridge)
         return cls(net, factor.solve(feats.T @ np.column_stack([xi, masses])), basis,
                    final_loss)
@@ -353,22 +354,13 @@ class GridHead:
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
         """The net's outputs and their total: each normalized bump
         integrates to one."""
-        feats, _ = mlp_forward(self.net, x)
+        feats = mlp_forward(self.net, x)
         return feats.T, feats.sum(axis=1)
 
     @staticmethod
-    def new_basis(hyper: Hyper, y_all, grid_y, grid,
-                  shared: OutcomeBasis | None = None) -> OutcomeBasis:
-        """The grid ``grid`` or, by default, ``n_feats`` points spanning
-        ``grid_y``; a second stage keeps the first stage's grid."""
-        if shared is None:
-            return OutcomeBasis(_check_grid(make_grid(
-                grid_y, hyper.n_feats, hyper.grid_pad) if grid is None else grid))
-        if grid is not None and not np.array_equal(_check_grid(grid), shared.grid):
-            raise InvalidArgumentError(
-                "outcome grid mismatch between stages: the second-stage grid "
-                "override must equal the first-stage grid exactly")
-        return shared
+    def new_basis(hyper: Hyper, y_all) -> OutcomeBasis:
+        """``n_feats`` points spanning the outcomes, padded by ``grid_pad``."""
+        return OutcomeBasis(make_grid(y_all, hyper.n_feats, hyper.grid_pad))
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"kind": np.array(self.method), **_net_arrays(self.net),
@@ -444,30 +436,21 @@ def make_grid(y: NDArray[np.float64], n_points: int, pad: float) -> NDArray[np.f
     if n_points < 1:
         raise InvalidArgumentError("grid needs at least one point")
     lo, hi = float(y.min()) - pad, float(y.max()) + pad
+    if n_points > 1 and lo == hi:                    # its points would repeat
+        raise DegenerateDataError("constant outcomes need a grid pad above 0")
     return np.linspace(lo, hi, n_points).reshape(-1, 1)
-
-
-def _check_grid(grid: NDArray[np.float64]) -> NDArray[np.float64]:
-    grid = np.asarray(grid, dtype=np.float64)
-    grid = grid.reshape(-1, 1) if grid.ndim == 1 else grid
-    if len(np.unique(grid, axis=0)) != grid.shape[0]:
-        raise InvalidArgumentError("outcome grid has duplicate points")
-    return grid
 
 
 def _all_outcomes(split: SplitDataset) -> NDArray[np.float64]:
     return np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
 
 
-def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper,
-                    grid: NDArray[np.float64] | None = None) -> FirstStage:
+def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper) -> FirstStage:
     """Regress phi(Y) on the covariates over D0's treated rows: stage two's
     regression with a = 1, c = 0.  Learning rates scale with len(D0); the
-    outcome basis spans every D0 and D1 outcome (an nk ``grid`` overrides
-    it)."""
+    outcome basis spans every D0 and D1 outcome."""
     head_cls = _head_class(method)
-    y_all = _all_outcomes(split)
-    basis = head_cls.new_basis(hyper, y_all, y_all, grid)
+    basis = head_cls.new_basis(hyper, _all_outcomes(split))
     y0t = split.y0_treated()
     a = np.ones(y0t.shape[0])
     xi = build_k_xi(hyper.kernel_y(), y0t, a, np.zeros_like(a), basis)
@@ -590,17 +573,18 @@ def _reads(variant: str) -> tuple[str, ...]:
 
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
-                     hyper: Hyper,
-                     grid: NDArray[np.float64] | None = None, *,
+                     hyper: Hyper, *,
                      factor: SpdFactor | None = None) -> CcmeModel:
     """Regress pseudo-outcomes on V over D1 and package the fitted model.
 
     ``first`` and ``omega`` may be None where the variant does not read them
-    (``READS``); without a first stage the stage builds the basis the first
-    stage would have built.  An rr stage two over all of D1 (every variant
-    but ``onestep``) solves with K(V1) + ridge1 I whatever its
-    pseudo-outcomes; callers that fit several variants on one split pass it
-    as ``factor``, from ``KernelHead.factor(split.v1, hyper, 1)``.
+    (``READS``).  Every head's outcome basis spans every D0 and D1 outcome:
+    the stage keeps the first stage's basis or, without one, builds the
+    basis the first stage would have built, ``onestep``'s included.  An rr
+    stage two over all of D1 (every variant but ``onestep``) solves with
+    K(V1) + ridge1 I whatever its pseudo-outcomes; callers that fit several
+    variants on one split pass it as ``factor``, from
+    ``KernelHead.factor(split.v1, hyper, 1)``.
     """
     head_cls = _head_class(method)
     reads = _reads(variant)
@@ -612,7 +596,7 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         if not keep.any():
             raise InvalidArgumentError("one-step variant needs treated D1 rows")
         v1, y1, first = split.v1[keep], split.d1.Y[keep], None
-        a, c, grid_y = np.ones(len(v1)), np.zeros(len(v1)), y1
+        a, c = np.ones(len(v1)), np.zeros(len(v1))
     else:
         if first is None and "first" in reads:
             raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
@@ -624,11 +608,9 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
             raise InvalidArgumentError(f"variant {variant!r} needs omega")
         v1, y1 = split.v1, split.d1.Y
         a, c = pseudo_weights(variant, np.zeros(split.n) if omega is None else omega)
-        grid_y = y_all
 
     kernel_y = hyper.kernel_y()
-    basis = head_cls.new_basis(hyper, y_all, grid_y, grid,
-                               None if first is None else first.head.basis)
+    basis = head_cls.new_basis(hyper, y_all) if first is None else first.head.basis
     mu0, masses = None, a
     if first is not None and c.any():
         weights0, masses0 = first.embedding(split.x1())

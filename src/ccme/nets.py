@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 from .blas import single_thread
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["MlpParams", "ForwardCache", "mlp_init", "mlp_forward", "train_mlp"]
+__all__ = ["MlpParams", "mlp_init", "mlp_forward", "train_mlp"]
 
 
 @dataclass
@@ -30,15 +30,6 @@ class MlpParams:
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-
-@dataclass
-class ForwardCache:
-    """Activations saved by mlp_forward: what a backward pass through it reads."""
-
-    params: MlpParams
-    acts: list[NDArray[np.float64]]      # input to each layer, length n_layers
-    preacts: list[NDArray[np.float64]]   # z of each hidden layer
 
 
 def mlp_init(layer_sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
@@ -84,13 +75,10 @@ def _forward(params: MlpParams, X: NDArray[np.float64], zs: list,
     return zs[-1]
 
 
-def mlp_forward(params: MlpParams,
-                batch: NDArray[np.float64]) -> tuple[NDArray[np.float64], ForwardCache]:
-    """Apply the net to a batch (n, d0); returns (outputs (n, dL), cache)."""
+def mlp_forward(params: MlpParams, batch: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Apply the net to a batch (n, d0); returns the outputs (n, dL)."""
     X = _batch(params, batch)
-    zs, hs = _buffers(params.sizes, X.shape[0])
-    out = _forward(params, X, zs, hs)
-    return out, ForwardCache(params, [X, *hs], zs[:-1])
+    return _forward(params, X, *_buffers(params.sizes, X.shape[0]))
 
 
 def _views(sizes: tuple[int, ...], flat: NDArray[np.float64]) -> MlpParams:

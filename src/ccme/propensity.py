@@ -22,8 +22,7 @@ from scipy.special import expit
 from .errors import DegenerateDataError, InvalidArgumentError
 
 __all__ = ["PropensityModel", "LogisticParams", "Tree", "fit_logistic",
-           "fit_forest", "make_oracle", "predict_propensity",
-           "logistic_loss_grad", "DEFAULT_CLIP"]
+           "fit_forest", "make_oracle", "predict_propensity", "DEFAULT_CLIP"]
 
 DEFAULT_CLIP = (0.01, 0.99)
 
@@ -86,15 +85,6 @@ def _logistic_grad(p: NDArray, X: NDArray, A: NDArray) -> tuple[NDArray, float]:
     probabilities p."""
     r = (p - A) / X.shape[0]
     return X.T @ r, float(r.sum())
-
-
-def logistic_loss_grad(coef: NDArray, intercept: float, X: NDArray,
-                       A: NDArray) -> tuple[float, NDArray, float]:
-    """Mean log-loss and its gradient wrt (coef, intercept)."""
-    p = expit(X @ coef + intercept)
-    eps = 1e-12
-    loss = float(-np.mean(A * np.log(p + eps) + (1 - A) * np.log(1 - p + eps)))
-    return loss, *_logistic_grad(p, X, A)
 
 
 def _labelled(X: NDArray, A: NDArray) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

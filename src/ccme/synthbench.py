@@ -37,7 +37,7 @@ from .propensity import PropensityModel, fit_forest, fit_logistic, make_oracle
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
-    "SCENARIOS", "DgpConfig", "generate", "true_propensity", "GroundTruth",
+    "SCENARIOS", "generate", "true_propensity", "GroundTruth",
     "mse", "eval_points", "SweepCell", "SweepRecord", "plan_cells",
     "run_cell", "run_sweep", "loglog_slope", "fit_propensity", "propensity_kind",
 ]
@@ -75,28 +75,15 @@ def true_propensity(X: NDArray[np.float64]) -> NDArray[np.float64]:
     return 0.1 + 0.8 * inside
 
 
-@dataclass
-class DgpConfig:
-    """Generator settings.  ``scenario`` tags downstream nuisance wiring; the
-    draws themselves are identical across scenarios."""
-
-    n: int
-    seed: int
-    scenario: str = "a"
-
-    def __post_init__(self) -> None:
-        self.scenario = normalize_scenario(self.scenario)
-        if self.n < 1:
-            raise InvalidArgumentError(f"n must be positive, got {self.n}")
-
-
 def _noise_sd(X: NDArray[np.float64]) -> NDArray[np.float64]:
     return 0.5 * (1.0 + 0.5 * np.abs(X[:, 0]) + 0.3 * np.abs(X[:, 4]))
 
 
-def generate(cfg: DgpConfig) -> tuple[Dataset, dict[str, NDArray[np.float64]]]:
-    """Draw a dataset plus its latent variables (propensities, branch, both
-    potential outcomes).  Deterministic in cfg.seed; the draw order is fixed."""
+def generate(cfg: Hyper) -> tuple[Dataset, dict[str, NDArray[np.float64]]]:
+    """Draw ``cfg.n`` rows plus their latent variables (propensities, branch,
+    both potential outcomes), fixed by ``cfg.seed``: no other field is read."""
+    if cfg.n < 1:
+        raise InvalidArgumentError(f"n must be positive, got {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
     X = rng.normal(1.0, 1.0, size=(cfg.n, N_COV))
     pi = true_propensity(X)
@@ -293,7 +280,7 @@ def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
                    test_v: NDArray[np.float64], grid_points: int) -> float:
     n, seed = cell.n, cell.seed
     split = _shared_part(shared, ("split",), lambda: split_data(
-        generate(DgpConfig(2 * n, _derived_seed(2026, n, seed)))[0],
+        generate(replace(hyper, n=2 * n, seed=_derived_seed(2026, n, seed)))[0],
         _derived_seed(2027, n, seed), V_COLS))
     model = fit_ccme(
         replace(split, x_cols=scenario_x_cols(cell.scenario)),
@@ -331,6 +318,22 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
+    """Raise ``ConfigError`` for what ``run_sweep`` rejects up front: an unknown
+    method or variant, an rr cell above n = 20000, or other ``v_cols``."""
+    for cell in cells:
+        if cell.method == "rr" and cell.n > 20000:
+            raise ConfigError(f"rr cell n={cell.n} exceeds the 20000 cap")
+        if cell.method not in METHODS:
+            raise ConfigError(f"unknown method {cell.method!r}")
+        if cell.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {cell.variant!r}")
+    if hyper.v_cols not in (None, V_COLS):
+        raise ConfigError(f"sweeps condition on V = the first {len(V_COLS)} "
+                          f"covariates, as the true densities do; got v_cols "
+                          f"{hyper.v_cols}")
+
+
 def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
               test_points: int = 500, grid_points: int = 1000,
               eval_seed: int = 0, threads: int = 1,
@@ -349,18 +352,8 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
     the usable cores among their BLAS threads, one thread each at least;
     more workers than cores still oversubscribe them.
     """
-    for cell in cells:
-        if cell.method == "rr" and cell.n > 20000:
-            raise ConfigError(f"rr cell n={cell.n} exceeds the 20000 cap")
-        if cell.method not in METHODS:
-            raise ConfigError(f"unknown method {cell.method!r}")
-        if cell.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {cell.variant!r}")
     hyper = hyper or Hyper()
-    if hyper.v_cols not in (None, V_COLS):
-        raise ConfigError(f"sweeps condition on V = the first {len(V_COLS)} "
-                          f"covariates, as the true densities do; got v_cols "
-                          f"{hyper.v_cols}")
+    _check_sweep(cells, hyper)
     test_v = eval_points(test_points, eval_seed)
     groups: dict[tuple[int, int], list[SweepCell]] = {}
     for cell in cells:

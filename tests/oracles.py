@@ -2,10 +2,10 @@
 
 These are the direct forms: single kernel values, the n x n pseudo-outcome
 Gram, the trace loss on that Gram, the two-term bump-sum density, trapezoid
-mass, the unconstrained grid-coefficient minimizer, a forest grown by
-sorting every feature afresh at every node of every bootstrap sample, and
-an SGD loop that builds fresh parameter, gradient and momentum arrays at
-every step.  None of them is used by the library itself.
+mass, the unconstrained grid-coefficient minimizer, the logistic log-loss,
+a forest grown by sorting every feature afresh at every node of every
+bootstrap sample, and an SGD loop that builds fresh parameter, gradient and
+momentum arrays at every step.  None of them is used by the library itself.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.kernels import gram
-from ccme.nets import ForwardCache, MlpParams
+from ccme.nets import MlpParams
 from ccme.propensity import Tree
 
 
@@ -76,6 +76,12 @@ def feature_factor(g):
     """F with F F' = g, from the eigendecomposition (negative rounding clipped)."""
     vals, vecs = np.linalg.eigh(g)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def logistic_loss(coef, intercept, X, A):
+    """Mean log-loss of the logistic model at (coef, intercept)."""
+    p = 1.0 / (1.0 + np.exp(-(X @ coef + intercept)))
+    return float(-np.mean(A * np.log(p) + (1 - A) * np.log(1 - p)))
 
 
 def _gini_best_split(x, y):
@@ -174,10 +180,26 @@ def _oracle_forward(params, X):
     return h, acts, preacts
 
 
+@dataclass
+class ForwardCache:
+    """Activations a backward pass reads: each layer's input, and each hidden
+    layer's preactivation."""
+
+    params: MlpParams
+    acts: list
+    preacts: list
+
+
+def forward_cache(params, X):
+    """The outputs of the net at X, and the cache of that forward pass."""
+    out, acts, preacts = _oracle_forward(params, np.asarray(X, dtype=np.float64))
+    return out, ForwardCache(params, acts, preacts)
+
+
 def mlp_backward(params, cache, output_grad):
     """Gradients of sum_i <output_grad[i], output[i]> for every (W, b), from
-    the cache of ``mlp_forward`` on this exact params object; anything else
-    is rejected as stale."""
+    the ``forward_cache`` of this exact params object; anything else is
+    rejected as stale."""
     if cache.params is not params:
         raise InvalidArgumentError("cache does not belong to these parameters")
     G = np.asarray(output_grad, dtype=np.float64)

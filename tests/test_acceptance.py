@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.signal import find_peaks
+from scipy.special import expit
 
 from ccme.data import Dataset, SplitDataset, compute_omega, split_data
 from ccme.density import default_grid, density_curves, density_matrix
@@ -18,13 +19,14 @@ from ccme.estimators import (Hyper, df_trace_loss, fit_ccme, fit_first_stage,
                              fit_second_stage, make_grid, nk_loss_grad)
 from ccme.kernels import KernelSpec, gram
 from ccme.nets import mlp_forward, mlp_init, train_mlp
-from ccme.propensity import logistic_loss_grad
-from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, DgpConfig,
-                             GroundTruth, SweepCell, _derived_seed,
-                             eval_points, fit_propensity, generate, mse,
-                             run_cell, scenario_x_cols)
+from ccme.propensity import _logistic_grad
+from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, GroundTruth,
+                             SweepCell, _derived_seed, eval_points,
+                             fit_propensity, generate, mse, run_cell,
+                             scenario_x_cols)
 
-from oracles import feature_factor, mlp_backward, nk_minimizer, quadrature_mass
+from oracles import (feature_factor, forward_cache, logistic_loss, mlp_backward,
+                     nk_minimizer, quadrature_mass)
 
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 
@@ -138,10 +140,10 @@ def test_c03_gradient_suite():
     T = rng.normal(size=(7, 2))
 
     def net_loss(params):
-        out, _ = mlp_forward(params, X)
+        out = mlp_forward(params, X)
         return 0.5 * float(np.sum((out - T) ** 2))
 
-    out, cache = mlp_forward(net, X)
+    out, cache = forward_cache(net, X)
     # central differences need smooth ground under every probe: no
     # preactivation may sit within the FD step of a ReLU kink
     assert all(np.abs(pre).min() > 1e-3 for pre in cache.preacts[:-1])
@@ -167,11 +169,12 @@ def test_c03_gradient_suite():
     coef = rng.normal(size=3) * 0.4
     X2 = rng.normal(size=(15, 3))
     A2 = (rng.random(15) < 0.5).astype(float)
-    _, g_coef, g_int = logistic_loss_grad(coef, 0.2, X2, A2)
+    # the gradient fit_logistic steps with, against the oracle loss
+    g_coef, g_int = _logistic_grad(expit(X2 @ coef + 0.2), X2, A2)
     errs["logistic_coef"] = _fd_check(
-        lambda w: logistic_loss_grad(w, 0.2, X2, A2)[0], g_coef, coef)
-    fd_int = (logistic_loss_grad(coef, 0.2 + 1e-5, X2, A2)[0]
-              - logistic_loss_grad(coef, 0.2 - 1e-5, X2, A2)[0]) / 2e-5
+        lambda w: logistic_loss(w, 0.2, X2, A2), g_coef, coef)
+    fd_int = (logistic_loss(coef, 0.2 + 1e-5, X2, A2)
+              - logistic_loss(coef, 0.2 - 1e-5, X2, A2)) / 2e-5
     errs["logistic_int"] = abs(fd_int - g_int) / max(abs(g_int), 1e-12)
 
     dt = time.perf_counter() - t0
@@ -191,15 +194,12 @@ def test_c04_reduction_identities():
     h = Hyper(n_feats=6, hidden=[8], epochs_df1=200, epochs_df2=150,
               epochs_nk1=400, epochs_nk2=150)
     omega = np.ones(split.n)
-    shared = make_grid(np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()]),
-                       6, 2.0)
     worst = 0.0
     for method in ("rr", "df", "nk"):
-        g = shared if method == "nk" else None
-        first = fit_first_stage(split, method, h, grid=g)
-        dr = fit_second_stage(split, method, "dr", first, omega, h, grid=g)
-        ipw = fit_second_stage(split, method, "ipw", first, omega, h, grid=g)
-        one = fit_second_stage(split, method, "onestep", None, None, h, grid=g)
+        first = fit_first_stage(split, method, h)
+        dr = fit_second_stage(split, method, "dr", first, omega, h)
+        ipw = fit_second_stage(split, method, "ipw", first, omega, h)
+        one = fit_second_stage(split, method, "onestep", None, None, h)
         vq = split.v1[:4]
         ygrid = default_grid(dr, 80)
         d_dr = density_matrix(dr, vq, ygrid)
@@ -295,7 +295,7 @@ def test_c07_convergence_trend_scenario_a():
 
 def _scenario_c_pair(n, seed, h, test_v, truth):
     """DR fit for one cell plus a PI fit on the same first stage."""
-    data, _ = generate(DgpConfig(2 * n, _derived_seed(2026, n, seed), "c"))
+    data, _ = generate(Hyper(n=2 * n, seed=_derived_seed(2026, n, seed)))
     split = split_data(data, _derived_seed(2027, n, seed), V_COLS,
                        scenario_x_cols("c"))
     cell_h = replace(h, net_seed=_derived_seed(2028, n, seed))
@@ -341,7 +341,7 @@ def test_c08_double_robustness_scenario_c():
 def test_c09_bimodality_recovery():
     t0 = time.perf_counter()
     n, seed = 5000, 0          # CI profile size
-    data, _ = generate(DgpConfig(2 * n, _derived_seed(2026, n, seed), "a"))
+    data, _ = generate(Hyper(n=2 * n, seed=_derived_seed(2026, n, seed)))
     split = split_data(data, _derived_seed(2027, n, seed), V_COLS)
     h = Hyper(net_seed=_derived_seed(2028, n, seed), seed=_derived_seed(2029, n, seed))
     model = fit_ccme(split, h)
@@ -384,7 +384,7 @@ def test_c10_nk_pointwise_minimizer():
     net = mlp_init([2, 20, 20, M], 7)
     net, _ = train_mlp(net, X, lambda F: nk_loss_grad(F, k_m, b),
                        h.epochs_nk1, h.scaled_lr(h.lr_nk, m), h.momentum)
-    out, _ = mlp_forward(net, X)
+    out = mlp_forward(net, X)
     trained, _ = nk_loss_grad(out, k_m, b)
     gap = (trained - loss_star) / abs(loss_star)
     dt = time.perf_counter() - t0

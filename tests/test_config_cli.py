@@ -93,16 +93,17 @@ _SETTINGS = {
     "ridge1": _floats(0.0),
     "n_feats": st.integers(1, 500),
     "hidden": st.lists(st.integers(1, 500), min_size=1),
-    "momentum": _floats(), "lr_df": _floats(), "lr_nk": _floats(),
+    "momentum": st.floats(0.0, 1.0, exclude_max=True), "lr_df": _floats(0.0),
+    "lr_nk": _floats(0.0),
     "epochs_df1": st.integers(0, 10**6), "epochs_df2": st.integers(0, 10**6),
     "epochs_nk1": st.integers(0, 10**6), "epochs_nk2": st.integers(0, 10**6),
-    "grid_pad": _floats(), "clip_lo": _floats(0.0, 0.5),
+    "grid_pad": st.floats(0.0, allow_infinity=False), "clip_lo": _floats(0.0, 0.5),
     "clip_hi": _floats(0.5, 1.0), "n": st.integers(4, 10**7),
     "v_cols": st.none() | st.lists(st.integers(0, 30), min_size=1),
     "methods": st.lists(st.sampled_from(METHODS), min_size=1),
     "variants": st.lists(st.sampled_from(VARIANTS), min_size=1),
     "scenarios": st.lists(st.sampled_from("abc"), min_size=1),
-    "n_list": st.lists(st.integers(1, 10**6), min_size=1),
+    "n_list": st.lists(st.integers(2, 10**6), min_size=1),
     "seeds": st.lists(st.integers(0, 10**6), min_size=1),
     "test_points": st.integers(1, 10**5), "grid_points": st.integers(1, 10**5),
     "eval_seed": st.integers(0, 2**32),
@@ -114,6 +115,36 @@ def _flag_text(value) -> str:
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
     return value if isinstance(value, str) else json.dumps(value)
+
+
+# (flag, a value out of range, the in-range edge) for each bound of a
+# setting: every out-of-range value is a configuration error naming it.
+_BOUNDS = [
+    ("seed", "-1", "0"), ("net-seed", "-1", "0"), ("eval-seed", "-1", "0"),
+    ("seeds", "0,-1", "0"), ("test-points", "-3", "1"),
+    ("grid-points", "0", "1"), ("n-list", "1", "2"), ("n-list", "200,0", "2"),
+    ("epochs-df1", "-1", "0"), ("epochs-df2", "-1", "0"),
+    ("epochs-nk1", "-1", "0"), ("epochs-nk2", "-1", "0"),
+    ("lr-df", "nan", "1e-300"), ("lr-df", "0", "1e-300"),
+    ("lr-nk", "inf", "1e300"), ("lr-nk", "-1", "1e-300"),
+    ("momentum", "1.5", "0"), ("momentum", "1", "0.999"),
+    ("momentum", "-0.1", "0"), ("n-feats", "0", "1"), ("hidden", "20,0", "1"),
+    ("grid-pad", "-1", "0"), ("grid-pad", "inf", "0"), ("grid-pad", "nan", "0"),
+    ("v-cols", "", "0"), ("threads", "0", "1"), ("n", "3", "4"),
+]
+
+
+class TestSettingBounds:
+    @pytest.mark.parametrize("flag, bad, edge", _BOUNDS,
+                             ids=[f"{f}={b}" for f, b, _ in _BOUNDS])
+    def test_out_of_range_setting_exits_4(self, flag, bad, edge, capsys):
+        capsys.readouterr()
+        assert main([f"--{flag}", bad, "--print-config"]) == 4
+        std = capsys.readouterr()
+        err = std.err.strip().splitlines()
+        assert std.out == "" and len(err) == 1, std.err
+        assert flag.replace("-", "_") in err[0]
+        assert main([f"--{flag}", edge, "--print-config"]) == 0
 
 
 class TestConfigRoundTrip:
@@ -500,28 +531,39 @@ class TestSweepCommand:
         capsys.readouterr()
         assert main(base + ["--v-cols", "0,1"]) == 4
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("degenerate data or configuration")
-        assert "v_cols [0, 1]" in err[-1]
+        assert len(err) == 1, err
+        assert err[0].startswith("degenerate data or configuration")
+        assert "v_cols [0, 1]" in err[0]
         assert not (tmp_path / "s.csv").exists()
         assert main(base + ["--v-cols", "0,1,2,3,4"]) == 0
 
+    def test_rr_cap_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--methods", "rr", "--n-list", "20001",
+                     "--seeds", "0", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert "20000 cap" in err[0]
+        assert not out.exists()
+
     def test_filters(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
-        code = main(["sweep", "--methods", "rr", "--variants", "dr,pi",
+        code = main(["sweep", "--methods", "rr", "--variants", "pi",
                      "--n-list", "30", "--seeds", "0", "--test-points", "5",
-                     "--grid-points", "20", "--filter", "variant=PI",
-                     "--out", out])
+                     "--grid-points", "20", "--out", out])
         assert code == 0
         lines = open(out).read().splitlines()
         assert len(lines) == 2 and ",pi," in lines[1]
 
-    def test_filter_validation(self, tmp_path):
-        base = ["sweep", "--n-list", "30", "--seeds", "0",
-                "--out", str(tmp_path / "s.csv")]
-        assert main(base + ["--filter", "color=red"]) == 3
-        assert main(base + ["--filter", "method"]) == 3
-        assert main(base + ["--filter", "n=abc"]) == 3
-        assert main(base + ["--filter", "method=nk"]) == 4  # nothing left
+    def test_filter_validation(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--methods", "", "--n-list", "30", "--seeds", "0",
+                     "--out", str(out)]) == 4
+        assert "plans no cells" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["sweep", "--filter", "method=rr"]) == 3     # no such flag
 
     def test_all_cells_failing_exit_5(self, tmp_path):
         out = str(tmp_path / "sweep.csv")

@@ -155,9 +155,9 @@ class TestDfCurves:
         masses = a + c * first.embedding(x1)[1]
         second = FeatureHead.solved(net1, v1, xi1, masses, basis, 2.0)
         model = CcmeModel("dr", ky, second, -0.6, 1.4, [0])
-        psi0, _ = mlp_forward(net0, x0t)
-        psi1, _ = mlp_forward(net1, v1)
-        cross, _ = mlp_forward(net0, x1)
+        psi0 = mlp_forward(net0, x0t)
+        psi1 = mlp_forward(net1, v1)
+        cross = mlp_forward(net0, x1)
         return model, (psi0, psi1, cross, y0t, y1, v1, net1, ky, a, c)
 
     def test_matches_hand_expansion(self):
@@ -169,7 +169,7 @@ class TestDfCurves:
 
         s1 = np.linalg.inv(psi1.T @ psi1 + 2.0 * np.eye(2))
         s0 = np.linalg.inv(psi0.T @ psi0 + 3.0 * np.eye(2))
-        psi_q, _ = mlp_forward(net1, vq)
+        psi_q = mlp_forward(net1, vq)
         beta = psi1 @ s1 @ psi_q.T                      # (3, 2)
         w1 = a[:, None] * beta
         w0 = psi0 @ s0 @ cross.T @ (c[:, None] * beta)  # (2, 2)
@@ -190,7 +190,7 @@ class TestDfCurves:
         vq = np.array([[0.6]])
         grid = np.linspace(-2.0, 2.0, 9)
         got = density_matrix(model, vq, grid)
-        psi_q, _ = mlp_forward(net1, vq)
+        psi_q = mlp_forward(net1, vq)
         beta = psi1 @ np.linalg.inv(psi1.T @ psi1 + 2.0 * np.eye(2)) @ psi_q.T
         expect = (gram(ky, y1, grid.reshape(-1, 1)).T @ beta).T
         assert np.allclose(got, expect, atol=1e-12)
@@ -208,10 +208,10 @@ class TestDfCurves:
 
         # the two-term expansion with row weights from dense solves: pi has
         # a = 0, so only the first stage's outcome rows carry weight
-        psi0, _ = mlp_forward(first.head.net, split.x0_treated())
-        psi01, _ = mlp_forward(first.head.net, split.x1())
-        psi1, _ = mlp_forward(model.second.net, split.v1)
-        psi_q, _ = mlp_forward(model.second.net, vq)
+        psi0 = mlp_forward(first.head.net, split.x0_treated())
+        psi01 = mlp_forward(first.head.net, split.x1())
+        psi1 = mlp_forward(model.second.net, split.v1)
+        psi_q = mlp_forward(model.second.net, vq)
         M = psi0.shape[1]
         beta = psi1 @ np.linalg.solve(psi1.T @ psi1 + h.ridge1 * np.eye(M),
                                       psi_q.T)
@@ -242,7 +242,7 @@ class TestNkCurves:
 
     def test_zero_coefficients_zero_curve(self):
         model = self.nk_model(bias=[0.0, 0.0])
-        curve = density_curves(model, np.zeros((1, 2)), n_points=15)[0]
+        curve = density_curves(model, np.zeros((1, 2)), default_grid(model, 15))[0]
         assert np.array_equal(curve.values, np.zeros(15))
 
     def test_two_point_adjugate_inverse(self):
@@ -357,8 +357,3 @@ class TestCsv:
         assert len(lines) == 1 + 2 * 5
         assert lines[1].startswith("0,0,")
         assert lines[6].startswith("1,0,")
-
-    def test_custom_ids_validated(self):
-        curves = [DensityCurve(np.zeros(2), np.zeros(2), 0.0, 0.0)]
-        with pytest.raises(InvalidArgumentError):
-            curves_to_csv(curves, v_ids=[1, 2])

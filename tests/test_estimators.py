@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from ccme import estimators
 from ccme.data import Dataset, SplitDataset, split_data
-from ccme.errors import ConfigError, ConfigWarning, InvalidArgumentError, NumericError
+from ccme.errors import (ConfigError, ConfigWarning, DegenerateDataError,
+                         InvalidArgumentError, NumericError)
 from ccme.estimators import (Hyper, build_k_xi, df_trace_loss, fit_ccme,
                              fit_first_stage, fit_second_stage, make_grid,
                              nk_loss_grad, pseudo_weights)
@@ -123,6 +124,14 @@ class TestMakeGrid:
     def test_point_count_validated(self):
         with pytest.raises(InvalidArgumentError):
             make_grid(np.array([0.0, 1.0]), 0, 1.0)
+
+    def test_constant_outcomes_without_pad_rejected(self):
+        """A zero-width range is the only way the points can repeat."""
+        y = np.full(5, 3.0)
+        with pytest.raises(DegenerateDataError, match="pad"):
+            make_grid(y, 4, 0.0)
+        assert make_grid(y, 1, 0.0).tolist() == [[3.0]]
+        assert len(np.unique(make_grid(y, 4, 0.5))) == 4
 
 
 class TestFirstStageRr:
@@ -635,8 +644,8 @@ class TestSecondStageRr:
         first = fit_first_stage(split, "rr", h)
         model = fit_second_stage(split, "rr", "dr", first,
                                  np.ones(split.n), h)
-        from ccme.density import density_curves
-        curve = density_curves(model, split.v1[:2], n_points=50)[0]
+        from ccme.density import default_grid, density_curves
+        curve = density_curves(model, split.v1[:2], default_grid(model, 50))[0]
         assert np.abs(curve.values).max() < 1e-8
 
     def test_weights_match_explicit_quadratic_minimizer(self):
@@ -703,15 +712,15 @@ class TestSecondStageRr:
                 fit_ccme(split, Hyper(propensity=name))
 
     def test_fit_ccme_deterministic(self):
-        from ccme.density import density_curves
+        from ccme.density import default_grid, density_curves
         ds = make_dataset(40, seed=17)
         split = split_data(ds, seed=4)
         h = Hyper(propensity="logistic")
         m1 = fit_ccme(split, h)
         m2 = fit_ccme(split, h)
         vq = split.v1[:2]
-        c1 = density_curves(m1, vq, n_points=40)
-        c2 = density_curves(m2, vq, n_points=40)
+        c1 = density_curves(m1, vq, default_grid(m1, 40))
+        c2 = density_curves(m2, vq, default_grid(m2, 40))
         assert np.array_equal(c1[0].values, c2[0].values)
 
 
@@ -723,7 +732,7 @@ class TestNetStages:
         # recompute the loss the training loop starts from
         sizes = [split.d0.X.shape[1], *tiny_hyper.hidden, tiny_hyper.n_feats]
         init = mlp_init(sizes, tiny_hyper.net_seeds()[0])
-        psi_init, _ = mlp_forward(init, split.x0_treated())
+        psi_init = mlp_forward(init, split.x0_treated())
         basis = first.head.basis
         xi0 = basis.whiten(coords(basis, tiny_hyper.kernel_y(), split.y0_treated()))
         start = df_trace_loss(psi_init, xi0, tiny_hyper.ridge0)[0] / split.m
@@ -749,13 +758,28 @@ class TestNetStages:
                                  np.ones(split.n), tiny_hyper)
         assert np.array_equal(model.second.basis.grid, first.head.basis.grid)
 
-    def test_nk_grid_override_mismatch_rejected(self, tiny_hyper):
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_every_variant_spans_every_outcome(self, method, tiny_hyper):
+        """One basis rule for every head: dr, ipw and onestep share the
+        basis over every D0 and D1 outcome; for nk it is make_grid's."""
         split = make_split(n=24, seed=21)
-        first = fit_first_stage(split, "nk", tiny_hyper)
-        wrong = first.head.basis.grid + 0.5
-        with pytest.raises(InvalidArgumentError, match="grid mismatch"):
-            fit_second_stage(split, "nk", "dr", first, np.ones(split.n),
-                             tiny_hyper, grid=wrong)
+        y_all = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
+        assert (split.d1.A == 0).any()              # onestep drops D1 rows
+        first = fit_first_stage(split, method, tiny_hyper)
+        omega = np.ones(split.n)
+        bases = [fit_second_stage(split, method, variant, first, omega,
+                                  tiny_hyper).second.basis
+                 for variant in ("dr", "ipw")]
+        bases.append(fit_second_stage(split, method, "onestep", None, None,
+                                      tiny_hyper).second.basis)
+        for basis in bases:
+            assert np.array_equal(basis.grid, first.head.basis.grid)
+            assert (basis.proj is None) == (first.head.basis.proj is None)
+            if basis.proj is not None:
+                assert np.array_equal(basis.proj, first.head.basis.proj)
+        if method == "nk":
+            assert np.array_equal(bases[-1].grid, make_grid(
+                y_all, tiny_hyper.n_feats, tiny_hyper.grid_pad))
 
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
@@ -780,19 +804,6 @@ class TestNetStages:
         assert np.array_equal(density_matrix(model, vq, grid),
                               density_matrix(ref, vq, grid))
 
-    def test_nk_ipw_honours_grid_override(self, tiny_hyper):
-        split = make_split(n=24, seed=21)
-        grid = np.linspace(-6.0, 6.0, 5)
-        model = fit_second_stage(split, "nk", "ipw", None, np.ones(split.n),
-                                 tiny_hyper, grid=grid)
-        assert np.array_equal(model.second.basis.grid, grid.reshape(-1, 1))
-
-    def test_nk_duplicate_grid_rejected(self, tiny_hyper):
-        split = make_split(n=24, seed=22)
-        bad = np.array([[0.0], [1.0], [0.0]])
-        with pytest.raises(InvalidArgumentError, match="duplicate"):
-            fit_first_stage(split, "nk", tiny_hyper, grid=bad)
-
     def test_nk_first_stage_training_reduces_loss(self, tiny_hyper):
         from ccme.nets import mlp_forward, mlp_init
         split = make_split(n=30, seed=23)
@@ -802,7 +813,7 @@ class TestNetStages:
         k0, k_m = gram(ky, grid, split.y0_treated()), gram(ky, grid)
         sizes = [split.d0.X.shape[1], *tiny_hyper.hidden, grid.shape[0]]
         init = mlp_init(sizes, tiny_hyper.net_seeds()[0])
-        f_init, _ = mlp_forward(init, split.x0_treated())
+        f_init = mlp_forward(init, split.x0_treated())
         start = nk_loss_grad(f_init, k_m, k0)[0]
         best = nk_loss_grad(nk_minimizer(k_m, k0).T, k_m, k0)[0]
         assert best <= first.head.final_loss < start

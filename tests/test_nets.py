@@ -15,7 +15,8 @@ from ccme.kernels import KernelSpec, gram
 from ccme.nets import MlpParams, mlp_forward, mlp_init, train_mlp
 
 from conftest import openblas_counts
-from oracles import SgdState, mlp_backward, oracle_train_mlp, sgd_step
+from oracles import (SgdState, forward_cache, mlp_backward, oracle_train_mlp,
+                     sgd_step)
 
 
 def flatten_params(params):
@@ -56,14 +57,14 @@ class TestForward:
         params = mlp_init((3, 4, 2), seed=0)
         for w in params.weights:
             w[:] = 0.0
-        out, _ = mlp_forward(params, np.random.default_rng(0).normal(size=(6, 3)))
+        out = mlp_forward(params, np.random.default_rng(0).normal(size=(6, 3)))
         assert np.array_equal(out, np.zeros((6, 2)))
 
     def test_single_linear_layer(self):
         params = mlp_init((3, 2), seed=1)
         params.biases[0][:] = [0.5, -0.25]
         B = np.random.default_rng(1).normal(size=(7, 3))
-        out, _ = mlp_forward(params, B)
+        out = mlp_forward(params, B)
         assert np.allclose(out, B @ params.weights[0].T + params.biases[0],
                            atol=1e-15)
 
@@ -73,7 +74,7 @@ class TestForward:
             weights=[np.array([[2.0], [-3.0]]), np.array([[1.0, 2.0]])],
             biases=[np.array([1.0, -1.0]), np.array([0.5])])
         # z = (3, -4) -> relu (3, 0) -> 1*3 + 2*0 + 0.5
-        out, _ = mlp_forward(params, np.array([[1.0]]))
+        out = mlp_forward(params, np.array([[1.0]]))
         assert out[0, 0] == 3.5
 
     def test_batch_shape_check(self):
@@ -81,12 +82,19 @@ class TestForward:
         with pytest.raises(InvalidArgumentError):
             mlp_forward(params, np.zeros((5, 4)))
 
+    def test_matches_the_oracle_forward(self):
+        params = mlp_init((3, 6, 4, 2), seed=5)
+        batch = np.random.default_rng(5).normal(size=(9, 3))
+        out = mlp_forward(params, batch)
+        assert isinstance(out, np.ndarray)
+        assert np.allclose(out, forward_cache(params, batch)[0], rtol=0, atol=1e-14)
+
 
 class TestBackward:
     def test_zero_output_grad(self):
         params = mlp_init((3, 5, 2), seed=0)
         batch = np.random.default_rng(2).normal(size=(4, 3))
-        _, cache = mlp_forward(params, batch)
+        _, cache = forward_cache(params, batch)
         grads = mlp_backward(params, cache, np.zeros((4, 2)))
         for gw, gb in grads:
             assert np.array_equal(gw, np.zeros_like(gw))
@@ -97,7 +105,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         B = rng.normal(size=(6, 3))
         G = rng.normal(size=(6, 2))
-        _, cache = mlp_forward(params, B)
+        _, cache = forward_cache(params, B)
         (gw, gb), = mlp_backward(params, cache, G)
         assert np.allclose(gw, G.T @ B, atol=1e-14)
         assert np.allclose(gb, G.sum(axis=0), atol=1e-14)
@@ -109,10 +117,10 @@ class TestBackward:
         G = rng.normal(size=(5, 2))
 
         def objective(p):
-            out, _ = mlp_forward(p, batch)
+            out = mlp_forward(p, batch)
             return float((out * G).sum())
 
-        _, cache = mlp_forward(params, batch)
+        _, cache = forward_cache(params, batch)
         grads = mlp_backward(params, cache, G)
         step = 1e-5
         for li in range(params.n_layers):
@@ -134,13 +142,13 @@ class TestBackward:
         params = mlp_init((3, 2), seed=0)
         other = mlp_init((3, 2), seed=0)
         batch = np.zeros((2, 3))
-        _, cache = mlp_forward(other, batch)
+        _, cache = forward_cache(other, batch)
         with pytest.raises(InvalidArgumentError):
             mlp_backward(params, cache, np.zeros((2, 2)))
 
     def test_output_grad_shape_check(self):
         params = mlp_init((3, 2), seed=0)
-        _, cache = mlp_forward(params, np.zeros((2, 3)))
+        _, cache = forward_cache(params, np.zeros((2, 3)))
         with pytest.raises(InvalidArgumentError):
             mlp_backward(params, cache, np.zeros((2, 3)))
 
@@ -208,7 +216,7 @@ class TestTrainLoop:
             diff = out - target
             return float((diff * diff).mean()), 2.0 * diff / diff.size
 
-        out0, _ = mlp_forward(params, batch)
+        out0 = mlp_forward(params, batch)
         first = loss_and_grad(out0)[0]
         trained, last = train_mlp(params, batch, loss_and_grad,
                                   epochs=300, lr=0.05, momentum=0.9)

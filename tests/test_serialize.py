@@ -110,7 +110,7 @@ class TestRoundTrip:
         save_model(model, path)
         save_model(model, path)
         back = load_model(path)
-        curve = density_curves(back, split.v1[:1], n_points=10)[0]
+        curve = density_curves(back, split.v1[:1], default_grid(back, 10))[0]
         assert np.all(np.isfinite(curve.values))
 
 

@@ -10,7 +10,7 @@ from ccme import estimators, synthbench
 from ccme.data import Dataset
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
-from ccme.synthbench import (BETA, GAMMA, SHIFT, DgpConfig, GroundTruth,
+from ccme.synthbench import (BETA, GAMMA, SHIFT, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
                              loglog_slope, mse, plan_cells, run_cell,
                              run_sweep, fit_propensity, scenario_x_cols,
@@ -24,46 +24,47 @@ V2 = np.array([-0.2, 2.2, -0.2, 2.2, -0.2])
 
 class TestGenerate:
     def test_deterministic(self):
-        d1, lat1 = generate(DgpConfig(500, seed=11))
-        d2, lat2 = generate(DgpConfig(500, seed=11))
+        d1, lat1 = generate(Hyper(n=500, seed=11))
+        d2, lat2 = generate(Hyper(n=500, seed=11))
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d1.A, d2.A)
         assert np.array_equal(d1.Y, d2.Y)
         assert np.array_equal(lat1["branch"], lat2["branch"])
 
     def test_treated_fraction_matches_analytic(self):
-        data, _ = generate(DgpConfig(50000, seed=0))
+        data, _ = generate(Hyper(n=50000, seed=0))
         box = (stats.norm.cdf(1.0) - stats.norm.cdf(-1.0)) * stats.norm.sf(0.5)
         expect = 0.1 + 0.8 * box
         assert abs(data.A.mean() - expect) < 0.01
 
     def test_observed_outcome_selects_branch(self):
-        data, lat = generate(DgpConfig(2000, seed=3))
+        data, lat = generate(Hyper(n=2000, seed=3))
         treated = data.A > 0
         assert np.array_equal(data.Y.ravel()[treated], lat["y_treated"][treated])
         assert np.array_equal(data.Y.ravel()[~treated], lat["y_control"][~treated])
 
     def test_latent_propensity_is_box_rule(self):
-        data, lat = generate(DgpConfig(1000, seed=4))
+        data, lat = generate(Hyper(n=1000, seed=4))
         assert np.array_equal(lat["pi"], true_propensity(data.X))
         assert set(np.unique(lat["pi"])) <= {0.1, 0.9}
 
     def test_branch_rate_tracks_logistic_gate(self):
-        data, lat = generate(DgpConfig(50000, seed=5))
+        data, lat = generate(Hyper(n=50000, seed=5))
         gate = 1.0 / (1.0 + np.exp(-0.5 * data.X[:, 0]))
         assert abs(lat["branch"].mean() - gate.mean()) < 0.01
 
     def test_noise_sd_formula(self):
-        data, lat = generate(DgpConfig(100, seed=6))
+        data, lat = generate(Hyper(n=100, seed=6))
         expect = 0.5 * (1 + 0.5 * np.abs(data.X[:, 0]) + 0.3 * np.abs(data.X[:, 4]))
         assert np.array_equal(lat["noise_sd"], expect)
 
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
-            DgpConfig(0, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            DgpConfig(10, seed=0, scenario="z")
-        assert DgpConfig(10, seed=0, scenario="BothCorrect").scenario == "a"
+            generate(Hyper(n=0))
+        # the scenario selects nuisance fits, never the draws
+        a, _ = generate(Hyper(n=10, seed=2, scenario="a"))
+        c, _ = generate(Hyper(n=10, seed=2, scenario="c"))
+        assert np.array_equal(a.Y, c.Y) and np.array_equal(a.X, c.X)
 
 
 class TestGroundTruth:
