@@ -8,8 +8,7 @@ convergence and robustness checks; see the ``ccme`` command-line tool.
 """
 
 from .data import Dataset, SplitDataset, compute_omega, load_dataset, split_data
-from .density import (DensityCurve, curves_to_csv, density_curves,
-                      density_mass, density_matrix)
+from .density import curves_to_csv, density_curves, density_mass, density_matrix
 from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
                      InvalidArgumentError, NumericError)
 from .estimators import (CcmeModel, FirstStage, Hyper, build_k_xi, fit_ccme,
@@ -26,8 +25,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Dataset", "SplitDataset", "compute_omega", "load_dataset", "split_data",
-    "DensityCurve", "curves_to_csv", "density_curves", "density_mass",
-    "density_matrix",
+    "curves_to_csv", "density_curves", "density_mass", "density_matrix",
     "ConfigError", "ConfigWarning", "DegenerateDataError",
     "InvalidArgumentError", "NumericError",
     "CcmeModel", "FirstStage", "Hyper", "build_k_xi", "fit_ccme",

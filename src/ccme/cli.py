@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -55,7 +54,9 @@ def _status(msg: str) -> None:
 
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
+    # a flag sets its dest only when given, so one after the command wins
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="FILE",
                         help="JSON file of config fields")
     common.add_argument("--print-config", action="store_true",
@@ -111,7 +112,7 @@ def _resolve_config(args: argparse.Namespace) -> Hyper:
             env_vals["threads"] = int(os.environ["CCME_THREADS"])
         except ValueError as exc:
             raise InvalidArgumentError(f"CCME_THREADS must be an integer: {exc}")
-    file_vals = load_config_file(args.config) if args.config else None
+    file_vals = load_config_file(args.config) if "config" in args else None
     overrides = {}
     for f in fields(Hyper):
         raw = getattr(args, f"cfg_{f.name}", None)
@@ -140,10 +141,10 @@ def cmd_simulate(cfg: Hyper, args: argparse.Namespace) -> int:
 def cmd_fit(cfg: Hyper, args: argparse.Namespace) -> int:
     with open(args.data, "r", encoding="utf-8") as fh:
         data = load_dataset(fh.read())
-    if cfg.scenario != "a" and data.X.shape[1] != N_COV:
+    if cfg.scenario == "c" and data.X.shape[1] != N_COV:
         raise ConfigError(
-            f"scenario {cfg.scenario!r} wiring needs the {N_COV}-covariate "
-            f"benchmark layout; this dataset has {data.X.shape[1]} covariates")
+            f"scenario 'c' drops x6 of the {N_COV}-covariate benchmark "
+            f"layout; this dataset has {data.X.shape[1]} covariates")
     split = split_data(data, cfg.seed, cfg.v_cols, scenario_x_cols(cfg.scenario))
     model = fit_ccme(split, cfg)
     save_model(model, args.model_out)
@@ -179,12 +180,7 @@ def _parse_v_args(args: argparse.Namespace) -> np.ndarray:
 
 
 def cmd_density(cfg: Hyper, args: argparse.Namespace) -> int:
-    try:
-        model = load_model(args.model)
-    except (zipfile.BadZipFile, ValueError, KeyError) as exc:
-        if isinstance(exc, InvalidArgumentError):
-            raise
-        raise InvalidArgumentError(f"cannot read model {args.model}: {exc}")
+    model = load_model(args.model)
     vq = _parse_v_args(args)
     if (args.grid_lo is None) != (args.grid_hi is None):
         raise InvalidArgumentError("--grid-lo and --grid-hi come together")
@@ -194,12 +190,12 @@ def cmd_density(cfg: Hyper, args: argparse.Namespace) -> int:
         grid = np.linspace(args.grid_lo, args.grid_hi, cfg.grid_points)
     else:
         grid = default_grid(model, cfg.grid_points, cfg.grid_pad)
-    curves = density_curves(model, vq, grid)
-    atomic_write(args.out, curves_to_csv(curves))
-    masses = ", ".join(f"{c.mass:.4f}" for c in curves[:8])
-    more = "..." if len(curves) > 8 else ""
-    _status(f"wrote {len(curves)} density curves ({len(grid)} grid points) "
-            f"to {args.out}; masses: {masses}{more}")
+    values, masses = density_curves(model, vq, grid)
+    atomic_write(args.out, curves_to_csv(grid, values))
+    shown = ", ".join(f"{m:.4f}" for m in masses[:8])
+    more = "..." if len(masses) > 8 else ""
+    _status(f"wrote {len(masses)} density curves ({len(grid)} grid points) "
+            f"to {args.out}; masses: {shown}{more}")
     return 0
 
 
@@ -305,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
-        if args.print_config:
+        if "print_config" in args:
             sys.stdout.write(config_json(cfg))
             return 0
         if args.command is None:

@@ -13,32 +13,15 @@ are batched over query points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .estimators import CcmeModel
+from .estimators import CcmeModel, make_grid
 from .kernels import gram
 
-__all__ = ["DensityCurve", "density_matrix", "density_mass", "density_curves",
-           "default_grid", "curves_to_csv"]
-
-
-@dataclass
-class DensityCurve:
-    """One conditional density estimate on a fixed outcome grid.
-
-    ``mass`` is the analytic integral (the sum of fitted kernel weights);
-    ``min_value`` flags how negative the curve gets.  Values are reported
-    as-is, never clipped.
-    """
-
-    grid: NDArray[np.float64]       # (G,)
-    values: NDArray[np.float64]     # (G,)
-    mass: float
-    min_value: float
+__all__ = ["density_matrix", "density_mass", "density_curves", "default_grid",
+           "curves_to_csv"]
 
 
 def _as_queries(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -90,31 +73,25 @@ def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64
 def default_grid(model: CcmeModel, n_points: int = 200,
                  pad: float = 2.0) -> NDArray[np.float64]:
     """Uniform outcome grid over the training outcome range with padding."""
-    if n_points < 2:
-        raise InvalidArgumentError("need at least two grid points")
-    return np.linspace(model.y_lo - pad, model.y_hi + pad, n_points)
+    return make_grid(np.array([model.y_lo, model.y_hi]), n_points, pad).ravel()
 
 
-def density_curves(model: CcmeModel, v: NDArray[np.float64],
-                   y_grid: NDArray[np.float64]) -> list[DensityCurve]:
-    """One DensityCurve per query row, on a shared outcome grid."""
+def density_curves(model: CcmeModel, v: NDArray[np.float64], y_grid: NDArray[np.float64]
+                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The (T, G) density matrix on a shared outcome grid, never clipped, and
+    the (T,) analytic masses, NaN when the outcome kernel is not normalized."""
     vq = _as_queries(model, v)
-    mat = density_matrix(model, vq, y_grid)
-    if model.kernel_y.normalized:
-        masses = density_mass(model, vq)
-    else:
-        masses = np.full(vq.shape[0], np.nan)
-    return [DensityCurve(np.asarray(y_grid, dtype=np.float64), mat[t],
-                         float(masses[t]), float(mat[t].min()))
-            for t in range(vq.shape[0])]
+    masses = (density_mass(model, vq) if model.kernel_y.normalized
+              else np.full(vq.shape[0], np.nan))
+    return density_matrix(model, vq, y_grid), masses
 
 
-def curves_to_csv(curves: list[DensityCurve]) -> str:
+def curves_to_csv(y_grid: NDArray[np.float64], values: NDArray[np.float64]) -> str:
     """Long-format CSV with the mandatory v_id,y,density header; v_id counts
-    the curves from 0."""
+    the rows of ``values`` from 0."""
     lines = ["v_id,y,density"]
-    for vid, curve in enumerate(curves):
-        for y, dens in zip(np.asarray(curve.grid, dtype=np.float64).ravel(),
-                           curve.values):
+    grid = np.asarray(y_grid, dtype=np.float64).ravel()
+    for vid, row in enumerate(values):
+        for y, dens in zip(grid, row):
             lines.append(f"{vid},{y:.17g},{dens:.17g}")
     return "\n".join(lines) + "\n"

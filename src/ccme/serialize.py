@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import asdict
 from typing import Any, Callable, IO
 
@@ -68,7 +69,17 @@ def save_model(model: CcmeModel, path: str) -> None:
 
 def load_model(path: str) -> CcmeModel:
     """Read a model written by save_model, verifying the schema version and
-    the consistency of its arrays."""
+    the consistency of its arrays.  A file that is no such archive raises
+    ``InvalidArgumentError`` naming ``path``."""
+    try:
+        return _read_model(path)
+    except InvalidArgumentError:
+        raise
+    except (zipfile.BadZipFile, ValueError, KeyError) as exc:
+        raise InvalidArgumentError(f"cannot read model {path}: {exc}") from exc
+
+
+def _read_model(path: str) -> CcmeModel:
     with np.load(path, allow_pickle=False) as npz:
         try:
             meta = json.loads(str(npz["__meta__"][()]))

@@ -31,8 +31,8 @@ from . import blas
 from .data import Dataset, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import (METHODS, VARIANTS, CcmeModel, Hyper, _shared_part,
-                         fit_ccme)
+from .estimators import (METHODS, VARIANTS, Hyper, _all_outcomes, _shared_part,
+                         fit_ccme, make_grid)
 from .propensity import PropensityModel, fit_forest, fit_logistic, make_oracle
 
 __all__ = [
@@ -123,9 +123,7 @@ class GroundTruth:
         return BASE_TREATED + v @ self.head + self.tail_mean
 
     def noise_var(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        v = np.atleast_2d(v)
-        sd = 0.5 * (1.0 + 0.5 * np.abs(v[:, 0]) + 0.3 * np.abs(v[:, 4]))
-        return self.tail_var + sd ** 2
+        return self.tail_var + _noise_sd(np.atleast_2d(v)) ** 2
 
     def density_matrix(self, v: NDArray[np.float64],
                        y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -152,21 +150,9 @@ def eval_points(n_points: int, eval_seed: int = 0) -> NDArray[np.float64]:
     return X[:, V_COLS]
 
 
-def mse(pred: object, truth: GroundTruth | NDArray[np.float64],
-        test_v: NDArray[np.float64], y_grid: NDArray[np.float64]) -> float:
-    """Mean squared density error over test points and grid points.
-
-    pred is either a fitted model or any object exposing
-    density_matrix(V, grid); truth is the ground truth or its
-    density_matrix(test_v, y_grid), already evaluated.
-    """
-    y = np.asarray(y_grid, dtype=np.float64).ravel()
-    if isinstance(pred, CcmeModel):
-        est = density_matrix(pred, test_v, y)
-    else:
-        est = pred.density_matrix(test_v, y)
-    if not isinstance(truth, np.ndarray):
-        truth = truth.density_matrix(test_v, y)
+def mse(est: NDArray[np.float64], truth: NDArray[np.float64]) -> float:
+    """Mean squared density error of two (T, G) density matrices, over test
+    points and grid points."""
     diff = est - truth
     return float(np.mean(diff * diff))
 
@@ -185,12 +171,7 @@ class SweepCell:
 
 
 @dataclass
-class SweepRecord:
-    method: str
-    variant: str
-    scenario: str
-    n: int
-    seed: int
+class SweepRecord(SweepCell):
     mse: float
     seconds: float
     error: str = ""
@@ -290,12 +271,11 @@ def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
 
     def truth_on_grid() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         # the outcomes' range padded by 2, and the true densities on it
-        y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
-        grid = np.linspace(y.min() - 2.0, y.max() + 2.0, grid_points)
+        grid = make_grid(_all_outcomes(split), grid_points, 2.0).ravel()
         return grid, GroundTruth().density_matrix(test_v, grid)
 
     grid, truth = _shared_part(shared, ("truth",), truth_on_grid)
-    return mse(model, truth, test_v, grid)
+    return mse(density_matrix(model, test_v, grid), truth)
 
 
 def _run_group(cells: list[SweepCell], hyper: Hyper, test_v: NDArray[np.float64],

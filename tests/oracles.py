@@ -62,9 +62,9 @@ def exact_density(kernel_y, grid, y1, w1, y0=None, w0=None):
     return out
 
 
-def quadrature_mass(curve):
-    """Trapezoid integral of a density curve over its grid."""
-    return float(np.trapezoid(curve.values, np.asarray(curve.grid).ravel()))
+def quadrature_mass(values, grid):
+    """Trapezoid integral of each row of a (T, G) density matrix over its grid."""
+    return np.trapezoid(values, np.asarray(grid).ravel(), axis=-1)
 
 
 def nk_minimizer(k_m, b):

@@ -228,8 +228,8 @@ def test_c05_mass_identity():
                                         propensity="logistic"))
         sigma = model.kernel_y.bandwidth
         grid = np.linspace(model.y_lo - 8 * sigma, model.y_hi + 8 * sigma, 4001)
-        for curve in density_curves(model, rng.normal(size=(3, 3)), y_grid=grid):
-            worst = max(worst, abs(curve.mass - quadrature_mass(curve)))
+        values, masses = density_curves(model, rng.normal(size=(3, 3)), y_grid=grid)
+        worst = max(worst, np.abs(masses - quadrature_mass(values, grid)).max())
     dt = time.perf_counter() - t0
     report(5, worst < 1e-4 and dt < 10.0,
            f"max |mass - quadrature| {worst:.3g} over 10 models, {dt:.2f}s")
@@ -307,7 +307,9 @@ def _scenario_c_pair(n, seed, h, test_v, truth):
     pi_model = fit_second_stage(split, "rr", "pi", first, omega, cell_h)
     y = np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
     grid = np.linspace(y.min() - 2.0, y.max() + 2.0, 1000)
-    return mse(model, truth, test_v, grid), mse(pi_model, truth, test_v, grid)
+    truth_mat = truth.density_matrix(test_v, grid)
+    return (mse(density_matrix(model, test_v, grid), truth_mat),
+            mse(density_matrix(pi_model, test_v, grid), truth_mat))
 
 
 def test_c08_double_robustness_scenario_c():
@@ -346,16 +348,17 @@ def test_c09_bimodality_recovery():
     h = Hyper(net_seed=_derived_seed(2028, n, seed), seed=_derived_seed(2029, n, seed))
     model = fit_ccme(split, h)
     grid = default_grid(model)
-    curve = density_curves(model, V1.reshape(1, -1), y_grid=grid)[0]
-    top = curve.values.max()
-    peaks, _ = find_peaks(curve.values, height=0.2 * top, prominence=0.1 * top)
+    values, _ = density_curves(model, V1.reshape(1, -1), y_grid=grid)
+    curve = values[0]
+    top = curve.max()
+    peaks, _ = find_peaks(curve, height=0.2 * top, prominence=0.1 * top)
     n_modes = len(peaks)
     ok = n_modes == 2
     detail = f"{n_modes} modes"
     if ok:
         lo_idx, hi_idx = peaks[0], peaks[1]
         separation = float(grid[hi_idx] - grid[lo_idx])
-        higher_on_shift_side = curve.values[hi_idx] > curve.values[lo_idx]
+        higher_on_shift_side = curve[hi_idx] > curve[lo_idx]
         ok = separation > 8.0 and higher_on_shift_side
         detail = (f"2 modes at y={grid[lo_idx]:.2f}, {grid[hi_idx]:.2f}, "
                   f"separation {separation:.1f} > 8, upper mode taller: "

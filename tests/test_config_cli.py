@@ -292,6 +292,23 @@ class TestFit:
         assert main(["fit", str(data), "--propensity", "oracle",
                      "--model-out", str(tmp_path / "m.npz")]) == 4
 
+    def test_scenario_b_fits_any_layout(self, tmp_path):
+        """b only selects a logistic propensity, which any width allows; c
+        drops x6, which only the benchmark layout has."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 5))
+        A, y = (rng.random(40) < 0.5).astype(int), rng.normal(size=40)
+        rows = ["x1,x2,x3,x4,x5,a,y"] + [
+            ",".join(f"{v:.6f}" for v in X[i]) + f",{A[i]},{y[i]:.6f}"
+            for i in range(40)]
+        data = tmp_path / "five.csv"
+        data.write_text("\n".join(rows) + "\n")
+        model = str(tmp_path / "m.npz")
+        assert main(["fit", str(data), "--scenario", "b",
+                     "--model-out", model]) == 0
+        assert main(["fit", str(data), "--scenario", "c",
+                     "--model-out", model]) == 4
+
     def test_vector_outcome_csv_rejected(self, tmp_path, capsys):
         rows = ["x1,x2,x3,x4,x5,x6,a,y1,y2"] + [
             f"{i * 0.1},0.2,0.3,0.4,0.5,0.6,{i % 2},{i * 0.5},{i * 0.25}"
@@ -428,6 +445,18 @@ class TestDensity:
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "10"
 
+    def test_default_grid_single_point(self, workdir, tmp_path):
+        """One grid point and no range: one row per query, at y_lo - grid_pad."""
+        vfile = tmp_path / "v.csv"
+        vfile.write_text("2.2,-0.2,2.2,-0.2,2.2\n-0.2,2.2,-0.2,2.2,-0.2\n")
+        out = str(tmp_path / "d.csv")
+        assert main(["density", workdir["model"], "--v-file", str(vfile),
+                     "--grid-points", "1", "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        y_lo = load_model(workdir["model"]).y_lo
+        assert np.array_equal(rows[:, :2], [[0, y_lo - Hyper().grid_pad],
+                                            [1, y_lo - Hyper().grid_pad]])
+
     def test_grid_flags_validated(self, workdir):
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
                      "--grid-lo", "5"]) == 3
@@ -483,10 +512,15 @@ class TestDensity:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all("parse failure" in line for line in err)
 
-    def test_garbage_model_file(self, tmp_path):
+    def test_garbage_model_file(self, workdir, tmp_path):
         bad = tmp_path / "model.npz"
         bad.write_text("this is not a zip archive")
         assert main(["density", str(bad), "--v", "1,1"]) == 3
+        with np.load(workdir["model"], allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "second.coef"}
+        np.savez(tmp_path / "no_coef.npz", **arrays)
+        assert main(["density", str(tmp_path / "no_coef.npz"),
+                     "--v", "1,1,1,1,1"]) == 3
 
 
 class TestSweepCommand:
@@ -792,6 +826,25 @@ class TestMainDispatch:
         assert threads() == 2
         assert threads("--config", str(cfg_file)) == 4
         assert threads("--config", str(cfg_file), "--threads", "3") == 3
+
+    def test_flags_before_the_command_are_honoured(self, tmp_path, capsys):
+        """A settings flag counts wherever it stands; given on both sides of
+        the command, the one after it wins."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 7}))
+
+        def printed(*argv):
+            assert main(list(argv)) == 0
+            return json.loads(capsys.readouterr().out)
+
+        cfg = printed("--ridge1", "7", "--config", str(cfg_file), "fit", "d.csv",
+                      "--print-config")
+        assert (cfg["ridge1"], cfg["seed"]) == (7.0, 7)
+        assert printed("--ridge1", "7", "fit", "d.csv", "--ridge1", "9",
+                       "--print-config")["ridge1"] == 9.0
+        # --print-config before the command prints and fits nothing
+        assert printed("--ridge1", "7", "--print-config", "fit",
+                       str(tmp_path / "absent.csv"))["ridge1"] == 7.0
 
     def test_print_config_keys_are_the_settings(self, capsys):
         assert main(["--print-config"]) == 0

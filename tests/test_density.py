@@ -1,5 +1,6 @@
 """Density curves, masses, grids, and CSV export from fitted models."""
 
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccme.data import Dataset, SplitDataset, split_data
-from ccme.density import (DensityCurve, curves_to_csv, default_grid,
-                          density_curves, density_mass, density_matrix)
+from ccme.density import (curves_to_csv, default_grid, density_curves,
+                          density_mass, density_matrix)
 from ccme.errors import InvalidArgumentError
 from ccme.estimators import (CcmeModel, FeatureHead, FirstStage, GridHead,
                              Hyper, build_k_xi, fit_ccme, fit_first_stage,
@@ -45,10 +46,10 @@ class TestRrCurves:
         model = fit_second_stage(split, "rr", "dr", first, np.ones(1), h)
         ky, kv = h.kernel_y(), h.kernel_v()
         grid = np.linspace(-3.0, 5.0, 41)
-        curve = density_curves(model, np.array([[0.3]]), y_grid=grid)[0]
+        values, _ = density_curves(model, np.array([[0.3]]), y_grid=grid)
         w = kernel_eval(kv, 0.3, 0.5) / (1.0 + 20.0)
         expect = w * np.array([kernel_eval(ky, 1.5, y) for y in grid])
-        assert np.allclose(curve.values, expect, atol=1e-14)
+        assert np.allclose(values[0], expect, atol=1e-14)
 
     def test_ipw_equals_dr_when_all_treated_unit_omega(self):
         ds = make_dataset(24, seed=1)
@@ -235,15 +236,15 @@ class TestNkCurves:
     def test_unit_coefficient_reads_off_kernel_section(self):
         model = self.nk_model(bias=[1.0, 0.0])
         grid = np.linspace(-3.0, 3.0, 21)
-        curve = density_curves(model, np.zeros((1, 2)), y_grid=grid)[0]
+        values, masses = density_curves(model, np.zeros((1, 2)), y_grid=grid)
         expect = np.array([kernel_eval(model.kernel_y, 0.4, y) for y in grid])
-        assert np.allclose(curve.values, expect, atol=1e-14)
-        assert np.isnan(curve.mass)
+        assert np.allclose(values[0], expect, atol=1e-14)
+        assert np.isnan(masses[0])
 
     def test_zero_coefficients_zero_curve(self):
         model = self.nk_model(bias=[0.0, 0.0])
-        curve = density_curves(model, np.zeros((1, 2)), default_grid(model, 15))[0]
-        assert np.array_equal(curve.values, np.zeros(15))
+        values, _ = density_curves(model, np.zeros((1, 2)), default_grid(model, 15))
+        assert np.array_equal(values, np.zeros((1, 15)))
 
     def test_two_point_adjugate_inverse(self):
         # f = K_M^{-1} b computed by the 2x2 adjugate formula by hand
@@ -255,10 +256,10 @@ class TestNkCurves:
         f = np.array([b[0] - k12 * b[1], b[1] - k12 * b[0]]) / det
         model = self.nk_model(bias=f)
         y_probe = np.linspace(-2.0, 2.0, 9)
-        curve = density_curves(model, np.zeros((1, 2)), y_grid=y_probe)[0]
+        values, _ = density_curves(model, np.zeros((1, 2)), y_grid=y_probe)
         expect = [f[0] * kernel_eval(ky, 0.4, y) + f[1] * kernel_eval(ky, -1.0, y)
                   for y in y_probe]
-        assert np.allclose(curve.values, expect, atol=1e-14)
+        assert np.allclose(values[0], expect, atol=1e-14)
         # and K_M f = b holds for the hand inverse
         assert np.allclose(gram(ky, grid) @ f, b, atol=1e-14)
 
@@ -278,9 +279,8 @@ class TestMassAndGrid:
         sigma = model.kernel_y.bandwidth
         grid = np.linspace(model.y_lo - 8 * sigma, model.y_hi + 8 * sigma, 4001)
         vq = np.random.default_rng(0).normal(size=(4, 3))
-        curves = density_curves(model, vq, y_grid=grid)
-        for curve in curves:
-            assert abs(curve.mass - quadrature_mass(curve)) < 1e-4
+        values, masses = density_curves(model, vq, y_grid=grid)
+        assert np.abs(masses - quadrature_mass(values, grid)).max() < 1e-4
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), bandwidth_y=st.floats(0.3, 4.0),
@@ -308,8 +308,8 @@ class TestMassAndGrid:
         grid = default_grid(model, 101)
         assert grid[0] == model.y_lo - 2.0
         assert grid[-1] == model.y_hi + 2.0
-        with pytest.raises(InvalidArgumentError):
-            default_grid(model, 1)
+        # one point sits at the padded lower end, as make_grid places it
+        assert np.array_equal(default_grid(model, 1, 0.5), [model.y_lo - 0.5])
 
     def test_query_dimension_checked(self):
         model = self.fitted()
@@ -335,25 +335,43 @@ class TestMassAndGrid:
 
     def test_single_point_grid(self):
         model = self.fitted()
-        curves = density_curves(model, np.zeros((1, 3)),
-                                y_grid=np.array([0.5]))
-        assert curves[0].values.shape == (1,)
+        values, masses = density_curves(model, np.zeros((1, 3)),
+                                        y_grid=np.array([0.5]))
+        assert values.shape == (1, 1) and masses.shape == (1,)
 
     def test_min_value_reported_not_clipped(self):
         model = self.fitted()
-        grid = default_grid(model, 200)
-        curve = density_curves(model, np.zeros((1, 3)), y_grid=grid)[0]
-        assert curve.min_value == curve.values.min()
+        vq = np.random.default_rng(2).normal(size=(8, 3))
+        values, _ = density_curves(model, vq, y_grid=default_grid(model, 200))
+        assert values.min() < 0.0
+
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_curves_are_the_matrix_and_the_masses(self, method, tiny_hyper):
+        split = make_split(n=24, seed=6)
+        model = fit_ccme(split, replace(tiny_hyper, method=method,
+                                        propensity="logistic"))
+        vq, grid = split.v1[:3], default_grid(model, 30)
+        values, masses = density_curves(model, vq, grid)
+        assert np.array_equal(values, density_matrix(model, vq, grid))
+        assert np.array_equal(masses, density_mass(model, vq))
 
 
 class TestCsv:
     def test_header_and_row_count(self):
-        model_rows = np.linspace(0, 1, 5)
-        curves = [DensityCurve(model_rows, np.ones(5), 1.0, 0.0),
-                  DensityCurve(model_rows, np.zeros(5), 0.0, 0.0)]
-        text = curves_to_csv(curves)
+        text = curves_to_csv(np.linspace(0, 1, 5), np.vstack([np.ones(5),
+                                                              np.zeros(5)]))
         lines = text.strip().split("\n")
         assert lines[0] == "v_id,y,density"
         assert len(lines) == 1 + 2 * 5
         assert lines[1].startswith("0,0,")
         assert lines[6].startswith("1,0,")
+
+    def test_round_trips_through_loadtxt(self):
+        grid = np.linspace(-2.0, 3.0, 7)
+        values = np.random.default_rng(4).normal(size=(3, 7))
+        rows = np.loadtxt(io.StringIO(curves_to_csv(grid.reshape(-1, 1), values)),
+                          delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], np.repeat(np.arange(3), 7))
+        assert np.array_equal(rows[:, 1], np.tile(grid, 3))
+        assert np.array_equal(rows[:, 2], values.ravel())

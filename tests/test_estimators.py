@@ -645,8 +645,8 @@ class TestSecondStageRr:
         model = fit_second_stage(split, "rr", "dr", first,
                                  np.ones(split.n), h)
         from ccme.density import default_grid, density_curves
-        curve = density_curves(model, split.v1[:2], default_grid(model, 50))[0]
-        assert np.abs(curve.values).max() < 1e-8
+        values, _ = density_curves(model, split.v1[:2], default_grid(model, 50))
+        assert np.abs(values).max() < 1e-8
 
     def test_weights_match_explicit_quadratic_minimizer(self):
         # one desk-size instance of the closed-form equivalence check
@@ -685,10 +685,9 @@ class TestSecondStageRr:
         from ccme.density import density_curves
         grid = np.linspace(ds.Y.min() - 2, ds.Y.max() + 2, 64)
         vq = split.v1[:4]
-        c_dr = density_curves(dr, vq, y_grid=grid)
-        c_os = density_curves(ones, vq, y_grid=grid)
-        for cd, co in zip(c_dr, c_os):
-            assert np.allclose(cd.values, co.values, atol=1e-10)
+        c_dr, _ = density_curves(dr, vq, y_grid=grid)
+        c_os, _ = density_curves(ones, vq, y_grid=grid)
+        assert np.allclose(c_dr, c_os, atol=1e-10)
 
     def test_method_mixing_rejected(self):
         split = make_split(n=20, seed=14)
@@ -719,9 +718,9 @@ class TestSecondStageRr:
         m1 = fit_ccme(split, h)
         m2 = fit_ccme(split, h)
         vq = split.v1[:2]
-        c1 = density_curves(m1, vq, default_grid(m1, 40))
-        c2 = density_curves(m2, vq, default_grid(m2, 40))
-        assert np.array_equal(c1[0].values, c2[0].values)
+        c1, _ = density_curves(m1, vq, default_grid(m1, 40))
+        c2, _ = density_curves(m2, vq, default_grid(m2, 40))
+        assert np.array_equal(c1, c2)
 
 
 class TestNetStages:

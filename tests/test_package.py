@@ -1,11 +1,19 @@
-"""The package's exports: every name in an ``__all__`` resolves."""
+"""The package's exports: every name in an ``__all__`` resolves, and the
+README's library example runs."""
 
+import contextlib
 import importlib
+import io
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import ccme
+from ccme.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ccme.__path__)
                  if m.name != "__main__")
@@ -21,3 +29,15 @@ def test_star_import():
     namespace: dict = {}
     exec("from ccme import *", namespace)
     assert set(ccme.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The python block under "## Library" runs as written, on a CSV that
+    ``ccme simulate`` wrote under the name it reads."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n")[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--n", "200", "--seed", "3", "--out", "sim.csv"]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().strip() != ""

@@ -1,6 +1,7 @@
 """Model archive round-trips and schema validation."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -110,8 +111,8 @@ class TestRoundTrip:
         save_model(model, path)
         save_model(model, path)
         back = load_model(path)
-        curve = density_curves(back, split.v1[:1], default_grid(back, 10))[0]
-        assert np.all(np.isfinite(curve.values))
+        values, _ = density_curves(back, split.v1[:1], default_grid(back, 10))
+        assert np.all(np.isfinite(values))
 
 
 class TestSchemaChecks:
@@ -186,6 +187,20 @@ class TestSchemaChecks:
         arrays["second.coef"][1, 2] = bad
         with pytest.raises(InvalidArgumentError, match="NaN or inf"):
             load_model(write_arrays(arrays, tmp_path / "nan.npz"))
+
+    def test_unreadable_files_rejected_naming_the_path(self, tmp_path):
+        """A file that is no archive, and an archive without one of the
+        head's arrays, raise InvalidArgumentError, not ValueError/KeyError."""
+        garbage = tmp_path / "garbage.npz"
+        garbage.write_text("this is not a zip archive")
+        model, _ = fit_model("rr")
+        arrays = saved_arrays(model, tmp_path)
+        del arrays["second.coef"]
+        missing = write_arrays(arrays, tmp_path / "missing.npz")
+        for path in (str(garbage), missing):
+            with pytest.raises(InvalidArgumentError,
+                               match=re.escape(f"cannot read model {path}")):
+                load_model(path)
 
     def test_plain_npz_rejected(self, tmp_path):
         path = str(tmp_path / "plain.npz")

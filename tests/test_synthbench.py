@@ -1,6 +1,7 @@
 """Synthetic generator, analytic ground truth, MSE scoring, and sweeps."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -115,70 +116,41 @@ class TestGroundTruth:
         assert abs(y.var() - var_expect) < 1.0
 
 
-class _Offset:
-    """Wraps the truth and adds a constant to every density value."""
-
-    def __init__(self, truth, delta):
-        self.truth = truth
-        self.delta = delta
-
-    def density_matrix(self, v, y):
-        return self.truth.density_matrix(v, y) + self.delta
-
-
 class TestMse:
+    """mse scores one (T, G) density matrix against another."""
+
     def test_truth_scores_zero(self):
-        truth = GroundTruth()
-        v = eval_points(20)
-        y = np.linspace(-5.0, 40.0, 200)
-        assert mse(truth, truth, v, y) == 0.0
+        truth = GroundTruth().density_matrix(eval_points(20),
+                                             np.linspace(-5.0, 40.0, 200))
+        assert mse(truth, truth) == 0.0
 
     def test_constant_offset_squares(self):
-        truth = GroundTruth()
-        v = eval_points(10)
-        y = np.linspace(-5.0, 40.0, 150)
-        assert mse(_Offset(truth, 0.25), truth, v, y) == pytest.approx(
-            0.0625, abs=1e-15)
+        truth = GroundTruth().density_matrix(eval_points(10),
+                                             np.linspace(-5.0, 40.0, 150))
+        assert mse(truth + 0.25, truth) == pytest.approx(0.0625, abs=1e-15)
 
     def test_zero_predictor_by_explicit_loop(self):
-        truth = GroundTruth()
-        v = eval_points(5)
-        y = np.linspace(-2.0, 35.0, 60)
-        got = mse(_Offset(truth, -1.0), truth, v, y)
+        dens = GroundTruth().density_matrix(eval_points(5),
+                                            np.linspace(-2.0, 35.0, 60))
         # -1 offset: squared error is 1 everywhere
-        assert got == pytest.approx(1.0, abs=1e-12)
-        got = mse(_ZeroModel(), truth, v, y)
-        dens = truth.density_matrix(v, y)
+        assert mse(dens - 1.0, dens) == pytest.approx(1.0, abs=1e-12)
+        got = mse(np.zeros_like(dens), dens)
         total = 0.0
         for t in range(dens.shape[0]):
             for g in range(dens.shape[1]):
                 total += dens[t, g] ** 2
         assert got == pytest.approx(total / dens.size, rel=1e-12)
 
-    def test_evaluated_truth_scores_alike(self):
-        truth = GroundTruth()
-        v = eval_points(4)
-        y = np.linspace(-5.0, 40.0, 80)
-        assert (mse(_Offset(truth, 0.1), truth.density_matrix(v, y), v, y)
-                == mse(_Offset(truth, 0.1), truth, v, y))
-
     def test_mean_consistent_with_quadrature(self):
         # on a uniform grid the plain mean and the trapezoid integral are
         # related by mean = (trapz/h + (f_0 + f_last)/2) / G
-        truth = GroundTruth()
-        v = eval_points(3)
         y = np.linspace(-5.0, 40.0, 400)
         h = y[1] - y[0]
-        diff_sq = truth.density_matrix(v, y) ** 2
-        got = mse(_ZeroModel(), truth, v, y)
+        truth = GroundTruth().density_matrix(eval_points(3), y)
+        got = mse(np.zeros_like(truth), truth)
         per_row = [(np.trapezoid(r, y) / h + (r[0] + r[-1]) / 2) / y.size
-                   for r in diff_sq]
+                   for r in truth ** 2]
         assert got == pytest.approx(float(np.mean(per_row)), rel=1e-12)
-
-
-class _ZeroModel:
-    def density_matrix(self, v, y):
-        return np.zeros((np.atleast_2d(v).shape[0], np.ravel(y).size))
 
 
 class TestEvalPoints:
@@ -196,6 +168,11 @@ class TestSweep:
                            [100, 200], [0, 1, 2])
         assert len(cells) == 1 * 2 * 2 * 2 * 3
         assert {c.scenario for c in cells} == {"a", "c"}
+
+    def test_a_record_is_its_cell_and_the_score(self):
+        names = [f.name for f in fields(SweepRecord)]
+        assert names == [f.name for f in fields(SweepCell)] + ["mse", "seconds",
+                                                                "error"]
 
     def test_scenario_wiring(self):
         assert scenario_x_cols("a") is None and scenario_x_cols("b") is None
