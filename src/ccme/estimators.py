@@ -255,8 +255,9 @@ class KernelHead:
 
     @staticmethod
     def factor(inputs, hyper: Hyper, stage: int) -> SpdFactor:
-        """K(inputs) + ridge I under the stage's kernel and ridge, factored:
-        what ``fit`` solves with, whatever the targets."""
+        """K(inputs) + ridge I under the stage's kernel and ridge, factored
+        in the Gram's own buffer: what ``fit`` solves with, whatever the
+        targets."""
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
         return SpdFactor(gram(kernel, inputs), (hyper.ridge0, hyper.ridge1)[stage])
 

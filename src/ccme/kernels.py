@@ -6,6 +6,10 @@ benchmark) is written against the primitives in this module: ``gram`` for
 dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs, and
 ``OutcomeBasis`` for finite coordinates of the outcome kernel's features.
 
+An n x n Gram is the largest array a fit makes, so each is one buffer for
+its whole life: ``gram`` computes the kernel over the squared distances, and
+``SpdFactor`` adds its ridge to the diagonal and factors in place.
+
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
 """
@@ -67,8 +71,11 @@ class KernelSpec:
         return float((np.sqrt(2.0 * np.pi) * self.bandwidth) ** (-dim))
 
     def at(self, sq: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
-        """Kernel values at squared distances ``sq`` between points of R^dim."""
-        K = np.exp(sq / (-2.0 * self.bandwidth * self.bandwidth))
+        """Kernel values at squared distances ``sq`` between points of R^dim,
+        computed in ``sq``'s buffer, which is returned: ``sq`` is consumed,
+        so callers pass a fresh float64 array."""
+        K = np.divide(sq, -2.0 * self.bandwidth * self.bandwidth, out=sq)
+        np.exp(K, out=K)
         c = self.norm_const(dim)
         if c != 1.0:
             K *= c
@@ -107,12 +114,15 @@ def gram(spec: KernelSpec, points_a: object,
 
 
 def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
-    """Lower Cholesky factor of ``matrix`` by LAPACK's dpotrf, as scipy's
-    cho_factor computes it (the upper triangle holds leftovers).  A NaN or
-    inf entry or a failing pivot raises NumericError; the pivot is named."""
+    """Lower Cholesky factor of the exactly symmetric C-ordered ``matrix`` by
+    LAPACK's dpotrf, in its buffer: ``matrix.T`` is the same matrix in
+    Fortran order, so nothing is copied.  The result is that buffer in
+    Fortran order; its strict upper triangle keeps the input, as cho_factor
+    leaves it.  A NaN or inf entry or a failing pivot raises NumericError;
+    the pivot is named."""
     if not np.isfinite(matrix).all():
         raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
-    factor, info = dpotrf(matrix, lower=1, clean=0)
+    factor, info = dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericError(f"factorization of {what} failed: leading minor {info} "
                            "is not positive definite", pivot=info - 1)
@@ -125,34 +135,54 @@ def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]
 
 
 class SpdFactor:
-    """A cached Cholesky factorization of (K + ridge I), kept with the
-    regularized matrix; immutable, and thread-safe for solves."""
+    """A cached Cholesky factorization of (K + ridge I); immutable, and
+    thread-safe for solves.
+
+    ``SpdFactor(K, ridge)`` takes ``K`` over.  K must be exactly symmetric,
+    as ``gram`` and ``F.T @ F`` are; only its upper triangle is read.  A
+    writable C-ordered float64 K is overwritten: the ridge is added to its
+    diagonal and the factor computed in its buffer, so the caller must not
+    read it again.  Only the factor and the regularized diagonal are kept."""
 
     def __init__(self, K: NDArray[np.float64], ridge: float) -> None:
-        K = np.asarray(K, dtype=np.float64)
+        K = np.require(K, np.float64, ["C", "W"])
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise InvalidArgumentError(f"K must be square, got shape {K.shape}")
         if not (0 < ridge < np.inf):
             raise InvalidArgumentError(f"ridge must be finite and > 0, got {ridge}")
-        self.matrix = K + ridge * np.eye(K.shape[0])
-        self.ridge = float(ridge)
-        self._factor = _cholesky(self.matrix, f"(K + {ridge} I)")
+        K.ravel()[::K.shape[0] + 1] += ridge
+        self._factor_in_place(K, ridge, f"(K + {ridge} I)")
 
     @classmethod
     def from_regularized(cls, matrix: NDArray[np.float64], ridge: float) -> "SpdFactor":
-        """Factor an already-regularized matrix."""
+        """Factor a copy of an already-regularized symmetric matrix."""
         obj = cls.__new__(cls)
-        obj.matrix = np.asarray(matrix, dtype=np.float64)
-        obj.ridge = float(ridge)
-        obj._factor = _cholesky(obj.matrix, "stored matrix")
+        obj._factor_in_place(np.array(matrix, dtype=np.float64, order="C"), ridge,
+                             "stored matrix")
         return obj
+
+    def _factor_in_place(self, matrix: NDArray[np.float64], ridge: float,
+                         what: str) -> None:
+        self.ridge = float(ridge)
+        self._diag = matrix.diagonal().copy()
+        self._factor = _cholesky(matrix, what)
+
+    @property
+    def matrix(self) -> NDArray[np.float64]:
+        """K + ridge I, rebuilt on each read from the entries the factor left
+        untouched and the saved diagonal; a new array."""
+        # the factor's strict upper triangle holds the input; by symmetry
+        # the transpose supplies the strict lower one
+        out = np.where(np.tri(len(self._diag), dtype=bool), self._factor.T, self._factor)
+        np.fill_diagonal(out, self._diag)
+        return out
 
     def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
         """Solve (K + ridge I) x = rhs; rhs may be a vector or a matrix."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape[0] != len(self.matrix):
+        if rhs.shape[0] != len(self._diag):
             raise InvalidArgumentError(
-                f"rhs has {rhs.shape[0]} rows, expected {len(self.matrix)}")
+                f"rhs has {rhs.shape[0]} rows, expected {len(self._diag)}")
         if not np.isfinite(rhs).all():
             raise NumericError("right-hand side holds NaN or inf")
         return _cho_solve(self._factor, rhs)

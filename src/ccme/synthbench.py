@@ -300,7 +300,8 @@ def _usable_cores() -> int:
 
 def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
     """Raise ``ConfigError`` for what ``run_sweep`` rejects up front: an unknown
-    method or variant, an rr cell above n = 20000, or other ``v_cols``."""
+    method or variant, an rr cell above n = 20000, other ``v_cols``, or a
+    ``seed`` or ``net_seed`` other than the default, which no cell reads."""
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:
             raise ConfigError(f"rr cell n={cell.n} exceeds the 20000 cap")
@@ -312,6 +313,10 @@ def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
         raise ConfigError(f"sweeps condition on V = the first {len(V_COLS)} "
                           f"covariates, as the true densities do; got v_cols "
                           f"{hyper.v_cols}")
+    for name in ("seed", "net_seed"):
+        if getattr(hyper, name) != getattr(Hyper, name):
+            raise ConfigError(f"sweeps derive each group's seeds from (n, seed) "
+                              f"in --seeds; got {name} {getattr(hyper, name)}")
 
 
 def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,

@@ -571,6 +571,22 @@ class TestSweepCommand:
         assert not (tmp_path / "s.csv").exists()
         assert main(base + ["--v-cols", "0,1,2,3,4"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--seed", "--net-seed"])
+    def test_sweeps_reject_seed_and_net_seed(self, flag, tmp_path, capsys):
+        """Each group derives its seeds from (n, seed) in --seeds, so a sweep
+        rejects these, in one line before its status line, as it does v_cols."""
+        name = flag[2:].replace("-", "_")
+        base = ["sweep", "--n-list", "30", "--seeds", "0", "--test-points", "5",
+                "--grid-points", "20", "--out", str(tmp_path / "s.csv")]
+        capsys.readouterr()
+        assert main(base + [flag, "5"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("degenerate data or configuration")
+        assert f"{name} 5" in err[0]
+        assert not (tmp_path / "s.csv").exists()
+        assert main(base + [flag, "0"]) == 0
+
     def test_rr_cap_is_one_line(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         capsys.readouterr()
@@ -716,9 +732,8 @@ class TestReport:
 
 
 # The settings a sweep does not read, as README lists them: its cells set
-# the estimator, scenario and rows, and derive their seeds from (n, seed);
-# threads only schedules the groups.
-SWEEP_UNREAD = {"method", "variant", "scenario", "seed", "net_seed", "n", "threads"}
+# the estimator, scenario and rows; threads only schedules the groups.
+SWEEP_UNREAD = {"method", "variant", "scenario", "n", "threads"}
 
 # A tiny rr/df/nk sweep, and a new value for every other setting.
 SWEEP_BASE = dict(methods=["rr", "df", "nk"], variants=["dr"], scenarios=["a"],
@@ -733,6 +748,7 @@ SWEEP_CHANGES = {
     "grid_pad": 1.0, "clip_lo": 0.2, "clip_hi": 0.6, "v_cols": [0, 1],
     "methods": ["rr"], "variants": ["pi"], "scenarios": ["c"], "n_list": [25],
     "seeds": [1], "test_points": 4, "grid_points": 15, "eval_seed": 1,
+    "seed": 1, "net_seed": 1,
 }
 
 

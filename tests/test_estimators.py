@@ -360,7 +360,7 @@ class TestNkLoss:
         k_m = gram(KernelSpec(bandwidth=1.0), grid)
         b = rng.normal(size=(4, 6))
         f_star = nk_minimizer(k_m, b)
-        assert np.allclose(f_star, SpdFactor(k_m, 1e-12).solve(b), atol=1e-8)
+        assert np.allclose(f_star, SpdFactor(k_m.copy(), 1e-12).solve(b), atol=1e-8)
         # and it zeroes the gradient
         _, grad = nk_loss_grad(f_star.T, k_m, b)
         assert np.abs(grad).max() < 1e-10

@@ -1,5 +1,7 @@
 """Kernel evaluation, Gram construction, and regularized solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 
 from ccme.errors import InvalidArgumentError, NumericError
+from ccme.estimators import Hyper, KernelHead
 from ccme.kernels import KernelSpec, SpdFactor, gram, usable_bandwidth
 
 from oracles import kernel_eval
@@ -145,8 +148,9 @@ class TestRegularizedSolve:
         rng = np.random.default_rng(0)
         K = gram(KernelSpec(), rng.normal(size=(6, 2)))
         B = rng.normal(size=(6, 3))
+        regularized = K + 2.0 * np.eye(6)
         X = SpdFactor(K, 2.0).solve(B)
-        assert np.allclose((K + 2.0 * np.eye(6)) @ X, B, atol=1e-12)
+        assert np.allclose(regularized @ X, B, atol=1e-12)
 
     def test_indefinite_matrix_reports_pivot(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
@@ -168,7 +172,7 @@ class TestSpdFactor:
     def test_solve_matches_direct_inverse(self):
         rng = np.random.default_rng(11)
         K = gram(KernelSpec(bandwidth=1.1), rng.normal(size=(8, 3)))
-        fac = SpdFactor(K, 5.0)
+        fac = SpdFactor(K.copy(), 5.0)
         rhs = rng.normal(size=8)
         assert np.allclose(fac.solve(rhs),
                            np.linalg.solve(K + 5.0 * np.eye(8), rhs), atol=1e-12)
@@ -204,3 +208,63 @@ class TestSpdFactor:
         rebuilt = SpdFactor.from_regularized(fac.matrix, fac.ridge)
         rhs = rng.normal(size=(6, 2))
         assert np.array_equal(fac.solve(rhs), rebuilt.solve(rhs))
+
+
+class TestSpdFactorOwnership:
+    """SpdFactor takes over the K it is given; ``matrix`` and
+    ``from_regularized`` still see K + ridge I."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           ridge=st.floats(1e-6, 1e3))
+    def test_factor_overwrites_k_and_keeps_k_plus_ridge(self, n, d, seed, ridge):
+        rng = np.random.default_rng(seed)
+        K = gram(KernelSpec(bandwidth=1.5), rng.normal(size=(n, d)))
+        regularized = K + ridge * np.eye(n)
+        fac = SpdFactor(K, ridge)
+        assert np.shares_memory(fac._factor, K)
+        assert not np.array_equal(K, regularized)
+        matrix = fac.matrix
+        assert matrix.tobytes() == regularized.tobytes()
+        rebuilt = SpdFactor.from_regularized(matrix, ridge)
+        assert matrix.tobytes() == regularized.tobytes()
+        rhs = rng.normal(size=(n, 2))
+        assert rebuilt.solve(rhs).tobytes() == fac.solve(rhs).tobytes()
+
+
+class TestGramMemory:
+    """An n x n Gram and its factor are one buffer each.  tracemalloc sees
+    numpy's, cdist's and f2py's allocations; 1.0 is one n x n float64 array."""
+
+    N = 1500
+
+    def traced(self, fn):
+        """(result, peak, held) of ``fn()``, in n x n arrays beyond the start."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        unit = self.N * self.N * 8
+        return result, (peak - base) / unit, (held - base) / unit
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(3).normal(size=(self.N, 5))
+
+    def test_gram_builds_in_cdists_buffer(self, points):
+        _, peak, _ = self.traced(lambda: gram(KernelSpec(), points))
+        assert peak <= 1.05
+
+    def test_factor_holds_one_array(self, points):
+        # the 0.125 above 1 is _cholesky's isfinite mask
+        fac, peak, held = self.traced(lambda: KernelHead.factor(points, Hyper(), 0))
+        assert peak <= 1.25
+        assert held <= 1.01
+        assert fac._factor.shape == (self.N, self.N)
