@@ -5,6 +5,12 @@ its own thread count.  The copies are found through the extension modules
 that link them, the first time a count is read or set, and cached; with no
 OpenBLAS loaded every call here does nothing.  A copy's count is global to
 the process, so two Python threads setting it at once override each other.
+
+The library's policy: fits and density evaluations, whose products and
+solves are small, run under ``single_thread``, and the large
+factorizations inside them open a ``wide`` region, which runs on the
+counts the pin replaced (the process's defaults, or a sweep worker's share
+of the cores).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-__all__ = ["thread_counts", "set_threads", "single_thread"]
+__all__ = ["thread_counts", "set_threads", "single_thread", "wide"]
 
 # Extension modules whose shared objects link numpy's and scipy's copies;
 # numpy.linalg._umath_linalg has that name in numpy 1.x and 2.x alike.
@@ -67,14 +73,50 @@ def set_threads(n: int) -> None:
         put(int(n))
 
 
+def _put_counts(counts: list[int]) -> None:
+    for (_, put), n in zip(_copies(), counts):
+        put(n)
+
+
+# The counts the outermost open ``single_thread`` replaced; None outside one
+# and inside a ``wide`` region.  Global to the process, as the counts are.
+_saved: list[int] | None = None
+
+
 @contextmanager
 def single_thread() -> Iterator[None]:
     """Run the block with every copy on one thread, then restore each copy's
-    own count, also when the block raises."""
+    own count, also when the block raises.  Inside another pin it changes
+    nothing, so a ``wide`` region anywhere in the block still finds the
+    counts the outermost pin replaced."""
+    global _saved
+    if _saved is not None:
+        yield
+        return
     before = thread_counts()
     set_threads(1)
+    _saved = before
     try:
         yield
     finally:
-        for (_, put), n in zip(_copies(), before):
-            put(n)
+        _saved = None
+        _put_counts(before)
+
+
+@contextmanager
+def wide() -> Iterator[None]:
+    """Inside ``single_thread``, run the block on the counts the pin
+    replaced, and go back to one thread after it, also when it raises;
+    elsewhere, change nothing."""
+    global _saved
+    saved = _saved
+    if saved is None:
+        yield
+        return
+    _saved = None
+    _put_counts(saved)
+    try:
+        yield
+    finally:
+        set_threads(1)
+        _saved = saved

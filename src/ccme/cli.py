@@ -168,8 +168,11 @@ def _parse_v_args(args: argparse.Namespace) -> np.ndarray:
     with open(args.v_file, "r", encoding="utf-8") as fh:
         text = fh.read()
     rows = [ln for ln in text.splitlines() if ln.strip()]
-    if rows and any(ch.isalpha() for ch in rows[0]):
-        rows = rows[1:]                  # tolerate a header line
+    try:                                 # a first line that is not numbers
+        for tok in rows[0].split(",") if rows else ():
+            float(tok)
+    except ValueError:
+        rows = rows[1:]                  # is a header
     try:
         vq = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",", ndmin=2)
     except ValueError as exc:

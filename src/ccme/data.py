@@ -126,12 +126,9 @@ def compute_omega(d1: Dataset, propensity: PropensityModel) -> NDArray[np.float6
 def dataset_to_csv(dataset: Dataset) -> str:
     """Render a dataset in the x1..xd,a,y schema with full float precision."""
     cols = [f"x{i + 1}" for i in range(dataset.X.shape[1])] + ["a", "y"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    body = np.column_stack([dataset.X, dataset.A, dataset.Y])
-    for row in body:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    body = np.column_stack([dataset.X, dataset.A, dataset.Y]).tolist()
+    return ",".join(cols) + "\n" + "".join([row % tuple(values) for values in body])
 
 
 def load_dataset(text: str) -> Dataset:

@@ -8,7 +8,7 @@ signed) density, and one formula serves every backend:
 
 with u the basis coordinates.  The mass is the head's own linear map of v,
 fitted alongside w (for the grid head, the weight total).  All entry points
-are batched over query points.
+are batched over query points, and evaluate under ``blas.single_thread``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
+from .blas import single_thread
 from .errors import InvalidArgumentError
 from .estimators import CcmeModel, make_grid
 from .kernels import gram
@@ -48,13 +49,22 @@ def _as_grid(y_grid: NDArray[np.float64], d_y: int) -> NDArray[np.float64]:
     return y
 
 
+def _on_grid(model: CcmeModel, weights: NDArray[np.float64],
+             y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The densities w' u(y) of the embeddings whose weights are the columns
+    of ``weights``, at every grid value; shape (T, G)."""
+    basis = model.second.basis
+    u = basis.coords(gram(model.kernel_y, basis.grid,
+                          _as_grid(y_grid, basis.grid.shape[1])))
+    return weights.T @ u
+
+
 def density_matrix(model: CcmeModel, v: NDArray[np.float64],
                    y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
     """Density estimates for every (query, grid value) pair, shape (T, G)."""
-    vq, basis = _as_queries(model, v), model.second.basis
-    u = basis.coords(gram(model.kernel_y, basis.grid,
-                          _as_grid(y_grid, basis.grid.shape[1])))
-    return model.second.embedding(vq)[0].T @ u
+    vq = _as_queries(model, v)
+    with single_thread():
+        return _on_grid(model, model.second.embedding(vq)[0], y_grid)
 
 
 def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -67,7 +77,9 @@ def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64
     if not model.kernel_y.normalized:
         raise InvalidArgumentError(
             "density mass needs a normalized outcome kernel")
-    return model.second.embedding(_as_queries(model, v))[1]
+    vq = _as_queries(model, v)
+    with single_thread():
+        return model.second.embedding(vq)[1]
 
 
 def default_grid(model: CcmeModel, n_points: int = 200,
@@ -81,17 +93,21 @@ def density_curves(model: CcmeModel, v: NDArray[np.float64], y_grid: NDArray[np.
     """The (T, G) density matrix on a shared outcome grid, never clipped, and
     the (T,) analytic masses, NaN when the outcome kernel is not normalized."""
     vq = _as_queries(model, v)
-    masses = (density_mass(model, vq) if model.kernel_y.normalized
-              else np.full(vq.shape[0], np.nan))
-    return density_matrix(model, vq, y_grid), masses
+    with single_thread():
+        weights, masses = model.second.embedding(vq)
+        values = _on_grid(model, weights, y_grid)
+    if not model.kernel_y.normalized:
+        masses = np.full(vq.shape[0], np.nan)
+    return values, masses
 
 
 def curves_to_csv(y_grid: NDArray[np.float64], values: NDArray[np.float64]) -> str:
     """Long-format CSV with the mandatory v_id,y,density header; v_id counts
     the rows of ``values`` from 0."""
-    lines = ["v_id,y,density"]
     grid = np.asarray(y_grid, dtype=np.float64).ravel()
-    for vid, row in enumerate(values):
-        for y, dens in zip(grid, row):
-            lines.append(f"{vid},{y:.17g},{dens:.17g}")
-    return "\n".join(lines) + "\n"
+    # one query's lines, with the grid formatted once: joined by the v_id,
+    # the pieces take the query's densities in their %.17g slots
+    pieces = ["", *(f",{y:.17g},%.17g\n" for y in grid)]
+    return "v_id,y,density\n" + "".join([
+        str(vid).join(pieces) % tuple(dens)
+        for vid, dens in enumerate(np.asarray(values, dtype=np.float64).tolist())])

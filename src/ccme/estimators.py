@@ -45,6 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .blas import single_thread
 from .data import SplitDataset
 from .errors import (ConfigWarning, DegenerateDataError, InvalidArgumentError,
                      NumericError)
@@ -650,6 +651,10 @@ def fit_ccme(split: SplitDataset, hyper: Hyper, *,
     factor once.  Fits may share one dict when they have one split's data
     and one ``Hyper``, differing only in method, variant, scenario,
     propensity and ``split.x_cols``.
+
+    The fit runs under ``blas.single_thread``: its products and solves are
+    small, except the factorizations of order ``kernels.WIDE_ORDER`` and
+    above, which get the replaced thread counts back.
     """
     from .data import compute_omega
     # imported here, as synthbench imports this module
@@ -658,14 +663,15 @@ def fit_ccme(split: SplitDataset, hyper: Hyper, *,
     method, reads = hyper.method, _reads(hyper.variant)
     shared = {} if shared is None else shared
     omega = first = factor = None
-    if "omega" in reads:
-        omega = _shared_part(shared, ("omega", propensity_kind(hyper)), lambda: (
-            compute_omega(split.d1, fit_propensity(hyper, split.d0))))
-    if "first" in reads:
-        first = _shared_part(shared, ("first", method, str(split.x_cols)),
-                             lambda: fit_first_stage(split, method, hyper))
-    if method == "rr" and reads:             # onestep fits D1's treated rows
-        factor = _shared_part(shared, ("factor",),
-                              lambda: KernelHead.factor(split.v1, hyper, 1))
-    return fit_second_stage(split, method, hyper.variant, first, omega, hyper,
-                            factor=factor)
+    with single_thread():
+        if "omega" in reads:
+            omega = _shared_part(shared, ("omega", propensity_kind(hyper)), lambda: (
+                compute_omega(split.d1, fit_propensity(hyper, split.d0))))
+        if "first" in reads:
+            first = _shared_part(shared, ("first", method, str(split.x_cols)),
+                                 lambda: fit_first_stage(split, method, hyper))
+        if method == "rr" and reads:             # onestep fits D1's treated rows
+            factor = _shared_part(shared, ("factor",),
+                                  lambda: KernelHead.factor(split.v1, hyper, 1))
+        return fit_second_stage(split, method, hyper.variant, first, omega, hyper,
+                                factor=factor)

@@ -16,6 +16,7 @@ decide how it relates to sample size.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from numpy.typing import NDArray
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
+from . import blas
 from .errors import InvalidArgumentError, NumericError
 
 __all__ = ["KernelSpec", "usable_bandwidth", "gram", "SpdFactor", "OutcomeBasis",
@@ -134,9 +136,21 @@ def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]
     return dpotrs(factor, rhs, lower=1)[0]
 
 
+# The order from which SpdFactor factors and solves in a ``blas.wide``
+# region.  Timed on a 2-core x86-64 box (numpy 2.4.6, scipy 1.17.1), factor
+# plus a 70-column solve inside ``blas.single_thread``, one thread against
+# two: order 2000 took 0.10-0.12 s against 0.06-0.08 s, but in 1 of 20 fresh
+# processes the first two-thread call stalled for 0.8 s; order 3000 took
+# 0.27-0.33 s against 0.15-0.21 s, and 5000 1.19 s against 0.66 s (medians
+# of 5), gains that outweigh such a stall.
+WIDE_ORDER = 3000
+
+
 class SpdFactor:
     """A cached Cholesky factorization of (K + ridge I); immutable, and
-    thread-safe for solves.
+    thread-safe for solves.  From order ``WIDE_ORDER`` on, factorization and
+    solves run on the BLAS thread counts an enclosing ``blas.single_thread``
+    replaced.
 
     ``SpdFactor(K, ridge)`` takes ``K`` over.  K must be exactly symmetric,
     as ``gram`` and ``F.T @ F`` are; only its upper triangle is read.  A
@@ -165,7 +179,11 @@ class SpdFactor:
                          what: str) -> None:
         self.ridge = float(ridge)
         self._diag = matrix.diagonal().copy()
-        self._factor = _cholesky(matrix, what)
+        with self._threads():
+            self._factor = _cholesky(matrix, what)
+
+    def _threads(self):
+        return blas.wide() if len(self._diag) >= WIDE_ORDER else nullcontext()
 
     @property
     def matrix(self) -> NDArray[np.float64]:
@@ -185,7 +203,8 @@ class SpdFactor:
                 f"rhs has {rhs.shape[0]} rows, expected {len(self._diag)}")
         if not np.isfinite(rhs).all():
             raise NumericError("right-hand side holds NaN or inf")
-        return _cho_solve(self._factor, rhs)
+        with self._threads():
+            return _cho_solve(self._factor, rhs)
 
 
 # Outcome basis: grid step and padding in outcome bandwidths, and the

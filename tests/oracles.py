@@ -4,8 +4,9 @@ These are the direct forms: single kernel values, the n x n pseudo-outcome
 Gram, the trace loss on that Gram, the two-term bump-sum density, trapezoid
 mass, the unconstrained grid-coefficient minimizer, the logistic log-loss,
 a forest grown by sorting every feature afresh at every node of every
-bootstrap sample, and an SGD loop that builds fresh parameter, gradient and
-momentum arrays at every step.  None of them is used by the library itself.
+bootstrap sample, an SGD loop that builds fresh parameter, gradient and
+momentum arrays at every step, and CSV writers that format one value at a
+time.  None of them is used by the library itself.
 """
 
 from dataclasses import dataclass, field
@@ -267,3 +268,22 @@ def oracle_train_mlp(params, batch, loss_and_grad, epochs, lr, momentum):
         params, state = sgd_step(params, grads, state)
         last = float(loss)
     return params, last
+
+
+def reference_curves_csv(y_grid, values):
+    """``density.curves_to_csv`` value by value: one f-string per density."""
+    lines = ["v_id,y,density"]
+    grid = np.asarray(y_grid, dtype=np.float64).ravel()
+    for vid, row in enumerate(values):
+        for y, dens in zip(grid, row):
+            lines.append(f"{vid},{y:.17g},{dens:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dataset_csv(dataset):
+    """``data.dataset_to_csv`` value by value: one f-string per entry."""
+    cols = [f"x{i + 1}" for i in range(dataset.X.shape[1])] + ["a", "y"]
+    out = [",".join(cols) + "\n"]
+    for row in np.column_stack([dataset.X, dataset.A, dataset.Y]):
+        out.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(out)

@@ -1,0 +1,183 @@
+"""The library's BLAS thread policy: fits and density evaluations on one
+thread, factorizations from ``kernels.WIDE_ORDER`` on the counts the pin
+replaced."""
+
+import ast
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from ccme import blas, density, estimators, kernels, synthbench
+from ccme.density import density_curves, density_mass, density_matrix, default_grid
+from ccme.data import split_data
+from ccme.errors import NumericError
+from ccme.estimators import Hyper, fit_ccme
+from ccme.kernels import SpdFactor
+from ccme.synthbench import SweepCell, run_sweep
+
+from conftest import make_split, openblas_counts
+
+
+def ones():
+    return [1] * len(openblas_counts())
+
+
+def twos():
+    return [2] * len(openblas_counts())
+
+
+def spy_on(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a pass-through that records the OpenBLAS
+    thread counts at each call; returns the list of records."""
+    real, seen = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(openblas_counts())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestPinAndWide:
+    def test_nested_pin_changes_nothing(self):
+        with blas.single_thread():
+            with blas.single_thread():
+                assert openblas_counts() == ones()
+                with blas.wide():
+                    assert openblas_counts() == twos()
+                assert openblas_counts() == ones()
+            assert openblas_counts() == ones()
+        assert openblas_counts() == twos()
+
+    def test_wide_outside_a_pin_changes_nothing(self):
+        with blas.wide():
+            assert openblas_counts() == twos()
+            with blas.single_thread():
+                assert openblas_counts() == ones()
+        assert openblas_counts() == twos()
+
+    def test_a_pin_inside_wide_is_its_own(self):
+        with blas.single_thread(), blas.wide():
+            with blas.single_thread():
+                assert openblas_counts() == ones()
+                with blas.wide():
+                    assert openblas_counts() == twos()
+            assert openblas_counts() == twos()
+
+    def test_wide_goes_back_to_one_thread_when_it_raises(self):
+        with blas.single_thread():
+            with pytest.raises(RuntimeError), blas.wide():
+                raise RuntimeError("in the wide region")
+            assert openblas_counts() == ones()
+        assert openblas_counts() == twos()
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestSpdFactorThreads:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WIDE_ORDER", 4)
+        return (spy_on(monkeypatch, kernels, "_cholesky"),
+                spy_on(monkeypatch, kernels, "_cho_solve"))
+
+    @staticmethod
+    def factor_and_solve(order):
+        pts = np.arange(order, dtype=np.float64)
+        fac = SpdFactor(kernels.gram(kernels.KernelSpec(), pts), 1.0)
+        return fac.solve(np.ones(order))
+
+    def test_from_the_order_on_it_runs_on_the_saved_counts(self, spies):
+        with blas.single_thread():
+            self.factor_and_solve(4)
+            assert openblas_counts() == ones()
+            self.factor_and_solve(3)
+        assert spies == ([twos(), ones()], [twos(), ones()])
+        assert openblas_counts() == twos()
+
+    def test_unpinned_it_keeps_the_counts(self, spies):
+        self.factor_and_solve(4)
+        self.factor_and_solve(3)
+        assert spies == ([twos(), twos()], [twos(), twos()])
+
+    def test_same_solution_either_side_of_the_order(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        pts, rhs = rng.normal(size=(40, 2)), rng.normal(size=(40, 3))
+        got = []
+        for order in (40, 41):
+            monkeypatch.setattr(kernels, "WIDE_ORDER", order)
+            with blas.single_thread():
+                fac = SpdFactor(kernels.gram(kernels.KernelSpec(), pts), 0.5)
+                got.append(fac.solve(rhs))
+        assert np.allclose(got[0], got[1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+class TestFitAndDensityThreads:
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("head", ["KernelHead", "FeatureHead", "GridHead"])
+    def test_heads_fit_on_one_thread(self, head, tiny_hyper, monkeypatch):
+        seen = spy_on(monkeypatch, getattr(estimators, head), "fit")
+        method = getattr(estimators, head).method
+        fit_ccme(make_split(n=24, seed=3), replace(tiny_hyper, method=method,
+                                                   propensity="logistic"))
+        assert seen == [ones(), ones()]          # stage one, then stage two
+        assert openblas_counts() == twos()
+
+    def test_a_diverging_fit_restores_the_counts(self):
+        data = synthbench.generate(Hyper(n=200, seed=3))[0]
+        hyper = Hyper(method="df", propensity="logistic", lr_df=1e3,
+                      epochs_df1=200, epochs_df2=50)
+        with pytest.raises(NumericError), np.errstate(all="ignore"):
+            fit_ccme(split_data(data, 1), hyper)
+        assert openblas_counts() == twos()
+
+    def test_large_factors_run_wide_inside_a_fit(self, tiny_hyper, monkeypatch):
+        monkeypatch.setattr(kernels, "WIDE_ORDER", 5)
+        seen = spy_on(monkeypatch, kernels, "_cholesky")
+        split = make_split(n=24, seed=3)
+        fit_ccme(split, replace(tiny_hyper, propensity="logistic"))
+        want = [twos() if len(rows) >= 5 else ones()
+                for rows in (split.x0_treated(), split.v1)]
+        assert seen == want
+        assert openblas_counts() == twos()
+
+    def test_density_functions_evaluate_on_one_thread(self, tiny_hyper,
+                                                      monkeypatch):
+        split = make_split(n=24, seed=3)
+        model = fit_ccme(split, replace(tiny_hyper, propensity="logistic"))
+        vq, grid = split.v1[:3], default_grid(model, 20)
+        heads = spy_on(monkeypatch, model.second, "embedding")
+        grams = spy_on(monkeypatch, density, "gram")
+        density_matrix(model, vq, grid)
+        density_mass(model, vq)
+        density_curves(model, vq, grid)
+        assert heads == [ones()] * 3
+        assert grams == [ones()] * 2
+        assert openblas_counts() == twos()
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+def test_sweep_workers_factor_on_their_core_share(monkeypatch):
+    """With four usable cores, each of two workers gets two BLAS threads;
+    the parent runs three, so only the share can give two."""
+    monkeypatch.setattr(synthbench, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(kernels, "WIDE_ORDER", 1)
+    seen = spy_on(monkeypatch, kernels, "_cholesky")
+    real_cell = synthbench.run_cell
+
+    def cell_reporting_counts(*args, **kwargs):
+        record = real_cell(*args, **kwargs)
+        assert record.error == ""
+        return replace(record, error=repr(seen))
+
+    monkeypatch.setattr(synthbench, "run_cell", cell_reporting_counts)
+    blas.set_threads(3)
+    records = run_sweep([SweepCell("rr", "dr", "a", 20, s) for s in (1, 2)],
+                        test_points=5, grid_points=20, threads=2)
+    assert openblas_counts() == [3] * len(openblas_counts())
+    for record in records:
+        counts = ast.literal_eval(record.error)
+        assert counts and all(c == twos() for c in counts)

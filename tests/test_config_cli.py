@@ -436,6 +436,28 @@ class TestDensity:
         ids = {ln.split(",")[0] for ln in lines[1:]}
         assert ids == {"0", "1"}
 
+    @pytest.mark.parametrize("header", ["", "v1,v2,v3,v4,v5\n"])
+    def test_every_query_row_kept(self, header, workdir, tmp_path):
+        """Only a first line that does not parse as floats is a header: a row
+        written with an exponent is data."""
+        vfile = tmp_path / "v.csv"
+        vfile.write_text(header + "1e-05,0.2,0.3,0.1,0.4\n2.2,-0.2,2.2,-0.2,2.2\n")
+        out = tmp_path / "d.csv"
+        assert main(["density", workdir["model"], "--v-file", str(vfile),
+                     "--grid-points", "3", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], [0, 0, 0, 1, 1, 1])
+
+    def test_non_finite_first_query_row_rejected(self, workdir, tmp_path, capsys):
+        vfile = tmp_path / "v.csv"
+        vfile.write_text("nan,0.2,0.3,0.1,0.4\n2.2,-0.2,2.2,-0.2,2.2\n")
+        capsys.readouterr()
+        assert main(["density", workdir["model"], "--v-file", str(vfile),
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "NaN or inf" in err[0]
+        assert not (tmp_path / "d.csv").exists()
+
     def test_explicit_grid_single_point(self, workdir, tmp_path):
         out = str(tmp_path / "d.csv")
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",

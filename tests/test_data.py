@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,7 @@ from ccme.propensity import LogisticParams, PropensityModel, make_oracle
 from ccme.synthbench import true_propensity
 
 from conftest import make_dataset
+from oracles import reference_dataset_csv
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -158,6 +159,13 @@ class TestCsv:
         for name in ("X", "A", "Y"):
             got, want = getattr(back, name), getattr(ds, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_datasets())
+    @example(Dataset(np.array([[0.0, -0.0, 5e-324, 1e300, 1 / 3]]), np.array([1.0]),
+                     np.array([-1 / 3])))
+    def test_matches_the_value_by_value_writer(self, ds):
+        assert dataset_to_csv(ds) == reference_dataset_csv(ds)
 
     def test_header_layout(self):
         ds = make_dataset(3, seed=0, d_x=2)

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccme.data import Dataset, SplitDataset, split_data
 from ccme.density import (curves_to_csv, default_grid, density_curves,
@@ -19,7 +20,24 @@ from ccme.kernels import KernelSpec, OutcomeBasis, gram, outcome_basis
 from ccme.nets import MlpParams, mlp_forward
 
 from conftest import make_dataset, make_split
-from oracles import exact_density, kernel_eval, quadrature_mass
+from oracles import (exact_density, kernel_eval, quadrature_mass,
+                     reference_curves_csv)
+
+
+# signed zeros, the smallest subnormal, huge values and a repeating fraction
+AWKWARD = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1 / 3, -1 / 3])
+
+
+@st.composite
+def grids_and_curves(draw):
+    """A grid of 1-5 points and 0-4 rows of densities on it, negative ones
+    included."""
+    g = draw(st.integers(1, 5))
+    grid = draw(arrays(np.float64, g, elements=AWKWARD | st.floats(
+        allow_nan=False, allow_infinity=False)))
+    values = draw(arrays(np.float64, (draw(st.integers(0, 4)), g),
+                         elements=AWKWARD | st.floats()))
+    return grid, values
 
 
 def manual_split(d0, d1, v_cols=None):
@@ -347,12 +365,17 @@ class TestMassAndGrid:
 
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
-    def test_curves_are_the_matrix_and_the_masses(self, method, tiny_hyper):
+    def test_curves_are_the_matrix_and_the_masses(self, method, tiny_hyper,
+                                                  monkeypatch):
         split = make_split(n=24, seed=6)
         model = fit_ccme(split, replace(tiny_hyper, method=method,
                                         propensity="logistic"))
         vq, grid = split.v1[:3], default_grid(model, 30)
+        real, calls = model.second.embedding, []
+        monkeypatch.setattr(model.second, "embedding",
+                            lambda x: calls.append(x) or real(x))
         values, masses = density_curves(model, vq, grid)
+        assert len(calls) == 1                # the head is evaluated once
         assert np.array_equal(values, density_matrix(model, vq, grid))
         assert np.array_equal(masses, density_mass(model, vq))
 
@@ -366,6 +389,14 @@ class TestCsv:
         assert len(lines) == 1 + 2 * 5
         assert lines[1].startswith("0,0,")
         assert lines[6].startswith("1,0,")
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids_and_curves())
+    @example((np.array([1 / 3]), np.array([[-0.0]])))       # one query, one point
+    @example((np.array([-0.0, 5e-324, 1e300]), np.array([[0.0, -1 / 3, -5e-324]])))
+    def test_matches_the_value_by_value_writer(self, case):
+        grid, values = case
+        assert curves_to_csv(grid, values) == reference_curves_csv(grid, values)
 
     def test_round_trips_through_loadtxt(self):
         grid = np.linspace(-2.0, 3.0, 7)
