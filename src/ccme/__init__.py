@@ -15,8 +15,7 @@ from .estimators import (CcmeModel, FirstStage, Hyper, build_k_xi, fit_ccme,
                          fit_first_stage, fit_second_stage, pseudo_weights)
 from .kernels import KernelSpec, SpdFactor, gram
 from .nets import MlpParams, mlp_forward, mlp_init
-from .propensity import (PropensityModel, fit_forest, fit_logistic,
-                         make_oracle, predict_propensity)
+from .propensity import fit_forest, fit_logistic
 from .serialize import load_model, save_model
 from .synthbench import (GroundTruth, SweepCell, SweepRecord, generate,
                          loglog_slope, mse, plan_cells, run_sweep)
@@ -32,8 +31,7 @@ __all__ = [
     "fit_first_stage", "fit_second_stage", "pseudo_weights",
     "KernelSpec", "SpdFactor", "gram",
     "MlpParams", "mlp_forward", "mlp_init",
-    "PropensityModel", "fit_forest", "fit_logistic", "make_oracle",
-    "predict_propensity",
+    "fit_forest", "fit_logistic",
     "load_model", "save_model",
     "GroundTruth", "SweepCell", "SweepRecord", "generate",
     "loglog_slope", "mse", "plan_cells", "run_sweep",

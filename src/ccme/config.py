@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import Hyper, METHODS, VARIANTS
 from .kernels import usable_bandwidth
-from .synthbench import normalize_scenario
+from .synthbench import check_scenario
 
 __all__ = ["load_config_file", "merge_config", "parse_override",
            "validate_config", "config_json"]
@@ -98,8 +98,8 @@ def validate_config(cfg: Hyper) -> None:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    cfg.scenario = normalize_scenario(cfg.scenario)
-    cfg.scenarios = [normalize_scenario(s) for s in cfg.scenarios]
+    for scenario in (cfg.scenario, *cfg.scenarios):
+        check_scenario(scenario)
     for m in cfg.methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in methods")

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDataError, InvalidArgumentError
-from .propensity import PropensityModel, predict_propensity
+from .errors import InvalidArgumentError
 
 __all__ = ["Dataset", "SplitDataset", "split_data", "compute_omega",
            "load_dataset", "dataset_to_csv", "default_v_cols"]
@@ -57,9 +57,9 @@ def default_v_cols(d_x: int) -> list[int]:
 class SplitDataset:
     """The random halves D0 (nuisance fitting) and D1 (second-stage rows).
 
-    ``treated0`` indexes the rows of d0 with A = 1; ``v_cols`` selects the
-    conditioning variables V out of X, and ``x_cols`` the covariates the
-    first stage reads (None = all).
+    ``treated0`` indexes the rows of d0 with A = 1, if any; ``v_cols``
+    selects the conditioning variables V out of X, and ``x_cols`` the
+    covariates the first stage reads (None = all).
     """
 
     d0: Dataset
@@ -95,8 +95,7 @@ def split_data(dataset: Dataset, seed: int, v_cols: list[int] | None = None,
                x_cols: list[int] | None = None) -> SplitDataset:
     """Uniform random partition into two halves, deterministic given seed.
 
-    Odd sizes give the extra row to D0.  A D0 half with no treated row cannot
-    support a first stage and is rejected.
+    Odd sizes give the extra row to D0.
     """
     N = len(dataset)
     if N < 4:
@@ -110,16 +109,19 @@ def split_data(dataset: Dataset, seed: int, v_cols: list[int] | None = None,
     half = (N + 1) // 2
     d0 = dataset.take(perm[:half])
     d1 = dataset.take(perm[half:])
-    treated0 = np.nonzero(d0.A > 0)[0]
-    if treated0.shape[0] == 0:
-        raise DegenerateDataError("no treated rows landed in D0; cannot fit a first stage")
-    return SplitDataset(d0, d1, treated0, list(v_cols),
+    return SplitDataset(d0, d1, np.nonzero(d0.A > 0)[0], list(v_cols),
                         None if x_cols is None else list(x_cols))
 
 
-def compute_omega(d1: Dataset, propensity: PropensityModel) -> NDArray[np.float64]:
-    """Inverse-propensity weights on D1: A_i / pi_hat(X_i), exactly 0 where A_i = 0."""
-    p = predict_propensity(propensity, d1.X)
+def compute_omega(d1: Dataset, pi_hat: Callable[[NDArray], NDArray],
+                  clip: tuple[float, float]) -> NDArray[np.float64]:
+    """Inverse-propensity weights on D1: A_i / pi_hat(X_i), exactly 0 where
+    A_i = 0.  ``pi_hat`` maps covariate rows to treatment probabilities; they
+    are clipped to ``clip`` = (lo, hi), 0 < lo < hi < 1, here and nowhere else."""
+    lo, hi = clip
+    if not (0.0 < lo < hi < 1.0):
+        raise InvalidArgumentError(f"clip bounds must satisfy 0 < lo < hi < 1, got {clip}")
+    p = np.clip(np.asarray(pi_hat(d1.X), dtype=np.float64), lo, hi)
     return np.where(d1.A > 0, d1.A / p, 0.0)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .blas import single_thread
-from .data import SplitDataset
+from .data import SplitDataset, compute_omega
 from .errors import (ConfigWarning, DegenerateDataError, InvalidArgumentError,
                      NumericError)
 from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_solve, _cholesky,
@@ -451,6 +451,8 @@ def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper) -> FirstStag
     """Regress phi(Y) on the covariates over D0's treated rows: stage two's
     regression with a = 1, c = 0.  Learning rates scale with len(D0); the
     outcome basis spans every D0 and D1 outcome."""
+    if split.m == 0:
+        raise DegenerateDataError("no treated rows landed in D0; cannot fit a first stage")
     head_cls = _head_class(method)
     basis = head_cls.new_basis(hyper, _all_outcomes(split))
     y0t = split.y0_treated()
@@ -596,7 +598,7 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
             warnings.warn("one-step variant ignores the first stage", ConfigWarning)
         keep = split.d1.A > 0
         if not keep.any():
-            raise InvalidArgumentError("one-step variant needs treated D1 rows")
+            raise DegenerateDataError("one-step variant needs treated D1 rows")
         v1, y1, first = split.v1[keep], split.d1.Y[keep], None
         a, c = np.ones(len(v1)), np.zeros(len(v1))
     else:
@@ -656,7 +658,6 @@ def fit_ccme(split: SplitDataset, hyper: Hyper, *,
     small, except the factorizations of order ``kernels.WIDE_ORDER`` and
     above, which get the replaced thread counts back.
     """
-    from .data import compute_omega
     # imported here, as synthbench imports this module
     from .synthbench import fit_propensity, propensity_kind
 
@@ -666,7 +667,7 @@ def fit_ccme(split: SplitDataset, hyper: Hyper, *,
     with single_thread():
         if "omega" in reads:
             omega = _shared_part(shared, ("omega", propensity_kind(hyper)), lambda: (
-                compute_omega(split.d1, fit_propensity(hyper, split.d0))))
+                compute_omega(split.d1, fit_propensity(hyper, split.d0), hyper.clip())))
         if "first" in reads:
             first = _shared_part(shared, ("first", method, str(split.x_cols)),
                                  lambda: fit_first_stage(split, method, hyper))

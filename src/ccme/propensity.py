@@ -1,5 +1,6 @@
-"""Propensity-score classifiers: logistic regression, shallow random forest,
-and an oracle passthrough, all with clipped probability outputs.
+"""Propensity-score classifiers: logistic regression and a shallow random
+forest.  A fitted model is a callable from covariate rows to raw treatment
+probabilities; ``data.compute_omega`` clips them.
 
 The forest follows the canonical recipe: bootstrap resample per tree, Gini
 impurity splits over every feature at each node, midpoint thresholds.  It
@@ -12,8 +13,7 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,16 +21,18 @@ from scipy.special import expit
 
 from .errors import DegenerateDataError, InvalidArgumentError
 
-__all__ = ["PropensityModel", "LogisticParams", "Tree", "fit_logistic",
-           "fit_forest", "make_oracle", "predict_propensity", "DEFAULT_CLIP"]
-
-DEFAULT_CLIP = (0.01, 0.99)
+__all__ = ["Logistic", "Forest", "Tree", "fit_logistic", "fit_forest"]
 
 
 @dataclass
-class LogisticParams:
+class Logistic:
+    """A fitted logistic regression: P(A = 1 | x) = expit(x' coef + intercept)."""
+
     coef: NDArray[np.float64]
     intercept: float
+
+    def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        return expit(X @ self.coef + self.intercept)
 
 
 @dataclass
@@ -64,20 +66,13 @@ class Tree:
 
 
 @dataclass
-class PropensityModel:
-    """A fitted classifier plus clip bounds applied to every prediction."""
+class Forest:
+    """A fitted forest: the mean of its trees' leaf probabilities."""
 
-    kind: str                       # "logistic" | "forest" | "oracle"
-    clip: tuple[float, float] = DEFAULT_CLIP
-    n_features: int = 0
-    logistic: LogisticParams | None = None
-    trees: list[Tree] = field(default_factory=list)
-    oracle: Callable[[NDArray], NDArray] | None = None
+    trees: list[Tree]
 
-    def __post_init__(self) -> None:
-        lo, hi = self.clip
-        if not (0.0 < lo < hi < 1.0):
-            raise InvalidArgumentError(f"clip bounds must satisfy 0 < lo < hi < 1, got {self.clip}")
+    def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.mean([t.predict(X) for t in self.trees], axis=0)
 
 
 def _logistic_grad(p: NDArray, X: NDArray, A: NDArray) -> tuple[NDArray, float]:
@@ -101,8 +96,7 @@ def _labelled(X: NDArray, A: NDArray) -> tuple[NDArray[np.float64], NDArray[np.f
 
 
 def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
-                 epochs: int = 2000, lr: float = 0.1,
-                 clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
+                 epochs: int = 2000, lr: float = 0.1) -> Logistic:
     """Unpenalized logistic regression by full-batch gradient descent."""
     X, A = _labelled(X, A)
     if X.shape[0] < 2:
@@ -115,8 +109,7 @@ def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
         gw, gb = _logistic_grad(expit(X @ coef + intercept), X, A)
         coef = coef - lr * gw
         intercept = intercept - lr * gb
-    return PropensityModel(kind="logistic", clip=clip, n_features=X.shape[1],
-                           logistic=LogisticParams(coef, intercept))
+    return Logistic(coef, intercept)
 
 
 def _build_tree(XT: NDArray, order: NDArray, cnt: NDArray, A: NDArray,
@@ -174,8 +167,7 @@ def _build_tree(XT: NDArray, order: NDArray, cnt: NDArray, A: NDArray,
 
 
 def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
-               n_trees: int = 100, max_depth: int = 4, seed: int = 0,
-               clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
+               n_trees: int = 100, max_depth: int = 4, seed: int = 0) -> Forest:
     """Random forest of shallow Gini trees on bootstrap resamples.
 
     Every split searches all features, so the bootstrap is the only
@@ -188,10 +180,12 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
     """
     X, A = _labelled(X, A)
     n, d = X.shape
-    if n < 10 or d < 1 or n_trees < 1:
-        raise InvalidArgumentError(f"forest fitting needs n >= 10 rows, a feature "
-                                   f"and a tree, got {X.shape} and {n_trees} trees")
-    model = PropensityModel(kind="forest", clip=clip, n_features=d)
+    if d < 1 or n_trees < 1:
+        raise InvalidArgumentError(f"forest fitting needs a feature and a tree, "
+                                   f"got {X.shape} and {n_trees} trees")
+    if n < 10:
+        raise DegenerateDataError(f"forest fitting needs n >= 10 rows, got {n}")
+    model = Forest([])
     XT = np.ascontiguousarray(X.T)
     order = np.argsort(XT, axis=1, kind="stable")
     # With a single class every tree is one leaf at the base rate: grow one.
@@ -200,31 +194,3 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
         cnt = np.bincount(rng.integers(0, n, size=n), minlength=n)
         model.trees.append(_build_tree(XT, order, cnt, A, max_depth))
     return model
-
-
-def make_oracle(fn: Callable[[NDArray], NDArray], n_features: int,
-                clip: tuple[float, float] = DEFAULT_CLIP) -> PropensityModel:
-    """Wrap a closed-form propensity function of (n, n_features) covariate rows."""
-    return PropensityModel(kind="oracle", clip=clip, n_features=n_features,
-                           oracle=fn)
-
-
-def predict_propensity(model: PropensityModel, x: NDArray[np.float64]) -> NDArray | float:
-    """Clipped treatment probability for a point (1-d) or batch (2-d)."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise InvalidArgumentError(
-            f"expected points with {model.n_features} features, got shape {np.shape(x)}")
-    if model.kind == "logistic":
-        p = expit(X @ model.logistic.coef + model.logistic.intercept)
-    elif model.kind == "forest":
-        p = np.mean([t.predict(X) for t in model.trees], axis=0)
-    elif model.kind == "oracle":
-        p = np.asarray(model.oracle(X), dtype=np.float64)
-    else:
-        raise InvalidArgumentError(f"unknown model kind: {model.kind!r}")
-    p = np.clip(p, model.clip[0], model.clip[1])
-    return float(p[0]) if single else p

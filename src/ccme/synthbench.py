@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,7 +34,7 @@ from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import (METHODS, VARIANTS, Hyper, _all_outcomes, _shared_part,
                          fit_ccme, make_grid)
-from .propensity import PropensityModel, fit_forest, fit_logistic, make_oracle
+from .propensity import fit_forest, fit_logistic
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
@@ -51,17 +52,13 @@ N_COV = 10
 V_COLS = list(range(5))
 
 SCENARIOS = ("a", "b", "c")
-_SCENARIO_NAMES = {"a": "BothCorrect", "b": "PiMisspecified", "c": "MuMisspecified"}
-_SCENARIO_ALIASES = {name.lower(): key for key, name in _SCENARIO_NAMES.items()}
 
 
-def normalize_scenario(scenario: str) -> str:
-    s = str(scenario).strip().lower()
-    if s in SCENARIOS:
-        return s
-    if s in _SCENARIO_ALIASES:
-        return _SCENARIO_ALIASES[s]
-    raise InvalidArgumentError(f"unknown scenario {scenario!r}")
+def check_scenario(scenario: str) -> str:
+    """``scenario`` itself if it names a scenario, else raise."""
+    if scenario not in SCENARIOS:
+        raise InvalidArgumentError(f"unknown scenario {scenario!r}")
+    return scenario
 
 
 def _logistic(z: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -179,7 +176,7 @@ class SweepRecord(SweepCell):
 
 def plan_cells(methods: list[str], variants: list[str], scenarios: list[str],
                n_list: list[int], seeds: list[int]) -> list[SweepCell]:
-    return [SweepCell(m, v, normalize_scenario(s), int(n), int(sd))
+    return [SweepCell(m, v, check_scenario(s), int(n), int(sd))
             for m, v, s, n, sd in product(methods, variants, scenarios, n_list, seeds)]
 
 
@@ -190,7 +187,7 @@ def _derived_seed(tag: int, n: int, seed: int) -> int:
 def scenario_x_cols(scenario: str) -> list[int] | None:
     """The covariates the scenario's first stage reads: all but x6 in
     scenario c, all (None) otherwise."""
-    if normalize_scenario(scenario) == "c":
+    if check_scenario(scenario) == "c":
         return [i for i in range(N_COV) if i != 5]
     return None
 
@@ -200,24 +197,24 @@ def propensity_kind(hyper: Hyper) -> str:
     is a forest, or a logistic model in scenario b."""
     if hyper.propensity != "auto":
         return hyper.propensity
-    return "logistic" if normalize_scenario(hyper.scenario) == "b" else "forest"
+    return "logistic" if check_scenario(hyper.scenario) == "b" else "forest"
 
 
-def fit_propensity(hyper: Hyper, d0: Dataset) -> PropensityModel:
-    """Fit ``propensity_kind(hyper)`` on the D0 half, clipped to
-    ``hyper.clip()``: the forest seeded by ``hyper.seed``, or the true
-    propensity (``oracle``) of the benchmark's covariate layout."""
-    kind, clip = propensity_kind(hyper), hyper.clip()
+def fit_propensity(hyper: Hyper, d0: Dataset) -> Callable[[NDArray], NDArray]:
+    """Fit ``propensity_kind(hyper)`` on the D0 half: the forest seeded by
+    ``hyper.seed``, or the true propensity (``oracle``) of the benchmark's
+    covariate layout.  The model maps covariate rows to raw probabilities."""
+    kind = propensity_kind(hyper)
     if kind == "forest":
-        return fit_forest(d0.X, d0.A, seed=hyper.seed, clip=clip)
+        return fit_forest(d0.X, d0.A, seed=hyper.seed)
     if kind == "logistic":
-        return fit_logistic(d0.X, d0.A, clip=clip)
+        return fit_logistic(d0.X, d0.A)
     if kind != "oracle":
         raise ConfigError(f"unknown propensity setting {hyper.propensity!r}")
     if d0.X.shape[1] != N_COV:
         raise ConfigError("the oracle propensity is defined for the "
                           f"{N_COV}-covariate benchmark layout only")
-    return make_oracle(true_propensity, N_COV, clip)
+    return true_propensity
 
 
 def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],

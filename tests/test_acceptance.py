@@ -301,7 +301,7 @@ def _scenario_c_pair(n, seed, h, test_v, truth):
     cell_h = replace(h, net_seed=_derived_seed(2028, n, seed))
     prop = fit_propensity(replace(h, scenario="c", seed=_derived_seed(2029, n, seed)),
                           split.d0)
-    omega = compute_omega(split.d1, prop)
+    omega = compute_omega(split.d1, prop, h.clip())
     first = fit_first_stage(split, "rr", cell_h)
     model = fit_second_stage(split, "rr", "dr", first, omega, cell_h)
     pi_model = fit_second_stage(split, "rr", "pi", first, omega, cell_h)

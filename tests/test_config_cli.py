@@ -21,6 +21,7 @@ import ccme
 from ccme.cli import main
 from ccme.config import (config_json, load_config_file, merge_config,
                          parse_override, validate_config)
+from ccme.data import Dataset, dataset_to_csv, load_dataset
 from ccme.estimators import METHODS, VARIANTS, Hyper
 from ccme.errors import ConfigError, InvalidArgumentError
 from ccme.serialize import load_model
@@ -70,9 +71,9 @@ class TestConfig:
                     Hyper(bandwidth_y=float("nan")), Hyper(ridge1=float("inf"))):
             with pytest.raises(ConfigError):
                 validate_config(bad)
-        ok = Hyper(scenario="BothCorrect")
-        validate_config(ok)
-        assert ok.scenario == "a"
+        for alias in ("BothCorrect", "A", " a"):
+            with pytest.raises(InvalidArgumentError, match="unknown scenario"):
+                validate_config(Hyper(scenario=alias))
 
 
 def _floats(lo=None, hi=None):
@@ -381,15 +382,15 @@ class TestFit:
     def test_clip_reaches_the_default_propensity(self, workdir, tmp_path,
                                                  monkeypatch):
         """--propensity auto on the benchmark layout honours --clip-lo."""
-        from ccme import data
-        real, omega_max = data.compute_omega, []
+        from ccme import estimators
+        real, omega_max = estimators.compute_omega, []
 
-        def spy(d1, propensity):
-            omega = real(d1, propensity)
+        def spy(d1, pi_hat, clip):
+            omega = real(d1, pi_hat, clip)
             omega_max.append(float(omega.max()))
             return omega
 
-        monkeypatch.setattr(data, "compute_omega", spy)
+        monkeypatch.setattr(estimators, "compute_omega", spy)
         for lo in ("0.01", "0.3"):
             assert main(["fit", workdir["sim"], "--seed", "5", "--clip-lo", lo,
                          "--model-out", str(tmp_path / f"m{lo}.npz")]) == 0
@@ -846,6 +847,48 @@ class TestExitCodes:
         assert len(std.err.strip().splitlines()) == 1, std.err
         assert "Traceback" not in std.err + std.out
         assert not os.path.exists(out)
+
+    @pytest.fixture(scope="class")
+    def degenerate(self, tmp_path_factory):
+        """A 12-row simulate CSV, and a 400-row one whose only treated row
+        is its first: at --seed 0 that row lands in D0, at --seed 3 in D1."""
+        root = tmp_path_factory.mktemp("degenerate")
+        tiny, one = root / "tiny.csv", root / "one_treated.csv"
+        assert main(["simulate", "--n", "12", "--seed", "0", "--out", str(tiny)]) == 0
+        assert main(["simulate", "--n", "400", "--seed", "0", "--out", str(one)]) == 0
+        ds = load_dataset(one.read_text())
+        A = np.zeros_like(ds.A)
+        A[np.argmax(ds.A)] = 1.0
+        one.write_text(dataset_to_csv(Dataset(ds.X, A, ds.Y)))
+        return {"tiny": str(tiny), "one": str(one)}
+
+    @pytest.mark.parametrize("data,flags,message", [
+        ("tiny", [], "forest fitting needs n >= 10 rows, got 6"),
+        ("one", ["--variant", "onestep", "--seed", "0"],
+         "one-step variant needs treated D1 rows"),
+    ])
+    def test_degenerate_csv_exits_4(self, data, flags, message, degenerate,
+                                    tmp_path, capsys):
+        """A CSV that parses but cannot support the fit is degenerate data,
+        not a parse failure."""
+        capsys.readouterr()
+        assert main(["fit", degenerate[data], *flags,
+                     "--model-out", str(tmp_path / "m.npz")]) == 4
+        std = capsys.readouterr()
+        assert std.err.strip().splitlines() == [
+            f"degenerate data or configuration: {message}"]
+        assert "Traceback" not in std.err + std.out
+
+    @pytest.mark.parametrize("variant,code", [
+        ("onestep", 0), ("ipw", 0), ("dr", 4), ("pi", 4)])
+    def test_only_a_first_stage_needs_a_treated_d0_row(self, variant, code,
+                                                        degenerate, tmp_path,
+                                                        capsys):
+        capsys.readouterr()
+        assert main(["fit", degenerate["one"], "--variant", variant, "--seed", "3",
+                     "--model-out", str(tmp_path / "m.npz")]) == code
+        err = capsys.readouterr().err
+        assert ("cannot fit a first stage" in err) == (code == 4)
 
 
 class TestMainDispatch:

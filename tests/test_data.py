@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ccme.data import (Dataset, compute_omega, dataset_to_csv, default_v_cols,
                        load_dataset, split_data)
 from ccme.errors import DegenerateDataError, InvalidArgumentError
-from ccme.propensity import LogisticParams, PropensityModel, make_oracle
+from ccme.estimators import Hyper, fit_first_stage
+from ccme.propensity import Logistic
 from ccme.synthbench import true_propensity
 
 from conftest import make_dataset
@@ -90,9 +91,12 @@ class TestSplit:
         assert s.m == 5
 
     def test_no_treated_in_d0_rejected(self):
+        # the split stands; only the first stage needs a treated D0 row
         ds = Dataset(np.zeros((6, 1)), np.zeros(6), np.zeros(6))
-        with pytest.raises(DegenerateDataError):
-            split_data(ds, seed=0)
+        split = split_data(ds, seed=0)
+        assert split.m == 0
+        with pytest.raises(DegenerateDataError, match="cannot fit a first stage"):
+            fit_first_stage(split, "rr", Hyper())
 
     def test_too_few_rows_rejected(self):
         ds = Dataset(np.zeros((3, 1)), np.array([1, 1, 0]), np.zeros(3))
@@ -123,16 +127,12 @@ class TestOmega:
     def test_treated_row_inverse_weight(self):
         # a zero-coefficient logistic model predicts exactly one half
         ds = Dataset(np.zeros((2, 1)), np.array([1, 1]), np.zeros(2))
-        m = PropensityModel(kind="logistic", clip=(0.01, 0.99), n_features=1,
-                            logistic=LogisticParams(np.zeros(1), 0.0))
-        omega = compute_omega(ds, m)
+        omega = compute_omega(ds, Logistic(np.zeros(1), 0.0), (0.01, 0.99))
         assert np.allclose(omega, [2.0, 2.0], atol=1e-15)
 
     def test_control_rows_exactly_zero(self):
         ds = make_dataset(15, seed=6, d_x=1)
-        m = PropensityModel(kind="logistic", clip=(0.01, 0.99), n_features=1,
-                            logistic=LogisticParams(np.array([2.0]), 0.3))
-        omega = compute_omega(ds, m)
+        omega = compute_omega(ds, Logistic(np.array([2.0]), 0.3), (0.01, 0.99))
         assert np.all(omega[ds.A == 0] == 0.0)
         assert np.all(omega[ds.A == 1] > 1.0)
 
@@ -140,8 +140,37 @@ class TestOmega:
         X = np.zeros((1, 10))
         X[0, 0], X[0, 5] = 1.0, 2.0
         ds = Dataset(X, np.array([1.0]), np.zeros(1))
-        omega = compute_omega(ds, make_oracle(true_propensity, 10))
+        omega = compute_omega(ds, true_propensity, (0.01, 0.99))
         assert omega[0] == pytest.approx(1.0 / 0.9, abs=1e-12)
+
+    def test_bad_clip_bounds_rejected(self):
+        ds = make_dataset(5, seed=0, d_x=1)
+        nan = float("nan")
+        for clip in [(0.5, 0.4), (0.3, 0.3), (0.0, 0.5), (-0.1, 0.5),
+                     (0.5, 1.0), (nan, 0.5), (0.1, nan)]:
+            with pytest.raises(InvalidArgumentError, match="clip bounds"):
+                compute_omega(ds, lambda X: np.full(len(X), 0.5), clip)
+
+    # a subnormal lo makes 1/lo, and so the weight of a p = 0 row, infinite
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+                         min_size=1, max_size=30),
+           lo=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           hi=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(rows=[(0.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 0.0)], lo=0.01, hi=0.99)
+    def test_weights_are_inverse_clipped_propensities(self, rows, lo, hi):
+        """omega = 0 on control rows, and 1 / clip(p) in [1/hi, 1/lo] on
+        treated rows, bit for bit, whatever p in [0, 1]."""
+        assume(lo < hi)
+        p, A = (np.array(col) for col in zip(*rows))
+        ds = Dataset(np.zeros((len(p), 1)), A, np.zeros(len(p)))
+        omega = compute_omega(ds, lambda X: p, (lo, hi))
+        treated = A == 1.0
+        assert np.all(omega[~treated] == 0.0)
+        want = 1.0 / np.minimum(np.maximum(p, lo), hi)
+        assert omega[treated].tobytes() == want[treated].tobytes()
+        assert np.all((1.0 / hi <= omega[treated]) & (omega[treated] <= 1.0 / lo))
 
 
 class TestCsv:

@@ -699,7 +699,7 @@ class TestSecondStageRr:
         ds = make_dataset(24, seed=15)
         split = split_data(ds, seed=3)
         split.d1.A[:] = 0.0
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(DegenerateDataError, match="treated D1 rows"):
             fit_second_stage(split, "rr", "onestep", None, None, Hyper())
 
     def test_fit_ccme_requires_propensity(self):
@@ -792,7 +792,7 @@ class TestNetStages:
         prop = fit_logistic(split.d0.X, split.d0.A)
         ref = fit_second_stage(split, method, "ipw",
                                fit_first_stage(split, method, h),
-                               compute_omega(split.d1, prop), h)
+                               compute_omega(split.d1, prop, h.clip()), h)
         calls = []
         monkeypatch.setattr(estimators, "fit_first_stage",
                             lambda *args, **kw: calls.append(args))

@@ -1,4 +1,5 @@
-"""Propensity models: logistic regression, random forest, oracle wrapper."""
+"""Propensity models: logistic regression, random forest, the benchmark's
+oracle, each a callable from covariate rows to raw probabilities."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from ccme.data import Dataset, compute_omega
 from ccme.errors import DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
-from ccme.propensity import (PropensityModel, _logistic_grad, fit_forest,
-                             fit_logistic, make_oracle, predict_propensity)
+from ccme.propensity import Forest, _logistic_grad, fit_forest, fit_logistic
 from ccme.synthbench import generate, true_propensity
 from oracles import oracle_forest
 
@@ -32,8 +33,8 @@ class TestLogistic:
         X = np.vstack([base, base])
         A = np.concatenate([np.ones(500), np.zeros(500)])
         model = fit_logistic(X, A)
-        preds = predict_propensity(model, X)
-        assert abs(model.logistic.intercept) < 0.02
+        preds = model(X)
+        assert abs(model.intercept) < 0.02
         assert np.all(np.abs(preds - 0.5) < 0.02)
 
     def test_intercept_only_matches_base_rate(self):
@@ -41,8 +42,8 @@ class TestLogistic:
         A = np.zeros(200)
         A[:61] = 1.0
         model = fit_logistic(X, A)
-        p = predict_propensity(model, np.zeros(2))
-        assert abs(p - 0.305) < 0.02
+        p = model(np.zeros((1, 2)))
+        assert abs(p[0] - 0.305) < 0.02
 
     def test_separable_data_hits_upper_clip(self):
         rng = np.random.default_rng(1)
@@ -50,8 +51,9 @@ class TestLogistic:
         X = x1.reshape(-1, 1)
         A = (x1 > 0).astype(np.float64)
         model = fit_logistic(X, A)
-        far = predict_propensity(model, np.array([[4.0], [5.0], [6.0]]))
-        assert np.all(far == 0.99)
+        far = Dataset(np.array([[4.0], [5.0], [6.0]]), np.ones(3), np.zeros(3))
+        assert np.all(model(far.X) > 0.99)
+        assert np.all(compute_omega(far, model, (0.01, 0.99)) == 1.0 / 0.99)
 
     def test_steps_on_the_gradient_of_the_loss(self):
         # plain gradient steps with _logistic_grad, which acceptance check
@@ -61,7 +63,7 @@ class TestLogistic:
         for _ in range(50):
             gw, gb = _logistic_grad(expit(X @ coef + intercept), X, A)
             coef, intercept = coef - 0.1 * gw, intercept - 0.1 * gb
-        fitted = fit_logistic(X, A, epochs=50).logistic
+        fitted = fit_logistic(X, A, epochs=50)
         assert fitted.coef.tobytes() == coef.tobytes()
         assert fitted.intercept == intercept
 
@@ -105,38 +107,41 @@ class TestForest:
         X, A, pi = interaction_dgp(20000, seed=7)
         model = fit_forest(X, A, seed=0)
         Xp, _, pip = interaction_dgp(4000, seed=8)
-        preds = predict_propensity(model, Xp)
+        preds = model(Xp)
         assert np.mean(np.abs(preds - pip)) < 0.05
 
     def test_pure_leaves_land_on_clip_bounds(self):
         X = np.repeat([[-1.0], [1.0]], 20, axis=0)
         A = (X[:, 0] > 0).astype(np.float64)
         model = fit_forest(X, A, seed=3)
-        preds = predict_propensity(model, X)
-        assert set(np.unique(preds)) == {0.01, 0.99}
+        assert set(np.unique(model(X))) == {0.0, 1.0}
+        treated = Dataset(X, np.ones(40), np.zeros(40))
+        omega = compute_omega(treated, model, (0.01, 0.99))
+        assert set(np.unique(omega)) == {1.0 / 0.01, 1.0 / 0.99}
 
     def test_deterministic_given_seed(self):
         X, A, _ = interaction_dgp(500, seed=2)
         probe = np.random.default_rng(9).normal(1.0, 1.0, size=(50, 10))
-        p1 = predict_propensity(fit_forest(X, A, seed=5), probe)
-        p2 = predict_propensity(fit_forest(X, A, seed=5), probe)
+        p1 = fit_forest(X, A, seed=5)(probe)
+        p2 = fit_forest(X, A, seed=5)(probe)
         assert np.array_equal(p1, p2)
 
     def test_seed_changes_forest(self):
         X, A, _ = interaction_dgp(500, seed=2)
         probe = np.random.default_rng(9).normal(1.0, 1.0, size=(50, 10))
-        p1 = predict_propensity(fit_forest(X, A, seed=5), probe)
-        p2 = predict_propensity(fit_forest(X, A, seed=6), probe)
+        p1 = fit_forest(X, A, seed=5)(probe)
+        p2 = fit_forest(X, A, seed=6)(probe)
         assert not np.array_equal(p1, p2)
 
     def test_single_class_constant_tree(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
         model = fit_forest(X, np.ones(30))
-        preds = predict_propensity(model, X)
-        assert np.all(preds == 0.99)
+        assert len(model.trees) == 1
+        assert np.all(model(X) == 1.0)
 
     def test_small_sample_rejected(self):
-        with pytest.raises(InvalidArgumentError):
+        # too few rows is a property of the data, not a malformed argument
+        with pytest.raises(DegenerateDataError, match="n >= 10"):
             fit_forest(np.zeros((9, 2)), np.zeros(9))
         with pytest.raises(InvalidArgumentError):
             fit_forest(np.zeros((20, 0)), np.zeros(20))
@@ -194,36 +199,23 @@ class TestForestMatchesOracle:
     def test_benchmark_generator(self):
         data, _ = generate(Hyper(n=2000, seed=20261017))
         model = fit_forest(data.X, data.A, seed=11)
-        oracle = PropensityModel(kind="forest", n_features=data.X.shape[1],
-                                 trees=oracle_forest(data.X, data.A, seed=11))
+        oracle = Forest(oracle_forest(data.X, data.A, seed=11))
         assert_same_trees(model.trees, oracle.trees)
         probe = generate(Hyper(n=500, seed=7))[0].X
         for x in (data.X, probe):
-            assert predict_propensity(model, x).tobytes() == \
-                predict_propensity(oracle, x).tobytes()
+            assert model(x).tobytes() == oracle(x).tobytes()
 
 
 class TestOracle:
+    """The oracle propensity is ``true_propensity`` itself."""
+
     def test_benchmark_rule_values(self):
-        model = make_oracle(true_propensity, 10)
-        x = np.zeros(10)
-        x[0], x[5] = 1.0, 2.0
-        assert predict_propensity(model, x) == 0.9
-        x[5] = 0.0
-        assert predict_propensity(model, x) == 0.1
+        X = np.zeros((2, 10))
+        X[:, 0], X[:, 5] = 1.0, [2.0, 0.0]
+        assert np.array_equal(true_propensity(X), [0.9, 0.1])
 
     def test_clip_always_applied(self):
-        model = make_oracle(true_propensity, 10, clip=(0.2, 0.8))
-        rng = np.random.default_rng(3)
-        preds = predict_propensity(model, rng.normal(1.0, 1.0, size=(200, 10)))
-        assert preds.min() >= 0.2 and preds.max() <= 0.8
-        assert set(np.unique(preds)) == {0.2, 0.8}
-
-    def test_bad_clip_bounds_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            PropensityModel(kind="oracle", clip=(0.5, 0.4), n_features=10)
-
-    def test_feature_count_check(self):
-        model = make_oracle(true_propensity, 10)
-        with pytest.raises(InvalidArgumentError):
-            predict_propensity(model, np.zeros(3))
+        X = np.random.default_rng(3).normal(1.0, 1.0, size=(200, 10))
+        omega = compute_omega(Dataset(X, np.ones(200), np.zeros(200)),
+                              true_propensity, (0.2, 0.8))
+        assert set(np.unique(omega)) == {1.0 / 0.8, 1.0 / 0.2}

@@ -11,6 +11,7 @@ from ccme import estimators, synthbench
 from ccme.data import Dataset
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
+from ccme.propensity import Forest, Logistic
 from ccme.synthbench import (BETA, GAMMA, SHIFT, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
                              loglog_slope, mse, plan_cells, run_cell,
@@ -164,10 +165,14 @@ class TestEvalPoints:
 
 class TestSweep:
     def test_plan_cells_cardinality(self):
-        cells = plan_cells(["rr"], ["dr", "pi"], ["a", "MuMisspecified"],
+        cells = plan_cells(["rr"], ["dr", "pi"], ["a", "c"],
                            [100, 200], [0, 1, 2])
         assert len(cells) == 1 * 2 * 2 * 2 * 3
         assert {c.scenario for c in cells} == {"a", "c"}
+        # only the documented names: no alias, case or padding is read as one
+        for name in ("MuMisspecified", "C", " c"):
+            with pytest.raises(InvalidArgumentError, match="unknown scenario"):
+                plan_cells(["rr"], ["dr"], [name], [100], [0])
 
     def test_a_record_is_its_cell_and_the_score(self):
         names = [f.name for f in fields(SweepRecord)]
@@ -181,19 +186,19 @@ class TestSweep:
         X = rng.normal(1.0, 1.0, size=(60, 10))
         A = (rng.random(60) < 0.5).astype(float)
         d0 = Dataset(X, A, np.zeros(60))
-        assert fit_propensity(Hyper(scenario="b"), d0).kind == "logistic"
-        assert fit_propensity(Hyper(scenario="a"), d0).kind == "forest"
+        assert isinstance(fit_propensity(Hyper(scenario="b"), d0), Logistic)
+        assert isinstance(fit_propensity(Hyper(scenario="a"), d0), Forest)
+        assert fit_propensity(Hyper(propensity="oracle"), d0) is true_propensity
 
     def test_cells_clip_the_propensity(self, monkeypatch):
         clips = []
-        real = synthbench.fit_propensity
+        real = estimators.compute_omega
 
-        def spy(*args, **kwargs):
-            model = real(*args, **kwargs)
-            clips.append(model.clip)
-            return model
+        def spy(d1, pi_hat, clip):
+            clips.append(clip)
+            return real(d1, pi_hat, clip)
 
-        monkeypatch.setattr(synthbench, "fit_propensity", spy)
+        monkeypatch.setattr(estimators, "compute_omega", spy)
         hyper = Hyper(clip_lo=0.2, clip_hi=0.7)
         for scenario in ("a", "b"):
             rec = run_cell(SweepCell("rr", "ipw", scenario, 30, 0), hyper,
@@ -286,6 +291,8 @@ class TestSweepGroups:
     """run_sweep builds the parts that the cells of one (n, seed) group share
     once per group; run_cell on a cell alone builds every part itself."""
 
+    # the n = 2 df onestep cells train on a single treated row
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     def test_groups_give_the_records_of_cells_alone(self, tiny_hyper):
         cells = plan_cells(["rr", "df", "nk"], list(synthbench.VARIANTS),
                            ["a", "b", "c"], [30], [1, 2])
@@ -294,8 +301,11 @@ class TestSweepGroups:
         test_v = eval_points(5)
         alone = sorted((run_cell(c, tiny_hyper, test_v, 20) for c in cells + failing),
                        key=lambda r: (r.method, r.variant, r.scenario, r.n, r.seed))
-        assert all(r.error == "" for r in alone if r.n == 30)
-        assert all(r.error.startswith("DegenerateDataError") for r in alone if r.n == 2)
+        # at n = 2 only onestep, which fits no nuisance on D0, succeeds
+        fits = [r.n == 30 or r.variant == "onestep" for r in alone]
+        assert all(r.error == "" for r, ok in zip(alone, fits) if ok)
+        assert all(r.error.startswith("DegenerateDataError")
+                   for r, ok in zip(alone, fits) if not ok)
         for threads in (1, 2):
             grouped = run_sweep(cells + failing, tiny_hyper, test_points=5,
                                 grid_points=20, threads=threads)
