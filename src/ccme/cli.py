@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from dataclasses import fields
@@ -30,8 +29,8 @@ from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
                      NumericError)
 from .estimators import Hyper, fit_ccme
 from .serialize import atomic_write, load_model, save_model
-from .synthbench import (N_COV, SweepRecord, _check_sweep, generate, loglog_slope,
-                         plan_cells, run_sweep, scenario_x_cols)
+from .synthbench import (SweepRecord, _check_sweep, check_scenario, generate,
+                         loglog_slope, plan_cells, run_sweep)
 
 __all__ = ["main"]
 
@@ -119,6 +118,8 @@ def _resolve_config(args: argparse.Namespace) -> Hyper:
         if raw is not None:
             overrides[f.name] = parse_override(f.name, raw)
     cfg = merge_config(env_vals, file_vals, overrides)
+    for scenario in (cfg.scenario, *cfg.scenarios):
+        check_scenario(scenario)
     validate_config(cfg)
     return cfg
 
@@ -130,22 +131,17 @@ def _resolve_config(args: argparse.Namespace) -> Hyper:
 def cmd_simulate(cfg: Hyper, args: argparse.Namespace) -> int:
     data, _ = generate(cfg)
     atomic_write(args.out, dataset_to_csv(data))
-    meta = {"command": "simulate", "n": cfg.n, "seed": cfg.seed,
-            "scenario": cfg.scenario}
-    atomic_write(args.out + ".meta.json",
-                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _status(f"wrote {cfg.n} rows to {args.out} (+ .meta.json)")
+    _status(f"wrote {cfg.n} rows to {args.out}")
     return 0
 
 
 def cmd_fit(cfg: Hyper, args: argparse.Namespace) -> int:
+    if cfg.scenario != "a":
+        raise ConfigError(f"fits read no scenario, got {cfg.scenario!r}: scenarios "
+                          "are sweep rules; use --propensity logistic to fit one")
     with open(args.data, "r", encoding="utf-8") as fh:
         data = load_dataset(fh.read())
-    if cfg.scenario == "c" and data.X.shape[1] != N_COV:
-        raise ConfigError(
-            f"scenario 'c' drops x6 of the {N_COV}-covariate benchmark "
-            f"layout; this dataset has {data.X.shape[1]} covariates")
-    split = split_data(data, cfg.seed, cfg.v_cols, scenario_x_cols(cfg.scenario))
+    split = split_data(data, cfg.seed, cfg.v_cols)
     model = fit_ccme(split, cfg)
     save_model(model, args.model_out)
     _status(f"fitted {cfg.method}/{cfg.variant} on {len(data)} rows "

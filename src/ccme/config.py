@@ -14,7 +14,6 @@ from dataclasses import asdict, fields
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import Hyper, METHODS, VARIANTS
 from .kernels import usable_bandwidth
-from .synthbench import check_scenario
 
 __all__ = ["load_config_file", "merge_config", "parse_override",
            "validate_config", "config_json"]
@@ -98,8 +97,6 @@ def validate_config(cfg: Hyper) -> None:
         raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    for scenario in (cfg.scenario, *cfg.scenarios):
-        check_scenario(scenario)
     for m in cfg.methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in methods")
@@ -108,9 +105,9 @@ def validate_config(cfg: Hyper) -> None:
             raise ConfigError(f"unknown variant {v!r} in variants")
     if cfg.propensity not in ("auto", "forest", "logistic", "oracle"):
         raise ConfigError(f"unknown propensity setting {cfg.propensity!r}")
-    if not (0.0 < cfg.clip_lo < cfg.clip_hi < 1.0):
-        raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1, "
-                          f"got ({cfg.clip_lo}, {cfg.clip_hi})")
+    if not (0.0 < cfg.clip_lo < cfg.clip_hi < 1.0 and 1.0 / cfg.clip_lo < math.inf):
+        raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1 with 1/lo "
+                          f"finite, got ({cfg.clip_lo}, {cfg.clip_hi})")
     for name in ("bandwidth_x", "bandwidth_v", "bandwidth_y"):
         if not usable_bandwidth(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite and positive, with 2 {name}^2 "

@@ -7,6 +7,7 @@ The CSV schema is x1..xd,a,y; the header row is mandatory.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,10 +118,12 @@ def compute_omega(d1: Dataset, pi_hat: Callable[[NDArray], NDArray],
                   clip: tuple[float, float]) -> NDArray[np.float64]:
     """Inverse-propensity weights on D1: A_i / pi_hat(X_i), exactly 0 where
     A_i = 0.  ``pi_hat`` maps covariate rows to treatment probabilities; they
-    are clipped to ``clip`` = (lo, hi), 0 < lo < hi < 1, here and nowhere else."""
+    are clipped to ``clip`` = (lo, hi), 0 < lo < hi < 1 with 1/lo finite, so
+    that every weight is, here and nowhere else."""
     lo, hi = clip
-    if not (0.0 < lo < hi < 1.0):
-        raise InvalidArgumentError(f"clip bounds must satisfy 0 < lo < hi < 1, got {clip}")
+    if not (0.0 < lo < hi < 1.0 and 1.0 / lo < math.inf):
+        raise InvalidArgumentError(
+            f"clip bounds must satisfy 0 < lo < hi < 1 with 1/lo finite, got {clip}")
     p = np.clip(np.asarray(pi_hat(d1.X), dtype=np.float64), lo, hi)
     return np.where(d1.A > 0, d1.A / p, 0.0)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,6 +53,7 @@ from .errors import (ConfigWarning, DegenerateDataError, InvalidArgumentError,
 from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_solve, _cholesky,
                       gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
+from .propensity import fit_propensity
 
 __all__ = [
     "Hyper", "KernelHead", "FeatureHead", "GridHead", "head_from_arrays",
@@ -88,7 +90,9 @@ class Hyper:
     method: str = "rr"
     variant: str = "dr"
     scenario: str = "a"
-    propensity: str = "auto"            # auto | forest | logistic | oracle
+    # auto | forest | logistic | oracle: auto is a forest in a fit, the
+    # scenario's model in a sweep cell, which alone resolves oracle
+    propensity: str = "auto"
     seed: int = 0
     net_seed: int = 0
     threads: int = 1
@@ -640,34 +644,38 @@ def _shared_part(shared: dict, key: tuple, build):
     return part
 
 
-def fit_ccme(split: SplitDataset, hyper: Hyper, *,
-             shared: dict | None = None) -> CcmeModel:
+def fit_ccme(split: SplitDataset, hyper: Hyper, *, shared: dict | None = None,
+             pi_hat: Callable[[NDArray], NDArray] | None = None) -> CcmeModel:
     """Fit ``hyper.method`` with ``hyper.variant`` on a split dataset and
     return the packaged model.
 
     Only the nuisances the variant reads (``READS``) are built: omega from
-    the propensity model ``synthbench.fit_propensity`` fits on D0, and the
-    first stage over ``split.x_cols``; an rr stage two over all of D1 also
+    ``pi_hat``, a propensity model the caller already has, or else from the
+    model ``propensity.fit_propensity`` fits on D0 (``hyper.propensity``,
+    where ``auto`` is a forest, seeded by ``hyper.seed``); and the first
+    stage over ``split.x_cols``.  An rr stage two over all of D1 also
     factors K(V1) + ridge1 I.  Each is built once per ``shared`` dict: omega
-    per propensity model, the first stage per method and ``x_cols``, the
-    factor once.  Fits may share one dict when they have one split's data
-    and one ``Hyper``, differing only in method, variant, scenario,
-    propensity and ``split.x_cols``.
+    per ``hyper.propensity``, which also names a ``pi_hat``, the first stage
+    per method and ``x_cols``, the factor once.  Fits may share one dict
+    when they have one split's data and one ``Hyper``, differing only in
+    method, variant, propensity and ``split.x_cols``.  No scenario is read:
+    ``synthbench`` maps a scenario onto these.
 
     The fit runs under ``blas.single_thread``: its products and solves are
     small, except the factorizations of order ``kernels.WIDE_ORDER`` and
     above, which get the replaced thread counts back.
     """
-    # imported here, as synthbench imports this module
-    from .synthbench import fit_propensity, propensity_kind
-
     method, reads = hyper.method, _reads(hyper.variant)
     shared = {} if shared is None else shared
     omega = first = factor = None
     with single_thread():
         if "omega" in reads:
-            omega = _shared_part(shared, ("omega", propensity_kind(hyper)), lambda: (
-                compute_omega(split.d1, fit_propensity(hyper, split.d0), hyper.clip())))
+            def build_omega() -> NDArray[np.float64]:
+                model = pi_hat if pi_hat is not None else fit_propensity(
+                    hyper.propensity, split.d0.X, split.d0.A, hyper.seed)
+                return compute_omega(split.d1, model, hyper.clip())
+
+            omega = _shared_part(shared, ("omega", hyper.propensity), build_omega)
         if "first" in reads:
             first = _shared_part(shared, ("first", method, str(split.x_cols)),
                                  lambda: fit_first_stage(split, method, hyper))

@@ -1,6 +1,7 @@
 """Propensity-score classifiers: logistic regression and a shallow random
-forest.  A fitted model is a callable from covariate rows to raw treatment
-probabilities; ``data.compute_omega`` clips them.
+forest, and ``fit_propensity``, which picks one by name.  A fitted model is a
+callable from covariate rows to raw treatment probabilities;
+``data.compute_omega`` clips them.
 
 The forest follows the canonical recipe: bootstrap resample per tree, Gini
 impurity splits over every feature at each node, midpoint thresholds.  It
@@ -19,9 +20,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import expit
 
-from .errors import DegenerateDataError, InvalidArgumentError
+from .errors import ConfigError, DegenerateDataError, InvalidArgumentError
 
-__all__ = ["Logistic", "Forest", "Tree", "fit_logistic", "fit_forest"]
+__all__ = ["Logistic", "Forest", "Tree", "fit_logistic", "fit_forest",
+           "fit_propensity"]
 
 
 @dataclass
@@ -194,3 +196,15 @@ def fit_forest(X: NDArray[np.float64], A: NDArray[np.float64],
         cnt = np.bincount(rng.integers(0, n, size=n), minlength=n)
         model.trees.append(_build_tree(XT, order, cnt, A, max_depth))
     return model
+
+
+def fit_propensity(kind: str, X: NDArray[np.float64], A: NDArray[np.float64],
+                   seed: int = 0) -> Logistic | Forest:
+    """The propensity model ``kind`` fitted on (X, A): a forest seeded by
+    ``seed`` (``auto`` is a forest too) or a logistic regression."""
+    if kind in ("auto", "forest"):
+        return fit_forest(X, A, seed=seed)
+    if kind == "logistic":
+        return fit_logistic(X, A)
+    raise ConfigError(f"cannot fit a propensity model {kind!r}: "
+                      "fits take auto, forest or logistic")

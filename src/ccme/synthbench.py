@@ -8,12 +8,18 @@ conditional law of the treated outcome given V an analytic two-component
 normal mixture: every moment below is derived from the coefficient vectors at
 construction time.
 
-Scenarios select how the nuisances are fitted, never how data is drawn
-(the propensity model as ``propensity="auto"`` picks it):
+Scenarios are benchmark rules: each misspecifies at most one nuisance, which
+is how the sweeps test double robustness.  ``SCENARIOS`` maps each to the
+propensity model a cell fits under ``propensity="auto"`` and the covariates
+its first stage reads; a scenario never changes how data is drawn:
 
     a  both nuisances well specified (forest propensity, full covariates)
     b  propensity misspecified (a logistic fit cannot express the box rule)
     c  outcome embedding misspecified (first stage is denied x6)
+
+A cell resolves ``auto`` through this table and ``oracle`` to
+``true_propensity``, which it hands ``fit_ccme`` as ``pi_hat``.  The library
+itself reads no scenario.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,13 +39,12 @@ from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import (METHODS, VARIANTS, Hyper, _all_outcomes, _shared_part,
                          fit_ccme, make_grid)
-from .propensity import fit_forest, fit_logistic
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
     "SCENARIOS", "generate", "true_propensity", "GroundTruth",
     "mse", "eval_points", "SweepCell", "SweepRecord", "plan_cells",
-    "run_cell", "run_sweep", "loglog_slope", "fit_propensity", "propensity_kind",
+    "run_cell", "run_sweep", "loglog_slope", "check_scenario",
 ]
 
 BETA = np.array([1.0, -0.5, 0.8, -0.7, 0.6, 1.0, 0.3, -0.2, 0.1, -0.3])
@@ -51,7 +55,9 @@ SHIFT = 15.0
 N_COV = 10
 V_COLS = list(range(5))
 
-SCENARIOS = ("a", "b", "c")
+# scenario: (the propensity model ``auto`` means, the first stage's x_cols)
+SCENARIOS = {"a": ("forest", None), "b": ("logistic", None),
+             "c": ("forest", [i for i in range(N_COV) if i != 5])}
 
 
 def check_scenario(scenario: str) -> str:
@@ -184,39 +190,6 @@ def _derived_seed(tag: int, n: int, seed: int) -> int:
     return int(np.random.SeedSequence([tag, n, seed]).generate_state(1)[0])
 
 
-def scenario_x_cols(scenario: str) -> list[int] | None:
-    """The covariates the scenario's first stage reads: all but x6 in
-    scenario c, all (None) otherwise."""
-    if check_scenario(scenario) == "c":
-        return [i for i in range(N_COV) if i != 5]
-    return None
-
-
-def propensity_kind(hyper: Hyper) -> str:
-    """The propensity model a fit uses: ``hyper.propensity``, where ``auto``
-    is a forest, or a logistic model in scenario b."""
-    if hyper.propensity != "auto":
-        return hyper.propensity
-    return "logistic" if check_scenario(hyper.scenario) == "b" else "forest"
-
-
-def fit_propensity(hyper: Hyper, d0: Dataset) -> Callable[[NDArray], NDArray]:
-    """Fit ``propensity_kind(hyper)`` on the D0 half: the forest seeded by
-    ``hyper.seed``, or the true propensity (``oracle``) of the benchmark's
-    covariate layout.  The model maps covariate rows to raw probabilities."""
-    kind = propensity_kind(hyper)
-    if kind == "forest":
-        return fit_forest(d0.X, d0.A, seed=hyper.seed)
-    if kind == "logistic":
-        return fit_logistic(d0.X, d0.A)
-    if kind != "oracle":
-        raise ConfigError(f"unknown propensity setting {hyper.propensity!r}")
-    if d0.X.shape[1] != N_COV:
-        raise ConfigError("the oracle propensity is defined for the "
-                          f"{N_COV}-covariate benchmark layout only")
-    return true_propensity
-
-
 def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
              grid_points: int = 1000, *, shared: dict | None = None) -> SweepRecord:
     """Fit one (method, variant, scenario, n, seed) cell and score it.
@@ -228,9 +201,9 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
 
     - the data and its split (each scenario sets its ``x_cols``);
     - the nuisances ``fit_ccme`` keeps in ``shared``: omega per propensity
-      model (``propensity_kind``), the first stage per method and
-      ``x_cols``, and rr's stage-two factor of K(V1) + ridge1 I, the same
-      for dr, ipw and pi in every scenario;
+      model (``auto`` resolved through ``SCENARIOS``), the first stage per
+      method and ``x_cols``, and rr's stage-two factor of K(V1) + ridge1 I,
+      the same for dr, ipw and pi in every scenario;
     - the ``onestep`` score, per method: it reads neither the propensity
       nor ``x_cols``, so its cells in every scenario are one fit;
     - the scoring grid and the true densities on it.
@@ -260,11 +233,14 @@ def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
     split = _shared_part(shared, ("split",), lambda: split_data(
         generate(replace(hyper, n=2 * n, seed=_derived_seed(2026, n, seed)))[0],
         _derived_seed(2027, n, seed), V_COLS))
+    kind, x_cols = SCENARIOS[cell.scenario]
+    propensity = kind if hyper.propensity == "auto" else hyper.propensity
     model = fit_ccme(
-        replace(split, x_cols=scenario_x_cols(cell.scenario)),
+        replace(split, x_cols=x_cols),
         replace(hyper, method=cell.method, variant=cell.variant,
-                scenario=cell.scenario, seed=_derived_seed(2029, n, seed),
-                net_seed=_derived_seed(2028, n, seed)), shared=shared)
+                propensity=propensity, seed=_derived_seed(2029, n, seed),
+                net_seed=_derived_seed(2028, n, seed)),
+        shared=shared, pi_hat=true_propensity if propensity == "oracle" else None)
 
     def truth_on_grid() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         # the outcomes' range padded by 2, and the true densities on it

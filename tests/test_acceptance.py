@@ -19,11 +19,10 @@ from ccme.estimators import (Hyper, df_trace_loss, fit_ccme, fit_first_stage,
                              fit_second_stage, make_grid, nk_loss_grad)
 from ccme.kernels import KernelSpec, gram
 from ccme.nets import mlp_forward, mlp_init, train_mlp
-from ccme.propensity import _logistic_grad
-from ccme.synthbench import (BETA, GAMMA, SHIFT, V_COLS, GroundTruth,
-                             SweepCell, _derived_seed, eval_points,
-                             fit_propensity, generate, mse, run_cell,
-                             scenario_x_cols)
+from ccme.propensity import _logistic_grad, fit_propensity
+from ccme.synthbench import (BETA, GAMMA, SCENARIOS, SHIFT, V_COLS, GroundTruth,
+                             SweepCell, _derived_seed, eval_points, generate,
+                             mse, run_cell)
 
 from oracles import (feature_factor, forward_cache, logistic_loss, mlp_backward,
                      nk_minimizer, quadrature_mass)
@@ -295,12 +294,11 @@ def test_c07_convergence_trend_scenario_a():
 
 def _scenario_c_pair(n, seed, h, test_v, truth):
     """DR fit for one cell plus a PI fit on the same first stage."""
+    kind, x_cols = SCENARIOS["c"]
     data, _ = generate(Hyper(n=2 * n, seed=_derived_seed(2026, n, seed)))
-    split = split_data(data, _derived_seed(2027, n, seed), V_COLS,
-                       scenario_x_cols("c"))
+    split = split_data(data, _derived_seed(2027, n, seed), V_COLS, x_cols)
     cell_h = replace(h, net_seed=_derived_seed(2028, n, seed))
-    prop = fit_propensity(replace(h, scenario="c", seed=_derived_seed(2029, n, seed)),
-                          split.d0)
+    prop = fit_propensity(kind, split.d0.X, split.d0.A, _derived_seed(2029, n, seed))
     omega = compute_omega(split.d1, prop, h.clip())
     first = fit_first_stage(split, "rr", cell_h)
     model = fit_second_stage(split, "rr", "dr", first, omega, cell_h)

@@ -65,15 +65,12 @@ class TestConfig:
     def test_validate_rejections(self):
         for bad in (Hyper(method="xx"), Hyper(variant="xx"),
                     Hyper(propensity="xx"), Hyper(clip_lo=0.9, clip_hi=0.1),
-                    Hyper(threads=0), Hyper(n=3), Hyper(ridge0=0.0),
+                    Hyper(clip_lo=1e-320), Hyper(threads=0), Hyper(n=3), Hyper(ridge0=0.0),
                     Hyper(methods=["rr", "zz"]), Hyper(bandwidth_y=1e-300),
                     Hyper(bandwidth_x=float("inf")), Hyper(bandwidth_v=1e155),
                     Hyper(bandwidth_y=float("nan")), Hyper(ridge1=float("inf"))):
             with pytest.raises(ConfigError):
                 validate_config(bad)
-        for alias in ("BothCorrect", "A", " a"):
-            with pytest.raises(InvalidArgumentError, match="unknown scenario"):
-                validate_config(Hyper(scenario=alias))
 
 
 def _floats(lo=None, hi=None):
@@ -98,7 +95,7 @@ _SETTINGS = {
     "lr_nk": _floats(0.0),
     "epochs_df1": st.integers(0, 10**6), "epochs_df2": st.integers(0, 10**6),
     "epochs_nk1": st.integers(0, 10**6), "epochs_nk2": st.integers(0, 10**6),
-    "grid_pad": st.floats(0.0, allow_infinity=False), "clip_lo": _floats(0.0, 0.5),
+    "grid_pad": st.floats(0.0, allow_infinity=False), "clip_lo": _floats(0.0, 0.5).filter(lambda lo: 1.0 / lo < float("inf")),
     "clip_hi": _floats(0.5, 1.0), "n": st.integers(4, 10**7),
     "v_cols": st.none() | st.lists(st.integers(0, 30), min_size=1),
     "methods": st.lists(st.sampled_from(METHODS), min_size=1),
@@ -256,13 +253,7 @@ class TestSimulate:
         # overwriting in place leaves the same bytes too
         main(["simulate", "--n", "40", "--seed", "9", "--out", p1])
         assert open(p1, "rb").read() == open(p2, "rb").read()
-
-    def test_meta_sidecar(self, tmp_path):
-        out = str(tmp_path / "d.csv")
-        main(["simulate", "--n", "20", "--seed", "2", "--out", out])
-        meta = json.load(open(out + ".meta.json"))
-        assert meta == {"command": "simulate", "n": 20, "seed": 2,
-                        "scenario": "a"}
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]   # no sidecar
 
 
 class TestFit:
@@ -283,19 +274,25 @@ class TestFit:
         assert main(["fit", str(data), "--model-out",
                      str(tmp_path / "m.npz")]) == 4
 
-    def test_scenario_wiring_needs_benchmark_layout(self, tmp_path):
-        rows = ["x1,x2,x3,a,y"] + [f"{i * 0.1},0.2,{i * 0.3},{i % 2},{i * 0.5}"
-                                   for i in range(12)]
-        data = tmp_path / "small.csv"
-        data.write_text("\n".join(rows) + "\n")
-        assert main(["fit", str(data), "--scenario", "c",
-                     "--model-out", str(tmp_path / "m.npz")]) == 4
-        assert main(["fit", str(data), "--propensity", "oracle",
-                     "--model-out", str(tmp_path / "m.npz")]) == 4
+    def test_fit_reads_no_scenario(self, workdir, tmp_path, capsys):
+        """Scenarios are sweep rules: a fit under b or c exits 4 in one line
+        that names the flag to use, whatever the data, before reading it."""
+        model = tmp_path / "m.npz"
+        for data in (workdir["sim"], str(tmp_path / "nope.csv")):
+            for scenario in ("b", "c"):
+                capsys.readouterr()
+                assert main(["fit", data, "--scenario", scenario,
+                             "--model-out", str(model)]) == 4
+                err = capsys.readouterr().err.strip().splitlines()
+                assert len(err) == 1 and "--propensity logistic" in err[0]
+        assert not model.exists()
+        assert main(["fit", workdir["sim"], "--seed", "5", "--scenario", "a",
+                     "--model-out", str(model)]) == 0
+        assert model.read_bytes() == Path(workdir["model"]).read_bytes()
 
-    def test_scenario_b_fits_any_layout(self, tmp_path):
-        """b only selects a logistic propensity, which any width allows; c
-        drops x6, which only the benchmark layout has."""
+    def test_fit_fits_no_oracle_propensity(self, tmp_path, capsys):
+        """The oracle is the benchmark's true propensity, which only sweeps
+        pass: a fit that reads omega rejects it, one that does not fits."""
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 5))
         A, y = (rng.random(40) < 0.5).astype(int), rng.normal(size=40)
@@ -304,11 +301,12 @@ class TestFit:
             for i in range(40)]
         data = tmp_path / "five.csv"
         data.write_text("\n".join(rows) + "\n")
-        model = str(tmp_path / "m.npz")
-        assert main(["fit", str(data), "--scenario", "b",
-                     "--model-out", model]) == 0
-        assert main(["fit", str(data), "--scenario", "c",
-                     "--model-out", model]) == 4
+        for variant, code in (("dr", 4), ("ipw", 4), ("pi", 0), ("onestep", 0)):
+            capsys.readouterr()
+            assert main(["fit", str(data), "--propensity", "oracle", "--variant",
+                         variant, "--model-out", str(tmp_path / "m.npz")]) == code
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and ("'oracle'" in err[0]) == (code == 4)
 
     def test_vector_outcome_csv_rejected(self, tmp_path, capsys):
         rows = ["x1,x2,x3,x4,x5,x6,a,y1,y2"] + [
@@ -368,13 +366,13 @@ class TestFit:
         assert np.isfinite(vals[:, 2]).all()
 
     def test_pi_fits_no_propensity(self, workdir, tmp_path, monkeypatch):
-        from ccme import synthbench
+        from ccme import propensity
 
         def refuse(*args, **kwargs):
             raise AssertionError("pi fitted a propensity model")
 
-        monkeypatch.setattr(synthbench, "fit_forest", refuse)
-        monkeypatch.setattr(synthbench, "fit_logistic", refuse)
+        monkeypatch.setattr(propensity, "fit_forest", refuse)
+        monkeypatch.setattr(propensity, "fit_logistic", refuse)
         for name in ("auto", "forest", "logistic", "oracle"):
             assert main(["fit", workdir["sim"], "--variant", "pi", "--propensity", name,
                          "--model-out", str(tmp_path / f"{name}.npz")]) == 0
@@ -818,6 +816,7 @@ class TestExitCodes:
         "bandwidth-y-1e-300": (4, ["fit", "{sim}", "--bandwidth-y", "1e-300"]),
         "bandwidth-x-inf": (4, ["fit", "{sim}", "--bandwidth-x", "inf"]),
         "ridge1-inf": (4, ["fit", "{sim}", "--ridge1", "inf"]),
+        "clip-lo-1e-320": (4, ["fit", "{sim}", "--clip-lo", "1e-320"]),
         "diverging-df-fit": (5, ["fit", "{sim}", "--method", "df", "--lr-df", "1e3",
                                  "--epochs-df1", "200", "--epochs-df2", "50"]),
         "command-raises": (6, ["simulate"]),
@@ -953,11 +952,21 @@ class TestMainDispatch:
         not_obj.write_text("[1,2]")
         assert main(["--config", str(not_obj), "--print-config"]) == 3
 
-    def test_command_required_and_flag_errors(self):
+    def test_command_required_and_flag_errors(self, tmp_path, monkeypatch):
         assert main([]) == 3
         assert main(["--no-such-flag"]) == 3
         assert main(["simulate", "--n", "abc"]) == 3
         assert main(["--method", "xx", "--print-config"]) == 4
+        # only the documented scenario names: no alias, case or padding (a
+        # list entry is stripped, as every list entry is)
+        monkeypatch.chdir(tmp_path)
+        bad = [(flag, alias) for flag in ("--scenario", "--scenarios")
+               for alias in ("BothCorrect", "A")] + [("--scenario", " a")]
+        for command in (["simulate"], ["fit", "d.csv"], ["density", "m.npz"],
+                        ["sweep"], ["report", "s.csv"], ["--print-config"]):
+            for flag, alias in bad:
+                assert main([*command, flag, alias]) == 3
+        assert os.listdir(tmp_path) == []
 
     def test_python_dash_m(self):
         env = dict(os.environ)

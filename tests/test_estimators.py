@@ -426,7 +426,7 @@ class TestFitCcme:
     shared dict."""
 
     def test_pi_fits_no_propensity(self, monkeypatch):
-        from ccme import synthbench
+        from ccme import propensity
 
         split = make_split(n=30, seed=8)
         ref = fit_second_stage(split, "rr", "pi", fit_first_stage(split, "rr", Hyper()),
@@ -435,15 +435,13 @@ class TestFitCcme:
         def refuse(*args, **kwargs):
             raise AssertionError("pi fitted a propensity model")
 
-        monkeypatch.setattr(synthbench, "fit_forest", refuse)
-        monkeypatch.setattr(synthbench, "fit_logistic", refuse)
+        monkeypatch.setattr(propensity, "fit_forest", refuse)
+        monkeypatch.setattr(propensity, "fit_logistic", refuse)
         for name in ("auto", "forest", "logistic", "oracle"):
             model = fit_ccme(split, Hyper(variant="pi", propensity=name))
             assert np.array_equal(model.second.coef, ref.second.coef)
 
     def test_one_shared_dict_builds_each_nuisance_once(self, monkeypatch):
-        from ccme import synthbench
-
         calls = []
 
         def counting(module, name, tag=lambda args: ""):
@@ -458,7 +456,7 @@ class TestFitCcme:
         hypers = [Hyper(variant=v, propensity=p) for v in ("dr", "ipw", "pi")
                   for p in ("logistic", "forest")]
         alone = [fit_ccme(split, h) for h in hypers]
-        counting(synthbench, "fit_propensity")
+        counting(estimators, "fit_propensity")
         counting(estimators, "fit_first_stage")
         counting(estimators.KernelHead, "factor", lambda args: str(args[2]))
         shared = {}
@@ -703,8 +701,8 @@ class TestSecondStageRr:
             fit_second_stage(split, "rr", "onestep", None, None, Hyper())
 
     def test_fit_ccme_requires_propensity(self):
-        """dr needs a propensity model it can fit: the oracle is defined on
-        the benchmark's ten covariates only, and this split has three."""
+        """dr needs a propensity model it can fit: auto, forest or logistic.
+        The oracle is the benchmark's, which sweeps pass as ``pi_hat``."""
         split = make_split(n=20, seed=16)
         for name in ("oracle", "xx"):
             with pytest.raises(ConfigError, match="propensity"):
@@ -798,10 +796,14 @@ class TestNetStages:
                             lambda *args, **kw: calls.append(args))
         model = fit_ccme(split, replace(h, method=method, variant="ipw",
                                         propensity="logistic"))
+        # a model of the caller's own, under a name no fit could fit
+        given = fit_ccme(split, replace(h, method=method, variant="ipw",
+                                        propensity="oracle"), pi_hat=prop)
         assert calls == []
         vq, grid = split.v1[:3], default_grid(model, 30)
-        assert np.array_equal(density_matrix(model, vq, grid),
-                              density_matrix(ref, vq, grid))
+        for fitted in (model, given):
+            assert np.array_equal(density_matrix(fitted, vq, grid),
+                                  density_matrix(ref, vq, grid))
 
     def test_nk_first_stage_training_reduces_loss(self, tiny_hyper):
         from ccme.nets import mlp_forward, mlp_init

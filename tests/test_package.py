@@ -1,6 +1,8 @@
-"""The package's exports: every name in an ``__all__`` resolves, and the
-README's library example runs."""
+"""The package's exports: every name in an ``__all__`` resolves, the
+library imports nothing from the benchmark, and the README's library example
+runs."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -29,6 +31,27 @@ def test_star_import():
     namespace: dict = {}
     exec("from ccme import *", namespace)
     assert set(ccme.__all__) <= set(namespace)
+
+
+# The library: fits, densities and archives.  Scenarios and the true
+# propensity are benchmark rules, so none of these may import synthbench.
+LIBRARY = ["estimators", "config", "data", "propensity", "density", "serialize",
+           "kernels", "nets", "blas"]
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_the_library_imports_nothing_from_the_benchmark(name):
+    """Read from source, at module level and inside functions alike: the
+    package's ``__init__`` imports synthbench, so importing a module and
+    inspecting ``sys.modules`` would show nothing."""
+    path = Path(ccme.__file__).with_name(f"{name}.py")
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert [m for m in imported if "synthbench" in m.split(".")] == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from ccme.data import Dataset, compute_omega
-from ccme.errors import DegenerateDataError, InvalidArgumentError
+from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
-from ccme.propensity import Forest, _logistic_grad, fit_forest, fit_logistic
+from ccme.propensity import (Forest, Logistic, _logistic_grad, fit_forest,
+                             fit_logistic, fit_propensity)
 from ccme.synthbench import generate, true_propensity
 from oracles import oracle_forest
 
@@ -204,6 +205,24 @@ class TestForestMatchesOracle:
         probe = generate(Hyper(n=500, seed=7))[0].X
         for x in (data.X, probe):
             assert model(x).tobytes() == oracle(x).tobytes()
+
+
+class TestFitPropensity:
+    def test_each_kind_is_its_fit(self):
+        """auto and forest fit the seeded forest, logistic the logistic
+        regression; any other name, the benchmark's oracle too, is rejected."""
+        X, A, _ = interaction_dgp(200, seed=4)
+        probe = np.random.default_rng(9).normal(1.0, 1.0, size=(50, 10))
+        want = fit_forest(X, A, seed=7)(probe)
+        for kind in ("auto", "forest"):
+            model = fit_propensity(kind, X, A, seed=7)
+            assert isinstance(model, Forest) and np.array_equal(model(probe), want)
+        model = fit_propensity("logistic", X, A, seed=7)
+        assert isinstance(model, Logistic)
+        assert np.array_equal(model(probe), fit_logistic(X, A)(probe))
+        for kind in ("oracle", "Forest", ""):
+            with pytest.raises(ConfigError, match="propensity"):
+                fit_propensity(kind, X, A)
 
 
 class TestOracle:

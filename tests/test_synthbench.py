@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ccme import estimators, synthbench
-from ccme.data import Dataset
+from ccme import estimators, propensity, synthbench
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
 from ccme.propensity import Forest, Logistic
-from ccme.synthbench import (BETA, GAMMA, SHIFT, GroundTruth,
+from ccme.synthbench import (BETA, GAMMA, SCENARIOS, SHIFT, GroundTruth,
                              SweepCell, SweepRecord, eval_points, generate,
                              loglog_slope, mse, plan_cells, run_cell,
-                             run_sweep, fit_propensity, scenario_x_cols,
-                             true_propensity)
+                             run_sweep, true_propensity)
 
 from conftest import openblas_counts, openblas_threads
 
@@ -179,16 +177,33 @@ class TestSweep:
         assert names == [f.name for f in fields(SweepCell)] + ["mse", "seconds",
                                                                 "error"]
 
-    def test_scenario_wiring(self):
-        assert scenario_x_cols("a") is None and scenario_x_cols("b") is None
-        assert scenario_x_cols("c") == [0, 1, 2, 3, 4, 6, 7, 8, 9]
-        rng = np.random.default_rng(0)
-        X = rng.normal(1.0, 1.0, size=(60, 10))
-        A = (rng.random(60) < 0.5).astype(float)
-        d0 = Dataset(X, A, np.zeros(60))
-        assert isinstance(fit_propensity(Hyper(scenario="b"), d0), Logistic)
-        assert isinstance(fit_propensity(Hyper(scenario="a"), d0), Forest)
-        assert fit_propensity(Hyper(propensity="oracle"), d0) is true_propensity
+    def test_scenario_wiring(self, monkeypatch):
+        """A cell fits the propensity model its scenario names under auto,
+        and its first stage on the scenario's covariates; under oracle it
+        weights by the true propensity."""
+        assert SCENARIOS == {"a": ("forest", None), "b": ("logistic", None),
+                             "c": ("forest", [0, 1, 2, 3, 4, 6, 7, 8, 9])}
+        models, x_cols = [], []
+        real_omega, real_first = estimators.compute_omega, estimators.fit_first_stage
+
+        def omega_spy(d1, pi_hat, clip):
+            models.append(pi_hat)
+            return real_omega(d1, pi_hat, clip)
+
+        def first_spy(split, method, hyper):
+            x_cols.append(split.x_cols)
+            return real_first(split, method, hyper)
+
+        monkeypatch.setattr(estimators, "compute_omega", omega_spy)
+        monkeypatch.setattr(estimators, "fit_first_stage", first_spy)
+        for scenario, propensity in (("a", "auto"), ("b", "auto"), ("c", "auto"),
+                                     ("b", "oracle")):
+            rec = run_cell(SweepCell("rr", "dr", scenario, 30, 0),
+                           Hyper(propensity=propensity), eval_points(5), 20)
+            assert rec.error == ""
+        assert [type(m) for m in models[:3]] == [Forest, Logistic, Forest]
+        assert models[3] is true_propensity
+        assert x_cols == [None, None, SCENARIOS["c"][1], None]
 
     def test_cells_clip_the_propensity(self, monkeypatch):
         clips = []
@@ -325,9 +340,9 @@ class TestSweepGroups:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
 
-        for name in ("generate", "fit_propensity"):
-            counting(synthbench, name)
-        for name in ("fit_first_stage", "fit_second_stage", "SpdFactor"):
+        counting(synthbench, "generate")
+        for name in ("fit_propensity", "fit_first_stage", "fit_second_stage",
+                     "SpdFactor"):
             counting(estimators, name)
         cells = plan_cells(["rr"], list(synthbench.VARIANTS), ["a", "b", "c"],
                            [30], [1, 2])
@@ -390,7 +405,7 @@ class TestSweepGroups:
             built.append(1)
             raise DegenerateDataError("one class in D0")
 
-        monkeypatch.setattr(synthbench, "fit_forest", failing_forest)
+        monkeypatch.setattr(propensity, "fit_forest", failing_forest)
         cells = plan_cells(["rr"], ["dr", "ipw", "onestep"], ["a", "b", "c"],
                            [30], [1])
         records = run_sweep(cells, test_points=5, grid_points=20)
