@@ -25,11 +25,16 @@ _SCALAR = {"int": int, "float": float, "str": str}
 
 
 def parse_override(name: str, text: str) -> object:
-    """Parse one flag value into the field's type; lists are comma-separated."""
+    """Parse one flag value into the field's type.  Lists are comma-separated;
+    the value and each list entry are stripped, an empty value is the empty
+    list, and an empty entry is rejected."""
     if name not in _FIELD_TYPES:
         raise InvalidArgumentError(f"unknown config field {name!r}")
-    kind = _FIELD_TYPES[name]
-    tokens = [tok.strip() for tok in str(text).split(",") if tok.strip()]
+    kind, text = _FIELD_TYPES[name], str(text).strip()
+    tokens = [tok.strip() for tok in text.split(",")] if text else []
+    if "" in tokens:
+        flag = "--" + name.replace("_", "-")
+        raise InvalidArgumentError(f"{flag} has an empty entry in {text!r}")
     try:
         if kind.startswith("list[int]"):
             return [int(tok) for tok in tokens]

@@ -50,8 +50,8 @@ from .blas import single_thread
 from .data import SplitDataset, compute_omega
 from .errors import (ConfigWarning, DegenerateDataError, InvalidArgumentError,
                      NumericError)
-from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_solve, _cholesky,
-                      gram, outcome_basis)
+from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_inverse_apply,
+                      _cholesky, gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
 from .propensity import fit_propensity
 
@@ -335,7 +335,8 @@ class FeatureHead:
 
         def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
             loss, grad = df_trace_loss(psi, coords, ridge)
-            return loss / rows, grad / rows
+            grad /= rows
+            return loss / rows, grad
 
         epochs = (hyper.epochs_df1, hyper.epochs_df2)[stage]
         net, final = train_mlp(net, inputs, loss_fn, epochs,
@@ -385,11 +386,12 @@ class GridHead:
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
             lr_rows: int) -> "GridHead":
         k_m = gram(hyper.kernel_y(), basis.grid)
+        targets = np.ascontiguousarray(xi.T)          # (M, n) columns
         net = mlp_init([inputs.shape[1], *hyper.hidden, basis.size],
                        hyper.net_seeds()[stage])
 
         def loss_fn(feats: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            return nk_loss_grad(feats, k_m, xi.T)     # targets as (M, n) columns
+            return nk_loss_grad(feats, k_m, targets)
 
         epochs = (hyper.epochs_nk1, hyper.epochs_nk2)[stage]
         net, final = train_mlp(net, inputs, loss_fn, epochs,
@@ -524,18 +526,24 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
     grad      = -2 (I - Psi S^-1 Psi') G Psi S^-1 = -2 (Xi - Psi K') K,
 
     so the only solve is with the M x M matrix S, for r right-hand sides,
-    and nothing n x n is formed.  The returned loss is not divided by the
-    row count; training wrappers normalize it themselves.
+    and nothing n x n is formed.  It works on Psi', contiguous for a net's
+    outputs, and returns the gradient as the transpose of an (M, n) array.
+    The returned loss is not divided by the row count; training wrappers
+    normalize it themselves.
     """
-    if not np.isfinite(psi).all():
+    pt = psi.T                                       # (M, n) = Psi'
+    if not np.isfinite(pt).all():
         raise NumericError("features became non-finite")
-    gram_psi = psi.T @ psi
-    gram_psi.ravel()[::psi.shape[1] + 1] += ridge
+    gram_psi = pt @ psi
+    gram_psi.ravel()[::pt.shape[0] + 1] += ridge
     cf = _cholesky(gram_psi, "the feature Gram")
-    pt = psi.T @ xi                                  # (M, r) = P' = Psi' Xi
-    kt = _cho_solve(cf, pt)                          # (M, r) = K' = S^-1 P'
-    loss = float(np.vdot(xi, xi)) - float(np.vdot(pt, kt))
-    return loss, -2.0 * (xi @ kt.T - psi @ (kt @ kt.T))   # -2 (Xi - Psi K') K
+    px = (xi.T @ psi).T                              # (M, r) = P' = Psi' Xi, F-order
+    kt = _cho_inverse_apply(cf, px)                  # (M, r) = K' = S^-1 P', F-order
+    loss = float(np.vdot(xi, xi)) - float(np.vdot(px.T, kt.T))
+    kt2 = kt + kt                                    # 2 K', exactly
+    grad_t = (kt2 @ kt.T) @ pt                       # 2 K' K Psi'
+    grad_t -= kt2 @ xi.T                             # - 2 K' Xi'
+    return loss, grad_t.T
 
 
 def nk_loss_grad(feats: NDArray[np.float64], k_m: NDArray[np.float64],
@@ -543,13 +551,17 @@ def nk_loss_grad(feats: NDArray[np.float64], k_m: NDArray[np.float64],
     """Mean embedding-space squared error of grid-coefficient outputs.
 
     loss(F) = (1/n) sum_i [f_i' K_M f_i - 2 f_i' b_i] with targets b as an
-    (M, n) column stack; the phi-target norm is constant and omitted.
+    (M, n) column stack; the phi-target norm is constant and omitted.  With
+    R = K_M F' - b, loss = <F', R - b> / n and grad = ((2/n) R)', both laid
+    out like ``df_trace_loss``'s.
     """
-    n = feats.shape[0]
-    fk = feats @ k_m
-    loss = (float(np.sum(fk * feats)) - 2.0 * float(np.sum(feats * b.T))) / n
-    grad = (2.0 * fk - 2.0 * b.T) / n
-    return loss, grad
+    ft = feats.T
+    n = ft.shape[1]
+    r = k_m @ ft
+    r -= b
+    loss = float(np.vdot(ft, r - b)) / n
+    r *= 2.0 / n
+    return loss, r.T
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Small multilayer perceptrons with ReLU hidden layers and identity output.
 
 Plain numpy forward pass plus a full-batch classical-momentum SGD loop with
-its backward pass inline.  The feature maps and coefficient networks fitted
-by the estimators module are all instances of this class of nets; no
-general autodiff is involved.
+its backward pass inline.  Both run feature-major with the biases folded
+in: a layer's input is a (width + 1, rows) array whose last row is ones,
+and its parameters are one block [W | b], so a layer is one matrix product.
+``MlpParams`` keeps W and b apart.  The feature maps and coefficient
+networks fitted by the estimators module are all instances of this class of
+nets; no general autodiff is involved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,47 +52,49 @@ def mlp_init(layer_sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
     return MlpParams(sizes, weights, biases)
 
 
-def _batch(params: MlpParams, batch: NDArray[np.float64]) -> NDArray[np.float64]:
+def _flat(params: MlpParams) -> NDArray[np.float64]:
+    """Every layer's block [W | b] (sizes[i+1], sizes[i] + 1), raveled in turn."""
+    return np.concatenate([np.column_stack([W, b]).ravel()
+                           for W, b in zip(params.weights, params.biases)])
+
+
+def _blocks(sizes: tuple[int, ...], flat: NDArray[np.float64]) -> list:
+    """The layers' [W | b] blocks as views of ``flat``, laid out by ``_flat``."""
+    blocks, at = [], 0
+    for din, dout in zip(sizes[:-1], sizes[1:]):
+        blocks.append(flat[at:at + dout * (din + 1)].reshape(dout, din + 1))
+        at += dout * (din + 1)
+    return blocks
+
+
+def _buffers(sizes: tuple[int, ...], batch: NDArray[np.float64]) -> tuple[list, list]:
+    """Feature-major room for a forward pass over the rows of a batch (n, d0):
+    each layer's input (width + 1, n), whose last row is ones and the first
+    of which holds the batch's transpose, and each layer's output, which for
+    a hidden layer is the next input's leading rows."""
     X = np.asarray(batch, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.sizes[0]:
-        raise InvalidArgumentError(
-            f"batch must be (n, {params.sizes[0]}), got {X.shape}")
-    return X
+    if X.ndim != 2 or X.shape[1] != sizes[0]:
+        raise InvalidArgumentError(f"batch must be (n, {sizes[0]}), got {X.shape}")
+    ins = [np.ones((s + 1, X.shape[0])) for s in sizes[:-1]]
+    ins[0][:-1] = X.T
+    return ins, [a[:-1] for a in ins[1:]] + [np.empty((sizes[-1], X.shape[0]))]
 
 
-def _buffers(sizes: tuple[int, ...], rows: int) -> tuple[list, list]:
-    """Room for every layer's preactivation and every hidden layer's ReLU."""
-    zs = [np.empty((rows, s)) for s in sizes[1:]]
-    return zs, [np.empty_like(z) for z in zs[:-1]]
-
-
-def _forward(params: MlpParams, X: NDArray[np.float64], zs: list,
-             hs: list) -> NDArray[np.float64]:
-    """The net's outputs at the rows of X, which are zs[-1]: layer i writes
-    its preactivation into zs[i] and, if hidden, its ReLU into hs[i]."""
-    h = X
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(h, W.T, out=zs[i])
-        z += b
-        if i < len(hs):
-            h = np.maximum(z, 0.0, out=hs[i])
-    return zs[-1]
+def _forward(blocks: list, ins: list, outs: list) -> NDArray[np.float64]:
+    """The net's outputs (dL, rows), which are outs[-1]: layer i writes
+    [W | b] ins[i] into outs[i] and, if hidden, takes its ReLU there."""
+    for i, block in enumerate(blocks):
+        z = np.matmul(block, ins[i], out=outs[i])
+        if i < len(blocks) - 1:
+            np.maximum(z, 0.0, out=z)
+    return outs[-1]
 
 
 def mlp_forward(params: MlpParams, batch: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Apply the net to a batch (n, d0); returns the outputs (n, dL)."""
-    X = _batch(params, batch)
-    return _forward(params, X, *_buffers(params.sizes, X.shape[0]))
-
-
-def _views(sizes: tuple[int, ...], flat: NDArray[np.float64]) -> MlpParams:
-    """Parameters whose arrays are views of ``flat``, laid out w0, b0, w1, ..."""
-    weights, biases, at = [], [], 0
-    for din, dout in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[at:at + dout * din].reshape(dout, din))
-        biases.append(flat[at + dout * din:at + (din + 1) * dout])
-        at += (din + 1) * dout
-    return MlpParams(sizes, weights, biases)
+    """Apply the net to a batch (n, d0); returns the outputs (n, dL), the
+    transpose of a C-contiguous (dL, n) array."""
+    return _forward(_blocks(params.sizes, _flat(params)),
+                    *_buffers(params.sizes, batch)).T
 
 
 def train_mlp(params: MlpParams, batch: NDArray[np.float64], loss_and_grad,
@@ -99,43 +105,46 @@ def train_mlp(params: MlpParams, batch: NDArray[np.float64], loss_and_grad,
     the last loss, and leaves ``params`` as it is.
 
     ``loss_and_grad(outputs) -> (loss, d loss / d outputs)`` defines the
-    objective; ``outputs`` is a buffer the next epoch overwrites.  A
-    non-finite loss aborts with the epoch index attached.  With epochs = 0
-    the parameters come back unchanged and the loss is NaN.
+    objective; ``outputs`` (rows, dL) is the transpose of a buffer the next
+    epoch overwrites, and a gradient laid out the same way is read at unit
+    stride.  A non-finite loss aborts with the epoch index attached.  With
+    epochs = 0 the parameters come back unchanged and the loss is NaN.
 
-    The weights and biases are views of one flat vector, stepped in place
-    with flat gradient and momentum buffers, and every layer's activations
-    and deltas have buffers too: at a few hundred rows an epoch's cost is
-    call overhead, not arithmetic.  The loop, ``loss_and_grad`` included,
-    runs with OpenBLAS on one thread: its products are small, and the trace
-    loss ran faster on one thread than on two at every row count from 200
-    to 5000.  Inside a fit, which already holds that pin, the pin here
-    changes nothing.
+    At a few hundred rows an epoch's cost is numpy call overhead, not
+    arithmetic.  So the [W | b] blocks are views of one flat vector, stepped
+    in place with flat gradient and momentum buffers, and each layer is one
+    product and a ReLU forward, and backward one product for its gradient,
+    one for the delta and the ReLU mask, all on kept buffers.  The loop,
+    ``loss_and_grad`` included, runs with OpenBLAS on one thread: its
+    products are small, and the trace loss ran faster on one thread than on
+    two at every row count from 200 to 5000.  Inside a fit, which already
+    holds that pin, the pin here changes nothing.
     """
     if not (0.0 <= momentum < 1.0):
         raise InvalidArgumentError(f"momentum must be in [0, 1), got {momentum}")
-    X = _batch(params, batch)
-    flat = np.concatenate([a.ravel() for pair in zip(params.weights, params.biases)
-                           for a in pair])
+    sizes = params.sizes
+    ins, outs = _buffers(sizes, batch)
+    flat = _flat(params)
     grad, buf, step = np.empty_like(flat), np.zeros_like(flat), np.empty_like(flat)
-    net, dnet = _views(params.sizes, flat), _views(params.sizes, grad)
-    zs, hs = _buffers(params.sizes, X.shape[0])
-    acts, deltas = [X, *hs], [np.empty_like(h) for h in hs]
+    blocks, dblocks = _blocks(sizes, flat), _blocks(sizes, grad)
+    weights_t = [block[:, :-1].T for block in blocks]
+    deltas = [np.empty_like(z) for z in outs[:-1]]
     lr, momentum, last = float(lr), float(momentum), float("nan")
     with single_thread():
         for epoch in range(epochs):
-            loss, delta = loss_and_grad(_forward(net, X, zs, hs))
-            if not np.isfinite(loss):
+            loss, dout = loss_and_grad(_forward(blocks, ins, outs).T)
+            if not math.isfinite(loss):
                 raise NumericError(
                     f"training loss became non-finite at epoch {epoch}", epoch=epoch)
-            for i in range(net.n_layers - 1, -1, -1):
-                np.matmul(delta.T, acts[i], out=dnet.weights[i])
-                np.add.reduce(delta, axis=0, out=dnet.biases[i])
+            delta = dout.T
+            for i in range(len(blocks) - 1, -1, -1):
+                np.matmul(delta, ins[i].T, out=dblocks[i])
                 if i > 0:
-                    delta = np.matmul(delta, net.weights[i], out=deltas[i - 1])
-                    delta *= zs[i - 1] > 0
+                    delta = np.matmul(weights_t[i], delta, out=deltas[i - 1])
+                    delta *= outs[i - 1] > 0
             buf *= momentum
             buf += grad
             flat -= np.multiply(buf, lr, out=step)
             last = float(loss)
-    return net, last
+    return MlpParams(sizes, [np.ascontiguousarray(b[:, :-1]) for b in blocks],
+                     [b[:, -1].copy() for b in blocks]), last

@@ -5,7 +5,8 @@ Gram, the trace loss on that Gram, the two-term bump-sum density, trapezoid
 mass, the unconstrained grid-coefficient minimizer, the logistic log-loss,
 a forest grown by sorting every feature afresh at every node of every
 bootstrap sample, an SGD loop that builds fresh parameter, gradient and
-momentum arrays at every step, and CSV writers that format one value at a
+momentum arrays at every step (with the library's feature-major,
+folded-bias products), and CSV writers that format one value at a
 time.  None of them is used by the library itself.
 """
 
@@ -167,24 +168,26 @@ def oracle_forest(X, A, n_trees=100, max_depth=4, seed=0):
 
 def _oracle_forward(params, X):
     """Outputs, each layer's input and each hidden preactivation, from fresh
-    arrays: ``h @ W.T + b`` and ``np.maximum(z, 0)`` layer by layer."""
-    acts, preacts, h = [X], [], X
+    arrays and feature-major: a layer's input is (width + 1, rows) with a
+    last row of ones, its output ``[W | b] @ input``, and a hidden layer's
+    next input ``np.maximum(z, 0)`` over a fresh row of ones.  Every input
+    is C-contiguous, as the library's are: OpenBLAS may round a product of
+    a transposed operand differently."""
+    ones = np.ones((1, X.shape[0]))
+    acts, preacts = [np.ascontiguousarray(np.vstack([X.T, ones]))], []
     last = params.n_layers - 1
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ W.T + b
+        z = np.column_stack([W, b]) @ acts[-1]
         if i < last:
             preacts.append(z)
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-        else:
-            h = z
-    return h, acts, preacts
+            acts.append(np.vstack([np.maximum(z, 0.0), ones]))
+    return z.T, acts, preacts
 
 
 @dataclass
 class ForwardCache:
-    """Activations a backward pass reads: each layer's input, and each hidden
-    layer's preactivation."""
+    """Activations a backward pass reads: each layer's input, with its row
+    of ones, and each hidden layer's preactivation, all feature-major."""
 
     params: MlpParams
     acts: list
@@ -200,20 +203,22 @@ def forward_cache(params, X):
 def mlp_backward(params, cache, output_grad):
     """Gradients of sum_i <output_grad[i], output[i]> for every (W, b), from
     the ``forward_cache`` of this exact params object; anything else is
-    rejected as stale."""
+    rejected as stale.  Each layer's pair is read off one product
+    delta @ input', the bias from the input's row of ones."""
     if cache.params is not params:
         raise InvalidArgumentError("cache does not belong to these parameters")
     G = np.asarray(output_grad, dtype=np.float64)
-    n = cache.acts[0].shape[0]
+    n = cache.acts[0].shape[1]
     if G.shape != (n, params.sizes[-1]):
         raise InvalidArgumentError(
             f"output_grad must be ({n}, {params.sizes[-1]}), got {G.shape}")
     grads = []
-    delta = G
+    delta = G.T
     for i in range(params.n_layers - 1, -1, -1):
-        grads.append((delta.T @ cache.acts[i], delta.sum(axis=0)))
+        block = delta @ cache.acts[i].T
+        grads.append((block[:, :-1], block[:, -1]))
         if i > 0:
-            delta = (delta @ params.weights[i]) * (cache.preacts[i - 1] > 0)
+            delta = (params.weights[i].T @ delta) * (cache.preacts[i - 1] > 0)
     grads.reverse()
     return grads
 

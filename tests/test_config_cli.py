@@ -62,6 +62,26 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             parse_override("no_such_field", "1")
 
+    def test_parse_override_strips_a_scalar_as_a_list_entry(self):
+        for scalar, listed, value in (("scenario", "scenarios", "a"),
+                                      ("method", "methods", "nk"),
+                                      ("variant", "variants", "ipw")):
+            for padded in (f" {value}", f"{value} ", f"\t{value} "):
+                assert parse_override(scalar, padded) == value
+                assert parse_override(listed, padded) == [value]
+        assert parse_override("n", " 250 ") == 250
+        assert parse_override("hidden", " 12 , 8 ") == [12, 8]
+        # an empty value is still the empty list
+        assert parse_override("methods", "") == parse_override("hidden", " ") == []
+
+    @pytest.mark.parametrize("name,text", [
+        ("scenarios", "a,,b"), ("scenarios", "a,"), ("methods", ",rr"),
+        ("variants", "dr, ,pi"), ("hidden", "12,,8"), ("n_list", "200,")])
+    def test_parse_override_rejects_an_empty_list_entry(self, name, text):
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(InvalidArgumentError, match=f"^{flag} has an empty entry"):
+            parse_override(name, text)
+
     def test_validate_rejections(self):
         for bad in (Hyper(method="xx"), Hyper(variant="xx"),
                     Hyper(propensity="xx"), Hyper(clip_lo=0.9, clip_hi=0.1),
@@ -957,15 +977,34 @@ class TestMainDispatch:
         assert main(["--no-such-flag"]) == 3
         assert main(["simulate", "--n", "abc"]) == 3
         assert main(["--method", "xx", "--print-config"]) == 4
-        # only the documented scenario names: no alias, case or padding (a
-        # list entry is stripped, as every list entry is)
+        # only the documented scenario names: no alias or case
         monkeypatch.chdir(tmp_path)
         bad = [(flag, alias) for flag in ("--scenario", "--scenarios")
-               for alias in ("BothCorrect", "A")] + [("--scenario", " a")]
+               for alias in ("BothCorrect", "A")]
         for command in (["simulate"], ["fit", "d.csv"], ["density", "m.npz"],
                         ["sweep"], ["report", "s.csv"], ["--print-config"]):
             for flag, alias in bad:
                 assert main([*command, flag, alias]) == 3
+        assert os.listdir(tmp_path) == []
+
+    def test_padding_is_stripped_from_scalar_and_list_flags(self, tmp_path,
+                                                             monkeypatch, capsys):
+        """A padded value means the same through a scalar flag and its list
+        twin; an empty list entry exits 3 with one line naming the flag."""
+        def printed(*argv):
+            assert main([*argv, "--print-config"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        cfg = printed("--scenario", " c", "--scenarios", " b ,c ", "--method", "nk ")
+        assert (cfg["scenario"], cfg["scenarios"], cfg["method"]) == ("c", ["b", "c"], "nk")
+        for argv in (["--scenarios", "a,,b"], ["--scenarios", "a,"],
+                     ["--methods", "rr, ,nk"], ["--variants", ",dr"]):
+            assert main([*argv, "--print-config"]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{argv[0]} has an empty entry" in err
+        monkeypatch.chdir(tmp_path)
+        for command in (["simulate"], ["sweep"]):
+            assert main([*command, "--scenarios", "a,,b"]) == 3
         assert os.listdir(tmp_path) == []
 
     def test_python_dash_m(self):

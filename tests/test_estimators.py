@@ -735,6 +735,30 @@ class TestNetStages:
         start = df_trace_loss(psi_init, xi0, tiny_hyper.ridge0)[0] / split.m
         assert first.head.final_loss < start
 
+    @pytest.mark.parametrize("rows", [1, 7, 47, 200, 301])
+    def test_feature_gram_is_exactly_symmetric(self, rows, monkeypatch):
+        """``SpdFactor`` reads one triangle, so the feature Gram that
+        ``FeatureHead.solved`` forms from ``mlp_forward``'s output must equal
+        its transpose bit for bit."""
+        from ccme.nets import mlp_forward, mlp_init
+        seen, real = [], estimators.SpdFactor
+
+        def spy(matrix, ridge):
+            seen.append(matrix.copy())
+            return real(matrix, ridge)
+
+        monkeypatch.setattr(estimators, "SpdFactor", spy)
+        rng = np.random.default_rng(rows)
+        net = mlp_init([5, 20, 20, 20], seed=rows)
+        inputs, y = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 1))
+        basis = outcome_basis(KernelSpec(bandwidth=2.0, normalized=True), y)
+        estimators.FeatureHead.solved(net, inputs, rng.normal(size=(rows, basis.size)),
+                                      np.ones(rows), basis, 20.0)
+        feats = mlp_forward(net, inputs)
+        gram_f, = seen
+        assert np.array_equal(gram_f, feats.T @ feats)
+        assert np.array_equal(gram_f, gram_f.T)
+
     def test_df_warns_on_few_treated_rows(self):
         split = make_split(n=16, seed=19)
         h = Hyper(n_feats=max(split.m + 1, 21), epochs_df1=5, epochs_df2=5)

@@ -1,12 +1,15 @@
 """MLP initialization, the forward pass and the SGD loop.
 
 The backward pass and momentum step are checked on their reference forms in
-``oracles``, which the training loop must match bit for bit."""
+``oracles``, which the training loop must match bit for bit; the forward
+pass is also checked against the plain row-major formula."""
 
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccme import blas
 from ccme.errors import InvalidArgumentError, NumericError
@@ -88,6 +91,29 @@ class TestForward:
         out = mlp_forward(params, batch)
         assert isinstance(out, np.ndarray)
         assert np.allclose(out, forward_cache(params, batch)[0], rtol=0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=2, max_size=5),
+           st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_the_plain_formula_layer_by_layer(self, sizes, rows, seed):
+        """The folded-bias, feature-major products mean what ``h @ W.T + b``
+        and a ReLU mean: each layer's output, read off the net cut after
+        that layer, is within 1e-12 of the plain formula relative to the
+        entry's terms |h| @ |W.T| + |b|."""
+        rng = np.random.default_rng(seed)
+        params = mlp_init(sizes, seed)
+        for b in params.biases:
+            b[:] = rng.normal(size=b.shape)
+        X = rng.normal(size=(rows, sizes[0]))
+        h = X
+        for k, (W, b) in enumerate(zip(params.weights, params.biases)):
+            cut = MlpParams(tuple(sizes[:k + 2]), params.weights[:k + 1],
+                            params.biases[:k + 1])
+            got, want = mlp_forward(cut, X), h @ W.T + b
+            terms = np.abs(h) @ np.abs(W.T) + np.abs(b)
+            assert got.shape == want.shape == (rows, sizes[k + 1])
+            assert np.all(np.abs(got - want) <= 1e-12 * terms)
+            h = np.maximum(want, 0.0)
 
 
 class TestBackward:
