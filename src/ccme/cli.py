@@ -154,12 +154,15 @@ def _parse_v_args(args: argparse.Namespace) -> np.ndarray:
     if (args.v is None) == (args.v_file is None):
         raise InvalidArgumentError("density needs exactly one of --v or --v-file")
     if args.v is not None:
+        tokens = [tok.strip() for tok in args.v.split(",")]
+        if tokens == [""]:
+            raise InvalidArgumentError("--v is empty")
+        if "" in tokens:
+            raise InvalidArgumentError(f"--v has an empty entry in {args.v!r}")
         try:
-            point = [float(tok) for tok in args.v.split(",") if tok.strip()]
+            point = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise InvalidArgumentError(f"--v wants comma-separated floats: {exc}")
-        if not point:
-            raise InvalidArgumentError("--v is empty")
         return np.asarray(point, dtype=np.float64).reshape(1, -1)
     with open(args.v_file, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -184,6 +187,9 @@ def cmd_density(cfg: Hyper, args: argparse.Namespace) -> int:
     if (args.grid_lo is None) != (args.grid_hi is None):
         raise InvalidArgumentError("--grid-lo and --grid-hi come together")
     if args.grid_lo is not None:
+        if not np.isfinite(args.grid_hi - args.grid_lo):   # or either bound
+            raise InvalidArgumentError("--grid-lo and --grid-hi must be finite, "
+                                       "as must their difference")
         if not args.grid_lo < args.grid_hi:
             raise InvalidArgumentError("--grid-lo must be below --grid-hi")
         grid = np.linspace(args.grid_lo, args.grid_hi, cfg.grid_points)

@@ -1,8 +1,8 @@
 """Conditional density curves read off a fitted embedding model.
 
 The fitted embedding at a query point v is the stage-two head's weights w(v)
-over its outcome basis.  With a normalized outcome kernel it is a (possibly
-signed) density, and one formula serves every backend:
+over its outcome basis.  The outcome kernel is normalized, so it is a
+(possibly signed) density, and one formula serves every backend:
 
     density(v, y) = w(v)' u(y)
 
@@ -69,14 +69,7 @@ def density_matrix(model: CcmeModel, v: NDArray[np.float64],
 
 def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]:
     """Analytic integral of each query's density estimate, from the head's own
-    mass map (exact, unlike integrating the basis coordinates' tails).
-
-    Only meaningful when the outcome kernel is normalized so each bump
-    integrates to one.
-    """
-    if not model.kernel_y.normalized:
-        raise InvalidArgumentError(
-            "density mass needs a normalized outcome kernel")
+    mass map (exact, unlike integrating the basis coordinates' tails)."""
     vq = _as_queries(model, v)
     with single_thread():
         return model.second.embedding(vq)[1]
@@ -91,14 +84,11 @@ def default_grid(model: CcmeModel, n_points: int = 200,
 def density_curves(model: CcmeModel, v: NDArray[np.float64], y_grid: NDArray[np.float64]
                    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """The (T, G) density matrix on a shared outcome grid, never clipped, and
-    the (T,) analytic masses, NaN when the outcome kernel is not normalized."""
+    the (T,) analytic masses."""
     vq = _as_queries(model, v)
     with single_thread():
         weights, masses = model.second.embedding(vq)
-        values = _on_grid(model, weights, y_grid)
-    if not model.kernel_y.normalized:
-        masses = np.full(vq.shape[0], np.nan)
-    return values, masses
+        return _on_grid(model, weights, y_grid), masses
 
 
 def curves_to_csv(y_grid: NDArray[np.float64], values: NDArray[np.float64]) -> str:

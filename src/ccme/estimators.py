@@ -40,7 +40,7 @@ the D1 rows (mu0).  Stages pair like with like; mixing is rejected.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,8 +48,8 @@ from numpy.typing import NDArray
 
 from .blas import single_thread
 from .data import SplitDataset, compute_omega
-from .errors import (ConfigWarning, DegenerateDataError, InvalidArgumentError,
-                     NumericError)
+from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
+                     InvalidArgumentError, NumericError)
 from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_inverse_apply,
                       _cholesky, gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
@@ -135,13 +135,13 @@ class Hyper:
     eval_seed: int = 0
 
     def kernel_x(self) -> KernelSpec:
-        return KernelSpec("gaussian", self.bandwidth_x)
+        return KernelSpec(self.bandwidth_x)
 
     def kernel_v(self) -> KernelSpec:
-        return KernelSpec("gaussian", self.bandwidth_v)
+        return KernelSpec(self.bandwidth_v)
 
     def kernel_y(self) -> KernelSpec:
-        return KernelSpec("gaussian", self.bandwidth_y, normalized=True)
+        return KernelSpec(self.bandwidth_y, normalized=True)
 
     def clip(self) -> tuple[float, float]:
         return self.clip_lo, self.clip_hi
@@ -167,15 +167,6 @@ class Hyper:
 # the rows of x.  The ridge heads map to the mass exactly, through a last
 # column of ``coef``: a whitened basis misses up to about 1e-8 of a bump's
 # tails beyond its padded grid.
-
-
-def _kernel_arrays(spec: KernelSpec) -> dict[str, np.ndarray]:
-    return {f"kernel.{key}": np.array(value) for key, value in asdict(spec).items()}
-
-
-def _kernel_from(arrays) -> KernelSpec:
-    return KernelSpec(str(arrays["kernel.family"]), float(arrays["kernel.bandwidth"]),
-                      bool(arrays["kernel.normalized"]))
 
 
 def _net_arrays(net: MlpParams) -> dict[str, np.ndarray]:
@@ -225,7 +216,8 @@ def _ridge_basis(hyper: Hyper, y_all) -> OutcomeBasis:
 @dataclass
 class KernelHead:
     """Kernel ridge regression over ``points``: weights(x) = coef' K(points, x)
-    with coef = (K(points) + ridge I)^-1 [xi | masses] fixed at fit time."""
+    with coef = (K(points) + ridge I)^-1 [xi | masses] fixed at fit time;
+    K is an input kernel, unnormalized."""
 
     method = "rr"
     final_loss = float("nan")           # closed form: nothing is trained
@@ -246,9 +238,9 @@ class KernelHead:
         return out[:-1], out[-1]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        return {"kind": np.array(self.method), **_kernel_arrays(self.kernel),
-                "points": self.points, "coef": self.coef,
-                **_basis_arrays(self.basis)}
+        return {"kind": np.array(self.method),
+                "bandwidth": np.array(self.kernel.bandwidth), "points": self.points,
+                "coef": self.coef, **_basis_arrays(self.basis)}
 
     @classmethod
     def from_arrays(cls, arrays) -> "KernelHead":
@@ -256,7 +248,8 @@ class KernelHead:
         n = len(points)
         _agree(arrays, {"points": (n, points.shape[-1]),
                         "coef": (n, basis.size + 1)})
-        return cls(_kernel_from(arrays), points, arrays["coef"], basis)
+        return cls(KernelSpec(float(arrays["bandwidth"])), points, arrays["coef"],
+                   basis)
 
     @staticmethod
     def factor(inputs, hyper: Hyper, stage: int) -> SpdFactor:
@@ -444,6 +437,9 @@ def make_grid(y: NDArray[np.float64], n_points: int, pad: float) -> NDArray[np.f
     if n_points < 1:
         raise InvalidArgumentError("grid needs at least one point")
     lo, hi = float(y.min()) - pad, float(y.max()) + pad
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"the outcome grid from {lo:g} to {hi:g} has no finite "
+                          "span; lower the grid pad")
     if n_points > 1 and lo == hi:                    # its points would repeat
         raise DegenerateDataError("constant outcomes need a grid pad above 0")
     return np.linspace(lo, hi, n_points).reshape(-1, 1)
@@ -574,11 +570,16 @@ class CcmeModel:
     basis give the density at any query point."""
 
     variant: str
-    kernel_y: KernelSpec
+    bandwidth_y: float
     second: KernelHead | FeatureHead | GridHead
     y_lo: float
     y_hi: float
     v_cols: list[int] = field(default_factory=list)
+
+    @property
+    def kernel_y(self) -> KernelSpec:
+        """The outcome kernel: normalized, so each bump is a density."""
+        return KernelSpec(self.bandwidth_y, normalized=True)
 
     @property
     def method(self) -> str:
@@ -638,7 +639,7 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     xi = build_k_xi(kernel_y, y1, a, c, basis, mu0)
     extra = () if factor is None else (factor,)       # only rr's head takes one
     second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0], *extra)
-    return CcmeModel(variant, kernel_y, second,
+    return CcmeModel(variant, hyper.bandwidth_y, second,
                      float(y_all.min()), float(y_all.max()), list(split.v_cols))
 
 

@@ -1,6 +1,10 @@
 """Gaussian kernels, Gram matrices, regularized symmetric solves, and the
 outcome basis.
 
+Every kernel is a Gaussian; its role fixes the rest.  The input kernels on
+covariates and conditioning variables are unnormalized, k(u, u) = 1, and the
+outcome kernel is normalized, so each of its bumps is a density.
+
 Everything downstream (the two-stage estimators, the density formulas, the
 benchmark) is written against the primitives in this module: ``gram`` for
 dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs, and
@@ -31,8 +35,6 @@ from .errors import InvalidArgumentError, NumericError
 __all__ = ["KernelSpec", "usable_bandwidth", "gram", "SpdFactor", "OutcomeBasis",
            "outcome_basis"]
 
-_FAMILIES = ("gaussian",)
-
 
 def usable_bandwidth(bandwidth: float) -> bool:
     """Whether ``bandwidth`` is finite and positive and 2 bandwidth^2, the
@@ -47,7 +49,7 @@ def usable_bandwidth(bandwidth: float) -> bool:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A translation-invariant kernel: family, bandwidth, normalization flag.
+    """A Gaussian kernel of bandwidth sigma, normalized or not.
 
     With ``normalized=False`` the kernel is exp(-||u-v||^2 / (2 sigma^2)), so
     k(u, u) = 1.  With ``normalized=True`` it is additionally scaled by
@@ -55,13 +57,10 @@ class KernelSpec:
     density evaluation requires on the outcome space.
     """
 
-    family: str = "gaussian"
     bandwidth: float = 2.0
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise InvalidArgumentError(f"unknown kernel family: {self.family!r}")
         if not usable_bandwidth(self.bandwidth):
             raise InvalidArgumentError(
                 "bandwidth must be finite and positive, with 2 bandwidth^2 a "

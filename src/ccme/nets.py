@@ -31,10 +31,6 @@ class MlpParams:
     weights: list[NDArray[np.float64]]
     biases: list[NDArray[np.float64]]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
 
 def mlp_init(layer_sizes: tuple[int, ...] | list[int], seed: int) -> MlpParams:
     """Uniform(-a, a) weights with a = sqrt(6 / (d_in + d_out)); zero biases."""

@@ -1,13 +1,13 @@
 """Versioned on-disk container for fitted models.
 
 Models are stored as a single .npz archive whose ``__meta__`` entry is a JSON
-document carrying a ``schema_version`` plus the model's scalar settings.  The
-stage-two head is stored as the arrays of its ``to_arrays`` under a
-``second.`` prefix: its inputs or net, its map to basis weights and its
-outcome basis, whose grid has no more points than the data have distinct
-outcomes.  Every array round-trips
-bit-exactly.  Loading checks that the arrays agree with each other and with
-the meta and that every value is finite.  Writes go through a temp file and
+document carrying a ``schema_version`` plus the model's scalar settings, the
+outcome bandwidth among them.  The other entries are the arrays of the
+stage-two head's ``to_arrays``: its inputs or net (with an rr head's input
+bandwidth), its map to basis weights and its outcome basis, whose grid has
+no more points than the data have distinct outcomes.  Every array
+round-trips bit-exactly.  Loading checks that the arrays agree with each
+other and with the meta and that every value is finite.  Writes go through a temp file and
 an atomic rename.
 """
 
@@ -17,7 +17,6 @@ import json
 import os
 import tempfile
 import zipfile
-from dataclasses import asdict
 from typing import Any, Callable, IO
 
 import numpy as np
@@ -28,9 +27,10 @@ from .kernels import KernelSpec
 
 __all__ = ["SCHEMA_VERSION", "atomic_write", "save_model", "load_model"]
 
-# 3: the stage-two head alone, with its map to outcome-basis weights; 2 held
-# both stages' heads and their n x n factors
-SCHEMA_VERSION = 3
+# 4: bandwidths in place of kernel specs, and the head's arrays unprefixed;
+# 3 stored the kernels as specs and the arrays under a "second." prefix; 2
+# held both stages' heads and their n x n factors
+SCHEMA_VERSION = 4
 
 
 def atomic_write(path: str, data: str | Callable[[IO[bytes]], Any]) -> None:
@@ -53,12 +53,11 @@ def atomic_write(path: str, data: str | Callable[[IO[bytes]], Any]) -> None:
 
 def save_model(model: CcmeModel, path: str) -> None:
     """Write the model to ``path`` as an .npz archive (atomic replace)."""
-    arrays = {f"second.{key}": value
-              for key, value in model.second.to_arrays().items()}
+    arrays = model.second.to_arrays()
     meta: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "variant": model.variant,
-        "kernel_y": asdict(model.kernel_y),
+        "bandwidth_y": float(model.bandwidth_y),
         "y_lo": model.y_lo,
         "y_hi": model.y_hi,
         "v_cols": [int(i) for i in model.v_cols],
@@ -75,7 +74,7 @@ def load_model(path: str) -> CcmeModel:
         return _read_model(path)
     except InvalidArgumentError:
         raise
-    except (zipfile.BadZipFile, ValueError, KeyError) as exc:
+    except (zipfile.BadZipFile, ValueError, KeyError, TypeError) as exc:
         raise InvalidArgumentError(f"cannot read model {path}: {exc}") from exc
 
 
@@ -94,17 +93,15 @@ def _read_model(path: str) -> CcmeModel:
     for key, value in arrays.items():
         if value.dtype.kind == "f" and not np.isfinite(value).all():
             raise InvalidArgumentError(f"{path}: {key} holds NaN or inf values")
-    second = head_from_arrays({key[len("second."):]: value
-                               for key, value in arrays.items()
-                               if key.startswith("second.")})
+    second = head_from_arrays(arrays)
     try:
-        if meta["variant"] not in VARIANTS or \
-                set(meta["kernel_y"]) != set(asdict(KernelSpec())):
-            raise TypeError(f"variant {meta['variant']!r}, kernel {meta['kernel_y']!r}")
-        kernel_y = KernelSpec(**meta["kernel_y"])
+        bandwidth_y = meta["bandwidth_y"]
+        if meta["variant"] not in VARIANTS or type(bandwidth_y) not in (int, float):
+            raise TypeError(f"variant {meta['variant']!r}, bandwidth_y {bandwidth_y!r}")
+        bandwidth_y = KernelSpec(float(bandwidth_y)).bandwidth    # checks it
         v_cols = [int(i) for i in meta["v_cols"]]
         y_lo, y_hi = float(meta["y_lo"]), float(meta["y_hi"])
-    except TypeError as exc:
+    except (KeyError, TypeError, OverflowError, InvalidArgumentError) as exc:
         raise InvalidArgumentError(f"{path}: malformed model settings: {exc}")
     if len(v_cols) != second.in_dim:
         raise InvalidArgumentError(
@@ -112,4 +109,4 @@ def _read_model(path: str) -> CcmeModel:
             f"{second.in_dim}")
     if not (np.isfinite(y_lo) and np.isfinite(y_hi)):
         raise InvalidArgumentError(f"{path}: the outcome range is not finite")
-    return CcmeModel(meta["variant"], kernel_y, second, y_lo, y_hi, v_cols)
+    return CcmeModel(meta["variant"], bandwidth_y, second, y_lo, y_hi, v_cols)

@@ -175,7 +175,7 @@ def _oracle_forward(params, X):
     a transposed operand differently."""
     ones = np.ones((1, X.shape[0]))
     acts, preacts = [np.ascontiguousarray(np.vstack([X.T, ones]))], []
-    last = params.n_layers - 1
+    last = len(params.weights) - 1
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
         z = np.column_stack([W, b]) @ acts[-1]
         if i < last:
@@ -214,7 +214,7 @@ def mlp_backward(params, cache, output_grad):
             f"output_grad must be ({n}, {params.sizes[-1]}), got {G.shape}")
     grads = []
     delta = G.T
-    for i in range(params.n_layers - 1, -1, -1):
+    for i in range(len(params.weights) - 1, -1, -1):
         block = delta @ cache.acts[i].T
         grads.append((block[:, :-1], block[:, -1]))
         if i > 0:
@@ -245,7 +245,7 @@ def sgd_step(params, grads, state):
     """One momentum step; returns fresh params and the same state object.
     The parameter arrays passed in are left as they are; the momentum
     buffer lists ``state.buf_w``/``buf_b`` are updated in place."""
-    if len(grads) != params.n_layers:
+    if len(grads) != len(params.weights):
         raise InvalidArgumentError("gradient list does not match layer count")
     new_w, new_b = [], []
     for i, (gw, gb) in enumerate(grads):

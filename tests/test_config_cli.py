@@ -504,7 +504,7 @@ class TestDensity:
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
                      "--grid-lo", "5", "--grid-hi", "5"]) == 3
 
-    def test_query_flags_validated(self, workdir, tmp_path):
+    def test_query_flags_validated(self, workdir, tmp_path, capsys):
         assert main(["density", workdir["model"]]) == 3
         assert main(["density", workdir["model"], "--v", "a,b"]) == 3
         vfile = tmp_path / "v.csv"
@@ -512,16 +512,36 @@ class TestDensity:
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
                      "--v-file", str(vfile)]) == 3
         assert main(["density", workdir["model"], "--v", "1,2"]) == 3
+        capsys.readouterr()
+        for v in ("1,,1,1,1,1", "1,1,1,1,1,"):
+            assert main(["density", workdir["model"], "--v", v,
+                         "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all("--v has an empty entry in" in line
+                                     for line in err)
+        assert not (tmp_path / "d.csv").exists()
 
-    def test_version_one_model_rejected(self, workdir, tmp_path):
+    def test_version_one_model_rejected(self, workdir, tmp_path, capsys):
+        """And a schema-3 archive, with its outcome kernel spec and its
+        arrays under a "second." prefix: each exits 3 with one line."""
         with np.load(workdir["model"], allow_pickle=False) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-        meta = json.loads(str(arrays["__meta__"][()]))
-        meta["schema_version"] = 1
-        arrays["__meta__"] = np.array(json.dumps(meta))
-        old = str(tmp_path / "v1.npz")
-        np.savez(old, **arrays)
-        assert main(["density", old, "--v", "1,1,1,1,1"]) == 3
+            arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+            meta = json.loads(str(npz["__meta__"][()]))
+        v1 = {**meta, "schema_version": 1}
+        v3 = {**meta, "schema_version": 3, "kernel_y": {
+            "family": "gaussian", "bandwidth": meta.pop("bandwidth_y"),
+            "normalized": True}}
+        capsys.readouterr()
+        for version, old_meta, old_arrays in (
+                (1, v1, arrays), (3, v3, {f"second.{k}": a for k, a in arrays.items()})):
+            old = str(tmp_path / f"v{version}.npz")
+            np.savez(old, __meta__=np.array(json.dumps(old_meta)), **old_arrays)
+            assert main(["density", old, "--v", "1,1,1,1,1",
+                         "--out", str(tmp_path / "d.csv")]) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"parse failure: unsupported model schema version "
+                           f"{version}; this build reads version 4"]
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_query_rejected(self, bad, workdir, tmp_path, capsys):
@@ -545,7 +565,7 @@ class TestDensity:
         old = str(tmp_path / "v2.npz")
         np.savez(old, **{**arrays, "__meta__": np.array(json.dumps(meta))})
         cut = str(tmp_path / "cut.npz")
-        np.savez(cut, **{**arrays, "second.coef": arrays["second.coef"][3:]})
+        np.savez(cut, **{**arrays, "coef": arrays["coef"][3:]})
         capsys.readouterr()
         for path in (old, cut):
             assert main(["density", path, "--v", "1,1,1,1,1",
@@ -558,7 +578,7 @@ class TestDensity:
         bad.write_text("this is not a zip archive")
         assert main(["density", str(bad), "--v", "1,1"]) == 3
         with np.load(workdir["model"], allow_pickle=False) as npz:
-            arrays = {k: npz[k] for k in npz.files if k != "second.coef"}
+            arrays = {k: npz[k] for k in npz.files if k != "coef"}
         np.savez(tmp_path / "no_coef.npz", **arrays)
         assert main(["density", str(tmp_path / "no_coef.npz"),
                      "--v", "1,1,1,1,1"]) == 3
@@ -839,6 +859,10 @@ class TestExitCodes:
         "clip-lo-1e-320": (4, ["fit", "{sim}", "--clip-lo", "1e-320"]),
         "diverging-df-fit": (5, ["fit", "{sim}", "--method", "df", "--lr-df", "1e3",
                                  "--epochs-df1", "200", "--epochs-df2", "50"]),
+        "nk-grid-pad-1e308": (4, ["fit", "{sim}", "--method", "nk",
+                                  "--grid-pad", "1e308"]),
+        "density-grid-hi-inf": (3, ["density", "{model}", "--v", "1,1,1,1,1",
+                                    "--grid-lo", "0", "--grid-hi", "inf"]),
         "command-raises": (6, ["simulate"]),
     }
 
@@ -854,7 +878,8 @@ class TestExitCodes:
         lines = Path(workdir["sim"]).read_text().splitlines()
         lines[5] = "nan" + lines[5][lines[5].index(","):]       # x1 of one row
         (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
-        paths = {"sim": workdir["sim"], "nan": str(tmp_path / "nan.csv"),
+        paths = {"sim": workdir["sim"], "model": workdir["model"],
+                 "nan": str(tmp_path / "nan.csv"),
                  "missing": str(tmp_path / "nope.csv")}
         code, argv = self.CASES[case]
         out = str(tmp_path / "out")

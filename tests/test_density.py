@@ -173,7 +173,7 @@ class TestDfCurves:
         xi1 = build_k_xi(ky, y1, a, c, basis, first.embedding(x1)[0].T)
         masses = a + c * first.embedding(x1)[1]
         second = FeatureHead.solved(net1, v1, xi1, masses, basis, 2.0)
-        model = CcmeModel("dr", ky, second, -0.6, 1.4, [0])
+        model = CcmeModel("dr", ky.bandwidth, second, -0.6, 1.4, [0])
         psi0 = mlp_forward(net0, x0t)
         psi1 = mlp_forward(net1, v1)
         cross = mlp_forward(net0, x1)
@@ -242,13 +242,12 @@ class TestDfCurves:
 
 
 class TestNkCurves:
-    def nk_model(self, bias, normalized=False, grid_pts=None):
+    def nk_model(self, bias, grid_pts=None):
         """A model whose coefficient net is frozen at a constant output."""
-        ky = KernelSpec(bandwidth=2.0, normalized=normalized)
         grid = np.array([[0.4], [-1.0]]) if grid_pts is None else grid_pts
         M = grid.shape[0]
         net = linear_net(np.zeros((M, 2)), bias)
-        return CcmeModel("onestep", ky, GridHead(net, OutcomeBasis(grid)),
+        return CcmeModel("onestep", 2.0, GridHead(net, OutcomeBasis(grid)),
                          -1.0, 1.0)
 
     def test_unit_coefficient_reads_off_kernel_section(self):
@@ -257,7 +256,7 @@ class TestNkCurves:
         values, masses = density_curves(model, np.zeros((1, 2)), y_grid=grid)
         expect = np.array([kernel_eval(model.kernel_y, 0.4, y) for y in grid])
         assert np.allclose(values[0], expect, atol=1e-14)
-        assert np.isnan(masses[0])
+        assert masses[0] == 1.0
 
     def test_zero_coefficients_zero_curve(self):
         model = self.nk_model(bias=[0.0, 0.0])
@@ -266,12 +265,12 @@ class TestNkCurves:
 
     def test_two_point_adjugate_inverse(self):
         # f = K_M^{-1} b computed by the 2x2 adjugate formula by hand
-        ky = KernelSpec(bandwidth=2.0)
+        ky = KernelSpec(bandwidth=2.0, normalized=True)
         grid = np.array([[0.4], [-1.0]])
-        k12 = kernel_eval(ky, 0.4, -1.0)
+        k0, k12 = kernel_eval(ky, 0.4, 0.4), kernel_eval(ky, 0.4, -1.0)
         b = np.array([0.7, -0.2])
-        det = 1.0 - k12 * k12
-        f = np.array([b[0] - k12 * b[1], b[1] - k12 * b[0]]) / det
+        det = k0 * k0 - k12 * k12
+        f = np.array([k0 * b[0] - k12 * b[1], k0 * b[1] - k12 * b[0]]) / det
         model = self.nk_model(bias=f)
         y_probe = np.linspace(-2.0, 2.0, 9)
         values, _ = density_curves(model, np.zeros((1, 2)), y_grid=y_probe)
@@ -282,7 +281,7 @@ class TestNkCurves:
         assert np.allclose(gram(ky, grid) @ f, b, atol=1e-14)
 
     def test_coefficients_summing_to_one_give_unit_mass(self):
-        model = self.nk_model(bias=[0.3, 0.7], normalized=True)
+        model = self.nk_model(bias=[0.3, 0.7])
         mass = density_mass(model, np.zeros((3, 2)))
         assert np.allclose(mass, np.ones(3), atol=1e-12)
 
@@ -314,12 +313,6 @@ class TestMassAndGrid:
         vq = np.random.default_rng(seed).normal(size=(4, 3))
         quad = np.trapezoid(density_matrix(model, vq, grid), grid, axis=1)
         assert np.abs(density_mass(model, vq) - quad).max() <= 1e-6
-
-    def test_mass_requires_normalized_kernel(self):
-        model = self.fitted()
-        model = replace(model, kernel_y=replace(model.kernel_y, normalized=False))
-        with pytest.raises(InvalidArgumentError):
-            density_mass(model, np.zeros((1, 3)))
 
     def test_default_grid_covers_padded_range(self):
         model = self.fitted()

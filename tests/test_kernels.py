@@ -42,10 +42,6 @@ class TestKernelEval:
         with pytest.raises(InvalidArgumentError):
             kernel_eval(KernelSpec(), [0.0, 1.0], [0.0])
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            KernelSpec(family="laplace")
-
     def test_nonpositive_bandwidth_rejected(self):
         """Also a non-finite one, and one whose 2 bandwidth^2 underflows
         (a NaN Gram diagonal) or overflows (a constant Gram)."""

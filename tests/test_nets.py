@@ -149,7 +149,7 @@ class TestBackward:
         _, cache = forward_cache(params, batch)
         grads = mlp_backward(params, cache, G)
         step = 1e-5
-        for li in range(params.n_layers):
+        for li in range(len(params.weights)):
             for arrs, gi in ((params.weights, 0), (params.biases, 1)):
                 flat_idx = [(i,) if arrs[li].ndim == 1 else divmod(i, arrs[li].shape[1])
                             for i in range(arrs[li].size)]

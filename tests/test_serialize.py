@@ -15,6 +15,9 @@ from ccme.serialize import SCHEMA_VERSION, load_model, save_model
 from conftest import make_split
 
 
+MISSING = object()                      # a meta key that is left out
+
+
 def fit_model(method, variant="dr", n=20, seed=7, hyper=None):
     split = make_split(n=n, seed=seed)
     h = hyper if hyper is not None else Hyper()
@@ -86,7 +89,7 @@ class TestRoundTrip:
         path = str(tmp_path / "m.npz")
         save_model(model, path)
         back = load_model(path)
-        assert back.kernel_y == model.kernel_y
+        assert back.bandwidth_y == model.bandwidth_y
         assert back.second.kernel == model.second.kernel
         assert np.array_equal(back.second.points, model.second.points)
         assert np.array_equal(back.second.coef, model.second.coef)
@@ -94,6 +97,23 @@ class TestRoundTrip:
         assert np.array_equal(back.second.basis.proj, model.second.basis.proj)
         assert back.y_lo == model.y_lo and back.y_hi == model.y_hi
         assert back.v_cols == model.v_cols
+
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_archive_is_the_settings_and_the_head_arrays(self, method, tmp_path,
+                                                         tiny_hyper):
+        """Schema 4: the outcome bandwidth is a meta number, and the arrays
+        are the head's own, unprefixed; an rr head stores its bandwidth."""
+        h = Hyper() if method == "rr" else tiny_hyper
+        model, _ = fit_model(method, hyper=h)
+        arrays = saved_arrays(model, tmp_path)
+        meta = json.loads(str(arrays.pop("__meta__")[()]))
+        assert list(meta) == ["schema_version", "variant", "bandwidth_y",
+                              "y_lo", "y_hi", "v_cols"]
+        assert meta["schema_version"] == 4 and meta["bandwidth_y"] == h.bandwidth_y
+        assert arrays.keys() == model.second.to_arrays().keys()
+        assert ("bandwidth" in arrays) == (method == "rr")
+        if method == "rr":
+            assert arrays["bandwidth"][()] == h.bandwidth_v
 
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
     def test_no_array_grows_with_the_square_of_the_rows(self, method, tmp_path,
@@ -141,11 +161,9 @@ class TestSchemaChecks:
 
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method,key", [
-        ("rr", "second.points"), ("rr", "second.coef"),
-        ("rr", "second.basis.grid"),
-        ("rr", "second.basis.proj"), ("df", "second.coef"),
-        ("df", "second.net.w1"), ("df", "second.net.b0"),
-        ("nk", "second.basis.grid"), ("nk", "second.net.w1"),
+        ("rr", "points"), ("rr", "coef"), ("rr", "basis.grid"),
+        ("rr", "basis.proj"), ("df", "coef"), ("df", "net.w1"), ("df", "net.b0"),
+        ("nk", "basis.grid"), ("nk", "net.w1"),
     ])
     def test_arrays_that_disagree_rejected(self, method, key, tmp_path,
                                            tiny_hyper):
@@ -166,25 +184,47 @@ class TestSchemaChecks:
             load_model(write_arrays(arrays, tmp_path / "cols.npz"))
 
     @pytest.mark.parametrize("key,value", [
-        ("v_cols", 5), ("variant", 7), ("kernel_y", {"family": "gaussian"}),
-        ("kernel_y", {"family": "gaussian", "bandwidth": "x", "normalized": True}),
+        ("v_cols", 5), ("variant", 7), ("bandwidth_y", "x"), ("bandwidth_y", -1),
+        ("bandwidth_y", 1e-300), ("bandwidth_y", True),
+        pytest.param("bandwidth_y", 10 ** 400, id="bandwidth_y-int-1e400"),
+        pytest.param("bandwidth_y", MISSING, id="bandwidth_y-missing"),
         ("y_lo", None),
     ])
     def test_malformed_settings_rejected(self, key, value, tmp_path):
         model, _ = fit_model("rr")
         arrays = saved_arrays(model, tmp_path)
         meta = json.loads(str(arrays["__meta__"][()]))
-        meta[key] = value
+        if value is MISSING:
+            del meta[key]
+        else:
+            meta[key] = value
         arrays["__meta__"] = np.array(json.dumps(meta))
         with pytest.raises(InvalidArgumentError, match="malformed model settings"):
             load_model(write_arrays(arrays, tmp_path / "meta.npz"))
+
+    @pytest.mark.parametrize("bad", [[2.0, 2.0], -1.0])
+    def test_stored_input_bandwidth_checked(self, bad, tmp_path):
+        model, _ = fit_model("rr")
+        arrays = saved_arrays(model, tmp_path)
+        arrays["bandwidth"] = np.array(bad)
+        with pytest.raises(InvalidArgumentError):
+            load_model(write_arrays(arrays, tmp_path / "bw.npz"))
+
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("key", ["final_loss", "net.sizes"])
+    def test_arrays_of_another_rank_rejected(self, key, tmp_path, tiny_hyper):
+        model, _ = fit_model("df", hyper=tiny_hyper)
+        arrays = saved_arrays(model, tmp_path)
+        arrays[key] = np.stack([arrays[key], arrays[key]])
+        with pytest.raises(InvalidArgumentError, match="cannot read model"):
+            load_model(write_arrays(arrays, tmp_path / "rank.npz"))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad, tmp_path):
         model, _ = fit_model("rr")
         arrays = saved_arrays(model, tmp_path)
-        arrays["second.coef"] = arrays["second.coef"].copy()
-        arrays["second.coef"][1, 2] = bad
+        arrays["coef"] = arrays["coef"].copy()
+        arrays["coef"][1, 2] = bad
         with pytest.raises(InvalidArgumentError, match="NaN or inf"):
             load_model(write_arrays(arrays, tmp_path / "nan.npz"))
 
@@ -195,7 +235,7 @@ class TestSchemaChecks:
         garbage.write_text("this is not a zip archive")
         model, _ = fit_model("rr")
         arrays = saved_arrays(model, tmp_path)
-        del arrays["second.coef"]
+        del arrays["coef"]
         missing = write_arrays(arrays, tmp_path / "missing.npz")
         for path in (str(garbage), missing):
             with pytest.raises(InvalidArgumentError,
