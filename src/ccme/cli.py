@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Commands: simulate, fit, density, sweep, report.  Configuration flows from
-the defaults, then CCME_THREADS, then an optional JSON --config file, then
-flags.  Status text goes to stderr; stdout carries data only.  All file
-outputs are written to a temp file and renamed into place.
+Commands: simulate, fit, density, sweep, report.  A setting's flag overrides
+the optional JSON --config file, which overrides the default.  Status goes to
+stderr, data to stdout; each file output is a temp file renamed into place.
 
 Exit codes: 0 success, 2 I/O failure, 3 parse failure (flags, config files,
 CSV inputs, dimension mismatches), 4 degenerate data or configuration,
@@ -15,15 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from dataclasses import fields
 
 import numpy as np
 
-from .config import (_SCALAR, config_json, load_config_file, merge_config,
+from .config import (_SCALAR, comma_list, config_json, load_config_file,
                      parse_override, validate_config)
-from .data import dataset_to_csv, load_dataset, split_data
+from .data import dataset_to_csv, load_dataset, numeric_rows, split_data
 from .density import curves_to_csv, default_grid, density_curves
 from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
                      NumericError)
@@ -104,20 +102,12 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> Hyper:
-    """Defaults, then CCME_THREADS, then the --config file, then flags."""
-    env_vals = {}
-    if os.environ.get("CCME_THREADS"):
-        try:
-            env_vals["threads"] = int(os.environ["CCME_THREADS"])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"CCME_THREADS must be an integer: {exc}")
-    file_vals = load_config_file(args.config) if "config" in args else None
-    overrides = {}
+    """The flags laid over the --config file's settings, over the defaults."""
+    values = load_config_file(args.config) if "config" in args else {}
     for f in fields(Hyper):
-        raw = getattr(args, f"cfg_{f.name}", None)
-        if raw is not None:
-            overrides[f.name] = parse_override(f.name, raw)
-    cfg = merge_config(env_vals, file_vals, overrides)
+        if f"cfg_{f.name}" in args:
+            values[f.name] = parse_override(f.name, getattr(args, f"cfg_{f.name}"))
+    cfg = Hyper(**values)
     for scenario in (cfg.scenario, *cfg.scenarios):
         check_scenario(scenario)
     validate_config(cfg)
@@ -154,31 +144,27 @@ def _parse_v_args(args: argparse.Namespace) -> np.ndarray:
     if (args.v is None) == (args.v_file is None):
         raise InvalidArgumentError("density needs exactly one of --v or --v-file")
     if args.v is not None:
-        tokens = [tok.strip() for tok in args.v.split(",")]
-        if tokens == [""]:
+        tokens = comma_list("--v", args.v)
+        if not tokens:
             raise InvalidArgumentError("--v is empty")
-        if "" in tokens:
-            raise InvalidArgumentError(f"--v has an empty entry in {args.v!r}")
         try:
             point = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise InvalidArgumentError(f"--v wants comma-separated floats: {exc}")
         return np.asarray(point, dtype=np.float64).reshape(1, -1)
     with open(args.v_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    try:                                 # a first line that is not numbers
-        for tok in rows[0].split(",") if rows else ():
-            float(tok)
-    except ValueError:
-        rows = rows[1:]                  # is a header
+        rows = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if rows and not any(map(_is_number, rows[0].split(","))):
+        rows = rows[1:]                  # a first line without a number is a header
+    return numeric_rows(rows, f"query file {args.v_file}")
+
+
+def _is_number(text: str) -> bool:
     try:
-        vq = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"malformed query file {args.v_file}: {exc}")
-    if vq.size == 0:
-        raise InvalidArgumentError(f"query file {args.v_file} has no rows")
-    return vq
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_density(cfg: Hyper, args: argparse.Namespace) -> int:
@@ -242,7 +228,7 @@ def _read_sweep_csv(path: str) -> tuple[list[SweepRecord], int]:
                 f"{path} lacks the sweep header {','.join(_SWEEP_COLUMNS)}")
         records, skipped = [], 0
         for lineno, raw in enumerate(reader, start=2):
-            if any(raw[c] is None for c in _SWEEP_COLUMNS):
+            if None in raw or None in raw.values():    # extra or missing fields
                 raise InvalidArgumentError(f"{path}:{lineno}: wrong field count")
             try:
                 rec = SweepRecord(*(_SCALAR[f.type](raw[f.name])
@@ -319,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateDataError, ConfigError) as exc:
         _status(f"degenerate data or configuration: {exc}")
         return 4
-    except InvalidArgumentError as exc:
+    except (InvalidArgumentError, UnicodeDecodeError) as exc:  # or text not in UTF-8
         _status(f"parse failure: {exc}")
         return 3
     except OSError as exc:

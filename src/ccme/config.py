@@ -1,8 +1,9 @@
-"""Settings resolution: parse flag values, merge sources, validate.
+"""Settings resolution: parse flag values and config files, validate.
 
 The settings themselves, with their defaults, are the fields of
-``estimators.Hyper``.  Precedence is flags over the ``--config`` file over
-the ``CCME_THREADS`` environment variable over the defaults.
+``estimators.Hyper``.  A flag's value is read by ``parse_override`` and a
+``--config`` file by ``load_config_file``; both return values of the field's
+type, and flags override the file, which overrides the defaults.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import ConfigError, InvalidArgumentError
 from .estimators import Hyper, METHODS, VARIANTS
 from .kernels import usable_bandwidth
 
-__all__ = ["load_config_file", "merge_config", "parse_override",
+__all__ = ["comma_list", "load_config_file", "parse_override",
            "validate_config", "config_json"]
 
 # Each field's annotation, as written in Hyper: "int", "float", "str",
@@ -24,69 +25,66 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Hyper)}
 _SCALAR = {"int": int, "float": float, "str": str}
 
 
-def parse_override(name: str, text: str) -> object:
-    """Parse one flag value into the field's type.  Lists are comma-separated;
-    the value and each list entry are stripped, an empty value is the empty
-    list, and an empty entry is rejected."""
-    if name not in _FIELD_TYPES:
-        raise InvalidArgumentError(f"unknown config field {name!r}")
-    kind, text = _FIELD_TYPES[name], str(text).strip()
+def comma_list(flag: str, text: str) -> list[str]:
+    """The comma-separated entries of a flag's value, each stripped; an empty
+    value is the empty list, and an empty entry is rejected."""
+    text = text.strip()
     tokens = [tok.strip() for tok in text.split(",")] if text else []
     if "" in tokens:
-        flag = "--" + name.replace("_", "-")
         raise InvalidArgumentError(f"{flag} has an empty entry in {text!r}")
+    return tokens
+
+
+def parse_override(name: str, text: str) -> object:
+    """Parse one flag value into the field's type; a list is a ``comma_list``
+    and a scalar is stripped."""
+    if name not in _FIELD_TYPES:
+        raise InvalidArgumentError(f"unknown config field {name!r}")
+    kind = _FIELD_TYPES[name]
+    is_list = kind.startswith("list[")
+    tokens = (comma_list("--" + name.replace("_", "-"), text) if is_list
+              else [text.strip()])
+    convert = _SCALAR[kind[5:kind.index("]")] if is_list else kind]
     try:
-        if kind.startswith("list[int]"):
-            return [int(tok) for tok in tokens]
-        if kind == "list[str]":
-            return tokens
-        return _SCALAR[kind](text)
+        values = [convert(tok) for tok in tokens]
     except ValueError as exc:
         raise InvalidArgumentError(f"bad value for {name}: {exc}")
+    return values if is_list else values[0]
 
 
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file; unknown keys are rejected."""
+    """The settings of a JSON config file, each of its field's type; unknown
+    keys are rejected, and a null value is left to the default."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:        # a JSONDecodeError, or an int too long
             raise InvalidArgumentError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config file {path} must hold a JSON object")
     for key in raw:
         if key not in _FIELD_TYPES:
             raise InvalidArgumentError(f"config file {path} has unknown key {key!r}")
-    return raw
+    return {key: _typed(key, value) for key, value in raw.items() if value is not None}
 
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _typed(name: str, value: object) -> object:
-    """``value`` if it has the field's type (ints pass as floats), else a
-    parse error; bools are not numbers here."""
+    """``value`` if it has the field's type (ints that a float can hold pass
+    as floats), else a parse error; bools are not numbers here."""
     kind = _FIELD_TYPES[name]
     is_list = kind.startswith("list[")
     item = kind[5:kind.index("]")] if is_list else kind
+    wanted = f"config field {name} wants {kind}, got {value!r}"
     if (is_list and type(value) is not list) or not all(
             type(v) in _JSON_TYPES[item] for v in (value if is_list else [value])):
-        raise InvalidArgumentError(
-            f"config field {name} wants {kind}, got {value!r}")
-    return float(value) if kind == "float" else value
-
-
-def merge_config(*sources: dict | None) -> Hyper:
-    """The defaults, overridden by each source in turn; None values are
-    skipped, and every other value must have its field's type."""
-    values = {}
-    for source in sources:
-        for key, value in (source or {}).items():
-            if key not in _FIELD_TYPES:
-                raise InvalidArgumentError(f"unknown config field {key!r}")
-            if value is not None:
-                values[key] = _typed(key, value)
-    return Hyper(**values)
+        raise InvalidArgumentError(wanted)
+    try:
+        return float(value) if kind == "float" else value
+    except OverflowError:                # an int beyond every float
+        raise InvalidArgumentError(wanted) from None
 
 
 # The smallest value of each int setting, and of every entry of a list.

@@ -6,7 +6,6 @@ The CSV schema is x1..xd,a,y; the header row is mandatory.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,7 +16,7 @@ from numpy.typing import NDArray
 from .errors import InvalidArgumentError
 
 __all__ = ["Dataset", "SplitDataset", "split_data", "compute_omega",
-           "load_dataset", "dataset_to_csv", "default_v_cols"]
+           "load_dataset", "dataset_to_csv", "default_v_cols", "numeric_rows"]
 
 
 @dataclass
@@ -136,6 +135,18 @@ def dataset_to_csv(dataset: Dataset) -> str:
     return ",".join(cols) + "\n" + "".join([row % tuple(values) for values in body])
 
 
+def numeric_rows(lines: list[str], what: str) -> NDArray[np.float64]:
+    """The (rows, fields) array of comma-separated number ``lines``, the data
+    rows of ``what``: a dataset or a query file.  No lines, or a line that is
+    not all numbers or has another field count, is a parse error."""
+    if not lines:
+        raise InvalidArgumentError(f"{what} has no rows")
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"malformed {what}: {exc}") from exc
+
+
 def load_dataset(text: str) -> Dataset:
     """Parse the CSV schema produced by dataset_to_csv."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -152,10 +163,7 @@ def load_dataset(text: str) -> Dataset:
             f"dataset needs one scalar outcome column y, got {','.join(y_cols)}")
     if header != x_cols + ["a", "y"]:
         raise InvalidArgumentError("dataset columns out of order; expected x*, a, y")
-    try:
-        body = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"malformed dataset row: {exc}") from exc
+    body = numeric_rows(lines[1:], "dataset")
     if body.shape[1] != len(header):
         raise InvalidArgumentError(
             f"rows have {body.shape[1]} fields, header has {len(header)}")

@@ -528,11 +528,14 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
     normalize it themselves.
     """
     pt = psi.T                                       # (M, n) = Psi'
-    if not np.isfinite(pt).all():
-        raise NumericError("features became non-finite")
     gram_psi = pt @ psi
     gram_psi.ravel()[::pt.shape[0] + 1] += ridge
-    cf = _cholesky(gram_psi, "the feature Gram")
+    try:
+        cf = _cholesky(gram_psi, "the feature Gram")
+    except NumericError:            # a non-finite feature makes the Gram fail
+        if not np.isfinite(pt).all():
+            raise NumericError("features became non-finite") from None
+        raise
     px = (xi.T @ psi).T                              # (M, r) = P' = Psi' Xi, F-order
     kt = _cho_inverse_apply(cf, px)                  # (M, r) = K' = S^-1 P', F-order
     loss = float(np.vdot(xi, xi)) - float(np.vdot(px.T, kt.T))

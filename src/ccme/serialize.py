@@ -99,7 +99,9 @@ def _read_model(path: str) -> CcmeModel:
         if meta["variant"] not in VARIANTS or type(bandwidth_y) not in (int, float):
             raise TypeError(f"variant {meta['variant']!r}, bandwidth_y {bandwidth_y!r}")
         bandwidth_y = KernelSpec(float(bandwidth_y)).bandwidth    # checks it
-        v_cols = [int(i) for i in meta["v_cols"]]
+        v_cols = meta["v_cols"]
+        if type(v_cols) is not list or any(type(i) is not int or i < 0 for i in v_cols):
+            raise TypeError(f"v_cols {v_cols!r}")
         y_lo, y_hi = float(meta["y_lo"]), float(meta["y_hi"])
     except (KeyError, TypeError, OverflowError, InvalidArgumentError) as exc:
         raise InvalidArgumentError(f"{path}: malformed model settings: {exc}")

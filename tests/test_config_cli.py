@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import ccme
 from ccme.cli import main
-from ccme.config import (config_json, load_config_file, merge_config,
-                         parse_override, validate_config)
+from ccme.config import (config_json, load_config_file, parse_override,
+                         validate_config)
 from ccme.data import Dataset, dataset_to_csv, load_dataset
 from ccme.estimators import METHODS, VARIANTS, Hyper
 from ccme.errors import ConfigError, InvalidArgumentError
@@ -48,9 +48,13 @@ class TestConfig:
         assert cfg.test_points == 500 and cfg.grid_points == 1000
         assert (cfg.clip_lo, cfg.clip_hi) == (0.01, 0.99)
 
-    def test_merge_precedence(self):
-        cfg = merge_config({"n": 300, "seed": 7}, {"n": 400})
-        assert cfg.n == 400 and cfg.seed == 7
+    def test_merge_precedence(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 300, "seed": 7}))
+        assert load_config_file(str(path)) == {"n": 300, "seed": 7}
+        assert main(["--config", str(path), "--n", "400", "--print-config"]) == 0
+        cfg = json.loads(capsys.readouterr().out)
+        assert cfg["n"] == 400 and cfg["seed"] == 7
 
     def test_parse_override_types(self):
         assert parse_override("n", "250") == 250
@@ -176,7 +180,7 @@ class TestConfigRoundTrip:
             path = os.path.join(tmp, "cfg.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(config_json(hyper))
-            assert merge_config(load_config_file(path)) == hyper
+            assert Hyper(**load_config_file(path)) == hyper
 
     @settings(max_examples=60, deadline=None)
     @given(_HYPERS)
@@ -221,16 +225,35 @@ class TestConfigTypes:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({name: value}, fh)
             with pytest.raises(InvalidArgumentError, match=name):
-                merge_config(load_config_file(path))
+                load_config_file(path)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 assert main(["--config", path, "--print-config"]) == 3
             assert len(err.getvalue().strip().splitlines()) == 1
 
-    def test_ints_are_accepted_for_floats(self):
-        cfg = merge_config({"ridge0": 3, "hidden": [4, 5], "v_cols": None})
-        assert cfg.ridge0 == 3.0 and type(cfg.ridge0) is float
-        assert cfg.hidden == [4, 5] and cfg.v_cols is None
+    def test_ints_are_accepted_for_floats(self, tmp_path, capsys):
+        """And a null leaves the setting to its default."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ridge0": 3, "hidden": [4, 5], "v_cols": None}))
+        values = load_config_file(str(path))
+        assert values == {"ridge0": 3.0, "hidden": [4, 5]}
+        assert type(values["ridge0"]) is float
+        assert main(["--config", str(path), "--print-config"]) == 0
+        cfg = json.loads(capsys.readouterr().out)
+        assert cfg["ridge0"] == 3.0 and cfg["hidden"] == [4, 5] and cfg["v_cols"] is None
+
+    @pytest.mark.parametrize("text", [
+        '{"ridge0": 1' + "0" * 400 + "}",          # an int beyond every float
+        '{"n": 1' + "0" * 5000 + "}",              # an int too long to parse
+    ])
+    def test_oversized_ints_exit_3(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["--config", str(path), "--print-config"]) == 3
+        std = capsys.readouterr()
+        assert std.out == "" and std.err.count("\n") == 1, std.err
+        assert std.err.startswith("parse failure: config")
 
     def test_reported_cases_exit_3(self, tmp_path, capsys):
         threads = tmp_path / "threads.json"
@@ -457,8 +480,8 @@ class TestDensity:
 
     @pytest.mark.parametrize("header", ["", "v1,v2,v3,v4,v5\n"])
     def test_every_query_row_kept(self, header, workdir, tmp_path):
-        """Only a first line that does not parse as floats is a header: a row
-        written with an exponent is data."""
+        """Only a first line none of whose fields parses as a number is a
+        header: a row written with an exponent is data."""
         vfile = tmp_path / "v.csv"
         vfile.write_text(header + "1e-05,0.2,0.3,0.1,0.4\n2.2,-0.2,2.2,-0.2,2.2\n")
         out = tmp_path / "d.csv"
@@ -466,6 +489,18 @@ class TestDensity:
                      "--grid-points", "3", "--out", str(out)]) == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(rows[:, 0], [0, 0, 0, 1, 1, 1])
+
+    def test_a_first_line_with_a_number_is_data(self, workdir, tmp_path, capsys):
+        """A mistyped first row is a malformed row, not a header."""
+        vfile = tmp_path / "v.csv"
+        vfile.write_text("1,1,1,1,1x\n0,0,0,0,0\n")
+        capsys.readouterr()
+        assert main(["density", workdir["model"], "--v-file", str(vfile),
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"parse failure: malformed query file {vfile}"), err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_non_finite_first_query_row_rejected(self, workdir, tmp_path, capsys):
         vfile = tmp_path / "v.csv"
@@ -686,17 +721,13 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert all("Error" in row for row in lines[1:])
 
-    def test_threads_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CCME_THREADS", "2")
+    def test_threads_flag(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         code = main(["sweep", "--n-list", "2", "--seeds", "0,1",
                      "--test-points", "5", "--grid-points", "20",
-                     "--out", out])
+                     "--threads", "2", "--out", out])
         assert code == 5
         assert len(open(out).read().splitlines()) == 3
-        monkeypatch.setenv("CCME_THREADS", "zebra")
-        assert main(["sweep", "--n-list", "2", "--seeds", "0",
-                     "--out", str(tmp_path / "s2.csv")]) == 3
 
 
 def write_sweep_csv(path, rows):
@@ -782,13 +813,22 @@ class TestReport:
         write_sweep_csv(path, ["rr,dr,a,100,0,nan,0.1,ValueError: x"])
         assert main(["report", str(path)]) == 4
 
-    def test_header_and_row_validation(self, tmp_path):
+    def test_header_and_row_validation(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
         assert main(["report", str(bad)]) == 3
         mangled = tmp_path / "mangled.csv"
         write_sweep_csv(mangled, ["rr,dr,a,abc,0,0.5,0.1,"])
         assert main(["report", str(mangled)]) == 3
+        for name, row in (("short", "rr,dr,a,200,0,0.001,1.0"),
+                          ("long", "rr,dr,a,200,0,0.001,1.0,,extra")):
+            path = tmp_path / f"{name}.csv"
+            write_sweep_csv(path, [row])
+            capsys.readouterr()
+            assert main(["report", str(path)]) == 3
+            std = capsys.readouterr()
+            assert std.out == ""
+            assert std.err == f"parse failure: {path}:2: wrong field count\n"
         assert main(["report", str(tmp_path / "missing.csv")]) == 2
 
 
@@ -863,6 +903,10 @@ class TestExitCodes:
                                   "--grid-pad", "1e308"]),
         "density-grid-hi-inf": (3, ["density", "{model}", "--v", "1,1,1,1,1",
                                     "--grid-lo", "0", "--grid-hi", "inf"]),
+        "header-only-csv": (3, ["fit", "{header}"]),
+        "header-only-query-file": (3, ["density", "{model}", "--v-file", "{vhead}"]),
+        "blank-query-file": (3, ["density", "{model}", "--v-file", "{vblank}"]),
+        "csv-not-utf8": (3, ["fit", "{latin1}"]),
         "command-raises": (6, ["simulate"]),
     }
 
@@ -878,8 +922,16 @@ class TestExitCodes:
         lines = Path(workdir["sim"]).read_text().splitlines()
         lines[5] = "nan" + lines[5][lines[5].index(","):]       # x1 of one row
         (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "header.csv").write_text(lines[0] + "\n")
+        (tmp_path / "vhead.csv").write_text("v1,v2,v3,v4,v5\n")
+        (tmp_path / "vblank.csv").write_text("\n \n")
+        (tmp_path / "latin1.csv").write_bytes(lines[0].encode() + b"\n\xff,1,2\n")
         paths = {"sim": workdir["sim"], "model": workdir["model"],
                  "nan": str(tmp_path / "nan.csv"),
+                 "header": str(tmp_path / "header.csv"),
+                 "vhead": str(tmp_path / "vhead.csv"),
+                 "vblank": str(tmp_path / "vblank.csv"),
+                 "latin1": str(tmp_path / "latin1.csv"),
                  "missing": str(tmp_path / "nope.csv")}
         code, argv = self.CASES[case]
         out = str(tmp_path / "out")
@@ -936,8 +988,8 @@ class TestExitCodes:
 
 
 class TestMainDispatch:
-    def test_settings_precedence(self, tmp_path, capsys, monkeypatch):
-        """Defaults, then CCME_THREADS, then the --config file, then flags."""
+    def test_settings_precedence(self, tmp_path, capsys):
+        """Defaults, then the --config file, then flags."""
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"threads": 4}))
 
@@ -945,12 +997,14 @@ class TestMainDispatch:
             assert main(["--print-config", *argv]) == 0
             return json.loads(capsys.readouterr().out)["threads"]
 
-        monkeypatch.delenv("CCME_THREADS", raising=False)
         assert threads() == 1
-        monkeypatch.setenv("CCME_THREADS", "2")
-        assert threads() == 2
         assert threads("--config", str(cfg_file)) == 4
         assert threads("--config", str(cfg_file), "--threads", "3") == 3
+
+    def test_environment_sets_no_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("CCME_THREADS", "2")
+        assert main(["--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["threads"] == 1
 
     def test_flags_before_the_command_are_honoured(self, tmp_path, capsys):
         """A settings flag counts wherever it stands; given on both sides of

@@ -184,7 +184,8 @@ class TestSchemaChecks:
             load_model(write_arrays(arrays, tmp_path / "cols.npz"))
 
     @pytest.mark.parametrize("key,value", [
-        ("v_cols", 5), ("variant", 7), ("bandwidth_y", "x"), ("bandwidth_y", -1),
+        ("v_cols", 5), ("v_cols", ["0", 1, 2, 3, 4]), ("v_cols", [0, 1.9, 2, 3, 4]),
+        ("v_cols", [0, True, 2, 3, 4]), ("v_cols", [-1, 1, 2, 3, 4]), ("variant", 7), ("bandwidth_y", "x"), ("bandwidth_y", -1),
         ("bandwidth_y", 1e-300), ("bandwidth_y", True),
         pytest.param("bandwidth_y", 10 ** 400, id="bandwidth_y-int-1e400"),
         pytest.param("bandwidth_y", MISSING, id="bandwidth_y-missing"),
