@@ -325,9 +325,11 @@ class FeatureHead:
         net = mlp_init([inputs.shape[1], *hyper.hidden, hyper.n_feats],
                        hyper.net_seeds()[stage])
         coords = basis.whiten(xi)
+        with single_thread():     # as train_mlp runs the loss: the same bits
+            energy = float(np.vdot(coords, coords))
 
         def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            loss, grad = df_trace_loss(psi, coords, ridge)
+            loss, grad = df_trace_loss(psi, coords, ridge, energy)
             grad /= rows
             return loss / rows, grad
 
@@ -512,7 +514,8 @@ def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
 
 
 def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
-                  ridge: float) -> tuple[float, NDArray[np.float64]]:
+                  ridge: float, energy: float | None = None
+                  ) -> tuple[float, NDArray[np.float64]]:
     """Unexplained pseudo-outcome energy of the closed-form head, with gradient.
 
     With ``xi`` the pseudo-outcomes' whitened coordinates (``basis.whiten``),
@@ -525,7 +528,8 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
     and nothing n x n is formed.  It works on Psi', contiguous for a net's
     outputs, and returns the gradient as the transpose of an (M, n) array.
     The returned loss is not divided by the row count; training wrappers
-    normalize it themselves.
+    normalize it themselves.  ``energy``, if given, is ||Xi||_F^2, which a
+    training run computes once for all its calls.
     """
     pt = psi.T                                       # (M, n) = Psi'
     gram_psi = pt @ psi
@@ -538,7 +542,9 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
         raise
     px = (xi.T @ psi).T                              # (M, r) = P' = Psi' Xi, F-order
     kt = _cho_inverse_apply(cf, px)                  # (M, r) = K' = S^-1 P', F-order
-    loss = float(np.vdot(xi, xi)) - float(np.vdot(px.T, kt.T))
+    if energy is None:
+        energy = float(np.vdot(xi, xi))
+    loss = energy - float(np.vdot(px.T, kt.T))
     kt2 = kt + kt                                    # 2 K', exactly
     grad_t = (kt2 @ kt.T) @ pt                       # 2 K' K Psi'
     grad_t -= kt2 @ xi.T                             # - 2 K' Xi'

@@ -14,20 +14,24 @@ An n x n Gram is the largest array a fit makes, so each is one buffer for
 its whole life: ``gram`` computes the kernel over the squared distances, and
 ``SpdFactor`` adds its ridge to the diagonal and factors in place.
 
+scipy is imported where it is first needed: its LAPACK at the first
+factorization, and cdist at the first Gram of more than ``GRAM_NUMPY_WORK``
+coordinate differences.  Smaller Grams take numpy, with cdist's bits.  So
+importing the package, or evaluating densities from a stored model, loads
+no scipy.
+
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.blas import dsymm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.spatial.distance import cdist
 
 from . import blas
 from .errors import InvalidArgumentError, NumericError
@@ -98,6 +102,63 @@ def _as_points(arr: object, name: str) -> NDArray[np.float64]:
     return pts
 
 
+# Each import loads scipy's OpenBLAS copy, which ``blas.refresh`` puts
+# under the thread pin that may be open.
+@functools.cache
+def _cdist():
+    from scipy.spatial.distance import cdist
+    blas.refresh()
+    return cdist
+
+
+@functools.cache
+def _linalg():
+    import scipy.linalg
+    blas.refresh()
+    return scipy.linalg
+
+
+# The most coordinate differences (rows x columns x dimension) whose squared
+# distances numpy computes in place of cdist.  Timed with the kernel on a
+# 2-core x86-64 box (numpy 2.4.6, scipy 1.17.1), numpy against cdist: 4.5
+# against 1.4 ms at 2000 x 200 in R^5, 0.22 against 0.21 ms at 73 x 1000 in
+# R^1, but 52 against 16 ms at 2000^2 in R^5 and 43 against 8.6 ms at 1318^2
+# in R^10.  Up to the bound numpy loses at most about 3 ms, against the
+# 0.2 s that importing scipy.linalg costs a process that needs no other
+# scipy; above it the large Grams of a fit stay on cdist.
+GRAM_NUMPY_WORK = 1 << 21
+# Entries of the block of squared coordinate differences the numpy path
+# adds at a time: small beside the Gram, and within a core's L2 cache.
+_BLOCK = 1 << 13
+
+
+def _sq_distances(pa: NDArray[np.float64],
+                  pb: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Squared distances between the rows of ``pa`` and ``pb`` as cdist
+    computes them, silently overflowing as it does: (a_0 - b_0)^2, then
+    (a_k - b_k)^2 added for each further coordinate k in turn, so the bits
+    are cdist's.  Beyond the first coordinate, blocks of rows go through one
+    small scratch array."""
+    (n, dim), m = pa.shape, len(pb)
+    if dim == 0:
+        return np.zeros((n, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.subtract.outer(pa[:, 0], pb[:, 0])
+        np.square(sq, out=sq)
+        if dim == 1:
+            return sq
+        rows = max(1, _BLOCK // m)
+        scratch = np.empty((min(rows, n), m))
+        for i in range(0, n, rows):
+            block = sq[i:i + rows]
+            diff = scratch[:len(block)]
+            for k in range(1, dim):
+                np.subtract.outer(pa[i:i + rows, k], pb[:, k], out=diff)
+                np.square(diff, out=diff)
+                block += diff
+    return sq
+
+
 def gram(spec: KernelSpec, points_a: object,
          points_b: object | None = None) -> NDArray[np.float64]:
     """Dense kernel matrix with entry (i, j) = k(a_i, b_j).
@@ -105,14 +166,20 @@ def gram(spec: KernelSpec, points_a: object,
     Omitting ``points_b`` gives the square Gram of ``points_a``.  Squared
     distances are accumulated coordinatewise (no dot-product rearrangement),
     which makes the square case exactly symmetric: entries (i, j) and (j, i)
-    perform identical floating-point operations.
+    perform identical floating-point operations.  Up to ``GRAM_NUMPY_WORK``
+    coordinate differences numpy computes them, above it scipy's cdist, with
+    the same bits.
     """
     pa = _as_points(points_a, "points_a")
     pb = pa if points_b is None else _as_points(points_b, "points_b")
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    return spec.at(cdist(pa, pb, "sqeuclidean"), pa.shape[1])
+    if pa.size * len(pb) <= GRAM_NUMPY_WORK:
+        sq = _sq_distances(pa, pb)
+    else:
+        sq = _cdist()(pa, pb, "sqeuclidean")
+    return spec.at(sq, pa.shape[1])
 
 
 def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
@@ -124,7 +191,7 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
     the pivot is named."""
     if not np.isfinite(matrix).all():
         raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
-    factor, info = dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
+    factor, info = _linalg().lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericError(f"factorization of {what} failed: leading minor {info} "
                            "is not positive definite", pivot=info - 1)
@@ -133,7 +200,7 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
 
 def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
     """Solve with a ``_cholesky`` factor: cho_solve's dpotrs, minus its scans."""
-    return dpotrs(factor, rhs, lower=1)[0]
+    return _linalg().lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
@@ -141,7 +208,9 @@ def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.
     dpotri and dsymm; a Fortran-ordered ``rhs`` is not copied.  At order 20
     with 63 right-hand sides this took 9 us against ``_cho_solve``'s 17 us
     (2-core x86-64, one thread): dpotrs's triangular solves are slow there."""
-    return dsymm(1.0, dpotri(factor, lower=1, overwrite_c=1)[0], rhs, lower=1)
+    linalg = _linalg()
+    inverse = linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)[0]
+    return linalg.blas.dsymm(1.0, inverse, rhs, lower=1)
 
 
 # The order from which SpdFactor factors and solves in a ``blas.wide``

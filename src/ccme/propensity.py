@@ -14,16 +14,27 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import expit
 
+from . import blas
 from .errors import ConfigError, DegenerateDataError, InvalidArgumentError
 
 __all__ = ["Logistic", "Forest", "Tree", "fit_logistic", "fit_forest",
            "fit_propensity"]
+
+
+@functools.cache
+def _expit():
+    """scipy's expit, imported at the first logistic fit or evaluation, so
+    that importing the package loads no scipy; the import loads scipy's
+    OpenBLAS copy, which ``blas.refresh`` puts under an open pin."""
+    from scipy.special import expit
+    blas.refresh()
+    return expit
 
 
 @dataclass
@@ -34,7 +45,7 @@ class Logistic:
     intercept: float
 
     def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        return expit(X @ self.coef + self.intercept)
+        return _expit()(X @ self.coef + self.intercept)
 
 
 @dataclass
@@ -107,6 +118,7 @@ def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
         raise DegenerateDataError("logistic regression needs both classes present")
     coef = np.zeros(X.shape[1])
     intercept = 0.0
+    expit = _expit()
     for _ in range(int(epochs)):
         gw, gb = _logistic_grad(expit(X @ coef + intercept), X, A)
         coef = coef - lr * gw

@@ -109,6 +109,6 @@ def without_posix_calls(monkeypatch):
     after the test."""
     monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    blas._copies.cache_clear()
+    blas._find.cache_clear()
     yield
-    blas._copies.cache_clear()
+    blas._find.cache_clear()

@@ -3,7 +3,12 @@ thread, factorizations from ``kernels.WIDE_ORDER`` on the counts the pin
 replaced."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from ccme.estimators import Hyper, fit_ccme
 from ccme.kernels import SpdFactor
 from ccme.synthbench import SweepCell, run_sweep
 
-from conftest import make_split, openblas_counts
+from conftest import _OPENBLAS_PROBES, make_split, openblas_counts, openblas_functions
 
 
 def ones():
@@ -174,6 +179,7 @@ def test_sweep_workers_factor_on_their_core_share(monkeypatch):
         return replace(record, error=repr(seen))
 
     monkeypatch.setattr(synthbench, "run_cell", cell_reporting_counts)
+    monkeypatch.setattr(blas, "_share", None)
     blas.set_threads(3)
     records = run_sweep([SweepCell("rr", "dr", "a", 20, s) for s in (1, 2)],
                         test_points=5, grid_points=20, threads=2)
@@ -181,3 +187,115 @@ def test_sweep_workers_factor_on_their_core_share(monkeypatch):
     for record in records:
         counts = ast.literal_eval(record.error)
         assert counts and all(c == twos() for c in counts)
+
+
+# The preamble of each script below: ``counts()`` reads the thread count of
+# numpy's and of scipy's copy, None for one not loaded, and loads nothing;
+# ``spy_after(owner, name)`` records the counts as each call returns, which
+# for ``kernels._cholesky`` are those it factored on; ``own`` is the count a
+# fresh copy starts on.
+FRESH_PREAMBLE = f"""
+import ctypes, os, sys
+import numpy as np
+
+def probe(module, verb):
+    if module not in sys.modules:
+        return None
+    lib = ctypes.CDLL(sys.modules[module].__file__, mode=os.RTLD_NOLOAD)
+    return getattr(lib, symbol[module].format(verb))
+
+symbol = dict({_OPENBLAS_PROBES!r})
+
+def counts():
+    return [None if probe(m, "get") is None else int(probe(m, "get")())
+            for m in symbol]
+
+def spy_after(owner, name, seen):
+    real = getattr(owner, name)
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(counts())
+        return out
+    setattr(owner, name, spy)
+
+from ccme import blas, kernels, synthbench
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+own = counts()[0]
+probe(next(iter(symbol)), "set")(3)
+"""
+
+
+def run_fresh(script: str) -> dict:
+    """Run the preamble and ``script`` in a fresh interpreter, whose copies
+    start on two threads but numpy's, which the preamble gives three, and
+    return the dict the script prints last."""
+    if len(openblas_functions()) < 2 or not hasattr(os, "RTLD_NOLOAD"):
+        pytest.skip("needs numpy's and scipy's OpenBLAS copies, found by RTLD_NOLOAD")
+    src = str(Path(blas.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_PREAMBLE + textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    if out.pop("own") != 2:
+        pytest.skip("a fresh copy starts on fewer than two threads here")
+    return out
+
+
+class TestCopiesLoadedLater:
+    """scipy's copy loads at the first factorization, after the package and
+    possibly inside a pin: it is pinned as if loaded before, gets its own
+    count in a ``wide`` region and back when the pin ends.  pytest's process
+    has scipy loaded, so each case runs in a fresh interpreter."""
+
+    def test_first_factor_inside_a_pin(self):
+        got = run_fresh("""
+            seen = []
+            spy_after(kernels, "_cholesky", seen)
+            with blas.single_thread():
+                kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(5.0)), 1.0)
+                inside = counts()
+            print(dict(seen=seen, inside=inside, after=counts(), own=own))
+        """)
+        assert got == {"seen": [[1, 1]], "inside": [1, 1], "after": [3, 2]}
+
+    def test_first_factor_inside_wide(self):
+        got = run_fresh("""
+            seen = []
+            spy_after(kernels, "_cholesky", seen)
+            kernels.WIDE_ORDER = 5
+            with blas.single_thread():
+                kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(5.0)), 1.0)
+                inside = counts()
+                kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(4.0)), 1.0)
+            print(dict(seen=seen, inside=inside, after=counts(), own=own))
+        """)
+        assert got == {"seen": [[3, 2], [1, 1]], "inside": [1, 1], "after": [3, 2]}
+
+    def test_sweep_workers_started_without_scipy_factor_on_their_share(self):
+        """Two workers on eight usable cores get four threads each; a fresh
+        copy starts on two and the parent runs numpy's on three, so only the
+        share gives four, and scipy's copy loads in the workers alone."""
+        got = run_fresh("""
+            from dataclasses import replace
+            seen = []
+            spy_after(kernels, "_cholesky", seen)
+            kernels.WIDE_ORDER = 1
+            synthbench._usable_cores = lambda: 8
+            real_cell = synthbench.run_cell
+
+            def cell_reporting_counts(*args, **kwargs):
+                record = real_cell(*args, **kwargs)
+                return replace(record, error=record.error or repr(seen))
+
+            synthbench.run_cell = cell_reporting_counts
+            records = synthbench.run_sweep(
+                [synthbench.SweepCell("rr", "dr", "a", 20, s) for s in (1, 2)],
+                test_points=5, grid_points=20, threads=2)
+            print(dict(cells=[r.error for r in records], parent=counts(), own=own))
+        """)
+        assert got["parent"] == [3, None]
+        for error in got["cells"]:
+            seen = ast.literal_eval(error)
+            assert seen and all(c == [4, 4] for c in seen)

@@ -299,6 +299,30 @@ class TestTraceLoss:
                 np.errstate(over="ignore"):
             df_trace_loss(np.full((4, 3), 1e200), np.ones((4, 2)), 1.0)
 
+    def test_a_given_energy_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        xi, psi = rng.normal(size=(40, 7)), rng.normal(size=(40, 3))
+        loss, grad = df_trace_loss(psi, xi, 0.3)
+        got_loss, got_grad = df_trace_loss(psi, xi, 0.3, float(np.vdot(xi, xi)))
+        assert got_loss == loss
+        assert got_grad.tobytes() == grad.tobytes()
+
+    def test_each_training_run_passes_one_energy(self, tiny_hyper, monkeypatch):
+        """||Xi||_F^2 is computed once per run, not at every epoch."""
+        real, energies = df_trace_loss, []
+
+        def spy(psi, xi, ridge, energy=None):
+            energies.append(energy)
+            return real(psi, xi, ridge, energy)
+
+        monkeypatch.setattr(estimators, "df_trace_loss", spy)
+        fit_ccme(make_split(n=24, seed=3),
+                 replace(tiny_hyper, method="df", propensity="logistic"))
+        runs = (tiny_hyper.epochs_df1, tiny_hyper.epochs_df2)
+        assert len(energies) == sum(runs)
+        assert len(set(energies[:runs[0]])) == len(set(energies[runs[0]:])) == 1
+        assert None not in energies
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 25),
            st.integers(1, 40), st.floats(-6.0, 3.0), st.floats(-1.0, 1.0))

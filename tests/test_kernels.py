@@ -1,16 +1,22 @@
 """Kernel evaluation, Gram construction, and regularized solves."""
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor
+from scipy.spatial.distance import cdist
 
+from ccme import kernels
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.estimators import Hyper, KernelHead
-from ccme.kernels import KernelSpec, SpdFactor, gram, usable_bandwidth
+from ccme.kernels import (GRAM_NUMPY_WORK, KernelSpec, SpdFactor, gram,
+                          usable_bandwidth)
 
 from oracles import kernel_eval
 
@@ -117,6 +123,66 @@ class TestGram:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gram(KernelSpec(), np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+# Coordinates with ties, signed zeros, subnormals and magnitudes whose
+# differences or squares overflow, besides any finite float.
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e-310,
+                                    1e154, -1e155, 1e300, -1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestGramPaths:
+    """Up to ``GRAM_NUMPY_WORK`` coordinate differences numpy computes the
+    squared distances, above it cdist: the two give the same bits."""
+
+    @staticmethod
+    def both_ways(spec, a, b=None):
+        """``gram`` with the bound moved so that it takes numpy's path, then
+        cdist's."""
+        got = []
+        for bound in (math.inf, -1):
+            with mock.patch.object(kernels, "GRAM_NUMPY_WORK", bound):
+                got.append(gram(spec, a, b))
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 30),
+           d=st.integers(1, 10), square=st.booleans(),
+           block=st.sampled_from([1, 7, 64, 1 << 13]))
+    def test_same_bits_as_cdist(self, data, n, m, d, square, block):
+        a = data.draw(arrays(np.float64, (n, d), elements=COORDS))
+        b = None if square else data.draw(arrays(np.float64, (m, d), elements=COORDS))
+        with mock.patch.object(kernels, "_BLOCK", block):
+            sq = kernels._sq_distances(a, a if square else b)
+            by_numpy, by_cdist = self.both_ways(KernelSpec(0.7), a, b)
+        assert sq.tobytes() == cdist(a, a if square else b, "sqeuclidean").tobytes()
+        assert by_numpy.tobytes() == by_cdist.tobytes()
+        if square:
+            assert sq.tobytes() == sq.T.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_the_bound_splits_the_paths(self, d, monkeypatch):
+        """Shapes just inside and just outside the bound go to numpy and to
+        cdist respectively, and give what cdist gives either way."""
+        rng = np.random.default_rng(d)
+        m = 200
+        rows = GRAM_NUMPY_WORK // (m * d)
+        spy = mock.Mock(wraps=kernels._sq_distances)
+        monkeypatch.setattr(kernels, "_sq_distances", spy)
+        spec = KernelSpec(1.1, normalized=True)
+        for n, numpy_path in ((rows, True), (rows + 1, False)):
+            a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+            spy.reset_mock()
+            got = gram(spec, a, b)
+            assert spy.called == numpy_path
+            want = spec.at(cdist(a, b, "sqeuclidean"), d)
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_coordinates(self):
+        """Points in R^0 are all at distance 0, as cdist has them."""
+        assert np.array_equal(gram(KernelSpec(), np.empty((3, 0)), np.empty((2, 0))),
+                              np.ones((3, 2)))
 
 
 class TestRegularizedSolve:
@@ -234,7 +300,7 @@ class TestGramMemory:
 
     N = 1500
 
-    def traced(self, fn):
+    def traced(self, fn, n=N):
         """(result, peak, held) of ``fn()``, in n x n arrays beyond the start."""
         started = not tracemalloc.is_tracing()
         if started:
@@ -247,7 +313,7 @@ class TestGramMemory:
         finally:
             if started:
                 tracemalloc.stop()
-        unit = self.N * self.N * 8
+        unit = n * n * 8
         return result, (peak - base) / unit, (held - base) / unit
 
     @pytest.fixture(scope="class")
@@ -255,8 +321,19 @@ class TestGramMemory:
         return np.random.default_rng(3).normal(size=(self.N, 5))
 
     def test_gram_builds_in_cdists_buffer(self, points):
+        assert points.size * self.N > GRAM_NUMPY_WORK
         _, peak, _ = self.traced(lambda: gram(KernelSpec(), points))
         assert peak <= 1.05
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_numpy_path_builds_in_one_buffer(self, d):
+        """The largest square Gram in R^d that numpy computes takes one n x n
+        buffer and, beside it, scratch of a size fixed by ``kernels._BLOCK``
+        (numpy's ufunc buffers about double it), not by the Gram's."""
+        n = math.isqrt(GRAM_NUMPY_WORK // d)
+        points = np.random.default_rng(d).normal(size=(n, d))
+        _, peak, _ = self.traced(lambda: gram(KernelSpec(), points), n)
+        assert (peak - 1.0) * n * n * 8 <= 4 * kernels._BLOCK * 8
 
     def test_factor_holds_one_array(self, points):
         # the 0.125 above 1 is _cholesky's isfinite mask

@@ -1,13 +1,16 @@
 """The package's exports: every name in an ``__all__`` resolves, the
-library imports nothing from the benchmark, and the README's library example
-runs."""
+library imports nothing from the benchmark, only commands that fit load
+scipy, and the README's library example runs."""
 
 import ast
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,66 @@ def test_the_library_imports_nothing_from_the_benchmark(name):
         elif isinstance(node, ast.ImportFrom):
             imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
     assert [m for m in imported if "synthbench" in m.split(".")] == []
+
+
+def module_level_imports(tree: ast.AST) -> list[str]:
+    """Modules imported by the statements that run at import: everything
+    outside function bodies, class bodies included."""
+    found, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(node.module or "")
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += ast.iter_child_nodes(node)
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_scipy_at_module_level(name):
+    """scipy is imported inside the functions that need it, so that importing
+    the package, and the commands that fit nothing, do without it."""
+    tree = ast.parse(Path(ccme.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    assert [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A dataset, a model fitted on it and a sweep CSV, in one directory."""
+    root = tmp_path_factory.mktemp("cli")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["simulate", "--n", "200", "--seed", "3",
+                     "--out", str(root / "sim.csv")]) == 0
+        assert main(["fit", str(root / "sim.csv"), "--model-out",
+                     str(root / "model.npz")]) == 0
+        assert main(["sweep", "--methods", "rr", "--variants", "dr", "--n-list", "40",
+                     "--seeds", "1", "--test-points", "5", "--grid-points", "20",
+                     "--out", str(root / "sweep.csv")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv,loads_scipy", [
+    (["simulate", "--n", "50", "--out", "new.csv"], False),
+    (["density", "model.npz", "--v", "0.1,0.2,0.3,0.4,0.5", "--out", "d.csv"], False),
+    (["report", "sweep.csv"], False),
+    (["--print-config"], False),
+    (["fit", "sim.csv", "--model-out", "refit.npz"], True),
+])
+def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
+    """Each command in a fresh interpreter, where nothing else has loaded
+    scipy: a fit must load it, so the lazy imports are reached."""
+    src = str(Path(ccme.__file__).resolve().parent.parent)
+    script = ("import sys\n"
+              "from ccme.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cli_inputs,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1:] == [f"0 {loads_scipy}"], proc.stderr
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
