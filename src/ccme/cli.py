@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -23,8 +24,8 @@ from .config import (_SCALAR, comma_list, config_json, load_config_file,
                      parse_override, validate_config)
 from .data import dataset_to_csv, load_dataset, numeric_rows, split_data
 from .density import curves_to_csv, default_grid, density_curves
-from .errors import (ConfigError, DegenerateDataError, InvalidArgumentError,
-                     NumericError)
+from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
+                     InvalidArgumentError, NumericError)
 from .estimators import Hyper, fit_ccme
 from .serialize import atomic_write, load_model, save_model
 from .synthbench import (SweepRecord, _check_sweep, check_scenario, generate,
@@ -289,31 +290,35 @@ _COMMANDS = {"simulate": cmd_simulate, "fit": cmd_fit, "density": cmd_density,
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        cfg = _resolve_config(args)
-        if "print_config" in args:
-            sys.stdout.write(config_json(cfg))
-            return 0
-        if args.command is None:
-            raise InvalidArgumentError("a command is required "
-                                       "(simulate, fit, density, sweep, report)")
-        return _COMMANDS[args.command](cfg, args)
-    except NumericError as exc:
-        _status(f"numeric failure: {exc}")
-        return 5
-    except (DegenerateDataError, ConfigError) as exc:
-        _status(f"degenerate data or configuration: {exc}")
-        return 4
-    except (InvalidArgumentError, UnicodeDecodeError) as exc:  # or text not in UTF-8
-        _status(f"parse failure: {exc}")
-        return 3
-    except OSError as exc:
-        _status(f"i/o failure: {exc}")
-        return 2
-    except Exception as exc:  # noqa: BLE001 - the last resort, MemoryError too
-        _status(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}")
-        return 6
+    with warnings.catch_warnings():         # each warning one stderr line
+        warnings.simplefilter("always", ConfigWarning)
+        warnings.showwarning = lambda message, *_: _status(
+            f"warning: {' '.join(str(message).split())}")
+        try:
+            args = parser.parse_args(argv)
+            cfg = _resolve_config(args)
+            if "print_config" in args:
+                sys.stdout.write(config_json(cfg))
+                return 0
+            if args.command is None:
+                raise InvalidArgumentError("a command is required "
+                                           "(simulate, fit, density, sweep, report)")
+            return _COMMANDS[args.command](cfg, args)
+        except NumericError as exc:
+            _status(f"numeric failure: {exc}")
+            return 5
+        except (DegenerateDataError, ConfigError) as exc:
+            _status(f"degenerate data or configuration: {exc}")
+            return 4
+        except (InvalidArgumentError, UnicodeDecodeError) as exc:  # or text not in UTF-8
+            _status(f"parse failure: {exc}")
+            return 3
+        except OSError as exc:
+            _status(f"i/o failure: {exc}")
+            return 2
+        except Exception as exc:  # noqa: BLE001 - the last resort, MemoryError too
+            _status(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}")
+            return 6
 
 
 if __name__ == "__main__":

@@ -129,6 +129,8 @@ def validate_config(cfg: Hyper) -> None:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
     if cfg.v_cols == []:
         raise ConfigError("v_cols must name at least one column")
+    if cfg.v_cols is not None and len(set(cfg.v_cols)) < len(cfg.v_cols):
+        raise ConfigError(f"v_cols names a column twice: {cfg.v_cols}")
 
 
 def config_json(cfg: Hyper) -> str:

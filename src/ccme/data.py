@@ -105,6 +105,8 @@ def split_data(dataset: Dataset, seed: int, v_cols: list[int] | None = None,
     for name, cols in (("v_cols", v_cols), ("x_cols", x_cols or [])):
         if any(c < 0 or c >= dataset.X.shape[1] for c in cols):
             raise InvalidArgumentError(f"{name} out of range: {cols}")
+        if len(set(cols)) < len(cols):
+            raise InvalidArgumentError(f"{name} names a column twice: {cols}")
     perm = np.random.default_rng(seed).permutation(N)
     half = (N + 1) // 2
     d0 = dataset.take(perm[:half])
@@ -153,6 +155,8 @@ def load_dataset(text: str) -> Dataset:
     if not lines:
         raise InvalidArgumentError("empty dataset file")
     header = [h.strip() for h in lines[0].split(",")]
+    if len(set(header)) < len(header):
+        raise InvalidArgumentError(f"dataset header names a column twice: {lines[0]!r}")
     x_cols = [h for h in header if h.startswith("x")]
     y_cols = [h for h in header if h.startswith("y")]
     if "a" not in header or not x_cols or not y_cols:

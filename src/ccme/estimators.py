@@ -39,6 +39,7 @@ the D1 rows (mu0).  Stages pair like with like; mixing is rejected.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -160,13 +161,31 @@ class Hyper:
 #
 # ``new_basis(hyper, y_all)`` builds the outcome basis both stages share,
 # over every D0 and D1 outcome.  ``fit(inputs, xi, masses, basis, hyper,
-# stage, lr_rows)`` regresses the pseudo-outcomes' basis weights xi (n, r)
-# and masses (n,) on the input rows; ``stage`` (0 or 1) picks the input
-# kernel, ridge, epoch budget and net seed, and the learning rate scales with
-# ``lr_rows``.  ``embedding(x)`` gives the weights (r, T) and masses (T,) at
-# the rows of x.  The ridge heads map to the mass exactly, through a last
-# column of ``coef``: a whitened basis misses up to about 1e-8 of a bump's
-# tails beyond its padded grid.
+# stage, lr_rows, shared=None)`` regresses the pseudo-outcomes' basis weights
+# xi (n, r) and masses (n,) on the input rows; ``stage`` (0 or 1) picks the
+# input kernel, ridge, epoch budget and net seed, the learning rate scales
+# with ``lr_rows``, and a part that no target changes may be kept in
+# ``shared`` (see ``fit_ccme``).  ``embedding(x)`` gives the weights (r, T)
+# and masses (T,) at the rows of x.  The ridge heads map to the mass exactly,
+# through a last column of ``coef``: a whitened basis misses up to about
+# 1e-8 of a bump's tails beyond its padded grid.
+
+
+def _shared_part(shared: dict | None, key: tuple, build):
+    """``build()``, run once per ``key`` in a ``shared`` dict, or each time
+    without one.  A part that raised is not rebuilt: each later request
+    raises its error."""
+    if shared is None:
+        return build()
+    if key not in shared:
+        try:
+            shared[key] = build()
+        except Exception as exc:  # noqa: BLE001 - raised again for every request
+            shared[key] = exc.with_traceback(None)
+    part = shared[key]
+    if isinstance(part, Exception):
+        raise part
+    return part
 
 
 def _net_arrays(net: MlpParams) -> dict[str, np.ndarray]:
@@ -261,10 +280,9 @@ class KernelHead:
 
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
-            lr_rows: int, factor: SpdFactor | None = None) -> "KernelHead":
-        """``factor`` is ``factor(inputs, hyper, stage)``, passed by fits
-        that share their inputs."""
-        factor = cls.factor(inputs, hyper, stage) if factor is None else factor
+            lr_rows: int, shared: dict | None = None) -> "KernelHead":
+        key = ("factor", stage, hashlib.sha256(inputs.tobytes()).digest())
+        factor = _shared_part(shared, key, lambda: cls.factor(inputs, hyper, stage))
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
         return cls(kernel, inputs, factor.solve(np.column_stack([xi, masses])), basis)
 
@@ -315,7 +333,7 @@ class FeatureHead:
 
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
-            lr_rows: int) -> "FeatureHead":
+            lr_rows: int, shared: dict | None = None) -> "FeatureHead":
         rows = inputs.shape[0]
         if rows < hyper.n_feats:
             warnings.warn(
@@ -379,7 +397,7 @@ class GridHead:
 
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
-            lr_rows: int) -> "GridHead":
+            lr_rows: int, shared: dict | None = None) -> "GridHead":
         k_m = gram(hyper.kernel_y(), basis.grid)
         targets = np.ascontiguousarray(xi.T)          # (M, n) columns
         net = mlp_init([inputs.shape[1], *hyper.hidden, basis.size],
@@ -420,17 +438,11 @@ class FirstStage:
 
     head: KernelHead | FeatureHead | GridHead
     x_cols: list[int] | None
-    _last: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-        """Weights (r, T) over the head's basis and masses (T,) of mu0 at x.
-        The result for the last array read is kept, as a sweep group's variants
-        read one first stage at one D1; neither may be changed in place."""
-        if not self._last or self._last[0] is not x:
-            rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
-            self._last = (x, self.head.embedding(
-                rows if self.x_cols is None else rows[:, self.x_cols]))
-        return self._last[1]
+        """Weights (r, T) over the head's basis and masses (T,) of mu0 at x."""
+        rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return self.head.embedding(rows if self.x_cols is None else rows[:, self.x_cols])
 
 
 def make_grid(y: NDArray[np.float64], n_points: int, pad: float) -> NDArray[np.float64]:
@@ -603,18 +615,15 @@ def _reads(variant: str) -> tuple[str, ...]:
 
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
-                     hyper: Hyper, *,
-                     factor: SpdFactor | None = None) -> CcmeModel:
+                     hyper: Hyper, *, shared: dict | None = None) -> CcmeModel:
     """Regress pseudo-outcomes on V over D1 and package the fitted model.
 
     ``first`` and ``omega`` may be None where the variant does not read them
     (``READS``).  Every head's outcome basis spans every D0 and D1 outcome:
     the stage keeps the first stage's basis or, without one, builds the
-    basis the first stage would have built, ``onestep``'s included.  An rr
-    stage two over all of D1 (every variant but ``onestep``) solves with
-    K(V1) + ridge1 I whatever its pseudo-outcomes; callers that fit several
-    variants on one split pass it as ``factor``, from
-    ``KernelHead.factor(split.v1, hyper, 1)``.
+    basis the first stage would have built, ``onestep``'s included.  The
+    first stage at D1 and the head's own parts are kept in ``shared`` (see
+    ``fit_ccme``).
     """
     head_cls = _head_class(method)
     reads = _reads(variant)
@@ -625,7 +634,8 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         keep = split.d1.A > 0
         if not keep.any():
             raise DegenerateDataError("one-step variant needs treated D1 rows")
-        v1, y1, first = split.v1[keep], split.d1.Y[keep], None
+        # the one regression over these rows: it keeps no part in ``shared``
+        v1, y1, first, shared = split.v1[keep], split.d1.Y[keep], None, None
         a, c = np.ones(len(v1)), np.zeros(len(v1))
     else:
         if first is None and "first" in reads:
@@ -643,27 +653,17 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     basis = head_cls.new_basis(hyper, y_all) if first is None else first.head.basis
     mu0, masses = None, a
     if first is not None and c.any():
-        weights0, masses0 = first.embedding(split.x1())
-        mu0, masses = basis.embed(kernel_y, weights0).T, a + c * masses0
+        def read_first() -> tuple[NDArray, NDArray]:
+            weights0, masses0 = first.embedding(split.x1())
+            return basis.embed(kernel_y, weights0).T, masses0
+
+        mu0, masses0 = _shared_part(shared, ("first at D1", method, str(first.x_cols)),
+                                    read_first)
+        masses = a + c * masses0
     xi = build_k_xi(kernel_y, y1, a, c, basis, mu0)
-    extra = () if factor is None else (factor,)       # only rr's head takes one
-    second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0], *extra)
+    second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0], shared)
     return CcmeModel(variant, hyper.bandwidth_y, second,
                      float(y_all.min()), float(y_all.max()), list(split.v_cols))
-
-
-def _shared_part(shared: dict, key: tuple, build):
-    """``build()``, run once per ``key`` in a ``shared`` dict.  A part that
-    raised is not rebuilt: each later request raises its error."""
-    if key not in shared:
-        try:
-            shared[key] = build()
-        except Exception as exc:  # noqa: BLE001 - raised again for every request
-            shared[key] = exc.with_traceback(None)
-    part = shared[key]
-    if isinstance(part, Exception):
-        raise part
-    return part
 
 
 def fit_ccme(split: SplitDataset, hyper: Hyper, *, shared: dict | None = None,
@@ -675,21 +675,24 @@ def fit_ccme(split: SplitDataset, hyper: Hyper, *, shared: dict | None = None,
     ``pi_hat``, a propensity model the caller already has, or else from the
     model ``propensity.fit_propensity`` fits on D0 (``hyper.propensity``,
     where ``auto`` is a forest, seeded by ``hyper.seed``); and the first
-    stage over ``split.x_cols``.  An rr stage two over all of D1 also
-    factors K(V1) + ridge1 I.  Each is built once per ``shared`` dict: omega
-    per ``hyper.propensity``, which also names a ``pi_hat``, the first stage
-    per method and ``x_cols``, the factor once.  Fits may share one dict
-    when they have one split's data and one ``Hyper``, differing only in
-    method, variant, propensity and ``split.x_cols``.  No scenario is read:
-    ``synthbench`` maps a scenario onto these.
+    stage over ``split.x_cols``.  No scenario is read: ``synthbench`` maps a
+    scenario onto these.
+
+    ``shared`` is the one way fits reuse work.  Fits may share one dict when
+    they have one split's data and one ``Hyper``, differing only in method,
+    variant, propensity and ``split.x_cols``.  Each part in it is built once
+    and keyed by what it reads: omega by ``hyper.propensity``, which also
+    names a ``pi_hat``; the first stage, and its embedding at D1
+    (``fit_second_stage``), by method and ``x_cols``; and any part a head
+    keeps, such as rr's factor of K(inputs) + ridge I (``KernelHead.fit``),
+    by the stage and its input rows.
 
     The fit runs under ``blas.single_thread``: its products and solves are
     small, except the factorizations of order ``kernels.WIDE_ORDER`` and
     above, which get the replaced thread counts back.
     """
     method, reads = hyper.method, _reads(hyper.variant)
-    shared = {} if shared is None else shared
-    omega = first = factor = None
+    omega = first = None
     with single_thread():
         if "omega" in reads:
             def build_omega() -> NDArray[np.float64]:
@@ -701,8 +704,5 @@ def fit_ccme(split: SplitDataset, hyper: Hyper, *, shared: dict | None = None,
         if "first" in reads:
             first = _shared_part(shared, ("first", method, str(split.x_cols)),
                                  lambda: fit_first_stage(split, method, hyper))
-        if method == "rr" and reads:             # onestep fits D1's treated rows
-            factor = _shared_part(shared, ("factor",),
-                                  lambda: KernelHead.factor(split.v1, hyper, 1))
         return fit_second_stage(split, method, hyper.variant, first, omega, hyper,
-                                factor=factor)
+                                shared=shared)

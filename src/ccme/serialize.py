@@ -6,9 +6,10 @@ outcome bandwidth among them.  The other entries are the arrays of the
 stage-two head's ``to_arrays``: its inputs or net (with an rr head's input
 bandwidth), its map to basis weights and its outcome basis, whose grid has
 no more points than the data have distinct outcomes.  Every array
-round-trips bit-exactly.  Loading checks that the arrays agree with each
-other and with the meta and that every value is finite.  Writes go through a temp file and
-an atomic rename.
+round-trips bit-exactly.  Loading checks that each array has the dtype
+``save_model`` writes, that the arrays agree with each other and with the
+meta, and that every value is finite.  Writes go through a temp file and an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -90,8 +91,12 @@ def _read_model(path: str) -> CcmeModel:
                 f"unsupported model schema version {version!r}; "
                 f"this build reads version {SCHEMA_VERSION}")
         arrays = {key: npz[key] for key in npz.files if key != "__meta__"}
-    for key, value in arrays.items():
-        if value.dtype.kind == "f" and not np.isfinite(value).all():
+    for key, value in arrays.items():           # in the dtypes save_model writes
+        wanted = {"kind": np.str_, "net.sizes": np.int64}.get(key, np.float64)
+        if value.dtype.type is not wanted:
+            raise InvalidArgumentError(f"{path}: {key} has dtype {value.dtype}, "
+                                       f"expected {np.dtype(wanted).name}")
+        if wanted is np.float64 and not np.isfinite(value).all():
             raise InvalidArgumentError(f"{path}: {key} holds NaN or inf values")
     second = head_from_arrays(arrays)
     try:

@@ -37,8 +37,8 @@ from . import blas
 from .data import Dataset, split_data
 from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import (METHODS, VARIANTS, Hyper, _all_outcomes, _shared_part,
-                         fit_ccme, make_grid)
+from .estimators import (METHODS, READS, VARIANTS, Hyper, _all_outcomes,
+                         _shared_part, fit_ccme, make_grid)
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
@@ -196,30 +196,28 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
 
     The dataset, split, nets and propensity are seeded from (n, seed) only,
     so every method and variant in a sweep sees identical draws.  The cells
-    of one (n, seed) group therefore share parts of their fits, which
-    ``run_sweep`` builds once per group and keeps in a ``shared`` dict:
-
-    - the data and its split (each scenario sets its ``x_cols``);
-    - the nuisances ``fit_ccme`` keeps in ``shared``: omega per propensity
-      model (``auto`` resolved through ``SCENARIOS``), the first stage per
-      method and ``x_cols``, and rr's stage-two factor of K(V1) + ridge1 I,
-      the same for dr, ipw and pi in every scenario;
-    - the ``onestep`` score, per method: it reads neither the propensity
-      nor ``x_cols``, so its cells in every scenario are one fit;
-    - the scoring grid and the true densities on it.
+    of one (n, seed) group therefore share parts, which ``run_sweep`` keeps
+    in one ``shared`` dict per group: the data and its split, the scoring
+    grid with the true densities on it, the parts ``fit_ccme`` keeps there,
+    and each fit's score.  A score is keyed by the cell's method, its
+    variant and the nuisances that variant reads (``READS``): the propensity
+    model and the first stage's ``x_cols``, which ``SCENARIOS`` gives each
+    scenario.  Cells whose scenarios differ only in what their variant does
+    not read are thus one fit, and all but the first report about 0 s.
 
     Without ``shared`` the cell builds every part itself.  The record's
     ``seconds`` include the parts this cell built first.  A part that
     raised makes every cell needing it a row with that error.
     """
-    shared = {} if shared is None else shared
     start = time.perf_counter()
     try:
-        def fit_and_score() -> float:
-            return _fit_and_score(cell, shared, hyper, test_v, grid_points)
-
-        score = (_shared_part(shared, ("onestep", cell.method), fit_and_score)
-                 if cell.variant == "onestep" else fit_and_score())
+        kind, x_cols = SCENARIOS[cell.scenario]
+        propensity = kind if hyper.propensity == "auto" else hyper.propensity
+        nuisances = {"omega": propensity, "first": str(x_cols)}
+        key = ("score", cell.method, cell.variant,
+               *(nuisances[name] for name in READS.get(cell.variant, ())))
+        score = _shared_part(shared, key, lambda: _fit_and_score(
+            cell, propensity, x_cols, shared, hyper, test_v, grid_points))
         err = ""
     except Exception as exc:  # noqa: BLE001 - cell failures become rows
         score, err = float("nan"), f"{type(exc).__name__}: {exc}"
@@ -227,14 +225,13 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
                        cell.seed, score, time.perf_counter() - start, err)
 
 
-def _fit_and_score(cell: SweepCell, shared: dict, hyper: Hyper,
-                   test_v: NDArray[np.float64], grid_points: int) -> float:
+def _fit_and_score(cell: SweepCell, propensity: str, x_cols: list[int] | None,
+                   shared: dict | None, hyper: Hyper, test_v: NDArray[np.float64],
+                   grid_points: int) -> float:
     n, seed = cell.n, cell.seed
     split = _shared_part(shared, ("split",), lambda: split_data(
         generate(replace(hyper, n=2 * n, seed=_derived_seed(2026, n, seed)))[0],
         _derived_seed(2027, n, seed), V_COLS))
-    kind, x_cols = SCENARIOS[cell.scenario]
-    propensity = kind if hyper.propensity == "auto" else hyper.propensity
     model = fit_ccme(
         replace(split, x_cols=x_cols),
         replace(hyper, method=cell.method, variant=cell.variant,
@@ -298,12 +295,11 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
               progress=None) -> list[SweepRecord]:
     """Run all cells against one fixed evaluation set and return sorted records.
 
-    Cells run in groups of one (n, seed), which share their data, propensity
-    fits, first stages, rr stage-two factor, ``onestep`` scores and true
-    densities (see ``run_cell``); a group's shared parts are dropped when it
-    ends.  Individual cell failures are recorded as rows with an error
-    message, not raised.  Kernel-ridge cells above n = 20000 are rejected up
-    front: their Gram factorizations do not fit a reasonable memory budget.
+    Cells run in groups of one (n, seed), which share their data, nuisances,
+    scores and true densities (see ``run_cell``); a group's shared parts are
+    dropped when it ends.  A cell that fails is a row with its error, not
+    raised.  Kernel-ridge cells above n = 20000 are rejected up front: their
+    Gram factorizations do not fit a reasonable memory budget.
     ``progress`` is called with each record as its cell finishes, or with
     threads > 1, as its group finishes.  With ``threads > 1`` each group is
     one task for a pool of min(threads, groups) worker processes, which split

@@ -121,7 +121,7 @@ _SETTINGS = {
     "epochs_nk1": st.integers(0, 10**6), "epochs_nk2": st.integers(0, 10**6),
     "grid_pad": st.floats(0.0, allow_infinity=False), "clip_lo": _floats(0.0, 0.5).filter(lambda lo: 1.0 / lo < float("inf")),
     "clip_hi": _floats(0.5, 1.0), "n": st.integers(4, 10**7),
-    "v_cols": st.none() | st.lists(st.integers(0, 30), min_size=1),
+    "v_cols": st.none() | st.lists(st.integers(0, 30), min_size=1, unique=True),
     "methods": st.lists(st.sampled_from(METHODS), min_size=1),
     "variants": st.lists(st.sampled_from(VARIANTS), min_size=1),
     "scenarios": st.lists(st.sampled_from("abc"), min_size=1),
@@ -152,7 +152,8 @@ _BOUNDS = [
     ("momentum", "1.5", "0"), ("momentum", "1", "0.999"),
     ("momentum", "-0.1", "0"), ("n-feats", "0", "1"), ("hidden", "20,0", "1"),
     ("grid-pad", "-1", "0"), ("grid-pad", "inf", "0"), ("grid-pad", "nan", "0"),
-    ("v-cols", "", "0"), ("threads", "0", "1"), ("n", "3", "4"),
+    ("v-cols", "", "0"), ("v-cols", "0,0,0", "0,1,2"), ("threads", "0", "1"),
+    ("n", "3", "4"),
 ]
 
 
@@ -282,7 +283,7 @@ class TestSimulate:
     def test_row_count_and_columns(self, tmp_path):
         out = str(tmp_path / "d.csv")
         assert main(["simulate", "--n", "50", "--seed", "1", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 51
         assert lines[0].split(",") == [f"x{i}" for i in range(1, 11)] + ["a", "y"]
         a_vals = {row.split(",")[10] for row in lines[1:]}
@@ -292,10 +293,10 @@ class TestSimulate:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["simulate", "--n", "40", "--seed", "9", "--out", p1])
         main(["simulate", "--n", "40", "--seed", "9", "--out", p2])
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
         # overwriting in place leaves the same bytes too
         main(["simulate", "--n", "40", "--seed", "9", "--out", p1])
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]   # no sidecar
 
 
@@ -305,7 +306,7 @@ class TestFit:
         code = main(["density", workdir["model"], "--v", "2.2,-0.2,2.2,-0.2,2.2",
                      "--out", out])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "v_id,y,density"
         assert len(lines) == 1 + 1000
 
@@ -350,6 +351,20 @@ class TestFit:
                          variant, "--model-out", str(tmp_path / "m.npz")]) == code
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and ("'oracle'" in err[0]) == (code == 4)
+
+    def test_each_warning_is_one_stderr_line(self, tmp_path, capsys):
+        """Both stages of a df fit on 6 training rows for 40 features warn,
+        each in one line of its own."""
+        data, model = str(tmp_path / "d.csv"), str(tmp_path / "m.npz")
+        assert main(["simulate", "--n", "60", "--seed", "1", "--out", data]) == 0
+        capsys.readouterr()
+        assert main(["fit", data, "--method", "df", "--n-feats", "40",
+                     "--epochs-df1", "5", "--epochs-df2", "5",
+                     "--model-out", model]) == 0
+        err = capsys.readouterr().err.splitlines()
+        warned = [ln for ln in err if ln.startswith("warning: ")]
+        assert len(warned) == 2 and len(err) == 3
+        assert all("training rows for 40 features" in ln for ln in warned)
 
     def test_vector_outcome_csv_rejected(self, tmp_path, capsys):
         rows = ["x1,x2,x3,x4,x5,x6,a,y1,y2"] + [
@@ -473,7 +488,7 @@ class TestDensity:
         out = str(tmp_path / "d.csv")
         assert main(["density", workdir["model"], "--v-file", str(vfile),
                      "--grid-points", "40", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 + 2 * 40
         ids = {ln.split(",")[0] for ln in lines[1:]}
         assert ids == {"0", "1"}
@@ -517,7 +532,7 @@ class TestDensity:
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
                      "--grid-lo", "10", "--grid-hi", "30",
                      "--grid-points", "1", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "10"
 
@@ -627,7 +642,7 @@ class TestSweepCommand:
                      "--test-points", "10", "--grid-points", "30",
                      "--out", out])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "method,variant,scenario,n,seed,mse,seconds,error"
         assert len(lines) == 3
         for row in lines[1:]:
@@ -699,7 +714,7 @@ class TestSweepCommand:
                      "--n-list", "30", "--seeds", "0", "--test-points", "5",
                      "--grid-points", "20", "--out", out])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 2 and ",pi," in lines[1]
 
     def test_filter_validation(self, tmp_path, capsys):
@@ -717,7 +732,7 @@ class TestSweepCommand:
                      "--test-points", "5", "--grid-points", "20",
                      "--out", out])
         assert code == 5
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 3
         assert all("Error" in row for row in lines[1:])
 
@@ -727,7 +742,7 @@ class TestSweepCommand:
                      "--test-points", "5", "--grid-points", "20",
                      "--threads", "2", "--out", out])
         assert code == 5
-        assert len(open(out).read().splitlines()) == 3
+        assert len(Path(out).read_text().splitlines()) == 3
 
 
 def write_sweep_csv(path, rows):
@@ -907,6 +922,8 @@ class TestExitCodes:
         "header-only-query-file": (3, ["density", "{model}", "--v-file", "{vhead}"]),
         "blank-query-file": (3, ["density", "{model}", "--v-file", "{vblank}"]),
         "csv-not-utf8": (3, ["fit", "{latin1}"]),
+        "header-names-x1-twice": (3, ["fit", "{twice}"]),
+        "archive-int8-points": (3, ["density", "{int8}", "--v", "1,1,1,1,1"]),
         "command-raises": (6, ["simulate"]),
     }
 
@@ -926,12 +943,20 @@ class TestExitCodes:
         (tmp_path / "vhead.csv").write_text("v1,v2,v3,v4,v5\n")
         (tmp_path / "vblank.csv").write_text("\n \n")
         (tmp_path / "latin1.csv").write_bytes(lines[0].encode() + b"\n\xff,1,2\n")
+        (tmp_path / "twice.csv").write_text(
+            "\n".join([lines[0].replace("x2,", "x1,", 1), *lines[1:]]) + "\n")
+        with np.load(workdir["model"]) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        np.savez(tmp_path / "int8.npz",
+                 **{**arrays, "points": arrays["points"].astype(np.int8)})
         paths = {"sim": workdir["sim"], "model": workdir["model"],
                  "nan": str(tmp_path / "nan.csv"),
                  "header": str(tmp_path / "header.csv"),
                  "vhead": str(tmp_path / "vhead.csv"),
                  "vblank": str(tmp_path / "vblank.csv"),
                  "latin1": str(tmp_path / "latin1.csv"),
+                 "twice": str(tmp_path / "twice.csv"),
+                 "int8": str(tmp_path / "int8.npz"),
                  "missing": str(tmp_path / "nope.csv")}
         code, argv = self.CASES[case]
         out = str(tmp_path / "out")
@@ -1153,4 +1178,4 @@ def run_console_simulate(tmp_path, env):
         ["ccme", "simulate", "--n", "10", "--seed", "1", "--out", out],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert len(open(out).read().splitlines()) == 11
+    assert len(Path(out).read_text().splitlines()) == 11

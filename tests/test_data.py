@@ -113,6 +113,12 @@ class TestSplit:
         with pytest.raises(InvalidArgumentError, match="x_cols"):
             split_data(ds, seed=0, x_cols=[-1])
 
+    @pytest.mark.parametrize("name", ["v_cols", "x_cols"])
+    def test_repeated_columns_rejected(self, name):
+        ds = make_dataset(10, seed=0, d_x=3)
+        with pytest.raises(InvalidArgumentError, match=f"{name} names a column twice"):
+            split_data(ds, seed=0, **{name: [0, 2, 0]})
+
     def test_accessors_select_columns(self):
         ds = make_dataset(12, seed=5, d_x=4)
         s = split_data(ds, seed=1, v_cols=[0, 2], x_cols=[1])
@@ -203,6 +209,10 @@ class TestCsv:
             load_dataset("x1,x2,a,y1,y2\n0.0,1.0,1,2.0,3.0\n")
         with pytest.raises(InvalidArgumentError, match="one scalar outcome"):
             load_dataset("x1,a,y1\n0.0,1,2.0\n")
+
+    def test_repeated_header_name_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="names a column twice"):
+            load_dataset("x1,x1,x3,a,y\n0.0,1.0,2.0,1,2.0\n")
 
     def test_empty_text_rejected(self):
         with pytest.raises(InvalidArgumentError):

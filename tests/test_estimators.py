@@ -491,6 +491,34 @@ class TestFitCcme:
         for one, other in zip(alone, together):
             assert np.array_equal(one.second.coef, other.second.coef)
 
+    def test_stage_twos_share_their_parts_through_one_dict(self, monkeypatch):
+        """Without fit_ccme: the first stage is read at D1 once, and rr's
+        stage-two factor is built once, for dr, ipw and pi alike."""
+        split = make_split(n=30, seed=9)
+        first, omega = fit_first_stage(split, "rr", Hyper()), np.full(split.n, 1.5)
+        alone = [fit_second_stage(split, "rr", v, first, omega, Hyper())
+                 for v in ("dr", "ipw", "pi")]
+        reads, factors = [], []
+        embedding, factor = estimators.KernelHead.embedding, estimators.KernelHead.factor
+
+        def embedding_spy(head, x):
+            reads.append(head)
+            return embedding(head, x)
+
+        def factor_spy(inputs, hyper, stage):
+            factors.append(stage)
+            return factor(inputs, hyper, stage)
+
+        monkeypatch.setattr(estimators.KernelHead, "embedding", embedding_spy)
+        monkeypatch.setattr(estimators.KernelHead, "factor", factor_spy)
+        shared = {}
+        together = [fit_second_stage(split, "rr", v, first, omega, Hyper(), shared=shared)
+                    for v in ("dr", "ipw", "pi")]
+        assert [r is first.head for r in reads] == [True]
+        assert factors == [1]
+        for one, other in zip(alone, together):
+            assert np.array_equal(one.second.coef, other.second.coef)
+
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     def test_a_stage_two_needs_what_its_variant_reads(self):
         split = make_split(n=30, seed=10)

@@ -220,6 +220,26 @@ class TestSchemaChecks:
         with pytest.raises(InvalidArgumentError, match="cannot read model"):
             load_model(write_arrays(arrays, tmp_path / "rank.npz"))
 
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("method", ["rr", "df", "nk"])
+    def test_arrays_of_another_dtype_rejected(self, method, tmp_path, tiny_hyper):
+        """Each array must have the dtype save_model writes: a string kind,
+        int64 net sizes and float64 elsewhere."""
+        h = Hyper() if method == "rr" else tiny_hyper
+        model, _ = fit_model(method, hyper=h)
+        arrays = saved_arrays(model, tmp_path)
+        keys = sorted(arrays.keys() - {"__meta__"})
+        for key in keys:
+            others = [np.array(method.encode())] if key == "kind" else [
+                arrays[key].astype(dtype) for dtype in
+                (np.float64, np.float32, np.int64, np.int8, np.bool_)
+                if dtype != arrays[key].dtype]
+            for other in others:
+                path = write_arrays({**arrays, key: other}, tmp_path / "dtype.npz")
+                with pytest.raises(InvalidArgumentError,
+                                   match=f"{re.escape(key)} has dtype {other.dtype}"):
+                    load_model(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad, tmp_path):
         model, _ = fit_model("rr")

@@ -348,14 +348,19 @@ class TestSweepGroups:
                            [30], [1, 2])
         records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20)
         assert all(r.error == "" for r in records)
+        # a fit per method, variant and the nuisances that variant reads:
+        # dr a, b, c; ipw forest (a, c), logistic (b); pi all x (a, b), no
+        # x6 (c); onestep one
         per_group = {"generate": 1, "fit_propensity": 2,        # forest, logistic
                      "fit_first_stage": 2,                      # all x, no x6
-                     "fit_second_stage": 3 * 3 + 1,
+                     "fit_second_stage": 3 + 2 + 2 + 1,
                      "SpdFactor": 2 + 1 + 1}       # first stages, stage two, onestep
         assert {name: calls.count(name) for name in per_group} == {
             name: 2 * count for name, count in per_group.items()}
-        onestep = [r.mse for r in records if r.variant == "onestep"]
-        assert len(onestep) == 6 and len(set(onestep)) == 2
+        for variant, scenarios in (("pi", "ab"), ("ipw", "ac"), ("onestep", "abc")):
+            for seed in (1, 2):
+                assert len({r.mse for r in records if r.variant == variant
+                            and r.seed == seed and r.scenario in scenarios}) == 1
 
     def test_the_truth_is_evaluated_once_per_group(self, monkeypatch, tiny_hyper):
         calls = []
