@@ -28,14 +28,11 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-__all__ = ["thread_counts", "set_threads", "single_thread", "wide", "refresh"]
+__all__ = ["set_threads", "single_thread", "wide", "refresh"]
 
 # Extension modules whose shared objects link numpy's and scipy's copies;
-# numpy.linalg._umath_linalg has that name in numpy 1.x and 2.x alike, and
-# scipy.special, which loads scipy's copy without scipy.linalg, links it
-# through _ufuncs.
-_LINKERS = ("numpy.linalg._umath_linalg", "scipy.linalg._fblas",
-            "scipy.special._ufuncs")
+# numpy.linalg._umath_linalg has that name in numpy 1.x and 2.x alike.
+_LINKERS = ("numpy.linalg._umath_linalg", "scipy.linalg._fblas")
 _PREFIXES = ("scipy_openblas_", "openblas_")
 _SUFFIXES = ("64_", "")
 
@@ -110,11 +107,6 @@ def refresh() -> None:
     """Take in the copies loaded since the last call into this module; the
     library calls it right after each import of scipy."""
     _copies()
-
-
-def thread_counts() -> list[int]:
-    """Current thread count of each loaded copy; empty without OpenBLAS."""
-    return [int(get()) for _, get, _ in _copies()]
 
 
 def _put_all(n: int) -> None:

@@ -206,6 +206,9 @@ def _agree(arrays, shapes: dict[str, tuple[int, ...]]) -> None:
 
 def _net_from(arrays) -> MlpParams:
     sizes = tuple(int(s) for s in arrays["net.sizes"])
+    if len(sizes) < 2:
+        raise InvalidArgumentError(
+            f"net.sizes holds {len(sizes)} layer sizes, a net needs at least 2")
     layers = range(len(sizes) - 1)
     for i in layers:
         _agree(arrays, {f"net.w{i}": (sizes[i + 1], sizes[i]),

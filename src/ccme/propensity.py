@@ -14,38 +14,33 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import blas
 from .errors import ConfigError, DegenerateDataError, InvalidArgumentError
 
-__all__ = ["Logistic", "Forest", "Tree", "fit_logistic", "fit_forest",
-           "fit_propensity"]
+__all__ = ["Logistic", "Forest", "Tree", "logistic", "fit_logistic",
+           "fit_forest", "fit_propensity"]
 
 
-@functools.cache
-def _expit():
-    """scipy's expit, imported at the first logistic fit or evaluation, so
-    that importing the package loads no scipy; the import loads scipy's
-    OpenBLAS copy, which ``blas.refresh`` puts under an open pin."""
-    from scipy.special import expit
-    blas.refresh()
-    return expit
+def logistic(z: NDArray[np.float64]) -> NDArray[np.float64]:
+    """1 / (1 + exp(-z)), within 1e-15 relative of scipy's expit and equal
+    to it at ±0, ±inf, NaN and where exp(-z) overflows to give 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass
 class Logistic:
-    """A fitted logistic regression: P(A = 1 | x) = expit(x' coef + intercept)."""
+    """A fitted logistic regression: P(A = 1 | x) = logistic(x' coef + intercept)."""
 
     coef: NDArray[np.float64]
     intercept: float
 
     def __call__(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        return _expit()(X @ self.coef + self.intercept)
+        return logistic(X @ self.coef + self.intercept)
 
 
 @dataclass
@@ -118,9 +113,8 @@ def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
         raise DegenerateDataError("logistic regression needs both classes present")
     coef = np.zeros(X.shape[1])
     intercept = 0.0
-    expit = _expit()
     for _ in range(int(epochs)):
-        gw, gb = _logistic_grad(expit(X @ coef + intercept), X, A)
+        gw, gb = _logistic_grad(logistic(X @ coef + intercept), X, A)
         coef = coef - lr * gw
         intercept = intercept - lr * gb
     return Logistic(coef, intercept)

@@ -39,6 +39,7 @@ from .density import density_matrix
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import (METHODS, READS, VARIANTS, Hyper, _all_outcomes,
                          _shared_part, fit_ccme, make_grid)
+from .propensity import logistic
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
@@ -67,10 +68,6 @@ def check_scenario(scenario: str) -> str:
     return scenario
 
 
-def _logistic(z: NDArray[np.float64]) -> NDArray[np.float64]:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def true_propensity(X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Treatment probability: 0.9 inside the (x1, x6) box, 0.1 outside."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -91,7 +88,7 @@ def generate(cfg: Hyper) -> tuple[Dataset, dict[str, NDArray[np.float64]]]:
     X = rng.normal(1.0, 1.0, size=(cfg.n, N_COV))
     pi = true_propensity(X)
     A = (rng.random(cfg.n) < pi).astype(np.float64)
-    branch = (rng.random(cfg.n) < _logistic(0.5 * X[:, 0])).astype(np.float64)
+    branch = (rng.random(cfg.n) < logistic(0.5 * X[:, 0])).astype(np.float64)
     sd = _noise_sd(X)
     y_treated = (BASE_TREATED + X @ (BETA + GAMMA) + SHIFT * branch
                  + rng.normal(0.0, 1.0, cfg.n) * sd)
@@ -118,7 +115,7 @@ class GroundTruth:
 
     def mix_p(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         v = np.atleast_2d(v)
-        return _logistic(0.5 * v[:, 0])
+        return logistic(0.5 * v[:, 0])
 
     def branch_mean(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """Mean of the lower branch; the upper branch sits SHIFT above it."""

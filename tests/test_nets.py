@@ -399,7 +399,7 @@ class TestBlasPin:
 @pytest.mark.usefixtures("without_posix_calls")
 def test_trains_where_openblas_cannot_be_looked_up():
     """Without os.RTLD_NOLOAD no copy is found, and training runs unpinned."""
-    assert blas.thread_counts() == []
+    assert blas._copies() == ()
     params, batch, loss_and_grad, _ = quadratic_problem()
     _, first = train_mlp(params, batch, loss_and_grad, epochs=1, lr=0.05,
                          momentum=0.9)

@@ -1,6 +1,6 @@
 """The package's exports: every name in an ``__all__`` resolves, the
-library imports nothing from the benchmark, only commands that fit load
-scipy, and the README's library example runs."""
+library imports nothing from the benchmark, only fits that factor or take
+large Grams load scipy, and the README's library example runs."""
 
 import ast
 import contextlib
@@ -42,11 +42,10 @@ LIBRARY = ["estimators", "config", "data", "propensity", "density", "serialize",
            "kernels", "nets", "blas"]
 
 
-@pytest.mark.parametrize("name", LIBRARY)
-def test_the_library_imports_nothing_from_the_benchmark(name):
-    """Read from source, at module level and inside functions alike: the
-    package's ``__init__`` imports synthbench, so importing a module and
-    inspecting ``sys.modules`` would show nothing."""
+def every_import(name: str) -> list[str]:
+    """What module ``name`` imports, read from source, at module level and
+    inside functions alike: each ``import m`` as m, each ``from m import x``
+    as m.x."""
     path = Path(ccme.__file__).with_name(f"{name}.py")
     imported = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -54,7 +53,21 @@ def test_the_library_imports_nothing_from_the_benchmark(name):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
-    assert [m for m in imported if "synthbench" in m.split(".")] == []
+    return imported
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_the_library_imports_nothing_from_the_benchmark(name):
+    """Read from source: the package's ``__init__`` imports synthbench, so
+    importing a module and inspecting ``sys.modules`` would show nothing."""
+    assert [m for m in every_import(name) if "synthbench" in m.split(".")] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_scipy_special(name):
+    """The logistic is numpy's (``propensity.logistic``): scipy loads only
+    for LAPACK and large Grams."""
+    assert [m for m in every_import(name) if m.split(".")[:2] == ["scipy", "special"]] == []
 
 
 def module_level_imports(tree: ast.AST) -> list[str]:
@@ -101,10 +114,13 @@ def cli_inputs(tmp_path_factory):
     (["report", "sweep.csv"], False),
     (["--print-config"], False),
     (["fit", "sim.csv", "--model-out", "refit.npz"], True),
+    (["fit", "sim.csv", "--method", "nk", "--propensity", "logistic", "--epochs-nk1",
+      "5", "--epochs-nk2", "5", "--model-out", "nk.npz"], False),
 ])
 def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
     """Each command in a fresh interpreter, where nothing else has loaded
-    scipy: a fit must load it, so the lazy imports are reached."""
+    scipy: an rr fit must load it, so the lazy imports are reached, and an
+    nk fit, whose Grams are small and which factors nothing, must not."""
     src = str(Path(ccme.__file__).resolve().parent.parent)
     script = ("import sys\n"
               "from ccme.cli import main\n"

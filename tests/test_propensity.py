@@ -1,6 +1,8 @@
 """Propensity models: logistic regression, random forest, the benchmark's
 oracle, each a callable from covariate rows to raw probabilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from ccme.data import Dataset, compute_omega
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
 from ccme.propensity import (Forest, Logistic, _logistic_grad, fit_forest,
-                             fit_logistic, fit_propensity)
+                             fit_logistic, fit_propensity, logistic)
 from ccme.synthbench import generate, true_propensity
 from oracles import oracle_forest
 
@@ -25,7 +27,32 @@ def interaction_dgp(n, seed):
     return X, A, pi
 
 
+def assert_close_to_expit(z):
+    """logistic(z) within 1e-15 relative of scipy's expit, exactly equal
+    where expit gives 0, 1 or NaN, and computed without a warning."""
+    z = np.asarray(z, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic(z)
+    want = expit(z)
+    exact = (want == 0.0) | (want == 1.0) | np.isnan(want)
+    assert np.array_equal(got[exact], want[exact], equal_nan=True)
+    assert np.all(np.abs(got - want)[~exact] <= 1e-15 * want[~exact])
+
+
 class TestLogistic:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=64))
+    def test_logistic_matches_scipys_expit(self, z):
+        assert_close_to_expit(z)
+
+    def test_logistic_at_zeros_infinities_nan_and_the_overflow_ends(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0,
+                      745.0, -745.0, -746.0])
+        assert_close_to_expit(z)
+        special = z[:5]
+        assert np.array_equal(logistic(special), expit(special), equal_nan=True)
+
     def test_labels_independent_of_features(self):
         # every covariate row appears once with each label, so the sample is
         # exactly balanced and the base rate is the unique optimum
@@ -62,7 +89,7 @@ class TestLogistic:
         X, A, _ = interaction_dgp(300, 4)
         coef, intercept = np.zeros(10), 0.0
         for _ in range(50):
-            gw, gb = _logistic_grad(expit(X @ coef + intercept), X, A)
+            gw, gb = _logistic_grad(logistic(X @ coef + intercept), X, A)
             coef, intercept = coef - 0.1 * gw, intercept - 0.1 * gb
         fitted = fit_logistic(X, A, epochs=50)
         assert fitted.coef.tobytes() == coef.tobytes()

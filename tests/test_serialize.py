@@ -221,6 +221,18 @@ class TestSchemaChecks:
             load_model(write_arrays(arrays, tmp_path / "rank.npz"))
 
     @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("method", ["df", "nk"])
+    @pytest.mark.parametrize("sizes", [[], [5]])
+    def test_nets_with_fewer_than_two_layer_sizes_rejected(self, method, sizes,
+                                                          tmp_path, tiny_hyper):
+        model, _ = fit_model(method, hyper=tiny_hyper)
+        arrays = {k: v for k, v in saved_arrays(model, tmp_path).items()
+                  if not re.fullmatch(r"net\.[wb]\d+", k)}
+        arrays["net.sizes"] = np.array(sizes, dtype=np.int64)
+        with pytest.raises(InvalidArgumentError, match="at least 2"):
+            load_model(write_arrays(arrays, tmp_path / "sizes.npz"))
+
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
     def test_arrays_of_another_dtype_rejected(self, method, tmp_path, tiny_hyper):
         """Each array must have the dtype save_model writes: a string kind,
