@@ -220,35 +220,37 @@ def cmd_sweep(cfg: Hyper, args: argparse.Namespace) -> int:
 
 
 def _read_sweep_csv(path: str) -> tuple[list[SweepRecord], int]:
-    """The successful records of a sweep CSV, and the count of failed ones."""
+    """The successful records of a sweep CSV, and the count of failed ones.
+    The header and every field are read stripped; blank rows are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                [c.strip() for c in reader.fieldnames] != _SWEEP_COLUMNS:
-            raise InvalidArgumentError(
-                f"{path} lacks the sweep header {','.join(_SWEEP_COLUMNS)}")
-        records, skipped = [], 0
-        for lineno, raw in enumerate(reader, start=2):
-            if None in raw or None in raw.values():    # extra or missing fields
-                raise InvalidArgumentError(f"{path}:{lineno}: wrong field count")
-            try:
-                rec = SweepRecord(*(_SCALAR[f.type](raw[f.name])
-                                    for f in _SWEEP_FIELDS))
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: {exc}")
-            if rec.error != "" or not np.isfinite(rec.mse):
-                skipped += 1
-                continue
-            records.append(rec)
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, [text.strip() for text in row])
+                for row in reader if row]
+    if not rows or rows[0][1] != _SWEEP_COLUMNS:
+        raise InvalidArgumentError(
+            f"{path} lacks the sweep header {','.join(_SWEEP_COLUMNS)}")
+    records, skipped = [], 0
+    for lineno, row in rows[1:]:
+        if len(row) != len(_SWEEP_FIELDS):
+            raise InvalidArgumentError(f"{path}:{lineno}: wrong field count")
+        try:
+            rec = SweepRecord(*(_SCALAR[f.type](text)
+                                for f, text in zip(_SWEEP_FIELDS, row)))
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{path}:{lineno}: {exc}")
+        if rec.error != "" or not np.isfinite(rec.mse):
+            skipped += 1
+            continue
+        records.append(rec)
     return records, skipped
 
 
 def cmd_report(cfg: Hyper, args: argparse.Namespace) -> int:
     records, skipped = _read_sweep_csv(args.results)
+    if not records:
+        raise DegenerateDataError(f"no successful rows to report ({skipped} failed)")
     if skipped:
         _status(f"excluded {skipped} failed rows")
-    if not records:
-        raise DegenerateDataError("no successful rows to report")
     groups: dict[tuple, list[float]] = {}
     for r in records:
         groups.setdefault((r.method, r.variant, r.scenario, r.n), []).append(r.mse)

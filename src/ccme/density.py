@@ -49,22 +49,11 @@ def _as_grid(y_grid: NDArray[np.float64], d_y: int) -> NDArray[np.float64]:
     return y
 
 
-def _on_grid(model: CcmeModel, weights: NDArray[np.float64],
-             y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The densities w' u(y) of the embeddings whose weights are the columns
-    of ``weights``, at every grid value; shape (T, G)."""
-    basis = model.second.basis
-    u = basis.coords(gram(model.kernel_y, basis.grid,
-                          _as_grid(y_grid, basis.grid.shape[1])))
-    return weights.T @ u
-
-
 def density_matrix(model: CcmeModel, v: NDArray[np.float64],
                    y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Density estimates for every (query, grid value) pair, shape (T, G)."""
-    vq = _as_queries(model, v)
-    with single_thread():
-        return _on_grid(model, model.second.embedding(vq)[0], y_grid)
+    """Density estimates for every (query, grid value) pair, shape (T, G):
+    ``density_curves``' values."""
+    return density_curves(model, v, y_grid)[0]
 
 
 def density_mass(model: CcmeModel, v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -86,9 +75,12 @@ def density_curves(model: CcmeModel, v: NDArray[np.float64], y_grid: NDArray[np.
     """The (T, G) density matrix on a shared outcome grid, never clipped, and
     the (T,) analytic masses."""
     vq = _as_queries(model, v)
+    basis = model.second.basis
     with single_thread():
         weights, masses = model.second.embedding(vq)
-        return _on_grid(model, weights, y_grid), masses
+        u = basis.coords(gram(model.kernel_y, basis.grid,
+                              _as_grid(y_grid, basis.grid.shape[1])))
+        return weights.T @ u, masses
 
 
 def curves_to_csv(y_grid: NDArray[np.float64], values: NDArray[np.float64]) -> str:

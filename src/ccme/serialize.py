@@ -8,8 +8,9 @@ bandwidth), its map to basis weights and its outcome basis, whose grid has
 no more points than the data have distinct outcomes.  Every array
 round-trips bit-exactly.  Loading checks that each array has the dtype
 ``save_model`` writes, that the arrays agree with each other and with the
-meta, and that every value is finite.  Writes go through a temp file and an
-atomic rename.
+meta, and that every value is finite but a net head's ``final_loss``, which is
+NaN when no epoch was trained.  Writes go through a temp file and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def _read_model(path: str) -> CcmeModel:
         if value.dtype.type is not wanted:
             raise InvalidArgumentError(f"{path}: {key} has dtype {value.dtype}, "
                                        f"expected {np.dtype(wanted).name}")
-        if wanted is np.float64 and not np.isfinite(value).all():
-            raise InvalidArgumentError(f"{path}: {key} holds NaN or inf values")
+        if wanted is np.float64:    # finite, but a NaN final_loss: no epoch trained
+            if not (np.isfinite(value) | (key == "final_loss") & np.isnan(value)).all():
+                raise InvalidArgumentError(f"{path}: {key} holds NaN or inf values")
     second = head_from_arrays(arrays)
     try:
         bandwidth_y = meta["bandwidth_y"]

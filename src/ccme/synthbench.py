@@ -35,10 +35,9 @@ from numpy.typing import NDArray
 
 from . import blas
 from .data import Dataset, split_data
-from .density import density_matrix
+from .density import default_grid, density_matrix
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import (METHODS, READS, VARIANTS, Hyper, _all_outcomes,
-                         _shared_part, fit_ccme, make_grid)
+from .estimators import METHODS, READS, VARIANTS, Hyper, _shared_part, fit_ccme
 from .propensity import logistic
 
 __all__ = [
@@ -237,8 +236,8 @@ def _fit_and_score(cell: SweepCell, propensity: str, x_cols: list[int] | None,
         shared=shared, pi_hat=true_propensity if propensity == "oracle" else None)
 
     def truth_on_grid() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        # the outcomes' range padded by 2, and the true densities on it
-        grid = make_grid(_all_outcomes(split), grid_points, 2.0).ravel()
+        # the split's outcome range, which every fit records, padded by 2
+        grid = default_grid(model, grid_points, 2.0)
         return grid, GroundTruth().density_matrix(test_v, grid)
 
     grid, truth = _shared_part(shared, ("truth",), truth_on_grid)

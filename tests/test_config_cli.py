@@ -423,6 +423,20 @@ class TestFit:
         assert vals.shape == (50, 3)
         assert np.isfinite(vals[:, 2]).all()
 
+    @pytest.mark.parametrize("method", ["df", "nk"])
+    def test_a_stage_two_of_zero_epochs_fits_and_loads(self, method, tmp_path):
+        """0 epochs trains nothing: the archive stores final_loss NaN, and
+        ccme density reads it."""
+        sim, model = str(tmp_path / "d.csv"), str(tmp_path / "m.npz")
+        out = str(tmp_path / "dens.csv")
+        assert main(["simulate", "--n", "200", "--seed", "1", "--out", sim]) == 0
+        assert main(["fit", sim, "--method", method, f"--epochs-{method}1", "5",
+                     f"--epochs-{method}2", "0", "--model-out", model]) == 0
+        assert main(["density", model, "--v", "1,1,1,1,1", "--grid-points", "50",
+                     "--out", out]) == 0
+        vals = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert vals.shape == (50, 3) and np.isfinite(vals).all()
+
     def test_pi_fits_no_propensity(self, workdir, tmp_path, monkeypatch):
         from ccme import propensity
 
@@ -823,10 +837,36 @@ class TestReport:
             "rr,pi,c,100,1,0.29999999999999999\n"
             "rr,pi,c,200,1,0.28999999999999998\n")
 
-    def test_no_successful_rows(self, tmp_path):
+    def test_no_successful_rows(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, ["rr,dr,a,100,0,nan,0.1,ValueError: x"])
+        capsys.readouterr()
         assert main(["report", str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["degenerate data or configuration: "
+                       "no successful rows to report (1 failed)"]
+
+    def test_padded_fields_read_as_unpadded(self, tmp_path, capsys):
+        """Spaces around a header name or a field, and blank rows, change
+        nothing: each field is read stripped, as dataset headers are."""
+        rows = ["rr,dr,a,100,0,0.5,0.1,", "rr,dr,a,200,0,0.2,0.1,",
+                "rr,dr,a,400,0,0.125,0.2,", "rr,pi,c,100,0,0.3,0.1,",
+                "rr,dr,a,400,1,nan,0.1,NumericError: blew up"]
+        plain, header, every = (tmp_path / f"{name}.csv"
+                                for name in ("plain", "header", "every"))
+        write_sweep_csv(plain, rows)
+        text = plain.read_text()
+        first, rest = text.split("\n", 1)
+        header.write_text(first.replace(",", ", ") + "\n" + rest)
+        every.write_text("\n" + text.replace(",", " , ").replace("\n", " \n\n"))
+        outputs = []
+        for path in (plain, header, every):
+            capsys.readouterr()
+            assert main(["report", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out.count("\n") == 8           # 4 groups, 1 slope
+        assert outputs[0].err == "excluded 1 failed rows\n"
+        assert all(o == outputs[0] for o in outputs[1:])
 
     def test_header_and_row_validation(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ccme.cli import main
 from ccme.density import default_grid, density_curves, density_matrix
 from ccme.errors import InvalidArgumentError
 from ccme.estimators import Hyper, fit_ccme
@@ -81,6 +82,22 @@ class TestRoundTrip:
         assert_same_heads(back, model)
         vq = split.v1[:2]
         grid = default_grid(model, 25)
+        assert np.array_equal(density_matrix(model, vq, grid),
+                              density_matrix(back, vq, grid))
+
+    @pytest.mark.parametrize("method", ["df", "nk"])
+    def test_a_head_that_trained_no_epoch_round_trips(self, method, tmp_path,
+                                                      tiny_hyper):
+        """A stage two of 0 epochs stores final_loss NaN, and the archive
+        loads bit for bit."""
+        model, split = fit_model(method, hyper=replace(tiny_hyper, epochs_df2=0,
+                                                       epochs_nk2=0))
+        assert np.isnan(model.second.final_loss)
+        path = str(tmp_path / "m.npz")
+        save_model(model, path)
+        back = load_model(path)
+        assert_same_heads(back, model)
+        vq, grid = split.v1[:2], default_grid(model, 25)
         assert np.array_equal(density_matrix(model, vq, grid),
                               density_matrix(back, vq, grid))
 
@@ -260,6 +277,22 @@ class TestSchemaChecks:
         arrays["coef"][1, 2] = bad
         with pytest.raises(InvalidArgumentError, match="NaN or inf"):
             load_model(write_arrays(arrays, tmp_path / "nan.npz"))
+
+    @pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_an_infinite_final_loss_is_rejected(self, bad, tmp_path, tiny_hyper,
+                                                capsys):
+        """final_loss may be NaN (no epoch trained), never inf: ccme density
+        exits 3 with one line."""
+        model, _ = fit_model("df", hyper=tiny_hyper)
+        arrays = saved_arrays(model, tmp_path)
+        arrays["final_loss"] = np.array(bad)
+        path = write_arrays(arrays, tmp_path / "inf.npz")
+        capsys.readouterr()
+        assert main(["density", path, "--v", "0,0,0",
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        assert capsys.readouterr().err == (
+            f"parse failure: {path}: final_loss holds NaN or inf values\n")
 
     def test_unreadable_files_rejected_naming_the_path(self, tmp_path):
         """A file that is no archive, and an archive without one of the

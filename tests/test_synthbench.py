@@ -230,6 +230,33 @@ class TestSweep:
         assert r1.mse == r2.mse
         assert np.isfinite(r1.mse) and r1.mse > 0
 
+    @pytest.mark.parametrize("variant", ["dr", "onestep"])
+    def test_a_cell_scores_on_its_outcomes_padded_by_two(self, monkeypatch,
+                                                         variant):
+        """The scoring grid spans every outcome of the cell's split, D0's and
+        D1's, padded by 2, whatever rows the variant regresses on."""
+        splits, grids = [], []
+        real_split, real_truth = synthbench.split_data, GroundTruth.density_matrix
+
+        def split_spy(*args, **kwargs):
+            splits.append(real_split(*args, **kwargs))
+            return splits[-1]
+
+        def truth_spy(self, v, y):
+            grids.append(y)
+            return real_truth(self, v, y)
+
+        monkeypatch.setattr(synthbench, "split_data", split_spy)
+        monkeypatch.setattr(GroundTruth, "density_matrix", truth_spy)
+        rec = run_cell(SweepCell("rr", variant, "a", 30, 4), Hyper(),
+                       eval_points(5), grid_points=37)
+        assert rec.error == ""
+        (split,), (grid,) = splits, grids
+        outcomes = np.concatenate([split.d0.Y, split.d1.Y])
+        want = estimators.make_grid(outcomes, 37, 2.0).ravel()
+        assert grid.dtype == want.dtype and grid.shape == want.shape
+        assert grid.tobytes() == want.tobytes()
+
     def test_onestep_cell_needs_no_propensity(self):
         rec = run_cell(SweepCell("rr", "onestep", "a", 30, 2),
                        Hyper(), eval_points(5), grid_points=30)
