@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -316,6 +315,9 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
             progress(rec)
 
     if threads > 1 and groups:
+        # Imported here: multiprocessing takes about 20 ms to load, and
+        # single-process runs and the CLI's other commands never use it.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         workers = min(threads, len(groups))
         with ProcessPoolExecutor(max_workers=workers, initializer=blas.set_threads,
                                  initargs=(max(1, _usable_cores() // workers),)) as pool:

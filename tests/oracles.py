@@ -87,7 +87,9 @@ def logistic_loss(coef, intercept, X, A):
 
 
 def _gini_best_split(x, y):
-    """Best midpoint threshold for one feature, or None if x is constant.
+    """Best threshold for one feature, or None if x is constant: the midpoint
+    of the boundary's two values, or the upper one where the midpoint is not
+    above the lower one and at most the upper.
 
     Returns (weighted child impurity, threshold); candidate positions are the
     boundaries between distinct consecutive sorted values.
@@ -110,7 +112,14 @@ def _gini_best_split(x, y):
     w = (nl * gl + nr * gr) / k
     w[~distinct] = np.inf
     j = int(np.argmin(w))
-    return float(w[j]), float(0.5 * (xs[j] + xs[j + 1]))
+    lo, hi = xs[j], xs[j + 1]
+    with np.errstate(over="ignore"):
+        thr = 0.5 * (lo + hi)
+    # A midpoint that rounds onto the lower value, or overflows, would send
+    # both sides one way: the upper value separates them.
+    if not lo < thr <= hi:
+        thr = hi
+    return float(w[j]), float(thr)
 
 
 def _oracle_tree(X, A, max_depth):

@@ -108,6 +108,23 @@ def cli_inputs(tmp_path_factory):
     return root
 
 
+# Whether a process pool is loaded: run_sweep imports one where it starts it.
+LOADS_POOL = ("any(m.split('.')[0] == 'multiprocessing' "
+              "or m == 'concurrent.futures.process' for m in sys.modules)")
+
+
+def run_fresh(script: str, *argv: str, cwd=None) -> list[str]:
+    """The stdout lines of ``script`` run in a fresh interpreter that imports
+    this package, with ``argv`` as its arguments."""
+    src = str(Path(ccme.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize("argv,loads_scipy", [
     (["simulate", "--n", "50", "--out", "new.csv"], False),
     (["density", "model.npz", "--v", "0.1,0.2,0.3,0.4,0.5", "--out", "d.csv"], False),
@@ -120,17 +137,20 @@ def cli_inputs(tmp_path_factory):
 def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
     """Each command in a fresh interpreter, where nothing else has loaded
     scipy: an rr fit must load it, so the lazy imports are reached, and an
-    nk fit, whose Grams are small and which factors nothing, must not."""
-    src = str(Path(ccme.__file__).resolve().parent.parent)
+    nk fit, whose Grams are small and which factors nothing, must not.  No
+    command but a sweep on several processes loads a process pool."""
     script = ("import sys\n"
               "from ccme.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cli_inputs,
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1:] == [f"0 {loads_scipy}"], proc.stderr
+              "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+              f"{LOADS_POOL})\n")
+    assert run_fresh(script, *argv, cwd=cli_inputs)[-1:] == [f"0 {loads_scipy} False"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """multiprocessing takes about 20 ms to import, which every command
+    would pay at start."""
+    assert run_fresh(f"import sys, ccme.cli\nprint({LOADS_POOL})") == ["False"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Propensity models: logistic regression, random forest, the benchmark's
 oracle, each a callable from covariate rows to raw probabilities."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ from scipy.special import expit
 from ccme.data import Dataset, compute_omega
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
-from ccme.propensity import (Forest, Logistic, _logistic_grad, fit_forest,
-                             fit_logistic, fit_propensity, logistic)
+from ccme.propensity import (Forest, Logistic, _batch_trees, _logistic_grad,
+                             fit_forest, fit_logistic, fit_propensity, logistic)
 from ccme.synthbench import generate, true_propensity
 from oracles import oracle_forest
 
@@ -174,6 +175,40 @@ class TestForest:
         with pytest.raises(InvalidArgumentError):
             fit_forest(np.zeros((20, 0)), np.zeros(20))
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, np.nextafter(1.0, 2.0)),
+                                        (1e308, 1.5e308), (-1.5e308, -1e308)])
+    def test_a_threshold_separates_values_whose_midpoint_does_not(self, lo, hi):
+        """Where 0.5 (lo + hi) rounds onto lo or overflows, the upper value is
+        the threshold: each class gets its own leaf, without a warning."""
+        X = np.repeat([lo, hi], 20)[:, None]
+        A = np.repeat([0.0, 1.0], 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_forest(X, A, n_trees=3)
+            got = model(np.array([[lo], [hi], [np.nextafter(lo, -np.inf)]]))
+        assert np.array_equal(got, [0.0, 1.0, 0.0])
+        assert all(t.threshold[0] == hi for t in model.trees)
+        assert_same_trees(model.trees, oracle_forest(X, A, n_trees=3))
+
+    def test_peak_allocation_is_bounded(self):
+        """At most twice what the node-at-a-time grower allocated at its
+        peak on these fits (1.28 MB at n = 500, 10.3 MB at n = 5000), traced
+        by tracemalloc."""
+        for n, before in ((500, 1.28e6), (5000, 10.3e6)):
+            data, _ = generate(Hyper(n=n, seed=20261017))
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fit_forest(data.X, data.A, seed=3)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak <= 2 * before, (n, peak)
+
     def test_no_trees_rejected(self):
         # an empty forest's prediction would be the mean of nothing: NaN
         X, A, _ = interaction_dgp(40, seed=1)
@@ -187,6 +222,13 @@ def assert_same_trees(got, want):
         for name in ("feature", "threshold", "left", "right", "prob"):
             a, b = getattr(g, name), getattr(w, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]),
+                   tree_depth(tree, tree.right[node]))
 
 
 @st.composite
@@ -223,6 +265,28 @@ class TestForestMatchesOracle:
         X, A = problem
         model = fit_forest(X, A, n_trees=n_trees, max_depth=max_depth, seed=seed)
         assert_same_trees(model.trees, oracle_forest(X, A, n_trees, max_depth, seed))
+
+    def test_a_rare_class_across_batches(self):
+        """A tree whose draw missed the three positive rows is a single leaf,
+        grown in one batch with trees that split to full depth."""
+        X = np.random.default_rng(5).normal(size=(2000, 3))
+        A = np.zeros(2000)
+        A[[17, 400, 1234]] = 1.0
+        step = _batch_trees(*X.shape)
+        n_trees = 3 * step
+        model = fit_forest(X, A, n_trees=n_trees, seed=5)
+        assert_same_trees(model.trees, oracle_forest(X, A, n_trees, 4, 5))
+        depths = [tree_depth(t) for t in model.trees]
+        assert any({0, 4} <= set(depths[i:i + step]) for i in range(0, n_trees, step))
+
+    @pytest.mark.parametrize("max_depth", [0, 1])
+    def test_shallow_trees_across_batches(self, max_depth):
+        X, A, _ = interaction_dgp(2000, seed=6)
+        X[:, :3] = np.round(X[:, :3], 1)            # ties on three features
+        n_trees = 2 * _batch_trees(*X.shape) + 1
+        model = fit_forest(X, A, n_trees=n_trees, max_depth=max_depth, seed=8)
+        assert_same_trees(model.trees, oracle_forest(X, A, n_trees, max_depth, 8))
+        assert {tree_depth(t) for t in model.trees} == {max_depth}
 
     def test_benchmark_generator(self):
         data, _ = generate(Hyper(n=2000, seed=20261017))

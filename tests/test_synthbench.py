@@ -1,5 +1,6 @@
 """Synthetic generator, analytic ground truth, MSE scoring, and sweeps."""
 
+import concurrent.futures
 import os
 from dataclasses import fields
 
@@ -454,12 +455,13 @@ class TestSweepGroups:
                                                        seeds, workers):
         pools = []
 
-        class Pool(synthbench.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 pools.append((max_workers, kwargs["initargs"]))
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(synthbench, "ProcessPoolExecutor", Pool)
+        # run_sweep imports the pool where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count())
         cells = [SweepCell("rr", v, "a", 2, s) for v in ("dr", "pi") for s in seeds]
