@@ -3,8 +3,10 @@
 numpy and scipy wheels each bundle their own OpenBLAS, and each copy keeps
 its own thread count.  A copy is found through an extension module that
 links it, once that module has loaded; nothing here imports one.  scipy's
-copy loads with scipy, at the library's first factorization or large Gram,
-so the lookup is made again whenever another linking module has loaded.
+copy loads with ``scipy.linalg._flapack`` and ``_fblas`` at the library's
+first factorization (``kernels._linalg``), and not with the cdist module its
+Grams load, so the lookup is made again whenever another linking module has
+loaded.
 With no OpenBLAS loaded every call here does nothing.  A copy's count is
 global to the process, so two Python threads setting it at once override
 each other.
@@ -105,7 +107,7 @@ def _copies() -> tuple[tuple, ...]:
 
 def refresh() -> None:
     """Take in the copies loaded since the last call into this module; the
-    library calls it right after each import of scipy."""
+    library calls it right after each scipy module it loads."""
     _copies()
 
 

@@ -14,11 +14,12 @@ An n x n Gram is the largest array a fit makes, so each is one buffer for
 its whole life: ``gram`` computes the kernel over the squared distances, and
 ``SpdFactor`` adds its ridge to the diagonal and factors in place.
 
-scipy is imported where it is first needed: its LAPACK at the first
-factorization, and cdist at the first Gram of more than ``GRAM_NUMPY_WORK``
-coordinate differences.  Smaller Grams take numpy, with cdist's bits.  So
-importing the package, or evaluating densities from a stored model, loads
-no scipy.
+Of scipy only three compiled modules load, each from its file where it is
+first needed and without scipy's packages: ``scipy.linalg._flapack`` and
+``_fblas`` (dpotrf, dpotrs, dpotri, dsymm) at the first factorization, and
+``scipy.spatial._distance_pybind`` (the kernel cdist runs for
+"sqeuclidean") at the first Gram.  So importing the package loads no scipy,
+and evaluating densities from a stored model loads no LAPACK.
 
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
@@ -26,7 +27,10 @@ decide how it relates to sample size.
 
 from __future__ import annotations
 
-import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -102,61 +106,47 @@ def _as_points(arr: object, name: str) -> NDArray[np.float64]:
     return pts
 
 
-# Each import loads scipy's OpenBLAS copy, which ``blas.refresh`` puts
-# under the thread pin that may be open.
-@functools.cache
-def _cdist():
-    from scipy.spatial.distance import cdist
+def _compiled(name: str):
+    """scipy's compiled module ``name``, loaded from its file without
+    running scipy's ``__init__`` files and kept in ``sys.modules`` under its
+    name, so that a later import of scipy shares it (``from scipy.linalg
+    import _flapack`` finds it; the package gets no ``_flapack`` attribute).
+    A module already loaded is returned as it is.  Where the file is not in
+    scipy's directory (an editable install, say), ``name`` is imported in
+    the ordinary way.  ``blas.refresh`` then takes in any OpenBLAS copy the
+    load brought."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = _scipy_file(name)
+    if spec is None:
+        module = importlib.import_module(name)
+    else:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
     blas.refresh()
-    return cdist
+    return module
 
 
-@functools.cache
+def _scipy_file(name: str):
+    """The spec of scipy's module ``name`` from the file in its package's
+    directory, or None; finding the directory runs nothing of scipy."""
+    top = importlib.util.find_spec("scipy")
+    if top is None or not top.submodule_search_locations:
+        return None
+    package = name.split(".")[1:-1]
+    return importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, *package) for root in top.submodule_search_locations])
+
+
 def _linalg():
-    import scipy.linalg
-    blas.refresh()
-    return scipy.linalg
-
-
-# The most coordinate differences (rows x columns x dimension) whose squared
-# distances numpy computes in place of cdist.  Timed with the kernel on a
-# 2-core x86-64 box (numpy 2.4.6, scipy 1.17.1), numpy against cdist: 4.5
-# against 1.4 ms at 2000 x 200 in R^5, 0.22 against 0.21 ms at 73 x 1000 in
-# R^1, but 52 against 16 ms at 2000^2 in R^5 and 43 against 8.6 ms at 1318^2
-# in R^10.  Up to the bound numpy loses at most about 3 ms, against the
-# 0.2 s that importing scipy.linalg costs a process that needs no other
-# scipy; above it the large Grams of a fit stay on cdist.
-GRAM_NUMPY_WORK = 1 << 21
-# Entries of the block of squared coordinate differences the numpy path
-# adds at a time: small beside the Gram, and within a core's L2 cache.
-_BLOCK = 1 << 13
-
-
-def _sq_distances(pa: NDArray[np.float64],
-                  pb: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Squared distances between the rows of ``pa`` and ``pb`` as cdist
-    computes them, silently overflowing as it does: (a_0 - b_0)^2, then
-    (a_k - b_k)^2 added for each further coordinate k in turn, so the bits
-    are cdist's.  Beyond the first coordinate, blocks of rows go through one
-    small scratch array."""
-    (n, dim), m = pa.shape, len(pb)
-    if dim == 0:
-        return np.zeros((n, m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.subtract.outer(pa[:, 0], pb[:, 0])
-        np.square(sq, out=sq)
-        if dim == 1:
-            return sq
-        rows = max(1, _BLOCK // m)
-        scratch = np.empty((min(rows, n), m))
-        for i in range(0, n, rows):
-            block = sq[i:i + rows]
-            diff = scratch[:len(block)]
-            for k in range(1, dim):
-                np.subtract.outer(pa[i:i + rows, k], pb[:, k], out=diff)
-                np.square(diff, out=diff)
-                block += diff
-    return sq
+    """scipy's LAPACK and BLAS wrappers, the modules whose functions
+    ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` hand out."""
+    return _compiled("scipy.linalg._flapack"), _compiled("scipy.linalg._fblas")
 
 
 def gram(spec: KernelSpec, points_a: object,
@@ -166,19 +156,16 @@ def gram(spec: KernelSpec, points_a: object,
     Omitting ``points_b`` gives the square Gram of ``points_a``.  Squared
     distances are accumulated coordinatewise (no dot-product rearrangement),
     which makes the square case exactly symmetric: entries (i, j) and (j, i)
-    perform identical floating-point operations.  Up to ``GRAM_NUMPY_WORK``
-    coordinate differences numpy computes them, above it scipy's cdist, with
-    the same bits.
+    perform identical floating-point operations.  They come from the kernel
+    scipy's ``cdist(a, b, "sqeuclidean")`` calls after its checks, so the
+    bits are cdist's.
     """
     pa = _as_points(points_a, "points_a")
     pb = pa if points_b is None else _as_points(points_b, "points_b")
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    if pa.size * len(pb) <= GRAM_NUMPY_WORK:
-        sq = _sq_distances(pa, pb)
-    else:
-        sq = _cdist()(pa, pb, "sqeuclidean")
+    sq = _compiled("scipy.spatial._distance_pybind").cdist_sqeuclidean(pa, pb)
     return spec.at(sq, pa.shape[1])
 
 
@@ -191,7 +178,8 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
     the pivot is named."""
     if not np.isfinite(matrix).all():
         raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
-    factor, info = _linalg().lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
+    lapack, _ = _linalg()
+    factor, info = lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericError(f"factorization of {what} failed: leading minor {info} "
                            "is not positive definite", pivot=info - 1)
@@ -200,7 +188,8 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
 
 def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
     """Solve with a ``_cholesky`` factor: cho_solve's dpotrs, minus its scans."""
-    return _linalg().lapack.dpotrs(factor, rhs, lower=1)[0]
+    lapack, _ = _linalg()
+    return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
@@ -208,9 +197,9 @@ def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.
     dpotri and dsymm; a Fortran-ordered ``rhs`` is not copied.  At order 20
     with 63 right-hand sides this took 9 us against ``_cho_solve``'s 17 us
     (2-core x86-64, one thread): dpotrs's triangular solves are slow there."""
-    linalg = _linalg()
-    inverse = linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)[0]
-    return linalg.blas.dsymm(1.0, inverse, rhs, lower=1)
+    lapack, fblas = _linalg()
+    inverse = lapack.dpotri(factor, lower=1, overwrite_c=1)[0]
+    return fblas.dsymm(1.0, inverse, rhs, lower=1)
 
 
 # The order from which SpdFactor factors and solves in a ``blas.wide``
@@ -349,9 +338,11 @@ def outcome_basis(kernel: KernelSpec, y: NDArray[np.float64]) -> OutcomeBasis:
     ys = np.unique(np.asarray(y, dtype=np.float64))
     step, pad = BASIS_STEP * kernel.bandwidth, BASIS_PAD * kernel.bandwidth
     # grid index j sits at ys[0] - pad + j step; the outcome ys[0] + t
-    # claims the indices from floor(t / step) to ceil((t + 2 pad) / step)
-    first = np.floor((ys - ys[0]) / step)[:, None]
-    last = np.ceil((ys - ys[0] + 2.0 * pad) / step)[:, None]
+    # claims the indices from floor(t / step) to ceil((t + 2 pad) / step),
+    # which overflow to inf where t does
+    with np.errstate(over="ignore"):
+        first = np.floor((ys - ys[0]) / step)[:, None]
+        last = np.ceil((ys - ys[0] + 2.0 * pad) / step)[:, None]
     idx = np.unique(np.minimum(first + np.arange(2.0 * BASIS_PAD / BASIS_STEP + 3), last))
     if len(idx) > len(ys) or not np.isfinite(idx[-1]):
         vals, vecs = np.linalg.eigh(gram(kernel, ys))

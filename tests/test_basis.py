@@ -103,7 +103,6 @@ class TestOutcomeBasis:
         assert near.max() <= 6.0 + 0.75
         assert np.allclose(np.diff(z[z < 1000.0]), 0.75)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")   # 1e-150
     @pytest.mark.parametrize("y,bandwidth", [
         (np.linspace(0.0, 10000.0, 300), 2.0),        # a wide outcome range
         (np.linspace(0.0, 35.0, 400), 0.01),           # a tiny outcome bandwidth
@@ -124,6 +123,16 @@ class TestOutcomeBasis:
         assert np.abs(w @ w.T - k_y).max() <= 1e-12 * k_y.max()
         with pytest.raises(InvalidArgumentError, match="missing"):
             basis.bumps(ky, y[:1] + 0.5 * bandwidth)
+
+    def test_an_overflowing_grid_index_falls_back_to_sections(self):
+        """Outcomes -1e308, 1e308 and 0 to 29 at bandwidth 1e150: the grid
+        would have fewer indices than the 32 outcomes, but its last index
+        overflows to inf, so the basis is the sections at the outcomes."""
+        y = np.array([-1e308, 1e308, *range(30)], dtype=np.float64)
+        basis = outcome_basis(KernelSpec(bandwidth=1e150, normalized=True), y)
+        assert basis.proj is None and basis.root is not None
+        assert np.array_equal(basis.grid.ravel(), np.unique(y))
+        assert np.isfinite(basis.root).all()
 
     def test_kernel_sections(self):
         sections = OutcomeBasis(np.array([[0.0], [1.0]]))

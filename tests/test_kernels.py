@@ -12,11 +12,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor
 from scipy.spatial.distance import cdist
 
-from ccme import kernels
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.estimators import Hyper, KernelHead
-from ccme.kernels import (GRAM_NUMPY_WORK, KernelSpec, SpdFactor, gram,
-                          usable_bandwidth)
+from ccme.kernels import KernelSpec, SpdFactor, gram, usable_bandwidth
 
 from oracles import kernel_eval
 
@@ -133,51 +131,42 @@ COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e-310,
 
 
 class TestGramPaths:
-    """Up to ``GRAM_NUMPY_WORK`` coordinate differences numpy computes the
-    squared distances, above it cdist: the two give the same bits."""
+    """``gram``'s squared distances are scipy's ``cdist(a, b,
+    "sqeuclidean")``, bit for bit, and its kernel is computed over them."""
 
     @staticmethod
-    def both_ways(spec, a, b=None):
-        """``gram`` with the bound moved so that it takes numpy's path, then
-        cdist's."""
-        got = []
-        for bound in (math.inf, -1):
-            with mock.patch.object(kernels, "GRAM_NUMPY_WORK", bound):
-                got.append(gram(spec, a, b))
-        return got
+    def squared_distances(a, b=None):
+        """The array ``gram`` hands to ``KernelSpec.at``."""
+        with mock.patch.object(KernelSpec, "at", lambda self, sq, dim: sq):
+            return gram(KernelSpec(), a, b)
+
+    def check(self, a, b=None):
+        sq = self.squared_distances(a, b)
+        want = cdist(a, a if b is None else b, "sqeuclidean")
+        assert sq.tobytes() == want.tobytes()
+        spec = KernelSpec(0.7)
+        assert gram(spec, a, b).tobytes() == spec.at(want, a.shape[1]).tobytes()
+        if b is None:
+            assert sq.tobytes() == sq.T.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 30),
-           d=st.integers(1, 10), square=st.booleans(),
-           block=st.sampled_from([1, 7, 64, 1 << 13]))
-    def test_same_bits_as_cdist(self, data, n, m, d, square, block):
+           d=st.integers(1, 10), square=st.booleans())
+    def test_same_bits_as_cdist(self, data, n, m, d, square):
         a = data.draw(arrays(np.float64, (n, d), elements=COORDS))
         b = None if square else data.draw(arrays(np.float64, (m, d), elements=COORDS))
-        with mock.patch.object(kernels, "_BLOCK", block):
-            sq = kernels._sq_distances(a, a if square else b)
-            by_numpy, by_cdist = self.both_ways(KernelSpec(0.7), a, b)
-        assert sq.tobytes() == cdist(a, a if square else b, "sqeuclidean").tobytes()
-        assert by_numpy.tobytes() == by_cdist.tobytes()
-        if square:
-            assert sq.tobytes() == sq.T.tobytes()
+        self.check(a, b)
 
-    @pytest.mark.parametrize("d", [1, 5])
-    def test_the_bound_splits_the_paths(self, d, monkeypatch):
-        """Shapes just inside and just outside the bound go to numpy and to
-        cdist respectively, and give what cdist gives either way."""
-        rng = np.random.default_rng(d)
-        m = 200
-        rows = GRAM_NUMPY_WORK // (m * d)
-        spy = mock.Mock(wraps=kernels._sq_distances)
-        monkeypatch.setattr(kernels, "_sq_distances", spy)
-        spec = KernelSpec(1.1, normalized=True)
-        for n, numpy_path in ((rows, True), (rows + 1, False)):
-            a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
-            spy.reset_mock()
-            got = gram(spec, a, b)
-            assert spy.called == numpy_path
-            want = spec.at(cdist(a, b, "sqeuclidean"), d)
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("a,b", [
+        ([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], None),              # ties
+        ([[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0]]),              # signed zeros
+        ([[5e-324, -1e-310], [0.0, 2.2e-308]], None),              # subnormals
+        ([[1e154, -1e155], [-1.7e308, 1e300]], [[1.7e308, 0.0]]),  # overflow
+        (np.empty((3, 0)), np.empty((2, 0))),                      # R^0
+    ], ids=["ties", "signed-zeros", "subnormals", "overflow", "no-coordinates"])
+    def test_same_bits_as_cdist_at_the_edges(self, a, b):
+        self.check(np.asarray(a, dtype=np.float64),
+                   None if b is None else np.asarray(b, dtype=np.float64))
 
     def test_no_coordinates(self):
         """Points in R^0 are all at distance 0, as cdist has them."""
@@ -321,19 +310,17 @@ class TestGramMemory:
         return np.random.default_rng(3).normal(size=(self.N, 5))
 
     def test_gram_builds_in_cdists_buffer(self, points):
-        assert points.size * self.N > GRAM_NUMPY_WORK
         _, peak, _ = self.traced(lambda: gram(KernelSpec(), points))
         assert peak <= 1.05
 
     @pytest.mark.parametrize("d", [1, 2, 5, 10])
-    def test_numpy_path_builds_in_one_buffer(self, d):
-        """The largest square Gram in R^d that numpy computes takes one n x n
-        buffer and, beside it, scratch of a size fixed by ``kernels._BLOCK``
-        (numpy's ufunc buffers about double it), not by the Gram's."""
-        n = math.isqrt(GRAM_NUMPY_WORK // d)
+    def test_gram_builds_in_one_buffer_in_every_dimension(self, d):
+        """A square Gram of about two million coordinates in R^d takes its
+        one n x n buffer and, beside it, under a page."""
+        n = math.isqrt((1 << 21) // d)
         points = np.random.default_rng(d).normal(size=(n, d))
         _, peak, _ = self.traced(lambda: gram(KernelSpec(), points), n)
-        assert (peak - 1.0) * n * n * 8 <= 4 * kernels._BLOCK * 8
+        assert (peak - 1.0) * n * n * 8 <= 4096
 
     def test_factor_holds_one_array(self, points):
         # the 0.125 above 1 is _cholesky's isfinite mask

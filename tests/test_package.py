@@ -1,6 +1,6 @@
 """The package's exports: every name in an ``__all__`` resolves, the
-library imports nothing from the benchmark, only fits that factor or take
-large Grams load scipy, and the README's library example runs."""
+library imports nothing from the benchmark, each command loads only the
+compiled scipy modules it calls, and the README's library example runs."""
 
 import ast
 import contextlib
@@ -65,32 +65,17 @@ def test_the_library_imports_nothing_from_the_benchmark(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_scipy_special(name):
-    """The logistic is numpy's (``propensity.logistic``): scipy loads only
-    for LAPACK and large Grams."""
+    """The logistic is numpy's (``propensity.logistic``): of scipy only
+    LAPACK, BLAS and cdist's kernel load."""
     assert [m for m in every_import(name) if m.split(".")[:2] == ["scipy", "special"]] == []
-
-
-def module_level_imports(tree: ast.AST) -> list[str]:
-    """Modules imported by the statements that run at import: everything
-    outside function bodies, class bodies included."""
-    found, todo = [], [tree]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ast.Import):
-            found += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            found.append(node.module or "")
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            todo += ast.iter_child_nodes(node)
-    return found
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_scipy_at_module_level(name):
-    """scipy is imported inside the functions that need it, so that importing
-    the package, and the commands that fit nothing, do without it."""
-    tree = ast.parse(Path(ccme.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
-    assert [m for m in module_level_imports(tree) if m.split(".")[0] == "scipy"] == []
+    """Nor inside a function: ``kernels._compiled`` loads the few compiled
+    modules the library calls from their files, so that importing the
+    package, and every command, does without scipy's packages."""
+    assert [m for m in every_import(name) if m.split(".")[0] == "scipy"] == []
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +110,32 @@ def run_fresh(script: str, *argv: str, cwd=None) -> list[str]:
     return proc.stdout.splitlines()
 
 
+# The compiled scipy modules the library loads: LAPACK and BLAS at the
+# first factorization, cdist's kernel at the first Gram.
+LAPACK = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+CDIST = "scipy.spatial._distance_pybind"
+
+# Whether scipy's OpenBLAS is mapped into the process, found without loading
+# it; None where that cannot be told: no copy beside scipy, as a wheel puts
+# it, or no RTLD_NOLOAD.
+SCIPY_OPENBLAS = """
+import ctypes, glob, importlib.util, os
+
+def scipy_openblas_loaded():
+    top = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    paths = glob.glob(os.path.join(top, os.pardir, "scipy.libs", "*openblas*"))
+    if not paths or not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    for path in paths:
+        try:
+            ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            return True
+        except OSError:
+            pass
+    return False
+"""
+
+
 @pytest.mark.parametrize("argv,loads_scipy", [
     (["simulate", "--n", "50", "--out", "new.csv"], False),
     (["density", "model.npz", "--v", "0.1,0.2,0.3,0.4,0.5", "--out", "d.csv"], False),
@@ -136,15 +147,63 @@ def run_fresh(script: str, *argv: str, cwd=None) -> list[str]:
 ])
 def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
     """Each command in a fresh interpreter, where nothing else has loaded
-    scipy: an rr fit must load it, so the lazy imports are reached, and an
-    nk fit, whose Grams are small and which factors nothing, must not.  No
-    command but a sweep on several processes loads a process pool."""
-    script = ("import sys\n"
-              "from ccme.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), "
-              f"{LOADS_POOL})\n")
-    assert run_fresh(script, *argv, cwd=cli_inputs)[-1:] == [f"0 {loads_scipy} False"]
+    scipy, loads exactly the compiled scipy modules it calls and no scipy
+    package.  ``loads_scipy``: the command factors, so it loads LAPACK and
+    BLAS, and with them scipy's OpenBLAS, as an rr fit does.  Commands that
+    make Grams (``fit`` and ``density``) load cdist's kernel; an nk fit and
+    a density evaluation load it alone.  No command but a sweep on several
+    processes loads a process pool."""
+    script = SCIPY_OPENBLAS + (
+        "import sys\n"
+        "from ccme.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(repr((code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        f"scipy_openblas_loaded(), {LOADS_POOL})))\n")
+    code, modules, openblas, pool = ast.literal_eval(
+        run_fresh(script, *argv, cwd=cli_inputs)[-1])
+    grams = [CDIST] if argv[0] in ("fit", "density") else []
+    assert (code, modules, pool) == (0, sorted(grams + LAPACK * loads_scipy), False)
+    assert openblas in (None, loads_scipy)
+
+
+# A factorization and a Gram through the library, then scipy's packages
+# imported: whether they hand out the functions the library called, and
+# whether cdist gives gram's bytes.  With ``by_file`` False the loader finds
+# no file beside scipy and imports each module in the ordinary way.
+SHARED_MODULES = """
+import sys
+import numpy as np
+from ccme import kernels
+by_file = sys.argv[1] == "True"
+if not by_file:
+    kernels._scipy_file = lambda name: None
+rng = np.random.default_rng(0)
+a, b = rng.normal(size=(40, 3)), rng.normal(size=(7, 3))
+spec = kernels.KernelSpec(0.9)
+got = kernels.gram(spec, a, b)
+kernels.SpdFactor(kernels.gram(spec, a), 1.0).solve(np.ones(40))
+packages = "scipy.linalg" in sys.modules
+lapack, fblas = kernels._linalg()
+pybind = kernels._compiled("scipy.spatial._distance_pybind")
+import scipy.linalg, scipy.spatial.distance
+from scipy.spatial import _distance_pybind
+same = [scipy.linalg.lapack.dpotrf is lapack.dpotrf, scipy.linalg.lapack.dpotrs is lapack.dpotrs,
+        scipy.linalg.lapack.dpotri is lapack.dpotri, scipy.linalg.blas.dsymm is fblas.dsymm,
+        _distance_pybind is pybind]
+want = spec.at(scipy.spatial.distance.cdist(a, b, "sqeuclidean"), 3)
+print(repr((packages, same, got.tobytes() == want.tobytes())))
+"""
+
+
+@pytest.mark.parametrize("by_file", [True, False])
+def test_a_later_import_of_scipy_shares_the_loaded_modules(by_file):
+    """After the library's loads, ``import scipy.linalg,
+    scipy.spatial.distance`` finds the modules it loaded: the functions are
+    the same objects, and cdist gives ``gram``'s bytes.  Where the file
+    lookup finds nothing, the ordinary import gives the same objects, and
+    loads scipy's packages before any import of the caller's."""
+    got = ast.literal_eval(run_fresh(SHARED_MODULES, str(by_file))[-1])
+    assert got == (not by_file, [True] * 5, True)
 
 
 def test_importing_the_cli_loads_no_process_pool():

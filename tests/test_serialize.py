@@ -220,6 +220,19 @@ class TestSchemaChecks:
         with pytest.raises(InvalidArgumentError, match="malformed model settings"):
             load_model(write_arrays(arrays, tmp_path / "meta.npz"))
 
+    @pytest.mark.parametrize("key,value", [("y_hi", np.inf), ("y_lo", -np.inf)])
+    def test_an_infinite_end_of_the_outcome_range_rejected(self, key, value, tmp_path):
+        """The meta holds JSON ``Infinity`` at one end of the range and a
+        finite value at the other."""
+        model, _ = fit_model("rr")
+        arrays = saved_arrays(model, tmp_path)
+        meta = json.loads(str(arrays["__meta__"][()]))
+        meta[key] = value
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        assert "Infinity" in str(arrays["__meta__"][()])
+        with pytest.raises(InvalidArgumentError, match="the outcome range is not finite"):
+            load_model(write_arrays(arrays, tmp_path / "range.npz"))
+
     @pytest.mark.parametrize("bad", [[2.0, 2.0], -1.0])
     def test_stored_input_bandwidth_checked(self, bad, tmp_path):
         model, _ = fit_model("rr")
