@@ -112,22 +112,26 @@ def _compiled(name: str):
     name, so that a later import of scipy shares it (``from scipy.linalg
     import _flapack`` finds it; the package gets no ``_flapack`` attribute).
     A module already loaded is returned as it is.  Where the file is not in
-    scipy's directory (an editable install, say), ``name`` is imported in
-    the ordinary way.  ``blas.refresh`` then takes in any OpenBLAS copy the
-    load brought."""
+    scipy's directory (an editable install, say), or fails to load with an
+    ImportError (a library that scipy's ``__init__`` would have put on the
+    search path first, as on Windows), ``name`` is imported in the ordinary
+    way.  ``blas.refresh`` then takes in any OpenBLAS copy the load
+    brought."""
     if name in sys.modules:
         return sys.modules[name]
-    spec = _scipy_file(name)
-    if spec is None:
-        module = importlib.import_module(name)
-    else:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
+    spec, module = _scipy_file(name), None
+    if spec is not None:
         try:
+            module = importlib.util.module_from_spec(spec)   # an extension loads here
+            sys.modules[name] = module
             spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[name]
-            raise
+        except BaseException as exc:
+            sys.modules.pop(name, None)
+            if not isinstance(exc, ImportError):
+                raise
+            module = None
+    if module is None:
+        module = importlib.import_module(name)
     blas.refresh()
     return module
 

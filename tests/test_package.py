@@ -72,7 +72,9 @@ def test_no_module_imports_scipy_special(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_scipy_at_module_level(name):
-    """Nor inside a function: ``kernels._compiled`` loads the few compiled
+    """No ``import scipy...`` statement anywhere in the module: at module
+    level or inside a function body, the whole tree is scanned.  All scipy
+    access goes through ``kernels._compiled``, which loads the few compiled
     modules the library calls from their files, so that importing the
     package, and every command, does without scipy's packages."""
     assert [m for m in every_import(name) if m.split(".")[0] == "scipy"] == []
@@ -148,11 +150,14 @@ def scipy_openblas_loaded():
 def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
     """Each command in a fresh interpreter, where nothing else has loaded
     scipy, loads exactly the compiled scipy modules it calls and no scipy
-    package.  ``loads_scipy``: the command factors, so it loads LAPACK and
-    BLAS, and with them scipy's OpenBLAS, as an rr fit does.  Commands that
-    make Grams (``fit`` and ``density``) load cdist's kernel; an nk fit and
-    a density evaluation load it alone.  No command but a sweep on several
-    processes loads a process pool."""
+    package.  Despite its name, ``loads_scipy`` says whether the command
+    factors, and so loads LAPACK and BLAS (``scipy.linalg._flapack`` and
+    ``_fblas``) and with them scipy's OpenBLAS, as an rr fit does.  Apart
+    from that flag, commands that make Grams (``fit`` and ``density``) load
+    cdist's kernel, ``scipy.spatial._distance_pybind``: an nk fit and a
+    density evaluation load it alone, and ``simulate``, ``report`` and
+    ``--print-config`` load no scipy module.  No command but a sweep on
+    several processes loads a process pool."""
     script = SCIPY_OPENBLAS + (
         "import sys\n"
         "from ccme.cli import main\n"
@@ -168,15 +173,26 @@ def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
 
 # A factorization and a Gram through the library, then scipy's packages
 # imported: whether they hand out the functions the library called, and
-# whether cdist gives gram's bytes.  With ``by_file`` False the loader finds
-# no file beside scipy and imports each module in the ordinary way.
+# whether cdist gives gram's bytes.  The loader finds each module's file
+# ("by_file"), finds none ("no_file"), or finds a file whose load raises
+# ImportError, as a missing shared library makes it ("failing_load"); in
+# the last two it imports each module in the ordinary way.
 SHARED_MODULES = """
-import sys
+import importlib.util, sys
 import numpy as np
 from ccme import kernels
-by_file = sys.argv[1] == "True"
-if not by_file:
+lookup = sys.argv[1]
+
+class FailingLoader:
+    def create_module(self, spec):
+        raise ImportError("DLL load failed while importing " + spec.name)
+    def exec_module(self, module):
+        pass
+
+if lookup == "no_file":
     kernels._scipy_file = lambda name: None
+elif lookup == "failing_load":
+    kernels._scipy_file = lambda name: importlib.util.spec_from_loader(name, FailingLoader())
 rng = np.random.default_rng(0)
 a, b = rng.normal(size=(40, 3)), rng.normal(size=(7, 3))
 spec = kernels.KernelSpec(0.9)
@@ -195,15 +211,16 @@ print(repr((packages, same, got.tobytes() == want.tobytes())))
 """
 
 
-@pytest.mark.parametrize("by_file", [True, False])
-def test_a_later_import_of_scipy_shares_the_loaded_modules(by_file):
+@pytest.mark.parametrize("lookup", ["by_file", "no_file", "failing_load"])
+def test_a_later_import_of_scipy_shares_the_loaded_modules(lookup):
     """After the library's loads, ``import scipy.linalg,
     scipy.spatial.distance`` finds the modules it loaded: the functions are
     the same objects, and cdist gives ``gram``'s bytes.  Where the file
-    lookup finds nothing, the ordinary import gives the same objects, and
-    loads scipy's packages before any import of the caller's."""
-    got = ast.literal_eval(run_fresh(SHARED_MODULES, str(by_file))[-1])
-    assert got == (not by_file, [True] * 5, True)
+    lookup finds nothing, or the file fails to load, the ordinary import
+    gives the same objects, and loads scipy's packages before any import of
+    the caller's."""
+    got = ast.literal_eval(run_fresh(SHARED_MODULES, lookup)[-1])
+    assert got == (lookup != "by_file", [True] * 5, True)
 
 
 def test_importing_the_cli_loads_no_process_pool():
