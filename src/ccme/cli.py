@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 import warnings
 from dataclasses import fields
@@ -41,7 +42,14 @@ _SWEEP_FORMATS = {"mse": ".17g", "seconds": ".3f"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports flag problems as parse errors instead of exiting."""
+    """argparse that reports flag problems as parse errors instead of
+    exiting, and reads every token that starts with ``-`` and then a digit
+    or ``.digit`` (``-1,1``, ``-1e1``) as a value, not only argparse's plain
+    negative numbers: no flag starts that way."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InvalidArgumentError(message)
@@ -221,7 +229,8 @@ def cmd_sweep(cfg: Hyper, args: argparse.Namespace) -> int:
 
 def _read_sweep_csv(path: str) -> tuple[list[SweepRecord], int]:
     """The successful records of a sweep CSV, and the count of failed ones.
-    The header and every field are read stripped; blank rows are skipped."""
+    The header and every field are read stripped; blank rows are skipped.
+    Every row needs n >= 1, and an mse that is NaN (a failed cell) or >= 0."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, [text.strip() for text in row])
@@ -238,6 +247,10 @@ def _read_sweep_csv(path: str) -> tuple[list[SweepRecord], int]:
                                 for f, text in zip(_SWEEP_FIELDS, row)))
         except ValueError as exc:
             raise InvalidArgumentError(f"{path}:{lineno}: {exc}")
+        if rec.n < 1:
+            raise InvalidArgumentError(f"{path}:{lineno}: n must be >= 1, got {rec.n}")
+        if rec.mse < 0:
+            raise InvalidArgumentError(f"{path}:{lineno}: mse must be >= 0, got {rec.mse}")
         if rec.error != "" or not np.isfinite(rec.mse):
             skipped += 1
             continue

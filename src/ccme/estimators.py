@@ -346,8 +346,7 @@ class FeatureHead:
         net = mlp_init([inputs.shape[1], *hyper.hidden, hyper.n_feats],
                        hyper.net_seeds()[stage])
         coords = basis.whiten(xi)
-        with single_thread():     # as train_mlp runs the loss: the same bits
-            energy = float(np.vdot(coords, coords))
+        energy = float(np.vdot(coords, coords))
 
         def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
             loss, grad = df_trace_loss(psi, coords, ridge, energy)
@@ -466,10 +465,12 @@ def _all_outcomes(split: SplitDataset) -> NDArray[np.float64]:
     return np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
 
 
+@single_thread()
 def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper) -> FirstStage:
     """Regress phi(Y) on the covariates over D0's treated rows: stage two's
     regression with a = 1, c = 0.  Learning rates scale with len(D0); the
-    outcome basis spans every D0 and D1 outcome."""
+    outcome basis spans every D0 and D1 outcome.  Like ``fit_ccme``, it runs
+    under ``blas.single_thread``."""
     if split.m == 0:
         raise DegenerateDataError("no treated rows landed in D0; cannot fit a first stage")
     head_cls = _head_class(method)
@@ -616,6 +617,7 @@ def _reads(variant: str) -> tuple[str, ...]:
     return READS[variant]
 
 
+@single_thread()
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
                      hyper: Hyper, *, shared: dict | None = None) -> CcmeModel:
@@ -626,7 +628,8 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     the stage keeps the first stage's basis or, without one, builds the
     basis the first stage would have built, ``onestep``'s included.  The
     first stage at D1 and the head's own parts are kept in ``shared`` (see
-    ``fit_ccme``).
+    ``fit_ccme``).  Like ``fit_ccme``, it runs under ``blas.single_thread``,
+    so the stages run one at a time give ``fit_ccme``'s bits.
     """
     head_cls = _head_class(method)
     reads = _reads(variant)

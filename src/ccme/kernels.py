@@ -14,12 +14,11 @@ An n x n Gram is the largest array a fit makes, so each is one buffer for
 its whole life: ``gram`` computes the kernel over the squared distances, and
 ``SpdFactor`` adds its ridge to the diagonal and factors in place.
 
-Of scipy only three compiled modules load, each from its file where it is
-first needed and without scipy's packages: ``scipy.linalg._flapack`` and
-``_fblas`` (dpotrf, dpotrs, dpotri, dsymm) at the first factorization, and
-``scipy.spatial._distance_pybind`` (the kernel cdist runs for
-"sqeuclidean") at the first Gram.  So importing the package loads no scipy,
-and evaluating densities from a stored model loads no LAPACK.
+The native routines come through ``blas``: LAPACK and BLAS (dpotrf,
+dpotrs, dpotri, dsymm) from ``blas.lapack`` at the first factorization, and
+the kernel cdist runs for "sqeuclidean" from
+``scipy.spatial._distance_pybind`` at the first Gram.  So evaluating
+densities from a stored model loads no LAPACK.
 
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
@@ -27,10 +26,6 @@ decide how it relates to sample size.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -106,53 +101,6 @@ def _as_points(arr: object, name: str) -> NDArray[np.float64]:
     return pts
 
 
-def _compiled(name: str):
-    """scipy's compiled module ``name``, loaded from its file without
-    running scipy's ``__init__`` files and kept in ``sys.modules`` under its
-    name, so that a later import of scipy shares it (``from scipy.linalg
-    import _flapack`` finds it; the package gets no ``_flapack`` attribute).
-    A module already loaded is returned as it is.  Where the file is not in
-    scipy's directory (an editable install, say), or fails to load with an
-    ImportError (a library that scipy's ``__init__`` would have put on the
-    search path first, as on Windows), ``name`` is imported in the ordinary
-    way.  ``blas.refresh`` then takes in any OpenBLAS copy the load
-    brought."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec, module = _scipy_file(name), None
-    if spec is not None:
-        try:
-            module = importlib.util.module_from_spec(spec)   # an extension loads here
-            sys.modules[name] = module
-            spec.loader.exec_module(module)
-        except BaseException as exc:
-            sys.modules.pop(name, None)
-            if not isinstance(exc, ImportError):
-                raise
-            module = None
-    if module is None:
-        module = importlib.import_module(name)
-    blas.refresh()
-    return module
-
-
-def _scipy_file(name: str):
-    """The spec of scipy's module ``name`` from the file in its package's
-    directory, or None; finding the directory runs nothing of scipy."""
-    top = importlib.util.find_spec("scipy")
-    if top is None or not top.submodule_search_locations:
-        return None
-    package = name.split(".")[1:-1]
-    return importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(root, *package) for root in top.submodule_search_locations])
-
-
-def _linalg():
-    """scipy's LAPACK and BLAS wrappers, the modules whose functions
-    ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` hand out."""
-    return _compiled("scipy.linalg._flapack"), _compiled("scipy.linalg._fblas")
-
-
 def gram(spec: KernelSpec, points_a: object,
          points_b: object | None = None) -> NDArray[np.float64]:
     """Dense kernel matrix with entry (i, j) = k(a_i, b_j).
@@ -169,7 +117,7 @@ def gram(spec: KernelSpec, points_a: object,
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
-    sq = _compiled("scipy.spatial._distance_pybind").cdist_sqeuclidean(pa, pb)
+    sq = blas.compiled("scipy.spatial._distance_pybind").cdist_sqeuclidean(pa, pb)
     return spec.at(sq, pa.shape[1])
 
 
@@ -182,7 +130,7 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
     the pivot is named."""
     if not np.isfinite(matrix).all():
         raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
-    lapack, _ = _linalg()
+    lapack, _ = blas.lapack()
     factor, info = lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericError(f"factorization of {what} failed: leading minor {info} "
@@ -192,7 +140,7 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
 
 def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
     """Solve with a ``_cholesky`` factor: cho_solve's dpotrs, minus its scans."""
-    lapack, _ = _linalg()
+    lapack, _ = blas.lapack()
     return lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
@@ -201,7 +149,7 @@ def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.
     dpotri and dsymm; a Fortran-ordered ``rhs`` is not copied.  At order 20
     with 63 right-hand sides this took 9 us against ``_cho_solve``'s 17 us
     (2-core x86-64, one thread): dpotrs's triangular solves are slow there."""
-    lapack, fblas = _linalg()
+    lapack, fblas = blas.lapack()
     inverse = lapack.dpotri(factor, lower=1, overwrite_c=1)[0]
     return fblas.dsymm(1.0, inverse, rhs, lower=1)
 

@@ -80,7 +80,10 @@ def openblas_counts():
 @contextmanager
 def openblas_threads(n):
     """Every OpenBLAS copy on ``n`` threads inside the block; the old counts
-    come back afterwards.  Skips the test where no OpenBLAS copy is found."""
+    come back afterwards.  Skips the test where no OpenBLAS copy is found.
+    scipy's copy is loaded through the library first, which takes it in
+    there and only there."""
+    blas.lapack()
     pairs = openblas_functions()
     if not pairs:
         pytest.skip("no OpenBLAS copy found")
@@ -105,10 +108,12 @@ def two_blas_threads():
 @pytest.fixture
 def without_posix_calls(monkeypatch):
     """Hides os.RTLD_NOLOAD and os.sched_getaffinity, as on Windows and
-    macOS, and makes ccme.blas look its OpenBLAS copies up again both now and
-    after the test."""
+    macOS, and starts ccme.blas over with no copy taken in and LAPACK not
+    yet loaded, so that it looks its copies up, and finds none, during the
+    test; its copies come back after the test."""
     monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    blas._find.cache_clear()
+    monkeypatch.setattr(blas, "_copies", {})
+    blas.lapack.cache_clear()
     yield
-    blas._find.cache_clear()
+    blas.lapack.cache_clear()

@@ -562,6 +562,25 @@ class TestDensity:
         assert np.array_equal(rows[:, :2], [[0, y_lo - Hyper().grid_pad],
                                             [1, y_lo - Hyper().grid_pad]])
 
+    @pytest.mark.parametrize("flags,code", [
+        (["--v", "-1,1,1,1,1"], 0),
+        (["--v", "-1.5,1,1,1,1"], 0),
+        (["--v", "-.5,1,-1,1,1"], 0),
+        (["--v", "1,1,1,1,1", "--grid-lo", "-1e1", "--grid-hi", "5"], 0),
+        (["--v", "1,1,1,1,1", "--grid-pad", "-1e-3"], 4),
+    ])
+    def test_negative_values_follow_their_flags(self, flags, code, workdir, tmp_path):
+        """A value that starts with a minus sign and a digit is a value, and
+        gives what its ``--flag=value`` form gives."""
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        glued = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+        assert main(["density", workdir["model"], *flags, "--out", str(spaced)]) == code
+        assert main(["density", workdir["model"], *glued, "--out", str(joined)]) == code
+        if code == 0:
+            assert spaced.read_bytes() == joined.read_bytes()
+        else:
+            assert not spaced.exists() and not joined.exists()
+
     def test_grid_flags_validated(self, workdir):
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
                      "--grid-lo", "5"]) == 3
@@ -885,6 +904,23 @@ class TestReport:
             assert std.out == ""
             assert std.err == f"parse failure: {path}:2: wrong field count\n"
         assert main(["report", str(tmp_path / "missing.csv")]) == 2
+
+    @pytest.mark.parametrize("row,message", [
+        ("rr,dr,a,0,0,0.5,0.1,", "n must be >= 1, got 0"),
+        ("rr,dr,a,-3,1,nan,0.1,NumericError: blew up", "n must be >= 1, got -3"),
+        ("rr,dr,a,100,1,-0.5,0.1,", "mse must be >= 0, got -0.5"),
+        ("rr,dr,a,100,1,-inf,0.1,", "mse must be >= 0, got -inf"),
+    ])
+    def test_rows_out_of_range_rejected_where_read(self, row, message, tmp_path, capsys):
+        """A row count below 1 would reach the log-log slope, and a negative
+        mse would be printed as a median: each fails at its line."""
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, ["rr,dr,a,100,0,0.5,0.1,", row, "rr,dr,a,200,0,0.2,0.1,"])
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 3
+        std = capsys.readouterr()
+        assert std.out == ""
+        assert std.err == f"parse failure: {path}:3: {message}\n"
 
 
 # The settings a sweep does not read, as README lists them: its cells set

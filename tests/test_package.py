@@ -74,10 +74,18 @@ def test_no_module_imports_scipy_special(name):
 def test_no_module_imports_scipy_at_module_level(name):
     """No ``import scipy...`` statement anywhere in the module: at module
     level or inside a function body, the whole tree is scanned.  All scipy
-    access goes through ``kernels._compiled``, which loads the few compiled
+    access goes through ``blas.compiled``, which loads the few compiled
     modules the library calls from their files, so that importing the
     package, and every command, does without scipy's packages."""
     assert [m for m in every_import(name) if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_blas_loads_native_code(name):
+    """``blas`` alone imports ``ctypes`` or ``importlib``: it loads scipy's
+    compiled modules and sets the thread counts of the OpenBLAS copies."""
+    native = [m for m in every_import(name) if m.split(".")[0] in ("ctypes", "importlib")]
+    assert bool(native) == (name == "blas")
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +188,7 @@ def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
 SHARED_MODULES = """
 import importlib.util, sys
 import numpy as np
-from ccme import kernels
+from ccme import blas, kernels
 lookup = sys.argv[1]
 
 class FailingLoader:
@@ -190,17 +198,17 @@ class FailingLoader:
         pass
 
 if lookup == "no_file":
-    kernels._scipy_file = lambda name: None
+    blas._scipy_file = lambda name: None
 elif lookup == "failing_load":
-    kernels._scipy_file = lambda name: importlib.util.spec_from_loader(name, FailingLoader())
+    blas._scipy_file = lambda name: importlib.util.spec_from_loader(name, FailingLoader())
 rng = np.random.default_rng(0)
 a, b = rng.normal(size=(40, 3)), rng.normal(size=(7, 3))
 spec = kernels.KernelSpec(0.9)
 got = kernels.gram(spec, a, b)
 kernels.SpdFactor(kernels.gram(spec, a), 1.0).solve(np.ones(40))
 packages = "scipy.linalg" in sys.modules
-lapack, fblas = kernels._linalg()
-pybind = kernels._compiled("scipy.spatial._distance_pybind")
+lapack, fblas = blas.lapack()
+pybind = blas.compiled("scipy.spatial._distance_pybind")
 import scipy.linalg, scipy.spatial.distance
 from scipy.spatial import _distance_pybind
 same = [scipy.linalg.lapack.dpotrf is lapack.dpotrf, scipy.linalg.lapack.dpotrs is lapack.dpotrs,
