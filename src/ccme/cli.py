@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Commands: simulate, fit, density, sweep, report.  A setting's flag overrides
-the optional JSON --config file, which overrides the default.  Status goes to
-stderr, data to stdout; each file output is a temp file renamed into place.
-
-Exit codes: 0 success, 2 I/O failure, 3 parse failure (flags, config files,
-CSV inputs, dimension mismatches), 4 degenerate data or configuration,
-5 numeric failure, 6 internal error (any other exception: a bug).
+Commands: simulate, fit, density, sweep, report, each taking the flags of the
+settings it reads.  A flag overrides the optional JSON --config file, which
+overrides the default.  Status to stderr, data to stdout; each file output is
+a temp file renamed into place.  Exit codes: 0 success, 2 I/O failure, 3 parse
+failure (flags, config files, CSV inputs, dimension mismatches), 4 degenerate
+data or configuration (a flag the command does not read, a setting out of
+range or too large for memory), 5 numeric failure, 6 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -59,37 +59,43 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def build_parser() -> _Parser:
-    # a flag sets its dest only when given, so one after the command wins
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", metavar="FILE",
-                        help="JSON file of config fields")
+def _settings(command: str | None) -> argparse.ArgumentParser:
+    """A parent parser of --config, --print-config and every setting's flag,
+    whose help lists the settings ``command`` reads (all for None).  A flag
+    sets its dest only when given, so one after the command wins."""
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", metavar="FILE", help="JSON file of config fields")
     common.add_argument("--print-config", action="store_true",
                         help="print the resolved config as JSON and exit")
+    group, defaults = common.add_argument_group("settings"), Hyper()
     for f in fields(Hyper):
-        flag = "--" + f.name.replace("_", "-")
-        common.add_argument(flag, dest=f"cfg_{f.name}", metavar="V",
-                            help=argparse.SUPPRESS)
+        shown = getattr(defaults, f.name)
+        shown = ",".join(map(str, shown)) if isinstance(shown, list) else shown
+        group.add_argument("--" + f.name.replace("_", "-"), dest=f"cfg_{f.name}",
+                           metavar="V", help=f"default {shown}" if command in (
+                               None, *f.metadata["reads"]) else argparse.SUPPRESS)
+    return common
 
-    parser = _Parser(prog="ccme", parents=[common], allow_abbrev=False,
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="ccme", parents=[_settings(None)], allow_abbrev=False,
                      description=(
         "Doubly robust conditional density estimation for treated outcomes: "
         "simulate benchmark data, fit two-stage models, evaluate densities, "
         "and sweep convergence grids."))
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    sim = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
+    sim = sub.add_parser("simulate", parents=[_settings("simulate")], allow_abbrev=False,
                          help="draw a benchmark dataset to CSV")
     sim.add_argument("--out", default="sim.csv", help="output CSV path")
 
-    fit = sub.add_parser("fit", parents=[common], allow_abbrev=False,
+    fit = sub.add_parser("fit", parents=[_settings("fit")], allow_abbrev=False,
                          help="fit a two-stage model on a dataset CSV")
     fit.add_argument("data", help="dataset CSV (x1..xd,a,y)")
     fit.add_argument("--model-out", default="model.npz",
                      help="where to write the fitted model archive")
 
-    den = sub.add_parser("density", parents=[common], allow_abbrev=False,
+    den = sub.add_parser("density", parents=[_settings("density")], allow_abbrev=False,
                          help="evaluate conditional densities from a model")
     den.add_argument("model", help="model archive written by fit")
     den.add_argument("--v", help="one query point, comma-separated")
@@ -99,11 +105,11 @@ def build_parser() -> _Parser:
     den.add_argument("--out", default="density.csv",
                      help="output CSV path (v_id,y,density)")
 
-    sw = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
+    sw = sub.add_parser("sweep", parents=[_settings("sweep")], allow_abbrev=False,
                         help="run a (method, variant, scenario, n, seed) grid")
     sw.add_argument("--out", default="sweep.csv", help="results CSV path")
 
-    rep = sub.add_parser("report", parents=[common], allow_abbrev=False,
+    rep = sub.add_parser("report", parents=[_settings("report")], allow_abbrev=False,
                          help="summarize a sweep CSV: medians and slopes")
     rep.add_argument("results", help="sweep CSV written by the sweep command")
     rep.add_argument("--out", help="optional medians CSV path")
@@ -111,15 +117,25 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> Hyper:
-    """The flags laid over the --config file's settings, over the defaults."""
+    """The flags laid over the --config file's settings, over the defaults: a
+    flag the command does not read is an error, a file key of one a warning."""
     values = load_config_file(args.config) if "config" in args else {}
-    for f in fields(Hyper):
-        if f"cfg_{f.name}" in args:
-            values[f.name] = parse_override(f.name, getattr(args, f"cfg_{f.name}"))
-    cfg = Hyper(**values)
+    flags = {f.name: parse_override(f.name, getattr(args, f"cfg_{f.name}"))
+             for f in fields(Hyper) if f"cfg_{f.name}" in args}
+    cfg = Hyper(**{**values, **flags})
     for scenario in (cfg.scenario, *cfg.scenarios):
         check_scenario(scenario)
+    command = args.command
+    reads = {f.name for f in fields(Hyper) if command in (None, *f.metadata["reads"])}
+    if command == "density" and None not in (args.grid_lo, args.grid_hi):
+        command, reads = "density with --grid-lo and --grid-hi", reads - {"grid_pad"}
+    unread = min(flags.keys() - reads, default=None)
+    if unread:
+        raise ConfigError(f"{command} does not read --{unread.replace('_', '-')}")
     validate_config(cfg)
+    if values.keys() - reads:
+        warnings.warn(f"{command} does not read {', '.join(sorted(values.keys() - reads))}"
+                      f" from {args.config}", ConfigWarning)
     return cfg
 
 
@@ -135,9 +151,6 @@ def cmd_simulate(cfg: Hyper, args: argparse.Namespace) -> int:
 
 
 def cmd_fit(cfg: Hyper, args: argparse.Namespace) -> int:
-    if cfg.scenario != "a":
-        raise ConfigError(f"fits read no scenario, got {cfg.scenario!r}: scenarios "
-                          "are sweep rules; use --propensity logistic to fit one")
     with open(args.data, "r", encoding="utf-8") as fh:
         data = load_dataset(fh.read())
     split = split_data(data, cfg.seed, cfg.v_cols)
@@ -322,8 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         except NumericError as exc:
             _status(f"numeric failure: {exc}")
             return 5
-        except (DegenerateDataError, ConfigError) as exc:
-            _status(f"degenerate data or configuration: {exc}")
+        except (DegenerateDataError, ConfigError, MemoryError) as exc:
+            _status(f"degenerate data or configuration: {str(exc) or 'out of memory'}")
             return 4
         except (InvalidArgumentError, UnicodeDecodeError) as exc:  # or text not in UTF-8
             _status(f"parse failure: {exc}")
@@ -331,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             _status(f"i/o failure: {exc}")
             return 2
-        except Exception as exc:  # noqa: BLE001 - the last resort, MemoryError too
+        except Exception as exc:  # noqa: BLE001 - the last resort
             _status(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}")
             return 6
 

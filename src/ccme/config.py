@@ -1,9 +1,9 @@
 """Settings resolution: parse flag values and config files, validate.
 
-The settings themselves, with their defaults, are the fields of
-``estimators.Hyper``.  A flag's value is read by ``parse_override`` and a
-``--config`` file by ``load_config_file``; both return values of the field's
-type, and flags override the file, which overrides the defaults.
+The settings, with their defaults, bounds and the commands that read them,
+are the fields of ``estimators.Hyper``.  ``parse_override`` reads a flag's
+value and ``load_config_file`` a ``--config`` file, both into the field's
+type; flags override the file, which overrides the defaults.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import math
 from dataclasses import asdict, fields
 
 from .errors import ConfigError, InvalidArgumentError
-from .estimators import Hyper, METHODS, VARIANTS
-from .kernels import usable_bandwidth
+from .estimators import Hyper
 
 __all__ = ["comma_list", "load_config_file", "parse_override",
            "validate_config", "config_json"]
@@ -87,46 +86,27 @@ def _typed(name: str, value: object) -> object:
         raise InvalidArgumentError(wanted) from None
 
 
-# The smallest value of each int setting, and of every entry of a list.
-_INT_MIN = {"seed": 0, "net_seed": 0, "eval_seed": 0, "seeds": 0, "threads": 1,
-            "n": 4, "n_list": 2, "test_points": 1, "grid_points": 1,
-            "n_feats": 1, "hidden": 1, "epochs_df1": 0, "epochs_df2": 0,
-            "epochs_nk1": 0, "epochs_nk2": 0}
+def _allowed(bounds: str | tuple, value) -> bool:
+    """Whether ``value`` is one of a tuple of names or in an interval "[0, 1)"."""
+    if isinstance(bounds, tuple):
+        return value in bounds
+    lo, hi = (float(end) for end in bounds[1:-1].split(","))
+    return ((lo < value) if bounds[0] == "(" else (lo <= value)) and (
+        (value < hi) if bounds[-1] == ")" else (value <= hi))
 
 
 def validate_config(cfg: Hyper) -> None:
-    """Raise ``ConfigError``, naming the field, for a setting out of range."""
-    if cfg.method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {cfg.method!r}")
-    if cfg.variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r} in methods")
-    for v in cfg.variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant {v!r} in variants")
-    if cfg.propensity not in ("auto", "forest", "logistic", "oracle"):
-        raise ConfigError(f"unknown propensity setting {cfg.propensity!r}")
-    if not (0.0 < cfg.clip_lo < cfg.clip_hi < 1.0 and 1.0 / cfg.clip_lo < math.inf):
+    """Raise ``ConfigError``, naming the field, for a setting (or list entry)
+    outside its declared bounds, or a clip pair or ``v_cols`` that clashes."""
+    for f in fields(cfg):
+        value, bounds = getattr(cfg, f.name), f.metadata["bounds"]
+        entries = value if isinstance(value, list) else [value]
+        if None not in (bounds, value) and not all(_allowed(bounds, v) for v in entries):
+            rule = f"in {bounds}" if isinstance(bounds, str) else f"one of {bounds}"
+            raise ConfigError(f"{f.name} must be {rule}, got {value!r}")
+    if not (cfg.clip_lo < cfg.clip_hi and 1.0 / cfg.clip_lo < math.inf):
         raise ConfigError(f"clip bounds must satisfy 0 < lo < hi < 1 with 1/lo "
                           f"finite, got ({cfg.clip_lo}, {cfg.clip_hi})")
-    for name in ("bandwidth_x", "bandwidth_v", "bandwidth_y"):
-        if not usable_bandwidth(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite and positive, with 2 {name}^2 "
-                              f"a normal float, got {getattr(cfg, name)}")
-    for name in ("ridge0", "ridge1", "lr_df", "lr_nk"):
-        if not (0 < getattr(cfg, name) < math.inf):
-            raise ConfigError(f"{name} must be finite and positive, "
-                              f"got {getattr(cfg, name)}")
-    if not 0 <= cfg.grid_pad < math.inf:
-        raise ConfigError(f"grid_pad must be finite and >= 0, got {cfg.grid_pad}")
-    if not 0 <= cfg.momentum < 1:
-        raise ConfigError(f"momentum must be in [0, 1), got {cfg.momentum}")
-    for name, low in _INT_MIN.items():
-        value = getattr(cfg, name)
-        if any(v < low for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{name} must be >= {low}, got {value}")
     if cfg.v_cols == []:
         raise ConfigError("v_cols must name at least one column")
     if cfg.v_cols is not None and len(set(cfg.v_cols)) < len(cfg.v_cols):

@@ -51,8 +51,8 @@ from .blas import single_thread
 from .data import SplitDataset, compute_omega
 from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
                      InvalidArgumentError, NumericError)
-from .kernels import (KernelSpec, OutcomeBasis, SpdFactor, _cho_inverse_apply,
-                      _cholesky, gram, outcome_basis)
+from .kernels import (BANDWIDTHS, KernelSpec, OutcomeBasis, SpdFactor,
+                      _cho_inverse_apply, _cholesky, gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
 from .propensity import fit_propensity
 
@@ -68,92 +68,6 @@ __all__ = [
 # on D1, and the first stage mu0.
 READS = {"dr": ("omega", "first"), "ipw": ("omega",), "pi": ("first",), "onestep": ()}
 VARIANTS = tuple(READS)
-
-
-@dataclass
-class Hyper:
-    """Every setting of a fit, a sweep and the command line, each with its default.
-
-    The CLI flags (``bandwidth_x`` is ``--bandwidth-x``), the ``--config``
-    JSON keys and ``--print-config`` all come from these fields.  The
-    defaults are the benchmark settings.
-
-    Per-stage settings come in pairs that the heads index by stage (0 or 1):
-    the ridges ``ridge0/ridge1``, added to the Gram diagonal as-is, and the
-    epoch budgets ``epochs_df1/epochs_df2`` and ``epochs_nk1/epochs_nk2``.
-    Learning rates are quoted per 200 rows and scaled linearly: stage one by
-    len(D0), the whole nuisance half, although it trains on D0's treated rows
-    only; stage two by the rows it trains on (D1, or D1's treated rows for
-    the one-step variant).
-    """
-
-    # estimator selection
-    method: str = "rr"
-    variant: str = "dr"
-    scenario: str = "a"
-    # auto | forest | logistic | oracle: auto is a forest in a fit, the
-    # scenario's model in a sweep cell, which alone resolves oracle
-    propensity: str = "auto"
-    seed: int = 0
-    net_seed: int = 0
-    threads: int = 1
-
-    # kernels and ridges
-    bandwidth_x: float = 2.0
-    bandwidth_v: float = 2.0
-    bandwidth_y: float = 2.0
-    ridge0: float = 20.0
-    ridge1: float = 20.0
-
-    # networks
-    n_feats: int = 20                   # feature count M for df / grid size for nk
-    hidden: list[int] = field(default_factory=lambda: [20, 20])
-    momentum: float = 0.9
-    lr_df: float = 2e-4
-    lr_nk: float = 4e-4
-    epochs_df1: int = 6000
-    epochs_df2: int = 1000
-    epochs_nk1: int = 16000
-    epochs_nk2: int = 500
-    grid_pad: float = 2.0
-
-    # propensity clipping
-    clip_lo: float = 0.01
-    clip_hi: float = 0.99
-
-    # data
-    n: int = 200
-    v_cols: list[int] | None = None     # None = first five covariates
-
-    # sweep / evaluation
-    methods: list[str] = field(default_factory=lambda: ["rr"])
-    variants: list[str] = field(default_factory=lambda: ["dr"])
-    scenarios: list[str] = field(default_factory=lambda: ["a"])
-    n_list: list[int] = field(default_factory=lambda: [200, 500, 2000, 5000])
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    test_points: int = 500
-    grid_points: int = 1000
-    eval_seed: int = 0
-
-    def kernel_x(self) -> KernelSpec:
-        return KernelSpec(self.bandwidth_x)
-
-    def kernel_v(self) -> KernelSpec:
-        return KernelSpec(self.bandwidth_v)
-
-    def kernel_y(self) -> KernelSpec:
-        return KernelSpec(self.bandwidth_y, normalized=True)
-
-    def clip(self) -> tuple[float, float]:
-        return self.clip_lo, self.clip_hi
-
-    def net_seeds(self) -> tuple[int, int]:
-        ss = np.random.SeedSequence([int(self.net_seed)])
-        a, b = ss.generate_state(2)
-        return int(a), int(b)
-
-    def scaled_lr(self, base: float, rows: int) -> float:
-        return base * rows / 200.0
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +341,105 @@ def _head_class(method: str):
 def head_from_arrays(arrays) -> KernelHead | FeatureHead | GridHead:
     """Rebuild a head from the arrays its ``to_arrays`` returned."""
     return _head_class(str(arrays["kind"])).from_arrays(arrays)
+
+
+def _setting(default, bounds=None, reads=("fit", "sweep")):
+    """A ``Hyper`` field of this default whose metadata holds ``bounds`` (an interval
+    "[0, 1)" for numbers and list entries, or a tuple of names) and ``reads``."""
+    given = ({"default_factory": default.copy} if isinstance(default, list)
+             else {"default": default})
+    return field(**given, metadata={"bounds": bounds, "reads": reads})
+
+
+_BANDWIDTHS = "[{!r}, {!r})".format(*BANDWIDTHS)
+
+
+@dataclass
+class Hyper:
+    """Every setting of a fit, a sweep and the command line, each with its default.
+
+    The CLI flags (``bandwidth_x`` is ``--bandwidth-x``), the ``--config``
+    JSON keys and ``--print-config`` all come from these fields.  The
+    defaults are the benchmark settings.  Each field declares its bounds,
+    which ``config.validate_config`` checks, and the commands that read it,
+    the only ones that take its flag.
+
+    Per-stage settings come in pairs that the heads index by stage (0 or 1):
+    the ridges ``ridge0/ridge1``, added to the Gram diagonal as-is, and the
+    epoch budgets ``epochs_df1/epochs_df2`` and ``epochs_nk1/epochs_nk2``.
+    Learning rates are quoted per 200 rows and scaled linearly: stage one by
+    len(D0), the whole nuisance half, although it trains on D0's treated rows
+    only; stage two by the rows it trains on (D1, or D1's treated rows for
+    the one-step variant).
+    """
+
+    # estimator selection
+    method: str = _setting("rr", METHODS, ("fit",))
+    variant: str = _setting("dr", VARIANTS, ("fit",))
+    scenario: str = _setting("a", reads=())   # keyed on by perfbench's traced generate
+    # auto | forest | logistic | oracle: auto is a forest in a fit, the
+    # scenario's model in a sweep cell, which alone resolves oracle
+    propensity: str = _setting("auto", ("auto", "forest", "logistic", "oracle"))
+    seed: int = _setting(0, "[0, inf)", ("simulate", "fit", "sweep"))
+    net_seed: int = _setting(0, "[0, inf)")
+    threads: int = _setting(1, "[1, inf)", ("sweep",))
+
+    # kernels and ridges
+    bandwidth_x: float = _setting(2.0, _BANDWIDTHS)
+    bandwidth_v: float = _setting(2.0, _BANDWIDTHS)
+    bandwidth_y: float = _setting(2.0, _BANDWIDTHS)
+    ridge0: float = _setting(20.0, "(0, inf)")
+    ridge1: float = _setting(20.0, "(0, inf)")
+
+    # networks
+    n_feats: int = _setting(20, "[1, inf)")    # feature count M for df / grid size for nk
+    hidden: list[int] = _setting([20, 20], "[1, inf)")
+    momentum: float = _setting(0.9, "[0, 1)")
+    lr_df: float = _setting(2e-4, "(0, inf)")
+    lr_nk: float = _setting(4e-4, "(0, inf)")
+    epochs_df1: int = _setting(6000, "[0, inf)")
+    epochs_df2: int = _setting(1000, "[0, inf)")
+    epochs_nk1: int = _setting(16000, "[0, inf)")
+    epochs_nk2: int = _setting(500, "[0, inf)")
+    grid_pad: float = _setting(2.0, "[0, inf)", ("fit", "density", "sweep"))
+
+    # propensity clipping; config also checks clip_lo < clip_hi
+    clip_lo: float = _setting(0.01, "(0, 1)")
+    clip_hi: float = _setting(0.99, "(0, 1)")
+
+    # data
+    n: int = _setting(200, "[4, inf)", ("simulate",))
+    v_cols: list[int] | None = _setting(None, "[0, inf)")    # None = first five covariates
+
+    # sweep / evaluation
+    methods: list[str] = _setting(["rr"], METHODS, ("sweep",))
+    variants: list[str] = _setting(["dr"], VARIANTS, ("sweep",))
+    scenarios: list[str] = _setting(["a"], reads=("sweep",))  # synthbench.SCENARIOS keys
+    n_list: list[int] = _setting([200, 500, 2000, 5000], "[2, inf)", ("sweep",))
+    seeds: list[int] = _setting([0, 1, 2, 3, 4], "[0, inf)", ("sweep",))
+    test_points: int = _setting(500, "[1, inf)", ("sweep",))
+    grid_points: int = _setting(1000, "[1, inf)", ("density", "sweep"))
+    eval_seed: int = _setting(0, "[0, inf)", ("sweep",))
+
+    def kernel_x(self) -> KernelSpec:
+        return KernelSpec(self.bandwidth_x)
+
+    def kernel_v(self) -> KernelSpec:
+        return KernelSpec(self.bandwidth_v)
+
+    def kernel_y(self) -> KernelSpec:
+        return KernelSpec(self.bandwidth_y, normalized=True)
+
+    def clip(self) -> tuple[float, float]:
+        return self.clip_lo, self.clip_hi
+
+    def net_seeds(self) -> tuple[int, int]:
+        ss = np.random.SeedSequence([int(self.net_seed)])
+        a, b = ss.generate_state(2)
+        return int(a), int(b)
+
+    def scaled_lr(self, base: float, rows: int) -> float:
+        return base * rows / 200.0
 
 
 # ---------------------------------------------------------------------------

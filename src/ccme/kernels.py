@@ -35,19 +35,13 @@ from numpy.typing import NDArray
 from . import blas
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["KernelSpec", "usable_bandwidth", "gram", "SpdFactor", "OutcomeBasis",
+__all__ = ["KernelSpec", "BANDWIDTHS", "gram", "SpdFactor", "OutcomeBasis",
            "outcome_basis"]
 
 
-def usable_bandwidth(bandwidth: float) -> bool:
-    """Whether ``bandwidth`` is finite and positive and 2 bandwidth^2, the
-    divisor in ``KernelSpec.at``, is a positive normal float: below about
-    1e-154 it is subnormal or 0 (a NaN Gram diagonal), and above about 1e154
-    it overflows (a constant Gram)."""
-    if not bandwidth > 0:              # NaN too
-        return False
-    two_var = 2.0 * float(bandwidth) * float(bandwidth)
-    return np.finfo(np.float64).tiny <= two_var < np.inf
+# [lo, hi): where 2 bandwidth^2, ``KernelSpec.at``'s divisor, is a positive normal
+# float; below lo it is subnormal or 0 (NaN Gram diagonals), from hi it overflows.
+BANDWIDTHS = (1.0547686614863e-154, 9.480751908109177e+153)
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class KernelSpec:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if not usable_bandwidth(self.bandwidth):
+        if not BANDWIDTHS[0] <= self.bandwidth < BANDWIDTHS[1]:   # NaN neither
             raise InvalidArgumentError(
                 "bandwidth must be finite and positive, with 2 bandwidth^2 a "
                 f"normal float, got {self.bandwidth}")

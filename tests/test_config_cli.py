@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -152,7 +153,8 @@ _BOUNDS = [
     ("momentum", "1.5", "0"), ("momentum", "1", "0.999"),
     ("momentum", "-0.1", "0"), ("n-feats", "0", "1"), ("hidden", "20,0", "1"),
     ("grid-pad", "-1", "0"), ("grid-pad", "inf", "0"), ("grid-pad", "nan", "0"),
-    ("v-cols", "", "0"), ("v-cols", "0,0,0", "0,1,2"), ("threads", "0", "1"),
+    ("v-cols", "", "0"), ("v-cols", "0,0,0", "0,1,2"), ("v-cols", "2,-1", "2,0"),
+    ("threads", "0", "1"),
     ("n", "3", "4"),
 ]
 
@@ -319,18 +321,20 @@ class TestFit:
                      str(tmp_path / "m.npz")]) == 4
 
     def test_fit_reads_no_scenario(self, workdir, tmp_path, capsys):
-        """Scenarios are sweep rules: a fit under b or c exits 4 in one line
-        that names the flag to use, whatever the data, before reading it."""
+        """Scenarios are sweep rules: --scenario is a flag fit does not read,
+        so a fit given one exits 4 in one line naming it, whatever the data,
+        before reading it."""
         model = tmp_path / "m.npz"
         for data in (workdir["sim"], str(tmp_path / "nope.csv")):
-            for scenario in ("b", "c"):
+            for scenario in ("a", "b", "c"):
                 capsys.readouterr()
                 assert main(["fit", data, "--scenario", scenario,
                              "--model-out", str(model)]) == 4
                 err = capsys.readouterr().err.strip().splitlines()
-                assert len(err) == 1 and "--propensity logistic" in err[0]
+                assert err == ["degenerate data or configuration: "
+                               "fit does not read --scenario"]
         assert not model.exists()
-        assert main(["fit", workdir["sim"], "--seed", "5", "--scenario", "a",
+        assert main(["fit", workdir["sim"], "--seed", "5",
                      "--model-out", str(model)]) == 0
         assert model.read_bytes() == Path(workdir["model"]).read_bytes()
 
@@ -580,6 +584,32 @@ class TestDensity:
             assert spaced.read_bytes() == joined.read_bytes()
         else:
             assert not spaced.exists() and not joined.exists()
+
+    def test_an_explicit_grid_reads_no_grid_pad(self, workdir, tmp_path, capsys):
+        """--grid-pad pads only the default grid: with --grid-lo and --grid-hi
+        it exits 4 in one line, before or after the command, and writes
+        nothing; a config file's grid_pad is named in a warning."""
+        out = tmp_path / "d.csv"
+        window = ["--v", "1,1,1,1,1", "--grid-lo", "0", "--grid-hi", "5",
+                  "--out", str(out)]
+        for argv in (["density", workdir["model"], *window, "--grid-pad", "5"],
+                     ["--grid-pad", "5", "density", workdir["model"], *window]):
+            capsys.readouterr()
+            assert main(argv) == 4
+            assert capsys.readouterr().err == (
+                "degenerate data or configuration: density with --grid-lo and "
+                "--grid-hi does not read --grid-pad\n")
+        assert not out.exists()
+        assert main(["density", workdir["model"], *window]) == 0
+        plain = out.read_bytes()
+        config = tmp_path / "pad.json"
+        config.write_text(json.dumps({"grid_pad": 5.0}))
+        capsys.readouterr()
+        assert main(["density", workdir["model"], *window, "--config", str(config)]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "warning: density with --grid-lo and --grid-hi does not read "
+            f"grid_pad from {config}")
+        assert out.read_bytes() == plain
 
     def test_grid_flags_validated(self, workdir):
         assert main(["density", workdir["model"], "--v", "1,1,1,1,1",
@@ -923,11 +953,9 @@ class TestReport:
         assert std.err == f"parse failure: {path}:3: {message}\n"
 
 
-# The settings a sweep does not read, as README lists them: its cells set
-# the estimator, scenario and rows; threads only schedules the groups.
-SWEEP_UNREAD = {"method", "variant", "scenario", "n", "threads"}
+COMMANDS = ["simulate", "fit", "density", "sweep", "report"]
 
-# A tiny rr/df/nk sweep, and a new value for every other setting.
+# A tiny rr/df/nk sweep, and a new value for every setting a sweep reads.
 SWEEP_BASE = dict(methods=["rr", "df", "nk"], variants=["dr"], scenarios=["a"],
                   n_list=[30], seeds=[0], test_points=5, grid_points=20,
                   n_feats=4, hidden=[8], epochs_df1=30, epochs_df2=20,
@@ -940,42 +968,155 @@ SWEEP_CHANGES = {
     "grid_pad": 1.0, "clip_lo": 0.2, "clip_hi": 0.6, "v_cols": [0, 1],
     "methods": ["rr"], "variants": ["pi"], "scenarios": ["c"], "n_list": [25],
     "seeds": [1], "test_points": 4, "grid_points": 15, "eval_seed": 1,
-    "seed": 1, "net_seed": 1,
+    "seed": 1, "net_seed": 1, "threads": 2,
+}
+
+# Each command's base settings, as a --config file, and a new value for
+# every setting it reads (for fit, with the one method that reads it).
+COMMAND_BASE = {
+    "simulate": {"n": 30}, "density": {"grid_points": 20}, "sweep": SWEEP_BASE,
+    "fit": {key: SWEEP_BASE[key] for key in ("n_feats", "hidden", "epochs_df1",
+                                             "epochs_df2", "epochs_nk1", "epochs_nk2")},
+    "report": {},
+}
+READ_CHANGES = {
+    "simulate": {"n": 31, "seed": 1},
+    "fit": {
+        "method": ("df", "rr"), "variant": ("pi", "rr"), "propensity": ("logistic", "rr"),
+        "seed": (1, "rr"), "bandwidth_x": (1.0, "rr"), "bandwidth_v": (1.0, "rr"),
+        "bandwidth_y": (1.0, "rr"), "ridge0": (5.0, "rr"), "ridge1": (5.0, "rr"),
+        "clip_lo": (0.5, "rr"), "clip_hi": (0.6, "rr"), "v_cols": ([0, 1], "rr"),
+        "net_seed": (1, "df"), "n_feats": (5, "df"), "hidden": ([6], "df"),
+        "momentum": (0.5, "df"), "lr_df": (1e-4, "df"), "epochs_df1": (20, "df"),
+        "epochs_df2": (10, "df"), "lr_nk": (1e-4, "nk"), "epochs_nk1": (20, "nk"),
+        "epochs_nk2": (10, "nk"), "grid_pad": (1.0, "nk"),
+    },
+    "density": {"grid_points": 15, "grid_pad": 1.0},
+    "sweep": SWEEP_CHANGES,
+    "report": {},
 }
 
 
-class TestSweepSettings:
-    """No setting is silently ignored by a sweep."""
+def _reads(command):
+    return {f.name for f in fields(Hyper) if command in f.metadata["reads"]}
 
-    @staticmethod
-    def sweep(tmp_path, **changes):
-        """(exit code, records without their seconds, stderr) of a sweep."""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({**SWEEP_BASE, **changes}))
-        out = tmp_path / "sweep.csv"
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(["sweep", "--config", str(config), "--out", str(out)])
-        rows = [line.split(",") for line in out.read_text().splitlines()] if code == 0 else []
-        return code, [row[:6] + row[7:] for row in rows], err.getvalue()
+
+@pytest.fixture(scope="module")
+def setting_inputs(tmp_path_factory):
+    """A dataset, an rr model fitted on it and a one-row sweep CSV."""
+    root = tmp_path_factory.mktemp("inputs")
+    data, model, swept = root / "d.csv", root / "m.npz", root / "s.csv"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["simulate", "--n", "60", "--seed", "3", "--out", str(data)]) == 0
+        assert main(["fit", str(data), "--model-out", str(model)]) == 0
+    write_sweep_csv(swept, ["rr,dr,a,100,0,0.5,0.1,"])
+    return {"data": str(data), "model": str(model), "sweep": str(swept)}
+
+
+def run_command(command, inputs, tmp_path, flags=()):
+    """(exit code, output, stderr) of a command on its base settings: the
+    bytes it writes, and for a sweep its records without their seconds and
+    its status line, which names the threads."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(COMMAND_BASE[command]))
+    out = tmp_path / "out"
+    argv = {"simulate": ["--out"], "fit": [inputs["data"], "--model-out"],
+            "density": [inputs["model"], "--v", "1,1,1,1,1", "--out"],
+            "sweep": ["--out"], "report": [inputs["sweep"], "--out"]}[command]
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(config), *flags, *argv, str(out)])
+    output = out.read_bytes() if code == 0 else None
+    if command == "sweep" and code == 0:
+        rows = [line.split(",") for line in output.decode().splitlines()]
+        output = [row[:6] + row[7:] for row in rows], err.getvalue().splitlines()[0]
+    return code, output, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def setting_base(setting_inputs, tmp_path_factory):
+    """The output of each command, and of a fit with each method, on its
+    base settings."""
+    outputs = {}
+    for command, method in [("simulate", None), ("density", None), ("sweep", None),
+                            ("fit", "rr"), ("fit", "df"), ("fit", "nk")]:
+        flags = ["--method", method] if method else []
+        code, output, err = run_command(command, setting_inputs,
+                                        tmp_path_factory.mktemp(command), flags)
+        assert code == 0 and "warning" not in err, err
+        outputs[command, method] = output
+    records = outputs["sweep", None][0]
+    assert len(records) == 4 and all(row[-1] == "" for row in records[1:])
+    return outputs
+
+
+def check_read_setting(command, name, inputs, base, tmp_path):
+    """A new value of a setting the command reads changes its output, or
+    exits 4 naming the setting."""
+    value, method = READ_CHANGES[command][name], None
+    if command == "fit":
+        value, method = value
+    assert value != COMMAND_BASE[command].get(name, getattr(Hyper(), name))
+    flags = [f"--{name.replace('_', '-')}={_flag_text(value)}"]
+    if method and name != "method":
+        flags += ["--method", method]
+    code, output, err = run_command(command, inputs, tmp_path, flags)
+    assert (code == 0 and output != base[command, method]) or (
+        code == 4 and name in err), err
+
+
+class TestCommandSettings:
+    """Every command honours or rejects every setting it reads, and rejects
+    the flag of every setting it does not read.  TestSweepSettings runs the
+    first check for sweeps."""
+
+    def test_each_command_reads_the_settings_it_declares(self):
+        assert {command: set(READ_CHANGES[command]) for command in COMMANDS} == {
+            command: _reads(command) for command in COMMANDS}
+        assert sum(len(_reads(command)) for command in COMMANDS) == 57
+        assert all(f.metadata["reads"] for f in fields(Hyper) if f.name != "scenario")
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name) for command in COMMANDS if command != "sweep"
+        for name in sorted(READ_CHANGES[command])])
+    def test_a_read_setting_changes_the_output_or_exits_4(
+            self, command, name, setting_inputs, setting_base, tmp_path):
+        check_read_setting(command, name, setting_inputs, setting_base, tmp_path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_unread_flag_exits_4_before_or_after_the_command(
+            self, command, tmp_path, monkeypatch, capsys):
+        """However valid its value, and before anything is read or written."""
+        monkeypatch.chdir(tmp_path)
+        positional = {"fit": ["d.csv"], "density": ["m.npz"], "report": ["s.csv"]}
+        unread = sorted({f.name for f in fields(Hyper)} - _reads(command))
+        for name in unread:
+            value = getattr(Hyper(), name)
+            flag = ["--" + name.replace("_", "-"),
+                    _flag_text([0, 1, 2, 3, 4] if value is None else value)]
+            command_args = [command, *positional.get(command, [])]
+            for argv in ([*flag, *command_args], [*command_args, *flag]):
+                capsys.readouterr()
+                assert main(argv) == 4, argv
+                assert capsys.readouterr().err == (
+                    "degenerate data or configuration: "
+                    f"{command} does not read {flag[0]}\n"), argv
+        assert len(unread) == 34 - len(READ_CHANGES[command])
+        assert os.listdir(tmp_path) == []
+
+
+class TestSweepSettings:
+    """No setting is silently ignored by a sweep: it reads every one but
+    those its cells set."""
 
     def test_every_setting_is_classified(self):
-        names = {f.name for f in fields(Hyper)}
-        assert SWEEP_UNREAD | set(SWEEP_CHANGES) == names
-        assert not SWEEP_UNREAD & set(SWEEP_CHANGES)
-
-    @pytest.fixture(scope="class")
-    def base(self, tmp_path_factory):
-        code, records, _ = self.sweep(tmp_path_factory.mktemp("base"))
-        assert code == 0 and len(records) == 4
-        assert all(row[-1] == "" for row in records[1:])
-        return records
+        assert set(SWEEP_CHANGES) == _reads("sweep") == {f.name for f in fields(Hyper)} - {
+            "method", "variant", "scenario", "n"}
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CHANGES))
-    def test_a_sweep_honours_or_rejects_the_setting(self, name, base, tmp_path):
-        value = SWEEP_CHANGES[name]
-        assert value != SWEEP_BASE.get(name, getattr(Hyper(), name))
-        code, records, err = self.sweep(tmp_path, **{name: value})
-        assert (code == 0 and records != base) or (code == 4 and name in err)
+    def test_a_sweep_honours_or_rejects_the_setting(self, name, setting_inputs,
+                                                    setting_base, tmp_path):
+        check_read_setting("sweep", name, setting_inputs, setting_base, tmp_path)
 
 
 class TestExitCodes:
@@ -1086,6 +1227,67 @@ class TestExitCodes:
                      "--model-out", str(tmp_path / "m.npz")]) == code
         err = capsys.readouterr().err
         assert ("cannot fit a first stage" in err) == (code == 4)
+
+
+class TestOutOfMemory:
+    """A setting too large for memory exits 4 in one line that names the
+    allocation numpy refused (each message is the one numpy gave for these
+    flags), or says "out of memory" for a MemoryError without a message.
+    The allocating call is patched to raise, so nothing is allocated."""
+
+    CASES = {
+        "simulate": ("generate", ["simulate", "--n", "1000000000000"],
+                     "72.8 TiB for an array with shape (1000000000000, 10)"),
+        "fit": ("fit_ccme", ["fit", "{sim}", "--method", "nk", "--n-feats", "100000"],
+                "74.5 GiB for an array with shape (100000, 100000)"),
+        "density": ("density_curves", ["density", "{model}", "--v", "1,1,1,1,1",
+                                       "--grid-points", "100000000"],
+                    "50.7 GiB for an array with shape (68, 100000000)"),
+        "no-message": ("generate", ["simulate"], None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_memory_error_exits_4(self, case, workdir, tmp_path, monkeypatch, capsys):
+        from ccme import cli
+
+        target, argv, size = self.CASES[case]
+        message = f"Unable to allocate {size} and data type float64" if size else ""
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, refuse)
+        out = tmp_path / "out"
+        argv = [arg.format(**workdir) for arg in argv] + [
+            "--model-out" if argv[0] == "fit" else "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 4
+        std = capsys.readouterr()
+        assert std.err == ("degenerate data or configuration: "
+                           f"{message or 'out of memory'}\n")
+        assert std.out == "" and not out.exists()
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_and_readme_list_the_settings_the_command_reads(self, command,
+                                                                 capsys):
+        """Each with its default; README's per-command table names the same
+        flags, and the top-level help (for --print-config) all of them."""
+        reads = {f.name for f in fields(Hyper)} if command is None else _reads(command)
+        flags = {"--" + name.replace("_", "-") for name in reads}
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"] if command else ["--help"])
+        assert done.value.code == 0
+        text = capsys.readouterr().out
+        section = text.partition("\nsettings:\n")[2]
+        listed = re.findall(r"^  (--[a-z0-9-]+) V +default \S", section, re.M)
+        assert sorted(listed) == sorted(flags)
+        assert len(re.findall(r"^  --", section, re.M)) == len(flags)
+        readme = PYPROJECT.parent / "README.md"
+        if command is not None and readme.is_file():
+            rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme.read_text(), re.M))
+            assert set(re.findall(r"`(--[a-z0-9-]+)`", rows[command])) == flags
 
 
 class TestMainDispatch:

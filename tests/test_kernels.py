@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.estimators import Hyper, KernelHead
-from ccme.kernels import KernelSpec, SpdFactor, gram, usable_bandwidth
+from ccme.kernels import BANDWIDTHS, KernelSpec, SpdFactor, gram
 
 from oracles import kernel_eval
 
@@ -53,6 +53,21 @@ class TestKernelEval:
             with pytest.raises(InvalidArgumentError):
                 KernelSpec(bandwidth=bad)
         assert KernelSpec(bandwidth=1e-153).bandwidth == 1e-153
+
+    def test_bandwidths_are_where_the_divisor_is_a_normal_float(self):
+        """BANDWIDTHS = [lo, hi) holds exactly the bandwidths whose
+        2 bandwidth^2, computed as KernelSpec.at does, is a positive normal
+        float: lo is the first, and hi the first whose square overflows."""
+        lo, hi = BANDWIDTHS
+        tiny = np.finfo(np.float64).tiny
+        below_lo, below_hi = math.nextafter(lo, 0.0), math.nextafter(hi, 0.0)
+        assert 2.0 * lo * lo >= tiny > 2.0 * below_lo * below_lo
+        assert 2.0 * below_hi * below_hi < math.inf == 2.0 * hi * hi
+        for good in (lo, below_hi):
+            assert KernelSpec(bandwidth=good).bandwidth == good
+        for bad in (below_lo, hi):
+            with pytest.raises(InvalidArgumentError):
+                KernelSpec(bandwidth=bad)
 
     def test_norm_const_dimension_scaling(self):
         spec = KernelSpec(bandwidth=2.0, normalized=True)
@@ -99,7 +114,7 @@ class TestGram:
     def test_square_gram_symmetric_unit_diagonal_psd(self, n, d, seed, scale, repeats,
                                                     log_bandwidth):
         bandwidth = 10.0 ** log_bandwidth
-        assert usable_bandwidth(bandwidth)      # 1e-150 .. 1e150 all are
+        assert BANDWIDTHS[0] <= bandwidth < BANDWIDTHS[1]     # 1e-150 .. 1e150 all are
         rng = np.random.default_rng(seed)
         pts = scale * rng.normal(size=(n, d))
         if repeats:                    # duplicate points give equal rows
