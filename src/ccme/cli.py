@@ -117,20 +117,19 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> Hyper:
-    """The flags laid over the --config file's settings, over the defaults: a
-    flag the command does not read is an error, a file key of one a warning."""
+    """The flags over the --config file's settings over the defaults: a flag the
+    command does not read is an error, a file key of one a warning and dropped."""
     values = load_config_file(args.config) if "config" in args else {}
     flags = {f.name: parse_override(f.name, getattr(args, f"cfg_{f.name}"))
              for f in fields(Hyper) if f"cfg_{f.name}" in args}
-    cfg = Hyper(**{**values, **flags})
-    for scenario in (cfg.scenario, *cfg.scenarios):
-        check_scenario(scenario)
     command = args.command
     reads = {f.name for f in fields(Hyper) if command in (None, *f.metadata["reads"])}
     if command == "density" and None not in (args.grid_lo, args.grid_hi):
         command, reads = "density with --grid-lo and --grid-hi", reads - {"grid_pad"}
-    unread = min(flags.keys() - reads, default=None)
-    if unread:
+    cfg = Hyper(**{**{key: values[key] for key in values.keys() & reads}, **flags})
+    for scenario in (cfg.scenario, *cfg.scenarios):
+        check_scenario(scenario)
+    if unread := min(flags.keys() - reads, default=None):
         raise ConfigError(f"{command} does not read --{unread.replace('_', '-')}")
     validate_config(cfg)
     if values.keys() - reads:

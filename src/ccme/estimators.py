@@ -380,8 +380,9 @@ class Hyper:
     # auto | forest | logistic | oracle: auto is a forest in a fit, the
     # scenario's model in a sweep cell, which alone resolves oracle
     propensity: str = _setting("auto", ("auto", "forest", "logistic", "oracle"))
-    seed: int = _setting(0, "[0, inf)", ("simulate", "fit", "sweep"))
-    net_seed: int = _setting(0, "[0, inf)")
+    # a sweep reads no seed, net_seed or v_cols: see synthbench._check_sweep
+    seed: int = _setting(0, "[0, inf)", ("simulate", "fit"))
+    net_seed: int = _setting(0, "[0, inf)", ("fit",))
     threads: int = _setting(1, "[1, inf)", ("sweep",))
 
     # kernels and ridges
@@ -409,7 +410,7 @@ class Hyper:
 
     # data
     n: int = _setting(200, "[4, inf)", ("simulate",))
-    v_cols: list[int] | None = _setting(None, "[0, inf)")    # None = first five covariates
+    v_cols: list[int] | None = _setting(None, "[0, inf)", ("fit",))  # None = first five
 
     # sweep / evaluation
     methods: list[str] = _setting(["rr"], METHODS, ("sweep",))

@@ -734,32 +734,42 @@ class TestSweepCommand:
         assert mse("oracle") not in (auto, mse("logistic"))
 
     def test_sweeps_reject_v_cols(self, tmp_path, capsys):
+        """The true densities condition on the first five covariates, so a
+        sweep does not read --v-cols, even naming those five."""
         base = ["sweep", "--n-list", "30", "--seeds", "0", "--test-points", "5",
                 "--grid-points", "20", "--out", str(tmp_path / "s.csv")]
-        capsys.readouterr()
-        assert main(base + ["--v-cols", "0,1"]) == 4
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1, err
-        assert err[0].startswith("degenerate data or configuration")
-        assert "v_cols [0, 1]" in err[0]
+        for value in ("0,1", "0,1,2,3,4"):
+            capsys.readouterr()
+            assert main(base + ["--v-cols", value]) == 4
+            assert capsys.readouterr().err == (
+                "degenerate data or configuration: sweep does not read --v-cols\n")
         assert not (tmp_path / "s.csv").exists()
-        assert main(base + ["--v-cols", "0,1,2,3,4"]) == 0
 
     @pytest.mark.parametrize("flag", ["--seed", "--net-seed"])
     def test_sweeps_reject_seed_and_net_seed(self, flag, tmp_path, capsys):
         """Each group derives its seeds from (n, seed) in --seeds, so a sweep
-        rejects these, in one line before its status line, as it does v_cols."""
+        does not read these, even at the default 0; a --config file's value is
+        named in a warning and left at the default."""
         name = flag[2:].replace("-", "_")
+        out = tmp_path / "s.csv"
         base = ["sweep", "--n-list", "30", "--seeds", "0", "--test-points", "5",
-                "--grid-points", "20", "--out", str(tmp_path / "s.csv")]
+                "--grid-points", "20", "--out", str(out)]
+        for value in ("5", "0"):
+            capsys.readouterr()
+            assert main(base + [flag, value]) == 4
+            assert capsys.readouterr().err == (
+                f"degenerate data or configuration: sweep does not read {flag}\n")
+        assert not out.exists()
+        assert main(base) == 0
+        plain = out.read_text().splitlines()
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({name: 5}))
         capsys.readouterr()
-        assert main(base + [flag, "5"]) == 4
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1, err
-        assert err[0].startswith("degenerate data or configuration")
-        assert f"{name} 5" in err[0]
-        assert not (tmp_path / "s.csv").exists()
-        assert main(base + [flag, "0"]) == 0
+        assert main(base + ["--config", str(config)]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"warning: sweep does not read {name} from {config}")
+        assert [row.split(",")[:6] for row in out.read_text().splitlines()] == [
+            row.split(",")[:6] for row in plain]
 
     def test_rr_cap_is_one_line(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -955,7 +965,13 @@ class TestReport:
 
 COMMANDS = ["simulate", "fit", "density", "sweep", "report"]
 
-# A tiny rr/df/nk sweep, and a new value for every setting a sweep reads.
+# A sweep reads no seed, net_seed or v_cols: each group derives its seeds from
+# its (n, seed) in --seeds, and the true densities condition on V = the first
+# five covariates.
+SWEEP_UNREAD = {"seed", "net_seed", "v_cols"}
+
+# A tiny rr/df/nk sweep, and a new value for every setting a sweep reads but
+# threads, which changes no record, and for each of SWEEP_UNREAD.
 SWEEP_BASE = dict(methods=["rr", "df", "nk"], variants=["dr"], scenarios=["a"],
                   n_list=[30], seeds=[0], test_points=5, grid_points=20,
                   n_feats=4, hidden=[8], epochs_df1=30, epochs_df2=20,
@@ -968,7 +984,7 @@ SWEEP_CHANGES = {
     "grid_pad": 1.0, "clip_lo": 0.2, "clip_hi": 0.6, "v_cols": [0, 1],
     "methods": ["rr"], "variants": ["pi"], "scenarios": ["c"], "n_list": [25],
     "seeds": [1], "test_points": 4, "grid_points": 15, "eval_seed": 1,
-    "seed": 1, "net_seed": 1, "threads": 2,
+    "seed": 1, "net_seed": 1,
 }
 
 # Each command's base settings, as a --config file, and a new value for
@@ -992,7 +1008,8 @@ READ_CHANGES = {
         "epochs_nk2": (10, "nk"), "grid_pad": (1.0, "nk"),
     },
     "density": {"grid_points": 15, "grid_pad": 1.0},
-    "sweep": SWEEP_CHANGES,
+    "sweep": {**{key: value for key, value in SWEEP_CHANGES.items()
+                 if key not in SWEEP_UNREAD}, "threads": 2},
     "report": {},
 }
 
@@ -1015,8 +1032,7 @@ def setting_inputs(tmp_path_factory):
 
 def run_command(command, inputs, tmp_path, flags=()):
     """(exit code, output, stderr) of a command on its base settings: the
-    bytes it writes, and for a sweep its records without their seconds and
-    its status line, which names the threads."""
+    bytes it writes, and for a sweep its records without their seconds."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(COMMAND_BASE[command]))
     out = tmp_path / "out"
@@ -1028,8 +1044,8 @@ def run_command(command, inputs, tmp_path, flags=()):
         code = main([command, "--config", str(config), *flags, *argv, str(out)])
     output = out.read_bytes() if code == 0 else None
     if command == "sweep" and code == 0:
-        rows = [line.split(",") for line in output.decode().splitlines()]
-        output = [row[:6] + row[7:] for row in rows], err.getvalue().splitlines()[0]
+        output = [row[:6] + row[7:] for row in
+                  (line.split(",") for line in output.decode().splitlines())]
     return code, output, err.getvalue()
 
 
@@ -1045,7 +1061,7 @@ def setting_base(setting_inputs, tmp_path_factory):
                                         tmp_path_factory.mktemp(command), flags)
         assert code == 0 and "warning" not in err, err
         outputs[command, method] = output
-    records = outputs["sweep", None][0]
+    records = outputs["sweep", None]
     assert len(records) == 4 and all(row[-1] == "" for row in records[1:])
     return outputs
 
@@ -1068,12 +1084,12 @@ def check_read_setting(command, name, inputs, base, tmp_path):
 class TestCommandSettings:
     """Every command honours or rejects every setting it reads, and rejects
     the flag of every setting it does not read.  TestSweepSettings runs the
-    first check for sweeps."""
+    first check for sweeps, whose records must change."""
 
     def test_each_command_reads_the_settings_it_declares(self):
         assert {command: set(READ_CHANGES[command]) for command in COMMANDS} == {
             command: _reads(command) for command in COMMANDS}
-        assert sum(len(_reads(command)) for command in COMMANDS) == 57
+        assert sum(len(_reads(command)) for command in COMMANDS) == 54
         assert all(f.metadata["reads"] for f in fields(Hyper) if f.name != "scenario")
 
     @pytest.mark.parametrize("command,name", [
@@ -1106,17 +1122,33 @@ class TestCommandSettings:
 
 
 class TestSweepSettings:
-    """No setting is silently ignored by a sweep: it reads every one but
-    those its cells set."""
+    """No setting is silently ignored by a sweep: a new value of one it reads
+    changes its records, and the flag of one it does not read exits 4."""
 
     def test_every_setting_is_classified(self):
-        assert set(SWEEP_CHANGES) == _reads("sweep") == {f.name for f in fields(Hyper)} - {
+        assert _reads("sweep") == {f.name for f in fields(Hyper)} - SWEEP_UNREAD - {
             "method", "variant", "scenario", "n"}
+        assert set(SWEEP_CHANGES) == _reads("sweep") - {"threads"} | SWEEP_UNREAD
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CHANGES))
     def test_a_sweep_honours_or_rejects_the_setting(self, name, setting_inputs,
                                                     setting_base, tmp_path):
-        check_read_setting("sweep", name, setting_inputs, setting_base, tmp_path)
+        flag = "--" + name.replace("_", "-")
+        code, records, err = run_command(
+            "sweep", setting_inputs, tmp_path, [f"{flag}={_flag_text(SWEEP_CHANGES[name])}"])
+        if name in SWEEP_UNREAD:
+            assert (code, err) == (4, "degenerate data or configuration: "
+                                      f"sweep does not read {flag}\n")
+        else:
+            assert code == 0 and records != setting_base["sweep", None], err
+
+    def test_threads_change_no_record(self, setting_inputs, setting_base, tmp_path):
+        """--threads 2 runs the group on a worker process: the same records,
+        and the status line names the thread count."""
+        code, records, err = run_command("sweep", setting_inputs, tmp_path,
+                                         ["--threads=2"])
+        assert code == 0 and records == setting_base["sweep", None], err
+        assert err.splitlines()[0].endswith(", threads=2)")
 
 
 class TestExitCodes:
@@ -1308,6 +1340,21 @@ class TestMainDispatch:
         monkeypatch.setenv("CCME_THREADS", "2")
         assert main(["--print-config"]) == 0
         assert json.loads(capsys.readouterr().out)["threads"] == 1
+
+    def test_an_unread_config_key_is_a_warning_and_unchecked(self, tmp_path, capsys):
+        """One file may serve several commands: a key of a setting the command
+        does not read is named in one warning, and that setting keeps its
+        default unchecked; a command that reads it checks its bounds."""
+        config = tmp_path / "shared.json"
+        config.write_text(json.dumps({"n_list": [1], "ridge1": 5.0}))
+        assert main(["fit", "d.csv", "--config", str(config), "--print-config"]) == 0
+        std = capsys.readouterr()
+        assert std.err == f"warning: fit does not read n_list from {config}\n"
+        printed = json.loads(std.out)
+        assert (printed["n_list"], printed["ridge1"]) == (Hyper().n_list, 5.0)
+        assert main(["sweep", "--config", str(config), "--print-config"]) == 4
+        assert capsys.readouterr().err == ("degenerate data or configuration: "
+                                           "n_list must be in [2, inf), got [1]\n")
 
     def test_flags_before_the_command_are_honoured(self, tmp_path, capsys):
         """A settings flag counts wherever it stands; given on both sides of

@@ -277,6 +277,11 @@ class TestSweep:
             run_sweep([SweepCell("xx", "dr", "a", 10, 0)])
         with pytest.raises(ConfigError, match="unknown variant"):
             run_sweep([SweepCell("rr", "xx", "a", 10, 0)])
+        # each group derives its seeds from its (n, seed), and the true
+        # densities condition on the first five covariates
+        for hyper in (Hyper(seed=1), Hyper(net_seed=1), Hyper(v_cols=[0, 1])):
+            with pytest.raises(ConfigError, match="seed 1|v_cols"):
+                run_sweep([SweepCell("rr", "dr", "a", 10, 0)], hyper)
 
     def test_sweep_sorts_and_reports_progress(self):
         cells = [SweepCell("rr", "dr", "a", 2, s) for s in (3, 1, 2)]
