@@ -149,6 +149,15 @@ def _ridge_basis(hyper: Hyper, y_all) -> OutcomeBasis:
     return outcome_basis(hyper.kernel_y(), y_all)
 
 
+# The columns of K(points, x) that one product in ``KernelHead.embedding``
+# takes.  On one OpenBLAS thread (2-core x86-64), blocks of 256 columns gave
+# the bits of the one product over all columns at the benchmark's shapes,
+# up to 5000 points by 5000 columns, where widths of 8 to 128, and 257, did
+# not.  Elsewhere the last block can differ in the last bits: at 300 or 700
+# columns, by up to 2e-15 of the largest entry.
+EMBED_COLUMNS = 256
+
+
 @dataclass
 class KernelHead:
     """Kernel ridge regression over ``points``: weights(x) = coef' K(points, x)
@@ -170,7 +179,12 @@ class KernelHead:
         return int(self.points.shape[1])
 
     def embedding(self, x: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-        out = self.coef.T @ gram(self.kernel, self.points, x)
+        """coef' K(points, x), with K built ``EMBED_COLUMNS`` columns at a
+        time: the cross Gram is never whole."""
+        out = np.empty((self.coef.shape[1], len(x)))
+        for lo in range(0, len(x), EMBED_COLUMNS):
+            out[:, lo:lo + EMBED_COLUMNS] = self.coef.T @ gram(
+                self.kernel, self.points, x[lo:lo + EMBED_COLUMNS])
         return out[:-1], out[-1]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -189,11 +203,11 @@ class KernelHead:
 
     @staticmethod
     def factor(inputs, hyper: Hyper, stage: int) -> SpdFactor:
-        """K(inputs) + ridge I under the stage's kernel and ridge, factored
-        in the Gram's own buffer: what ``fit`` solves with, whatever the
+        """K(inputs) + ridge I under the stage's kernel and ridge, built and
+        factored in packed storage: what ``fit`` solves with, whatever the
         targets."""
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
-        return SpdFactor(gram(kernel, inputs), (hyper.ridge0, hyper.ridge1)[stage])
+        return SpdFactor((kernel, inputs), (hyper.ridge0, hyper.ridge1)[stage])
 
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,

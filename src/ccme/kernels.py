@@ -10,13 +10,15 @@ benchmark) is written against the primitives in this module: ``gram`` for
 dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs, and
 ``OutcomeBasis`` for finite coordinates of the outcome kernel's features.
 
-An n x n Gram is the largest array a fit makes, so each is one buffer for
-its whole life: ``gram`` computes the kernel over the squared distances, and
-``SpdFactor`` adds its ridge to the diagonal and factors in place.
+An n x n regularized Gram is the largest thing a fit holds, so it is never
+made whole: ``SpdFactor`` writes K(points) + ridge I straight into
+rectangular full packed storage, n(n+1)/2 entries, a block of columns at a
+time, and factors it there.  ``gram`` computes a dense block's kernel over
+the squared distances, in their buffer.
 
-The native routines come through ``blas``: LAPACK and BLAS (dpotrf,
-dpotrs, dpotri, dsymm) from ``blas.lapack`` at the first factorization, and
-the kernel cdist runs for "sqeuclidean" from
+The native routines come through ``blas``: LAPACK and BLAS (dtrttf,
+dpftrf, dpftrs, dpotrf, dpotri, dsymm) from ``blas.lapack`` at the first
+factorization, and the kernel cdist runs for "sqeuclidean" from
 ``scipy.spatial._distance_pybind`` at the first Gram.  So evaluating
 densities from a stored model loads no LAPACK.
 
@@ -111,8 +113,88 @@ def gram(spec: KernelSpec, points_a: object,
     if pa.shape[1] != pb.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: {pa.shape[1]} vs {pb.shape[1]}")
+    return _kernel(spec, pa, pb)
+
+
+def _kernel(spec: KernelSpec, pa: NDArray[np.float64],
+            pb: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``gram`` of checked point arrays: the kernel over cdist's squared
+    distances, in their buffer."""
     sq = blas.compiled("scipy.spatial._distance_pybind").cdist_sqeuclidean(pa, pb)
     return spec.at(sq, pa.shape[1])
+
+
+# The columns of a packed Gram written at once, whose temporaries are this
+# many rows of at most n doubles: within 0.05 n^2 from order 1300 on.  At
+# order 5000 on a 2-core x86-64 box, widths from 16 to 256 all took
+# 0.10-0.13 s, against 0.20-0.29 s for the full Gram.
+PACK_COLUMNS = 64
+
+
+def _packed_gram(spec: KernelSpec, points: NDArray[np.float64],
+                 ridge: float) -> NDArray[np.float64]:
+    """K(points) + ridge I in rectangular full packed storage (RFP, transr
+    'N', uplo 'L'), with the bits of LAPACK's dtrttf packing of the full
+    matrix; a 1-d array of n(n+1)/2 entries, written ``PACK_COLUMNS``
+    columns at a time, so no n x n array is made.
+
+    With n = 2k + s, s = n mod 2 and n1 = k + s, the storage is a Fortran
+    array of n1 columns of n + 1 - s entries.  Column j holds A[n1..k+j,
+    k+j], the trailing block's upper triangle (nothing for j = 0 at odd n),
+    then A[j.., j]; ``cols`` is its C-ordered transpose, a row per column.
+    """
+    n = len(points)
+    k, s = divmod(n, 2)
+    n1 = k + s
+    buf = np.empty(n1 * (n + 1 - s))
+    cols = buf.reshape(n1, n + 1 - s)
+    for j0 in range(0, n1, PACK_COLUMNS):
+        j1 = min(j0 + PACK_COLUMNS, n1)
+        # the trailing part of columns j0..j1-1 on rows up to j1 - s; rows
+        # past each column's own part are overwritten by its leading part
+        cols[j0:j1, :j1 - s] = _kernel(spec, points[k + j0:k + j1],
+                                       points[n1:n1 + j1 - s])
+        lead = _kernel(spec, points[j0:j1], points[j0:])    # A[j0.., j0..j1-1]'
+        w = j1 - j0
+        np.copyto(cols[j0:j1, j0 + 1 - s:j1 + 1 - s], lead[:, :w],
+                  where=np.tri(w, dtype=bool).T)            # from A[j, j] on
+        cols[j0:j1, j1 + 1 - s:] = lead[:, w:]
+        del lead                                            # before the next block's
+    diag = np.arange(n1) * (n + 2 - s) - s                  # A[k+j, k+j], then A[j, j]
+    buf[diag[s:]] += ridge
+    buf[diag + 1] += ridge
+    return buf
+
+
+def _packed(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The exactly symmetric C-ordered ``matrix`` in ``_packed_gram``'s
+    storage, by dtrttf from its upper triangle: ``matrix.T`` is the same
+    matrix in Fortran order, whose lower triangle dtrttf reads."""
+    lapack, _ = blas.lapack()
+    return lapack.dtrttf(matrix.T, transr="N", uplo="L")[0]
+
+
+def _rfp_cholesky(packed: NDArray[np.float64], n: int,
+                  what: str) -> NDArray[np.float64]:
+    """Lower Cholesky factor of the order-n matrix that ``packed`` holds in
+    ``_packed_gram``'s storage, by LAPACK's dpftrf in its buffer.  A NaN or
+    inf entry or a failing pivot raises NumericError; the pivot is named."""
+    # min and max pass a NaN on and reach any inf, where isfinite would
+    # make a mask of n(n+1)/2 bytes
+    if not (np.isfinite(packed.min()) and np.isfinite(packed.max())):
+        raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
+    lapack, _ = blas.lapack()
+    factor, info = lapack.dpftrf(n, packed, transr="N", uplo="L", overwrite_a=1)
+    if info > 0:
+        raise NumericError(f"factorization of {what} failed: leading minor {info} "
+                           "is not positive definite", pivot=info - 1)
+    return factor
+
+
+def _rfp_solve(factor: NDArray[np.float64], n: int, rhs: NDArray) -> NDArray[np.float64]:
+    """Solve with an ``_rfp_cholesky`` factor by dpftrs; x has rhs's shape."""
+    lapack, _ = blas.lapack()
+    return lapack.dpftrs(n, factor, rhs, transr="N", uplo="L")[0]
 
 
 def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
@@ -132,17 +214,11 @@ def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
     return factor
 
 
-def _cho_solve(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
-    """Solve with a ``_cholesky`` factor: cho_solve's dpotrs, minus its scans."""
-    lapack, _ = blas.lapack()
-    return lapack.dpotrs(factor, rhs, lower=1)[0]
-
-
 def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
     """S^-1 rhs from a ``_cholesky`` factor of S, which it overwrites, by
     dpotri and dsymm; a Fortran-ordered ``rhs`` is not copied.  At order 20
-    with 63 right-hand sides this took 9 us against ``_cho_solve``'s 17 us
-    (2-core x86-64, one thread): dpotrs's triangular solves are slow there."""
+    with 63 right-hand sides this took 9 us against dpotrs's 17 us (2-core
+    x86-64, one thread): dpotrs's triangular solves are slow there."""
     lapack, fblas = blas.lapack()
     inverse = lapack.dpotri(factor, lower=1, overwrite_c=1)[0]
     return fblas.dsymm(1.0, inverse, rhs, lower=1)
@@ -158,65 +234,85 @@ def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.
 WIDE_ORDER = 3000
 
 
+def _square(K: NDArray[np.float64]) -> NDArray[np.float64]:
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] == 0:
+        raise InvalidArgumentError(f"K must be square and non-empty, got shape {K.shape}")
+    return K
+
+
 class SpdFactor:
-    """A cached Cholesky factorization of (K + ridge I); immutable, and
-    thread-safe for solves.  From order ``WIDE_ORDER`` on, factorization and
-    solves run on the BLAS thread counts an enclosing ``blas.single_thread``
-    replaced.
+    """A cached Cholesky factorization of (K + ridge I) in rectangular full
+    packed storage (Gustavson, Wasniewski, Dongarra & Langou 2010, ACM TOMS
+    37(2)): n(n+1)/2 entries, factored and solved by LAPACK's level-3
+    dpftrf and dpftrs.  Immutable, and thread-safe for solves.  From order
+    ``WIDE_ORDER`` on, factorization and solves run on the BLAS thread
+    counts an enclosing ``blas.single_thread`` replaced.
 
-    ``SpdFactor(K, ridge)`` takes ``K`` over.  K must be exactly symmetric,
-    as ``gram`` and ``F.T @ F`` are; only its upper triangle is read.  A
-    writable C-ordered float64 K is overwritten: the ridge is added to its
-    diagonal and the factor computed in its buffer, so the caller must not
-    read it again.  Only the factor and the regularized diagonal are kept."""
+    ``SpdFactor(K, ridge)`` takes K as a pair (kernel, points), for the Gram
+    K(points) under that ``KernelSpec``, or as an array.  The Gram is
+    written, ridge included, straight into the packed buffer, so no n x n
+    array is made; the factor keeps the kernel and the points.  An array K
+    must be exactly symmetric, as ``gram`` and ``F.T @ F`` are; only its
+    upper triangle is read.  It is taken over: a writable C-ordered float64
+    K gets the ridge on its diagonal and is kept for ``matrix``, so the
+    caller must not use it again."""
 
-    def __init__(self, K: NDArray[np.float64], ridge: float) -> None:
-        K = np.require(K, np.float64, ["C", "W"])
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise InvalidArgumentError(f"K must be square, got shape {K.shape}")
+    def __init__(self, K, ridge: float) -> None:
         if not (0 < ridge < np.inf):
             raise InvalidArgumentError(f"ridge must be finite and > 0, got {ridge}")
-        K.ravel()[::K.shape[0] + 1] += ridge
-        self._factor_in_place(K, ridge, f"(K + {ridge} I)")
+        if isinstance(K, tuple):
+            kernel, points = K
+            points = _as_points(points, "points")
+            self._source, n = (kernel, points), len(points)
+            packed = _packed_gram(kernel, points, ridge)
+        else:
+            K = _square(np.require(K, np.float64, ["C", "W"]))
+            n = len(K)
+            K.ravel()[::n + 1] += ridge
+            self._source, packed = K, _packed(K)
+        self._factor_packed(packed, n, ridge, f"(K + {ridge} I)")
 
     @classmethod
     def from_regularized(cls, matrix: NDArray[np.float64], ridge: float) -> "SpdFactor":
         """Factor a copy of an already-regularized symmetric matrix."""
         obj = cls.__new__(cls)
-        obj._factor_in_place(np.array(matrix, dtype=np.float64, order="C"), ridge,
-                             "stored matrix")
+        obj._source = _square(np.array(matrix, dtype=np.float64, order="C"))
+        obj._factor_packed(_packed(obj._source), len(obj._source), ridge, "stored matrix")
         return obj
 
-    def _factor_in_place(self, matrix: NDArray[np.float64], ridge: float,
-                         what: str) -> None:
+    def _factor_packed(self, packed: NDArray[np.float64], n: int, ridge: float,
+                       what: str) -> None:
         self.ridge = float(ridge)
-        self._diag = matrix.diagonal().copy()
+        self._n = n
         with self._threads():
-            self._factor = _cholesky(matrix, what)
+            self._factor = _rfp_cholesky(packed, n, what)
 
     def _threads(self):
-        return blas.wide() if len(self._diag) >= WIDE_ORDER else nullcontext()
+        return blas.wide() if self._n >= WIDE_ORDER else nullcontext()
 
     @property
     def matrix(self) -> NDArray[np.float64]:
-        """K + ridge I, rebuilt on each read from the entries the factor left
-        untouched and the saved diagonal; a new array."""
-        # the factor's strict upper triangle holds the input; by symmetry
-        # the transpose supplies the strict lower one
-        out = np.where(np.tri(len(self._diag), dtype=bool), self._factor.T, self._factor)
-        np.fill_diagonal(out, self._diag)
+        """K + ridge I, a new array on each read: a Gram's rebuilt from its
+        kernel and points, an array's copied."""
+        if not isinstance(self._source, tuple):
+            return self._source.copy()
+        kernel, points = self._source
+        out = _kernel(kernel, points, points)
+        out.ravel()[::self._n + 1] += self.ridge
         return out
 
     def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Solve (K + ridge I) x = rhs; rhs may be a vector or a matrix."""
+        """Solve (K + ridge I) x = rhs for a vector rhs or a matrix of n
+        rows; x has rhs's shape."""
         rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape[0] != len(self._diag):
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self._n:
             raise InvalidArgumentError(
-                f"rhs has {rhs.shape[0]} rows, expected {len(self._diag)}")
+                f"rhs must be a vector or a matrix of {self._n} rows, got shape "
+                f"{rhs.shape}")
         if not np.isfinite(rhs).all():
             raise NumericError("right-hand side holds NaN or inf")
         with self._threads():
-            return _cho_solve(self._factor, rhs)
+            return _rfp_solve(self._factor, self._n, rhs)
 
 
 # Outcome basis: grid step and padding in outcome bandwidths, and the

@@ -85,8 +85,8 @@ class TestSpdFactorThreads:
     @pytest.fixture
     def spies(self, monkeypatch):
         monkeypatch.setattr(kernels, "WIDE_ORDER", 4)
-        return (spy_on(monkeypatch, kernels, "_cholesky"),
-                spy_on(monkeypatch, kernels, "_cho_solve"))
+        return (spy_on(monkeypatch, kernels, "_rfp_cholesky"),
+                spy_on(monkeypatch, kernels, "_rfp_solve"))
 
     @staticmethod
     def factor_and_solve(order):
@@ -141,7 +141,7 @@ class TestFitAndDensityThreads:
 
     def test_large_factors_run_wide_inside_a_fit(self, tiny_hyper, monkeypatch):
         monkeypatch.setattr(kernels, "WIDE_ORDER", 5)
-        seen = spy_on(monkeypatch, kernels, "_cholesky")
+        seen = spy_on(monkeypatch, kernels, "_rfp_cholesky")
         split = make_split(n=24, seed=3)
         fit_ccme(split, replace(tiny_hyper, propensity="logistic"))
         want = [twos() if len(rows) >= 5 else ones()
@@ -186,7 +186,7 @@ def test_sweep_workers_factor_on_their_core_share(monkeypatch):
     the parent runs three, so only the share can give two."""
     monkeypatch.setattr(synthbench, "_usable_cores", lambda: 4)
     monkeypatch.setattr(kernels, "WIDE_ORDER", 1)
-    seen = spy_on(monkeypatch, kernels, "_cholesky")
+    seen = spy_on(monkeypatch, kernels, "_rfp_cholesky")
     real_cell = synthbench.run_cell
 
     def cell_reporting_counts(*args, **kwargs):
@@ -227,8 +227,8 @@ def test_a_large_rr_fit_agrees_across_thread_counts():
 # The preamble of each script below: ``counts()`` reads the thread count of
 # numpy's and of scipy's copy, None for one not loaded, and loads nothing;
 # ``spy_after(owner, name)`` records the counts as each call returns, which
-# for ``kernels._cholesky`` are those it factored on; ``own`` is the count a
-# fresh copy starts on.
+# for ``kernels._rfp_cholesky`` are those it factored on; ``own`` is the
+# count a fresh copy starts on.
 FRESH_PREAMBLE = f"""
 import ctypes, os, sys
 import numpy as np
@@ -285,7 +285,7 @@ def test_a_copy_loaded_elsewhere_is_left_alone_until_the_first_factor():
         import scipy.linalg
         probe("scipy.linalg._fblas", "set")(3)
         seen = []
-        spy_after(kernels, "_cholesky", seen)
+        spy_after(kernels, "_rfp_cholesky", seen)
         with blas.single_thread():
             kernels.gram(kernels.KernelSpec(), np.arange(5.0))
             unfactored = counts()
@@ -308,7 +308,7 @@ class TestCopiesLoadedLater:
     def test_first_factor_inside_a_pin(self):
         got = run_fresh("""
             seen = []
-            spy_after(kernels, "_cholesky", seen)
+            spy_after(kernels, "_rfp_cholesky", seen)
             with blas.single_thread():
                 kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(5.0)), 1.0)
                 inside = counts()
@@ -319,7 +319,7 @@ class TestCopiesLoadedLater:
     def test_first_factor_inside_wide(self):
         got = run_fresh("""
             seen = []
-            spy_after(kernels, "_cholesky", seen)
+            spy_after(kernels, "_rfp_cholesky", seen)
             kernels.WIDE_ORDER = 5
             with blas.single_thread():
                 kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(5.0)), 1.0)
@@ -336,7 +336,7 @@ class TestCopiesLoadedLater:
         got = run_fresh("""
             from dataclasses import replace
             seen = []
-            spy_after(kernels, "_cholesky", seen)
+            spy_after(kernels, "_rfp_cholesky", seen)
             kernels.WIDE_ORDER = 1
             synthbench._usable_cores = lambda: 8
             real_cell = synthbench.run_cell

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccme import estimators
+from ccme.blas import single_thread
 from ccme.data import Dataset, SplitDataset, split_data
 from ccme.errors import (ConfigError, ConfigWarning, DegenerateDataError,
                          InvalidArgumentError, NumericError)
@@ -166,6 +167,23 @@ class TestFirstStageRr:
         # at its training inputs the embedding is the training outcomes' own
         expect = coords(first.head.basis, h.kernel_y(), d0.Y)
         assert np.allclose(first.embedding(d0.X)[0].T, expect, atol=1e-4)
+
+    @pytest.mark.parametrize("points, columns",
+                             [(571, 2000), (1318, 5000), (1405, 500), (5000, 500)])
+    def test_blocked_embedding_has_the_one_products_bits(self, points, columns):
+        """``embedding`` takes K(points, x) ``EMBED_COLUMNS`` columns at a
+        time.  Under the one-thread pin that fits and densities run in,
+        this gives the bits of one product over all columns, at shapes of
+        the benchmark's first stages, stage two and density queries."""
+        rng = np.random.default_rng(points)
+        pts, x = rng.normal(size=(points, 5)), rng.normal(size=(columns, 5))
+        coef = np.asfortranarray(rng.normal(size=(points, 62)))   # as solves give it
+        head = estimators.KernelHead(KernelSpec(2.0), pts, coef, None)
+        with single_thread():
+            weights, masses = head.embedding(x)
+            whole = coef.T @ gram(head.kernel, pts, x)
+        assert weights.tobytes() == whole[:-1].tobytes()
+        assert masses.tobytes() == whole[-1].tobytes()
 
     def test_x_cols_projection(self):
         split = split_data(make_dataset(20, seed=4, d_x=4), 1, x_cols=[0, 2])

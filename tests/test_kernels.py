@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dtfttr, dtrttf
 from scipy.spatial.distance import cdist
 
+from ccme import kernels
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.estimators import Hyper, KernelHead
 from ccme.kernels import BANDWIDTHS, KernelSpec, SpdFactor, gram
@@ -249,10 +251,16 @@ class TestSpdFactor:
             fac.solve(np.ones(4))
 
     def test_refactor_residual_is_zero(self):
+        """Refactoring ``matrix`` gives the factor's bits, and that factor is
+        LAPACK's dpotrf one within rounding: RFP blocks the same arithmetic
+        otherwise."""
         rng = np.random.default_rng(2)
         fac = SpdFactor(gram(KernelSpec(), rng.normal(size=(5, 2))), 1.0)
+        again = SpdFactor.from_regularized(fac.matrix, 1.0)
+        assert again._factor.tobytes() == fac._factor.tobytes()
         fresh = cho_factor(fac.matrix, lower=True)[0]
-        assert np.array_equal(np.tril(fresh), np.tril(fac._factor))
+        unpacked = dtfttr(5, fac._factor, transr="N", uplo="L")[0]
+        assert np.abs(np.tril(unpacked) - np.tril(fresh)).max() <= 1e-15
 
     def test_non_finite_matrix_is_numeric(self):
         K = np.eye(3)
@@ -277,29 +285,91 @@ class TestSpdFactor:
 
 
 class TestSpdFactorOwnership:
-    """SpdFactor takes over the K it is given; ``matrix`` and
-    ``from_regularized`` still see K + ridge I."""
+    """SpdFactor takes over the K it is given, which then holds K + ridge I
+    and is kept, while the factor lives in its own packed buffer; a Gram
+    given as (kernel, points) gives the same bits without any n x n array;
+    ``matrix`` and ``from_regularized`` see K + ridge I either way."""
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 30), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            ridge=st.floats(1e-6, 1e3))
     def test_factor_overwrites_k_and_keeps_k_plus_ridge(self, n, d, seed, ridge):
         rng = np.random.default_rng(seed)
-        K = gram(KernelSpec(bandwidth=1.5), rng.normal(size=(n, d)))
+        spec, points = KernelSpec(bandwidth=1.5), rng.normal(size=(n, d))
+        K = gram(spec, points)
         regularized = K + ridge * np.eye(n)
         fac = SpdFactor(K, ridge)
-        assert np.shares_memory(fac._factor, K)
-        assert not np.array_equal(K, regularized)
-        matrix = fac.matrix
-        assert matrix.tobytes() == regularized.tobytes()
-        rebuilt = SpdFactor.from_regularized(matrix, ridge)
-        assert matrix.tobytes() == regularized.tobytes()
+        assert not np.shares_memory(fac._factor, K)
+        assert K.tobytes() == regularized.tobytes()
+        assert fac._factor.shape == (n * (n + 1) // 2,)
+        direct = SpdFactor((spec, points), ridge)
+        assert direct._factor.tobytes() == fac._factor.tobytes()
+        for matrix in (fac.matrix, direct.matrix):
+            assert matrix.tobytes() == regularized.tobytes()
+        rebuilt = SpdFactor.from_regularized(fac.matrix, ridge)
         rhs = rng.normal(size=(n, 2))
         assert rebuilt.solve(rhs).tobytes() == fac.solve(rhs).tobytes()
 
 
+class TestPackedGram:
+    """A Gram written straight into RFP storage has the bits of LAPACK's
+    dtrttf packing of the full regularized Gram, at even and odd orders and
+    across several blocks of ``PACK_COLUMNS`` columns."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 600, 601])
+    def test_packed_gram_is_dtrttf_of_the_full_gram(self, n):
+        spec, points = KernelSpec(bandwidth=1.3), np.random.default_rng(n).normal(size=(n, 3))
+        full = gram(spec, points)
+        full.ravel()[::n + 1] += 0.7
+        want = dtrttf(full, transr="N", uplo="L")[0]
+        assert kernels._packed_gram(spec, points, 0.7).tobytes() == want.tobytes()
+
+
+class TestSpdFactorEdges:
+    """NaN and inf, failing pivots and 1-d solves, at an even and an odd
+    order, where RFP lays the two triangles out differently."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_non_finite_entries_are_named(self, n):
+        K = np.eye(n)
+        K[0, n - 1] = K[n - 1, 0] = np.inf
+        with pytest.raises(NumericError, match="NaN or inf"):
+            SpdFactor(K, 1.0)
+        points = np.arange(n, dtype=np.float64)
+        points[n // 2] = np.nan
+        with pytest.raises(NumericError, match="NaN or inf"):
+            SpdFactor((KernelSpec(), points), 1.0)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("pivot", [1, 3, -1])
+    def test_a_failing_pivot_is_named(self, n, pivot):
+        """The pivot counts in the full matrix, in either packed triangle."""
+        pivot %= n
+        K = np.eye(n)
+        K[pivot - 1, pivot] = K[pivot, pivot - 1] = 2.0     # minor of order pivot + 1 < 0
+        with pytest.raises(NumericError, match=f"leading minor {pivot + 1} ") as err:
+            SpdFactor(K, 1e-6)
+        assert err.value.pivot == pivot
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_a_vector_solves_as_a_column(self, n):
+        rng = np.random.default_rng(n)
+        points, rhs = rng.normal(size=(n, 2)), rng.normal(size=n)
+        fac = SpdFactor((KernelSpec(), points), 0.5)
+        x = fac.solve(rhs)
+        assert x.shape == (n,)
+        assert x.tobytes() == fac.solve(rhs[:, None]).ravel().tobytes()
+        assert np.allclose(fac.matrix @ x, rhs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(), (6, 1, 1), (6, 2, 1)])
+    def test_rhs_must_be_a_vector_or_a_matrix(self, shape):
+        fac = SpdFactor(np.eye(6), 1.0)
+        with pytest.raises(InvalidArgumentError, match="vector or a matrix of 6 rows"):
+            fac.solve(np.ones(shape))
+
+
 class TestGramMemory:
-    """An n x n Gram and its factor are one buffer each.  tracemalloc sees
+    """An n x n Gram is one buffer, and a factor half of one.  tracemalloc sees
     numpy's, cdist's and f2py's allocations; 1.0 is one n x n float64 array."""
 
     N = 1500
@@ -338,8 +408,9 @@ class TestGramMemory:
         assert (peak - 1.0) * n * n * 8 <= 4096
 
     def test_factor_holds_one_array(self, points):
-        # the 0.125 above 1 is _cholesky's isfinite mask
+        """The packed factor is half an n x n array; the peak adds the
+        blocks its Gram is written in, PACK_COLUMNS rows of n doubles."""
         fac, peak, held = self.traced(lambda: KernelHead.factor(points, Hyper(), 0))
-        assert peak <= 1.25
-        assert held <= 1.01
-        assert fac._factor.shape == (self.N, self.N)
+        assert peak <= 0.6
+        assert held <= 0.51
+        assert fac._factor.shape == (self.N * (self.N + 1) // 2,)

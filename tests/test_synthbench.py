@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -473,6 +474,41 @@ class TestSweepGroups:
         records = run_sweep(cells, test_points=5, grid_points=20, threads=threads)
         assert len(records) == len(cells)
         assert pools == ([(workers, (max(1, usable // workers),))] if workers else [])
+
+
+class TestSweepMemory:
+    """Python-level memory of one rr sweep group: all four variants over
+    scenarios b and c at n = 1000 rows per half, whose cells share one
+    stage-two factor of K(V1) + ridge I.  The queries and grid are small
+    (50 x 100), so the densities do not hide the Grams."""
+
+    N = 1000
+
+    def test_a_group_makes_no_n_by_n_array(self):
+        """tracemalloc's peak, in n x n float64 arrays: 0.92 measured, of
+        which the packed factor is 0.5 and arrays of n rows by the basis's
+        62 weights most of the rest (2-core x86-64, numpy 2.4.6).  With
+        whole Grams factored it was 1.48, with each Gram built whole and
+        then packed 1.69, and with the first stage's cross Gram at D1 made
+        in one piece 1.05; the bound leaves 0.08 (640 kB) of margin."""
+        def group(n):
+            return run_sweep(plan_cells(["rr"], list(synthbench.VARIANTS), ["b", "c"],
+                                        [n], [1]), test_points=50, grid_points=100)
+
+        group(50)           # what the first group allocates once is not counted
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            records = group(self.N)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert all(r.error == "" for r in records)
+        assert peak / (self.N * self.N * 8) <= 1.0
 
 
 class TestLoglogSlope:
