@@ -7,16 +7,16 @@ over the D1 half.  Each pseudo-outcome is a two-term combination
 
     xi_i = a_i * phi(Y_i) + c_i * mu0(X_i)
 
-so every variant reduces to a pair of weight vectors (a, c):
+A variant is its row of ``READS``, the nuisances it reads, and
+``pseudo_weights`` derives its pair of weight vectors (a, c) from that row:
 
-    doubly robust   a = omega, c = 1 - omega
-    inverse weights a = omega, c = 0
-    plug-in         a = 0,     c = 1
+    doubly robust   dr   reads omega, mu0   a = omega, c = 1 - omega
+    inverse weights ipw  reads omega        a = omega, c = 0
+    plug-in         pi   reads mu0          a = 0,     c = 1
 
-with omega_i = A_i / pi_hat(X_i).  The one-step variant skips the first stage
-and regresses phi(Y) on V over the treated D1 rows only; inverse weighting
-needs the propensity but, with c = 0, no outcome embedding either.  Stage one
-is itself this regression with a = 1, c = 0 over D0's treated rows.
+with omega_i = A_i / pi_hat(X_i).  Stage one is this regression with a = 1,
+c = 0 over D0's treated rows; the one-step variant reads nothing and is stage
+one's regression on V over D1's treated rows.
 
 Pseudo-outcomes live in finite weights over an outcome basis
 (``kernels.outcome_basis``, with at most as many weights as distinct
@@ -64,10 +64,16 @@ __all__ = [
     "METHODS", "READS", "VARIANTS",
 ]
 
-# The nuisances each variant's pseudo-outcomes read: omega = A / pi_hat(X)
-# on D1, and the first stage mu0.
+# Each variant is the nuisances its pseudo-outcomes read: omega = A / pi_hat(X)
+# on D1, and the first stage mu0.  No code branches on a variant's name.
 READS = {"dr": ("omega", "first"), "ipw": ("omega",), "pi": ("first",), "onestep": ()}
 VARIANTS = tuple(READS)
+
+
+def _reads(variant: str) -> tuple[str, ...]:
+    if variant not in READS:
+        raise InvalidArgumentError(f"unknown variant {variant!r}")
+    return READS[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +499,26 @@ def _all_outcomes(split: SplitDataset) -> NDArray[np.float64]:
     return np.concatenate([split.d0.Y.ravel(), split.d1.Y.ravel()])
 
 
+def _regress_outcomes(head_cls, split: SplitDataset, inputs, y, hyper: Hyper,
+                      stage: int, lr_rows: int):
+    """Regress phi(y) on ``inputs`` with a = 1, c = 0 over the basis of every D0
+    and D1 outcome, keeping nothing in ``shared``: stage one and ``onestep``."""
+    basis = head_cls.new_basis(hyper, _all_outcomes(split))
+    a = np.ones(len(y))
+    xi = build_k_xi(hyper.kernel_y(), y, a, np.zeros_like(a), basis)
+    return head_cls.fit(inputs, xi, a, basis, hyper, stage, lr_rows)
+
+
 @single_thread()
 def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper) -> FirstStage:
-    """Regress phi(Y) on the covariates over D0's treated rows: stage two's
-    regression with a = 1, c = 0.  Learning rates scale with len(D0); the
-    outcome basis spans every D0 and D1 outcome.  Like ``fit_ccme``, it runs
-    under ``blas.single_thread``."""
+    """Stage one: phi(Y) regressed on the covariates over D0's treated rows,
+    learning rates scaled by len(D0).  Like ``fit_ccme``, it runs under
+    ``blas.single_thread``."""
     if split.m == 0:
         raise DegenerateDataError("no treated rows landed in D0; cannot fit a first stage")
-    head_cls = _head_class(method)
-    basis = head_cls.new_basis(hyper, _all_outcomes(split))
-    y0t = split.y0_treated()
-    a = np.ones(y0t.shape[0])
-    xi = build_k_xi(hyper.kernel_y(), y0t, a, np.zeros_like(a), basis)
-    return FirstStage(head_cls.fit(split.x0_treated(), xi, a, basis, hyper, 0,
-                                   len(split.d0)), split.x_cols)
+    head = _regress_outcomes(_head_class(method), split, split.x0_treated(),
+                             split.y0_treated(), hyper, 0, len(split.d0))
+    return FirstStage(head, split.x_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +527,14 @@ def fit_first_stage(split: SplitDataset, method: str, hyper: Hyper) -> FirstStag
 
 def pseudo_weights(variant: str, omega: NDArray[np.float64]
                    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Weight pair (a, c) with xi = a phi(Y) + c mu0(X)."""
+    """Weight pair (a, c) with xi = a phi(Y) + c mu0(X), from the variant's row
+    of ``READS``: a = omega if it reads omega, c = 1 - a if it reads mu0, each else 0."""
+    reads = _reads(variant)
+    if not reads:
+        raise InvalidArgumentError(f"variant {variant!r} has no pseudo-outcome weights")
     omega = np.asarray(omega, dtype=np.float64)
-    if variant == "dr":
-        return omega.copy(), 1.0 - omega
-    if variant == "ipw":
-        return omega.copy(), np.zeros_like(omega)
-    if variant == "pi":
-        return np.zeros_like(omega), np.ones_like(omega)
-    raise InvalidArgumentError(f"unknown variant {variant!r}")
+    a = omega.copy() if "omega" in reads else np.zeros_like(omega)
+    return a, 1.0 - a if "first" in reads else np.zeros_like(omega)
 
 
 def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
@@ -639,12 +649,6 @@ class CcmeModel:
         return self.second.method
 
 
-def _reads(variant: str) -> tuple[str, ...]:
-    if variant not in READS:
-        raise InvalidArgumentError(f"unknown variant {variant!r}")
-    return READS[variant]
-
-
 @single_thread()
 def fit_second_stage(split: SplitDataset, method: str, variant: str,
                      first: FirstStage | None, omega: NDArray[np.float64] | None,
@@ -652,12 +656,11 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
     """Regress pseudo-outcomes on V over D1 and package the fitted model.
 
     ``first`` and ``omega`` may be None where the variant does not read them
-    (``READS``).  Every head's outcome basis spans every D0 and D1 outcome:
-    the stage keeps the first stage's basis or, without one, builds the
-    basis the first stage would have built, ``onestep``'s included.  The
-    first stage at D1 and the head's own parts are kept in ``shared`` (see
-    ``fit_ccme``).  Like ``fit_ccme``, it runs under ``blas.single_thread``,
-    so the stages run one at a time give ``fit_ccme``'s bits.
+    (``READS``); ``onestep`` reads neither: it is stage one's regression on V
+    over D1's treated rows.  Every head's basis spans every D0 and D1 outcome.
+    The first stage at D1 and the head's own parts are kept in ``shared``
+    (see ``fit_ccme``).  Like ``fit_ccme``, it runs under
+    ``blas.single_thread``, so the stages run one at a time give its bits.
     """
     head_cls = _head_class(method)
     reads = _reads(variant)
@@ -668,9 +671,8 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
         keep = split.d1.A > 0
         if not keep.any():
             raise DegenerateDataError("one-step variant needs treated D1 rows")
-        # the one regression over these rows: it keeps no part in ``shared``
-        v1, y1, first, shared = split.v1[keep], split.d1.Y[keep], None, None
-        a, c = np.ones(len(v1)), np.zeros(len(v1))
+        second = _regress_outcomes(head_cls, split, split.v1[keep], split.d1.Y[keep],
+                                   hyper, 1, int(keep.sum()))
     else:
         if first is None and "first" in reads:
             raise InvalidArgumentError(f"variant {variant!r} needs a first stage")
@@ -680,22 +682,20 @@ def fit_second_stage(split: SplitDataset, method: str, variant: str,
                 f"second={method!r}")
         if omega is None and "omega" in reads:
             raise InvalidArgumentError(f"variant {variant!r} needs omega")
-        v1, y1 = split.v1, split.d1.Y
         a, c = pseudo_weights(variant, np.zeros(split.n) if omega is None else omega)
+        kernel_y = hyper.kernel_y()
+        basis = head_cls.new_basis(hyper, y_all) if first is None else first.head.basis
+        mu0, masses = None, a
+        if first is not None and c.any():
+            def read_first() -> tuple[NDArray, NDArray]:
+                weights0, masses0 = first.embedding(split.x1())
+                return basis.embed(kernel_y, weights0).T, masses0
 
-    kernel_y = hyper.kernel_y()
-    basis = head_cls.new_basis(hyper, y_all) if first is None else first.head.basis
-    mu0, masses = None, a
-    if first is not None and c.any():
-        def read_first() -> tuple[NDArray, NDArray]:
-            weights0, masses0 = first.embedding(split.x1())
-            return basis.embed(kernel_y, weights0).T, masses0
-
-        mu0, masses0 = _shared_part(shared, ("first at D1", method, str(first.x_cols)),
-                                    read_first)
-        masses = a + c * masses0
-    xi = build_k_xi(kernel_y, y1, a, c, basis, mu0)
-    second = head_cls.fit(v1, xi, masses, basis, hyper, 1, v1.shape[0], shared)
+            mu0, masses0 = _shared_part(
+                shared, ("first at D1", method, str(first.x_cols)), read_first)
+            masses = a + c * masses0
+        xi = build_k_xi(kernel_y, split.d1.Y, a, c, basis, mu0)
+        second = head_cls.fit(split.v1, xi, masses, basis, hyper, 1, split.n, shared)
     return CcmeModel(variant, hyper.bandwidth_y, second,
                      float(y_all.min()), float(y_all.max()), list(split.v_cols))
 

@@ -92,7 +92,7 @@ def generate(cfg: Hyper) -> tuple[Dataset, dict[str, NDArray[np.float64]]]:
                  + rng.normal(0.0, 1.0, cfg.n) * sd)
     y_control = BASE_CONTROL + X @ BETA + rng.normal(0.0, 1.0, cfg.n) * sd
     Y = np.where(A > 0, y_treated, y_control)
-    latents = {"pi": pi, "branch": branch, "y_treated": y_treated,
+    latents = {"propensity": pi, "branch": branch, "y_treated": y_treated,
                "y_control": y_control, "noise_sd": sd}
     return Dataset(X, A, Y), latents
 
@@ -265,8 +265,8 @@ def _usable_cores() -> int:
 
 def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
     """Raise ``ConfigError`` for what ``run_sweep`` rejects up front: an unknown
-    method or variant, an rr cell above n = 20000, other ``v_cols``, or a
-    ``seed`` or ``net_seed`` other than the default, which no cell reads."""
+    method, variant or scenario, an rr cell above n = 20000, other ``v_cols``,
+    or a ``seed`` or ``net_seed`` other than the default, which no cell reads."""
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:
             raise ConfigError(f"rr cell n={cell.n} exceeds the 20000 cap")
@@ -274,6 +274,8 @@ def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
             raise ConfigError(f"unknown method {cell.method!r}")
         if cell.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {cell.variant!r}")
+        if cell.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {cell.scenario!r}")
     if hyper.v_cols not in (None, V_COLS):
         raise ConfigError(f"sweeps condition on V = the first {len(V_COLS)} "
                           f"covariates, as the true densities do; got v_cols "

@@ -632,6 +632,10 @@ class TestDensity:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all("--v has an empty entry in" in line
                                      for line in err)
+        assert main(["density", workdir["model"], "--v", "",
+                     "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--v is empty" in err[0]
         assert not (tmp_path / "d.csv").exists()
 
     def test_version_one_model_rejected(self, workdir, tmp_path, capsys):

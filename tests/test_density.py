@@ -344,6 +344,16 @@ class TestMassAndGrid:
             with pytest.raises(InvalidArgumentError, match="NaN or inf"):
                 density_matrix(model, np.zeros((1, 3)), np.array([0.0, bad]))
 
+    def test_one_dim_query_is_one_point(self):
+        model = self.fitted()
+        grid = default_grid(model, 50)
+        v = np.random.default_rng(3).normal(size=3)
+        values, masses = density_curves(model, v, grid)
+        row_values, row_masses = density_curves(model, v.reshape(1, -1), grid)
+        assert values.shape == (1, 50)
+        assert values.tobytes() == row_values.tobytes()
+        assert masses.tobytes() == row_masses.tobytes()
+
     def test_single_point_grid(self):
         model = self.fitted()
         values, masses = density_curves(model, np.zeros((1, 3)),

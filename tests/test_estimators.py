@@ -429,8 +429,34 @@ class TestPseudoOutcomes:
         assert np.array_equal(a, omega) and not c.any()
         a, c = pseudo_weights("pi", omega)
         assert not a.any() and np.array_equal(c, np.ones(3))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="unknown variant 'aipw'"):
             pseudo_weights("aipw", omega)
+
+    def test_onestep_has_no_weight_pair(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="variant 'onestep' has no pseudo-outcome weights"):
+            pseudo_weights("onestep", np.ones(3))
+
+    def test_stage_one_and_onestep_are_one_regression(self, monkeypatch):
+        """``fit_first_stage`` and ``onestep`` reach the head through
+        ``_regress_outcomes``, once a fit; the weighted variants never do."""
+        calls, regress = [], estimators._regress_outcomes
+
+        def spy(head_cls, split, inputs, y, hyper, stage, lr_rows):
+            calls.append((stage, len(inputs), lr_rows))
+            return regress(head_cls, split, inputs, y, hyper, stage, lr_rows)
+
+        monkeypatch.setattr(estimators, "_regress_outcomes", spy)
+        split = make_split(n=30, seed=12)
+        first = fit_first_stage(split, "rr", Hyper())
+        assert calls == [(0, split.m, len(split.d0))]
+        for variant, reads in estimators.READS.items():
+            if reads:
+                fit_second_stage(split, "rr", variant, first, np.ones(split.n), Hyper())
+        assert len(calls) == 1
+        fit_second_stage(split, "rr", "onestep", None, None, Hyper())
+        treated = int((split.d1.A > 0).sum())
+        assert calls[1:] == [(1, treated, treated)]
 
     def test_unit_omega_reduces_to_outcome_features(self):
         split = make_split(n=20, seed=5)

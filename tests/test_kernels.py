@@ -131,6 +131,15 @@ class TestGram:
         K2 = gram(KernelSpec(), np.array([[0.0], [1.0], [2.0]]))
         assert np.array_equal(K1, K2)
 
+    def test_zero_dim_input_read_as_one_scalar_point(self):
+        assert np.array_equal(gram(KernelSpec(), 3.0), [[1.0]])
+        assert np.array_equal(gram(KernelSpec(bandwidth=2.0), 0.0, [0.0, 2.0]),
+                              gram(KernelSpec(bandwidth=2.0), [[0.0]], [0.0, 2.0]))
+
+    def test_three_dim_input_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="at most 2-dimensional"):
+            gram(KernelSpec(), np.zeros((2, 2, 1)))
+
     def test_empty_points_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gram(KernelSpec(), np.empty((0, 2)))

@@ -17,6 +17,7 @@ import pytest
 
 import ccme
 from ccme.cli import main
+from ccme.estimators import VARIANTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -86,6 +87,37 @@ def test_only_blas_loads_native_code(name):
     compiled modules and sets the thread counts of the OpenBLAS copies."""
     native = [m for m in every_import(name) if m.split(".")[0] in ("ctypes", "importlib")]
     assert bool(native) == (name == "blas")
+
+
+def variant_names(name: str) -> tuple[list[str], list[tuple[int, str]]]:
+    """The variant names module ``name`` spells out as string constants: those
+    that are keys of the ``READS`` literal or defaults of ``Hyper``'s fields
+    (the first argument of ``_setting``), and, as (line, name), all others."""
+    path = Path(ccme.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    declared: set[int] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["READS"]):
+            declared |= {id(key) for key in node.value.keys}
+        elif isinstance(node, ast.ClassDef) and node.name == "Hyper":
+            declared |= {id(const) for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                         for const in ast.walk(stmt.value.args[0])}
+    named = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and node.value in VARIANTS]
+    return ([node.value for node in named if id(node) in declared],
+            [(node.lineno, node.value) for node in named if id(node) not in declared])
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_only_reads_names_a_variant(name):
+    """A variant is its row of ``estimators.READS``: no module compares
+    against, branches on or keys by a variant's name, so what a variant does
+    follows from the nuisances it reads.  ``Hyper``'s defaults name one."""
+    declared, others = variant_names(name)
+    assert others == []
+    if name == "estimators":
+        assert sorted(declared) == sorted([*VARIANTS, "dr", "dr"])
 
 
 @pytest.fixture(scope="module")

@@ -105,6 +105,8 @@ class TestLogistic:
             fit_logistic(np.zeros(5), np.zeros(5))
         with pytest.raises(InvalidArgumentError):
             fit_logistic(np.zeros((5, 2)), np.zeros(4))
+        with pytest.raises(InvalidArgumentError, match="at least 2 rows"):
+            fit_logistic(np.zeros((1, 2)), np.ones(1))
 
 
 @pytest.mark.parametrize("fit", [fit_logistic, fit_forest])

@@ -11,7 +11,7 @@ from ccme.cli import main
 from ccme.density import default_grid, density_curves, density_matrix
 from ccme.errors import InvalidArgumentError
 from ccme.estimators import Hyper, fit_ccme
-from ccme.serialize import SCHEMA_VERSION, load_model, save_model
+from ccme.serialize import SCHEMA_VERSION, atomic_write, load_model, save_model
 
 from conftest import make_split
 
@@ -150,6 +150,20 @@ class TestRoundTrip:
         back = load_model(path)
         values, _ = density_curves(back, split.v1[:1], default_grid(back, 10))
         assert np.all(np.isfinite(values))
+
+
+    def test_a_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "m.npz"
+        target.write_bytes(b"kept")
+
+        def writer(fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(str(target), writer)
+        assert target.read_bytes() == b"kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
 
 
 class TestSchemaChecks:

@@ -47,8 +47,8 @@ class TestGenerate:
 
     def test_latent_propensity_is_box_rule(self):
         data, lat = generate(Hyper(n=1000, seed=4))
-        assert np.array_equal(lat["pi"], true_propensity(data.X))
-        assert set(np.unique(lat["pi"])) <= {0.1, 0.9}
+        assert np.array_equal(lat["propensity"], true_propensity(data.X))
+        assert set(np.unique(lat["propensity"])) <= {0.1, 0.9}
 
     def test_branch_rate_tracks_logistic_gate(self):
         data, lat = generate(Hyper(n=50000, seed=5))
@@ -278,6 +278,8 @@ class TestSweep:
             run_sweep([SweepCell("xx", "dr", "a", 10, 0)])
         with pytest.raises(ConfigError, match="unknown variant"):
             run_sweep([SweepCell("rr", "xx", "a", 10, 0)])
+        with pytest.raises(ConfigError, match="unknown scenario 'z'"):
+            run_sweep([SweepCell("rr", "dr", "z", 30, 0)])
         # each group derives its seeds from its (n, seed), and the true
         # densities condition on the first five covariates
         for hyper in (Hyper(seed=1), Hyper(net_seed=1), Hyper(v_cols=[0, 1])):
