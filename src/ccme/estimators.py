@@ -51,8 +51,8 @@ from .blas import single_thread
 from .data import SplitDataset, compute_omega
 from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
                      InvalidArgumentError, NumericError)
-from .kernels import (BANDWIDTHS, KernelSpec, OutcomeBasis, SpdFactor,
-                      _cho_inverse_apply, _cholesky, gram, outcome_basis)
+from .kernels import (BANDWIDTHS, GramInverse, KernelSpec, OutcomeBasis, SpdFactor,
+                      gram, outcome_basis)
 from .nets import MlpParams, mlp_forward, mlp_init, train_mlp
 from .propensity import fit_propensity
 
@@ -281,9 +281,10 @@ class FeatureHead:
                        hyper.net_seeds()[stage])
         coords = basis.whiten(xi)
         energy = float(np.vdot(coords, coords))
+        inverse = GramInverse(hyper.n_feats, coords.shape[1])
 
         def loss_fn(psi: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-            loss, grad = df_trace_loss(psi, coords, ridge, energy)
+            loss, grad = df_trace_loss(psi, coords, ridge, energy, inverse)
             grad /= rows
             return loss / rows, grad
 
@@ -568,7 +569,8 @@ def build_k_xi(kernel_y: KernelSpec, y1: NDArray[np.float64],
 
 
 def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
-                  ridge: float, energy: float | None = None
+                  ridge: float, energy: float | None = None,
+                  inverse: GramInverse | None = None
                   ) -> tuple[float, NDArray[np.float64]]:
     """Unexplained pseudo-outcome energy of the closed-form head, with gradient.
 
@@ -582,20 +584,22 @@ def df_trace_loss(psi: NDArray[np.float64], xi: NDArray[np.float64],
     and nothing n x n is formed.  It works on Psi', contiguous for a net's
     outputs, and returns the gradient as the transpose of an (M, n) array.
     The returned loss is not divided by the row count; training wrappers
-    normalize it themselves.  ``energy``, if given, is ||Xi||_F^2, which a
-    training run computes once for all its calls.
+    normalize it themselves.  ``energy``, if given, is ||Xi||_F^2, and
+    ``inverse`` an M x r ``GramInverse``: a training run makes both once.
     """
     pt = psi.T                                       # (M, n) = Psi'
-    gram_psi = pt @ psi
+    if inverse is None:
+        inverse = GramInverse(pt.shape[0], xi.shape[1])
+    gram_psi = np.matmul(pt, psi, out=inverse.gram)
     gram_psi.ravel()[::pt.shape[0] + 1] += ridge
     try:
-        cf = _cholesky(gram_psi, "the feature Gram")
+        inverse.factor("the feature Gram")
     except NumericError:            # a non-finite feature makes the Gram fail
         if not np.isfinite(pt).all():
             raise NumericError("features became non-finite") from None
         raise
-    px = (xi.T @ psi).T                              # (M, r) = P' = Psi' Xi, F-order
-    kt = _cho_inverse_apply(cf, px)                  # (M, r) = K' = S^-1 P', F-order
+    px = np.matmul(xi.T, psi, out=inverse.rhs).T     # (M, r) = P' = Psi' Xi, F-order
+    kt = inverse.solve()                             # (M, r) = K' = S^-1 P', F-order
     if energy is None:
         energy = float(np.vdot(xi, xi))
     loss = energy - float(np.vdot(px.T, kt.T))

@@ -7,7 +7,8 @@ outcome kernel is normalized, so each of its bumps is a density.
 
 Everything downstream (the two-stage estimators, the density formulas, the
 benchmark) is written against the primitives in this module: ``gram`` for
-dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs, and
+dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs,
+``GramInverse`` for a training run's small feature systems, and
 ``OutcomeBasis`` for finite coordinates of the outcome kernel's features.
 
 An n x n regularized Gram is the largest thing a fit holds, so it is never
@@ -16,11 +17,10 @@ rectangular full packed storage, n(n+1)/2 entries, a block of columns at a
 time, and factors it there.  ``gram`` computes a dense block's kernel over
 the squared distances, in their buffer.
 
-The native routines come through ``blas``: LAPACK and BLAS (dtrttf,
-dpftrf, dpftrs, dpotrf, dpotri, dsymm) from ``blas.lapack`` at the first
-factorization, and the kernel cdist runs for "sqeuclidean" from
-``scipy.spatial._distance_pybind`` at the first Gram.  So evaluating
-densities from a stored model loads no LAPACK.
+The native routines come through ``blas`` alone: LAPACK and BLAS (dtrttf,
+dpftrf, dpftrs, dpotrf, dpotri, dsymm) as ``blas.lapack`` binds them from
+numpy's OpenBLAS, and cdist's "sqeuclidean" kernel from
+``scipy.spatial._distance_pybind``.
 
 The ridge argument is always the full quantity added to the diagonal; callers
 decide how it relates to sample size.
@@ -37,8 +37,8 @@ from numpy.typing import NDArray
 from . import blas
 from .errors import InvalidArgumentError, NumericError
 
-__all__ = ["KernelSpec", "BANDWIDTHS", "gram", "SpdFactor", "OutcomeBasis",
-           "outcome_basis"]
+__all__ = ["KernelSpec", "BANDWIDTHS", "gram", "SpdFactor", "GramInverse",
+           "OutcomeBasis", "outcome_basis"]
 
 
 # [lo, hi): where 2 bandwidth^2, ``KernelSpec.at``'s divisor, is a positive normal
@@ -170,8 +170,16 @@ def _packed(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
     """The exactly symmetric C-ordered ``matrix`` in ``_packed_gram``'s
     storage, by dtrttf from its upper triangle: ``matrix.T`` is the same
     matrix in Fortran order, whose lower triangle dtrttf reads."""
-    lapack, _ = blas.lapack()
-    return lapack.dtrttf(matrix.T, transr="N", uplo="L")[0]
+    arf = np.empty(len(matrix) * (len(matrix) + 1) // 2)
+    blas.lapack().trttf(matrix, arf)()
+    return arf
+
+
+def _check_pivot(info: int, what: str) -> None:
+    """Raise NumericError naming the failing pivot a Cholesky's info reports."""
+    if info > 0:
+        raise NumericError(f"factorization of {what} failed: leading minor {info} "
+                           "is not positive definite", pivot=info - 1)
 
 
 def _rfp_cholesky(packed: NDArray[np.float64], n: int,
@@ -183,45 +191,45 @@ def _rfp_cholesky(packed: NDArray[np.float64], n: int,
     # make a mask of n(n+1)/2 bytes
     if not (np.isfinite(packed.min()) and np.isfinite(packed.max())):
         raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
-    lapack, _ = blas.lapack()
-    factor, info = lapack.dpftrf(n, packed, transr="N", uplo="L", overwrite_a=1)
-    if info > 0:
-        raise NumericError(f"factorization of {what} failed: leading minor {info} "
-                           "is not positive definite", pivot=info - 1)
-    return factor
+    _check_pivot(blas.lapack().pftrf(n, packed)(), what)
+    return packed
 
 
 def _rfp_solve(factor: NDArray[np.float64], n: int, rhs: NDArray) -> NDArray[np.float64]:
     """Solve with an ``_rfp_cholesky`` factor by dpftrs; x has rhs's shape."""
-    lapack, _ = blas.lapack()
-    return lapack.dpftrs(n, factor, rhs, transr="N", uplo="L")[0]
+    x = np.array(rhs, dtype=np.float64, order="F")
+    if x.size:
+        blas.lapack().pftrs(n, factor, x)()
+    return x
 
 
-def _cholesky(matrix: NDArray[np.float64], what: str) -> NDArray[np.float64]:
-    """Lower Cholesky factor of the exactly symmetric C-ordered ``matrix`` by
-    LAPACK's dpotrf, in its buffer: ``matrix.T`` is the same matrix in
-    Fortran order, so nothing is copied.  The result is that buffer in
-    Fortran order; its strict upper triangle keeps the input, as cho_factor
-    leaves it.  A NaN or inf entry or a failing pivot raises NumericError;
-    the pivot is named."""
-    if not np.isfinite(matrix).all():
-        raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
-    lapack, _ = blas.lapack()
-    factor, info = lapack.dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
-    if info > 0:
-        raise NumericError(f"factorization of {what} failed: leading minor {info} "
-                           "is not positive definite", pivot=info - 1)
-    return factor
+class GramInverse:
+    """S^-1 P for an M x M S, symmetric positive definite, and an M x r P,
+    in buffers made once and bound to the LAPACK calls, as a training run
+    needs it every epoch.  The caller writes S, exactly symmetric, into
+    ``gram``, which ``factor`` factors by dpotrf, then P' into ``rhs``;
+    ``solve`` inverts S by dpotri and writes S^-1 P into ``out`` by dsymm,
+    9 us at M = 20, r = 63 against dpotrs's 17 us (2-core x86-64)."""
 
+    def __init__(self, m: int, r: int) -> None:
+        self.gram, self.rhs = np.empty((m, m)), np.empty((r, m))
+        self.out = np.empty((m, r), order="F")
+        routines = blas.lapack()
+        self._potrf = routines.potrf(self.gram)
+        self._potri = routines.potri(self.gram)
+        self._symm = routines.symm(self.gram, self.rhs.T, self.out)
 
-def _cho_inverse_apply(factor: NDArray[np.float64], rhs: NDArray) -> NDArray[np.float64]:
-    """S^-1 rhs from a ``_cholesky`` factor of S, which it overwrites, by
-    dpotri and dsymm; a Fortran-ordered ``rhs`` is not copied.  At order 20
-    with 63 right-hand sides this took 9 us against dpotrs's 17 us (2-core
-    x86-64, one thread): dpotrs's triangular solves are slow there."""
-    lapack, fblas = blas.lapack()
-    inverse = lapack.dpotri(factor, lower=1, overwrite_c=1)[0]
-    return fblas.dsymm(1.0, inverse, rhs, lower=1)
+    def factor(self, what: str) -> None:
+        """Factor ``gram``; a NaN or inf entry or a failing pivot raises NumericError."""
+        if not np.isfinite(self.gram).all():
+            raise NumericError(f"factorization of {what} failed: it holds NaN or inf")
+        _check_pivot(self._potrf(), what)
+
+    def solve(self) -> NDArray[np.float64]:
+        """``out``, from the factor and ``rhs``."""
+        self._potri()
+        self._symm()
+        return self.out
 
 
 # The order from which SpdFactor factors and solves in a ``blas.wide``

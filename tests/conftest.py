@@ -42,19 +42,19 @@ def tiny_hyper():
                  epochs_nk1=500, epochs_nk2=100, lr_df=2e-4, lr_nk=4e-4)
 
 
-# numpy's and scipy's OpenBLAS copies, looked up here apart from ccme.blas so
-# that tests of the thread pin do not read counts through the code under test.
-_OPENBLAS_PROBES = (
-    ("numpy._core._multiarray_umath", "scipy_openblas_{}_num_threads64_"),
-    ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads"),
-)
+# numpy's OpenBLAS copy, the one the library calls and pins, looked up here
+# apart from ccme.blas so that tests of the thread pin do not read counts
+# through the code under test; and scipy's, which the library leaves alone.
+NUMPY_OPENBLAS = ("numpy._core._multiarray_umath", "scipy_openblas_{}_num_threads64_")
+SCIPY_OPENBLAS = ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads")
 
 
-def openblas_functions():
-    """(get, set) pairs for each OpenBLAS copy found; empty if none is."""
+def openblas_functions(probes=(NUMPY_OPENBLAS,)):
+    """(get, set) pairs for each copy of ``probes`` found, numpy's by
+    default; empty if none is."""
     pairs = []
     noload = getattr(os, "RTLD_NOLOAD", None)
-    for module, symbol in _OPENBLAS_PROBES:
+    for module, symbol in probes:
         if noload is None:
             break
         try:
@@ -73,18 +73,16 @@ def openblas_functions():
 
 
 def openblas_counts():
-    """Current thread count of each OpenBLAS copy found."""
+    """Current thread count of numpy's OpenBLAS copy, if found."""
     return [int(get()) for get, _ in openblas_functions()]
 
 
 @contextmanager
-def openblas_threads(n):
-    """Every OpenBLAS copy on ``n`` threads inside the block; the old counts
-    come back afterwards.  Skips the test where no OpenBLAS copy is found.
-    scipy's copy is loaded through the library first, which takes it in
-    there and only there."""
-    blas.lapack()
-    pairs = openblas_functions()
+def openblas_threads(n, probes=(NUMPY_OPENBLAS,)):
+    """The copies of ``probes`` found, numpy's by default, on ``n`` threads
+    inside the block; the old counts come back afterwards.  Skips the test
+    where none is found."""
+    pairs = openblas_functions(probes)
     if not pairs:
         pytest.skip("no OpenBLAS copy found")
     before = [int(get()) for get, _ in pairs]
@@ -99,8 +97,8 @@ def openblas_threads(n):
 
 @pytest.fixture
 def two_blas_threads():
-    """Every OpenBLAS copy on two threads for the test, so that a pin to one
-    thread and its undoing both show."""
+    """numpy's OpenBLAS copy on two threads for the test, so that a pin to
+    one thread and its undoing both show."""
     with openblas_threads(2):
         yield
 
@@ -108,12 +106,13 @@ def two_blas_threads():
 @pytest.fixture
 def without_posix_calls(monkeypatch):
     """Hides os.RTLD_NOLOAD and os.sched_getaffinity, as on Windows and
-    macOS, and starts ccme.blas over with no copy taken in and LAPACK not
-    yet loaded, so that it looks its copies up, and finds none, during the
-    test; its copies come back after the test."""
+    macOS, and starts ccme.blas over with no copy found and its routines
+    not yet bound, so that during the test it finds no copy and binds the
+    routines from scipy's modules; numpy's routines and copy come back after
+    the test."""
     monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(blas, "_copies", {})
+    monkeypatch.setattr(blas, "_copy", None)
     blas.lapack.cache_clear()
     yield
     blas.lapack.cache_clear()

@@ -1,6 +1,6 @@
-"""The library's BLAS thread policy: fits and density evaluations on one
-thread, factorizations from ``kernels.WIDE_ORDER`` on the counts the pin
-replaced."""
+"""The library's LAPACK and BLAS routines, bound from numpy's OpenBLAS, and
+its thread policy: fits and density evaluations on one thread,
+factorizations from ``kernels.WIDE_ORDER`` on the count the pin replaced."""
 
 import ast
 import os
@@ -12,18 +12,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import blas as scipy_blas
+from scipy.linalg import lapack as scipy_lapack
 
 from ccme import blas, density, estimators, kernels, synthbench
 from ccme.density import density_curves, density_mass, density_matrix, default_grid
 from ccme.data import compute_omega, split_data
 from ccme.errors import NumericError
 from ccme.estimators import Hyper, fit_ccme, fit_first_stage, fit_second_stage
-from ccme.kernels import SpdFactor
+from ccme.kernels import GramInverse, SpdFactor
 from ccme.propensity import fit_propensity
 from ccme.synthbench import SweepCell, run_sweep
 
-from conftest import (_OPENBLAS_PROBES, make_split, openblas_counts, openblas_functions,
-                      openblas_threads)
+from conftest import (NUMPY_OPENBLAS, SCIPY_OPENBLAS, make_split, openblas_counts,
+                      openblas_functions, openblas_threads)
 
 
 def ones():
@@ -45,6 +47,152 @@ def spy_on(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, spy)
     return seen
+
+
+# How far a factor, inverse, product or solution from numpy's OpenBLAS may
+# be from scipy's, relative to the largest entry.  Measured: 9.6e-15 for
+# dpftrs at order 2,500 on one thread, 3.1e-15 at order 5,000 on two, and at
+# most 1.5e-15 for the others; packing by dtrttf only moves entries, and its
+# bits are scipy's.
+ROUTINE_RTOL = 1e-13
+
+
+def close(got, want):
+    return np.abs(got - want).max() <= ROUTINE_RTOL * np.abs(want).max()
+
+
+def spd(order):
+    """K + I for the Gram of ``order`` points in R^3, exactly symmetric and
+    C-ordered, as the library's matrices are."""
+    points = np.random.default_rng(order).normal(size=(order, 3))
+    return kernels.gram(kernels.KernelSpec(), points) + np.eye(order)
+
+
+@pytest.fixture
+def numpy_routines():
+    """The routines bound from numpy's OpenBLAS; skips where they are not."""
+    if blas._numpy_routines(blas._numpy_library()) is None:
+        pytest.skip("numpy's LAPACK symbols are not reachable here")
+    return blas.lapack()
+
+
+class TestRoutines:
+    """Each routine bound from numpy's OpenBLAS against scipy.linalg.lapack's
+    or .blas's, both copies on one thread, and at order 5,000 on two."""
+
+    @pytest.fixture(autouse=True)
+    def one_thread(self):
+        with openblas_threads(1, (NUMPY_OPENBLAS, SCIPY_OPENBLAS)):
+            yield
+
+    @staticmethod
+    def packed_factor_and_solve(routines, order, rhs):
+        """(packed, factor, solution) from numpy's routines and from scipy's,
+        the packed matrix made by dtrttf from ``spd(order)``, or, at orders
+        where that is too large to hold twice, by ``kernels._packed_gram``."""
+        if order > 2500:
+            points = np.random.default_rng(order).normal(size=(order, 3))
+            arf = want_arf = kernels._packed_gram(kernels.KernelSpec(), points, 1.0)
+        else:
+            a = spd(order)
+            arf = np.empty(order * (order + 1) // 2)
+            routines.trttf(a, arf)()
+            want_arf = scipy_lapack.dtrttf(a.T, transr="N", uplo="L")[0]
+        factor = arf.copy()
+        assert routines.pftrf(order, factor)() == 0
+        x = np.array(rhs, order="F")
+        routines.pftrs(order, factor, x)()
+        want_factor, info = scipy_lapack.dpftrf(order, want_arf, transr="N", uplo="L")
+        assert info == 0
+        want_x = scipy_lapack.dpftrs(order, want_factor, rhs, transr="N", uplo="L")[0]
+        return (arf, factor, x), (want_arf, want_factor, want_x)
+
+    @pytest.mark.parametrize("order", [20, 200, 1318, 2500])
+    def test_packing_factor_and_solve_in_rfp(self, order, numpy_routines):
+        rhs = np.random.default_rng(1).normal(size=(order, 3))
+        got, want = self.packed_factor_and_solve(numpy_routines, order, rhs)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert close(got[1], want[1]) and close(got[2], want[2])
+
+    @pytest.mark.parametrize("order", [20, 200, 1318, 2500])
+    def test_dense_factor_inverse_and_product(self, order, numpy_routines):
+        a, b = spd(order), np.asfortranarray(np.random.default_rng(2).normal(size=(order, 5)))
+        c = a.copy()
+        assert numpy_routines.potrf(c)() == 0
+        want_c, info = scipy_lapack.dpotrf(a.T, lower=1, clean=0)
+        assert info == 0 and close(np.tril(c.T), np.tril(want_c))
+        numpy_routines.potri(c)()
+        want_c = scipy_lapack.dpotri(want_c, lower=1)[0]
+        assert close(np.tril(c.T), np.tril(want_c))
+        y = np.empty(b.shape, order="F")
+        numpy_routines.symm(c, b, y)()
+        assert close(y, scipy_blas.dsymm(1.0, c.T, b, lower=1))
+
+    def test_order_5000_in_a_wide_region(self, numpy_routines):
+        """Inside a pin's ``wide`` region numpy's copy runs on the count the
+        pin replaced, two threads, as scipy's copy does here."""
+        rhs = np.random.default_rng(3).normal(size=(5000, 69))
+        with openblas_threads(2, (NUMPY_OPENBLAS, SCIPY_OPENBLAS)), blas.single_thread():
+            with blas.wide():
+                assert openblas_counts() == [2]
+                got, want = self.packed_factor_and_solve(numpy_routines, 5000, rhs)
+        assert close(got[1], want[1]) and close(got[2], want[2])
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def routines_from(request):
+    """Each source of the routines in turn: numpy's OpenBLAS, and scipy's
+    modules as ``without_posix_calls`` forces them."""
+    if request.param == "scipy":
+        request.getfixturevalue("without_posix_calls")
+        assert blas._numpy_library() is None
+    return request.param
+
+
+class TestNumericErrors:
+    """Both sources of the routines report NaN input and a failing pivot
+    alike, for RFP and dense factors."""
+
+    def test_nan_input(self, routines_from):
+        with pytest.raises(NumericError, match=r"^factorization of \(K \+ 1.0 I\) "
+                           "failed: it holds NaN or inf$"):
+            SpdFactor(np.diag([1.0, np.nan, 1.0]), 1.0)
+        inverse = GramInverse(3, 2)
+        inverse.gram[...] = np.diag([1.0, np.nan, 1.0])
+        with pytest.raises(NumericError, match="^factorization of S failed: it holds "
+                           "NaN or inf$"):
+            inverse.factor("S")
+
+    def test_not_positive_definite(self, routines_from):
+        with pytest.raises(NumericError, match="leading minor 2 is not positive "
+                           "definite") as rfp:
+            SpdFactor(np.diag([1.0, -3.0, 1.0]), 1.0)
+        inverse = GramInverse(3, 2)
+        inverse.gram[...] = np.diag([1.0, -3.0, 1.0])
+        with pytest.raises(NumericError, match="^factorization of S failed: leading "
+                           "minor 2 is not positive definite$") as dense:
+            inverse.factor("S")
+        assert rfp.value.pivot == dense.value.pivot == 1
+
+
+@pytest.mark.filterwarnings("ignore::ccme.errors.ConfigWarning")
+@pytest.mark.parametrize("method", ["rr", "df"])
+def test_fits_run_on_routines_from_scipy(method, tiny_hyper, request):
+    """With the routines from scipy's modules, as where numpy's cannot be
+    bound, rr and df fits run and agree with numpy's within 1e-12 of each
+    array's largest entry; measured, they were bit for bit the same."""
+    split = make_split(n=60, seed=3)
+    hyper = replace(tiny_hyper, method=method, propensity="logistic")
+    default = fit_ccme(split, hyper).second.to_arrays()
+    request.getfixturevalue("without_posix_calls")
+    assert blas._numpy_library() is None
+    fallback = fit_ccme(split, hyper).second.to_arrays()
+    assert default.keys() == fallback.keys()
+    for key, want in default.items():
+        if want.dtype.kind == "f":
+            assert np.abs(fallback[key] - want).max() <= 1e-12 * np.abs(want).max(), key
+        else:
+            assert np.array_equal(fallback[key], want), key
 
 
 @pytest.mark.usefixtures("two_blas_threads")
@@ -195,7 +343,6 @@ def test_sweep_workers_factor_on_their_core_share(monkeypatch):
         return replace(record, error=repr(seen))
 
     monkeypatch.setattr(synthbench, "run_cell", cell_reporting_counts)
-    monkeypatch.setattr(blas, "_share", None)
     blas.set_threads(3)
     records = run_sweep([SweepCell("rr", "dr", "a", 20, s) for s in (1, 2)],
                         test_points=5, grid_points=20, threads=2)
@@ -226,6 +373,7 @@ def test_a_large_rr_fit_agrees_across_thread_counts():
 
 # The preamble of each script below: ``counts()`` reads the thread count of
 # numpy's and of scipy's copy, None for one not loaded, and loads nothing;
+# ``lapack()`` says which of scipy's LAPACK modules are loaded;
 # ``spy_after(owner, name)`` records the counts as each call returns, which
 # for ``kernels._rfp_cholesky`` are those it factored on; ``own`` is the
 # count a fresh copy starts on.
@@ -239,7 +387,7 @@ def probe(module, verb):
     lib = ctypes.CDLL(sys.modules[module].__file__, mode=os.RTLD_NOLOAD)
     return getattr(lib, symbol[module].format(verb))
 
-symbol = dict({_OPENBLAS_PROBES!r})
+symbol = dict({[NUMPY_OPENBLAS, SCIPY_OPENBLAS]!r})
 
 def counts():
     return [None if probe(m, "get") is None else int(probe(m, "get")())
@@ -253,6 +401,9 @@ def spy_after(owner, name, seen):
         return out
     setattr(owner, name, spy)
 
+def lapack():
+    return sorted(m for m in sys.modules if m in ("scipy.linalg._flapack", "scipy.linalg._fblas"))
+
 from ccme import blas, kernels, synthbench
 assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
 own = counts()[0]
@@ -264,8 +415,8 @@ def run_fresh(script: str) -> dict:
     """Run the preamble and ``script`` in a fresh interpreter, whose copies
     start on two threads but numpy's, which the preamble gives three, and
     return the dict the script prints last."""
-    if len(openblas_functions()) < 2 or not hasattr(os, "RTLD_NOLOAD"):
-        pytest.skip("needs numpy's and scipy's OpenBLAS copies, found by RTLD_NOLOAD")
+    if not openblas_functions() or not hasattr(os, "RTLD_NOLOAD"):
+        pytest.skip("needs numpy's OpenBLAS copy, found by RTLD_NOLOAD")
     src = str(Path(blas.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -278,9 +429,10 @@ def run_fresh(script: str) -> dict:
     return out
 
 
-def test_a_copy_loaded_elsewhere_is_left_alone_until_the_first_factor():
-    """The caller loads scipy's copy and sets its count; the library sets it
-    only once it calls LAPACK, and then as one it had taken in before."""
+def test_a_copy_loaded_elsewhere_is_left_alone():
+    """The caller loads scipy's copy and sets its count; the library pins,
+    factors on and restores numpy's copy alone, and loads no LAPACK module
+    of scipy's beyond the caller's."""
     got = run_fresh("""
         import scipy.linalg
         probe("scipy.linalg._fblas", "set")(3)
@@ -295,15 +447,16 @@ def test_a_copy_loaded_elsewhere_is_left_alone_until_the_first_factor():
         print(dict(unfactored=unfactored, between=between, seen=seen, after=counts(),
                    own=own))
     """)
-    assert got == {"unfactored": [1, 3], "between": [3, 3], "seen": [[1, 1]],
+    assert got == {"unfactored": [1, 3], "between": [3, 3], "seen": [[1, 3]],
                    "after": [3, 3]}
 
 
 class TestCopiesLoadedLater:
-    """scipy's copy loads at the first factorization, after the package and
-    possibly inside a pin: it is pinned as if loaded before, gets its own
-    count in a ``wide`` region and back when the pin ends.  pytest's process
-    has scipy loaded, so each case runs in a fresh interpreter."""
+    """A fresh process's first factorization, after the package and
+    possibly inside a pin, runs on numpy's copy: on one thread in the pin,
+    on the count the pin replaced in a ``wide`` region, and loads neither
+    scipy's LAPACK modules nor its OpenBLAS.  pytest's process has scipy
+    loaded, so each case runs in a fresh interpreter."""
 
     def test_first_factor_inside_a_pin(self):
         got = run_fresh("""
@@ -312,9 +465,10 @@ class TestCopiesLoadedLater:
             with blas.single_thread():
                 kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(5.0)), 1.0)
                 inside = counts()
-            print(dict(seen=seen, inside=inside, after=counts(), own=own))
+            print(dict(seen=seen, inside=inside, after=counts(), lapack=lapack(), own=own))
         """)
-        assert got == {"seen": [[1, 1]], "inside": [1, 1], "after": [3, 2]}
+        assert got == {"seen": [[1, None]], "inside": [1, None], "after": [3, None],
+                       "lapack": []}
 
     def test_first_factor_inside_wide(self):
         got = run_fresh("""
@@ -325,14 +479,15 @@ class TestCopiesLoadedLater:
                 kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(5.0)), 1.0)
                 inside = counts()
                 kernels.SpdFactor(kernels.gram(kernels.KernelSpec(), np.arange(4.0)), 1.0)
-            print(dict(seen=seen, inside=inside, after=counts(), own=own))
+            print(dict(seen=seen, inside=inside, after=counts(), lapack=lapack(), own=own))
         """)
-        assert got == {"seen": [[3, 2], [1, 1]], "inside": [1, 1], "after": [3, 2]}
+        assert got == {"seen": [[3, None], [1, None]], "inside": [1, None],
+                       "after": [3, None], "lapack": []}
 
     def test_sweep_workers_started_without_scipy_factor_on_their_share(self):
         """Two workers on eight usable cores get four threads each; a fresh
         copy starts on two and the parent runs numpy's on three, so only the
-        share gives four, and scipy's copy loads in the workers alone."""
+        share gives four, and no process loads scipy's copy."""
         got = run_fresh("""
             from dataclasses import replace
             seen = []
@@ -343,7 +498,7 @@ class TestCopiesLoadedLater:
 
             def cell_reporting_counts(*args, **kwargs):
                 record = real_cell(*args, **kwargs)
-                return replace(record, error=record.error or repr(seen))
+                return replace(record, error=record.error or repr((seen, lapack())))
 
             synthbench.run_cell = cell_reporting_counts
             records = synthbench.run_sweep(
@@ -353,5 +508,6 @@ class TestCopiesLoadedLater:
         """)
         assert got["parent"] == [3, None]
         for error in got["cells"]:
-            seen = ast.literal_eval(error)
-            assert seen and all(c == [4, 4] for c in seen)
+            seen, loaded = ast.literal_eval(error)
+            assert seen and all(c == [4, None] for c in seen)
+            assert loaded == []

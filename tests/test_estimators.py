@@ -326,20 +326,23 @@ class TestTraceLoss:
         assert got_grad.tobytes() == grad.tobytes()
 
     def test_each_training_run_passes_one_energy(self, tiny_hyper, monkeypatch):
-        """||Xi||_F^2 is computed once per run, not at every epoch."""
-        real, energies = df_trace_loss, []
+        """||Xi||_F^2 is computed, and the feature Gram's buffers made, once
+        per run, not at every epoch."""
+        real, energies, inverses = df_trace_loss, [], []
 
-        def spy(psi, xi, ridge, energy=None):
+        def spy(psi, xi, ridge, energy=None, inverse=None):
             energies.append(energy)
-            return real(psi, xi, ridge, energy)
+            inverses.append(id(inverse) if inverse is not None else None)
+            return real(psi, xi, ridge, energy, inverse)
 
         monkeypatch.setattr(estimators, "df_trace_loss", spy)
         fit_ccme(make_split(n=24, seed=3),
                  replace(tiny_hyper, method="df", propensity="logistic"))
         runs = (tiny_hyper.epochs_df1, tiny_hyper.epochs_df2)
-        assert len(energies) == sum(runs)
-        assert len(set(energies[:runs[0]])) == len(set(energies[runs[0]:])) == 1
-        assert None not in energies
+        for seen in (energies, inverses):
+            assert len(seen) == sum(runs)
+            assert len(set(seen[:runs[0]])) == len(set(seen[runs[0]:])) == 1
+            assert None not in seen
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 25),

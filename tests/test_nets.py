@@ -386,7 +386,7 @@ class TestBlasPin:
         params, batch, loss_and_grad, _ = quadratic_problem()
         pinned, pinned_loss = train_mlp(params, batch, loss_and_grad,
                                          epochs=50, lr=0.05, momentum=0.9)
-        monkeypatch.setattr(blas, "_copies", {})
+        monkeypatch.setattr(blas, "_copy", None)
         params, batch, loss_and_grad, seen = quadratic_problem()
         free, free_loss = train_mlp(params, batch, loss_and_grad,
                                     epochs=50, lr=0.05, momentum=0.9)
@@ -400,7 +400,7 @@ class TestBlasPin:
 def test_trains_where_openblas_cannot_be_looked_up():
     """Without os.RTLD_NOLOAD no copy is found, and training runs unpinned."""
     blas.lapack()
-    assert blas._copies == {}
+    assert blas._copy is None
     params, batch, loss_and_grad, _ = quadratic_problem()
     _, first = train_mlp(params, batch, loss_and_grad, epochs=1, lr=0.05,
                          momentum=0.9)

@@ -1,6 +1,7 @@
 """The package's exports: every name in an ``__all__`` resolves, the
 library imports nothing from the benchmark, each command loads only the
-compiled scipy modules it calls, and the README's library example runs."""
+compiled scipy module it calls and no second OpenBLAS, and the README's
+library example runs."""
 
 import ast
 import contextlib
@@ -67,7 +68,7 @@ def test_the_library_imports_nothing_from_the_benchmark(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_scipy_special(name):
     """The logistic is numpy's (``propensity.logistic``): of scipy only
-    LAPACK, BLAS and cdist's kernel load."""
+    cdist's kernel loads."""
     assert [m for m in every_import(name) if m.split(".")[:2] == ["scipy", "special"]] == []
 
 
@@ -75,18 +76,65 @@ def test_no_module_imports_scipy_special(name):
 def test_no_module_imports_scipy_at_module_level(name):
     """No ``import scipy...`` statement anywhere in the module: at module
     level or inside a function body, the whole tree is scanned.  All scipy
-    access goes through ``blas.compiled``, which loads the few compiled
-    modules the library calls from their files, so that importing the
+    access goes through ``blas.compiled``, which loads the compiled modules
+    the library calls from their files, so that importing the
     package, and every command, does without scipy's packages."""
     assert [m for m in every_import(name) if m.split(".")[0] == "scipy"] == []
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_only_blas_loads_native_code(name):
-    """``blas`` alone imports ``ctypes`` or ``importlib``: it loads scipy's
-    compiled modules and sets the thread counts of the OpenBLAS copies."""
+    """``blas`` alone imports ``ctypes`` or ``importlib``: it binds the
+    LAPACK and BLAS routines, loads scipy's compiled modules and sets the
+    thread count of numpy's OpenBLAS."""
     native = [m for m in every_import(name) if m.split(".")[0] in ("ctypes", "importlib")]
     assert bool(native) == (name == "blas")
+
+
+# Where the library's LAPACK and BLAS could come from other than ``blas``:
+# scipy's modules, and the six routines' names, in any spelling.
+LAPACK_NAMES = ("_flapack", "_fblas", "dtrttf", "dpftrf", "dpftrs", "dpotrf", "dpotri",
+                "dsymm")
+
+
+def lapack_names(name: str) -> list[tuple[int, str]]:
+    """(line, text) of each identifier, attribute, import or string
+    constant of module ``name``, docstrings aside, that holds one of
+    ``LAPACK_NAMES``."""
+    tree = ast.parse(Path(ccme.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            text = node.id
+        elif isinstance(node, ast.Attribute):
+            text = node.attr
+        elif isinstance(node, ast.alias):
+            text = node.name
+        elif isinstance(node, ast.ImportFrom):
+            text = node.module or ""
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            text = node.value
+        else:
+            continue
+        if any(word in text for word in LAPACK_NAMES):
+            found.append((getattr(node, "lineno", 0), text))
+    return found
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_only_blas_names_lapack(name):
+    """One OpenBLAS copy: ``blas`` binds the six routines from numpy's and is
+    the one module that names them, or scipy's LAPACK modules, in code; the
+    others call what ``blas.lapack`` returns."""
+    found = lapack_names(name)
+    if name == "blas":
+        assert found
+    else:
+        assert found == []
 
 
 def variant_names(name: str) -> tuple[list[str], list[tuple[int, str]]]:
@@ -152,10 +200,11 @@ def run_fresh(script: str, *argv: str, cwd=None) -> list[str]:
     return proc.stdout.splitlines()
 
 
-# The compiled scipy modules the library loads: LAPACK and BLAS at the
-# first factorization, cdist's kernel at the first Gram.
-LAPACK = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+# The compiled scipy module the library loads: cdist's kernel, at the first
+# Gram; and scipy's LAPACK modules, which it does not load, as LAPACK and
+# BLAS come from numpy's OpenBLAS.
 CDIST = "scipy.spatial._distance_pybind"
+LAPACK = ("scipy.linalg._flapack", "scipy.linalg._fblas")
 
 # Whether scipy's OpenBLAS is mapped into the process, found without loading
 # it; None where that cannot be told: no copy beside scipy, as a wheel puts
@@ -178,7 +227,7 @@ def scipy_openblas_loaded():
 """
 
 
-@pytest.mark.parametrize("argv,loads_scipy", [
+@pytest.mark.parametrize("argv,factors", [
     (["simulate", "--n", "50", "--out", "new.csv"], False),
     (["density", "model.npz", "--v", "0.1,0.2,0.3,0.4,0.5", "--out", "d.csv"], False),
     (["report", "sweep.csv"], False),
@@ -186,38 +235,41 @@ def scipy_openblas_loaded():
     (["fit", "sim.csv", "--model-out", "refit.npz"], True),
     (["fit", "sim.csv", "--method", "nk", "--propensity", "logistic", "--epochs-nk1",
       "5", "--epochs-nk2", "5", "--model-out", "nk.npz"], False),
+    (["fit", "sim.csv", "--method", "df", "--propensity", "logistic", "--epochs-df1",
+      "5", "--epochs-df2", "5", "--model-out", "df.npz"], True),
 ])
-def test_only_fitting_commands_load_scipy(argv, loads_scipy, cli_inputs):
+def test_only_fitting_commands_load_scipy(argv, factors, cli_inputs):
     """Each command in a fresh interpreter, where nothing else has loaded
-    scipy, loads exactly the compiled scipy modules it calls and no scipy
-    package.  Despite its name, ``loads_scipy`` says whether the command
-    factors, and so loads LAPACK and BLAS (``scipy.linalg._flapack`` and
-    ``_fblas``) and with them scipy's OpenBLAS, as an rr fit does.  Apart
-    from that flag, commands that make Grams (``fit`` and ``density``) load
-    cdist's kernel, ``scipy.spatial._distance_pybind``: an nk fit and a
-    density evaluation load it alone, and ``simulate``, ``report`` and
-    ``--print-config`` load no scipy module.  No command but a sweep on
-    several processes loads a process pool."""
+    scipy, loads exactly the compiled scipy module it calls and no scipy
+    package, and never scipy's OpenBLAS.  ``factors`` says whether the
+    command binds the LAPACK routines, as rr and df fits do: they come from
+    numpy's OpenBLAS, so no command loads ``scipy.linalg._flapack`` or
+    ``_fblas``.  Commands that make Grams (``fit`` and ``density``) load
+    cdist's kernel, ``scipy.spatial._distance_pybind``, and ``simulate``,
+    ``report`` and ``--print-config`` load no scipy module.  No command but
+    a sweep on several processes loads a process pool."""
     script = SCIPY_OPENBLAS + (
         "import sys\n"
+        "from ccme import blas\n"
         "from ccme.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(repr((code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-        f"scipy_openblas_loaded(), {LOADS_POOL})))\n")
-    code, modules, openblas, pool = ast.literal_eval(
+        f"scipy_openblas_loaded(), {LOADS_POOL}, blas.lapack.cache_info().currsize)))\n")
+    code, modules, openblas, pool, bound = ast.literal_eval(
         run_fresh(script, *argv, cwd=cli_inputs)[-1])
     grams = [CDIST] if argv[0] in ("fit", "density") else []
-    assert (code, modules, pool) == (0, sorted(grams + LAPACK * loads_scipy), False)
-    assert openblas in (None, loads_scipy)
+    assert (code, modules, pool, bound) == (0, grams, False, int(factors))
+    assert openblas in (None, False)
 
 
 # A factorization and a Gram through the library, then scipy's packages
-# imported: whether they hand out the functions the library called, and
-# whether cdist gives gram's bytes.  The loader finds each module's file
-# ("by_file"), finds none ("no_file"), or finds a file whose load raises
-# ImportError, as a missing shared library makes it ("failing_load"); in
-# the last two it imports each module in the ordinary way.
-SHARED_MODULES = """
+# imported: whether the library loaded scipy's LAPACK modules, whether
+# scipy.spatial hands out the module the library called, and whether cdist
+# gives gram's bytes.  The loader finds the module's file ("by_file"),
+# finds none ("no_file"), or finds a file whose load raises ImportError, as
+# a missing shared library makes it ("failing_load"); in the last two it
+# imports the module in the ordinary way.
+SHARED_MODULES = f"""
 import importlib.util, sys
 import numpy as np
 from ccme import blas, kernels
@@ -238,29 +290,28 @@ a, b = rng.normal(size=(40, 3)), rng.normal(size=(7, 3))
 spec = kernels.KernelSpec(0.9)
 got = kernels.gram(spec, a, b)
 kernels.SpdFactor(kernels.gram(spec, a), 1.0).solve(np.ones(40))
-packages = "scipy.linalg" in sys.modules
-lapack, fblas = blas.lapack()
+packages = "scipy.spatial" in sys.modules
+lapack = [m for m in {LAPACK!r} if m in sys.modules]
 pybind = blas.compiled("scipy.spatial._distance_pybind")
 import scipy.linalg, scipy.spatial.distance
 from scipy.spatial import _distance_pybind
-same = [getattr(scipy.linalg.lapack, name) is getattr(lapack, name)
-        for name in ("dtrttf", "dpftrf", "dpftrs", "dpotrf", "dpotri")]
-same += [scipy.linalg.blas.dsymm is fblas.dsymm, _distance_pybind is pybind]
 want = spec.at(scipy.spatial.distance.cdist(a, b, "sqeuclidean"), 3)
-print(repr((packages, same, got.tobytes() == want.tobytes())))
+print(repr((packages, lapack, _distance_pybind is pybind, got.tobytes() == want.tobytes())))
 """
 
 
 @pytest.mark.parametrize("lookup", ["by_file", "no_file", "failing_load"])
 def test_a_later_import_of_scipy_shares_the_loaded_modules(lookup):
     """After the library's loads, ``import scipy.linalg,
-    scipy.spatial.distance`` finds the modules it loaded: the functions are
-    the same objects, and cdist gives ``gram``'s bytes.  Where the file
-    lookup finds nothing, or the file fails to load, the ordinary import
-    gives the same objects, and loads scipy's packages before any import of
-    the caller's."""
-    got = ast.literal_eval(run_fresh(SHARED_MODULES, lookup)[-1])
-    assert got == (lookup != "by_file", [True] * 7, True)
+    scipy.spatial.distance`` finds the module it loaded, and cdist gives
+    ``gram``'s bytes.  Where the file lookup finds nothing, or the file
+    fails to load, the ordinary import gives the same module, and loads
+    scipy's packages before any import of the caller's.  A factorization
+    loads none of scipy's LAPACK modules, though scipy's packages may."""
+    packages, lapack, same, cdist = ast.literal_eval(run_fresh(SHARED_MODULES, lookup)[-1])
+    assert (packages, same, cdist) == (lookup != "by_file", True, True)
+    if lookup == "by_file":
+        assert lapack == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
