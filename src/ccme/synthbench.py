@@ -53,6 +53,7 @@ BASE_CONTROL = 1.0
 SHIFT = 15.0
 N_COV = 10
 V_COLS = list(range(5))
+TRUTH_ROWS = 64     # query rows of true densities computed at once
 
 # scenario: (the propensity model ``auto`` means, the first stage's x_cols)
 SCENARIOS = {"a": ("forest", None), "b": ("logistic", None),
@@ -125,16 +126,23 @@ class GroundTruth:
 
     def density_matrix(self, v: NDArray[np.float64],
                        y_grid: NDArray[np.float64]) -> NDArray[np.float64]:
-        """True conditional densities, one row per query point, shape (T, G)."""
+        """True conditional densities, one row per query point, shape (T, G),
+        written ``TRUTH_ROWS`` query rows at a time into the one (T, G) array:
+        every operation is elementwise, so the bits are the whole matrix's."""
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        y = np.asarray(y_grid, dtype=np.float64).ravel()
+        y = np.asarray(y_grid, dtype=np.float64).ravel()[None, :]
         p = self.mix_p(v)[:, None]
         m0 = self.branch_mean(v)[:, None]
         var = self.noise_var(v)[:, None]
         norm = 1.0 / np.sqrt(2.0 * np.pi * var)
-        low = norm * np.exp(-(y[None, :] - m0) ** 2 / (2.0 * var))
-        high = norm * np.exp(-(y[None, :] - m0 - SHIFT) ** 2 / (2.0 * var))
-        return p * high + (1.0 - p) * low
+        out = np.empty((len(v), y.size))
+        for lo in range(0, len(v), TRUTH_ROWS):
+            r = slice(lo, lo + TRUTH_ROWS)
+            low = norm[r] * np.exp(-(y - m0[r]) ** 2 / (2.0 * var[r]))
+            high = norm[r] * np.exp(-(y - m0[r] - SHIFT) ** 2 / (2.0 * var[r]))
+            np.add(np.multiply(p[r], high, out=high),
+                   np.multiply(1.0 - p[r], low, out=low), out=out[r])
+        return out
 
 
 def eval_points(n_points: int, eval_seed: int = 0) -> NDArray[np.float64]:
@@ -150,8 +158,13 @@ def eval_points(n_points: int, eval_seed: int = 0) -> NDArray[np.float64]:
 
 def mse(est: NDArray[np.float64], truth: NDArray[np.float64]) -> float:
     """Mean squared density error of two (T, G) density matrices, over test
-    points and grid points."""
-    diff = est - truth
+    points and grid points.  The squared difference is formed in ``est``'s
+    buffer: ``est`` is consumed, so callers pass a float64 array they no
+    longer need."""
+    if est.shape != truth.shape:
+        raise InvalidArgumentError(f"estimate has shape {est.shape}, "
+                                   f"truth {truth.shape}")
+    diff = np.subtract(est, truth, out=est)
     return float(np.mean(np.square(diff, out=diff)))
 
 

@@ -3,6 +3,7 @@
 import ctypes
 import importlib
 import os
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -75,6 +76,23 @@ def openblas_functions(probes=(NUMPY_OPENBLAS,)):
 def openblas_counts():
     """Current thread count of numpy's OpenBLAS copy, if found."""
     return [int(get()) for get, _ in openblas_functions()]
+
+
+def traced_memory(fn):
+    """(result, peak, held) of ``fn()``: tracemalloc's peak during the call
+    and what is still held after it, in bytes beyond what was held before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - base, held - base
 
 
 @contextmanager

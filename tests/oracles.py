@@ -6,8 +6,9 @@ mass, the unconstrained grid-coefficient minimizer, the logistic log-loss,
 a forest grown by sorting every feature afresh at every node of every
 bootstrap sample, an SGD loop that builds fresh parameter, gradient and
 momentum arrays at every step (with the library's feature-major,
-folded-bias products), and CSV writers that format one value at a
-time.  None of them is used by the library itself.
+folded-bias products), CSV writers that format one value at a
+time, and the analytic truth's densities as one whole-matrix expression.
+None of them is used by the library itself.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from ccme.errors import InvalidArgumentError, NumericError
 from ccme.kernels import gram
 from ccme.nets import MlpParams
 from ccme.propensity import Tree
+from ccme.synthbench import SHIFT
 
 
 def kernel_eval(spec, u, v):
@@ -301,3 +303,17 @@ def reference_dataset_csv(dataset):
     for row in np.column_stack([dataset.X, dataset.A, dataset.Y]):
         out.append(",".join(f"{v:.17g}" for v in row) + "\n")
     return "".join(out)
+
+
+def whole_truth_density(truth, v, y_grid):
+    """``GroundTruth.density_matrix`` as one (T, G) expression, every query
+    row at once."""
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    y = np.asarray(y_grid, dtype=np.float64).ravel()
+    p = truth.mix_p(v)[:, None]
+    m0 = truth.branch_mean(v)[:, None]
+    var = truth.noise_var(v)[:, None]
+    norm = 1.0 / np.sqrt(2.0 * np.pi * var)
+    low = norm * np.exp(-(y[None, :] - m0) ** 2 / (2.0 * var))
+    high = norm * np.exp(-(y[None, :] - m0 - SHIFT) ** 2 / (2.0 * var))
+    return p * high + (1.0 - p) * low

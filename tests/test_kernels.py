@@ -1,7 +1,6 @@
 """Kernel evaluation, Gram construction, and regularized solves."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +17,7 @@ from ccme.errors import InvalidArgumentError, NumericError
 from ccme.estimators import Hyper, KernelHead
 from ccme.kernels import BANDWIDTHS, KernelSpec, SpdFactor, gram
 
+from conftest import traced_memory
 from oracles import kernel_eval
 
 EXP_HALF = 0.6065306597126334          # exp(-0.5)
@@ -385,19 +385,8 @@ class TestGramMemory:
 
     def traced(self, fn, n=N):
         """(result, peak, held) of ``fn()``, in n x n arrays beyond the start."""
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = fn()
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            if started:
-                tracemalloc.stop()
-        unit = n * n * 8
-        return result, (peak - base) / unit, (held - base) / unit
+        result, peak, held = traced_memory(fn)
+        return result, peak / (n * n * 8), held / (n * n * 8)
 
     @pytest.fixture(scope="class")
     def points(self):

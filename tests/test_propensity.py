@@ -1,7 +1,6 @@
 """Propensity models: logistic regression, random forest, the benchmark's
 oracle, each a callable from covariate rows to raw probabilities."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +15,7 @@ from ccme.estimators import Hyper
 from ccme.propensity import (Forest, Logistic, _batch_trees, _logistic_grad,
                              fit_forest, fit_logistic, fit_propensity, logistic)
 from ccme.synthbench import generate, true_propensity
+from conftest import traced_memory
 from oracles import oracle_forest
 
 
@@ -198,17 +198,7 @@ class TestForest:
         by tracemalloc."""
         for n, before in ((500, 1.28e6), (5000, 10.3e6)):
             data, _ = generate(Hyper(n=n, seed=20261017))
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                fit_forest(data.X, data.A, seed=3)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            _, peak, _ = traced_memory(lambda: fit_forest(data.X, data.A, seed=3))
             assert peak <= 2 * before, (n, peak)
 
     def test_no_trees_rejected(self):

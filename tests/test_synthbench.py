@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import os
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -13,12 +12,13 @@ from ccme import estimators, propensity, synthbench
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import Hyper
 from ccme.propensity import Forest, Logistic
-from ccme.synthbench import (BETA, GAMMA, SCENARIOS, SHIFT, GroundTruth,
-                             SweepCell, SweepRecord, eval_points, generate,
-                             loglog_slope, mse, plan_cells, run_cell,
+from ccme.synthbench import (BETA, GAMMA, SCENARIOS, SHIFT, TRUTH_ROWS,
+                             GroundTruth, SweepCell, SweepRecord, eval_points,
+                             generate, loglog_slope, mse, plan_cells, run_cell,
                              run_sweep, true_propensity)
 
-from conftest import openblas_counts, openblas_threads
+from conftest import openblas_counts, openblas_threads, traced_memory
+from oracles import whole_truth_density
 
 V1 = np.array([2.2, -0.2, 2.2, -0.2, 2.2])
 V2 = np.array([-0.2, 2.2, -0.2, 2.2, -0.2])
@@ -116,6 +116,20 @@ class TestGroundTruth:
         assert abs(y.mean() - mean_expect) < 0.05
         assert abs(y.var() - var_expect) < 1.0
 
+    @pytest.mark.parametrize("T, G", [
+        (1, 300), (TRUTH_ROWS, 300), (TRUTH_ROWS + 1, 300),
+        (3 * TRUTH_ROWS + 5, 300), (3 * TRUTH_ROWS + 5, 1), (1, 1)])
+    def test_row_blocks_keep_the_whole_matrix_bits(self, T, G):
+        """Written a block of query rows at a time, the densities are the
+        whole-matrix expression's bit for bit: one row, one block, one block
+        plus a row, several blocks plus a remainder, and a one-point grid."""
+        truth = GroundTruth()
+        v, y = eval_points(T, 3), np.linspace(-5.0, 40.0, G)
+        got = truth.density_matrix(v, y)
+        want = whole_truth_density(truth, v, y)
+        assert got.shape == want.shape == (T, G)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestMse:
     """mse scores one (T, G) density matrix against another."""
@@ -123,7 +137,7 @@ class TestMse:
     def test_truth_scores_zero(self):
         truth = GroundTruth().density_matrix(eval_points(20),
                                              np.linspace(-5.0, 40.0, 200))
-        assert mse(truth, truth) == 0.0
+        assert mse(truth.copy(), truth) == 0.0
 
     def test_constant_offset_squares(self):
         truth = GroundTruth().density_matrix(eval_points(10),
@@ -152,6 +166,55 @@ class TestMse:
         per_row = [(np.trapezoid(r, y) / h + (r[0] + r[-1]) / 2) / y.size
                    for r in truth ** 2]
         assert got == pytest.approx(float(np.mean(per_row)), rel=1e-12)
+
+    def test_scores_in_the_estimates_buffer(self):
+        """``est`` is consumed: it holds the squared errors afterwards."""
+        truth = GroundTruth().density_matrix(eval_points(4), np.linspace(0.0, 30.0, 50))
+        est = truth + 0.5
+        assert mse(est, truth) == pytest.approx(0.25, abs=1e-15)
+        assert np.allclose(est, 0.25, atol=1e-15)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_rejects_matrices_of_different_shapes(self, wide):
+        """A (1, G) matrix against a (T, G) one would broadcast; either way
+        round it is refused."""
+        full = np.zeros((5, 40))
+        row = np.zeros((1, 40))
+        est, truth = (full, row) if wide else (row, full)
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            mse(est, truth)
+
+
+class TestScoringMemory:
+    """Python-level memory of scoring one sweep cell at the sweep's default
+    (T, G) = (500, 1000); 1.0 is one (T, G) float64 array."""
+
+    T, G = 500, 1000
+
+    UNIT = T * G * 8
+
+    def inputs(self):
+        return eval_points(self.T), np.linspace(-5.0, 40.0, self.G)
+
+    def test_truth_is_one_array_plus_its_block_temporaries(self):
+        """1.53 measured (2-core x86-64, numpy 2.4.6), about four blocks of
+        TRUTH_ROWS rows beside the result; built as one expression it was
+        4.02.  The bound allows five blocks."""
+        v, y = self.inputs()
+        truth = GroundTruth()
+        truth.density_matrix(v[:1], y)
+        _, peak, held = traced_memory(lambda: truth.density_matrix(v, y))
+        assert peak / self.UNIT <= 1.0 + 5 * TRUTH_ROWS / self.T
+        assert held / self.UNIT <= 1.001
+
+    def test_mse_makes_no_new_array(self):
+        """The difference is squared in ``est``'s buffer: the peak, which
+        was one (T, G) array with a separate difference, is under a page."""
+        v, y = self.inputs()
+        truth = GroundTruth().density_matrix(v, y)
+        est = np.full_like(truth, 0.01)
+        _, peak, _ = traced_memory(lambda: mse(est, truth))
+        assert peak <= 4096
 
 
 class TestEvalPoints:
@@ -498,17 +561,7 @@ class TestSweepMemory:
                                         [n], [1]), test_points=50, grid_points=100)
 
         group(50)           # what the first group allocates once is not counted
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            records = group(self.N)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+        records, peak, _ = traced_memory(lambda: group(self.N))
         assert all(r.error == "" for r in records)
         assert peak / (self.N * self.N * 8) <= 1.0
 
