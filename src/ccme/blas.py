@@ -1,12 +1,12 @@
 """Native code: the LAPACK and BLAS routines the library calls, scipy's
 compiled modules, and the thread count of the OpenBLAS copy they run on.
 
-``lapack`` binds the six routines (dtrttf, dpftrf, dpftrs, dpotrf, dpotri,
-dsymm) through ctypes, by their ILP64 symbols, from the OpenBLAS in numpy's
+``lapack`` binds the five routines (dpftrf, dpftrs, dpotrf, dpotri, dsymm)
+through ctypes, by their ILP64 symbols, from the OpenBLAS in numpy's
 wheels that ``numpy.linalg._umath_linalg`` links, so a process maps one
 OpenBLAS.  Where those symbols cannot be reached (no ``os.RTLD_NOLOAD``, as
 on Windows, or a numpy on another BLAS, as macOS's Accelerate wheels are)
-the six come from ``scipy.linalg._flapack`` and ``_fblas`` behind the same
+the five come from ``scipy.linalg._flapack`` and ``_fblas`` behind the same
 calls, and their copy keeps its own thread count.  Of scipy only compiled
 modules load, by ``compiled``: cdist's kernel at the first Gram, and the
 LAPACK modules only where numpy's routines cannot be bound.
@@ -30,7 +30,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-import numpy as np
 from numpy.linalg import _umath_linalg
 
 __all__ = ["compiled", "lapack", "set_threads", "single_thread", "wide"]
@@ -76,12 +75,12 @@ def _scipy_file(name: str):
 # works on, makes every argument, and returns a function of no arguments that
 # runs the routine in those arrays (pftrf's and potrf's return LAPACK's info),
 # so a loop binds once.  A symmetric ``a`` is C-ordered and used as the lower
-# triangle of its transpose; RFP storage has transr 'N', uplo 'L'.
-# ``trttf(a, arf)`` packs ``a`` into ``arf``; ``pftrf(n, arf)`` and ``potrf(a)``
-# factor; ``pftrs(n, arf, x)`` solves for the Fortran-ordered ``x``, a vector
-# or n rows; ``potri(a)`` inverts a factor; ``symm(a, b, c)`` writes a b into
+# triangle of its transpose; RFP storage, which ``kernels`` writes, has
+# transr 'N', uplo 'L'.  ``pftrf(n, arf)`` and ``potrf(a)`` factor;
+# ``pftrs(n, arf, x)`` solves for the Fortran-ordered ``x``, a vector or n
+# rows; ``potri(a)`` inverts a factor; ``symm(a, b, c)`` writes a b into
 # ``c``, ``b`` and ``c`` Fortran-ordered.
-Routines = namedtuple("Routines", "trttf pftrf pftrs potrf potri symm")
+Routines = namedtuple("Routines", "pftrf pftrs potrf potri symm")
 
 _Dbl = ctypes.POINTER(ctypes.c_double)
 _Buf = ctypes.c_char * 1     # from_buffer(array) passes its first byte's address
@@ -101,7 +100,7 @@ def _numpy_routines(lib: ctypes.CDLL | None) -> Routines | None:
     its C type, so a call converts nothing: declared argument types cost
     about 0.1 us an argument on every call, 1.4 us on a 20 x 64 dsymm."""
     fn = {name: _symbol(lib, [f"scipy_{name}_64_", f"{name}_64_"])
-          for name in ("dtrttf", "dpftrf", "dpftrs", "dpotrf", "dpotri", "dsymm")}
+          for name in ("dpftrf", "dpftrs", "dpotrf", "dpotri", "dsymm")}
     if None in fn.values():
         return None
     buf = _Buf.from_buffer
@@ -119,8 +118,6 @@ def _numpy_routines(lib: ctypes.CDLL | None) -> Routines | None:
         return run
 
     return Routines(
-        lambda a, arf: bind("dtrttf", _N, _L, len(a), buf(a), len(a), buf(arf), _INFO,
-                            _LEN, _LEN),
         lambda n, arf: bind("dpftrf", _N, _L, n, buf(arf), _INFO, _LEN, _LEN),
         lambda n, arf, x: bind("dpftrs", _N, _L, n, x.size // n, buf(arf), buf(x.T), n,
                                _INFO, _LEN, _LEN),
@@ -135,7 +132,6 @@ def _scipy_routines() -> Routines:
     contiguous arrays they are given where overwriting is allowed."""
     flapack, fblas = compiled("scipy.linalg._flapack"), compiled("scipy.linalg._fblas")
     return Routines(
-        lambda a, arf: lambda: np.copyto(arf, flapack.dtrttf(a.T, transr="N", uplo="L")[0]),
         lambda n, arf: lambda: flapack.dpftrf(n, arf, transr="N", uplo="L", overwrite_a=1)[1],
         lambda n, arf, x: lambda: flapack.dpftrs(n, arf, x, transr="N", uplo="L",
                                                  overwrite_b=1),

@@ -226,8 +226,7 @@ def cmd_sweep(cfg: Hyper, args: argparse.Namespace) -> int:
         _status(f"  {rec.method}/{rec.variant}/{rec.scenario} n={rec.n} "
                 f"seed={rec.seed}: {tag} ({rec.seconds:.1f}s)")
 
-    records = run_sweep(cells, cfg, cfg.test_points, cfg.grid_points,
-                        cfg.eval_seed, cfg.threads, progress)
+    records = run_sweep(cells, cfg, progress=progress)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)

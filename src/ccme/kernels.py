@@ -12,14 +12,15 @@ dense pairwise blocks, ``SpdFactor`` for systems (K + ridge I) x = rhs,
 ``OutcomeBasis`` for finite coordinates of the outcome kernel's features.
 
 An n x n regularized Gram is the largest thing a fit holds, so it is never
-made whole: ``SpdFactor`` writes K(points) + ridge I straight into
-rectangular full packed storage, n(n+1)/2 entries, a block of columns at a
-time, and factors it there.  ``gram`` computes a dense block's kernel over
-the squared distances, in their buffer.
+made whole: ``SpdFactor`` writes K + ridge I straight into rectangular full
+packed storage, n(n+1)/2 entries, a block of columns at a time, and factors
+it there.  One function, ``_packed``, writes that storage, from the blocks
+of a Gram's kernel and points or of an array alike.  ``gram`` computes a
+dense block's kernel over the squared distances, in their buffer.
 
-The native routines come through ``blas`` alone: LAPACK and BLAS (dtrttf,
-dpftrf, dpftrs, dpotrf, dpotri, dsymm) as ``blas.lapack`` binds them from
-numpy's OpenBLAS, and cdist's "sqeuclidean" kernel from
+The native routines come through ``blas`` alone: LAPACK and BLAS (dpftrf,
+dpftrs, dpotrf, dpotri, dsymm) as ``blas.lapack`` binds them from numpy's
+OpenBLAS, and cdist's "sqeuclidean" kernel from
 ``scipy.spatial._distance_pybind``.
 
 The ridge argument is always the full quantity added to the diagonal; callers
@@ -124,26 +125,25 @@ def _kernel(spec: KernelSpec, pa: NDArray[np.float64],
     return spec.at(sq, pa.shape[1])
 
 
-# The columns of a packed Gram written at once, whose temporaries are this
+# The columns of a packed matrix written at once, whose temporaries are this
 # many rows of at most n doubles: within 0.05 n^2 from order 1300 on.  At
-# order 5000 on a 2-core x86-64 box, widths from 16 to 256 all took
-# 0.10-0.13 s, against 0.20-0.29 s for the full Gram.
+# order 5000 on a 2-core x86-64 box, packing a Gram with widths from 16 to
+# 256 all took 0.10-0.13 s, against 0.20-0.29 s for the full Gram.
 PACK_COLUMNS = 64
 
 
-def _packed_gram(spec: KernelSpec, points: NDArray[np.float64],
-                 ridge: float) -> NDArray[np.float64]:
-    """K(points) + ridge I in rectangular full packed storage (RFP, transr
-    'N', uplo 'L'), with the bits of LAPACK's dtrttf packing of the full
-    matrix; a 1-d array of n(n+1)/2 entries, written ``PACK_COLUMNS``
-    columns at a time, so no n x n array is made.
+def _packed(block, n: int, shift: float) -> NDArray[np.float64]:
+    """A + shift I in rectangular full packed storage (RFP, transr 'N', uplo
+    'L'), with the bits of LAPACK's dtrttf packing of the full matrix, for
+    the exactly symmetric order-n A that ``block(rows, cols)`` gives as a new
+    array A[rows, cols]; a 1-d array of n(n+1)/2 entries, written
+    ``PACK_COLUMNS`` columns at a time, so no n x n array is made.
 
     With n = 2k + s, s = n mod 2 and n1 = k + s, the storage is a Fortran
     array of n1 columns of n + 1 - s entries.  Column j holds A[n1..k+j,
     k+j], the trailing block's upper triangle (nothing for j = 0 at odd n),
     then A[j.., j]; ``cols`` is its C-ordered transpose, a row per column.
     """
-    n = len(points)
     k, s = divmod(n, 2)
     n1 = k + s
     buf = np.empty(n1 * (n + 1 - s))
@@ -152,27 +152,17 @@ def _packed_gram(spec: KernelSpec, points: NDArray[np.float64],
         j1 = min(j0 + PACK_COLUMNS, n1)
         # the trailing part of columns j0..j1-1 on rows up to j1 - s; rows
         # past each column's own part are overwritten by its leading part
-        cols[j0:j1, :j1 - s] = _kernel(spec, points[k + j0:k + j1],
-                                       points[n1:n1 + j1 - s])
-        lead = _kernel(spec, points[j0:j1], points[j0:])    # A[j0.., j0..j1-1]'
+        cols[j0:j1, :j1 - s] = block(slice(k + j0, k + j1), slice(n1, n1 + j1 - s))
+        lead = block(slice(j0, j1), slice(j0, n))          # A[j0.., j0..j1-1]'
         w = j1 - j0
         np.copyto(cols[j0:j1, j0 + 1 - s:j1 + 1 - s], lead[:, :w],
                   where=np.tri(w, dtype=bool).T)            # from A[j, j] on
         cols[j0:j1, j1 + 1 - s:] = lead[:, w:]
         del lead                                            # before the next block's
     diag = np.arange(n1) * (n + 2 - s) - s                  # A[k+j, k+j], then A[j, j]
-    buf[diag[s:]] += ridge
-    buf[diag + 1] += ridge
+    buf[diag[s:]] += shift
+    buf[diag + 1] += shift
     return buf
-
-
-def _packed(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The exactly symmetric C-ordered ``matrix`` in ``_packed_gram``'s
-    storage, by dtrttf from its upper triangle: ``matrix.T`` is the same
-    matrix in Fortran order, whose lower triangle dtrttf reads."""
-    arf = np.empty(len(matrix) * (len(matrix) + 1) // 2)
-    blas.lapack().trttf(matrix, arf)()
-    return arf
 
 
 def _check_pivot(info: int, what: str) -> None:
@@ -185,7 +175,7 @@ def _check_pivot(info: int, what: str) -> None:
 def _rfp_cholesky(packed: NDArray[np.float64], n: int,
                   what: str) -> NDArray[np.float64]:
     """Lower Cholesky factor of the order-n matrix that ``packed`` holds in
-    ``_packed_gram``'s storage, by LAPACK's dpftrf in its buffer.  A NaN or
+    ``_packed``'s storage, by LAPACK's dpftrf in its buffer.  A NaN or
     inf entry or a failing pivot raises NumericError; the pivot is named."""
     # min and max pass a NaN on and reach any inf, where isfinite would
     # make a mask of n(n+1)/2 bytes
@@ -242,10 +232,12 @@ class GramInverse:
 WIDE_ORDER = 3000
 
 
-def _square(K: NDArray[np.float64]) -> NDArray[np.float64]:
+def _array_source(K) -> tuple:
+    """(block, n) for ``_packed`` over a C-ordered float64 copy of the square K."""
+    K = np.array(K, dtype=np.float64, order="C")
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] == 0:
         raise InvalidArgumentError(f"K must be square and non-empty, got shape {K.shape}")
-    return K
+    return (lambda rows, cols: K[rows, cols].copy()), len(K)
 
 
 class SpdFactor:
@@ -257,13 +249,12 @@ class SpdFactor:
     counts an enclosing ``blas.single_thread`` replaced.
 
     ``SpdFactor(K, ridge)`` takes K as a pair (kernel, points), for the Gram
-    K(points) under that ``KernelSpec``, or as an array.  The Gram is
-    written, ridge included, straight into the packed buffer, so no n x n
-    array is made; the factor keeps the kernel and the points.  An array K
-    must be exactly symmetric, as ``gram`` and ``F.T @ F`` are; only its
-    upper triangle is read.  It is taken over: a writable C-ordered float64
-    K gets the ridge on its diagonal and is kept for ``matrix``, so the
-    caller must not use it again."""
+    K(points) under that ``KernelSpec``, or as an array, which must be
+    exactly symmetric, as ``gram`` and ``F.T @ F`` are.  Either is written
+    by ``_packed``, ridge included, straight into the packed buffer, a block
+    of columns at a time, so a Gram is never made whole.  The factor keeps
+    the kernel and the points, or its own copy of the array; the caller's K
+    is left as it was."""
 
     def __init__(self, K, ridge: float) -> None:
         if not (0 < ridge < np.inf):
@@ -271,27 +262,25 @@ class SpdFactor:
         if isinstance(K, tuple):
             kernel, points = K
             points = _as_points(points, "points")
-            self._source, n = (kernel, points), len(points)
-            packed = _packed_gram(kernel, points, ridge)
+            source = (lambda rows, cols: _kernel(kernel, points[rows], points[cols]),
+                      len(points))
         else:
-            K = _square(np.require(K, np.float64, ["C", "W"]))
-            n = len(K)
-            K.ravel()[::n + 1] += ridge
-            self._source, packed = K, _packed(K)
-        self._factor_packed(packed, n, ridge, f"(K + {ridge} I)")
+            source = _array_source(K)
+        self._factor_packed(*source, ridge, ridge, f"(K + {ridge} I)")
 
     @classmethod
     def from_regularized(cls, matrix: NDArray[np.float64], ridge: float) -> "SpdFactor":
         """Factor a copy of an already-regularized symmetric matrix."""
         obj = cls.__new__(cls)
-        obj._source = _square(np.array(matrix, dtype=np.float64, order="C"))
-        obj._factor_packed(_packed(obj._source), len(obj._source), ridge, "stored matrix")
+        obj._factor_packed(*_array_source(matrix), 0.0, ridge, "stored matrix")
         return obj
 
-    def _factor_packed(self, packed: NDArray[np.float64], n: int, ridge: float,
+    def _factor_packed(self, block, n: int, shift: float, ridge: float,
                        what: str) -> None:
+        """Pack the source's matrix plus ``shift`` I and factor it."""
+        self._block, self._n, self._shift = block, n, shift
         self.ridge = float(ridge)
-        self._n = n
+        packed = _packed(block, n, shift)
         with self._threads():
             self._factor = _rfp_cholesky(packed, n, what)
 
@@ -300,13 +289,11 @@ class SpdFactor:
 
     @property
     def matrix(self) -> NDArray[np.float64]:
-        """K + ridge I, a new array on each read: a Gram's rebuilt from its
-        kernel and points, an array's copied."""
-        if not isinstance(self._source, tuple):
-            return self._source.copy()
-        kernel, points = self._source
-        out = _kernel(kernel, points, points)
-        out.ravel()[::self._n + 1] += self.ridge
+        """K + ridge I, a new array on each read, rebuilt from the source: a
+        Gram from its kernel and points, an array from the factor's copy."""
+        everything = slice(0, self._n)
+        out = self._block(everything, everything)
+        out.ravel()[::self._n + 1] += self._shift
         return out
 
     def solve(self, rhs: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -106,8 +106,11 @@ def _labelled(X: NDArray, A: NDArray) -> tuple[NDArray[np.float64], NDArray[np.f
     return X, A
 
 
-def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
-                 epochs: int = 2000, lr: float = 0.1) -> Logistic:
+# fit_logistic's full-batch gradient steps, and their size.
+LOGISTIC_STEPS, LOGISTIC_LR = 2000, 0.1
+
+
+def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64]) -> Logistic:
     """Unpenalized logistic regression by full-batch gradient descent."""
     X, A = _labelled(X, A)
     if X.shape[0] < 2:
@@ -116,10 +119,10 @@ def fit_logistic(X: NDArray[np.float64], A: NDArray[np.float64],
         raise DegenerateDataError("logistic regression needs both classes present")
     coef = np.zeros(X.shape[1])
     intercept = 0.0
-    for _ in range(int(epochs)):
+    for _ in range(LOGISTIC_STEPS):
         gw, gb = _logistic_grad(logistic(X @ coef + intercept), X, A)
-        coef = coef - lr * gw
-        intercept = intercept - lr * gb
+        coef = coef - LOGISTIC_LR * gw
+        intercept = intercept - LOGISTIC_LR * gb
     return Logistic(coef, intercept)
 
 

@@ -199,8 +199,10 @@ def _derived_seed(tag: int, n: int, seed: int) -> int:
 
 
 def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
-             grid_points: int = 1000, *, shared: dict | None = None) -> SweepRecord:
-    """Fit one (method, variant, scenario, n, seed) cell and score it.
+             grid_points: int | None = None, *,
+             shared: dict | None = None) -> SweepRecord:
+    """Fit one (method, variant, scenario, n, seed) cell and score it on
+    ``grid_points`` outcomes, by default ``hyper.grid_points``.
 
     The dataset, split, nets and propensity are seeded from (n, seed) only,
     so every method and variant in a sweep sees identical draws.  The cells
@@ -218,6 +220,7 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
     raised makes every cell needing it a row with that error.
     """
     start = time.perf_counter()
+    grid_points = hyper.grid_points if grid_points is None else grid_points
     try:
         kind, x_cols = SCENARIOS[cell.scenario]
         propensity = kind if hyper.propensity == "auto" else hyper.propensity
@@ -300,10 +303,12 @@ def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
 
 
 def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
-              test_points: int = 500, grid_points: int = 1000,
-              eval_seed: int = 0, threads: int = 1,
+              test_points: int | None = None, grid_points: int | None = None,
+              eval_seed: int | None = None, threads: int | None = None,
               progress=None) -> list[SweepRecord]:
     """Run all cells against one fixed evaluation set and return sorted records.
+    ``test_points``, ``grid_points``, ``eval_seed`` and ``threads`` left at
+    None take ``hyper``'s values.
 
     Cells run in groups of one (n, seed), which share their data, nuisances,
     scores and true densities (see ``run_cell``); a group's shared parts are
@@ -318,6 +323,10 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
     more workers than cores still oversubscribe them.
     """
     hyper = hyper or Hyper()
+    test_points = hyper.test_points if test_points is None else test_points
+    grid_points = hyper.grid_points if grid_points is None else grid_points
+    eval_seed = hyper.eval_seed if eval_seed is None else eval_seed
+    threads = hyper.threads if threads is None else threads
     _check_sweep(cells, hyper)
     test_v = eval_points(test_points, eval_seed)
     groups: dict[tuple[int, int], list[SweepCell]] = {}

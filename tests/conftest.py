@@ -5,11 +5,12 @@ import importlib
 import os
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ccme import blas
+from ccme import blas, kernels
 from ccme.data import Dataset, split_data
 from ccme.estimators import Hyper
 
@@ -29,6 +30,13 @@ def make_dataset(n, seed=0, d_x=3, treat_prob=0.6):
 
 def make_split(n=24, seed=0, d_x=3, split_seed=1):
     return split_data(make_dataset(n, seed=seed, d_x=d_x), split_seed)
+
+
+def packed_input(make):
+    """The packed matrix that the ``SpdFactor`` ``make()`` builds factors: its
+    RFP buffer, with dpftrf and its checks skipped."""
+    with mock.patch.object(kernels, "_rfp_cholesky", lambda packed, n, what: packed):
+        return make()._factor
 
 
 @pytest.fixture

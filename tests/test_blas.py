@@ -25,7 +25,7 @@ from ccme.propensity import fit_propensity
 from ccme.synthbench import SweepCell, run_sweep
 
 from conftest import (NUMPY_OPENBLAS, SCIPY_OPENBLAS, make_split, openblas_counts,
-                      openblas_functions, openblas_threads)
+                      openblas_functions, openblas_threads, packed_input)
 
 
 def ones():
@@ -52,8 +52,8 @@ def spy_on(monkeypatch, owner, name):
 # How far a factor, inverse, product or solution from numpy's OpenBLAS may
 # be from scipy's, relative to the largest entry.  Measured: 9.6e-15 for
 # dpftrs at order 2,500 on one thread, 3.1e-15 at order 5,000 on two, and at
-# most 1.5e-15 for the others; packing by dtrttf only moves entries, and its
-# bits are scipy's.
+# most 1.5e-15 for the others.  Packing only moves entries; the library's
+# packer gives scipy's dtrttf's bits.
 ROUTINE_RTOL = 1e-13
 
 
@@ -87,16 +87,17 @@ class TestRoutines:
 
     @staticmethod
     def packed_factor_and_solve(routines, order, rhs):
-        """(packed, factor, solution) from numpy's routines and from scipy's,
-        the packed matrix made by dtrttf from ``spd(order)``, or, at orders
-        where that is too large to hold twice, by ``kernels._packed_gram``."""
+        """(packed, factor, solution) from numpy's routines and from scipy's.
+        The library's packer packs ``spd(order)`` from the array, against
+        scipy's dtrttf, or, at orders where that is too large to hold twice,
+        from its points alone."""
         if order > 2500:
             points = np.random.default_rng(order).normal(size=(order, 3))
-            arf = want_arf = kernels._packed_gram(kernels.KernelSpec(), points, 1.0)
+            arf = want_arf = packed_input(
+                lambda: SpdFactor((kernels.KernelSpec(), points), 1.0))
         else:
             a = spd(order)
-            arf = np.empty(order * (order + 1) // 2)
-            routines.trttf(a, arf)()
+            arf = packed_input(lambda: SpdFactor.from_regularized(a, 1.0))
             want_arf = scipy_lapack.dtrttf(a.T, transr="N", uplo="L")[0]
         factor = arf.copy()
         assert routines.pftrf(order, factor)() == 0

@@ -834,9 +834,10 @@ class TestNetStages:
         start = df_trace_loss(psi_init, xi0, tiny_hyper.ridge0)[0] / split.m
         assert first.head.final_loss < start
 
-    @pytest.mark.parametrize("rows", [1, 7, 47, 200, 301])
+    @pytest.mark.parametrize("rows", [1, 7, 47, 200, 301, 1000])
     def test_feature_gram_is_exactly_symmetric(self, rows, monkeypatch):
-        """``SpdFactor`` reads one triangle, so the feature Gram that
+        """``SpdFactor`` packs an array's trailing block from below its
+        diagonal and the rest from above, so the feature Gram that
         ``FeatureHead.solved`` forms from ``mlp_forward``'s output must equal
         its transpose bit for bit."""
         from ccme.nets import mlp_forward, mlp_init

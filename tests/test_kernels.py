@@ -12,12 +12,11 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dtfttr, dtrttf
 from scipy.spatial.distance import cdist
 
-from ccme import kernels
 from ccme.errors import InvalidArgumentError, NumericError
 from ccme.estimators import Hyper, KernelHead
 from ccme.kernels import BANDWIDTHS, KernelSpec, SpdFactor, gram
 
-from conftest import traced_memory
+from conftest import packed_input, traced_memory
 from oracles import kernel_eval
 
 EXP_HALF = 0.6065306597126334          # exp(-0.5)
@@ -294,44 +293,70 @@ class TestSpdFactor:
 
 
 class TestSpdFactorOwnership:
-    """SpdFactor takes over the K it is given, which then holds K + ridge I
-    and is kept, while the factor lives in its own packed buffer; a Gram
-    given as (kernel, points) gives the same bits without any n x n array;
+    """SpdFactor leaves the K it is given as it was and keeps its own copy,
+    while the factor lives in its own packed buffer; a Gram given as
+    (kernel, points) gives the same bits without any n x n array;
     ``matrix`` and ``from_regularized`` see K + ridge I either way."""
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 30), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            ridge=st.floats(1e-6, 1e3))
-    def test_factor_overwrites_k_and_keeps_k_plus_ridge(self, n, d, seed, ridge):
+    def test_factor_leaves_k_and_sees_k_plus_ridge(self, n, d, seed, ridge):
         rng = np.random.default_rng(seed)
         spec, points = KernelSpec(bandwidth=1.5), rng.normal(size=(n, d))
         K = gram(spec, points)
+        before = K.copy()
         regularized = K + ridge * np.eye(n)
         fac = SpdFactor(K, ridge)
+        assert K.tobytes() == before.tobytes()
         assert not np.shares_memory(fac._factor, K)
-        assert K.tobytes() == regularized.tobytes()
         assert fac._factor.shape == (n * (n + 1) // 2,)
+        K[...] = np.nan                          # the factor holds its own copy
         direct = SpdFactor((spec, points), ridge)
         assert direct._factor.tobytes() == fac._factor.tobytes()
-        for matrix in (fac.matrix, direct.matrix):
-            assert matrix.tobytes() == regularized.tobytes()
         rebuilt = SpdFactor.from_regularized(fac.matrix, ridge)
+        assert rebuilt._factor.tobytes() == fac._factor.tobytes()
+        for read in (fac.matrix, direct.matrix, rebuilt.matrix):
+            read[...] = np.nan                   # each read is a new array
+        for matrix in (fac.matrix, direct.matrix, rebuilt.matrix):
+            assert matrix.tobytes() == regularized.tobytes()
         rhs = rng.normal(size=(n, 2))
         assert rebuilt.solve(rhs).tobytes() == fac.solve(rhs).tobytes()
 
 
+def dtrttf_of(full, ridge):
+    """LAPACK's packing of ``full`` + ridge I: dtrttf of a Fortran-ordered
+    copy, whose lower triangle it reads."""
+    full = full.copy()
+    full.ravel()[::len(full) + 1] += ridge
+    return dtrttf(full, transr="N", uplo="L")[0]
+
+
 class TestPackedGram:
-    """A Gram written straight into RFP storage has the bits of LAPACK's
-    dtrttf packing of the full regularized Gram, at even and odd orders and
-    across several blocks of ``PACK_COLUMNS`` columns."""
+    """The one RFP writer, ``kernels._packed``, has the bits of LAPACK's
+    dtrttf packing of the full regularized matrix, whether it writes a Gram
+    from its kernel and points or copies an array, at even and odd orders
+    and across several blocks of ``PACK_COLUMNS`` columns."""
 
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 600, 601])
     def test_packed_gram_is_dtrttf_of_the_full_gram(self, n):
         spec, points = KernelSpec(bandwidth=1.3), np.random.default_rng(n).normal(size=(n, 3))
-        full = gram(spec, points)
-        full.ravel()[::n + 1] += 0.7
-        want = dtrttf(full, transr="N", uplo="L")[0]
-        assert kernels._packed_gram(spec, points, 0.7).tobytes() == want.tobytes()
+        got = packed_input(lambda: SpdFactor((spec, points), 0.7))
+        assert got.tobytes() == dtrttf_of(gram(spec, points), 0.7).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           ridge=st.floats(1e-6, 1e3))
+    def test_packed_array_is_dtrttf_of_the_array(self, n, seed, ridge):
+        """An exactly symmetric array, with the ridge added and, through
+        ``from_regularized``, already in it."""
+        half = np.random.default_rng(seed).normal(size=(n, n))
+        A = half + half.T
+        got = packed_input(lambda: SpdFactor(A, ridge))
+        assert got.tobytes() == dtrttf_of(A, ridge).tobytes()
+        regularized = A + ridge * np.eye(n)
+        got = packed_input(lambda: SpdFactor.from_regularized(regularized, ridge))
+        assert got.tobytes() == dtrttf_of(regularized, 0.0).tobytes()
 
 
 class TestSpdFactorEdges:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import ccme
+from ccme import blas
 from ccme.cli import main
 from ccme.estimators import VARIANTS
 
@@ -91,8 +92,15 @@ def test_only_blas_loads_native_code(name):
     assert bool(native) == (name == "blas")
 
 
+def test_blas_binds_five_routines():
+    """The native surface: ``kernels._packed`` writes RFP storage, so no
+    packing routine (dtrttf) is bound."""
+    assert blas.Routines._fields == ("pftrf", "pftrs", "potrf", "potri", "symm")
+
+
 # Where the library's LAPACK and BLAS could come from other than ``blas``:
-# scipy's modules, and the six routines' names, in any spelling.
+# scipy's modules, and the names of the five routines and of dtrttf, which
+# no module binds, in any spelling.
 LAPACK_NAMES = ("_flapack", "_fblas", "dtrttf", "dpftrf", "dpftrs", "dpotrf", "dpotri",
                 "dsymm")
 
@@ -127,7 +135,7 @@ def lapack_names(name: str) -> list[tuple[int, str]]:
 
 @pytest.mark.parametrize("name", ["__init__", *MODULES])
 def test_only_blas_names_lapack(name):
-    """One OpenBLAS copy: ``blas`` binds the six routines from numpy's and is
+    """One OpenBLAS copy: ``blas`` binds the five routines from numpy's and is
     the one module that names them, or scipy's LAPACK modules, in code; the
     others call what ``blas.lapack`` returns."""
     found = lapack_names(name)

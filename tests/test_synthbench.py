@@ -358,6 +358,23 @@ class TestSweep:
         assert len(seen) == 3
         assert all(np.isnan(r.mse) for r in records)
 
+    def test_sweep_takes_what_it_is_not_given_from_its_hyper(self, monkeypatch):
+        """``test_points``, ``grid_points``, ``eval_seed`` and ``threads`` set
+        on the Hyper give the records they give as arguments."""
+        cells = [SweepCell("rr", "dr", "a", 30, s) for s in (1, 2)]
+        given = dict(test_points=5, grid_points=20, eval_seed=3, threads=2)
+        by_hyper, by_argument = run_sweep(cells, Hyper(**given)), run_sweep(cells, **given)
+        assert [(r.method, r.variant, r.scenario, r.n, r.seed, r.mse.hex(), r.error)
+                for r in by_hyper] == [
+            (r.method, r.variant, r.scenario, r.n, r.seed, r.mse.hex(), r.error)
+            for r in by_argument]
+        assert all(r.error == "" for r in by_hyper)
+        assert by_hyper[0].mse != run_sweep(cells[:1], Hyper(**{**given, "eval_seed": 4}),
+                                            threads=1)[0].mse
+        monkeypatch.setattr(synthbench, "run_cell", record_pid)
+        pids = {r.error for r in run_sweep(cells, Hyper(threads=2))}
+        assert pids and str(os.getpid()) not in pids      # run in workers
+
     def test_parallel_sweep_streams_progress(self):
         cells = [SweepCell("rr", "onestep", "a", 40, s) for s in (2, 1)]
         seen = []
@@ -392,6 +409,13 @@ class TestSweep:
                             threads=2)
         assert [(r.seed, r.error) for r in records] == [(1, ""), (2, "")]
         assert all(np.isfinite(r.mse) for r in records)
+
+
+def record_pid(cell, hyper, test_v, grid_points, *, shared=None):
+    """Stands in for run_cell: reports the process it ran in in the
+    record's error field."""
+    return SweepRecord(cell.method, cell.variant, cell.scenario, cell.n,
+                       cell.seed, float("nan"), 0.0, str(os.getpid()))
 
 
 def record_blas_threads(cell, hyper, test_v, grid_points, *, shared=None):
