@@ -27,7 +27,7 @@ from .data import dataset_to_csv, load_dataset, numeric_rows, split_data
 from .density import curves_to_csv, default_grid, density_curves
 from .errors import (ConfigError, ConfigWarning, DegenerateDataError,
                      InvalidArgumentError, NumericError)
-from .estimators import Hyper, fit_ccme
+from .estimators import METHODS, READS, Hyper, fit_ccme
 from .serialize import atomic_write, load_model, save_model
 from .synthbench import (SweepRecord, _check_sweep, check_scenario, generate,
                          loglog_slope, plan_cells, run_sweep)
@@ -71,6 +71,11 @@ def _settings(command: str | None) -> argparse.ArgumentParser:
     for f in fields(Hyper):
         shown = getattr(defaults, f.name)
         shown = ",".join(map(str, shown)) if isinstance(shown, list) else shown
+        heads, needs = f.metadata["heads"], f.metadata["needs"]
+        by = ("" if heads == METHODS else ", ".join(heads) + " ") + "fits" + (
+            f" with {', '.join(v for v in READS if needs in READS[v])}" if needs else "")
+        if command in ("fit", "sweep") and by != "fits":    # as "rr fits with dr, pi"
+            shown = f"{shown}; read by {by}"
         group.add_argument("--" + f.name.replace("_", "-"), dest=f"cfg_{f.name}",
                            metavar="V", help=f"default {shown}" if command in (
                                None, *f.metadata["reads"]) else argparse.SUPPRESS)
@@ -117,24 +122,29 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> Hyper:
-    """The flags over the --config file's settings over the defaults: a flag the
-    command does not read is an error, a file key of one a warning and dropped."""
+    """The flags over the --config file's settings over the defaults, each checked
+    if read (``Hyper.reads``); a flag of another is an error, a file key a warning."""
     values = load_config_file(args.config) if "config" in args else {}
     flags = {f.name: parse_override(f.name, getattr(args, f"cfg_{f.name}"))
              for f in fields(Hyper) if f"cfg_{f.name}" in args}
-    command = args.command
-    reads = {f.name for f in fields(Hyper) if command in (None, *f.metadata["reads"])}
+    command, given = args.command, Hyper(**{**values, **flags})
+    reads, context = given.reads(command), {
+        "fit": f"fit with --method {given.method} --variant {given.variant}",
+        "sweep": f"sweep with --methods {','.join(given.methods)} "
+                 f"--variants {','.join(given.variants)}"}.get(command)
     if command == "density" and None not in (args.grid_lo, args.grid_hi):
-        command, reads = "density with --grid-lo and --grid-hi", reads - {"grid_pad"}
-    cfg = Hyper(**{**{key: values[key] for key in values.keys() & reads}, **flags})
+        context, reads = "density with --grid-lo and --grid-hi", reads - {"grid_pad"}
+    cfg = Hyper(**{key: value for key, value in {**values, **flags}.items() if key in reads})
+    validate_config(cfg)
     for scenario in (cfg.scenario, *cfg.scenarios):
         check_scenario(scenario)
+    said = {f.name for f in fields(Hyper) if command in f.metadata["reads"]}  # by any pair
     if unread := min(flags.keys() - reads, default=None):
-        raise ConfigError(f"{command} does not read --{unread.replace('_', '-')}")
-    validate_config(cfg)
-    if values.keys() - reads:
-        warnings.warn(f"{command} does not read {', '.join(sorted(values.keys() - reads))}"
-                      f" from {args.config}", ConfigWarning)
+        raise ConfigError(f"{context if unread in said else command} does not read "
+                          f"--{unread.replace('_', '-')}")
+    if dropped := values.keys() - reads:
+        warnings.warn(f"{context if dropped & said else command} does not read "
+                      f"{', '.join(sorted(dropped))} from {args.config}", ConfigWarning)
     return cfg
 
 

@@ -97,7 +97,7 @@ def _allowed(bounds: str | tuple, value) -> bool:
 
 def validate_config(cfg: Hyper) -> None:
     """Raise ``ConfigError``, naming the field, for a setting (or list entry)
-    outside its declared bounds, or a clip pair or ``v_cols`` that clashes."""
+    outside its declared bounds, a clip pair that clashes or a repeated entry."""
     for f in fields(cfg):
         value, bounds = getattr(cfg, f.name), f.metadata["bounds"]
         entries = value if isinstance(value, list) else [value]
@@ -109,8 +109,9 @@ def validate_config(cfg: Hyper) -> None:
                           f"finite, got ({cfg.clip_lo}, {cfg.clip_hi})")
     if cfg.v_cols == []:
         raise ConfigError("v_cols must name at least one column")
-    if cfg.v_cols is not None and len(set(cfg.v_cols)) < len(cfg.v_cols):
-        raise ConfigError(f"v_cols names a column twice: {cfg.v_cols}")
+    for name in ("v_cols", "methods", "variants", "scenarios", "n_list", "seeds"):
+        if len(set(entries := getattr(cfg, name) or [])) < len(entries):
+            raise ConfigError(f"{name} names an entry twice: {entries}")
 
 
 def config_json(cfg: Hyper) -> str:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -364,12 +364,12 @@ def head_from_arrays(arrays) -> KernelHead | FeatureHead | GridHead:
     return _head_class(str(arrays["kind"])).from_arrays(arrays)
 
 
-def _setting(default, bounds=None, reads=("fit", "sweep")):
+def _setting(default, bounds=None, reads=("fit", "sweep"), heads=METHODS, needs=None):
     """A ``Hyper`` field of this default whose metadata holds ``bounds`` (an interval
-    "[0, 1)" for numbers and list entries, or a tuple of names) and ``reads``."""
+    "[0, 1)" for numbers and list entries, or names), ``reads``, ``heads`` and ``needs``."""
     given = ({"default_factory": default.copy} if isinstance(default, list)
              else {"default": default})
-    return field(**given, metadata={"bounds": bounds, "reads": reads})
+    return field(**given, metadata=dict(bounds=bounds, reads=reads, heads=heads, needs=needs))
 
 
 _BANDWIDTHS = "[{!r}, {!r})".format(*BANDWIDTHS)
@@ -382,8 +382,9 @@ class Hyper:
     The CLI flags (``bandwidth_x`` is ``--bandwidth-x``), the ``--config``
     JSON keys and ``--print-config`` all come from these fields.  The
     defaults are the benchmark settings.  Each field declares its bounds,
-    which ``config.validate_config`` checks, and the commands that read it,
-    the only ones that take its flag.
+    which ``config.validate_config`` checks, the commands that read it, and for
+    a fit or sweep the methods whose head reads it (``heads``, all by default)
+    and the ``READS`` nuisance it ``needs``: ``reads`` derives what each takes.
 
     Per-stage settings come in pairs that the heads index by stage (0 or 1):
     the ridges ``ridge0/ridge1``, added to the Gram diagonal as-is, and the
@@ -400,34 +401,34 @@ class Hyper:
     scenario: str = _setting("a", reads=())   # keyed on by perfbench's traced generate
     # auto | forest | logistic | oracle: auto is a forest in a fit, the
     # scenario's model in a sweep cell, which alone resolves oracle
-    propensity: str = _setting("auto", ("auto", "forest", "logistic", "oracle"))
-    # a sweep reads no seed, net_seed or v_cols: see synthbench._check_sweep
+    propensity: str = _setting("auto", ("auto", "forest", "logistic", "oracle"),
+                               needs="omega")
     seed: int = _setting(0, "[0, inf)", ("simulate", "fit"))
-    net_seed: int = _setting(0, "[0, inf)", ("fit",))
+    net_seed: int = _setting(0, "[0, inf)", ("fit",), ("df", "nk"))
     threads: int = _setting(1, "[1, inf)", ("sweep",))
 
     # kernels and ridges
-    bandwidth_x: float = _setting(2.0, _BANDWIDTHS)
-    bandwidth_v: float = _setting(2.0, _BANDWIDTHS)
+    bandwidth_x: float = _setting(2.0, _BANDWIDTHS, heads=("rr",), needs="first")
+    bandwidth_v: float = _setting(2.0, _BANDWIDTHS, heads=("rr",))
     bandwidth_y: float = _setting(2.0, _BANDWIDTHS)
-    ridge0: float = _setting(20.0, "(0, inf)")
-    ridge1: float = _setting(20.0, "(0, inf)")
+    ridge0: float = _setting(20.0, "(0, inf)", heads=("rr", "df"), needs="first")
+    ridge1: float = _setting(20.0, "(0, inf)", heads=("rr", "df"))
 
     # networks
-    n_feats: int = _setting(20, "[1, inf)")    # feature count M for df / grid size for nk
-    hidden: list[int] = _setting([20, 20], "[1, inf)")
-    momentum: float = _setting(0.9, "[0, 1)")
-    lr_df: float = _setting(2e-4, "(0, inf)")
-    lr_nk: float = _setting(4e-4, "(0, inf)")
-    epochs_df1: int = _setting(6000, "[0, inf)")
-    epochs_df2: int = _setting(1000, "[0, inf)")
-    epochs_nk1: int = _setting(16000, "[0, inf)")
-    epochs_nk2: int = _setting(500, "[0, inf)")
-    grid_pad: float = _setting(2.0, "[0, inf)", ("fit", "density", "sweep"))
+    n_feats: int = _setting(20, "[1, inf)", heads=("df", "nk"))  # df features, nk grid
+    hidden: list[int] = _setting([20, 20], "[1, inf)", heads=("df", "nk"))
+    momentum: float = _setting(0.9, "[0, 1)", heads=("df", "nk"))
+    lr_df: float = _setting(2e-4, "(0, inf)", heads=("df",))
+    lr_nk: float = _setting(4e-4, "(0, inf)", heads=("nk",))
+    epochs_df1: int = _setting(6000, "[0, inf)", heads=("df",), needs="first")
+    epochs_df2: int = _setting(1000, "[0, inf)", heads=("df",))
+    epochs_nk1: int = _setting(16000, "[0, inf)", heads=("nk",), needs="first")
+    epochs_nk2: int = _setting(500, "[0, inf)", heads=("nk",))
+    grid_pad: float = _setting(2.0, "[0, inf)", ("fit", "density", "sweep"), ("nk",))
 
     # propensity clipping; config also checks clip_lo < clip_hi
-    clip_lo: float = _setting(0.01, "(0, 1)")
-    clip_hi: float = _setting(0.99, "(0, 1)")
+    clip_lo: float = _setting(0.01, "(0, 1)", needs="omega")
+    clip_hi: float = _setting(0.99, "(0, 1)", needs="omega")
 
     # data
     n: int = _setting(200, "[4, inf)", ("simulate",))
@@ -442,6 +443,18 @@ class Hyper:
     test_points: int = _setting(500, "[1, inf)", ("sweep",))
     grid_points: int = _setting(1000, "[1, inf)", ("density", "sweep"))
     eval_seed: int = _setting(0, "[0, inf)", ("sweep",))
+
+    def reads(self, command: str | None) -> set[str]:
+        """The fields ``command`` reads, all for None: a fit those its method's head
+        and variant's ``READS`` row read, a sweep those some pair of ``methods`` x
+        ``variants`` reads, and each the fields with neither restriction."""
+        pairs = {"fit": [(self.method, self.variant)],
+                 "sweep": [(m, v) for m in self.methods for v in self.variants]}.get(command)
+        def read(heads, needs) -> bool:
+            return pairs is None or (heads, needs) == (METHODS, None) or any(
+                m in heads and needs in (None, *READS.get(v, ())) for m, v in pairs)
+        return {f.name for f in fields(self) if command in (None, *f.metadata["reads"])
+                and read(f.metadata["heads"], f.metadata["needs"])}
 
     def kernel_x(self) -> KernelSpec:
         return KernelSpec(self.bandwidth_x)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -61,9 +61,9 @@ SCENARIOS = {"a": ("forest", None), "b": ("logistic", None),
 
 
 def check_scenario(scenario: str) -> str:
-    """``scenario`` itself if it names a scenario, else raise."""
+    """``scenario`` itself if it names a scenario, else raise ``ConfigError``."""
     if scenario not in SCENARIOS:
-        raise InvalidArgumentError(f"unknown scenario {scenario!r}")
+        raise ConfigError(f"unknown scenario {scenario!r}")
     return scenario
 
 
@@ -281,8 +281,8 @@ def _usable_cores() -> int:
 
 def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
     """Raise ``ConfigError`` for what ``run_sweep`` rejects up front: an unknown
-    method, variant or scenario, an rr cell above n = 20000, other ``v_cols``,
-    or a ``seed`` or ``net_seed`` other than the default, which no cell reads."""
+    method, variant or scenario, an rr cell above n = 20000, or a setting that no
+    sweep reads (``Hyper.reads``) off its default, such as ``seed`` or ``v_cols``."""
     for cell in cells:
         if cell.method == "rr" and cell.n > 20000:
             raise ConfigError(f"rr cell n={cell.n} exceeds the 20000 cap")
@@ -290,16 +290,12 @@ def _check_sweep(cells: list[SweepCell], hyper: Hyper) -> None:
             raise ConfigError(f"unknown method {cell.method!r}")
         if cell.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {cell.variant!r}")
-        if cell.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {cell.scenario!r}")
-    if hyper.v_cols not in (None, V_COLS):
-        raise ConfigError(f"sweeps condition on V = the first {len(V_COLS)} "
-                          f"covariates, as the true densities do; got v_cols "
-                          f"{hyper.v_cols}")
-    for name in ("seed", "net_seed"):
-        if getattr(hyper, name) != getattr(Hyper, name):
-            raise ConfigError(f"sweeps derive each group's seeds from (n, seed) "
-                              f"in --seeds; got {name} {getattr(hyper, name)}")
+        check_scenario(cell.scenario)
+    read = Hyper(methods=list(METHODS), variants=list(VARIANTS)).reads("sweep")
+    if unread := [f.name for f in fields(Hyper) if f.name not in read
+                  and getattr(hyper, f.name) != getattr(Hyper(), f.name)]:
+        raise ConfigError(f"a sweep does not read {unread[0]}, which must keep its "
+                          f"default; got {unread[0]} {getattr(hyper, unread[0])!r}")
 
 
 def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,

@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -23,7 +24,7 @@ from ccme.cli import main
 from ccme.config import (config_json, load_config_file, parse_override,
                          validate_config)
 from ccme.data import Dataset, dataset_to_csv, load_dataset
-from ccme.estimators import METHODS, VARIANTS, Hyper
+from ccme.estimators import METHODS, READS, VARIANTS, Hyper
 from ccme.errors import ConfigError, InvalidArgumentError
 from ccme.serialize import load_model
 
@@ -123,11 +124,11 @@ _SETTINGS = {
     "grid_pad": st.floats(0.0, allow_infinity=False), "clip_lo": _floats(0.0, 0.5).filter(lambda lo: 1.0 / lo < float("inf")),
     "clip_hi": _floats(0.5, 1.0), "n": st.integers(4, 10**7),
     "v_cols": st.none() | st.lists(st.integers(0, 30), min_size=1, unique=True),
-    "methods": st.lists(st.sampled_from(METHODS), min_size=1),
-    "variants": st.lists(st.sampled_from(VARIANTS), min_size=1),
-    "scenarios": st.lists(st.sampled_from("abc"), min_size=1),
-    "n_list": st.lists(st.integers(2, 10**6), min_size=1),
-    "seeds": st.lists(st.integers(0, 10**6), min_size=1),
+    "methods": st.lists(st.sampled_from(METHODS), min_size=1, unique=True),
+    "variants": st.lists(st.sampled_from(VARIANTS), min_size=1, unique=True),
+    "scenarios": st.lists(st.sampled_from("abc"), min_size=1, unique=True),
+    "n_list": st.lists(st.integers(2, 10**6), min_size=1, unique=True),
+    "seeds": st.lists(st.integers(0, 10**6), min_size=1, unique=True),
     "test_points": st.integers(1, 10**5), "grid_points": st.integers(1, 10**5),
     "eval_seed": st.integers(0, 2**32),
 }
@@ -175,6 +176,18 @@ class TestSettingBounds:
 class TestConfigRoundTrip:
     def test_every_setting_has_a_strategy(self):
         assert set(_SETTINGS) == {f.name for f in fields(Hyper)}
+
+    def test_every_setting_declares_what_reads_it(self):
+        """A field's ``heads`` are methods and its ``needs`` a nuisance that
+        ``READS`` names, and some (method, variant) pair reads each setting
+        that fit declares."""
+        nuisances = {name for row in READS.values() for name in row}
+        for f in fields(Hyper):
+            assert set(f.metadata["heads"]) <= set(METHODS), f.name
+            assert f.metadata["needs"] in (None, *nuisances), f.name
+        read = set().union(*(Hyper(method=method, variant=variant).reads("fit")
+                             for method in METHODS for variant in VARIANTS))
+        assert read == {f.name for f in fields(Hyper) if "fit" in f.metadata["reads"]}
 
     @settings(max_examples=60, deadline=None)
     @given(_HYPERS)
@@ -340,7 +353,8 @@ class TestFit:
 
     def test_fit_fits_no_oracle_propensity(self, tmp_path, capsys):
         """The oracle is the benchmark's true propensity, which only sweeps
-        pass: a fit that reads omega rejects it, one that does not fits."""
+        pass: a fit that reads omega rejects it.  One that does not rejects
+        the flag unread and, given it in a --config file, warns and fits."""
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 5))
         A, y = (rng.random(40) < 0.5).astype(int), rng.normal(size=40)
@@ -349,12 +363,20 @@ class TestFit:
             for i in range(40)]
         data = tmp_path / "five.csv"
         data.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "oracle.json"
+        config.write_text(json.dumps({"propensity": "oracle"}))
         for variant, code in (("dr", 4), ("ipw", 4), ("pi", 0), ("onestep", 0)):
             capsys.readouterr()
-            assert main(["fit", str(data), "--propensity", "oracle", "--variant",
+            assert main(["fit", str(data), "--config", str(config), "--variant",
                          variant, "--model-out", str(tmp_path / "m.npz")]) == code
             err = capsys.readouterr().err.strip().splitlines()
+            if code == 0:                  # the warning, then the status line
+                assert err.pop(0) == (f"warning: fit with --method rr --variant "
+                                      f"{variant} does not read propensity from {config}")
             assert len(err) == 1 and ("'oracle'" in err[0]) == (code == 4)
+            assert main(["fit", str(data), "--propensity", "oracle", "--variant",
+                         variant, "--model-out", str(tmp_path / "m.npz")]) == 4
+            assert capsys.readouterr().err.count("\n") == 1
 
     def test_each_warning_is_one_stderr_line(self, tmp_path, capsys):
         """Both stages of a df fit on 6 training rows for 40 features warn,
@@ -418,8 +440,7 @@ class TestFit:
         main(["simulate", "--n", "60", "--seed", "4", "--out", sim])
         code = main(["fit", sim, "--model-out", model, "--method", "nk",
                      "--variant", "onestep", "--n-feats", "8",
-                     "--hidden", "8", "--epochs-nk1", "300",
-                     "--epochs-nk2", "100"])
+                     "--hidden", "8", "--epochs-nk2", "100"])
         assert code == 0
         assert main(["density", model, "--v", "1,1,1,1,1", "--grid-points",
                      "50", "--out", out]) == 0
@@ -449,9 +470,13 @@ class TestFit:
 
         monkeypatch.setattr(propensity, "fit_forest", refuse)
         monkeypatch.setattr(propensity, "fit_logistic", refuse)
+        config = tmp_path / "propensity.json"
         for name in ("auto", "forest", "logistic", "oracle"):
-            assert main(["fit", workdir["sim"], "--variant", "pi", "--propensity", name,
+            config.write_text(json.dumps({"propensity": name}))
+            assert main(["fit", workdir["sim"], "--variant", "pi", "--config", str(config),
                          "--model-out", str(tmp_path / f"{name}.npz")]) == 0
+            assert main(["fit", workdir["sim"], "--variant", "pi", "--propensity", name,
+                         "--model-out", str(tmp_path / f"{name}.npz")]) == 4
 
     def test_clip_reaches_the_default_propensity(self, workdir, tmp_path,
                                                  monkeypatch):
@@ -489,7 +514,7 @@ class TestFit:
                                                for head, y in rows]) + "\n")
         model, out = str(tmp_path / "m.npz"), str(tmp_path / "d.csv")
         nets = ["--n-feats", "4", "--hidden", "8", "--epochs-df1", "50",
-                "--epochs-df2", "20"]
+                "--epochs-df2", "20"] if method == "df" else []   # rr reads none
         assert main(["fit", str(sim), "--method", method, "--model-out", model,
                      *flags, *nets]) == 0
         with np.load(model, allow_pickle=False) as npz:
@@ -803,6 +828,42 @@ class TestSweepCommand:
         assert not out.exists()
         assert main(["sweep", "--filter", "method=rr"]) == 3     # no such flag
 
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--scenarios", "z"], "unknown scenario 'z'"),
+        (["sweep", "--scenarios", "a,z"], "unknown scenario 'z'"),
+        (["fit", "d.csv", "--scenario", "z"], "fit does not read --scenario"),
+        (["fit", "d.csv", "--method", "zz", "--n-feats", "5"],
+         "method must be one of ('rr', 'df', 'nk'), got 'zz'"),
+        (["sweep", "--variants", "q", "--propensity", "logistic"],
+         "variants must be one of ('dr', 'ipw', 'pi', 'onestep'), got ['q']"),
+    ])
+    def test_an_unknown_name_exits_4_in_one_line(self, argv, message, tmp_path,
+                                                 monkeypatch, capsys):
+        """An unknown scenario is a setting out of range, as an unknown method
+        or variant is, and a fit reads no scenario, whatever its value; an
+        unknown method or variant is named before any flag it would not read."""
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"degenerate data or configuration: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--methods", "rr,rr"), ("--variants", "dr,pi,dr"), ("--scenarios", "a,a"),
+        ("--n-list", "30,30"), ("--seeds", "0,0")])
+    def test_a_repeated_entry_exits_4_in_one_line(self, flag, value, tmp_path, capsys):
+        """A repeated entry would run its cells twice and count each twice in
+        the report's medians; --hidden 20,20 is two layers, not a repeat."""
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", flag, value, "--out", str(out)]) == 4
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            "degenerate data or configuration: "
+            f"{name} names an entry twice: {parse_override(name, value)}\n")
+        assert not out.exists()
+        assert main(["sweep", "--methods", "df", "--hidden", "20,20", "--print-config"]) == 0
+
     def test_all_cells_failing_exit_5(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         code = main(["sweep", "--n-list", "2", "--seeds", "0,1",
@@ -991,12 +1052,34 @@ SWEEP_CHANGES = {
     "seed": 1, "net_seed": 1,
 }
 
-# Each command's base settings, as a --config file, and a new value for
-# every setting it reads (for fit, with the one method that reads it).
+# What a fit reads, as measured per (method, variant) pair: a setting outside
+# its pair's set changed no archive byte before fits rejected it.
+EVERY_FIT = {"method", "variant", "seed", "v_cols", "bandwidth_y"}
+OMEGA_READS = {"propensity", "clip_lo", "clip_hi"}       # with dr and ipw
+HEAD_READS = {  # method: (read with every variant, read with dr and pi)
+    "rr": ({"bandwidth_v", "ridge1"}, {"bandwidth_x", "ridge0"}),
+    "df": ({"net_seed", "n_feats", "hidden", "momentum", "lr_df", "ridge1",
+            "epochs_df2"}, {"ridge0", "epochs_df1"}),
+    "nk": ({"net_seed", "n_feats", "hidden", "momentum", "lr_nk", "epochs_nk2",
+            "grid_pad"}, {"epochs_nk1"}),
+}
+PAIRS = [(method, variant) for method in METHODS for variant in VARIANTS]
+
+
+def fit_reads(method, variant):
+    always, with_first = HEAD_READS[method]
+    return (EVERY_FIT | always | (OMEGA_READS if variant in ("dr", "ipw") else set())
+            | (with_first if variant in ("dr", "pi") else set()))
+
+
+# Each command's base settings, as a --config file (a fit's are those of its
+# method's that its pair reads), and a new value for every setting it reads
+# (for fit, with a method that reads it and the variant dr).
+NET_BASE = {"n_feats": 4, "hidden": [8]}
+FIT_BASE = {"rr": {}, "df": {**NET_BASE, "epochs_df1": 30, "epochs_df2": 20},
+            "nk": {**NET_BASE, "epochs_nk1": 30, "epochs_nk2": 20}}
 COMMAND_BASE = {
     "simulate": {"n": 30}, "density": {"grid_points": 20}, "sweep": SWEEP_BASE,
-    "fit": {key: SWEEP_BASE[key] for key in ("n_feats", "hidden", "epochs_df1",
-                                             "epochs_df2", "epochs_nk1", "epochs_nk2")},
     "report": {},
 }
 READ_CHANGES = {
@@ -1018,6 +1101,13 @@ READ_CHANGES = {
 }
 
 
+def base_config(command, method="rr", variant="dr"):
+    if command != "fit":
+        return COMMAND_BASE[command]
+    return {key: value for key, value in FIT_BASE[method].items()
+            if key in fit_reads(method, variant)}
+
+
 def _reads(command):
     return {f.name for f in fields(Hyper) if command in f.metadata["reads"]}
 
@@ -1034,18 +1124,19 @@ def setting_inputs(tmp_path_factory):
     return {"data": str(data), "model": str(model), "sweep": str(swept)}
 
 
-def run_command(command, inputs, tmp_path, flags=()):
-    """(exit code, output, stderr) of a command on its base settings: the
-    bytes it writes, and for a sweep its records without their seconds."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(COMMAND_BASE[command]))
+def run_command(command, inputs, tmp_path, flags=(), config=None):
+    """(exit code, output, stderr) of a command on its base settings, or on
+    ``config``: the bytes it writes, and for a sweep its records without
+    their seconds."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(command) if config is None else config))
     out = tmp_path / "out"
     argv = {"simulate": ["--out"], "fit": [inputs["data"], "--model-out"],
             "density": [inputs["model"], "--v", "1,1,1,1,1", "--out"],
             "sweep": ["--out"], "report": [inputs["sweep"], "--out"]}[command]
     with contextlib.redirect_stderr(io.StringIO()) as err, \
             contextlib.redirect_stdout(io.StringIO()):
-        code = main([command, "--config", str(config), *flags, *argv, str(out)])
+        code = main([command, "--config", str(path), *flags, *argv, str(out)])
     output = out.read_bytes() if code == 0 else None
     if command == "sweep" and code == 0:
         output = [row[:6] + row[7:] for row in
@@ -1061,8 +1152,9 @@ def setting_base(setting_inputs, tmp_path_factory):
     for command, method in [("simulate", None), ("density", None), ("sweep", None),
                             ("fit", "rr"), ("fit", "df"), ("fit", "nk")]:
         flags = ["--method", method] if method else []
-        code, output, err = run_command(command, setting_inputs,
-                                        tmp_path_factory.mktemp(command), flags)
+        code, output, err = run_command(
+            command, setting_inputs, tmp_path_factory.mktemp(command), flags,
+            base_config(command, method) if method else None)
         assert code == 0 and "warning" not in err, err
         outputs[command, method] = output
     records = outputs["sweep", None]
@@ -1076,13 +1168,47 @@ def check_read_setting(command, name, inputs, base, tmp_path):
     value, method = READ_CHANGES[command][name], None
     if command == "fit":
         value, method = value
-    assert value != COMMAND_BASE[command].get(name, getattr(Hyper(), name))
+    fitted = value if name == "method" else method     # the method that runs
+    config = base_config(command, fitted) if fitted else None
+    assert value != base_config(command, method).get(name, getattr(Hyper(), name))
     flags = [f"--{name.replace('_', '-')}={_flag_text(value)}"]
     if method and name != "method":
         flags += ["--method", method]
-    code, output, err = run_command(command, inputs, tmp_path, flags)
+    code, output, err = run_command(command, inputs, tmp_path, flags, config)
     assert (code == 0 and output != base[command, method]) or (
         code == 4 and name in err), err
+
+
+def check_pair_settings(command, pair_flags, changes, reads, base, inputs, tmp_path):
+    """Each new value in ``changes`` changes the output of ``command`` run with
+    ``pair_flags`` on ``base`` if ``reads`` holds its setting, and otherwise
+    exits 4 in one line naming the setting, before any input is read (a fit's
+    dataset is missing then) and with nothing written."""
+    context = " ".join([command, "with", *pair_flags])
+    code, plain, err = run_command(command, inputs, tmp_path, pair_flags, base)
+    assert code == 0 and "warning" not in err, err
+    for name, value in changes.items():
+        flag = "--" + name.replace("_", "-")
+        argv = [*pair_flags, f"{flag}={_flag_text(value)}"]
+        if name in reads:
+            code, output, err = run_command(command, inputs, tmp_path, argv, base)
+            assert code == 0 and output != plain, (name, err)
+            continue
+        missing = {**inputs, "data": str(tmp_path / "missing.csv")}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        code, output, err = run_command(command, missing, tmp_path, argv, base)
+        where = context if command in Hyper.__dataclass_fields__[name].metadata[
+            "reads"] else command
+        assert (code, err) == (4, "degenerate data or configuration: "
+                                  f"{where} does not read {flag}\n"), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# A new value for every setting a fit reads for some pair but its method and
+# variant, whose changes TestCommandSettings makes once.
+FIT_CHANGES = {name: value for name, (value, _) in READ_CHANGES["fit"].items()
+               if name not in ("method", "variant")}
 
 
 class TestCommandSettings:
@@ -1096,12 +1222,27 @@ class TestCommandSettings:
         assert sum(len(_reads(command)) for command in COMMANDS) == 54
         assert all(f.metadata["reads"] for f in fields(Hyper) if f.name != "scenario")
 
+    def test_each_fit_reads_what_its_method_and_variant_read(self):
+        """152 of the 12 x 23 (method, variant, setting) triples."""
+        assert {pair: Hyper(method=pair[0], variant=pair[1]).reads("fit")
+                for pair in PAIRS} == {pair: fit_reads(*pair) for pair in PAIRS}
+        assert sum(len(fit_reads(*pair)) for pair in PAIRS) == 152
+
     @pytest.mark.parametrize("command,name", [
         (command, name) for command in COMMANDS if command != "sweep"
         for name in sorted(READ_CHANGES[command])])
     def test_a_read_setting_changes_the_output_or_exits_4(
             self, command, name, setting_inputs, setting_base, tmp_path):
         check_read_setting(command, name, setting_inputs, setting_base, tmp_path)
+
+    @pytest.mark.parametrize("method,variant", PAIRS)
+    def test_each_pair_honours_or_rejects_every_setting(
+            self, method, variant, setting_inputs, tmp_path):
+        """A fit with --method and --variant honours each setting its pair
+        reads and rejects every other one's flag, naming the pair."""
+        check_pair_settings("fit", ["--method", method, "--variant", variant],
+                            FIT_CHANGES, fit_reads(method, variant),
+                            base_config("fit", method, variant), setting_inputs, tmp_path)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_an_unread_flag_exits_4_before_or_after_the_command(
@@ -1145,6 +1286,35 @@ class TestSweepSettings:
                                       f"sweep does not read {flag}\n")
         else:
             assert code == 0 and records != setting_base["sweep", None], err
+
+    def test_a_sweep_reads_what_some_planned_pair_reads(self):
+        """For every plan of methods and variants, the empty one included: the
+        settings only sweeps read, and of those fits read, the ones some pair
+        of the plan reads or, with no pair, every fit reads."""
+        def subsets(names):
+            return [list(kept) for size in range(len(names) + 1)
+                    for kept in itertools.combinations(names, size)]
+
+        for methods in subsets(METHODS):
+            for variants in subsets(VARIANTS):
+                read = set().union(EVERY_FIT, *(fit_reads(m, v) for m in methods
+                                                for v in variants))
+                assert Hyper(methods=methods, variants=variants).reads("sweep") == (
+                    _reads("sweep") - _reads("fit") | _reads("sweep") & read)
+
+    def test_an_rr_pi_sweep_honours_or_rejects_every_setting(self, setting_inputs,
+                                                             tmp_path):
+        """A sweep of rr and pi honours the bandwidths and ridges its fits read
+        and every setting only sweeps read, and rejects every other flag."""
+        base = {key: value for key, value in SWEEP_BASE.items()
+                if key in _reads("sweep") - _reads("fit")}
+        reads = {"bandwidth_x", "bandwidth_v", "bandwidth_y", "ridge0", "ridge1",
+                 "scenarios", "n_list", "seeds", "test_points", "grid_points",
+                 "eval_seed"}
+        check_pair_settings("sweep", ["--methods", "rr", "--variants", "pi"],
+                            {name: value for name, value in SWEEP_CHANGES.items()
+                             if name not in ("methods", "variants")},
+                            reads, base, setting_inputs, tmp_path)
 
     def test_threads_change_no_record(self, setting_inputs, setting_base, tmp_path):
         """--threads 2 runs the group on a worker process: the same records,
@@ -1326,6 +1496,39 @@ class TestHelp:
             assert set(re.findall(r"`(--[a-z0-9-]+)`", rows[command])) == flags
 
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_help_and_readme_name_the_fits_that_read_a_setting(self, command, capsys):
+        """For each setting only some fits read, fit's and sweep's help note
+        the methods and variants that read it, and README's table groups
+        fit's settings by the same notes."""
+        def note(name):
+            methods = [m for m in METHODS if any(name in fit_reads(m, v) for v in VARIANTS)]
+            variants = [v for v in VARIANTS if any(name in fit_reads(m, v) for m in METHODS)]
+            return ((", ".join(methods) + " ") * (methods != list(METHODS)) + "fits"
+                    + (" with " + ", ".join(variants)) * (variants != list(VARIANTS)))
+
+        def grouped(flags):
+            groups = {}
+            for flag, by in flags:
+                groups.setdefault(by, set()).add(flag)
+            return groups
+
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        noted = re.findall(r"^  (--[a-z0-9-]+) V +default \S+; read by (.+)$", text, re.M)
+        want = [("--" + name.replace("_", "-"), note(name))
+                for name in sorted(_reads(command) & _reads("fit"))
+                if note(name) != "fits"]
+        assert grouped(noted) == grouped(want) and len(noted) == len(want)
+        readme = PYPROJECT.parent / "README.md"
+        if command == "fit" and readme.is_file():
+            rows = re.findall(r"^\| ((?:[a-z, ]+ )?fits(?: with [a-z, ]+)?) \| (.*) \|$",
+                              readme.read_text(), re.M)
+            assert {by: set(re.findall(r"`(--[a-z0-9-]+)`", flags)) for by, flags in rows} == (
+                grouped(want))
+
+
 class TestMainDispatch:
     def test_settings_precedence(self, tmp_path, capsys):
         """Defaults, then the --config file, then flags."""
@@ -1417,7 +1620,7 @@ class TestMainDispatch:
         for command in (["simulate"], ["fit", "d.csv"], ["density", "m.npz"],
                         ["sweep"], ["report", "s.csv"], ["--print-config"]):
             for flag, alias in bad:
-                assert main([*command, flag, alias]) == 3
+                assert main([*command, flag, alias]) == 4
         assert os.listdir(tmp_path) == []
 
     def test_padding_is_stripped_from_scalar_and_list_flags(self, tmp_path,

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import stats
 
 from ccme import estimators, propensity, synthbench
 from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
-from ccme.estimators import Hyper
+from ccme.estimators import METHODS, VARIANTS, Hyper
 from ccme.propensity import Forest, Logistic
 from ccme.synthbench import (BETA, GAMMA, SCENARIOS, SHIFT, TRUTH_ROWS,
                              GroundTruth, SweepCell, SweepRecord, eval_points,
@@ -234,7 +235,7 @@ class TestSweep:
         assert {c.scenario for c in cells} == {"a", "c"}
         # only the documented names: no alias, case or padding is read as one
         for name in ("MuMisspecified", "C", " c"):
-            with pytest.raises(InvalidArgumentError, match="unknown scenario"):
+            with pytest.raises(ConfigError, match="unknown scenario"):
                 plan_cells(["rr"], ["dr"], [name], [100], [0])
 
     def test_a_record_is_its_cell_and_the_score(self):
@@ -343,11 +344,17 @@ class TestSweep:
             run_sweep([SweepCell("rr", "xx", "a", 10, 0)])
         with pytest.raises(ConfigError, match="unknown scenario 'z'"):
             run_sweep([SweepCell("rr", "dr", "z", 30, 0)])
-        # each group derives its seeds from its (n, seed), and the true
-        # densities condition on the first five covariates
-        for hyper in (Hyper(seed=1), Hyper(net_seed=1), Hyper(v_cols=[0, 1])):
-            with pytest.raises(ConfigError, match="seed 1|v_cols"):
-                run_sweep([SweepCell("rr", "dr", "a", 10, 0)], hyper)
+        # each group derives its seeds from its (n, seed), each cell names its
+        # method, variant and scenario, and the true densities condition on
+        # the first five covariates: what no sweep reads keeps its default
+        unread = {"seed": 1, "net_seed": 1, "v_cols": [0, 1], "method": "df",
+                  "variant": "pi", "scenario": "b", "n": 10}
+        assert set(unread) == {f.name for f in fields(Hyper)} - Hyper(
+            methods=list(METHODS), variants=list(VARIANTS)).reads("sweep")
+        for name, value in {**unread, "v_cols": [0, 1, 2, 3, 4]}.items():
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"does not read {name}, which must keep its default; got {name} {value!r}")):
+                run_sweep([SweepCell("rr", "dr", "a", 10, 0)], Hyper(**{name: value}))
 
     def test_sweep_sorts_and_reports_progress(self):
         cells = [SweepCell("rr", "dr", "a", 2, s) for s in (3, 1, 2)]
