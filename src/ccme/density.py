@@ -83,13 +83,16 @@ def density_curves(model: CcmeModel, v: NDArray[np.float64], y_grid: NDArray[np.
         return weights.T @ u, masses
 
 
-def curves_to_csv(y_grid: NDArray[np.float64], values: NDArray[np.float64]) -> str:
+def curves_to_csv(y_grid: NDArray[np.float64], values: NDArray[np.float64],
+                  first: int = 0) -> str:
     """Long-format CSV with the mandatory v_id,y,density header; v_id counts
-    the rows of ``values`` from 0."""
+    the rows of ``values`` from ``first``.  A block of query rows is a piece
+    of the whole file: only the block at ``first`` = 0 carries the header,
+    so the blocks of a matrix, joined in order, are its CSV byte for byte."""
     grid = np.asarray(y_grid, dtype=np.float64).ravel()
     # one query's lines, with the grid formatted once: joined by the v_id,
     # the pieces take the query's densities in their %.17g slots
     pieces = ["", *(f",{y:.17g},%.17g\n" for y in grid)]
-    return "v_id,y,density\n" + "".join([
-        str(vid).join(pieces) % tuple(dens)
-        for vid, dens in enumerate(np.asarray(values, dtype=np.float64).tolist())])
+    return ("v_id,y,density\n" if first == 0 else "") + "".join([
+        str(vid).join(pieces) % tuple(dens) for vid, dens in
+        enumerate(np.asarray(values, dtype=np.float64).tolist(), first)])

@@ -39,7 +39,6 @@ the D1 rows (mu0).  Stages pair like with like; mixing is rejected.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -218,7 +217,7 @@ class KernelHead:
     @classmethod
     def fit(cls, inputs, xi, masses, basis, hyper: Hyper, stage: int,
             lr_rows: int, shared: dict | None = None) -> "KernelHead":
-        key = ("factor", stage, hashlib.sha256(inputs.tobytes()).digest())
+        key = ("factor", stage, inputs.shape, inputs.tobytes())
         factor = _shared_part(shared, key, lambda: cls.factor(inputs, hyper, stage))
         kernel = hyper.kernel_x() if stage == 0 else hyper.kernel_v()
         return cls(kernel, inputs, factor.solve(np.column_stack([xi, masses])), basis)

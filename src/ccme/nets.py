@@ -125,6 +125,7 @@ def train_mlp(params: MlpParams, batch: NDArray[np.float64], loss_and_grad,
     blocks, dblocks = _blocks(sizes, flat), _blocks(sizes, grad)
     weights_t = [block[:, :-1].T for block in blocks]
     deltas = [np.empty_like(z) for z in outs[:-1]]
+    masks = [np.empty(z.shape, dtype=bool) for z in outs[:-1]]
     lr, momentum, last = float(lr), float(momentum), float("nan")
     with single_thread():
         for epoch in range(epochs):
@@ -137,7 +138,7 @@ def train_mlp(params: MlpParams, batch: NDArray[np.float64], loss_and_grad,
                 np.matmul(delta, ins[i].T, out=dblocks[i])
                 if i > 0:
                     delta = np.matmul(weights_t[i], delta, out=deltas[i - 1])
-                    delta *= outs[i - 1] > 0
+                    delta *= np.greater(outs[i - 1], 0.0, out=masks[i - 1])
             buf *= momentum
             buf += grad
             flat -= np.multiply(buf, lr, out=step)

@@ -41,7 +41,7 @@ from .propensity import logistic
 
 __all__ = [
     "BETA", "GAMMA", "BASE_TREATED", "BASE_CONTROL", "SHIFT",
-    "SCENARIOS", "generate", "true_propensity", "GroundTruth",
+    "SCENARIOS", "generate", "true_propensity", "GroundTruth", "TruthRows",
     "mse", "eval_points", "SweepCell", "SweepRecord", "plan_cells",
     "run_cell", "run_sweep", "loglog_slope", "check_scenario",
 ]
@@ -53,7 +53,7 @@ BASE_CONTROL = 1.0
 SHIFT = 15.0
 N_COV = 10
 V_COLS = list(range(5))
-TRUTH_ROWS = 64     # query rows of true densities computed at once
+TRUTH_ROWS = 16     # query rows of true densities computed at once
 
 # scenario: (the propensity model ``auto`` means, the first stage's x_cols)
 SCENARIOS = {"a": ("forest", None), "b": ("logistic", None),
@@ -145,6 +145,20 @@ class GroundTruth:
         return out
 
 
+class TruthRows:
+    """The true densities at query points ``v`` on ``y_grid`` as a (T, G)
+    matrix made on demand: ``self[rows]`` is
+    ``GroundTruth().density_matrix(v[rows], y_grid)``, so only the rows
+    asked for exist, each row with the bits of the whole matrix's."""
+
+    def __init__(self, v: NDArray[np.float64], y_grid: NDArray[np.float64]) -> None:
+        self.v, self.y_grid = np.atleast_2d(v), np.ravel(y_grid)
+        self.shape = (len(self.v), self.y_grid.size)
+
+    def __getitem__(self, rows: slice) -> NDArray[np.float64]:
+        return GroundTruth().density_matrix(self.v[rows], self.y_grid)
+
+
 def eval_points(n_points: int, eval_seed: int = 0) -> NDArray[np.float64]:
     """Fixed evaluation grid in V-space, shared across sweep cells.
 
@@ -156,16 +170,19 @@ def eval_points(n_points: int, eval_seed: int = 0) -> NDArray[np.float64]:
     return X[:, V_COLS]
 
 
-def mse(est: NDArray[np.float64], truth: NDArray[np.float64]) -> float:
+def mse(est: NDArray[np.float64], truth: NDArray[np.float64] | TruthRows) -> float:
     """Mean squared density error of two (T, G) density matrices, over test
-    points and grid points.  The squared difference is formed in ``est``'s
-    buffer: ``est`` is consumed, so callers pass a float64 array they no
-    longer need."""
+    points and grid points.  ``truth`` is an array or a ``TruthRows``, read
+    ``TRUTH_ROWS`` query rows at a time.  The squared difference is formed in
+    ``est``'s buffer: ``est`` is consumed, so callers pass a float64 array
+    they no longer need."""
     if est.shape != truth.shape:
         raise InvalidArgumentError(f"estimate has shape {est.shape}, "
                                    f"truth {truth.shape}")
-    diff = np.subtract(est, truth, out=est)
-    return float(np.mean(np.square(diff, out=diff)))
+    for lo in range(0, len(est), TRUTH_ROWS):
+        rows = slice(lo, lo + TRUTH_ROWS)
+        np.subtract(est[rows], truth[rows], out=est[rows])
+    return float(np.mean(np.square(est, out=est)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +225,14 @@ def run_cell(cell: SweepCell, hyper: Hyper, test_v: NDArray[np.float64],
     so every method and variant in a sweep sees identical draws.  The cells
     of one (n, seed) group therefore share parts, which ``run_sweep`` keeps
     in one ``shared`` dict per group: the data and its split, the scoring
-    grid with the true densities on it, the parts ``fit_ccme`` keeps there,
-    and each fit's score.  A score is keyed by the cell's method, its
-    variant and the nuisances that variant reads (``READS``): the propensity
-    model and the first stage's ``x_cols``, which ``SCENARIOS`` gives each
-    scenario.  Cells whose scenarios differ only in what their variant does
-    not read are thus one fit, and all but the first report about 0 s.
+    grid, the parts ``fit_ccme`` keeps there, and each fit's score.  The
+    true densities are not kept: ``mse`` makes them ``TRUTH_ROWS`` query
+    rows at a time for each fit it scores.  A score is keyed by the cell's
+    method, its variant and the nuisances that variant reads (``READS``): the
+    propensity model and the first stage's ``x_cols``, which ``SCENARIOS``
+    gives each scenario.  Cells whose scenarios differ only in what their
+    variant does not read are thus one fit, and all but the first report
+    about 0 s.
 
     Without ``shared`` the cell builds every part itself.  The record's
     ``seconds`` include the parts this cell built first.  A part that
@@ -249,14 +268,9 @@ def _fit_and_score(cell: SweepCell, propensity: str, x_cols: list[int] | None,
                 propensity=propensity, seed=_derived_seed(2029, n, seed),
                 net_seed=_derived_seed(2028, n, seed)),
         shared=shared, pi_hat=true_propensity if propensity == "oracle" else None)
-
-    def truth_on_grid() -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        # the split's outcome range, which every fit records, padded by 2
-        grid = default_grid(model, grid_points, 2.0)
-        return grid, GroundTruth().density_matrix(test_v, grid)
-
-    grid, truth = _shared_part(shared, ("truth",), truth_on_grid)
-    return mse(density_matrix(model, test_v, grid), truth)
+    # the split's outcome range, which every fit records, padded by 2
+    grid = _shared_part(shared, ("grid",), lambda: default_grid(model, grid_points, 2.0))
+    return mse(density_matrix(model, test_v, grid), TruthRows(test_v, grid))
 
 
 def _run_group(cells: list[SweepCell], hyper: Hyper, test_v: NDArray[np.float64],
@@ -307,7 +321,7 @@ def run_sweep(cells: list[SweepCell], hyper: Hyper | None = None,
     None take ``hyper``'s values.
 
     Cells run in groups of one (n, seed), which share their data, nuisances,
-    scores and true densities (see ``run_cell``); a group's shared parts are
+    scores and scoring grid (see ``run_cell``); a group's shared parts are
     dropped when it ends.  A cell that fails is a row with its error, not
     raised.  Kernel-ridge cells above n = 20000 are rejected up front: the
     stage-two factor, n(n+1)/2 doubles, is 1.6 GB at n = 20000 and grows

@@ -401,6 +401,16 @@ class TestCsv:
         grid, values = case
         assert curves_to_csv(grid, values) == reference_curves_csv(grid, values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(grids_and_curves(), st.integers(1, 3))
+    def test_blocks_joined_in_order_are_the_whole_file(self, case, rows):
+        """Only the block at v_id 0 carries the header, and each block
+        numbers its queries from its first v_id."""
+        grid, values = case
+        blocks = [curves_to_csv(grid, values[lo:lo + rows], lo)
+                  for lo in range(0, max(len(values), 1), rows)]
+        assert "".join(blocks) == curves_to_csv(grid, values)
+
     def test_round_trips_through_loadtxt(self):
         grid = np.linspace(-2.0, 3.0, 7)
         values = np.random.default_rng(4).normal(size=(3, 7))

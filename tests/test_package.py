@@ -322,6 +322,18 @@ def test_a_later_import_of_scipy_shares_the_loaded_modules(lookup):
         assert lapack == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "model.npz", "--v", "0.1,0.2,0.3,0.4,0.5", "--out", "d.csv"],
+    ["report", "sweep.csv"],
+])
+def test_commands_that_draw_nothing_load_no_openssl(argv, cli_inputs):
+    """``_hashlib`` loads OpenSSL, about 3.6 MB of a process's memory; only
+    numpy.random loads it, through ``secrets``, for the commands that draw."""
+    script = ("import sys\nfrom ccme.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(repr((code, '_hashlib' in sys.modules)))\n")
+    assert ast.literal_eval(run_fresh(script, *argv, cwd=cli_inputs)[-1]) == (0, False)
+
+
 def test_importing_the_cli_loads_no_process_pool():
     """multiprocessing takes about 20 ms to import, which every command
     would pay at start."""

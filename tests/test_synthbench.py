@@ -14,9 +14,9 @@ from ccme.errors import ConfigError, DegenerateDataError, InvalidArgumentError
 from ccme.estimators import METHODS, VARIANTS, Hyper
 from ccme.propensity import Forest, Logistic
 from ccme.synthbench import (BETA, GAMMA, SCENARIOS, SHIFT, TRUTH_ROWS,
-                             GroundTruth, SweepCell, SweepRecord, eval_points,
-                             generate, loglog_slope, mse, plan_cells, run_cell,
-                             run_sweep, true_propensity)
+                             GroundTruth, SweepCell, SweepRecord, TruthRows,
+                             eval_points, generate, loglog_slope, mse, plan_cells,
+                             run_cell, run_sweep, true_propensity)
 
 from conftest import openblas_counts, openblas_threads, traced_memory
 from oracles import whole_truth_density
@@ -119,11 +119,14 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("T, G", [
         (1, 300), (TRUTH_ROWS, 300), (TRUTH_ROWS + 1, 300),
-        (3 * TRUTH_ROWS + 5, 300), (3 * TRUTH_ROWS + 5, 1), (1, 1)])
+        (3 * TRUTH_ROWS + 5, 300), (3 * TRUTH_ROWS + 5, 1), (1, 1),
+        (64, 300), (65, 300), (197, 300), (197, 1)])
     def test_row_blocks_keep_the_whole_matrix_bits(self, T, G):
         """Written a block of query rows at a time, the densities are the
         whole-matrix expression's bit for bit: one row, one block, one block
-        plus a row, several blocks plus a remainder, and a one-point grid."""
+        plus a row, several blocks plus a remainder, and a one-point grid.
+        T = 64, 65 and 197 were those cases for 64-row blocks; at 16 rows
+        they are four blocks, four plus a row, and twelve plus five."""
         truth = GroundTruth()
         v, y = eval_points(T, 3), np.linspace(-5.0, 40.0, G)
         got = truth.density_matrix(v, y)
@@ -185,6 +188,25 @@ class TestMse:
         with pytest.raises(InvalidArgumentError, match="shape"):
             mse(est, truth)
 
+    @pytest.mark.parametrize("T, G", [(500, 1000), (3 * TRUTH_ROWS + 5, 300),
+                                      (TRUTH_ROWS - 1, 7), (1, 1)])
+    def test_rows_of_the_truth_score_the_bits_of_the_matrix(self, T, G):
+        """The true densities made ``TRUTH_ROWS`` rows at a time by
+        ``TruthRows`` score the bits that the whole (T, G) array scores, and
+        the bits of the difference squared and averaged in one expression."""
+        v, y = eval_points(T, 5), np.linspace(-5.0, 40.0, G)
+        whole = whole_truth_density(GroundTruth(), v, y)
+        est = whole + np.random.default_rng(T).normal(0.0, 1e-3, (T, G))
+        want = float(np.mean(np.square(est - whole))).hex()
+        assert TruthRows(v, y).shape == (T, G)
+        assert mse(est.copy(), TruthRows(v, y)).hex() == want
+        assert mse(est.copy(), GroundTruth().density_matrix(v, y)).hex() == want
+
+    def test_rejects_truth_rows_of_another_shape(self):
+        truth = TruthRows(eval_points(4), np.linspace(0.0, 1.0, 9))
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            mse(np.zeros((4, 8)), truth)
+
 
 class TestScoringMemory:
     """Python-level memory of scoring one sweep cell at the sweep's default
@@ -198,9 +220,10 @@ class TestScoringMemory:
         return eval_points(self.T), np.linspace(-5.0, 40.0, self.G)
 
     def test_truth_is_one_array_plus_its_block_temporaries(self):
-        """1.53 measured (2-core x86-64, numpy 2.4.6), about four blocks of
-        TRUTH_ROWS rows beside the result; built as one expression it was
-        4.02.  The bound allows five blocks."""
+        """1.149 measured (2-core x86-64, numpy 2.4.6), about 4.6 blocks of
+        TRUTH_ROWS = 16 rows beside the result (1.53, about 4.1 blocks, with
+        64-row blocks); built as one expression it was 4.02.  The bound
+        allows five blocks."""
         v, y = self.inputs()
         truth = GroundTruth()
         truth.density_matrix(v[:1], y)
@@ -216,6 +239,20 @@ class TestScoringMemory:
         est = np.full_like(truth, 0.01)
         _, peak, _ = traced_memory(lambda: mse(est, truth))
         assert peak <= 4096
+
+    def test_a_scored_cell_holds_one_matrix_and_blocks_of_the_truth(self):
+        """A cell scored as a sweep scores it: its estimate, and the true
+        densities ``TRUTH_ROWS`` rows at a time.  1.19 measured (2-core
+        x86-64, numpy 2.4.6) on an rr n = 30 fit, where blocks of the truth
+        and the basis coordinates on the grid make the 0.19; 2.19 with the
+        truth made whole beside the estimate.  The bound allows eight blocks
+        of ``TRUTH_ROWS`` rows."""
+        v, _ = self.inputs()
+        cell = SweepCell("rr", "pi", "a", 30, 1)
+        run_cell(cell, Hyper(), v[:20], 50)         # lazy set-up, not counted
+        rec, peak, _ = traced_memory(lambda: run_cell(cell, Hyper(), v, self.G))
+        assert rec.error == ""
+        assert peak / self.UNIT <= 1.0 + 8 * TRUTH_ROWS / self.T
 
 
 class TestEvalPoints:
@@ -492,20 +529,39 @@ class TestSweepGroups:
                 assert len({r.mse for r in records if r.variant == variant
                             and r.seed == seed and r.scenario in scenarios}) == 1
 
-    def test_the_truth_is_evaluated_once_per_group(self, monkeypatch, tiny_hyper):
-        calls = []
-        real = GroundTruth.density_matrix
+    def test_the_grid_is_made_once_per_group_and_the_truth_per_fit(
+            self, monkeypatch, tiny_hyper):
+        """A group keeps its scoring grid, not the true densities on it: each
+        scored fit makes them again, ``TRUTH_ROWS`` query rows at a time."""
+        grids, truth_rows, scores = [], [], []
+        real_grid, real_truth, real_mse = (synthbench.default_grid,
+                                           GroundTruth.density_matrix, synthbench.mse)
 
-        def spy(self, v, y):
-            calls.append(len(y))
-            return real(self, v, y)
+        def grid_spy(*args, **kwargs):
+            grids.append(real_grid(*args, **kwargs))
+            return grids[-1]
 
-        monkeypatch.setattr(GroundTruth, "density_matrix", spy)
+        def truth_spy(self, v, y):
+            truth_rows.append((len(v), len(y)))
+            return real_truth(self, v, y)
+
+        def mse_spy(est, truth):
+            scores.append(truth.shape)
+            return real_mse(est, truth)
+
+        monkeypatch.setattr(synthbench, "default_grid", grid_spy)
+        monkeypatch.setattr(GroundTruth, "density_matrix", truth_spy)
+        monkeypatch.setattr(synthbench, "mse", mse_spy)
+        T = TRUTH_ROWS + 3
         cells = plan_cells(["rr", "nk"], list(synthbench.VARIANTS), ["a", "c"],
                            [30], [1, 2])
-        records = run_sweep(cells, tiny_hyper, test_points=5, grid_points=20)
+        records = run_sweep(cells, tiny_hyper, test_points=T, grid_points=20)
         assert all(r.error == "" for r in records)
-        assert calls == [20, 20]
+        assert [len(g) for g in grids] == [20, 20]
+        # per method and group: dr (forest, all x) and (forest, no x6), ipw
+        # (forest), pi (all x) and (no x6), onestep
+        assert scores == [(T, 20)] * (2 * 2 * 6)
+        assert truth_rows == [(TRUTH_ROWS, 20), (3, 20)] * len(scores)
 
     @pytest.mark.parametrize("method", ["rr", "df", "nk"])
     def test_a_first_stage_is_read_at_d1_once_per_group(self, monkeypatch,
